@@ -5,22 +5,30 @@ The operator sends e_a (x) e_b to q^{-delta_ab} e_b (x) e_a plus, when b < a,
 the quadratic Hecke identity (both verified, never assumed), and generates
 every commutation coefficient used downstream.
 
+Every coefficient table comes from one sparse two-site kernel,
+apply_two_site, which applies a table (a, b) -> [((x, y), c)] at two
+positions of every word of a tensor dictionary.  The braid moves are that
+kernel with the R-hat table at adjacent positions; the bicharacter tables in
+qmatrix are the same kernel with their own generator tables.
+
 Wedge powers are handled through the splitting pair iota/rho: iota embeds the
 q-antisymmetric subspace into the tensor power with a q-factorial
 normalisation, rho projects a tensor word onto the sorted wedge basis with a
-(-q)^inversions sign.  The braiding between wedge powers is computed by
-embedding, applying a fixed reduced product of elementary braid moves, and
-projecting back; the resulting coefficient tables are the ones the quantum
-matrix identities consume.
+(-q)^inversions sign.  The braiding between wedge powers braids the sorted
+word e_I (x) e_J by a fixed reduced product of braid moves and projects it
+back.  No iota-embedding is needed: rho o R_i = (-q) rho, so the q-factorial
+normalisation of iota cancels exactly.  iota is kept as the oracle that
+embed-equivariance and the tests check against.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import combinations, permutations
 
 from .coeff import (RF_ONE, RF_Q, RF_QDIFF, RF_QINV, RF_ZERO, RatFunc,
                     rf_q_int)
-from .indexsets import IndexSet, index_sets, inversions
+from .indexsets import IndexSet, inversions
 
 
 class DegreeOutOfRange(ValueError):
@@ -49,18 +57,57 @@ def braid_pair_action(a, b, inverse=False):
     return out
 
 
-def apply_elementary(tensor, pos, inverse=False):
-    """Apply the braid move at 0-based position (pos, pos+1) of every word."""
+def rhat_entries(N):
+    """R-hat on C^N (x) C^N as a sparse matrix {((x, y), (a, b)): coeff}."""
+    return {((x, y), (a, b)): c
+            for a in range(1, N + 1) for b in range(1, N + 1)
+            for (x, y), c in braid_pair_action(a, b)}
+
+
+def by_column(entries):
+    """Group a sparse matrix {(row, col): coeff} as col -> [(row, coeff)].
+
+    Columns without entries read as empty lists."""
+    table = defaultdict(list)
+    for (row, col), c in entries.items():
+        table[col].append((row, c))
+    return table
+
+
+class _RhatTable(dict):
+    """The braid_pair_action table, filled per letter pair on first use so
+    that it serves words over any alphabet."""
+
+    def __init__(self, inverse):
+        super().__init__()
+        self.inverse = inverse
+
+    def __missing__(self, ab):
+        image = self[ab] = braid_pair_action(ab[0], ab[1], self.inverse)
+        return image
+
+
+_RHAT_TABLES = {False: _RhatTable(False), True: _RhatTable(True)}
+
+
+def apply_two_site(tensor, i, j, table):
+    """Apply a two-site table (a, b) -> [((x, y), c)] at 0-based positions
+    (i, j), i < j, of every word of a tensor dictionary."""
     out = {}
     for word, c in tensor.items():
-        for (x, y), f in braid_pair_action(word[pos], word[pos + 1], inverse):
-            w2 = word[:pos] + (x, y) + word[pos + 2:]
+        for (x, y), f in table[word[i], word[j]]:
+            w2 = word[:i] + (x,) + word[i + 1:j] + (y,) + word[j + 1:]
             s = out.get(w2, RF_ZERO) + c * f
             if s.is_zero():
                 out.pop(w2, None)
             else:
                 out[w2] = s
     return out
+
+
+def apply_elementary(tensor, pos, inverse=False):
+    """Apply the braid move at 0-based position (pos, pos+1) of every word."""
+    return apply_two_site(tensor, pos, pos + 1, _RHAT_TABLES[inverse])
 
 
 def block_positions(k, l):
@@ -103,21 +150,15 @@ class BraidOperator:
     def entry(self, row, col):
         return self.entries.get((row, col), RF_ZERO)
 
-    def columns(self):
-        cols = {}
-        for (row, col), c in self.entries.items():
-            cols.setdefault(col, []).append((row, c))
-        return cols
-
     def is_symmetric(self):
         return all(self.entry(col, row) == c
                    for (row, col), c in self.entries.items())
 
     def compose(self, other):
-        by_col = self.columns()
+        by_col = by_column(self.entries)
         out = {}
         for (mid, col), c in other.entries.items():
-            for row, c2 in by_col.get(mid, []):
+            for row, c2 in by_col[mid]:
                 key = (row, col)
                 s = out.get(key, RF_ZERO) + c2 * c
                 if s.is_zero():
@@ -152,12 +193,7 @@ class BraidOperator:
 def build_braid(N):
     if N < 1:
         raise ValueError("N must be >= 1")
-    entries = {}
-    for a in range(1, N + 1):
-        for b in range(1, N + 1):
-            for (x, y), c in braid_pair_action(a, b):
-                entries[((x, y), (a, b))] = c
-    return BraidOperator(N, entries)
+    return BraidOperator(N, rhat_entries(N))
 
 
 def braid_relation_check(N):
@@ -303,24 +339,6 @@ def wedge_project(tensor, degree):
 
 # -- pairs of wedge factors ---------------------------------------------------
 
-def embed_pair(pair_vec):
-    """iota (x) iota on a dict[(keyA, keyB)] -> RatFunc."""
-    out = {}
-    for (ka, kb), c in pair_vec.items():
-        ea = embed_basis(ka)
-        eb = embed_basis(kb)
-        for wa, ca in ea.items():
-            cac = c * ca
-            for wb, cb in eb.items():
-                word = wa + wb
-                s = out.get(word, RF_ZERO) + cac * cb
-                if s.is_zero():
-                    out.pop(word, None)
-                else:
-                    out[word] = s
-    return out
-
-
 def project_pair(tensor, first_len):
     """rho (x) rho, splitting each word after first_len letters."""
     out = {}
@@ -346,10 +364,13 @@ def braid_wedge_pair(pair_vec, k, l, inverse=False):
     """Braiding wedge^k (x) wedge^l -> wedge^l (x) wedge^k on pair vectors.
 
     inverse=True computes the inverse map wedge^l (x) wedge^k -> ...; the
-    input pair vector is then expected to have degrees (l, k).
+    input pair vector is then expected to have degrees (l, k).  Keys are
+    pairs of sorted index tuples; each is braided as the single word
+    e_I (x) e_J, which equals (rho (x) rho) B (iota (x) iota) because the
+    q-factorial normalisation of iota cancels against rho o R_i = (-q) rho.
     """
     first = l if inverse else k
-    t = embed_pair(pair_vec)
+    t = {ka + kb: c for (ka, kb), c in pair_vec.items()}
     t = apply_block_lift(t, k, l, inverse=inverse)
     return project_pair(t, k + l - first)
 

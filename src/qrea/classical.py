@@ -1061,21 +1061,6 @@ def random_triangular(N, rng):
     return t
 
 
-def random_square_weights(shape, rng):
-    """Compatible weights whose positive parts are rational squares.
-
-    Any positive/negative pairing then has a rational square root, so the
-    enhanced-shape construction stays exact."""
-    plus, minus, zero = shape.sign_multiset()
-    lam = [Fraction(rng.randint(1, 4), rng.randint(1, 3)) ** 2
-           for _ in range(plus)]
-    lam += [-Fraction(rng.randint(1, 4), rng.randint(1, 3)) ** 2
-            for _ in range(minus)]
-    lam += [Fraction(0)] * zero
-    rng.shuffle(lam)
-    return lam
-
-
 def random_compatible_weights(shape, rng):
     plus, minus, zero = shape.sign_multiset()
     lam = []

@@ -25,6 +25,11 @@ def _emit(cert, out):
 
 
 def _summarise(certs, t0, label):
+    """Exit code of a run: 0 if every certificate passed, 1 if one did not,
+    2 if there were none (a run that certifies nothing is no pass)."""
+    if not certs:
+        print(f"[{label}] no certificates", file=sys.stderr)
+        return 2
     statuses = [c.status for c in certs]
     n_pass = statuses.count("pass")
     n_fail = statuses.count("fail")
@@ -56,6 +61,9 @@ def _load_instance(text):
 # -- subcommand runners ------------------------------------------------------
 
 def cmd_braid(args):
+    if args.N < 1:
+        print(f"qrea braid: --N must be >= 1, got {args.N}", file=sys.stderr)
+        return 2
     t0 = time.time()
     certs = []
     for n in range(1, args.N + 1):

@@ -309,37 +309,6 @@ def _dense_gcd(a, b):
     return a
 
 
-def lp_gcd(a, b):
-    """Monic gcd of the ordinary-polynomial parts (q-power factors stripped)."""
-    if a.is_zero():
-        return _strip_monic(b)
-    if b.is_zero():
-        return _strip_monic(a)
-    _, da = _to_dense(a)
-    _, db = _to_dense(b)
-    return _from_dense(0, _dense_gcd(da, db))
-
-
-def _strip_monic(p):
-    if p.is_zero():
-        return _LP_ZERO
-    _, d = _to_dense(p)
-    lc = d[-1]
-    return _from_dense(0, [c / lc for c in d])
-
-
-def lp_divexact(a, b):
-    """Exact quotient a / b; raises if the division leaves a remainder."""
-    if a.is_zero():
-        return _LP_ZERO
-    oa, da = _to_dense(a)
-    ob, db = _to_dense(b)
-    quot, rem = _dense_divmod(da, db)
-    if rem:
-        raise ValueError("inexact Laurent division")
-    return _from_dense(oa - ob, quot)
-
-
 # ---------------------------------------------------------------------------
 # Rational functions
 # ---------------------------------------------------------------------------
@@ -614,7 +583,3 @@ class GaussRat:
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
 
-
-GR_ZERO = GaussRat()
-GR_ONE = GaussRat(1)
-GR_I = GaussRat(0, 1)

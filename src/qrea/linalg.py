@@ -70,6 +70,3 @@ def sparse_row_reduce(vectors, greater):
             pivots[lead] = {k: c * inv_l for k, c in v.items()}
     return pivots
 
-
-def sparse_rank(vectors, greater):
-    return len(sparse_row_reduce(vectors, greater))

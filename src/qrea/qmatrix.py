@@ -7,20 +7,22 @@ straightening rules re-orient each pivot at its greatest word, and normal
 forms are sorted words in the row-major generator order.
 
 Quantum minors are the matrix coefficients of the wedge coaction.  The
-bicharacter functional and its two convolution inverses are evaluated
-recursively from generator tables; the generator tables for the inverses are
-obtained by solving the convolution definitions as finite linear systems.
+bicharacter functional and its two convolution inverses are matrix
+coefficients of ordered products of a two-site generator table, computed by
+the braiding module's two-site kernel: the table of the bicharacter is read
+off R-hat, and the tables of the inverses are obtained by solving the
+convolution definitions as finite linear systems.
 Every identity family (Laplace, the common-submatrix expansion, braided
 commutativity) is verified by exact normal-form equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .braiding import braid_pair_action, wedge_braiding
-from .coeff import RF_ONE, RF_QDIFF, RF_ZERO, RatFunc, rf_q_int
+from .braiding import apply_two_site, by_column, rhat_entries, wedge_braiding
+from .coeff import RF_ONE, RF_ZERO, rf_q_int
 from .indexsets import inversions
 from .linalg import SingularMatrix, invert_matrix, sparse_row_reduce
 
@@ -50,14 +52,6 @@ class SizeMismatch(ValueError):
 
 def gen_id(i, j, N):
     return (i - 1) * N + (j - 1)
-
-
-def gen_row(g, N):
-    return g // N + 1
-
-
-def gen_col(g, N):
-    return g % N + 1
 
 
 def word_rows(word, N):
@@ -176,11 +170,7 @@ def exchange_relations(N):
     k, l, i, j.  The N^2 slots with k == l and i == j are identically zero
     (R-hat scales every e_a (x) e_a by the same scalar, so both sides agree)
     and come back as empty dicts."""
-    rhat = {}
-    for a in range(1, N + 1):
-        for b in range(1, N + 1):
-            for (x, y), c in braid_pair_action(a, b):
-                rhat[((x, y), (a, b))] = c
+    rhat = rhat_entries(N)
     vectors = []
     for k in range(1, N + 1):
         for l in range(1, N + 1):
@@ -463,199 +453,107 @@ def quantum_minor(N, rows, cols, tag="X"):
 class Bicharacter:
     """Functional tables for the braiding bicharacter on monomial pairs.
 
-    Generator values are read off the braid operator; values on longer
-    words follow the multiplicative laws and are memoised.  The two
-    convolution inverses carry reversed laws; their generator tables are
-    solved from the defining identities and certified by re-substitution.
+    Each functional f is a two-site generator table T, with
+    T[(a, b)] = [((x, y), f(X_xa, X_yb))].  On words u of length s and v of
+    length t, f(u, v) is the coefficient at rows(u) + rows(v) of an ordered
+    product of T at positions (p, s + q), applied to e_{cols(u) + cols(v)}:
+
+    - r: T = P R-hat, p = s-1..0 outer, q = 0..t-1 inner;
+    - r_inv, r_prime: the convolution inverses' generator tables, solved
+      from the defining identities, p = 0..s-1 outer, q = t-1..0 inner.
+
+    The product image is memoised per (s, column word), the values per
+    word pair.
     """
 
     def __init__(self, N):
         self.N = N
-        self._base_r = {}
-        for i in range(1, N + 1):
-            for j in range(1, N + 1):
-                # r(X_ii, X_jj) = q^{-delta_ij}
-                self._base_r[(gen_id(i, i, N), gen_id(j, j, N))] = \
-                    RatFunc.q_power(-1 if i == j else 0)
-        for i in range(1, N + 1):
-            for j in range(1, N + 1):
-                if j < i:
-                    # r(X_ji, X_ij) = q^{-1} - q
-                    key = (gen_id(j, i, N), gen_id(i, j, N))
-                    self._base_r[key] = self._base_r.get(key, RF_ZERO) + RF_QDIFF
-        self._base_rinv = self._solve_base(cop=False)
-        self._base_rpr = self._solve_base(cop=True)
+        # r(X_xa, X_yb) is the (y, x), (a, b) entry of R-hat.
+        r_entries = {((y, x), ab): c
+                     for ((x, y), ab), c in rhat_entries(N).items()}
+        self._tables = {"r": by_column(r_entries),
+                        "rinv": by_column(self._solve_base(r_entries, False)),
+                        "rpr": by_column(self._solve_base(r_entries, True))}
         self._memo = {"r": {}, "rinv": {}, "rpr": {}}
+        self._images = {"r": {}, "rinv": {}, "rpr": {}}
 
     # -- generator-level solves -------------------------------------------------
 
-    def _base_r_value(self, g, h):
-        return self._base_r.get((g, h), RF_ZERO)
-
-    def _solve_base(self, cop):
+    def _solve_base(self, r_entries, cop):
         """Invert the reshaped generator matrix of r.
 
         cop=False: rows (i,k), cols (m,n), entry r(X_im, X_kn)   -> r^{-1}
         cop=True : rows (i,l), cols (m,n), entry r(X_im, X_nl)   -> r'
+        Returns the inverse's generator table as {((x, y), (a, b)): value}.
         """
         N = self.N
+        rng = range(1, N + 1)
         rows = []
-        for a in range(1, N + 1):
-            for b in range(1, N + 1):
-                row = []
-                for m in range(1, N + 1):
-                    for n in range(1, N + 1):
-                        if cop:
-                            row.append(self._base_r_value(gen_id(a, m, N),
-                                                          gen_id(n, b, N)))
-                        else:
-                            row.append(self._base_r_value(gen_id(a, m, N),
-                                                          gen_id(b, n, N)))
-                rows.append(row)
+        for a in rng:
+            for b in rng:
+                rows.append([r_entries.get(((a, n), (m, b)) if cop
+                                           else ((a, b), (m, n)), RF_ZERO)
+                             for m in rng for n in rng])
         try:
             inv = invert_matrix(rows)
         except SingularMatrix as exc:
             raise SingularConvolutionSystem(str(exc)) from exc
         table = {}
-        for m in range(1, N + 1):
-            for n in range(1, N + 1):
-                for j in range(1, N + 1):
-                    for k in range(1, N + 1):
+        for m in rng:
+            for n in rng:
+                for j in rng:
+                    for k in rng:
                         val = inv[(m - 1) * N + (n - 1)][(j - 1) * N + (k - 1)]
                         if val.is_zero():
                             continue
                         if cop:
                             # r'(X_mj, X_kn)
-                            table[(gen_id(m, j, N), gen_id(k, n, N))] = val
+                            table[((m, k), (j, n))] = val
                         else:
                             # r^{-1}(X_mj, X_nk)
-                            table[(gen_id(m, j, N), gen_id(n, k, N))] = val
+                            table[((m, n), (j, k))] = val
         return table
 
-    # -- recursive evaluation ------------------------------------------------------
+    # -- evaluation by propagation ---------------------------------------------
 
-    def _eval(self, wa, wb, base, peel_first, peel_second, memo):
-        if not wa:
-            return RF_ONE if counit_word(wb, self.N) else RF_ZERO
-        if not wb:
-            return RF_ONE if counit_word(wa, self.N) else RF_ZERO
-        key = (wa, wb)
+    def image(self, which, s, cols):
+        """The ordered two-site product of functional `which` applied to
+        e_cols, the first s letters being the left word: {rows: value}."""
+        key = (s, cols)
+        images = self._images[which]
+        img = images.get(key)
+        if img is None:
+            ps, qs = range(s), range(len(cols) - s)
+            if which == "r":
+                sites = [(p, s + q) for p in reversed(ps) for q in qs]
+            else:
+                sites = [(p, s + q) for p in ps for q in reversed(qs)]
+            table = self._tables[which]
+            img = {cols: RF_ONE}
+            for i, j in sites:
+                img = apply_two_site(img, i, j, table)
+            images[key] = img
+        return img
+
+    def _value(self, which, wa, wb):
+        key = (tuple(wa), tuple(wb))
+        memo = self._memo[which]
         hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if len(wa) == 1 and len(wb) == 1:
-            res = base.get((wa[0], wb[0]), RF_ZERO)
-        elif len(wa) > 1:
-            res = peel_first(wa, wb)
-        else:
-            res = peel_second(wa[0], wb)
-        memo[key] = res
-        return res
+        if hit is None:
+            wa, wb = key
+            N = self.N
+            img = self.image(which, len(wa), word_cols(wa + wb, N))
+            hit = memo[key] = img.get(word_rows(wa + wb, N), RF_ZERO)
+        return hit
 
     def r(self, wa, wb):
-        return self._eval(tuple(wa), tuple(wb), self._base_r,
-                          self._r_peel_first, self._r_peel_second,
-                          self._memo["r"])
-
-    def _r_peel_first(self, wa, wb):
-        # r(g a', b) = sum_mid r(g, b(K, mid)) r(a', b(mid, L))
-        N = self.N
-        g, rest = wa[:1], wa[1:]
-        K, L = word_rows(wb, N), word_cols(wb, N)
-        total = RF_ZERO
-        for mid in _mid_tuples(N, len(wb)):
-            c1 = self.r(g, word_from_rc(K, mid, N))
-            if c1.is_zero():
-                continue
-            c2 = self.r(rest, word_from_rc(mid, L, N))
-            if not c2.is_zero():
-                total = total + c1 * c2
-        return total
-
-    def _r_peel_second(self, g, wb):
-        # r(X_ij, h b') = sum_m r(X_mj, h) r(X_im, b')
-        N = self.N
-        i, j = gen_row(g, N), gen_col(g, N)
-        h, rest = wb[0], wb[1:]
-        total = RF_ZERO
-        for m in range(1, N + 1):
-            c1 = self._base_r.get((gen_id(m, j, N), h), RF_ZERO)
-            if c1.is_zero():
-                continue
-            c2 = self.r((gen_id(i, m, N),), rest)
-            if not c2.is_zero():
-                total = total + c1 * c2
-        return total
+        return self._value("r", wa, wb)
 
     def r_inv(self, wa, wb):
-        return self._eval(tuple(wa), tuple(wb), self._base_rinv,
-                          self._rinv_peel_first, self._rinv_peel_second,
-                          self._memo["rinv"])
-
-    def _rinv_peel_first(self, wa, wb):
-        # r^{-1}(g a', b) = sum_mid r^{-1}(a', b(K, mid)) r^{-1}(g, b(mid, L))
-        N = self.N
-        g, rest = wa[:1], wa[1:]
-        K, L = word_rows(wb, N), word_cols(wb, N)
-        total = RF_ZERO
-        for mid in _mid_tuples(N, len(wb)):
-            c1 = self.r_inv(rest, word_from_rc(K, mid, N))
-            if c1.is_zero():
-                continue
-            c2 = self.r_inv(g, word_from_rc(mid, L, N))
-            if not c2.is_zero():
-                total = total + c1 * c2
-        return total
-
-    def _rinv_peel_second(self, g, wb):
-        # r^{-1}(X_ij, h b') = sum_m r^{-1}(X_im, h) r^{-1}(X_mj, b')
-        N = self.N
-        i, j = gen_row(g, N), gen_col(g, N)
-        h, rest = wb[0], wb[1:]
-        total = RF_ZERO
-        for m in range(1, N + 1):
-            c1 = self._base_rinv.get((gen_id(i, m, N), h), RF_ZERO)
-            if c1.is_zero():
-                continue
-            c2 = self.r_inv((gen_id(m, j, N),), rest)
-            if not c2.is_zero():
-                total = total + c1 * c2
-        return total
+        return self._value("rinv", wa, wb)
 
     def r_prime(self, wa, wb):
-        return self._eval(tuple(wa), tuple(wb), self._base_rpr,
-                          self._rpr_peel_first, self._rpr_peel_second,
-                          self._memo["rpr"])
-
-    def _rpr_peel_first(self, wa, wb):
-        # r'(g a', b) = sum_mid r'(g, b(mid, L)) r'(a', b(K, mid))
-        N = self.N
-        g, rest = wa[:1], wa[1:]
-        K, L = word_rows(wb, N), word_cols(wb, N)
-        total = RF_ZERO
-        for mid in _mid_tuples(N, len(wb)):
-            c1 = self.r_prime(g, word_from_rc(mid, L, N))
-            if c1.is_zero():
-                continue
-            c2 = self.r_prime(rest, word_from_rc(K, mid, N))
-            if not c2.is_zero():
-                total = total + c1 * c2
-        return total
-
-    def _rpr_peel_second(self, g, wb):
-        # r'(X_ij, h b') = sum_m r'(X_im, h) r'(X_mj, b')
-        N = self.N
-        i, j = gen_row(g, N), gen_col(g, N)
-        h, rest = wb[0], wb[1:]
-        total = RF_ZERO
-        for m in range(1, N + 1):
-            c1 = self._base_rpr.get((gen_id(i, m, N), h), RF_ZERO)
-            if c1.is_zero():
-                continue
-            c2 = self.r_prime((gen_id(m, j, N),), rest)
-            if not c2.is_zero():
-                total = total + c1 * c2
-        return total
+        return self._value("rpr", wa, wb)
 
     # -- functional evaluation on polynomials ---------------------------------------
 

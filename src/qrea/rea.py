@@ -17,16 +17,12 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .braiding import braid_pair_action
-from .coeff import RF_ONE, RF_ZERO, RatFunc, rf_q_int
+from .braiding import rhat_entries
+from .coeff import RF_ONE, RF_ZERO, rf_q_int
 from .qmatrix import (Certificate, IllFormedInstance, NCPoly, QContext,
-                      _mid_tuples, _nf_json, _tsel, _trest, _merge,
-                      derive_rewrite_system, gen_id, word_cols, word_from_rc,
-                      word_rows)
-
-
-class BidegreeExceeded(Exception):
-    pass
+                      _identity_certificate, _mid_tuples, _nf_json, _tsel,
+                      _trest, _merge, derive_rewrite_system, gen_id, word_cols,
+                      word_from_rc, word_rows)
 
 
 class FlatnessCheckFailed(Exception):
@@ -53,28 +49,29 @@ class StarAlgebra:
             return hit
         N = self.N
         bich = self.ctx.bich
+        s = len(u)
         rows_u, cols_u = word_rows(u, N), word_cols(u, N)
         rows_v, cols_v = word_rows(v, N), word_cols(v, N)
-        mids_u = _mid_tuples(N, len(u))
-        mids_v = _mid_tuples(N, len(v))
-        acc = NCPoly.zero(N)
-        for c_t in mids_v:
-            right_top = word_from_rc(rows_v, c_t, N)
-            for d_t in mids_v:
-                mid_v = word_from_rc(c_t, d_t, N)
-                for a_t in mids_u:
-                    c1 = bich.r(word_from_rc(rows_u, a_t, N), mid_v)
-                    if c1.is_zero():
+        # sum of r(X_{rows_u, a}, X_{c, d}) r'(X_{b, cols_u}, X_{rows_v, c})
+        # X_{a, b} X_{d, cols_v}, over the nonzero entries of both images
+        terms = {}
+        for ad in _mid_tuples(N, s + len(v)):
+            a_t, d_t = ad[:s], ad[s:]
+            tail = word_from_rc(d_t, cols_v, N)
+            for rows, c1 in bich.image("r", s, ad).items():
+                if rows[:s] != rows_u:
+                    continue
+                img = bich.image("rpr", s, cols_u + rows[s:])
+                for rows2, c2 in img.items():
+                    if rows2[s:] != rows_v:
                         continue
-                    for b_t in mids_u:
-                        c2 = bich.r_prime(word_from_rc(b_t, cols_u, N),
-                                          right_top)
-                        if c2.is_zero():
-                            continue
-                        w = (word_from_rc(a_t, b_t, N)
-                             + word_from_rc(d_t, cols_v, N))
-                        p = NCPoly(N, {w: c1 * c2})
-                        acc = acc + self.ctx.rw.normal_form(p)
+                    w = word_from_rc(a_t, rows2[:s], N) + tail
+                    c = terms.get(w, RF_ZERO) + c1 * c2
+                    if c.is_zero():
+                        terms.pop(w)
+                    else:
+                        terms[w] = c
+        acc = self.ctx.rw.normal_form(NCPoly(N, terms))
         self._star_word_memo[key] = acc
         return acc
 
@@ -163,22 +160,13 @@ class StarAlgebra:
 # Reflection equation
 # ---------------------------------------------------------------------------
 
-def _rhat_entries(N):
-    out = {}
-    for a in range(1, N + 1):
-        for b in range(1, N + 1):
-            for (x, y), c in braid_pair_action(a, b):
-                out[((x, y), (a, b))] = c
-    return out
-
-
 def reflection_slot_vectors(N):
     """Degree-2 word vectors (Z alphabet) of the reflection equation.
 
     Slot ((k, l), (i, j)) of R Z2 R Z2 - Z2 R Z2 R, with the letters kept
     formal; evaluating the words through any product tests that product.
     """
-    rhat = _rhat_entries(N)
+    rhat = rhat_entries(N)
     slots = {}
     rng = range(1, N + 1)
     for k in rng:
@@ -273,13 +261,6 @@ def rea_verify(star, family, instance):
     raise IllFormedInstance(f"unknown family {family}")
 
 
-def _cert(command, instance, lhs, rhs):
-    if lhs == rhs:
-        return Certificate(command, instance, "pass")
-    return Certificate(command, instance, "fail",
-                       witness={"lhs": _nf_json(lhs), "rhs": _nf_json(rhs)})
-
-
 def _rea_gencomm(star, instance):
     I, J, Ip, Jp = (tuple(instance[n]) for n in ("I", "J", "Ip", "Jp"))
     k, l = len(I), len(Ip)
@@ -312,7 +293,7 @@ def _rea_gencomm(star, instance):
                 if not c_right.is_zero():
                     rhs = rhs + star.star_minor(Ip, Lp, K, L).scale(c_right)
     inst = {"I": list(I), "J": list(J), "I'": list(Ip), "J'": list(Jp)}
-    return _cert("rea gencomm", inst, lhs, rhs)
+    return _identity_certificate("rea gencomm", inst, lhs, rhs)
 
 
 def _rea_laplace(star, family, instance):
@@ -362,7 +343,7 @@ def _rea_laplace(star, family, instance):
                             rhs = rhs + star.star_minor(IPc, Tp, S, T).scale(
                                 sign * c1 * c2)
     inst = {"I": list(I), "J": list(J), "K": list(K)}
-    return _cert(f"rea {family}", inst, lhs, rhs)
+    return _identity_certificate(f"rea {family}", inst, lhs, rhs)
 
 
 def _rea_muir(star, family, instance):
@@ -425,7 +406,7 @@ def _rea_muir(star, family, instance):
                             sign * c1 * c2)
     inst = {"I": list(I), "J": list(J), "F": list(F), "G": list(G),
             "K": list(K), "K'": list(Kp)}
-    return _cert(f"rea {family}", inst, lhs, rhs)
+    return _identity_certificate(f"rea {family}", inst, lhs, rhs)
 
 
 # -- sweep generators --------------------------------------------------------------

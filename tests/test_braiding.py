@@ -3,9 +3,10 @@ from itertools import combinations
 from qrea.braiding import (antisymmetrizer_swap_check, apply_block_lift,
                            braid_pair_action, braid_relation_check,
                            braid_wedge_pair, build_braid, embed_basis,
-                           embed_equivariance_check, q2_factorial,
-                           rmatrix_lemma_check, wedge_braiding, wedge_embed,
-                           wedge_project, wedge_reduce, WedgeVector)
+                           embed_equivariance_check, project_pair,
+                           q2_factorial, rmatrix_lemma_check, wedge_braiding,
+                           wedge_embed, wedge_project, wedge_reduce,
+                           WedgeVector)
 from qrea.coeff import RF_ONE, RF_QDIFF, RF_QINV, RatFunc, rf_q_int
 
 
@@ -89,6 +90,26 @@ def test_block_lift_is_braiding_on_vectors():
             t = apply_block_lift({(a, b): RF_ONE}, 1, 1)
             expected = dict(braid_pair_action(a, b))
             assert t == expected
+
+
+def test_sorted_word_braiding_matches_embedded_braiding():
+    # braid_wedge_pair braids the sorted word e_I (x) e_J directly; it must
+    # equal (rho (x) rho) B (iota (x) iota) with the normalised embedding
+    N = 3
+    for k in range(4):
+        for l in range(4):
+            for inverse in (False, True):
+                first, second = (l, k) if inverse else (k, l)
+                for I in combinations(range(1, N + 1), first):
+                    for J in combinations(range(1, N + 1), second):
+                        t = {wa + wb: ca * cb
+                             for wa, ca in embed_basis(I).items()
+                             for wb, cb in embed_basis(J).items()}
+                        t = apply_block_lift(t, k, l, inverse=inverse)
+                        expected = project_pair(t, second)
+                        got = braid_wedge_pair({(I, J): RF_ONE}, k, l,
+                                               inverse=inverse)
+                        assert got == expected, (k, l, inverse, I, J)
 
 
 def test_table_diagonals():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -20,6 +21,21 @@ def test_braid_command(capsys):
     lines = [json.loads(l) for l in out.strip().splitlines()]
     assert all(rec["status"] == "pass" for rec in lines)
     assert len(lines) == 6
+
+
+def test_braid_n0_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, ["braid", "--N", "0"])
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_empty_run_is_not_a_pass(capsys):
+    code, out, err = run_cli(capsys, ["classical", "invariance", "--N", "2",
+                                      "--samples", "0"])
+    assert code == 2
+    assert out == ""
+    assert "no certificates" in err
 
 
 def test_wedge_table_dump(capsys):
@@ -127,6 +143,9 @@ def test_check_all_deterministic_and_covers(capsys):
     code2, out2, _ = run_cli(capsys, ["check-all", "--N", "2"])
     assert code1 == 0 and code2 == 0
     assert out1 == out2
+    # the recorded N=2 seed-0 certificate stream, byte for byte
+    assert hashlib.sha256(out1.encode()).hexdigest() == (
+        "391dcdf59b29c1c5362db55e8ce411551deaa1afb3fcef0f2f0657658a49a631")
     lines = out1.strip().splitlines()
     assert len(lines) >= 12
     suites = {json.loads(l)["suite"] for l in lines}

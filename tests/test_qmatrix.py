@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -7,7 +7,8 @@ import pytest
 from qrea.coeff import RF_ONE, RF_QINV, RF_ZERO, RatFunc, rf_q_int
 from qrea.qmatrix import (Bicharacter, IllFormedInstance, NCPoly,
                           NonOrientable, braidcomm_instances, coproduct,
-                          counit, counit_word, degree_dimension,
+                          coproduct_word, counit, counit_word,
+                          degree_dimension,
                           derive_rewrite_rules, derive_rewrite_system,
                           exchange_relations, gen_id, laplace_instances,
                           muir_instances, quantum_minor, verify_identity)
@@ -145,6 +146,36 @@ def test_convolution_certificates(ctx2):
     for (s, t) in ((1, 1), (1, 2), (2, 1), (2, 2)):
         assert b.certify_bidegree(s, t, "rinv")
         assert b.certify_bidegree(s, t, "rpr")
+
+
+@pytest.mark.parametrize("which, swap", [("r", False), ("rinv", True),
+                                         ("rpr", True)])
+def test_bicharacter_multiplicative_laws(ctx2, which, swap):
+    # r(g a', b) = sum r(g, b_1) r(a', b_2),
+    # r(a, h b') = sum r(a_2, h) r(a_1, b');
+    # r^{-1} and r' meet the other coproduct leg in both laws:
+    # r^{-1}(g a', b) = sum r^{-1}(a', b_1) r^{-1}(g, b_2),
+    # r^{-1}(a, h b') = sum r^{-1}(a_1, h) r^{-1}(a_2, b'), and r' alike.
+    b = ctx2.bich
+    f = {"r": b.r, "rinv": b.r_inv, "rpr": b.r_prime}[which]
+    for s, t in ((1, 2), (2, 1), (2, 2)):
+        for wa in product(range(4), repeat=s):
+            for wb in product(range(4), repeat=t):
+                value = f(wa, wb)
+                if s > 1:
+                    g, rest = wa[:1], wa[1:]
+                    total = RF_ZERO
+                    for w1, w2 in coproduct_word(wb, 2):
+                        total = total + (f(g, w2 if swap else w1)
+                                         * f(rest, w1 if swap else w2))
+                    assert total == value, (which, wa, wb)
+                if t > 1:
+                    h, rest = wb[:1], wb[1:]
+                    total = RF_ZERO
+                    for a1, a2 in coproduct_word(wa, 2):
+                        total = total + (f(a1 if swap else a2, h)
+                                         * f(a2 if swap else a1, rest))
+                    assert total == value, (which, wa, wb)
 
 
 def test_rinv_minor_diagonals(ctx3):
