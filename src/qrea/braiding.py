@@ -29,6 +29,7 @@ from itertools import combinations, permutations
 from .coeff import (RF_ONE, RF_Q, RF_QDIFF, RF_QINV, RF_ZERO, RatFunc,
                     rf_q_int)
 from .indexsets import IndexSet, inversions
+from .linalg import add_term
 
 
 class DegreeOutOfRange(ValueError):
@@ -96,12 +97,8 @@ def apply_two_site(tensor, i, j, table):
     out = {}
     for word, c in tensor.items():
         for (x, y), f in table[word[i], word[j]]:
-            w2 = word[:i] + (x,) + word[i + 1:j] + (y,) + word[j + 1:]
-            s = out.get(w2, RF_ZERO) + c * f
-            if s.is_zero():
-                out.pop(w2, None)
-            else:
-                out[w2] = s
+            add_term(out, word[:i] + (x,) + word[i + 1:j] + (y,) + word[j + 1:],
+                     c * f)
     return out
 
 
@@ -159,24 +156,14 @@ class BraidOperator:
         out = {}
         for (mid, col), c in other.entries.items():
             for row, c2 in by_col[mid]:
-                key = (row, col)
-                s = out.get(key, RF_ZERO) + c2 * c
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                add_term(out, (row, col), c2 * c)
         return BraidOperator(self.N, out)
 
     def add_scalar_multiple_of_identity(self, scalar):
         out = dict(self.entries)
         for a in range(1, self.N + 1):
             for b in range(1, self.N + 1):
-                key = ((a, b), (a, b))
-                s = out.get(key, RF_ZERO) + scalar
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                add_term(out, ((a, b), (a, b)), scalar)
         return BraidOperator(self.N, out)
 
     def hecke_check(self):
@@ -253,11 +240,7 @@ class WedgeVector:
     def __add__(self, other):
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            s = out.get(k, RF_ZERO) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            add_term(out, k, c)
         v = WedgeVector(self.degree)
         v.coeffs = out
         return v
@@ -311,11 +294,7 @@ def wedge_embed(v):
     out = {}
     for key, c in v.coeffs.items():
         for word, f in embed_basis(key).items():
-            s = out.get(word, RF_ZERO) + c * f
-            if s.is_zero():
-                out.pop(word, None)
-            else:
-                out[word] = s
+            add_term(out, word, c * f)
     return out
 
 
@@ -328,11 +307,7 @@ def wedge_project(tensor, degree):
         if sg is None:
             continue
         coeff, key = sg
-        s = acc.get(key, RF_ZERO) + c * coeff
-        if s.is_zero():
-            acc.pop(key, None)
-        else:
-            acc[key] = s
+        add_term(acc, key, c * coeff)
     v.coeffs = acc
     return v
 
@@ -351,12 +326,7 @@ def project_pair(tensor, first_len):
             continue
         ca, ka = sa
         cb, kb = sb
-        key = (ka, kb)
-        s = out.get(key, RF_ZERO) + c * ca * cb
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
+        add_term(out, (ka, kb), c * ca * cb)
     return out
 
 
@@ -484,10 +454,6 @@ class WedgeBraidTable:
         return {"N": self.N, "k": self.k, "l": self.l, "entries": ent}
 
 
-def wedge_braiding(N, k, l):
-    return WedgeBraidTable(N, k, l)
-
-
 # ---------------------------------------------------------------------------
 # Scalar lemma for the inverse braiding on antisymmetrised pairs
 # ---------------------------------------------------------------------------
@@ -503,8 +469,8 @@ def _antisym_pair_vector(S, T, l):
     for combo in combinations(range(1, t + 1), l):
         TP = _selected(T, combo)
         TPc = tuple(x for i, x in enumerate(T, start=1) if i not in combo)
-        key = (tuple(sorted(S + TP)), tuple(sorted(S + TPc)))
-        vec[key] = vec.get(key, RF_ZERO) + rf_q_int(sum(combo))
+        add_term(vec, (tuple(sorted(S + TP)), tuple(sorted(S + TPc))),
+                 rf_q_int(sum(combo)))
     return vec
 
 

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import numpy as np
 
 from . import braiding, classical, coeff, indexsets, qmatrix, rea, shapes
+from .linalg import add_term
 from .qmatrix import Certificate
 
 _CTX_CACHE = {}
@@ -33,9 +35,54 @@ def get_star(N):
     return _STAR_CACHE[N]
 
 
-def _cert(command, instance, ok, witness=None, seed=None):
-    return Certificate(command, instance, "pass" if ok else "fail",
-                       witness=witness if not ok else None, seed=seed)
+# -- identity families ---------------------------------------------------------
+# (algebra, family) -> (sub-families, instance generator, instance keys).  A
+# "qmatrix" family is verified by qmatrix.verify_identity in the quantum
+# matrix algebra, a "rea" family by rea.rea_verify in the twisted product.
+# The sweep suites below and the CLI's `verify` and `rea verify` read it.
+
+FAMILIES = {
+    ("qmatrix", "laplace"): (("laplace-row", "laplace-col"),
+                             qmatrix.laplace_instances, ("I", "J", "K", "Kp")),
+    ("qmatrix", "muir"): (("muir-row", "muir-col"), qmatrix.muir_instances,
+                          ("I", "J", "F", "G", "K", "Kp")),
+    ("qmatrix", "braidcomm"): (("braidcomm-1", "braidcomm-2"),
+                               qmatrix.braidcomm_instances,
+                               ("I", "J", "Ip", "Jp")),
+    ("rea", "gencomm"): (("gencomm",), qmatrix.braidcomm_instances,
+                         ("I", "J", "Ip", "Jp")),
+    ("rea", "laplace"): (("laplace1", "laplace2"), rea.rea_laplace_instances,
+                         ("I", "J", "K")),
+    ("rea", "muir"): (("muir-left", "muir-right"),
+                      partial(qmatrix.muir_instances, kmax=3, rmax=2),
+                      ("I", "J", "F", "G", "K", "Kp")),
+}
+
+
+def family_certificates(algebra, family, N, instances=None):
+    """Verify each sub-family of an identity family at size N on every
+    instance, by default on the family's own sweep."""
+    subs, sweep, _keys = FAMILIES[algebra, family]
+    if algebra == "qmatrix":
+        ctx, verify = get_ctx(N), qmatrix.verify_identity
+    else:
+        ctx, verify = get_star(N), rea.rea_verify
+    if instances is None:
+        instances = sweep(N)
+    return [verify(ctx, sub, inst) for inst in instances for sub in subs]
+
+
+def _family_suite(algebra, family):
+    """The check-all suite of an identity family: its sweep at min(N, 3),
+    summed up in one certificate."""
+    def suite(N, seed):
+        n = min(N, 3)
+        certs = family_certificates(algebra, family, n)
+        bad = sum(c.status != "pass" for c in certs)
+        return [Certificate.verdict(f"{algebra} {family}",
+                                    {"N": n, "instances": len(certs)},
+                                    bad == 0, witness={"failures": bad})]
+    return suite
 
 
 # -- coeff ---------------------------------------------------------------------
@@ -68,7 +115,8 @@ def check_coeff_ring_axioms(N, seed):
             ok = False
         if not ok:
             break
-    return [_cert("coeff ring-axioms", {"triples": 1000}, ok, seed=seed)]
+    return [Certificate.verdict("coeff ring-axioms", {"triples": 1000}, ok,
+                                seed=seed)]
 
 
 def check_coeff_rf_canonical(N, seed):
@@ -87,7 +135,8 @@ def check_coeff_rf_canonical(N, seed):
             ok = False
         if not ok:
             break
-    return [_cert("coeff rf-canonical", {"samples": 300}, ok, seed=seed)]
+    return [Certificate.verdict("coeff rf-canonical", {"samples": 300}, ok,
+                                seed=seed)]
 
 
 def check_coeff_eval(N, seed):
@@ -99,7 +148,8 @@ def check_coeff_eval(N, seed):
         direct = sum((c * q0 ** e for e, c in p.terms.items()), Fraction(0))
         if p.evaluate(q0) != direct:
             ok = False
-    return [_cert("coeff eval-direct-substitution", {"points": 20}, ok, seed=seed)]
+    return [Certificate.verdict("coeff eval-direct-substitution",
+                                {"points": 20}, ok, seed=seed)]
 
 
 # -- combinatorics ---------------------------------------------------------------
@@ -111,7 +161,8 @@ def check_dominance_refines_lex(N, seed):
             for J in indexsets.index_sets(6, k):
                 if I.dominated_by(J) and J.lex_cmp(I) < 0:
                     ok = False
-    return [_cert("combinatorics dominance-refines-lex", {"N": 6}, ok)]
+    return [Certificate.verdict("combinatorics dominance-refines-lex",
+                                {"N": 6}, ok)]
 
 
 def check_weight_split(N, seed):
@@ -123,15 +174,15 @@ def check_weight_split(N, seed):
                     IK, IKc = I.subselect(indexsets.IndexSet(K))
                     if IK.weight() + IKc.weight() != I.weight():
                         ok = False
-    return [_cert("combinatorics weight-split", {"N": 6}, ok)]
+    return [Certificate.verdict("combinatorics weight-split", {"N": 6}, ok)]
 
 
 def check_comb_lemma_sweep(N, seed):
     n = min(max(N, 6), 7)
     count, bad = indexsets.sweep_comb_lemma(n)
-    return [_cert("combinatorics dominance-lemma",
-                  {"N": n, "pairs": count}, not bad,
-                  witness={"counterexamples": len(bad)} if bad else None)]
+    return [Certificate.verdict("combinatorics dominance-lemma",
+                                {"N": n, "pairs": count}, not bad,
+                                witness={"counterexamples": len(bad)})]
 
 
 def check_inversion_parity(N, seed):
@@ -147,7 +198,8 @@ def check_inversion_parity(N, seed):
         par = (indexsets.inversions(a) + indexsets.inversions(b)) % 2
         if indexsets.inversions(comp) % 2 != par:
             ok = False
-    return [_cert("combinatorics inversion-parity", {"samples": 200}, ok, seed=seed)]
+    return [Certificate.verdict("combinatorics inversion-parity",
+                                {"samples": 200}, ok, seed=seed)]
 
 
 # -- braiding -----------------------------------------------------------------------
@@ -155,8 +207,8 @@ def check_inversion_parity(N, seed):
 def check_braid_relation(N, seed):
     out = []
     for n in range(1, min(N, 4) + 1):
-        out.append(_cert("braiding braid-relation", {"N": n},
-                         braiding.braid_relation_check(n)))
+        out.append(Certificate.verdict("braiding braid-relation", {"N": n},
+                                       braiding.braid_relation_check(n)))
     return out
 
 
@@ -164,8 +216,8 @@ def check_hecke(N, seed):
     out = []
     for n in range(1, min(N, 4) + 1):
         R = braiding.build_braid(n)
-        out.append(_cert("braiding hecke", {"N": n},
-                         R.hecke_check() and R.is_symmetric()))
+        out.append(Certificate.verdict("braiding hecke", {"N": n},
+                                       R.hecke_check() and R.is_symmetric()))
     return out
 
 
@@ -183,7 +235,8 @@ def check_wedge_tables(N, seed):
         ok = (not tbl.support_condition_violations()
               and not tbl.support_condition_violations(tbl.inv_entries)
               and not tbl.diagonal_report())
-        out.append(_cert("braiding wedge-table", {"N": n, "k": k, "l": l}, ok))
+        out.append(Certificate.verdict("braiding wedge-table",
+                                       {"N": n, "k": k, "l": l}, ok))
     return out
 
 
@@ -192,8 +245,9 @@ def check_wedge_composition(N, seed):
     n = min(N, 4)
     ctx = get_ctx(n)
     for (k, l) in _table_degrees(n):
-        out.append(_cert("braiding wedge-composition", {"N": n, "k": k, "l": l},
-                         ctx.table(k, l).composition_identity_check()))
+        out.append(Certificate.verdict(
+            "braiding wedge-composition", {"N": n, "k": k, "l": l},
+            ctx.table(k, l).composition_identity_check()))
     return out
 
 
@@ -201,7 +255,7 @@ def check_embed_equivariance(N, seed):
     n = min(N, 4)
     ok = all(braiding.embed_equivariance_check(n, k)
              for k in range(1, min(n, 3) + 1))
-    return [_cert("braiding embed-equivariance", {"N": n}, ok)]
+    return [Certificate.verdict("braiding embed-equivariance", {"N": n}, ok)]
 
 
 def check_scalar_lemma(N, seed):
@@ -213,8 +267,9 @@ def check_scalar_lemma(N, seed):
             rep = braiding.rmatrix_lemma_check(n, I, Ip)
             if not rep["ok"]:
                 bad.append((I, Ip))
-    return [_cert("braiding scalar-lemma", {"N": n, "pairs": len(subs) ** 2},
-                  not bad, witness={"failed": bad[:5]} if bad else None)]
+    return [Certificate.verdict("braiding scalar-lemma",
+                                {"N": n, "pairs": len(subs) ** 2},
+                                not bad, witness={"failed": bad[:5]})]
 
 
 def check_antisym_swap(N, seed):
@@ -225,7 +280,7 @@ def check_antisym_swap(N, seed):
             for l in range(0, t + 1):
                 if not braiding.antisymmetrizer_swap_check(n, T, l):
                     ok = False
-    return [_cert("braiding antisym-swap", {"N": n}, ok)]
+    return [Certificate.verdict("braiding antisym-swap", {"N": n}, ok)]
 
 
 # -- qmatrix ---------------------------------------------------------------------------
@@ -242,10 +297,11 @@ def check_pbw_dimensions(N, seed):
                 continue
             dim = qmatrix.degree_dimension(n, ctx.rw, d)
             from math import comb
-            out.append(_cert("qmatrix pbw-dimension", {"N": n, "degree": d},
-                             dim == comb(n * n + d - 1, d)))
-        out.append(_cert("qmatrix confluence", {"N": n},
-                         ctx.rw.critical_pairs_ok()))
+            out.append(Certificate.verdict("qmatrix pbw-dimension",
+                                           {"N": n, "degree": d},
+                                           dim == comb(n * n + d - 1, d)))
+        out.append(Certificate.verdict("qmatrix confluence", {"N": n},
+                                       ctx.rw.critical_pairs_ok()))
     return out
 
 
@@ -259,23 +315,18 @@ def check_counit_coassoc(N, seed):
         left = {}
         for (w1, w2), c in qmatrix.coproduct(p).items():
             if qmatrix.counit_word(w1, n):
-                left[w2] = left.get(w2, coeff.RF_ZERO) + c
-        left = {k: v for k, v in left.items() if not v.is_zero()}
+                add_term(left, w2, c)
         if left != {w: coeff.RF_ONE}:
             ok = False
-    return [_cert("qmatrix counit-axiom", {"N": n, "words": 50}, ok, seed=seed)]
+    return [Certificate.verdict("qmatrix counit-axiom", {"N": n, "words": 50},
+                                ok, seed=seed)]
 
 
 def _nf_pair_accumulate(rw, pairs, acc):
     for (w1, w2), c in pairs.items():
         for m1, c1 in rw.nf_word(w1).items():
             for m2, c2 in rw.nf_word(w2).items():
-                key = (m1, m2)
-                s = acc.get(key, coeff.RF_ZERO) + c * c1 * c2
-                if s.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
+                add_term(acc, (m1, m2), c * c1 * c2)
     return acc
 
 
@@ -304,7 +355,7 @@ def check_minor_coproduct(N, seed):
                     _nf_pair_accumulate(ctx.rw, pairs, expected)
                 if got != expected:
                     ok = False
-    return [_cert("qmatrix minor-coproduct", {"N": n}, ok)]
+    return [Certificate.verdict("qmatrix minor-coproduct", {"N": n}, ok)]
 
 
 def check_convolution_certificates(N, seed):
@@ -314,8 +365,8 @@ def check_convolution_certificates(N, seed):
     for (s, t) in ((1, 1), (1, 2), (2, 1), (2, 2)):
         ok = (bich.certify_bidegree(s, t, "rinv")
               and bich.certify_bidegree(s, t, "rpr"))
-        out.append(_cert("qmatrix convolution-certificate",
-                         {"N": n, "bidegree": [s, t]}, ok))
+        out.append(Certificate.verdict("qmatrix convolution-certificate",
+                                       {"N": n, "bidegree": [s, t]}, ok))
     return out
 
 
@@ -337,49 +388,7 @@ def check_minor_table_crosscheck(N, seed):
                                 ok = False
                             if ctx.rinv_minor(A, B, C, D) != bich.pair_functional("rinv", pa, pb):
                                 ok = False
-    return [_cert("qmatrix minor-table-crosscheck", {"N": n}, ok)]
-
-
-def check_qmatrix_laplace(N, seed):
-    n = min(N, 3)
-    ctx = get_ctx(n)
-    bad = 0
-    count = 0
-    for inst in qmatrix.laplace_instances(n):
-        for fam in ("laplace-row", "laplace-col"):
-            count += 1
-            if qmatrix.verify_identity(ctx, fam, inst).status != "pass":
-                bad += 1
-    return [_cert("qmatrix laplace", {"N": n, "instances": count}, bad == 0,
-                  witness={"failures": bad} if bad else None)]
-
-
-def check_qmatrix_muir(N, seed):
-    n = min(N, 3)
-    ctx = get_ctx(n)
-    bad = 0
-    count = 0
-    for inst in qmatrix.muir_instances(n):
-        for fam in ("muir-row", "muir-col"):
-            count += 1
-            if qmatrix.verify_identity(ctx, fam, inst).status != "pass":
-                bad += 1
-    return [_cert("qmatrix muir", {"N": n, "instances": count}, bad == 0,
-                  witness={"failures": bad} if bad else None)]
-
-
-def check_qmatrix_braidcomm(N, seed):
-    n = min(N, 3)
-    ctx = get_ctx(n)
-    bad = 0
-    count = 0
-    for inst in qmatrix.braidcomm_instances(n):
-        for fam in ("braidcomm-1", "braidcomm-2"):
-            count += 1
-            if qmatrix.verify_identity(ctx, fam, inst).status != "pass":
-                bad += 1
-    return [_cert("qmatrix braidcomm", {"N": n, "instances": count}, bad == 0,
-                  witness={"failures": bad} if bad else None)]
+    return [Certificate.verdict("qmatrix minor-table-crosscheck", {"N": n}, ok)]
 
 
 # -- rea ------------------------------------------------------------------------------------
@@ -388,7 +397,8 @@ def check_star_unit(N, seed):
     n = min(N, 3)
     star = get_star(n)
     polys = rea.random_monomials(n, 2, 10, seed)
-    return [_cert("rea star-unit", {"N": n}, star.unit_check(polys), seed=seed)]
+    return [Certificate.verdict("rea star-unit", {"N": n},
+                                star.unit_check(polys), seed=seed)]
 
 
 def check_star_associativity(N, seed):
@@ -397,8 +407,9 @@ def check_star_associativity(N, seed):
     rng = random.Random(seed)
     monos = rea.random_monomials(n, 2, 9, seed)
     triples = [tuple(rng.sample(monos, 3)) for _ in range(5)]
-    return [_cert("rea star-associativity", {"N": n, "triples": len(triples)},
-                  star.associativity_check(triples), seed=seed)]
+    return [Certificate.verdict("rea star-associativity",
+                                {"N": n, "triples": len(triples)},
+                                star.associativity_check(triples), seed=seed)]
 
 
 def check_reflection(N, seed):
@@ -414,8 +425,8 @@ def check_reverse_braid(N, seed):
     rng = random.Random(seed)
     pairs = [((rng.randint(1, n), rng.randint(1, n)),
               (rng.randint(1, n), rng.randint(1, n))) for _ in range(20)]
-    return [_cert("rea reverse-braid", {"N": n, "pairs": 20},
-                  star.reverse_braid_check(pairs), seed=seed)]
+    return [Certificate.verdict("rea reverse-braid", {"N": n, "pairs": 20},
+                                star.reverse_braid_check(pairs), seed=seed)]
 
 
 def check_rea_rewrite(N, seed):
@@ -426,43 +437,8 @@ def check_rea_rewrite(N, seed):
             ok = len(rw.rules) == n * n * (n * n - 1) // 2
         except rea.FlatnessCheckFailed:
             ok = False
-        out.append(_cert("rea rewrite-crosscheck", {"N": n}, ok))
+        out.append(Certificate.verdict("rea rewrite-crosscheck", {"N": n}, ok))
     return out
-
-
-def check_rea_gencomm(N, seed):
-    n = min(N, 3)
-    star = get_star(n)
-    bad = count = 0
-    for inst in rea.gencomm_instances(n, 2, 2):
-        count += 1
-        if rea.rea_verify(star, "gencomm", inst).status != "pass":
-            bad += 1
-    return [_cert("rea gencomm", {"N": n, "instances": count}, bad == 0)]
-
-
-def check_rea_laplace(N, seed):
-    n = min(N, 3)
-    star = get_star(n)
-    bad = count = 0
-    for inst in rea.rea_laplace_instances(n):
-        for fam in ("laplace1", "laplace2"):
-            count += 1
-            if rea.rea_verify(star, fam, inst).status != "pass":
-                bad += 1
-    return [_cert("rea laplace", {"N": n, "instances": count}, bad == 0)]
-
-
-def check_rea_muir(N, seed):
-    n = min(N, 3)
-    star = get_star(n)
-    bad = count = 0
-    for inst in rea.rea_muir_instances(n, 3, 2):
-        for fam in ("muir-left", "muir-right"):
-            count += 1
-            if rea.rea_verify(star, fam, inst).status != "pass":
-                bad += 1
-    return [_cert("rea muir", {"N": n, "instances": count}, bad == 0)]
 
 
 def check_shape_families(N, seed):
@@ -480,8 +456,8 @@ def check_shape_families(N, seed):
     ]
     labels_ok = all(s.tau == tau and s.minor_labels() == lab
                     for s, (tau, lab) in zip(by_rank.get(3, []), expected_rank3))
-    return [_cert("rea shape-families", {"N": 3},
-                  counts_ok and labels_ok)]
+    return [Certificate.verdict("rea shape-families", {"N": 3},
+                                counts_ok and labels_ok)]
 
 
 def check_shape_ideals(N, seed):
@@ -497,46 +473,47 @@ def check_shape_ideals(N, seed):
         for (I, J) in lex.generators:
             if (J, I) not in set(lex.generators):
                 ok = False
-    return [_cert("rea shape-ideals", {"N": 3}, ok)]
+    return [Certificate.verdict("rea shape-ideals", {"N": 3}, ok)]
+
+
+def qcomm_certificates(N, fams):
+    """The q-commutation certificates of every chain minor of each shape
+    family with every minor of size 1 and 2; `rea qcomm` and check-all."""
+    ctx = get_ctx(N)
+    return [shapes.shape_qcomm_certificate(ctx, s, k, I, J)
+            for s in fams for k in range(1, s.rank + 1) for m in (1, 2)
+            for I in combinations(range(1, N + 1), m)
+            for J in combinations(range(1, N + 1), m)]
 
 
 def check_qcomm(N, seed):
     n = 3
-    ctx = get_ctx(n)
-    bad = inc = count = 0
-    for s in shapes.enumerate_shapes(n):
-        for k in range(1, s.rank + 1):
-            for m in (1, 2):
-                for I in combinations(range(1, n + 1), m):
-                    for J in combinations(range(1, n + 1), m):
-                        count += 1
-                        c = shapes.shape_qcomm_certificate(ctx, s, k, I, J)
-                        if c.status == "fail":
-                            bad += 1
-                        elif c.status == "inconclusive":
-                            inc += 1
-    return [_cert("rea qcomm", {"N": n, "instances": count},
-                  bad == 0 and inc == 0,
-                  witness={"fail": bad, "inconclusive": inc} if bad or inc else None)]
+    statuses = [c.status for c in
+                qcomm_certificates(n, shapes.enumerate_shapes(n))]
+    bad, inc = statuses.count("fail"), statuses.count("inconclusive")
+    return [Certificate.verdict("rea qcomm",
+                                {"N": n, "instances": len(statuses)},
+                                bad == 0 and inc == 0,
+                                witness={"fail": bad, "inconclusive": inc})]
+
+
+def semiclassical_certificates(N):
+    """The first-order twisted commutator of every pair of generators
+    against the Poisson bracket; `rea semiclassical` and check-all."""
+    star = get_star(N)
+    table = classical.poisson_bracket_coeffs(N)
+    gens = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
+    return [rea.semiclassical_bracket_check(star, ij, kl, table)
+            for ij in gens for kl in gens]
 
 
 def check_semiclassical(N, seed):
     out = []
     for n in range(2, min(N, 3) + 1):
-        star = get_star(n)
-        table = classical.poisson_bracket_coeffs(n)
-        bad = count = 0
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                for k in range(1, n + 1):
-                    for l in range(1, n + 1):
-                        count += 1
-                        c = rea.semiclassical_bracket_check(
-                            star, (i, j), (k, l), table)
-                        if c.status != "pass":
-                            bad += 1
-        out.append(_cert("rea semiclassical", {"N": n, "pairs": count},
-                         bad == 0))
+        certs = semiclassical_certificates(n)
+        out.append(Certificate.verdict(
+            "rea semiclassical", {"N": n, "pairs": len(certs)},
+            all(c.status == "pass" for c in certs)))
     return out
 
 
@@ -557,7 +534,8 @@ def check_shape_roundtrip(N, seed):
         target = np.sort(np.array([float(x) for x in lam]))
         if np.max(np.abs(np.array(lab.weight) - target)) > 1e-9:
             ok = False
-    return [_cert("classical shape-roundtrip", {"samples": 100}, ok, seed=seed)]
+    return [Certificate.verdict("classical shape-roundtrip", {"samples": 100},
+                                ok, seed=seed)]
 
 
 def check_sign_compat(N, seed):
@@ -575,7 +553,8 @@ def check_sign_compat(N, seed):
         minus = int(np.sum(nonzero < 0))
         if s.sign_multiset() != (plus, minus, zero):
             ok = False
-    return [_cert("classical sign-compatibility", {"samples": 100}, ok, seed=seed)]
+    return [Certificate.verdict("classical sign-compatibility",
+                                {"samples": 100}, ok, seed=seed)]
 
 
 def check_tn_invariance(N, seed):
@@ -597,8 +576,8 @@ def check_tn_invariance(N, seed):
         for t in (shear, diag, gen):
             if not classical.tn_invariance_check(z, t):
                 ok = False
-    return [_cert("classical tn-invariance", {"N": n, "samples": 100}, ok,
-                  seed=seed)]
+    return [Certificate.verdict("classical tn-invariance",
+                                {"N": n, "samples": 100}, ok, seed=seed)]
 
 
 def check_decompose(N, seed):
@@ -615,7 +594,8 @@ def check_decompose(N, seed):
         tn = t.to_numeric()
         if np.any(np.real(np.diag(tn)) <= 0):
             ok = False
-    return [_cert("classical decompose", {"samples": 50}, ok, seed=seed)]
+    return [Certificate.verdict("classical decompose", {"samples": 50}, ok,
+                                seed=seed)]
 
 
 def check_bivector(N, seed):
@@ -629,8 +609,8 @@ def check_bivector(N, seed):
             classical.poisson_bivector(z)
         except classical.IllConditioned:
             ok = False
-    return [_cert("classical bivector-antisymmetry", {"N": n, "samples": 20},
-                  ok, seed=seed)]
+    return [Certificate.verdict("classical bivector-antisymmetry",
+                                {"N": n, "samples": 20}, ok, seed=seed)]
 
 
 def check_tangency(N, seed):
@@ -651,8 +631,9 @@ def check_tangency(N, seed):
             done += 1
             if not rep["equal"]:
                 ok = False
-        out.append(_cert("classical tangency", {"N": n, "samples": done},
-                         ok and done == 50, seed=seed))
+        out.append(Certificate.verdict("classical tangency",
+                                       {"N": n, "samples": done},
+                                       ok and done == 50, seed=seed))
     return out
 
 
@@ -660,9 +641,9 @@ def check_jacobi(N, seed):
     out = []
     for n in (2, 3):
         rep = classical.jacobi_check(n, samples=100 if n == 2 else 25, seed=seed)
-        out.append(_cert("classical jacobi",
-                         {"N": n, "samples": rep["samples"]}, rep["ok"],
-                         seed=seed))
+        out.append(Certificate.verdict("classical jacobi",
+                                       {"N": n, "samples": rep["samples"]},
+                                       rep["ok"], seed=seed))
     return out
 
 
@@ -686,17 +667,17 @@ CHECKS = [
     ("qmatrix.minor-coproduct", check_minor_coproduct),
     ("qmatrix.convolution-certificates", check_convolution_certificates),
     ("qmatrix.minor-table-crosscheck", check_minor_table_crosscheck),
-    ("qmatrix.laplace", check_qmatrix_laplace),
-    ("qmatrix.muir", check_qmatrix_muir),
-    ("qmatrix.braidcomm", check_qmatrix_braidcomm),
+    ("qmatrix.laplace", _family_suite("qmatrix", "laplace")),
+    ("qmatrix.muir", _family_suite("qmatrix", "muir")),
+    ("qmatrix.braidcomm", _family_suite("qmatrix", "braidcomm")),
     ("rea.star-unit", check_star_unit),
     ("rea.star-associativity", check_star_associativity),
     ("rea.reflection-equation", check_reflection),
     ("rea.reverse-braid", check_reverse_braid),
     ("rea.rewrite-crosscheck", check_rea_rewrite),
-    ("rea.gencomm", check_rea_gencomm),
-    ("rea.laplace", check_rea_laplace),
-    ("rea.muir", check_rea_muir),
+    ("rea.gencomm", _family_suite("rea", "gencomm")),
+    ("rea.laplace", _family_suite("rea", "laplace")),
+    ("rea.muir", _family_suite("rea", "muir")),
     ("rea.shape-families", check_shape_families),
     ("rea.shape-ideals", check_shape_ideals),
     ("rea.qcomm", check_qcomm),

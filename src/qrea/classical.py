@@ -24,10 +24,7 @@ import numpy as np
 
 from .coeff import GaussRat, rational_sqrt
 from .indexsets import inversions
-
-
-class RankZero(ValueError):
-    pass
+from .linalg import add_term
 
 
 class InconsistentPivots(RuntimeError):
@@ -299,11 +296,6 @@ def _phase_of(d):
     return c / abs(c)
 
 
-def _chain_tau_images(chain_pairs):
-    """Map column -> row over accumulated pivot pairs [(p, tau_p), ...]."""
-    return {p: tp for p, tp in chain_pairs}
-
-
 def shape_of(z):
     """Shape of an exact Hermitian matrix via lex-first nonvanishing minors.
 
@@ -344,7 +336,7 @@ def shape_of(z):
             raise InconsistentPivots(
                 f"pivot chain broke at size {k}: {prev_cols} -> {J}")
         pairs.append((new_cols[0], new_rows[0]))
-        tau_map = _chain_tau_images(pairs)
+        tau_map = dict(pairs)
         images = [tau_map[p] for p in J]
         inv = sum(1 for a in range(k) for b in range(a + 1, k)
                   if images[a] > images[b])
@@ -738,23 +730,7 @@ def _poly_mul(a, b):
     out = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = tuple(sorted(ma + mb))
-            s = out.get(m, GR0) + ca * cb
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-    return out
-
-
-def _poly_add(a, b):
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m, GR0) + c
-        if s.is_zero():
-            out.pop(m, None)
-        else:
-            out[m] = s
+            add_term(out, tuple(sorted(ma + mb)), ca * cb)
     return out
 
 
@@ -768,10 +744,11 @@ def _mat_mul_poly(A, B):
              for j in range(n)] for i in range(n)]
 
 
-def _sum_polys(gen):
+def _sum_polys(polys):
     out = {}
-    for p in gen:
-        out = _poly_add(out, p)
+    for p in polys:
+        for m, c in p.items():
+            add_term(out, m, c)
     return out
 
 
@@ -812,8 +789,8 @@ def poisson_bracket_coeffs(N):
     t3 = _mat_mul_poly(_mat_mul_poly(z1, rP), oz)
     t4 = _mat_mul_poly(_mat_mul_poly(oz, r21P), z1)
     neg = GaussRat(-1)
-    M = [[_poly_add(_poly_add(t1[a][b], _poly_scale(t2[a][b], neg)),
-                    _poly_add(t3[a][b], _poly_scale(t4[a][b], neg)))
+    M = [[_sum_polys((t1[a][b], _poly_scale(t2[a][b], neg),
+                      t3[a][b], _poly_scale(t4[a][b], neg)))
           for b in range(N * N)] for a in range(N * N)]
     minus_i = GaussRat(0, -1)
     out = {}
@@ -973,12 +950,7 @@ def jacobi_check(N, samples=100, seed=0, tol=1e-8):
                 rest = mono[:pos] + mono[pos + 1:]
                 inner = table[(ij, var)]
                 for m2, c2 in inner.items():
-                    m = tuple(sorted(m2 + rest))
-                    s = out.get(m, GR0) + c * c2
-                    if s.is_zero():
-                        out.pop(m, None)
-                    else:
-                        out[m] = s
+                    add_term(out, tuple(sorted(m2 + rest)), c * c2)
         return out
 
     coords = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
@@ -986,9 +958,9 @@ def jacobi_check(N, samples=100, seed=0, tol=1e-8):
     for f in coords:
         for g in coords:
             for h in coords:
-                total = {}
-                for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
-                    total = _poly_add(total, bracket_with_poly(a, table[(b, c)]))
+                total = _sum_polys(
+                    bracket_with_poly(a, table[(b, c)])
+                    for a, b, c in ((f, g, h), (g, h, f), (h, f, g)))
                 if total:
                     cyclic[(f, g, h)] = total
     rng = np.random.default_rng(seed)

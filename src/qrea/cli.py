@@ -5,6 +5,17 @@ canonical order so identical seeds and arguments give byte-identical
 output); a human summary with timings goes to stderr.  Exit code 0 means
 every requested check passed, 1 means some check failed, 2 is a usage
 error.  The environment variable QREA_SEED overrides --seed.
+
+A usage error prints one line to stderr and nothing to stdout.  Besides
+unknown or malformed flags, the usage errors are:
+- an --instance that is not a JSON object, lacks a key of its family, holds
+  an index set that is not increasing within 1..N, or a position outside
+  its set, or sets of inconsistent sizes;
+- a --shape that is not JSON; for `rea qcomm`, one that is not a
+  self-adjoint shape of size N;
+- `wedge-table` degrees outside 0..N;
+- `rea shapes`, and `rea qcomm` without --shape, beyond N = 5;
+- `braid --N 0`, and any run that produces no certificates.
 """
 
 from __future__ import annotations
@@ -16,8 +27,17 @@ import sys
 import time
 from fractions import Fraction
 
-from . import braiding, checks, classical, qmatrix, rea, shapes
+from . import braiding, checks, classical, qmatrix, shapes
 from .qmatrix import Certificate
+
+
+class UsageError(Exception):
+    """Bad command-line input, reported by main in one line with exit 2."""
+
+
+# Input errors: main maps exactly these to a usage error.
+_INPUT_ERRORS = (UsageError, braiding.DegreeOutOfRange, shapes.MalformedShape,
+                 qmatrix.IllFormedInstance)
 
 
 def _emit(cert, out):
@@ -47,15 +67,37 @@ def _seed(args):
     return args.seed
 
 
-def _load_instance(text):
-    obj = json.loads(text)
-    if "K'" in obj:
-        obj["Kp"] = obj.pop("K'")
-    if "I'" in obj:
-        obj["Ip"] = obj.pop("I'")
-    if "J'" in obj:
-        obj["Jp"] = obj.pop("J'")
-    return {k: tuple(v) for k, v in obj.items()}
+def _json_arg(flag, text):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{flag} is not JSON: {exc}") from None
+
+
+def _load_instance(text, N, keys):
+    """An --instance object as a family instance; primed keys K' I' J' read
+    as Kp Ip Jp.  Each of `keys` must hold an increasing list of integers:
+    within 1..N for the index sets I, J, I', J', from 1 on for the positions
+    K, K', F, G (the identity checks their upper bounds)."""
+    obj = _json_arg("--instance", text)
+    if not isinstance(obj, dict):
+        raise UsageError("--instance must be a JSON object")
+    obj = {k.replace("'", "p"): v for k, v in obj.items()}
+    inst = {}
+    for key in keys:
+        name = key.replace("p", "'")
+        if key not in obj:
+            raise UsageError(f"--instance lacks {name}")
+        v = obj[key]
+        top = N if key in ("I", "J", "Ip", "Jp") else float("inf")
+        if (not isinstance(v, list)
+                or not all(type(x) is int and 1 <= x <= top for x in v)
+                or any(a >= b for a, b in zip(v, v[1:]))):
+            bound = f" in 1..{N}" if top == N else " from 1 on"
+            raise UsageError(
+                f"--instance {name} must be an increasing integer list{bound}")
+        inst[key] = tuple(v)
+    return inst
 
 
 # -- subcommand runners ------------------------------------------------------
@@ -68,12 +110,13 @@ def cmd_braid(args):
     certs = []
     for n in range(1, args.N + 1):
         R = braiding.build_braid(n)
-        certs.append(Certificate("braid", {"N": n, "check": "braid-relation"},
-                                 "pass" if braiding.braid_relation_check(n) else "fail"))
-        certs.append(Certificate("braid", {"N": n, "check": "hecke"},
-                                 "pass" if R.hecke_check() else "fail"))
-        certs.append(Certificate("braid", {"N": n, "check": "symmetric"},
-                                 "pass" if R.is_symmetric() else "fail"))
+        certs.append(Certificate.verdict(
+            "braid", {"N": n, "check": "braid-relation"},
+            braiding.braid_relation_check(n)))
+        certs.append(Certificate.verdict("braid", {"N": n, "check": "hecke"},
+                                         R.hecke_check()))
+        certs.append(Certificate.verdict(
+            "braid", {"N": n, "check": "symmetric"}, R.is_symmetric()))
     for c in certs:
         _emit(c, sys.stdout)
     return _summarise(certs, t0, "braid")
@@ -81,73 +124,36 @@ def cmd_braid(args):
 
 def cmd_wedge_table(args):
     t0 = time.time()
-    tbl = braiding.wedge_braiding(args.N, args.k, args.l)
+    tbl = braiding.WedgeBraidTable(args.N, args.k, args.l)
     sys.stdout.write(json.dumps(tbl.to_json(), sort_keys=True) + "\n")
-    status = "pass"
+    ok = True
     if args.check:
         ok = (not tbl.support_condition_violations()
               and not tbl.support_condition_violations(tbl.inv_entries)
               and not tbl.diagonal_report()
               and tbl.composition_identity_check())
-        status = "pass" if ok else "fail"
-        _emit(Certificate("wedge-table",
-                          {"N": args.N, "k": args.k, "l": args.l}, status),
+        _emit(Certificate.verdict("wedge-table",
+                                  {"N": args.N, "k": args.k, "l": args.l}, ok),
               sys.stdout)
     print(f"[wedge-table] dumped N={args.N} k={args.k} l={args.l} "
           f"({time.time() - t0:.1f}s)", file=sys.stderr)
-    return 0 if status == "pass" else 1
+    return 0 if ok else 1
 
 
-_QM_FAMILIES = {"laplace": ("laplace-row", "laplace-col"),
-                "muir": ("muir-row", "muir-col"),
-                "braidcomm": ("braidcomm-1", "braidcomm-2")}
-
-
-def cmd_verify(args):
+def cmd_family(args):
+    """`verify` and `rea verify`: one identity family, on one --instance or
+    on the family's sweep."""
     t0 = time.time()
-    ctx = checks.get_ctx(args.N)
-    fams = _QM_FAMILIES[args.family]
-    certs = []
+    instances = None
     if args.instance:
-        inst = _load_instance(args.instance)
-        for fam in fams:
-            certs.append(qmatrix.verify_identity(ctx, fam, inst))
-    else:
-        gen = {"laplace": qmatrix.laplace_instances,
-               "muir": qmatrix.muir_instances,
-               "braidcomm": qmatrix.braidcomm_instances}[args.family]
-        for inst in gen(args.N):
-            for fam in fams:
-                certs.append(qmatrix.verify_identity(ctx, fam, inst))
+        _subs, _sweep, keys = checks.FAMILIES[args.algebra, args.family]
+        instances = [_load_instance(args.instance, args.N, keys)]
+    certs = checks.family_certificates(args.algebra, args.family, args.N,
+                                       instances)
     for c in certs:
         _emit(c, sys.stdout)
-    return _summarise(certs, t0, f"verify {args.family}")
-
-
-_REA_FAMILIES = {"gencomm": ("gencomm",),
-                 "laplace": ("laplace1", "laplace2"),
-                 "muir": ("muir-left", "muir-right")}
-
-
-def cmd_rea_verify(args):
-    t0 = time.time()
-    star = checks.get_star(args.N)
-    fams = _REA_FAMILIES[args.family]
-    certs = []
-    if args.instance:
-        inst = _load_instance(args.instance)
-        for fam in fams:
-            certs.append(rea.rea_verify(star, fam, inst))
-    else:
-        gen = {"gencomm": lambda n: rea.gencomm_instances(n, 2, 2),
-               "laplace": rea.rea_laplace_instances,
-               "muir": lambda n: rea.rea_muir_instances(n, 3, 2)}[args.family]
-        for inst in gen(args.N):
-            for fam in fams:
-                certs.append(rea.rea_verify(star, fam, inst))
-    for c in certs:
-        _emit(c, sys.stdout)
-    return _summarise(certs, t0, f"rea {args.family}")
+    label = "verify" if args.algebra == "qmatrix" else "rea"
+    return _summarise(certs, t0, f"{label} {args.family}")
 
 
 def cmd_rea_shapes(args):
@@ -166,20 +172,13 @@ def cmd_rea_shapes(args):
 
 def cmd_rea_qcomm(args):
     t0 = time.time()
-    ctx = checks.get_ctx(args.N)
-    certs = []
     if args.shape:
-        fams = [shapes.QuantumShape.from_json(json.loads(args.shape))]
+        fams = [shapes.QuantumShape.from_json(_json_arg("--shape", args.shape))]
+        if fams[0].N != args.N:
+            raise UsageError(f"--shape has size {fams[0].N}, not --N {args.N}")
     else:
         fams = [s for s in shapes.enumerate_shapes(args.N) if s.rank >= 1]
-    from itertools import combinations
-    for s in fams:
-        for k in range(1, s.rank + 1):
-            for m in (1, 2):
-                for I in combinations(range(1, args.N + 1), m):
-                    for J in combinations(range(1, args.N + 1), m):
-                        certs.append(shapes.shape_qcomm_certificate(
-                            ctx, s, k, I, J))
+    certs = checks.qcomm_certificates(args.N, fams)
     for c in certs:
         _emit(c, sys.stdout)
     return _summarise(certs, t0, "rea qcomm")
@@ -187,15 +186,7 @@ def cmd_rea_qcomm(args):
 
 def cmd_rea_semiclassical(args):
     t0 = time.time()
-    star = checks.get_star(args.N)
-    table = classical.poisson_bracket_coeffs(args.N)
-    certs = []
-    for i in range(1, args.N + 1):
-        for j in range(1, args.N + 1):
-            for k in range(1, args.N + 1):
-                for l in range(1, args.N + 1):
-                    certs.append(rea.semiclassical_bracket_check(
-                        star, (i, j), (k, l), table))
+    certs = checks.semiclassical_certificates(args.N)
     for c in certs:
         _emit(c, sys.stdout)
     return _summarise(certs, t0, "rea semiclassical")
@@ -221,15 +212,15 @@ def cmd_classical(args):
         resid = classical.decompose_residual(z, t, S)
         rec = {"t": t.to_json(), "shape": S.to_json(), "residual": resid}
         sys.stdout.write(json.dumps(rec, sort_keys=True) + "\n")
-        certs.append(Certificate("classical decompose", {"file": args.file},
-                                 "pass" if resid <= 1e-9 else "fail"))
+        certs.append(Certificate.verdict("classical decompose",
+                                         {"file": args.file}, resid <= 1e-9))
     elif args.classical_cmd == "leaf":
         z = _load_matrix(args.file)
         lab = classical.leaf_label(z)
         sys.stdout.write(json.dumps(lab.to_json(), sort_keys=True) + "\n")
         certs.append(Certificate("classical leaf", {"file": args.file}, "pass"))
     elif args.classical_cmd == "build":
-        sj = json.loads(args.shape)
+        sj = _json_arg("--shape", args.shape)
         u = []
         for slot in sj["u"]:
             if slot is None or slot == "0":
@@ -246,15 +237,13 @@ def cmd_classical(args):
         z = classical.build_leaf_point(S, lam)
         sys.stdout.write(json.dumps(z.to_json(), sort_keys=True) + "\n")
         lab = classical.leaf_label(z)
-        ok = lab.shape.same_shape(S)
-        certs.append(Certificate("classical build",
-                                 {"weights": [str(w) for w in lam]},
-                                 "pass" if ok else "fail"))
+        certs.append(Certificate.verdict("classical build",
+                                         {"weights": [str(w) for w in lam]},
+                                         lab.shape.same_shape(S)))
     elif args.classical_cmd == "tangency":
         import numpy as np
         rng = np.random.default_rng(_seed(args))
         done = attempts = 0
-        ok = True
         while done < args.samples and attempts < 10 * args.samples:
             attempts += 1
             zr = rng.standard_normal((args.N, args.N)) \
@@ -265,40 +254,27 @@ def cmd_classical(args):
             except classical.IllConditioned:
                 continue
             done += 1
-            certs.append(Certificate("classical tangency",
-                                     {"N": args.N, "sample": done},
-                                     "pass" if rep["equal"] else "fail",
-                                     witness=None if rep["equal"] else rep,
-                                     seed=_seed(args)))
-            ok = ok and rep["equal"]
-        for c in certs:
-            _emit(c, sys.stdout)
-        return _summarise(certs, t0, "classical tangency")
+            certs.append(Certificate.verdict("classical tangency",
+                                             {"N": args.N, "sample": done},
+                                             rep["equal"], witness=rep,
+                                             seed=_seed(args)))
     elif args.classical_cmd == "jacobi":
         rep = classical.jacobi_check(args.N, samples=args.samples,
                                      seed=_seed(args))
-        certs.append(Certificate("classical jacobi",
-                                 {"N": args.N, "samples": args.samples},
-                                 "pass" if rep["ok"] else "fail",
-                                 seed=_seed(args)))
+        certs.append(Certificate.verdict("classical jacobi",
+                                         {"N": args.N, "samples": args.samples},
+                                         rep["ok"], seed=_seed(args)))
         sys.stdout.write(json.dumps({"max_residual": rep["max_residual"]},
                                     sort_keys=True) + "\n")
     elif args.classical_cmd == "invariance":
         import random as _random
         rng = _random.Random(_seed(args))
-        ok = True
         for i in range(args.samples):
             z = classical.random_exact_hermitian(args.N, rng)
             t = classical.random_triangular(args.N, rng)
-            good = classical.tn_invariance_check(z, t)
-            certs.append(Certificate("classical invariance",
-                                     {"N": args.N, "sample": i},
-                                     "pass" if good else "fail",
-                                     seed=_seed(args)))
-            ok = ok and good
-        for c in certs:
-            _emit(c, sys.stdout)
-        return _summarise(certs, t0, "classical invariance")
+            certs.append(Certificate.verdict(
+                "classical invariance", {"N": args.N, "sample": i},
+                classical.tn_invariance_check(z, t), seed=_seed(args)))
     for c in certs:
         _emit(c, sys.stdout)
     return _summarise(certs, t0, f"classical {args.classical_cmd}")
@@ -333,23 +309,16 @@ def build_parser():
     w.set_defaults(fn=cmd_wedge_table)
 
     v = sub.add_parser("verify", help="quantum matrix identity families")
-    v.add_argument("family", choices=sorted(_QM_FAMILIES))
-    v.add_argument("--N", type=int, default=2)
-    v.add_argument("--sweep", action="store_true")
-    v.add_argument("--instance", type=str, default=None)
-    v.set_defaults(fn=cmd_verify)
-
     r = sub.add_parser("rea", help="reflection-algebra checks")
     rsub = r.add_subparsers(dest="rea_cmd", required=True)
-    rv = rsub.add_parser("verify")
-    rv.add_argument("family", choices=sorted(_REA_FAMILIES))
-    rv.add_argument("--N", type=int, default=2)
-    rv.add_argument("--sweep", action="store_true")
-    rv.add_argument("--instance", type=str, default=None)
-    rv.set_defaults(fn=cmd_rea_verify)
+    for algebra, fp in (("qmatrix", v), ("rea", rsub.add_parser("verify"))):
+        fp.add_argument("family", choices=sorted(
+            f for a, f in checks.FAMILIES if a == algebra))
+        fp.add_argument("--N", type=int, default=2)
+        fp.add_argument("--instance", type=str, default=None)
+        fp.set_defaults(fn=cmd_family, algebra=algebra)
     rs = rsub.add_parser("shapes")
     rs.add_argument("--N", type=int, default=3)
-    rs.add_argument("--json", action="store_true")
     rs.add_argument("--all", action="store_true",
                     help="include the empty-support family")
     rs.set_defaults(fn=cmd_rea_shapes)
@@ -375,7 +344,8 @@ def build_parser():
         cc = csub.add_parser(name)
         cc.add_argument("--N", type=int, default=2)
         cc.add_argument("--samples", type=int, default=extra)
-        cc.add_argument("--seed", type=int, default=0)
+        # Given after the subcommand; without it the global --seed holds.
+        cc.add_argument("--seed", type=int, default=argparse.SUPPRESS)
         cc.set_defaults(fn=cmd_classical)
 
     ca = sub.add_parser("check-all", help="run every registered suite")
@@ -385,9 +355,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except _INPUT_ERRORS as exc:
+        print(f"qrea: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -84,14 +84,6 @@ class LaurentPoly:
     def max_exp(self):
         return max(self.terms)
 
-    def constant_value(self):
-        """Return the Fraction value if this is a constant, else None."""
-        if not self.terms:
-            return F0
-        if len(self.terms) == 1 and 0 in self.terms:
-            return self.terms[0]
-        return None
-
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
@@ -147,27 +139,6 @@ class LaurentPoly:
         out._hash = None
         return out
 
-    def shift(self, n):
-        """Multiply by q**n."""
-        if n == 0:
-            return self
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {e + n: c for e, c in self.terms.items()}
-        out._hash = None
-        return out
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of LaurentPoly; use RatFunc")
-        r = _LP_ONE
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
-
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -189,9 +160,6 @@ class LaurentPoly:
         for e, c in self.terms.items():
             total += c * q0 ** e
         return total
-
-    def derivative(self):
-        return LaurentPoly({e - 1: c * e for e, c in self.terms.items() if e != 0})
 
     def taylor1(self):
         """(p(1), p'(1)) — value and first derivative at q = 1."""
@@ -235,23 +203,6 @@ class LaurentPoly:
 
 _LP_ZERO = LaurentPoly()
 _LP_ONE = LaurentPoly({0: F1})
-
-
-def lp_add(a, b):
-    return a + b
-
-
-def lp_sub(a, b):
-    return a - b
-
-
-def lp_mul(a, b):
-    return a * b
-
-
-def taylor1_at_1(p):
-    """First-order data of a Laurent polynomial at q = 1."""
-    return p.taylor1()
 
 
 # -- dense helpers for gcd ---------------------------------------------------
@@ -380,9 +331,6 @@ class RatFunc:
     def is_one(self):
         return self.num.is_one() and self.den.is_one()
 
-    def is_laurent(self):
-        return self.den.is_one()
-
     # -- field operations -------------------------------------------------------
 
     def __add__(self, other):
@@ -479,20 +427,10 @@ RF_QINV = RatFunc.q_power(-1)
 RF_QDIFF = RatFunc.from_laurent(LaurentPoly({-1: F1, 1: Fraction(-1)}))
 
 
-def rf_normalize(num, den):
-    """Canonical rational function num/den; raises ZeroDenominator."""
-    return RatFunc(num, den)
-
-
 def rf_q_int(n):
     """(-q)**n as a RatFunc, n any integer."""
     c = F1 if n % 2 == 0 else Fraction(-1)
     return RatFunc.from_laurent(LaurentPoly({n: c}))
-
-
-def eval_at(p, q0):
-    """Exact rational value of a RatFunc (or LaurentPoly) at rational q0."""
-    return p.evaluate(q0)
 
 
 # ---------------------------------------------------------------------------

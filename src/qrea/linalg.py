@@ -1,8 +1,25 @@
-"""Small exact linear algebra over the rational-function field."""
+"""Small exact linear algebra over the rational-function field.
+
+add_term is the one helper for sparse linear combinations: every sparse
+vector, polynomial or tensor over RatFunc or GaussRat is a dict key ->
+nonzero scalar, built up by add_term, which drops a key whose coefficient
+cancels.  It needs only + and is_zero() of the scalar.
+"""
 
 from __future__ import annotations
 
 from .coeff import RF_ONE, RF_ZERO
+
+
+def add_term(out, key, c):
+    """out[key] += c on a sparse dict; the key is dropped when the sum is
+    zero, so the dict never stores a zero value."""
+    s = out.get(key)
+    s = c if s is None else s + c
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
 
 
 class SingularMatrix(ValueError):
@@ -59,11 +76,7 @@ def sparse_row_reduce(vectors, greater):
                 break
             f = v[lead]
             for k, c in piv.items():
-                s = v.get(k, RF_ZERO) - f * c
-                if s.is_zero():
-                    v.pop(k, None)
-                else:
-                    v[k] = s
+                add_term(v, k, -(f * c))
         if v:
             lead = leading(v)
             inv_l = v[lead].inv()

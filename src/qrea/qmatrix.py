@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .braiding import apply_two_site, by_column, rhat_entries, wedge_braiding
+from .braiding import WedgeBraidTable, apply_two_site, by_column, rhat_entries
 from .coeff import RF_ONE, RF_ZERO, rf_q_int
-from .indexsets import inversions
-from .linalg import SingularMatrix, invert_matrix, sparse_row_reduce
+from .indexsets import SizeMismatch, inversions
+from .linalg import SingularMatrix, add_term, invert_matrix, sparse_row_reduce
 
 
 class NonOrientable(Exception):
@@ -38,10 +38,6 @@ class SingularConvolutionSystem(Exception):
 
 
 class IllFormedInstance(ValueError):
-    pass
-
-
-class SizeMismatch(ValueError):
     pass
 
 
@@ -106,11 +102,7 @@ class NCPoly:
     def __add__(self, other):
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
-            s = out.get(w, RF_ZERO) + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            add_term(out, w, c)
         p = NCPoly(self.N, None, self.tag)
         p.coeffs = out
         return p
@@ -130,12 +122,7 @@ class NCPoly:
         out = {}
         for wa, ca in self.coeffs.items():
             for wb, cb in other.coeffs.items():
-                w = wa + wb
-                s = out.get(w, RF_ZERO) + ca * cb
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+                add_term(out, wa + wb, ca * cb)
         p.coeffs = out
         return p
 
@@ -145,9 +132,9 @@ class NCPoly:
         p = NCPoly(self.N, None, self.tag)
         out = {}
         for w, c in self.coeffs.items():
-            w2 = tuple(gen_id(g % N + 1, g // N + 1, N) for g in reversed(w))
-            out[w2] = out.get(w2, RF_ZERO) + c
-        p.coeffs = {w: c for w, c in out.items() if not c.is_zero()}
+            add_term(out, tuple(gen_id(g % N + 1, g // N + 1, N)
+                                for g in reversed(w)), c)
+        p.coeffs = out
         return p
 
     def __repr__(self):
@@ -179,15 +166,10 @@ def exchange_relations(N):
                     v = {}
                     for ((x, y), (a, b)), c in rhat.items():
                         if (x, y) == (k, l):
-                            w = (gen_id(a, i, N), gen_id(b, j, N))
-                            s = v.get(w, RF_ZERO) + c
-                            v[w] = s
+                            add_term(v, (gen_id(a, i, N), gen_id(b, j, N)), c)
                         if (a, b) == (i, j):
-                            w = (gen_id(k, x, N), gen_id(l, y, N))
-                            s = v.get(w, RF_ZERO) - c
-                            v[w] = s
-                    vectors.append(
-                        {w: c for w, c in v.items() if not c.is_zero()})
+                            add_term(v, (gen_id(k, x, N), gen_id(l, y, N)), -c)
+                    vectors.append(v)
     return vectors
 
 
@@ -222,11 +204,7 @@ class RewriteSystem:
                 for m2, c2 in self._insert(b, rest).items():
                     cc = c * c2
                     for m3, c3 in self._insert(a, m2).items():
-                        s = acc.get(m3, RF_ZERO) + cc * c3
-                        if s.is_zero():
-                            acc.pop(m3, None)
-                        else:
-                            acc[m3] = s
+                        add_term(acc, m3, cc * c3)
             res = acc
         memo[key] = res
         return res
@@ -240,11 +218,7 @@ class RewriteSystem:
             nxt = {}
             for mono, c in acc.items():
                 for m2, c2 in self._insert(g, mono).items():
-                    s = nxt.get(m2, RF_ZERO) + c * c2
-                    if s.is_zero():
-                        nxt.pop(m2, None)
-                    else:
-                        nxt[m2] = s
+                    add_term(nxt, m2, c * c2)
             acc = nxt
         return acc
 
@@ -252,18 +226,10 @@ class RewriteSystem:
         out = {}
         for w, c in p.coeffs.items():
             if all(w[i] <= w[i + 1] for i in range(len(w) - 1)):
-                s = out.get(w, RF_ZERO) + c
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+                add_term(out, w, c)
                 continue
             for m, c2 in self.nf_word(w).items():
-                s = out.get(m, RF_ZERO) + c * c2
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+                add_term(out, m, c * c2)
         q = NCPoly(p.N, None, p.tag)
         q.coeffs = out
         return q
@@ -281,20 +247,11 @@ class RewriteSystem:
             w, c = work.popitem()
             descents = [i for i in range(len(w) - 1) if w[i] > w[i + 1]]
             if not descents:
-                s = done.get(w, RF_ZERO) + c
-                if s.is_zero():
-                    done.pop(w, None)
-                else:
-                    done[w] = s
+                add_term(done, w, c)
                 continue
             i = rng.choice(descents)
             for (a, b), c2 in self.rules[(w[i], w[i + 1])].items():
-                w2 = w[:i] + (a, b) + w[i + 2:]
-                s = work.get(w2, RF_ZERO) + c * c2
-                if s.is_zero():
-                    work.pop(w2, None)
-                else:
-                    work[w2] = s
+                add_term(work, w[:i] + (a, b) + w[i + 2:], c * c2)
         q = NCPoly(p.N, None, p.tag)
         q.coeffs = done
         return q
@@ -314,19 +271,11 @@ class RewriteSystem:
                     left = {}
                     for (a, b), c in self.rules[(g1, g2)].items():
                         for m, c2 in self.nf_word((a, b, g3)).items():
-                            s = left.get(m, RF_ZERO) + c * c2
-                            if s.is_zero():
-                                left.pop(m, None)
-                            else:
-                                left[m] = s
+                            add_term(left, m, c * c2)
                     right = {}
                     for (a, b), c in self.rules[(g2, g3)].items():
                         for m, c2 in self.nf_word((g1, a, b)).items():
-                            s = right.get(m, RF_ZERO) + c * c2
-                            if s.is_zero():
-                                right.pop(m, None)
-                            else:
-                                right[m] = s
+                            add_term(right, m, c * c2)
                     if left != right:
                         return False
         return True
@@ -368,7 +317,7 @@ def degree_dimension(N, rw, d):
     for lead, rhs in rw.rules.items():
         rel = {lead: RF_ONE}
         for w, c in rhs.items():
-            rel[w] = rel.get(w, RF_ZERO) - c
+            add_term(rel, w, -c)
         for pre_len in range(d - 1):
             post_len = d - 2 - pre_len
             pres = [()]
@@ -410,11 +359,7 @@ def coproduct(p):
     out = {}
     for w, c in p.coeffs.items():
         for pair in coproduct_word(w, p.N):
-            s = out.get(pair, RF_ZERO) + c
-            if s.is_zero():
-                out.pop(pair, None)
-            else:
-                out[pair] = s
+            add_term(out, pair, c)
     return out
 
 
@@ -627,6 +572,16 @@ class Certificate:
             out["seed"] = self.seed
         return out
 
+    @classmethod
+    def verdict(cls, command, instance, ok, witness=None, seed=None):
+        """A "pass" or "fail" certificate as ok says.  The witness, a dict
+        or a function returning one, is kept (and called) only on failure."""
+        if ok:
+            return cls(command, instance, "pass", seed=seed)
+        if callable(witness):
+            witness = witness()
+        return cls(command, instance, "fail", witness=witness, seed=seed)
+
 
 class QContext:
     """Caches for one matrix size: rewriting, tables, minors, products."""
@@ -644,7 +599,7 @@ class QContext:
     def table(self, k, l):
         key = (k, l)
         if key not in self._tables:
-            self._tables[key] = wedge_braiding(self.N, k, l)
+            self._tables[key] = WedgeBraidTable(self.N, k, l)
         return self._tables[key]
 
     def minor(self, rows, cols):
@@ -744,11 +699,9 @@ def _nf_json(p):
             for w, c in sorted(p.coeffs.items())}
 
 
-def _identity_certificate(command, instance, lhs, rhs):
-    if lhs == rhs:
-        return Certificate(command, instance, "pass")
-    return Certificate(command, instance, "fail",
-                       witness={"lhs": _nf_json(lhs), "rhs": _nf_json(rhs)})
+def _nf_diff(lhs, rhs):
+    """Witness of a failed identity lhs == rhs: both normal forms."""
+    return {"lhs": _nf_json(lhs), "rhs": _nf_json(rhs)}
 
 
 def verify_identity(ctx, family, instance):
@@ -787,7 +740,8 @@ def _verify_laplace(ctx, family, instance):
                                   _trest(I, P), _trest(J, Kp))
         rhs = rhs + t.scale(sign)
     inst = {"I": list(I), "J": list(J), "K": list(K), "K'": list(Kp)}
-    return _identity_certificate(f"verify {family}", inst, lhs, rhs)
+    return Certificate.verdict(f"verify {family}", inst, lhs == rhs,
+                               lambda: _nf_diff(lhs, rhs))
 
 
 def _verify_muir(ctx, family, instance):
@@ -822,7 +776,8 @@ def _verify_muir(ctx, family, instance):
         rhs = rhs + t.scale(sign)
     inst = {"I": list(I), "J": list(J), "F": list(F), "G": list(G),
             "K": list(K), "K'": list(Kp)}
-    return _identity_certificate(f"verify {family}", inst, lhs, rhs)
+    return Certificate.verdict(f"verify {family}", inst, lhs == rhs,
+                               lambda: _nf_diff(lhs, rhs))
 
 
 def _verify_braidcomm(ctx, family, instance):
@@ -860,7 +815,8 @@ def _verify_braidcomm(ctx, family, instance):
                             continue
                         rhs = rhs + ctx.minor_prod_nf(A, C, B, D).scale(c1 * c2)
     inst = {"I": list(I), "J": list(J), "I'": list(Ip), "J'": list(Jp)}
-    return _identity_certificate(f"verify {family}", inst, lhs, rhs)
+    return Certificate.verdict(f"verify {family}", inst, lhs == rhs,
+                               lambda: _nf_diff(lhs, rhs))
 
 
 # -- sweep generators -----------------------------------------------------------

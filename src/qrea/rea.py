@@ -19,10 +19,11 @@ from itertools import combinations
 
 from .braiding import rhat_entries
 from .coeff import RF_ONE, RF_ZERO, rf_q_int
+from .linalg import add_term
 from .qmatrix import (Certificate, IllFormedInstance, NCPoly, QContext,
-                      _identity_certificate, _mid_tuples, _nf_json, _tsel,
-                      _trest, _merge, derive_rewrite_system, gen_id, word_cols,
-                      word_from_rc, word_rows)
+                      _mid_tuples, _nf_diff, _nf_json, _tsel, _trest, _merge,
+                      derive_rewrite_system, gen_id, word_cols, word_from_rc,
+                      word_rows)
 
 
 class FlatnessCheckFailed(Exception):
@@ -65,12 +66,8 @@ class StarAlgebra:
                 for rows2, c2 in img.items():
                     if rows2[s:] != rows_v:
                         continue
-                    w = word_from_rc(a_t, rows2[:s], N) + tail
-                    c = terms.get(w, RF_ZERO) + c1 * c2
-                    if c.is_zero():
-                        terms.pop(w)
-                    else:
-                        terms[w] = c
+                    add_term(terms, word_from_rc(a_t, rows2[:s], N) + tail,
+                             c1 * c2)
         acc = self.ctx.rw.normal_form(NCPoly(N, terms))
         self._star_word_memo[key] = acc
         return acc
@@ -184,9 +181,8 @@ def reflection_slot_vectors(N):
                                     c2 = rhat.get(((c, d), (i, f)), RF_ZERO)
                                     if c2.is_zero():
                                         continue
-                                    w = (gen_id(b, d, N), gen_id(f, j, N))
-                                    s = v.get(w, RF_ZERO) + c1 * c2
-                                    v[w] = s
+                                    add_term(v, (gen_id(b, d, N),
+                                                 gen_id(f, j, N)), c1 * c2)
                     for b in rng:
                         for d in rng:
                             for e in rng:
@@ -197,10 +193,8 @@ def reflection_slot_vectors(N):
                                     c2 = rhat.get(((e, f), (i, j)), RF_ZERO)
                                     if c2.is_zero():
                                         continue
-                                    w = (gen_id(l, b, N), gen_id(d, f, N))
-                                    s = v.get(w, RF_ZERO) - c1 * c2
-                                    v[w] = s
-                    v = {w: c for w, c in v.items() if not c.is_zero()}
+                                    add_term(v, (gen_id(l, b, N),
+                                                 gen_id(d, f, N)), -(c1 * c2))
                     if v:
                         slots[((k, l), (i, j))] = v
     return slots
@@ -216,9 +210,8 @@ def reflection_equation_check(star):
             acc = acc + star.star_word((g1,), (g2,)).scale(c)
         if not acc.is_zero():
             failures.append({"slot": slot, "residual": _nf_json(acc)})
-    return Certificate("rea reflection", {"N": N},
-                       "pass" if not failures else "fail",
-                       witness={"failures": failures} if failures else None)
+    return Certificate.verdict("rea reflection", {"N": N}, not failures,
+                               {"failures": failures})
 
 
 def derive_rea_rewrite(star):
@@ -293,7 +286,8 @@ def _rea_gencomm(star, instance):
                 if not c_right.is_zero():
                     rhs = rhs + star.star_minor(Ip, Lp, K, L).scale(c_right)
     inst = {"I": list(I), "J": list(J), "I'": list(Ip), "J'": list(Jp)}
-    return _identity_certificate("rea gencomm", inst, lhs, rhs)
+    return Certificate.verdict("rea gencomm", inst, lhs == rhs,
+                               lambda: _nf_diff(lhs, rhs))
 
 
 def _rea_laplace(star, family, instance):
@@ -343,7 +337,8 @@ def _rea_laplace(star, family, instance):
                             rhs = rhs + star.star_minor(IPc, Tp, S, T).scale(
                                 sign * c1 * c2)
     inst = {"I": list(I), "J": list(J), "K": list(K)}
-    return _identity_certificate(f"rea {family}", inst, lhs, rhs)
+    return Certificate.verdict(f"rea {family}", inst, lhs == rhs,
+                               lambda: _nf_diff(lhs, rhs))
 
 
 def _rea_muir(star, family, instance):
@@ -406,20 +401,11 @@ def _rea_muir(star, family, instance):
                             sign * c1 * c2)
     inst = {"I": list(I), "J": list(J), "F": list(F), "G": list(G),
             "K": list(K), "K'": list(Kp)}
-    return _identity_certificate(f"rea {family}", inst, lhs, rhs)
+    return Certificate.verdict(f"rea {family}", inst, lhs == rhs,
+                               lambda: _nf_diff(lhs, rhs))
 
 
 # -- sweep generators --------------------------------------------------------------
-
-def gencomm_instances(N, kmax=2, lmax=2):
-    for k in range(1, kmax + 1):
-        for l in range(1, lmax + 1):
-            for I in combinations(range(1, N + 1), k):
-                for J in combinations(range(1, N + 1), k):
-                    for Ip in combinations(range(1, N + 1), l):
-                        for Jp in combinations(range(1, N + 1), l):
-                            yield {"I": I, "J": J, "Ip": Ip, "Jp": Jp}
-
 
 def rea_laplace_instances(N, kmax=3):
     for k in range(1, min(N, kmax) + 1):
@@ -428,20 +414,6 @@ def rea_laplace_instances(N, kmax=3):
                 for m in range(0, k + 1):
                     for K in combinations(range(1, k + 1), m):
                         yield {"I": I, "J": J, "K": K}
-
-
-def rea_muir_instances(N, kmax=3, rmax=2):
-    for k in range(1, min(N, kmax) + 1):
-        for r in range(1, min(k, rmax) + 1):
-            for I in combinations(range(1, N + 1), k):
-                for J in combinations(range(1, N + 1), k):
-                    for F in combinations(range(1, k + 1), k - r):
-                        for G in combinations(range(1, k + 1), k - r):
-                            for l in range(0, r + 1):
-                                for K in combinations(range(1, r + 1), l):
-                                    for Kp in combinations(range(1, r + 1), l):
-                                        yield {"I": I, "J": J, "F": F, "G": G,
-                                               "K": K, "Kp": Kp}
 
 
 # ---------------------------------------------------------------------------
@@ -493,14 +465,13 @@ def semiclassical_bracket_check(star, ij, kl, bracket_polys):
                                         "mono": str(mono)})
         if val != 0:
             expected[mono] = val
-    status = "pass" if (ok_constant and firsts == expected) else "fail"
-    witness = None
-    if status == "fail":
-        witness = {"constant_ok": ok_constant,
-                   "quantum": {str(m): str(c) for m, c in sorted(firsts.items())},
-                   "classical": {str(m): str(c) for m, c in sorted(expected.items())}}
-    return Certificate("rea semiclassical", {"ij": list(ij), "kl": list(kl)},
-                       status, witness=witness)
+    return Certificate.verdict(
+        "rea semiclassical", {"ij": list(ij), "kl": list(kl)},
+        ok_constant and firsts == expected,
+        lambda: {"constant_ok": ok_constant,
+                 "quantum": {str(m): str(c) for m, c in sorted(firsts.items())},
+                 "classical": {str(m): str(c)
+                               for m, c in sorted(expected.items())}})
 
 
 def random_word(N, degree, rng):

@@ -8,10 +8,9 @@ attaches one minor label per chain level; the two-sided ideals below those
 labels and the q-commutation certificate for the chain minors are pure
 label/coefficient computations on top of the wedge braiding tables.
 
-The chain convention lists two-cycles first (by smaller element, the partner
+The chain lists two-cycles first (by smaller element, the partner
 immediately after) and fixed points afterwards in increasing order, matching
-the published family table at N = 3; the sorted-support chain is available
-as an alternative.
+the published family table at N = 3.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ class QuantumShape:
     pairs on two-cycles.
     """
 
-    def __init__(self, tau, u, chain="blocks"):
+    def __init__(self, tau, u):
         self.tau = tuple(int(t) for t in tau)
         self.u = tuple(str(s) for s in u)
         N = len(self.tau)
@@ -68,24 +67,14 @@ class QuantumShape:
         self.N = N
         self.support = tuple(i for i in range(1, N + 1) if self.u[i - 1] != "0")
         self.rank = len(self.support)
-        self.chain = self._build_chain(chain)
+        self.chain = self._build_chain()
 
-    def _build_chain(self, convention):
-        if convention == "sorted":
-            return tuple(self.support)
-        if convention != "blocks":
-            raise MalformedShape(f"unknown chain convention {convention!r}")
-        seq = []
-        for i in self.support:
-            t = self.tau[i - 1]
-            if t > i:
-                seq.append((i, (i, t)))
-        pairs = [blk for _, blk in sorted(seq)]
-        fixed = [i for i in self.support if self.tau[i - 1] == i]
+    def _build_chain(self):
         chain = []
-        for blk in pairs:
-            chain.extend(blk)
-        chain.extend(sorted(fixed))
+        for i in self.support:
+            if self.tau[i - 1] > i:
+                chain.extend((i, self.tau[i - 1]))
+        chain.extend(i for i in self.support if self.tau[i - 1] == i)
         return tuple(chain)
 
     # -- derived labels --------------------------------------------------------
@@ -106,19 +95,12 @@ class QuantumShape:
         return all(_conj_symbol(self.u[i - 1]) == self.u[self.tau[i - 1] - 1]
                    for i in range(1, self.N + 1))
 
-    def restriction_inversions(self, k):
-        """Inversions of tau restricted to the k-th chain level."""
-        cols = self.support_prefix(k)
-        images = [self.tau[p - 1] for p in cols]
-        return sum(1 for a in range(len(images)) for b in range(a + 1, len(images))
-                   if images[a] > images[b])
-
     def to_json(self):
         return {"tau": list(self.tau), "u": list(self.u)}
 
     @staticmethod
-    def from_json(obj, chain="blocks"):
-        return QuantumShape(obj["tau"], obj["u"], chain=chain)
+    def from_json(obj):
+        return QuantumShape(obj["tau"], obj["u"])
 
     def __repr__(self):
         return f"QuantumShape(tau={self.tau}, u={self.u})"

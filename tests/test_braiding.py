@@ -4,8 +4,8 @@ from qrea.braiding import (antisymmetrizer_swap_check, apply_block_lift,
                            braid_pair_action, braid_relation_check,
                            braid_wedge_pair, build_braid, embed_basis,
                            embed_equivariance_check, project_pair,
-                           q2_factorial, rmatrix_lemma_check, wedge_braiding,
-                           wedge_embed, wedge_project, wedge_reduce,
+                           q2_factorial, rmatrix_lemma_check, wedge_embed,
+                           wedge_project, wedge_reduce, WedgeBraidTable,
                            WedgeVector)
 from qrea.coeff import RF_ONE, RF_QDIFF, RF_QINV, RatFunc, rf_q_int
 
@@ -113,7 +113,7 @@ def test_sorted_word_braiding_matches_embedded_braiding():
 
 
 def test_table_diagonals():
-    tbl = wedge_braiding(3, 2, 2)
+    tbl = WedgeBraidTable(3, 2, 2)
     for I in combinations((1, 2, 3), 2):
         for Ip in combinations((1, 2, 3), 2):
             m = len(set(I) & set(Ip))
@@ -124,7 +124,7 @@ def test_table_diagonals():
 
 def test_table_support_and_composition():
     for (k, l) in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        tbl = wedge_braiding(3, k, l)
+        tbl = WedgeBraidTable(3, k, l)
         assert tbl.support_condition_violations() == []
         assert tbl.support_condition_violations(tbl.inv_entries) == []
         assert tbl.diagonal_report() == []
@@ -132,7 +132,7 @@ def test_table_support_and_composition():
 
 
 def test_table_json():
-    tbl = wedge_braiding(2, 1, 1)
+    tbl = WedgeBraidTable(2, 1, 1)
     obj = tbl.to_json()
     assert obj["N"] == 2 and obj["k"] == 1 and obj["l"] == 1
     assert all({"I", "J", "I'", "J'", "value"} <= set(e) for e in obj["entries"])

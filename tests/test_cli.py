@@ -56,7 +56,7 @@ def test_verify_instance(capsys):
 
 
 def test_rea_shapes_count(capsys):
-    code, out, _ = run_cli(capsys, ["rea", "shapes", "--N", "3", "--json"])
+    code, out, _ = run_cli(capsys, ["rea", "shapes", "--N", "3"])
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 13
@@ -136,6 +136,50 @@ def test_seed_env_override(capsys, monkeypatch):
     assert code == 0
     recs = [json.loads(l) for l in out.strip().splitlines()]
     assert all(r["seed"] == 99 for r in recs)
+
+
+def test_global_seed_reaches_classical_subcommands(capsys, monkeypatch):
+    monkeypatch.delenv("QREA_SEED", raising=False)
+    code, out, _ = run_cli(capsys, ["--seed", "5", "classical", "jacobi",
+                                    "--N", "2", "--samples", "3"])
+    assert code == 0
+    recs = [json.loads(l) for l in out.strip().splitlines()]
+    assert [r["seed"] for r in recs if "seed" in r] == [5]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "laplace", "--N", "2", "--instance", "{bad"],
+    ["verify", "laplace", "--N", "2", "--instance", '{"I":[1,2]}'],
+    ["verify", "laplace", "--N", "2", "--instance",
+     '{"I":[1,5],"J":[1,2],"K":[1],"K\'":[1]}'],
+    ["verify", "laplace", "--N", "2", "--instance",
+     '{"I":[1,2],"J":[1,2],"K":[3],"K\'":[1]}'],
+    ["rea", "verify", "gencomm", "--N", "2", "--instance",
+     '{"I":[2,1],"J":[1,2],"I\'":[1],"J\'":[1]}'],
+    ["wedge-table", "--N", "2", "--k", "3", "--l", "1"],
+    ["rea", "shapes", "--N", "6"],
+    ["rea", "qcomm", "--N", "3", "--shape",
+     '{"tau":[1,1,3],"u":["0","0","0"]}'],
+    ["rea", "qcomm", "--N", "2", "--shape",
+     '{"tau":[2,1,3],"u":["y","ybar","0"]}'],
+])
+def test_bad_input_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "laplace", "--sweep"],
+    ["rea", "verify", "laplace", "--sweep"],
+    ["rea", "shapes", "--json"],
+])
+def test_removed_flags_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_check_all_deterministic_and_covers(capsys):

@@ -4,9 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from qrea.coeff import (GaussRat, LaurentPoly, PoleAtPoint, RatFunc,
-                        RF_ONE, RF_ZERO, ZeroDenominator, eval_at,
-                        lp_add, lp_mul, lp_sub, rational_sqrt, rf_normalize,
-                        rf_q_int, taylor1_at_1)
+                        RF_ONE, RF_ZERO, ZeroDenominator, rational_sqrt,
+                        rf_q_int)
 
 
 def L(d):
@@ -16,62 +15,62 @@ def L(d):
 def test_difference_of_squares():
     a = L({-1: 1, 1: -1})
     b = L({-1: 1, 1: 1})
-    assert lp_mul(a, b) == L({-2: 1, 2: -1})
+    assert a * b == L({-2: 1, 2: -1})
 
 
 def test_additive_identity():
     p = L({3: F(2, 5), -1: 7})
-    assert lp_add(p, LaurentPoly.zero()) == p
-    assert lp_sub(p, p).is_zero()
+    assert p + LaurentPoly.zero() == p
+    assert (p - p).is_zero()
 
 
 def test_repeated_distribution():
     # (q - 1)(q + 1)(q^2 + 1) expanded by hand: q^4 - 1
-    p = lp_mul(lp_mul(L({1: 1, 0: -1}), L({1: 1, 0: 1})), L({2: 1, 0: 1}))
+    p = L({1: 1, 0: -1}) * L({1: 1, 0: 1}) * L({2: 1, 0: 1})
     assert p == L({4: 1, 0: -1})
 
 
 def test_rf_common_factor():
-    assert rf_normalize(L({2: 1, 0: -1}), L({1: 1, 0: -1})) \
+    assert RatFunc(L({2: 1, 0: -1}), L({1: 1, 0: -1})) \
         == RatFunc.from_laurent(L({1: 1, 0: 1}))
 
 
 def test_rf_zero_numerator():
-    assert rf_normalize(LaurentPoly.zero(), L({5: 3})).is_zero()
+    assert RatFunc(LaurentPoly.zero(), L({5: 3})).is_zero()
 
 
 def test_rf_gcd_reduction():
-    lhs = rf_normalize(L({0: 1, 4: -1}), lp_mul(L({0: 1, 2: -1}), L({0: 1, 2: -1})))
-    rhs = rf_normalize(L({0: 1, 2: 1}), L({0: 1, 2: -1}))
+    lhs = RatFunc(L({0: 1, 4: -1}), L({0: 1, 2: -1}) * L({0: 1, 2: -1}))
+    rhs = RatFunc(L({0: 1, 2: 1}), L({0: 1, 2: -1}))
     assert lhs == rhs
 
 
 def test_rf_zero_denominator():
     with pytest.raises(ZeroDenominator):
-        rf_normalize(L({0: 1}), LaurentPoly.zero())
+        RatFunc(L({0: 1}), LaurentPoly.zero())
 
 
 def test_eval_examples():
-    assert eval_at(RatFunc.from_laurent(L({-1: 1, 1: -1})), F(1, 2)) == F(3, 2)
-    assert eval_at(RatFunc.from_laurent(L({-2: 1})), F(1, 3)) == 9
+    assert RatFunc.from_laurent(L({-1: 1, 1: -1})).evaluate(F(1, 2)) == F(3, 2)
+    assert RatFunc.from_laurent(L({-2: 1})).evaluate(F(1, 3)) == 9
     # geometric sum (1 - q^3)/(1 - q) at 1/2
-    assert eval_at(rf_normalize(L({0: 1, 3: -1}), L({0: 1, 1: -1})), F(1, 2)) == F(7, 4)
+    assert RatFunc(L({0: 1, 3: -1}), L({0: 1, 1: -1})).evaluate(F(1, 2)) == F(7, 4)
 
 
 def test_eval_pole():
-    r = rf_normalize(L({0: 1}), L({1: 1, 0: -1}))
+    r = RatFunc(L({0: 1}), L({1: 1, 0: -1}))
     with pytest.raises(PoleAtPoint):
-        eval_at(r, F(1))
+        r.evaluate(F(1))
 
 
 def test_taylor_examples():
-    assert taylor1_at_1(L({-1: 1, 1: -1})) == (0, -2)
-    assert taylor1_at_1(L({0: 5})) == (5, 0)
-    assert taylor1_at_1(L({-2: 1})) == (1, -2)
+    assert L({-1: 1, 1: -1}).taylor1() == (0, -2)
+    assert L({0: 5}).taylor1() == (5, 0)
+    assert L({-2: 1}).taylor1() == (1, -2)
 
 
 def test_taylor_ratfunc_quotient_rule():
-    r = rf_normalize(L({0: 1, 1: 1}), L({0: 2, 1: -1}))  # (1+q)/(2-q)
+    r = RatFunc(L({0: 1, 1: 1}), L({0: 2, 1: -1}))  # (1+q)/(2-q)
     c0, c1 = r.taylor1()
     assert c0 == 2 and c1 == 3  # d/dq [(1+q)/(2-q)] at 1 = 3
 
@@ -140,7 +139,7 @@ def test_minus_q_powers():
 def test_laurent_json_roundtrip():
     p = L({-2: F(3, 7), 0: -1, 5: F(22)})
     assert LaurentPoly.from_json(p.to_json()) == p
-    r = rf_normalize(L({0: 1, 2: 1}), L({0: 1, 2: -1}))
+    r = RatFunc(L({0: 1, 2: 1}), L({0: 1, 2: -1}))
     assert RatFunc.from_json(r.to_json()) == r
 
 

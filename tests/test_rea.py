@@ -3,10 +3,10 @@ from itertools import combinations
 
 from qrea.classical import poisson_bracket_coeffs
 from qrea.coeff import RF_ONE
-from qrea.qmatrix import NCPoly, degree_dimension, gen_id
-from qrea.rea import (derive_rea_rewrite, gencomm_instances,
-                      random_monomials, rea_laplace_instances,
-                      rea_muir_instances, rea_verify,
+from qrea.qmatrix import (NCPoly, braidcomm_instances, degree_dimension,
+                          gen_id, muir_instances)
+from qrea.rea import (derive_rea_rewrite, random_monomials,
+                      rea_laplace_instances, rea_verify,
                       reflection_equation_check, reflection_slot_vectors,
                       semiclassical_bracket_check,
                       star_commutator_first_order)
@@ -72,7 +72,7 @@ def test_rea_rewrite_n2(star2):
 
 
 def test_gencomm_sweep_n2(star2):
-    for inst in gencomm_instances(2, 2, 2):
+    for inst in braidcomm_instances(2, 2, 2):
         assert rea_verify(star2, "gencomm", inst).status == "pass"
 
 
@@ -83,7 +83,7 @@ def test_rea_laplace_sweep_n2(star2):
 
 
 def test_rea_muir_sweep_n2(star2):
-    for inst in rea_muir_instances(2, 2, 2):
+    for inst in muir_instances(2, kmax=2, rmax=2):
         for fam in ("muir-left", "muir-right"):
             assert rea_verify(star2, fam, inst).status == "pass"
 
@@ -97,7 +97,7 @@ def test_rea_muir_offdiagonal_both_sides_vanish(star3):
 
 
 def test_gencomm_singletons_n3(star3):
-    for inst in gencomm_instances(3, 1, 1):
+    for inst in braidcomm_instances(3, 1, 1):
         assert rea_verify(star3, "gencomm", inst).status == "pass"
 
 

@@ -63,11 +63,6 @@ def test_all_families_self_adjoint():
         assert s.is_self_adjoint()
 
 
-def test_sorted_chain_alternative():
-    s = QuantumShape((1, 3, 2), ("s1", "y", "ybar"), chain="sorted")
-    assert s.minor_labels()[0] == ((1,), (1,))
-
-
 def test_malformed_shapes():
     with pytest.raises(MalformedShape):
         QuantumShape((2, 1), ("0", "0"))          # zero slot on a 2-cycle
