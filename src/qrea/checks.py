@@ -88,7 +88,7 @@ def _family_suite(algebra, family):
 # -- coeff ---------------------------------------------------------------------
 
 def _random_laurent(rng):
-    return coeff.LaurentPoly({rng.randint(-4, 4): Fraction(rng.randint(-5, 5))
+    return coeff.LaurentPoly({rng.randint(-4, 4): rng.randint(-5, 5)
                               for _ in range(rng.randint(0, 4))})
 
 

@@ -15,7 +15,14 @@ unknown or malformed flags, the usage errors are:
   self-adjoint shape of size N;
 - `wedge-table` degrees outside 0..N;
 - `rea shapes`, and `rea qcomm` without --shape, beyond N = 5;
-- `braid --N 0`, and any run that produces no certificates.
+- `braid --N 0`, and any run that produces no certificates;
+- a QREA_SEED that is not an integer;
+- a `classical shape|decompose|leaf` file that cannot be read or is not a
+  Hermitian matrix in JSON;
+- a `classical build --shape` that is not an object with lists tau and u
+  of one length, with a slot that is not null, "0", a phase object or a
+  rational, or that is no valid shape; --weights that are not
+  comma-separated rationals, or whose signs do not fit the shape.
 """
 
 from __future__ import annotations
@@ -61,10 +68,14 @@ def _summarise(certs, t0, label):
 
 
 def _seed(args):
+    """QREA_SEED if it is set, else --seed."""
     env = os.environ.get("QREA_SEED")
-    if env is not None:
+    if env is None:
+        return args.seed
+    try:
         return int(env)
-    return args.seed
+    except ValueError:
+        raise UsageError(f"QREA_SEED must be an integer, got {env!r}") from None
 
 
 def _json_arg(flag, text):
@@ -193,8 +204,52 @@ def cmd_rea_semiclassical(args):
 
 
 def _load_matrix(path):
-    with open(path, encoding="utf-8") as fh:
-        return classical.HermitianMatrix.from_json(json.load(fh))
+    """The HermitianMatrix in the JSON file at path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise UsageError(f"{path} is not JSON: {exc}") from None
+    try:
+        return classical.HermitianMatrix.from_json(obj)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise UsageError(f"{path} is not a Hermitian matrix: {exc!r}") from None
+
+
+def _shape_slot(slot):
+    if slot is None or slot == "0":
+        return None
+    if isinstance(slot, dict):
+        if slot.get("numeric"):
+            return complex(slot["re"], slot["im"])
+        return classical.GaussRat.from_json(slot)
+    return classical.GaussRat(Fraction(slot))
+
+
+def _load_shape(text):
+    """A `classical build --shape` object {"tau": [...], "u": [...]} as a
+    ShapeMatrix; slots are parsed by _shape_slot."""
+    sj = _json_arg("--shape", text)
+    if (not isinstance(sj, dict) or not isinstance(sj.get("tau"), list)
+            or not isinstance(sj.get("u"), list)
+            or len(sj["tau"]) != len(sj["u"])
+            or not all(type(t) is int for t in sj["tau"])):
+        raise UsageError("--shape must be an object with an integer list tau "
+                         "and a list u of the same length")
+    try:
+        return classical.ShapeMatrix(sj["tau"], [_shape_slot(x) for x in sj["u"]])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"--shape: {exc!r}") from None
+
+
+def _load_weights(text):
+    try:
+        return [Fraction(w) for w in text.split(",")]
+    except ValueError:
+        raise UsageError(f"--weights must be comma-separated rationals, "
+                         f"got {text!r}") from None
 
 
 def cmd_classical(args):
@@ -220,21 +275,13 @@ def cmd_classical(args):
         sys.stdout.write(json.dumps(lab.to_json(), sort_keys=True) + "\n")
         certs.append(Certificate("classical leaf", {"file": args.file}, "pass"))
     elif args.classical_cmd == "build":
-        sj = _json_arg("--shape", args.shape)
-        u = []
-        for slot in sj["u"]:
-            if slot is None or slot == "0":
-                u.append(None)
-            elif isinstance(slot, dict):
-                if slot.get("numeric"):
-                    u.append(complex(slot["re"], slot["im"]))
-                else:
-                    u.append(classical.GaussRat.from_json(slot))
-            else:
-                u.append(classical.GaussRat(Fraction(slot)))
-        S = classical.ShapeMatrix(sj["tau"], u)
-        lam = [Fraction(w) for w in args.weights.split(",")]
-        z = classical.build_leaf_point(S, lam)
+        S = _load_shape(args.shape)
+        lam = _load_weights(args.weights)
+        try:
+            z = classical.build_leaf_point(S, lam)
+        except classical.SignMismatch as exc:
+            raise UsageError(f"--weights signs do not fit the shape: {exc}") \
+                from None
         sys.stdout.write(json.dumps(z.to_json(), sort_keys=True) + "\n")
         lab = classical.leaf_label(z)
         certs.append(Certificate.verdict("classical build",
@@ -242,7 +289,7 @@ def cmd_classical(args):
                                          lab.shape.same_shape(S)))
     elif args.classical_cmd == "tangency":
         import numpy as np
-        rng = np.random.default_rng(_seed(args))
+        rng = np.random.default_rng(args.seed)
         done = attempts = 0
         while done < args.samples and attempts < 10 * args.samples:
             attempts += 1
@@ -257,24 +304,24 @@ def cmd_classical(args):
             certs.append(Certificate.verdict("classical tangency",
                                              {"N": args.N, "sample": done},
                                              rep["equal"], witness=rep,
-                                             seed=_seed(args)))
+                                             seed=args.seed))
     elif args.classical_cmd == "jacobi":
         rep = classical.jacobi_check(args.N, samples=args.samples,
-                                     seed=_seed(args))
+                                     seed=args.seed)
         certs.append(Certificate.verdict("classical jacobi",
                                          {"N": args.N, "samples": args.samples},
-                                         rep["ok"], seed=_seed(args)))
+                                         rep["ok"], seed=args.seed))
         sys.stdout.write(json.dumps({"max_residual": rep["max_residual"]},
                                     sort_keys=True) + "\n")
     elif args.classical_cmd == "invariance":
         import random as _random
-        rng = _random.Random(_seed(args))
+        rng = _random.Random(args.seed)
         for i in range(args.samples):
             z = classical.random_exact_hermitian(args.N, rng)
             t = classical.random_triangular(args.N, rng)
             certs.append(Certificate.verdict(
                 "classical invariance", {"N": args.N, "sample": i},
-                classical.tn_invariance_check(z, t), seed=_seed(args)))
+                classical.tn_invariance_check(z, t), seed=args.seed))
     for c in certs:
         _emit(c, sys.stdout)
     return _summarise(certs, t0, f"classical {args.classical_cmd}")
@@ -282,9 +329,8 @@ def cmd_classical(args):
 
 def cmd_check_all(args):
     t0 = time.time()
-    seed = _seed(args)
     certs = []
-    for name, cert in checks.run_all(args.N, seed):
+    for name, cert in checks.run_all(args.N, args.seed):
         rec = cert.to_json()
         rec["suite"] = name
         sys.stdout.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -357,6 +403,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        args.seed = _seed(args)
         return args.fn(args)
     except _INPUT_ERRORS as exc:
         print(f"qrea: {exc}", file=sys.stderr)

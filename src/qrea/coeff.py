@@ -7,6 +7,15 @@ the workhorse; rational functions only appear through the wedge-splitting
 denominators and through solved linear systems, and are kept in a canonical
 reduced form so that equality is structural.
 
+A coefficient is a Python ``int`` whenever it is integral and a ``Fraction``
+only when it is not, so the braid tables, the bicharacter and the twisted
+product, whose coefficients are all integral, run on ``int`` arithmetic.
+``int`` and an integral ``Fraction`` compare, hash and print alike, so the
+representation does not show in equality, hashing or JSON.  Reduction works
+over the integers too: denominators are cleared by one common integer, the
+gcd is taken by the primitive polynomial remainder sequence (Knuth, TAOCP
+vol. 2, 4.6.1), and only the final monic normalisation divides.
+
 ``GaussRat`` provides exact complex rationals for the classical side, where
 minor vanishing has to be decided exactly.
 """
@@ -14,7 +23,7 @@ minor vanishing has to be decided exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -33,10 +42,12 @@ class PoleAtPoint(ZeroDivisionError):
 # ---------------------------------------------------------------------------
 
 class LaurentPoly:
-    """Laurent polynomial in q with Fraction coefficients.
+    """Laurent polynomial in q with rational coefficients.
 
-    Stored as a map exponent -> nonzero coefficient; the empty map is 0.
-    Instances are treated as immutable.
+    Stored as a map exponent -> nonzero coefficient; the empty map is 0.  A
+    coefficient is an ``int`` when it is integral and a ``Fraction``
+    otherwise; every constructor and operation keeps it so.  Instances are
+    treated as immutable.
     """
 
     __slots__ = ("terms", "_hash")
@@ -45,9 +56,11 @@ class LaurentPoly:
         d = {}
         if terms:
             for e, c in terms.items():
-                if not isinstance(c, Fraction):
+                if type(c) is not int:
                     c = Fraction(c)
-                if c != 0:
+                    if c.denominator == 1:
+                        c = c.numerator
+                if c:
                     d[int(e)] = c
         self.terms = d
         self._hash = None
@@ -64,10 +77,10 @@ class LaurentPoly:
 
     @staticmethod
     def const(c):
-        return LaurentPoly({0: Fraction(c)})
+        return LaurentPoly({0: c})
 
     @staticmethod
-    def q_power(n, coeff=F1):
+    def q_power(n, coeff=1):
         return LaurentPoly({n: coeff})
 
     # -- predicates / accessors ---------------------------------------------
@@ -76,7 +89,7 @@ class LaurentPoly:
         return not self.terms
 
     def is_one(self):
-        return self.terms == {0: F1}
+        return self.terms == {0: 1}
 
     def min_exp(self):
         return min(self.terms)
@@ -94,24 +107,18 @@ class LaurentPoly:
             return self
         d = dict(a)
         for e, c in b.items():
-            s = d.get(e, F0) + c
+            s = d.get(e, 0) + c
             if s:
                 d[e] = s
             else:
                 d.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = d
-        out._hash = None
-        return out
+        return _laurent(d)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        out._hash = None
-        return out
+        return _laurent({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         a, b = self.terms, other.terms
@@ -121,23 +128,12 @@ class LaurentPoly:
         for ea, ca in a.items():
             for eb, cb in b.items():
                 e = ea + eb
-                s = d.get(e, F0) + ca * cb
+                s = d.get(e, 0) + ca * cb
                 if s:
                     d[e] = s
                 else:
                     d.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = d
-        out._hash = None
-        return out
-
-    def scale(self, c):
-        if c == 0:
-            return _LP_ZERO
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {e: co * c for e, co in self.terms.items()}
-        out._hash = None
-        return out
+        return _laurent(d)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -201,11 +197,26 @@ class LaurentPoly:
         return s
 
 
+def _laurent(d):
+    """LaurentPoly on a dict of nonzero coefficients, taken over as is
+    except that integral Fractions become ints."""
+    for e, c in d.items():
+        if type(c) is not int and c.denominator == 1:
+            d[e] = c.numerator
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.terms = d
+    out._hash = None
+    return out
+
+
 _LP_ZERO = LaurentPoly()
-_LP_ONE = LaurentPoly({0: F1})
+_LP_ONE = LaurentPoly({0: 1})
 
 
-# -- dense helpers for gcd ---------------------------------------------------
+# -- dense polynomials, for reduction -------------------------------------------
+#
+# A dense polynomial is its coefficient list, constant term first, with a
+# nonzero last entry; [] is 0.  From _dense_primitive on, the lists hold ints.
 
 def _to_dense(p):
     """(offset, coefficient list) with list[0] != 0 unless p == 0."""
@@ -213,14 +224,21 @@ def _to_dense(p):
         return 0, []
     lo = min(p.terms)
     hi = max(p.terms)
-    coeffs = [F0] * (hi - lo + 1)
+    coeffs = [0] * (hi - lo + 1)
     for e, c in p.terms.items():
         coeffs[e - lo] = c
     return lo, coeffs
 
 
 def _from_dense(offset, coeffs):
-    return LaurentPoly({offset + i: c for i, c in enumerate(coeffs) if c})
+    return _laurent({offset + i: c for i, c in enumerate(coeffs) if c})
+
+
+def _dense_times(a, m):
+    """Rational coefficients times m, a common multiple of their
+    denominators, as ints."""
+    return [c * m if type(c) is int else c.numerator * (m // c.denominator)
+            for c in a]
 
 
 def _dense_trim(a):
@@ -229,35 +247,73 @@ def _dense_trim(a):
     return a
 
 
-def _dense_divmod(a, b):
-    """Polynomial division of coefficient lists; b must be nonzero."""
+def _dense_primitive(a):
+    """a divided by its content, with a positive leading coefficient."""
+    if not a:
+        return a
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else [c // g for c in a]
+
+
+def _dense_prem(a, b):
+    """Remainder of a by b (b nonzero) over the integers, up to a nonzero
+    integer factor: a is scaled by lc(b) only at the steps where lc(b) does
+    not divide the coefficient being eliminated."""
     a = a[:]
     db = len(b) - 1
     lb = b[-1]
-    if len(a) < len(b):
-        return [], _dense_trim(a)
-    quot = [F0] * (len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i]
         if c:
-            f = c / lb
+            f, rem = divmod(c, lb)
+            if rem:
+                for k in range(i):
+                    a[k] *= lb
+                f = c
+            s = i - db
+            for j in range(db):
+                a[s + j] -= f * b[j]
+    return _dense_trim(a[:db])
+
+
+def _dense_divexact(a, b):
+    """Quotient a / b of integer polynomials, b primitive and dividing a;
+    by Gauss's lemma every quotient coefficient is an integer."""
+    a = a[:]
+    db = len(b) - 1
+    lb = b[-1]
+    quot = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i]
+        if c:
+            f = c // lb
             quot[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] -= f * b[j]
-    return _dense_trim(quot), _dense_trim(a)
+            s = i - db
+            for j in range(db):
+                a[s + j] -= f * b[j]
+    return quot
 
 
 def _dense_gcd(a, b):
-    """Monic gcd of coefficient lists."""
-    a = _dense_trim(a[:])
-    b = _dense_trim(b[:])
-    while b:
-        _, r = _dense_divmod(a, b)
-        a, b = b, r
-    if a:
-        lc = a[-1]
-        a = [c / lc for c in a]
-    return a
+    """Primitive gcd, leading coefficient positive, of two nonzero integer
+    coefficient lists.
+
+    The primitive polynomial remainder sequence over Z (Knuth, TAOCP vol. 2,
+    4.6.1): each pseudo-remainder is divided by its content, so coefficients
+    stay small and no Fraction arises.  It differs from the gcd over Q only
+    by a constant factor, which RatFunc's monic normalisation removes, so
+    the canonical form is the one a Euclidean gcd over Fraction gives.
+    RatFunc.__init__ calls it on every reduction it makes.
+    """
+    a = _dense_primitive(a)
+    b = _dense_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        a, b = b, _dense_primitive(_dense_prem(a, b))
+    return [1] if b else a
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +326,10 @@ class RatFunc:
     Canonical form: numerator and denominator coprime, denominator an
     ordinary polynomial with nonzero constant term, monic in its top degree.
     Any q-power slack is carried by the numerator, so equal fractions have
-    identical representations.
+    identical representations.  The reduction runs on integers: num and den
+    are scaled by one common integer to clear their denominators, divided
+    exactly by their primitive gcd, and only then divided by the leading
+    coefficient of the denominator.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -293,14 +352,18 @@ class RatFunc:
         else:
             on, dn = _to_dense(num)
             od, dd = _to_dense(den)
+            m = lcm(*(c.denominator for c in dn + dd if type(c) is not int))
+            if m != 1:
+                dn = _dense_times(dn, m)
+                dd = _dense_times(dd, m)
             g = _dense_gcd(dn, dd)
             if len(g) > 1:
-                dn, _ = _dense_divmod(dn, g)
-                dd, _ = _dense_divmod(dd, g)
+                dn = _dense_divexact(dn, g)
+                dd = _dense_divexact(dd, g)
             lc = dd[-1]
             if lc != 1:
-                dn = [c / lc for c in dn]
-                dd = [c / lc for c in dd]
+                dn = [Fraction(c, lc) if c % lc else c // lc for c in dn]
+                dd = [Fraction(c, lc) if c % lc else c // lc for c in dd]
             self.num = _from_dense(on - od, dn)
             self.den = _from_dense(0, dd)
         self._hash = None
@@ -424,13 +487,12 @@ RF_ONE = RatFunc.from_laurent(_LP_ONE)
 RF_Q = RatFunc.q_power(1)
 RF_QINV = RatFunc.q_power(-1)
 # q^{-1} - q, the off-diagonal weight of the braid operator
-RF_QDIFF = RatFunc.from_laurent(LaurentPoly({-1: F1, 1: Fraction(-1)}))
+RF_QDIFF = RatFunc.from_laurent(LaurentPoly({-1: 1, 1: -1}))
 
 
 def rf_q_int(n):
     """(-q)**n as a RatFunc, n any integer."""
-    c = F1 if n % 2 == 0 else Fraction(-1)
-    return RatFunc.from_laurent(LaurentPoly({n: c}))
+    return RatFunc.from_laurent(LaurentPoly({n: 1 if n % 2 == 0 else -1}))
 
 
 # ---------------------------------------------------------------------------

@@ -524,25 +524,32 @@ class Bicharacter:
         N = self.N
         tuples_s = _mid_tuples(N, s)
         tuples_t = _mid_tuples(N, t)
+        # words_s[x][y] is word_from_rc(x, y), built once per bidegree
+        words_s = {x: {y: word_from_rc(x, y, N) for y in tuples_s}
+                   for x in tuples_s}
+        words_t = {x: {y: word_from_rc(x, y, N) for y in tuples_t}
+                   for x in tuples_t}
         for i_t in tuples_s:
+            words_i = words_s[i_t]
             for j_t in tuples_s:
                 for k_t in tuples_t:
+                    words_k = words_t[k_t]
                     for l_t in tuples_t:
                         total = RF_ZERO
                         for m_t in tuples_s:
-                            wa1 = word_from_rc(i_t, m_t, N)
-                            wa2 = word_from_rc(m_t, j_t, N)
+                            wa1 = words_i[m_t]
+                            wa2 = words_s[m_t][j_t]
                             for n_t in tuples_t:
                                 if which == "rinv":
-                                    c1 = self.r(wa1, word_from_rc(k_t, n_t, N))
+                                    c1 = self.r(wa1, words_k[n_t])
                                     if c1.is_zero():
                                         continue
-                                    c2 = self.r_inv(wa2, word_from_rc(n_t, l_t, N))
+                                    c2 = self.r_inv(wa2, words_t[n_t][l_t])
                                 else:
-                                    c1 = self.r(wa1, word_from_rc(n_t, l_t, N))
+                                    c1 = self.r(wa1, words_t[n_t][l_t])
                                     if c1.is_zero():
                                         continue
-                                    c2 = self.r_prime(wa2, word_from_rc(k_t, n_t, N))
+                                    c2 = self.r_prime(wa2, words_k[n_t])
                                 if not c2.is_zero():
                                     total = total + c1 * c2
                         expected = RF_ONE if (i_t == j_t and k_t == l_t) else RF_ZERO

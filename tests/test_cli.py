@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +148,9 @@ def test_global_seed_reaches_classical_subcommands(capsys, monkeypatch):
     assert [r["seed"] for r in recs if "seed" in r] == [5]
 
 
+_MISSING_FILE = str(Path(__file__).parent / "no_such_matrix.json")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "laplace", "--N", "2", "--instance", "{bad"],
     ["verify", "laplace", "--N", "2", "--instance", '{"I":[1,2]}'],
@@ -162,8 +166,23 @@ def test_global_seed_reaches_classical_subcommands(capsys, monkeypatch):
      '{"tau":[1,1,3],"u":["0","0","0"]}'],
     ["rea", "qcomm", "--N", "2", "--shape",
      '{"tau":[2,1,3],"u":["y","ybar","0"]}'],
+    ["classical", "build", "--shape", '{"tau":[2,1]}', "--weights", "2,-3"],
+    ["classical", "build", "--shape", '{"tau":[1,2],"u":["x","1"]}',
+     "--weights", "2,3"],
+    ["classical", "build", "--shape", '{"tau":[1,2],"u":["1","1"]}',
+     "--weights", "2,x"],
+    ["classical", "build", "--shape", '{"tau":[1,2],"u":["1","1"]}',
+     "--weights", "2,-3"],
+    ["classical", "shape", _MISSING_FILE],
+    ["classical", "decompose", _MISSING_FILE],
+    ["classical", "leaf", _MISSING_FILE],
+    # (environment, argv)
+    ({"QREA_SEED": "abc"}, ["check-all", "--N", "2"]),
 ])
-def test_bad_input_is_usage_error(capsys, argv):
+def test_bad_input_is_usage_error(capsys, monkeypatch, argv):
+    env, argv = argv if isinstance(argv, tuple) else ({}, argv)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == ""

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qrea.braiding import rhat_entries
 from qrea.coeff import (GaussRat, LaurentPoly, PoleAtPoint, RatFunc,
                         RF_ONE, RF_ZERO, ZeroDenominator, rational_sqrt,
                         rf_q_int)
@@ -161,3 +163,88 @@ def test_rational_sqrt():
     assert rational_sqrt(F(9, 4)) == F(3, 2)
     assert rational_sqrt(F(2)) is None
     assert rational_sqrt(F(0)) == 0
+
+
+# -- reduction against an independent oracle ----------------------------------
+
+_coeff = st.one_of(st.integers(-6, 6),
+                   st.fractions(min_value=-6, max_value=6, max_denominator=4))
+_laurent_st = st.dictionaries(st.integers(-3, 3), _coeff,
+                              max_size=4).map(LaurentPoly)
+_nonzero_st = _laurent_st.filter(lambda p: not p.is_zero())
+
+
+def _canonical_types(p):
+    """Every coefficient an int when integral, a Fraction otherwise."""
+    return all(type(c) is int or (type(c) is F and c.denominator != 1)
+               for c in p.terms.values())
+
+
+def _sympy_reduced(num, den):
+    """(num, den) term dicts of num/den as sympy.cancel reduces it, with the
+    denominator made a monic polynomial with nonzero constant term."""
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def expr(p):
+        return sum((sympy.Rational(c.numerator, c.denominator) * q ** e
+                    for e, c in p.terms.items()), sympy.Integer(0))
+
+    n, d = sympy.fraction(sympy.cancel(expr(num) / expr(den)))
+    dp = sympy.Poly(d, q)
+    low = min(m for (m,), _ in dp.terms())
+    lc = dp.LC()
+
+    def terms(p):
+        out = {}
+        for (m,), c in sympy.Poly(p, q).terms():
+            if c:
+                r = sympy.Rational(c / lc)
+                out[m - low] = F(int(r.p), int(r.q))
+        return out
+
+    return terms(n), terms(d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_laurent_st, _nonzero_st, _nonzero_st)
+def test_reduction_matches_sympy_cancel(a, b, c):
+    # a common factor c, so that the gcd is nontrivial most of the time
+    num, den = a * c, b * c
+    r = RatFunc(num, den)
+    assert (r.num.terms, r.den.terms) == _sympy_reduced(num, den)
+    assert _canonical_types(r.num) and _canonical_types(r.den)
+    assert RatFunc(r.num, r.den) == r
+
+
+# -- the integer fast path ------------------------------------------------------
+
+def test_laurent_path_coefficients_stay_int(star3):
+    """The R-hat table, wedge tables, bicharacter tables and memos and the
+    twisted products at N=3 have integral coefficients only; each must be
+    stored as an int, or a stray Fraction literal would silently put the
+    whole twisted-product path back on Fraction arithmetic."""
+    ctx = star3.ctx
+    for u, v in [((0,), (4,)), ((1, 3), (5,)), ((8,), (0, 4)), ((2, 6), (7, 2))]:
+        star3.star_word(u, v)
+    for which in ("rinv", "rpr"):
+        assert ctx.bich.certify_bidegree(1, 1, which)
+    values = list(rhat_entries(3).values())
+    for k in range(1, 4):
+        for l in range(1, 4):
+            t = ctx.table(k, l)
+            values += [*t.entries.values(), *t.inv_entries.values()]
+    bich = ctx.bich
+    for table in bich._tables.values():
+        values += [c for column in table.values() for _, c in column]
+    for memo in bich._memo.values():
+        assert memo
+        values += memo.values()
+    for images in bich._images.values():
+        values += [c for img in images.values() for c in img.values()]
+    assert star3._star_word_memo
+    for p in star3._star_word_memo.values():
+        values += p.coeffs.values()
+    bad = [v for v in values for p in (v.num, v.den)
+           if any(type(c) is not int for c in p.terms.values())]
+    assert not bad, f"{len(bad)} of {len(values)} values off the int path: {bad[:3]}"

@@ -69,7 +69,7 @@ def test_ncpoly_add_and_mul_against_naive_sums(a_terms, b_terms):
 
 
 # `s = out.get(key, RF_ZERO) + c`, the accumulate step add_term replaces.
-# LaurentPoly's own exponent loops add plain Fractions and do not match.
+# LaurentPoly's own exponent loops add plain numbers and do not match.
 _ACCUMULATE_IDIOM = re.compile(
     r"\.get\([^()]*,\s*(?:\w+\.)?(?:RF_ZERO|GR0)\)\s*[-+]")
 
