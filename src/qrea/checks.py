@@ -358,15 +358,28 @@ def check_minor_coproduct(N, seed):
     return [Certificate.verdict("qmatrix minor-coproduct", {"N": n}, ok)]
 
 
+def _convolution_witness(bich, s, t):
+    """The first sum of the failing bidegree (s, t) that misses the counit
+    pairing, rinv before rpr."""
+    for which in ("rinv", "rpr"):
+        miss = bich.first_mismatch(s, t, which)
+        if miss is not None:
+            i, j, k, l, got, expected = miss
+            return {"which": which, "bidegree": [s, t],
+                    "i": list(i), "j": list(j), "k": list(k), "l": list(l),
+                    "got": got.to_json(), "expected": expected.to_json()}
+
+
 def check_convolution_certificates(N, seed):
-    n = min(N, 3)
+    n = min(N, 4)
     bich = get_ctx(n).bich
     out = []
     for (s, t) in ((1, 1), (1, 2), (2, 1), (2, 2)):
         ok = (bich.certify_bidegree(s, t, "rinv")
               and bich.certify_bidegree(s, t, "rpr"))
-        out.append(Certificate.verdict("qmatrix convolution-certificate",
-                                       {"N": n, "bidegree": [s, t]}, ok))
+        out.append(Certificate.verdict(
+            "qmatrix convolution-certificate", {"N": n, "bidegree": [s, t]},
+            ok, witness=lambda s=s, t=t: _convolution_witness(bich, s, t)))
     return out
 
 

@@ -517,45 +517,69 @@ class Bicharacter:
     def certify_bidegree(self, s, t, which):
         """Re-substitute a convolution inverse at bidegree (s, t).
 
-        which="rinv": sum over middles of r(a(i,m), b(k,n)) rinv(a(m,j), b(n,l))
-        which="rpr" : sum over middles of r(a(i,m), b(n,l)) rpr(a(m,j), b(k,n))
-        must equal the counit pairing for every word pair.
+        With a(x, y) the degree-s word of row tuple x and column tuple y,
+        and b(x, y) the degree-t one, every sum over the middles (m, n)
+
+        which="rinv": r(a(i,m), b(k,n)) rinv(a(m,j), b(n,l))
+        which="rpr" : r(a(i,m), b(n,l)) rpr(a(m,j), b(k,n))
+
+        must equal the counit pairing delta(i,j) delta(k,l).  The r factor
+        does not depend on j and on one of k, l: on (i, k, m, n) for rinv,
+        on (i, l, m, n) for rpr.  So the loops nest as
+
+            for i, then k (rinv) or l (rpr):
+                list the (m, n) whose r factor is nonzero, with that factor
+                for j, then l (rinv) or k (rpr):
+                    sum r factor * inverse factor over that list
+
+        and r is evaluated once per outer pair, not once per inner pair.
+        Every factor comes from `r`, `r_inv` or `r_prime` on words, never
+        from the solved tables directly.
         """
+        return self.first_mismatch(s, t, which) is None
+
+    def first_mismatch(self, s, t, which):
+        """The first sum of `certify_bidegree` that misses the counit
+        pairing, in its loop order, as (i, j, k, l, got, expected); None
+        when every sum matches."""
         N = self.N
         tuples_s = _mid_tuples(N, s)
         tuples_t = _mid_tuples(N, t)
-        # words_s[x][y] is word_from_rc(x, y), built once per bidegree
+        # words_s[x][y] is a(x, y) and words_t[x][y] is b(x, y), built once
         words_s = {x: {y: word_from_rc(x, y, N) for y in tuples_s}
                    for x in tuples_s}
         words_t = {x: {y: word_from_rc(x, y, N) for y in tuples_t}
                    for x in tuples_t}
+        if which == "rinv":
+            inverse, b = self.r_inv, words_t
+        else:
+            # rpr reads b with its indices swapped: b[o][n] = b(n, o) is
+            # b(n, l) at o = l, and b[n][p] = b(p, n) is b(k, n) at p = k
+            inverse = self.r_prime
+            b = {x: {y: words_t[y][x] for y in tuples_t} for x in tuples_t}
         for i_t in tuples_s:
             words_i = words_s[i_t]
-            for j_t in tuples_s:
-                for k_t in tuples_t:
-                    words_k = words_t[k_t]
-                    for l_t in tuples_t:
+            for o_t in tuples_t:
+                words_o = b[o_t]
+                terms = []
+                for m_t in tuples_s:
+                    wa = words_i[m_t]
+                    for n_t in tuples_t:
+                        c1 = self.r(wa, words_o[n_t])
+                        if not c1.is_zero():
+                            terms.append((words_s[m_t], b[n_t], c1))
+                for j_t in tuples_s:
+                    for p_t in tuples_t:
                         total = RF_ZERO
-                        for m_t in tuples_s:
-                            wa1 = words_i[m_t]
-                            wa2 = words_s[m_t][j_t]
-                            for n_t in tuples_t:
-                                if which == "rinv":
-                                    c1 = self.r(wa1, words_k[n_t])
-                                    if c1.is_zero():
-                                        continue
-                                    c2 = self.r_inv(wa2, words_t[n_t][l_t])
-                                else:
-                                    c1 = self.r(wa1, words_t[n_t][l_t])
-                                    if c1.is_zero():
-                                        continue
-                                    c2 = self.r_prime(wa2, words_k[n_t])
-                                if not c2.is_zero():
-                                    total = total + c1 * c2
-                        expected = RF_ONE if (i_t == j_t and k_t == l_t) else RF_ZERO
+                        for words_m, words_n, c1 in terms:
+                            c2 = inverse(words_m[j_t], words_n[p_t])
+                            if not c2.is_zero():
+                                total = total + c1 * c2
+                        expected = RF_ONE if (i_t == j_t and o_t == p_t) else RF_ZERO
                         if total != expected:
-                            return False
-        return True
+                            k_t, l_t = (o_t, p_t) if which == "rinv" else (p_t, o_t)
+                            return i_t, j_t, k_t, l_t, total, expected
+        return None
 
 
 # ---------------------------------------------------------------------------

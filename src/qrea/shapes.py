@@ -16,6 +16,7 @@ the published family table at N = 3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .coeff import RF_ZERO, RatFunc
@@ -90,6 +91,11 @@ class QuantumShape:
         """(rows, cols) label of the chain minor at each level 1..rank."""
         return [(self.tau_prefix(k), self.support_prefix(k))
                 for k in range(1, self.rank + 1)]
+
+    @cached_property
+    def dom_ideal(self):
+        """The dominance shape ideal, built on first use and kept."""
+        return build_shape_ideal(self, "dom")
 
     def is_self_adjoint(self):
         return all(_conj_symbol(self.u[i - 1]) == self.u[self.tau[i - 1] - 1]
@@ -239,7 +245,7 @@ def shape_qcomm_certificate(ctx, shape, k, I, J):
     B = shape.tau_prefix(k)         # row label
     m = len(I)
     kk = len(A)
-    ideal = build_shape_ideal(shape, "dom")
+    ideal = shape.dom_ideal
     khats = [tuple(c) for c in combinations(range(1, N + 1), kk)]
     msets = [tuple(c) for c in combinations(range(1, N + 1), m)]
     exp_left = -(len(set(I) & set(A)) + len(set(I) & set(B)))

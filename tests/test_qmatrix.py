@@ -3,15 +3,18 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qrea import checks
 from qrea.coeff import RF_ONE, RF_QINV, RF_ZERO, RatFunc, rf_q_int
 from qrea.qmatrix import (Bicharacter, IllFormedInstance, NCPoly,
-                          NonOrientable, braidcomm_instances, coproduct,
-                          coproduct_word, counit, counit_word,
+                          NonOrientable, QContext, braidcomm_instances,
+                          coproduct, coproduct_word, counit, counit_word,
                           degree_dimension,
                           derive_rewrite_rules, derive_rewrite_system,
                           exchange_relations, gen_id, laplace_instances,
-                          muir_instances, quantum_minor, verify_identity)
+                          muir_instances, quantum_minor, verify_identity,
+                          word_from_rc)
 
 
 def g(i, j, N=2):
@@ -69,6 +72,25 @@ def test_normal_form_idempotent_linear(ctx2):
         p = rw.normal_form(NCPoly(2, {w: RF_ONE}))
         assert rw.normal_form(p) == p
         assert all(m[i] <= m[i + 1] for m in p.coeffs for i in range(len(m) - 1))
+
+
+_generator_products = st.lists(
+    st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)), max_size=5),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_generator_products)
+def test_normal_form_idempotent_on_generator_products(ctx2, products):
+    # a sum of products of N=2 generators, each product of up to 5 factors
+    p = NCPoly(2, {})
+    for factors in products:
+        term = NCPoly.unit(2)
+        for i, j in factors:
+            term = term * NCPoly.generator(2, i, j)
+        p = p + term
+    once = ctx2.rw.normal_form(p)
+    assert ctx2.rw.normal_form(once) == once
 
 
 def test_confluence_spot_check_random_orders(ctx3):
@@ -146,6 +168,45 @@ def test_convolution_certificates(ctx2):
     for (s, t) in ((1, 1), (1, 2), (2, 1), (2, 2)):
         assert b.certify_bidegree(s, t, "rinv")
         assert b.certify_bidegree(s, t, "rpr")
+
+
+@pytest.mark.parametrize("which", ["rinv", "rpr"])
+def test_convolution_certificates_fail_on_a_perturbed_table(monkeypatch, which):
+    """One entry of a solved inverse table, shifted by 1, must fail every
+    bidegree, and the check's certificates must carry a true witness."""
+    ctx = QContext(2)            # fresh: the shared context stays intact
+    b = ctx.bich
+    column = b._tables[which][min(b._tables[which])]
+    row, c = column[0]
+    column[0] = (row, c + RF_ONE)
+    other = "rpr" if which == "rinv" else "rinv"
+    bidegrees = ((1, 1), (1, 2), (2, 1), (2, 2))
+    for (s, t) in bidegrees:
+        assert not b.certify_bidegree(s, t, which)
+        assert b.certify_bidegree(s, t, other)
+    monkeypatch.setitem(checks._CTX_CACHE, 2, ctx)
+    certs = checks.check_convolution_certificates(2, 0)
+    assert [cert.instance["bidegree"] for cert in certs] == [list(d) for d in bidegrees]
+    inverse = b.r_inv if which == "rinv" else b.r_prime
+    for cert in certs:
+        assert cert.status == "fail"
+        w = cert.witness
+        assert w["which"] == which and w["bidegree"] == cert.instance["bidegree"]
+        s, t = w["bidegree"]
+        i, j, k, l = (tuple(w[x]) for x in "ijkl")
+        # the reported sum, recomputed over every middle without pruning
+        total = RF_ZERO
+        for m in product((1, 2), repeat=s):
+            for n in product((1, 2), repeat=t):
+                if which == "rinv":
+                    total = total + (b.r(word_from_rc(i, m, 2), word_from_rc(k, n, 2))
+                                     * inverse(word_from_rc(m, j, 2), word_from_rc(n, l, 2)))
+                else:
+                    total = total + (b.r(word_from_rc(i, m, 2), word_from_rc(n, l, 2))
+                                     * inverse(word_from_rc(m, j, 2), word_from_rc(k, n, 2)))
+        expected = RF_ONE if (i, k) == (j, l) else RF_ZERO
+        assert w["got"] == total.to_json() != expected.to_json()
+        assert w["expected"] == expected.to_json()
 
 
 @pytest.mark.parametrize("which, swap", [("r", False), ("rinv", True),
