@@ -362,6 +362,11 @@ def embed_equivariance_check(N, k):
 # Wedge braiding coefficient tables
 # ---------------------------------------------------------------------------
 
+def subsets(N, k):
+    """The k-subsets of 1..N as increasing tuples, in lexicographic order."""
+    return [tuple(c) for c in combinations(range(1, N + 1), k)]
+
+
 class WedgeBraidTable:
     """Coefficients of the wedge braiding and of its inverse.
 
@@ -379,8 +384,7 @@ class WedgeBraidTable:
         self.l = l
         self.entries = {}
         self.inv_entries = {}
-        ksets = [tuple(c) for c in combinations(range(1, N + 1), k)]
-        lsets = [tuple(c) for c in combinations(range(1, N + 1), l)]
+        ksets, lsets = subsets(N, k), subsets(N, l)
         for I in ksets:
             for Jp in lsets:
                 image = braid_wedge_pair({(I, Jp): RF_ONE}, k, l)
@@ -435,8 +439,7 @@ class WedgeBraidTable:
 
     def composition_identity_check(self):
         """Inverse braiding composed with the braiding is the identity."""
-        ksets = [tuple(c) for c in combinations(range(1, self.N + 1), self.k)]
-        lsets = [tuple(c) for c in combinations(range(1, self.N + 1), self.l)]
+        ksets, lsets = subsets(self.N, self.k), subsets(self.N, self.l)
         for I in ksets:
             for Jp in lsets:
                 image = braid_wedge_pair({(I, Jp): RF_ONE}, self.k, self.l)

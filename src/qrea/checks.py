@@ -43,19 +43,19 @@ def get_star(N):
 
 FAMILIES = {
     ("qmatrix", "laplace"): (("laplace-row", "laplace-col"),
-                             qmatrix.laplace_instances, ("I", "J", "K", "Kp")),
+                             qmatrix.laplace_instances, qmatrix.LAPLACE_KEYS),
     ("qmatrix", "muir"): (("muir-row", "muir-col"), qmatrix.muir_instances,
-                          ("I", "J", "F", "G", "K", "Kp")),
+                          qmatrix.MUIR_KEYS),
     ("qmatrix", "braidcomm"): (("braidcomm-1", "braidcomm-2"),
                                qmatrix.braidcomm_instances,
-                               ("I", "J", "Ip", "Jp")),
+                               qmatrix.BRAIDCOMM_KEYS),
     ("rea", "gencomm"): (("gencomm",), qmatrix.braidcomm_instances,
-                         ("I", "J", "Ip", "Jp")),
+                         qmatrix.BRAIDCOMM_KEYS),
     ("rea", "laplace"): (("laplace1", "laplace2"), rea.rea_laplace_instances,
-                         ("I", "J", "K")),
+                         rea.REA_LAPLACE_KEYS),
     ("rea", "muir"): (("muir-left", "muir-right"),
                       partial(qmatrix.muir_instances, kmax=3, rmax=2),
-                      ("I", "J", "F", "G", "K", "Kp")),
+                      qmatrix.MUIR_KEYS),
 }
 
 
@@ -74,14 +74,16 @@ def family_certificates(algebra, family, N, instances=None):
 
 def _family_suite(algebra, family):
     """The check-all suite of an identity family: its sweep at min(N, 3),
-    summed up in one certificate."""
+    summed up in one certificate whose failure witness counts the failing
+    instances and carries the first one's certificate."""
     def suite(N, seed):
         n = min(N, 3)
         certs = family_certificates(algebra, family, n)
-        bad = sum(c.status != "pass" for c in certs)
-        return [Certificate.verdict(f"{algebra} {family}",
-                                    {"N": n, "instances": len(certs)},
-                                    bad == 0, witness={"failures": bad})]
+        failed = [c for c in certs if c.status != "pass"]
+        return [Certificate.verdict(
+            f"{algebra} {family}", {"N": n, "instances": len(certs)},
+            not failed, witness=lambda: {"failures": len(failed),
+                                         "first": failed[0].to_json()})]
     return suite
 
 
@@ -204,20 +206,27 @@ def check_inversion_parity(N, seed):
 
 # -- braiding -----------------------------------------------------------------------
 
+def braid_checks(n):
+    """Whether the size-n braid operator satisfies the braid relation and
+    the Hecke relation and is symmetric, by name in that order; the braiding
+    suites and `qrea braid` read it."""
+    R = braiding.build_braid(n)
+    return {"braid-relation": braiding.braid_relation_check(n),
+            "hecke": R.hecke_check(), "symmetric": R.is_symmetric()}
+
+
 def check_braid_relation(N, seed):
-    out = []
-    for n in range(1, min(N, 4) + 1):
-        out.append(Certificate.verdict("braiding braid-relation", {"N": n},
-                                       braiding.braid_relation_check(n)))
-    return out
+    return [Certificate.verdict("braiding braid-relation", {"N": n},
+                                braid_checks(n)["braid-relation"])
+            for n in range(1, min(N, 4) + 1)]
 
 
 def check_hecke(N, seed):
     out = []
     for n in range(1, min(N, 4) + 1):
-        R = braiding.build_braid(n)
+        passed = braid_checks(n)
         out.append(Certificate.verdict("braiding hecke", {"N": n},
-                                       R.hecke_check() and R.is_symmetric()))
+                                       passed["hecke"] and passed["symmetric"]))
     return out
 
 
@@ -226,18 +235,21 @@ def _table_degrees(N):
     return [(k, l) for k in range(1, cap + 1) for l in range(1, cap + 1)]
 
 
+def wedge_table_ok(tbl):
+    """The support condition of a wedge table and of its inverse, and its
+    diagonal values; the wedge-table suite and `qrea wedge-table --check`."""
+    return (not tbl.support_condition_violations()
+            and not tbl.support_condition_violations(tbl.inv_entries)
+            and not tbl.diagonal_report())
+
+
 def check_wedge_tables(N, seed):
-    out = []
     n = min(N, 4)
     ctx = get_ctx(n)
-    for (k, l) in _table_degrees(n):
-        tbl = ctx.table(k, l)
-        ok = (not tbl.support_condition_violations()
-              and not tbl.support_condition_violations(tbl.inv_entries)
-              and not tbl.diagonal_report())
-        out.append(Certificate.verdict("braiding wedge-table",
-                                       {"N": n, "k": k, "l": l}, ok))
-    return out
+    return [Certificate.verdict("braiding wedge-table",
+                                {"N": n, "k": k, "l": l},
+                                wedge_table_ok(ctx.table(k, l)))
+            for (k, l) in _table_degrees(n)]
 
 
 def check_wedge_composition(N, seed):

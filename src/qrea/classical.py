@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -682,50 +683,6 @@ def build_leaf_point(shape, lam):
 # The quadratic bracket
 # ---------------------------------------------------------------------------
 
-def _classical_r(N):
-    """The classical r-matrix on C^N (x) C^N as a dense integer array."""
-    r = np.zeros((N * N, N * N))
-    for i in range(N):
-        r[i * N + i, i * N + i] = 1
-    for i in range(N):
-        for j in range(i + 1, N):
-            # e_ij (x) e_ji
-            r[i * N + j, j * N + i] = 2
-    return r
-
-
-def _classical_r21(N):
-    r = np.zeros((N * N, N * N))
-    for i in range(N):
-        r[i * N + i, i * N + i] = 1
-    for i in range(N):
-        for j in range(i + 1, N):
-            r[j * N + i, i * N + j] = 2
-    return r
-
-
-def bracket_matrix_at(z):
-    """Complex bracket values {Z_ij, Z_kl}(z) as a 4-index array."""
-    zn = np.asarray(z, dtype=complex)
-    N = zn.shape[0]
-    r = _classical_r(N).astype(complex)
-    r21 = _classical_r21(N).astype(complex)
-    eye = np.eye(N, dtype=complex)
-    zz = np.kron(zn, zn)
-    z1 = np.kron(zn, eye)
-    oz = np.kron(eye, zn)
-    M = r21 @ zz - zz @ r + z1 @ r @ oz - oz @ r21 @ z1
-    out = np.empty((N, N, N, N), dtype=complex)
-    for i in range(N):
-        for j in range(N):
-            for k in range(N):
-                for l in range(N):
-                    out[i, j, k, l] = -1j * M[i * N + k, j * N + l]
-    return out
-
-
-# -- symbolic version (quadratic forms with GaussRat coefficients) -------------
-
 def _poly_mul(a, b):
     out = {}
     for ma, ca in a.items():
@@ -770,16 +727,17 @@ def poisson_bracket_coeffs(N):
     Returns a dict mapping ((i,j),(k,l)) to {sorted entry-pair: GaussRat};
     the coefficients are purely imaginary.
     """
-    one = {(): GR1}
-
-    def const(c):
-        return {(): GaussRat(c)} if c else {}
-
+    one, two = {(): GR1}, {(): GaussRat(2)}
     zvar = [[{((i + 1, j + 1),): GR1} for j in range(N)] for i in range(N)]
-    rP = [[const(int(_classical_r(N)[a, b])) for b in range(N * N)]
-          for a in range(N * N)]
-    r21P = [[const(int(_classical_r21(N)[a, b])) for b in range(N * N)]
-            for a in range(N * N)]
+    # the classical r-matrix on C^N (x) C^N and its flip r21, rows and
+    # columns indexed by i * N + j (0-based), as constant polynomials
+    rP = [[{} for _ in range(N * N)] for _ in range(N * N)]
+    r21P = [[{} for _ in range(N * N)] for _ in range(N * N)]
+    for i in range(N):
+        rP[i * N + i][i * N + i] = r21P[i * N + i][i * N + i] = one
+        for j in range(i + 1, N):
+            # e_ij (x) e_ji, and its flip
+            rP[i * N + j][j * N + i] = r21P[j * N + i][i * N + j] = two
     eyeP = [[one if i == j else {} for j in range(N)] for i in range(N)]
     zz = _kron_poly(zvar, zvar)
     z1 = _kron_poly(zvar, eyeP)
@@ -801,6 +759,31 @@ def poisson_bracket_coeffs(N):
                     entry = M[(i - 1) * N + (k - 1)][(j - 1) * N + (l - 1)]
                     out[((i, j), (k, l))] = _poly_scale(entry, minus_i)
     return out
+
+
+@lru_cache(maxsize=None)
+def _bracket_terms(N):
+    """poisson_bracket_coeffs(N) as numeric arrays: one row (target, p, q)
+    of flat indices and one coefficient c per term, the bracket at the flat
+    index target of (i, j, k, l) being the sum of c * z[p] * z[q]."""
+    terms = [((((i - 1) * N + j - 1) * N + k - 1) * N + l - 1,
+              (a - 1) * N + b - 1, (c - 1) * N + d - 1, g.to_complex())
+             for ((i, j), (k, l)), form in poisson_bracket_coeffs(N).items()
+             for ((a, b), (c, d)), g in form.items()]
+    return (np.array([t[:3] for t in terms], dtype=int).reshape(-1, 3),
+            np.array([t[3] for t in terms], dtype=complex))
+
+
+def bracket_matrix_at(z):
+    """Complex bracket values {Z_ij, Z_kl}(z) as a 4-index array: the exact
+    quadratic forms of poisson_bracket_coeffs evaluated at z."""
+    zn = np.asarray(z, dtype=complex)
+    N = zn.shape[0]
+    index, c = _bracket_terms(N)
+    zf = zn.ravel()
+    out = np.zeros(N ** 4, dtype=complex)
+    np.add.at(out, index[:, 0], c * zf[index[:, 1]] * zf[index[:, 2]])
+    return out.reshape(N, N, N, N)
 
 
 # ---------------------------------------------------------------------------

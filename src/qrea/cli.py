@@ -15,7 +15,8 @@ unknown or malformed flags, the usage errors are:
   self-adjoint shape of size N;
 - `wedge-table` degrees outside 0..N;
 - `rea shapes`, and `rea qcomm` without --shape, beyond N = 5;
-- `braid --N 0`, and any run that produces no certificates;
+- an --N below 1, a `classical jacobi --samples` below 1, and any run
+  that produces no certificates;
 - a QREA_SEED that is not an integer;
 - a `classical shape|decompose|leaf` file that cannot be read or is not a
   Hermitian matrix in JSON;
@@ -114,20 +115,10 @@ def _load_instance(text, N, keys):
 # -- subcommand runners ------------------------------------------------------
 
 def cmd_braid(args):
-    if args.N < 1:
-        print(f"qrea braid: --N must be >= 1, got {args.N}", file=sys.stderr)
-        return 2
     t0 = time.time()
-    certs = []
-    for n in range(1, args.N + 1):
-        R = braiding.build_braid(n)
-        certs.append(Certificate.verdict(
-            "braid", {"N": n, "check": "braid-relation"},
-            braiding.braid_relation_check(n)))
-        certs.append(Certificate.verdict("braid", {"N": n, "check": "hecke"},
-                                         R.hecke_check()))
-        certs.append(Certificate.verdict(
-            "braid", {"N": n, "check": "symmetric"}, R.is_symmetric()))
+    certs = [Certificate.verdict("braid", {"N": n, "check": name}, ok)
+             for n in range(1, args.N + 1)
+             for name, ok in checks.braid_checks(n).items()]
     for c in certs:
         _emit(c, sys.stdout)
     return _summarise(certs, t0, "braid")
@@ -139,10 +130,7 @@ def cmd_wedge_table(args):
     sys.stdout.write(json.dumps(tbl.to_json(), sort_keys=True) + "\n")
     ok = True
     if args.check:
-        ok = (not tbl.support_condition_violations()
-              and not tbl.support_condition_violations(tbl.inv_entries)
-              and not tbl.diagonal_report()
-              and tbl.composition_identity_check())
+        ok = checks.wedge_table_ok(tbl) and tbl.composition_identity_check()
         _emit(Certificate.verdict("wedge-table",
                                   {"N": args.N, "k": args.k, "l": args.l}, ok),
               sys.stdout)
@@ -306,6 +294,8 @@ def cmd_classical(args):
                                              rep["equal"], witness=rep,
                                              seed=args.seed))
     elif args.classical_cmd == "jacobi":
+        if args.samples < 1:
+            raise UsageError(f"--samples must be >= 1, got {args.samples}")
         rep = classical.jacobi_check(args.N, samples=args.samples,
                                      seed=args.seed)
         certs.append(Certificate.verdict("classical jacobi",
@@ -404,6 +394,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.seed = _seed(args)
+        if "N" in vars(args) and args.N < 1:
+            raise UsageError(f"--N must be >= 1, got {args.N}")
         return args.fn(args)
     except _INPUT_ERRORS as exc:
         print(f"qrea: {exc}", file=sys.stderr)

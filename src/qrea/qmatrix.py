@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .braiding import WedgeBraidTable, apply_two_site, by_column, rhat_entries
+from .braiding import (WedgeBraidTable, apply_two_site, by_column,
+                       rhat_entries, subsets)
 from .coeff import RF_ONE, RF_ZERO, rf_q_int
 from .indexsets import SizeMismatch, inversions
 from .linalg import SingularMatrix, add_term, invert_matrix, sparse_row_reduce
@@ -626,6 +627,8 @@ class QContext:
         self._minor_prod = {}
         self._rpr_minor = {}
         self._rinv_minor_solved = {}
+        self._contractions = {}
+        self._gencomm = {}
 
     def table(self, k, l):
         key = (k, l)
@@ -648,6 +651,74 @@ class QContext:
                                     * self.minor(key[2], key[3]))
             self._minor_prod[key] = p
             return p
+        return hit
+
+    # -- wedge-table contractions ---------------------------------------------
+
+    def wedge_contraction(self, a, c, b):
+        """{(X, Z, W): sum_Y inv_entry(X, a, c, Y) entry(b, Z, Y, W)} on the
+        (|a|, |c|) wedge table, nonzero values only, memoised.
+
+        Summed against star_minor(X, Z, W, d) it is the twisted-product
+        expansion of the minor product (a, b)(c, d) in the REA Laplace and
+        Muir families."""
+        key = (tuple(a), tuple(c), tuple(b))
+        hit = self._contractions.get(key)
+        if hit is None:
+            a, c, b = key
+            tab = self.table(len(a), len(c))
+            xsets, ysets = subsets(self.N, len(a)), subsets(self.N, len(c))
+            hit = self._contractions[key] = {}
+            for X in xsets:
+                for Y in ysets:
+                    c1 = tab.inv_entry(X, a, c, Y)
+                    if c1.is_zero():
+                        continue
+                    for Z in xsets:
+                        for W in ysets:
+                            c2 = tab.entry(b, Z, Y, W)
+                            if not c2.is_zero():
+                                add_term(hit, (X, Z, W), c1 * c2)
+        return hit
+
+    def gencomm_coefficients(self, I, J, Ip, Jp):
+        """The left and right coefficients {(K, L, L'): value} of the
+        general commutation of the minors (I, J) and (I', J'), summed over
+        P', nonzero values only, memoised:
+
+            left   sum_P' entry_lk(P', I', J, K) entry_kl(I, L, P', L')
+            right  sum_P' entry_lk(P', L', J, K) entry_kl(I, L, P', J')
+
+        with entry_kl the (|I|, |I'|) wedge table and entry_lk the
+        (|I'|, |I|) one.  The REA gencomm family and the shape q-commutation
+        certificates both read it."""
+        key = (tuple(I), tuple(J), tuple(Ip), tuple(Jp))
+        hit = self._gencomm.get(key)
+        if hit is None:
+            I, J, Ip, Jp = key
+            kl, lk = self.table(len(I), len(Ip)), self.table(len(Ip), len(I))
+            ksets, lsets = subsets(self.N, len(I)), subsets(self.N, len(Ip))
+            left, right = {}, {}
+            for Pp in lsets:
+                for K in ksets:
+                    f = lk.entry(Pp, Ip, J, K)
+                    if f.is_zero():
+                        continue
+                    for L in ksets:
+                        for Lp in lsets:
+                            g = kl.entry(I, L, Pp, Lp)
+                            if not g.is_zero():
+                                add_term(left, (K, L, Lp), f * g)
+                for L in ksets:
+                    g = kl.entry(I, L, Pp, Jp)
+                    if g.is_zero():
+                        continue
+                    for K in ksets:
+                        for Lp in lsets:
+                            f = lk.entry(Pp, Lp, J, K)
+                            if not f.is_zero():
+                                add_term(right, (K, L, Lp), f * g)
+            hit = self._gencomm[key] = (left, right)
         return hit
 
     # -- minor-level functional values ----------------------------------------
@@ -681,9 +752,7 @@ class QContext:
 
     def _solve_minor_inverse(self, k, l, cop):
         N = self.N
-        ksets = [tuple(c) for c in combinations(range(1, N + 1), k)]
-        lsets = [tuple(c) for c in combinations(range(1, N + 1), l)]
-        idx = [(A, B) for A in ksets for B in lsets]
+        idx = [(A, B) for A in subsets(N, k) for B in subsets(N, l)]
         rows = []
         for (A, D) in idx:
             row = []
@@ -735,117 +804,107 @@ def _nf_diff(lhs, rhs):
     return {"lhs": _nf_json(lhs), "rhs": _nf_json(rhs)}
 
 
+def _inst_json(instance, names):
+    """The certificate form of an instance: its `names` as lists, with the
+    primed keys Kp, Ip, Jp written K', I', J'."""
+    return {n.replace("p", "'"): list(instance[n]) for n in names}
+
+
+LAPLACE_KEYS = ("I", "J", "K", "Kp")
+MUIR_KEYS = ("I", "J", "F", "G", "K", "Kp")
+BRAIDCOMM_KEYS = ("I", "J", "Ip", "Jp")
+
+
+def expansion_terms(family, instance):
+    """The validated left and right terms of a Laplace or Muir instance.
+
+    Families: laplace-row, laplace-col, muir-row, muir-col.  Each term is
+    (sign, (A, B, C, D)) and stands for sign times the minor product
+    (A, B)(C, D).  A Laplace instance is the Muir one with no common
+    submatrix (F = G = ()), its left term the minor (I, J) times the empty
+    minor.  The left side is empty unless K = K'.
+    """
+    if family.startswith("laplace"):
+        instance = dict(instance, F=(), G=())
+    I, J, F, G, K, Kp = (tuple(instance[n]) for n in MUIR_KEYS)
+    k = len(I)
+    if len(J) != k or len(F) != len(G) or len(K) != len(Kp):
+        raise IllFormedInstance("sizes inconsistent")
+    r = k - len(F)
+    if any(p > k for p in F + G) or any(p > r for p in K + Kp):
+        raise IllFormedInstance("selection positions out of range")
+    IF, IFc = _tsel(I, F), _trest(I, F)
+    JG, JGc = _tsel(J, G), _trest(J, G)
+    left = [(RF_ONE, (I, J, IF, JG))] if K == Kp else []
+    right = []
+    for P in combinations(range(1, r + 1), len(K)):
+        # a row family selects K (first minor) and K' (second) among the
+        # rows and P among the columns; a col family swaps the two sides
+        rk, rkp, ck, ckp = ((K, Kp, P, P) if family.endswith("row")
+                            else (P, P, K, Kp))
+        right.append((rf_q_int(sum(P) - sum(K)),
+                      (_merge(IF, _tsel(IFc, rk)), _merge(JG, _tsel(JGc, ck)),
+                       _merge(IF, _trest(IFc, rkp)),
+                       _merge(JG, _trest(JGc, ckp)))))
+    return left, right
+
+
+def braidcomm_labels(instance):
+    """The validated (I, J, I', J') of a braided or general commutation
+    instance."""
+    I, J, Ip, Jp = (tuple(instance[n]) for n in BRAIDCOMM_KEYS)
+    if len(J) != len(I) or len(Jp) != len(Ip):
+        raise IllFormedInstance("sizes inconsistent")
+    return I, J, Ip, Jp
+
+
+def sum_terms(N, terms, value):
+    """Sum of sign * value(A, B, C, D) over (sign, (A, B, C, D)) terms."""
+    acc = NCPoly.zero(N)
+    for sign, labels in terms:
+        acc = acc + value(*labels).scale(sign)
+    return acc
+
+
 def verify_identity(ctx, family, instance):
     """Check one instance of a minor identity family by normal-form equality.
 
     Families: laplace-row, laplace-col, muir-row, muir-col,
     braidcomm-1, braidcomm-2.
     """
-    if family in ("laplace-row", "laplace-col"):
-        return _verify_laplace(ctx, family, instance)
-    if family in ("muir-row", "muir-col"):
-        return _verify_muir(ctx, family, instance)
     if family in ("braidcomm-1", "braidcomm-2"):
         return _verify_braidcomm(ctx, family, instance)
-    raise IllFormedInstance(f"unknown family {family}")
-
-
-def _verify_laplace(ctx, family, instance):
-    I, J, K, Kp = (tuple(instance[n]) for n in ("I", "J", "K", "Kp"))
-    k = len(I)
-    if len(J) != k or len(K) != len(Kp):
-        raise IllFormedInstance("sizes inconsistent")
-    l = len(K)
-    if any(p > k for p in K + Kp):
-        raise IllFormedInstance("selection positions out of range")
-    delta = K == Kp
-    lhs = ctx.rw.normal_form(ctx.minor(I, J)) if delta else NCPoly.zero(ctx.N)
-    rhs = NCPoly.zero(ctx.N)
-    for P in combinations(range(1, k + 1), l):
-        sign = rf_q_int(sum(P) - sum(K))
-        if family == "laplace-row":
-            t = ctx.minor_prod_nf(_tsel(I, K), _tsel(J, P),
-                                  _trest(I, Kp), _trest(J, P))
-        else:
-            t = ctx.minor_prod_nf(_tsel(I, P), _tsel(J, K),
-                                  _trest(I, P), _trest(J, Kp))
-        rhs = rhs + t.scale(sign)
-    inst = {"I": list(I), "J": list(J), "K": list(K), "K'": list(Kp)}
-    return Certificate.verdict(f"verify {family}", inst, lhs == rhs,
-                               lambda: _nf_diff(lhs, rhs))
-
-
-def _verify_muir(ctx, family, instance):
-    I, J, F, G, K, Kp = (tuple(instance[n]) for n in ("I", "J", "F", "G", "K", "Kp"))
-    k = len(I)
-    if len(J) != k or len(F) != len(G) or len(K) != len(Kp):
-        raise IllFormedInstance("sizes inconsistent")
-    r = k - len(F)
-    l = len(K)
-    if any(p > k for p in F + G) or any(p > r for p in K + Kp):
-        raise IllFormedInstance("selection positions out of range")
-    IF, IFc = _tsel(I, F), _trest(I, F)
-    JG, JGc = _tsel(J, G), _trest(J, G)
-    delta = K == Kp
-    if delta:
-        lhs = ctx.minor_prod_nf(I, J, IF, JG)
-    else:
-        lhs = NCPoly.zero(ctx.N)
-    rhs = NCPoly.zero(ctx.N)
-    for P in combinations(range(1, r + 1), l):
-        sign = rf_q_int(sum(P) - sum(K))
-        if family == "muir-row":
-            t = ctx.minor_prod_nf(_merge(IF, _tsel(IFc, K)),
-                                  _merge(JG, _tsel(JGc, P)),
-                                  _merge(IF, _trest(IFc, Kp)),
-                                  _merge(JG, _trest(JGc, P)))
-        else:
-            t = ctx.minor_prod_nf(_merge(IF, _tsel(IFc, P)),
-                                  _merge(JG, _tsel(JGc, K)),
-                                  _merge(IF, _trest(IFc, P)),
-                                  _merge(JG, _trest(JGc, Kp)))
-        rhs = rhs + t.scale(sign)
-    inst = {"I": list(I), "J": list(J), "F": list(F), "G": list(G),
-            "K": list(K), "K'": list(Kp)}
-    return Certificate.verdict(f"verify {family}", inst, lhs == rhs,
-                               lambda: _nf_diff(lhs, rhs))
+    if family not in ("laplace-row", "laplace-col", "muir-row", "muir-col"):
+        raise IllFormedInstance(f"unknown family {family}")
+    left, right = expansion_terms(family, instance)
+    lhs, rhs = (sum_terms(ctx.N, t, ctx.minor_prod_nf) for t in (left, right))
+    keys = LAPLACE_KEYS if family.startswith("laplace") else MUIR_KEYS
+    return Certificate.verdict(f"verify {family}", _inst_json(instance, keys),
+                               lhs == rhs, lambda: _nf_diff(lhs, rhs))
 
 
 def _verify_braidcomm(ctx, family, instance):
-    I, J, Ip, Jp = (tuple(instance[n]) for n in ("I", "J", "Ip", "Jp"))
-    k, l = len(I), len(Ip)
-    if len(J) != k or len(Jp) != l:
-        raise IllFormedInstance("sizes inconsistent")
+    I, J, Ip, Jp = braidcomm_labels(instance)
     N = ctx.N
+    pairs = [(A, B) for A in subsets(N, len(I)) for B in subsets(N, len(Ip))]
+    # the rhs is the sum of first[A, B] second[C, D] (A, C)(B, D)
+    if family == "braidcomm-1":
+        tab = ctx.table(len(I), len(Ip))
+        first = {(A, B): tab.entry(A, I, Ip, B) for A, B in pairs}
+        second = {(C, D): tab.inv_entry(J, C, D, Jp) for C, D in pairs}
+    else:
+        tab = ctx.table(len(Ip), len(I))
+        first = {(A, B): tab.inv_entry(B, Ip, I, A) for A, B in pairs}
+        second = {(C, D): tab.entry(Jp, D, C, J) for C, D in pairs}
     lhs = ctx.minor_prod_nf(Ip, Jp, I, J)
     rhs = NCPoly.zero(N)
-    ksets = [tuple(c) for c in combinations(range(1, N + 1), k)]
-    lsets = [tuple(c) for c in combinations(range(1, N + 1), l)]
-    if family == "braidcomm-1":
-        for A in ksets:
-            for B in lsets:
-                c1 = ctx.table(k, l).entry(A, I, Ip, B)
-                if c1.is_zero():
-                    continue
-                for C in ksets:
-                    for D in lsets:
-                        c2 = ctx.table(k, l).inv_entry(J, C, D, Jp)
-                        if c2.is_zero():
-                            continue
-                        rhs = rhs + ctx.minor_prod_nf(A, C, B, D).scale(c1 * c2)
-    else:
-        for A in ksets:
-            for B in lsets:
-                c1 = ctx.table(l, k).inv_entry(B, Ip, I, A)
-                if c1.is_zero():
-                    continue
-                for C in ksets:
-                    for D in lsets:
-                        c2 = ctx.table(l, k).entry(Jp, D, C, J)
-                        if c2.is_zero():
-                            continue
-                        rhs = rhs + ctx.minor_prod_nf(A, C, B, D).scale(c1 * c2)
-    inst = {"I": list(I), "J": list(J), "I'": list(Ip), "J'": list(Jp)}
+    for (A, B), c1 in first.items():
+        if c1.is_zero():
+            continue
+        for (C, D), c2 in second.items():
+            if not c2.is_zero():
+                rhs = rhs + ctx.minor_prod_nf(A, C, B, D).scale(c1 * c2)
+    inst = _inst_json(instance, BRAIDCOMM_KEYS)
     return Certificate.verdict(f"verify {family}", inst, lhs == rhs,
                                lambda: _nf_diff(lhs, rhs))
 

@@ -8,6 +8,15 @@ equation algebra at desk scale: reflection-algebra minors are the ordinary
 quantum minors viewed inside the twisted product, and every reflection-side
 identity is checked by exact normal-form equality in this model.
 
+The reflection-algebra identity families share their expansions with the
+quantum-matrix ones.  Laplace and Muir take the term lists of
+`qmatrix.expansion_terms` and expand each minor product (a, b)(c, d) as the
+twisted products star_minor(X, Z, W, d) weighted by the wedge-table
+contraction `QContext.wedge_contraction(a, c, b)`; laplace2 places the
+contraction of (b, d, a) transposed, as star_minor(c, W, Z, X).  The general
+commutation family reads `QContext.gencomm_coefficients`, as the shape
+q-commutation certificates do.
+
 A second realisation derives quadratic straightening rules directly from the
 reflection equation and cross-checks them against the twisted product.
 """
@@ -17,13 +26,14 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .braiding import rhat_entries
-from .coeff import RF_ONE, RF_ZERO, rf_q_int
+from .braiding import rhat_entries, subsets
+from .coeff import RF_ONE, RF_ZERO
 from .linalg import add_term
-from .qmatrix import (Certificate, IllFormedInstance, NCPoly, QContext,
-                      _mid_tuples, _nf_diff, _nf_json, _tsel, _trest, _merge,
-                      derive_rewrite_system, gen_id, word_cols, word_from_rc,
-                      word_rows)
+from .qmatrix import (BRAIDCOMM_KEYS, MUIR_KEYS, Certificate,
+                      IllFormedInstance, NCPoly, QContext, _inst_json,
+                      _mid_tuples, _nf_diff, _nf_json, braidcomm_labels,
+                      derive_rewrite_system, expansion_terms, gen_id,
+                      sum_terms, word_cols, word_from_rc, word_rows)
 
 
 class FlatnessCheckFailed(Exception):
@@ -91,8 +101,7 @@ class StarAlgebra:
         N = self.N
         ctx = self.ctx
         k, l = len(key[0]), len(key[2])
-        ksets = [tuple(c) for c in combinations(range(1, N + 1), k)]
-        lsets = [tuple(c) for c in combinations(range(1, N + 1), l)]
+        ksets, lsets = subsets(N, k), subsets(N, l)
         A, B, C, D = key
         acc = NCPoly.zero(N)
         for K in ksets:
@@ -240,6 +249,13 @@ def derive_rea_rewrite(star):
 # Identity families in the reflection algebra
 # ---------------------------------------------------------------------------
 
+REA_LAPLACE_KEYS = ("I", "J", "K")
+# rea_verify's Laplace and Muir families, each with the qmatrix family whose
+# terms it expands in the twisted product
+_EXPANSIONS = {"laplace1": "laplace-row", "laplace2": "laplace-col",
+               "muir-left": "muir-row", "muir-right": "muir-col"}
+
+
 def rea_verify(star, family, instance):
     """Verify one reflection-algebra identity instance in the twisted model.
 
@@ -247,161 +263,39 @@ def rea_verify(star, family, instance):
     """
     if family == "gencomm":
         return _rea_gencomm(star, instance)
-    if family in ("laplace1", "laplace2"):
-        return _rea_laplace(star, family, instance)
-    if family in ("muir-left", "muir-right"):
-        return _rea_muir(star, family, instance)
-    raise IllFormedInstance(f"unknown family {family}")
+    if family not in _EXPANSIONS:
+        raise IllFormedInstance(f"unknown family {family}")
+    laplace = family.startswith("laplace")
+    keys = REA_LAPLACE_KEYS if laplace else MUIR_KEYS
+    # a reflection-algebra Laplace instance has K' = K
+    full = dict(instance, Kp=instance["K"]) if laplace else instance
+    left, right = expansion_terms(_EXPANSIONS[family], full)
+    ctx = star.ctx
+
+    def twisted(A, B, C, D):
+        if family == "laplace2":
+            # the transposed placement: a different identity, not a relabelling
+            terms = [(c, (C, W, Z, X)) for (X, Z, W), c
+                     in ctx.wedge_contraction(B, D, A).items()]
+        else:
+            terms = [(c, (X, Z, W, D)) for (X, Z, W), c
+                     in ctx.wedge_contraction(A, C, B).items()]
+        return sum_terms(star.N, terms, star.star_minor)
+
+    lhs, rhs = (sum_terms(star.N, t, twisted) for t in (left, right))
+    return Certificate.verdict(f"rea {family}", _inst_json(instance, keys),
+                               lhs == rhs, lambda: _nf_diff(lhs, rhs))
 
 
 def _rea_gencomm(star, instance):
-    I, J, Ip, Jp = (tuple(instance[n]) for n in ("I", "J", "Ip", "Jp"))
-    k, l = len(I), len(Ip)
-    if len(J) != k or len(Jp) != l:
-        raise IllFormedInstance("sizes inconsistent")
-    N = star.N
-    ctx = star.ctx
-    ksets = [tuple(c) for c in combinations(range(1, N + 1), k)]
-    lsets = [tuple(c) for c in combinations(range(1, N + 1), l)]
-    lhs = NCPoly.zero(N)
-    rhs = NCPoly.zero(N)
-    for K in ksets:
-        for L in ksets:
-            for Lp in lsets:
-                c_left = RF_ZERO
-                c_right = RF_ZERO
-                for Pp in lsets:
-                    f1 = ctx.table(l, k).entry(Pp, Ip, J, K)
-                    if not f1.is_zero():
-                        f2 = ctx.table(k, l).entry(I, L, Pp, Lp)
-                        if not f2.is_zero():
-                            c_left = c_left + f1 * f2
-                    g1 = ctx.table(l, k).entry(Pp, Lp, J, K)
-                    if not g1.is_zero():
-                        g2 = ctx.table(k, l).entry(I, L, Pp, Jp)
-                        if not g2.is_zero():
-                            c_right = c_right + g1 * g2
-                if not c_left.is_zero():
-                    lhs = lhs + star.star_minor(K, L, Lp, Jp).scale(c_left)
-                if not c_right.is_zero():
-                    rhs = rhs + star.star_minor(Ip, Lp, K, L).scale(c_right)
-    inst = {"I": list(I), "J": list(J), "I'": list(Ip), "J'": list(Jp)}
+    I, J, Ip, Jp = braidcomm_labels(instance)
+    left, right = star.ctx.gencomm_coefficients(I, J, Ip, Jp)
+    lhs = sum_terms(star.N, [(c, (K, L, Lp, Jp)) for (K, L, Lp), c
+                             in left.items()], star.star_minor)
+    rhs = sum_terms(star.N, [(c, (Ip, Lp, K, L)) for (K, L, Lp), c
+                             in right.items()], star.star_minor)
+    inst = _inst_json(instance, BRAIDCOMM_KEYS)
     return Certificate.verdict("rea gencomm", inst, lhs == rhs,
-                               lambda: _nf_diff(lhs, rhs))
-
-
-def _rea_laplace(star, family, instance):
-    I, J, K = (tuple(instance[n]) for n in ("I", "J", "K"))
-    k = len(I)
-    if len(J) != k:
-        raise IllFormedInstance("sizes inconsistent")
-    m = len(K)
-    if any(p > k for p in K):
-        raise IllFormedInstance("selection positions out of range")
-    N = star.N
-    ctx = star.ctx
-    lhs = ctx.rw.normal_form(ctx.minor(I, J))
-    msets = [tuple(c) for c in combinations(range(1, N + 1), m)]
-    csets = [tuple(c) for c in combinations(range(1, N + 1), k - m)]
-    rhs = NCPoly.zero(N)
-    for P in combinations(range(1, k + 1), m):
-        sign = rf_q_int(sum(P) - sum(K))
-        if family == "laplace1":
-            IK, IKc = _tsel(I, K), _trest(I, K)
-            JP, JPc = _tsel(J, P), _trest(J, P)
-            for S in msets:
-                for Tp in csets:
-                    c1 = ctx.table(m, k - m).inv_entry(S, IK, IKc, Tp)
-                    if c1.is_zero():
-                        continue
-                    for T in msets:
-                        for Sp in csets:
-                            c2 = ctx.table(m, k - m).entry(JP, T, Tp, Sp)
-                            if c2.is_zero():
-                                continue
-                            rhs = rhs + star.star_minor(S, T, Sp, JPc).scale(
-                                sign * c1 * c2)
-        else:
-            JK, JKc = _tsel(J, K), _trest(J, K)
-            IP, IPc = _tsel(I, P), _trest(I, P)
-            for T in msets:
-                for Sp in csets:
-                    c1 = ctx.table(m, k - m).inv_entry(T, JK, JKc, Sp)
-                    if c1.is_zero():
-                        continue
-                    for S in msets:
-                        for Tp in csets:
-                            c2 = ctx.table(m, k - m).entry(IP, S, Sp, Tp)
-                            if c2.is_zero():
-                                continue
-                            rhs = rhs + star.star_minor(IPc, Tp, S, T).scale(
-                                sign * c1 * c2)
-    inst = {"I": list(I), "J": list(J), "K": list(K)}
-    return Certificate.verdict(f"rea {family}", inst, lhs == rhs,
-                               lambda: _nf_diff(lhs, rhs))
-
-
-def _rea_muir(star, family, instance):
-    I, J, F, G, K, Kp = (tuple(instance[n])
-                         for n in ("I", "J", "F", "G", "K", "Kp"))
-    k = len(I)
-    if len(J) != k or len(F) != len(G) or len(K) != len(Kp):
-        raise IllFormedInstance("sizes inconsistent")
-    r = k - len(F)
-    l = len(K)
-    if any(p > k for p in F + G) or any(p > r for p in K + Kp):
-        raise IllFormedInstance("selection positions out of range")
-    N = star.N
-    ctx = star.ctx
-    IF, IFc = _tsel(I, F), _trest(I, F)
-    JG, JGc = _tsel(J, G), _trest(J, G)
-    ksets = [tuple(c) for c in combinations(range(1, N + 1), k)]
-    csets = [tuple(c) for c in combinations(range(1, N + 1), k - r)]
-    lhs = NCPoly.zero(N)
-    if K == Kp:
-        for S in ksets:
-            for H in csets:
-                c1 = ctx.table(k, k - r).inv_entry(S, I, IF, H)
-                if c1.is_zero():
-                    continue
-                for T in ksets:
-                    for L in csets:
-                        c2 = ctx.table(k, k - r).entry(J, T, H, L)
-                        if c2.is_zero():
-                            continue
-                        lhs = lhs + star.star_minor(S, T, L, JG).scale(c1 * c2)
-    m1 = (k - r) + l
-    m2 = k - l
-    m1sets = [tuple(c) for c in combinations(range(1, N + 1), m1)]
-    m2sets = [tuple(c) for c in combinations(range(1, N + 1), m2)]
-    rhs = NCPoly.zero(N)
-    for P in combinations(range(1, r + 1), l):
-        sign = rf_q_int(sum(P) - sum(K))
-        if family == "muir-left":
-            up_inv = _merge(IF, _tsel(IFc, K))
-            low_inv = _merge(IF, _trest(IFc, Kp))
-            up_dir = _merge(JG, _tsel(JGc, P))
-            last = _merge(JG, _trest(JGc, P))
-        else:
-            up_inv = _merge(IF, _tsel(IFc, P))
-            low_inv = _merge(IF, _trest(IFc, P))
-            up_dir = _merge(JG, _tsel(JGc, K))
-            last = _merge(JG, _trest(JGc, Kp))
-        for A in m1sets:
-            for B in m2sets:
-                c1 = ctx.table(m1, m2).inv_entry(A, up_inv, low_inv, B)
-                if c1.is_zero():
-                    continue
-                for C in m1sets:
-                    for D in m2sets:
-                        c2 = ctx.table(m1, m2).entry(up_dir, C, B, D)
-                        if c2.is_zero():
-                            continue
-                        rhs = rhs + star.star_minor(A, C, D, last).scale(
-                            sign * c1 * c2)
-    inst = {"I": list(I), "J": list(J), "F": list(F), "G": list(G),
-            "K": list(K), "K'": list(Kp)}
-    return Certificate.verdict(f"rea {family}", inst, lhs == rhs,
                                lambda: _nf_diff(lhs, rhs))
 
 

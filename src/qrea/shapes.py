@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .coeff import RF_ZERO, RatFunc
+from .coeff import RatFunc
 from .indexsets import IndexSet, pair_dom_strictly_less, pair_lex_less
 from .qmatrix import Certificate
 
@@ -240,44 +240,20 @@ def shape_qcomm_certificate(ctx, shape, k, I, J):
         raise IllFormedQcomm("unequal argument sizes")
     if not (1 <= k <= shape.rank):
         raise IllFormedQcomm(f"level {k} outside 1..{shape.rank}")
-    N = ctx.N
     A = shape.support_prefix(k)     # column label of the chain minor
     B = shape.tau_prefix(k)         # row label
-    m = len(I)
-    kk = len(A)
     ideal = shape.dom_ideal
-    khats = [tuple(c) for c in combinations(range(1, N + 1), kk)]
-    msets = [tuple(c) for c in combinations(range(1, N + 1), m)]
     exp_left = -(len(set(I) & set(A)) + len(set(I) & set(B)))
     exp_right = -(len(set(J) & set(A)) + len(set(J) & set(B)))
-    residual_bad = []
-    found = {"left": None, "right": None}
-    for K in khats:
-        for L in khats:
-            for Lp in msets:
-                c_left = RF_ZERO
-                c_right = RF_ZERO
-                for Pp in msets:
-                    f1 = ctx.table(m, kk).entry(Pp, I, B, K)
-                    if not f1.is_zero():
-                        f2 = ctx.table(kk, m).entry(A, L, Pp, Lp)
-                        if not f2.is_zero():
-                            c_left = c_left + f1 * f2
-                    g1 = ctx.table(m, kk).entry(Pp, Lp, B, K)
-                    if not g1.is_zero():
-                        g2 = ctx.table(kk, m).entry(A, L, Pp, J)
-                        if not g2.is_zero():
-                            c_right = c_right + g1 * g2
-                if not c_left.is_zero():
-                    if (K, L) == (B, A) and Lp == I:
-                        found["left"] = c_left
-                    elif not ideal.contains_label(K, L):
-                        residual_bad.append(("left", K, L, Lp))
-                if not c_right.is_zero():
-                    if (K, L) == (B, A) and Lp == J:
-                        found["right"] = c_right
-                    elif not ideal.contains_label(K, L):
-                        residual_bad.append(("right", K, L, Lp))
+    # the general commutation of (A, B) with (I, J); its designated terms
+    # sit at (K, L) = (B, A) with L' = I on the left and L' = J on the right
+    left, right = ctx.gencomm_coefficients(A, B, I, J)
+    found = {"left": left.get((B, A, I)), "right": right.get((B, A, J))}
+    residual_bad = sorted(
+        (K, L, Lp, side)
+        for side, coeffs, other in (("left", left, I), ("right", right, J))
+        for (K, L, Lp) in coeffs
+        if (K, L, Lp) != (B, A, other) and not ideal.contains_label(K, L))
     inst = {"shape": shape.to_json(), "k": k, "I": list(I), "J": list(J)}
     expected_left = RatFunc.q_power(exp_left)
     expected_right = RatFunc.q_power(exp_right)
@@ -293,7 +269,7 @@ def shape_qcomm_certificate(ctx, shape, k, I, J):
         return Certificate("rea qcomm", inst, "inconclusive", witness={
             "reason": "residual term outside the generator pattern",
             "terms": [{"side": s, "rows": list(K), "cols": list(L),
-                       "other": list(Lp)} for (s, K, L, Lp) in residual_bad]})
+                       "other": list(Lp)} for (K, L, Lp, s) in residual_bad]})
     cert = Certificate("rea qcomm", inst, "pass")
     cert.instance["exponent"] = exponent
     return cert

@@ -6,7 +6,7 @@ import pytest
 
 from qrea.classical import (GaussRat, HermitianMatrix, IllConditioned,
                             NotTriangular, ShapeMatrix, SignMismatch,
-                            build_leaf_point, decompose, decompose_residual,
+                            bracket_matrix_at, build_leaf_point, decompose, decompose_residual,
                             exact_minor, exact_rank, gr_conj_t, gr_identity,
                             gr_matmul, jacobi_check, leaf_label,
                             leaf_tangency_check, poisson_bivector,
@@ -239,6 +239,20 @@ def test_jacobi():
     assert rep["ok"] and rep["max_residual"] <= 1e-8
     rep = jacobi_check(3, samples=20, seed=2)
     assert rep["ok"]
+
+
+def test_bracket_matrix_evaluates_the_exact_table():
+    # the numeric bracket at an exact point against the exact quadratic
+    # forms evaluated in exact arithmetic, entry by entry
+    rng = random.Random(5)
+    for n in (1, 2, 3):
+        z = random_exact_hermitian(n, rng)
+        got = bracket_matrix_at(z.to_numeric())
+        for ((i, j), (k, l)), form in poisson_bracket_coeffs(n).items():
+            exact = GaussRat(0)
+            for ((a, b), (c, d)), g in form.items():
+                exact = exact + g * z.entries[a - 1][b - 1] * z.entries[c - 1][d - 1]
+            assert abs(got[i - 1, j - 1, k - 1, l - 1] - exact.to_complex()) < 1e-9
 
 
 def test_bracket_antisymmetry_symbolic():

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrea.indexsets import (Bijection, IndexSet, PositionOutOfRange,
                             SizeMismatch, check_comb_lemma, index_sets,
@@ -115,3 +116,52 @@ def test_set_algebra():
 
 def test_json():
     assert S(2, 4).to_json() == [2, 4]
+
+
+# -- order properties ------------------------------------------------------------
+
+def _sets(k):
+    return st.sets(st.integers(1, 4), min_size=k, max_size=k).map(IndexSet)
+
+
+# three subsets of 1..4 of one size, and three (J, I) pairs of one pair of
+# sizes; a small ground set makes comparable triples common
+_triples = st.integers(0, 3).flatmap(lambda k: st.tuples(*[_sets(k)] * 3))
+_pair_triples = st.tuples(st.integers(0, 2), st.integers(0, 2)).flatmap(
+    lambda kl: st.tuples(*[st.tuples(_sets(kl[0]), _sets(kl[1]))] * 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_triples)
+def test_lex_cmp_is_a_total_order(abc):
+    a, b, c = abc
+    assert a.lex_cmp(a) == 0
+    assert a.lex_cmp(b) == -b.lex_cmp(a)
+    assert (a.lex_cmp(b) == 0) == (a == b)
+    if a.lex_cmp(b) <= 0 and b.lex_cmp(c) <= 0:
+        assert a.lex_cmp(c) <= 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(_triples)
+def test_dom_cmp_is_a_partial_order_refined_by_lex(abc):
+    a, b, c = abc
+    assert a.dom_cmp(a) == "equal"
+    flipped = {"equal": "equal", "less-eq": "greater-eq",
+               "greater-eq": "less-eq", "incomparable": "incomparable"}
+    assert b.dom_cmp(a) == flipped[a.dom_cmp(b)]
+    if a.dominated_by(b) and b.dominated_by(a):
+        assert a == b
+    if a.dominated_by(b) and b.dominated_by(c):
+        assert a.dominated_by(c)
+    if a.dominated_by(b):
+        assert a.lex_cmp(b) <= 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pair_triples)
+def test_pair_dom_strictly_less_is_a_strict_order(xyz):
+    x, y, z = xyz
+    assert not pair_dom_strictly_less(x, x)
+    if pair_dom_strictly_less(x, y) and pair_dom_strictly_less(y, z):
+        assert pair_dom_strictly_less(x, z)

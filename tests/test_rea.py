@@ -1,15 +1,20 @@
 import random
 from itertools import combinations
 
+import pytest
+
+from qrea import checks, qmatrix, rea
 from qrea.classical import poisson_bracket_coeffs
 from qrea.coeff import RF_ONE
-from qrea.qmatrix import (NCPoly, braidcomm_instances, degree_dimension,
-                          gen_id, muir_instances)
-from qrea.rea import (derive_rea_rewrite, random_monomials,
+from qrea.qmatrix import (NCPoly, QContext, braidcomm_instances,
+                          degree_dimension, gen_id, muir_instances,
+                          verify_identity)
+from qrea.rea import (StarAlgebra, derive_rea_rewrite, random_monomials,
                       rea_laplace_instances, rea_verify,
                       reflection_equation_check, reflection_slot_vectors,
                       semiclassical_bracket_check,
                       star_commutator_first_order)
+from qrea.shapes import enumerate_shapes, shape_qcomm_certificate
 
 
 def test_star_unit(star2):
@@ -130,3 +135,100 @@ def test_commutator_constant_term_vanishes(star3):
     for (i, j, k, l) in ((1, 2, 2, 1), (1, 1, 2, 3), (3, 1, 1, 3)):
         ok_const, _ = star_commutator_first_order(star3, (i, j), (k, l))
         assert ok_const
+
+
+# -- the shared expansions: reverse twist and mutation guards ----------------------
+
+def test_wedge_contraction_reverses_the_twist(star2):
+    """Summed against star_minor, the contraction of (a, c, b) gives back the
+    plain minor product (a, b)(c, d), on every label quadruple at N = 2."""
+    ctx = star2.ctx
+    labels = [(A, B) for k in (1, 2) for A in combinations((1, 2), k)
+              for B in combinations((1, 2), k)]
+    count = 0
+    for a, b in labels:
+        for c, d in labels:
+            acc = NCPoly.zero(2)
+            for (X, Z, W), v in ctx.wedge_contraction(a, c, b).items():
+                acc = acc + star2.star_minor(X, Z, W, d).scale(v)
+            assert acc == ctx.minor_prod_nf(a, b, c, d), (a, b, c, d)
+            count += 1
+    assert count == 25
+
+
+def _fresh_star():
+    # a context of its own, so that a mutation cannot reach the shared one
+    return StarAlgebra(2, QContext(2))
+
+
+def _suite_names_first_failure(monkeypatch, star, algebra, family):
+    """Run the check-all suite of (algebra, family) at N = 2 on `star` and
+    assert that it fails with the first failing instance as its witness."""
+    subs, sweep, _keys = checks.FAMILIES[algebra, family]
+    verify = verify_identity if algebra == "qmatrix" else rea_verify
+    target = star.ctx if algebra == "qmatrix" else star
+    failed = [cert for inst in sweep(2) for sub in subs
+              for cert in [verify(target, sub, inst)] if cert.status != "pass"]
+    assert failed
+    monkeypatch.setitem(checks._CTX_CACHE, 2, star.ctx)
+    monkeypatch.setitem(checks._STAR_CACHE, 2, star)
+    [cert] = dict(checks.CHECKS)[f"{algebra}.{family}"](2, 0)
+    assert cert.status == "fail"
+    assert cert.witness["failures"] == len(failed)
+    assert cert.witness["first"]["instance"] == failed[0].instance
+    assert cert.witness["first"]["command"] == failed[0].command
+
+
+@pytest.mark.parametrize("family", ["laplace1", "laplace2", "muir-left",
+                                    "muir-right"])
+def test_dropped_contraction_term_fails_the_family(monkeypatch, family):
+    star = _fresh_star()
+    suite = "laplace" if family.startswith("laplace") else "muir"
+    sweep = checks.FAMILIES["rea", suite][1]
+    assert all(rea_verify(star, family, inst).status == "pass"
+               for inst in sweep(2))
+    terms = next(t for t in star.ctx._contractions.values() if t)
+    del terms[next(iter(terms))]
+    assert any(rea_verify(star, family, inst).status == "fail"
+               for inst in sweep(2))
+    _suite_names_first_failure(monkeypatch, star, "rea", suite)
+
+
+def test_dropped_gencomm_coefficient_fails_both_consumers(monkeypatch):
+    star = _fresh_star()
+    ctx = star.ctx
+    shape = next(s for s in enumerate_shapes(2) if s.rank >= 1)
+    A, B = shape.support_prefix(1), shape.tau_prefix(1)
+    I = J = (1,)
+    assert shape_qcomm_certificate(ctx, shape, 1, I, J).status == "pass"
+    inst = {"I": A, "J": B, "Ip": I, "Jp": J}
+    assert rea_verify(star, "gencomm", inst).status == "pass"
+    left, _right = ctx.gencomm_coefficients(A, B, I, J)
+    del left[(B, A, I)]          # the designated term of the shape certificate
+    assert shape_qcomm_certificate(ctx, shape, 1, I, J).status == "fail"
+    assert rea_verify(star, "gencomm", inst).status == "fail"
+    _suite_names_first_failure(monkeypatch, star, "rea", "gencomm")
+
+
+@pytest.mark.parametrize("algebra, family", [
+    ("qmatrix", "laplace"), ("qmatrix", "muir"), ("rea", "laplace"),
+    ("rea", "muir")])
+def test_dropped_expansion_term_fails_every_subfamily(monkeypatch, algebra,
+                                                      family):
+    original = qmatrix.expansion_terms
+
+    def dropped(fam, instance):
+        left, right = original(fam, instance)
+        return left, right[:-1]
+
+    monkeypatch.setattr(qmatrix, "expansion_terms", dropped)
+    monkeypatch.setattr(rea, "expansion_terms", dropped)
+    star = _fresh_star()
+    subs, sweep, _keys = checks.FAMILIES[algebra, family]
+    for sub in subs:
+        if algebra == "qmatrix":
+            certs = [verify_identity(star.ctx, sub, i) for i in sweep(2)]
+        else:
+            certs = [rea_verify(star, sub, i) for i in sweep(2)]
+        assert any(c.status == "fail" for c in certs), sub
+    _suite_names_first_failure(monkeypatch, star, algebra, family)
