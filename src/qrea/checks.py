@@ -102,56 +102,77 @@ def _random_ratfunc(rng):
     return coeff.RatFunc(num, den)
 
 
+def _first_broken(draw, count, laws):
+    """The first of `count` draws that breaks one of the (name, law) pairs,
+    as (draw index, law name, the draw), or None; draw() returns the
+    arguments of one law evaluation."""
+    for i in range(count):
+        args = draw()
+        for name, law in laws:
+            if not law(*args):
+                return i, name, args
+    return None
+
+
+def _law_witness(broken):
+    i, name, args = broken
+    return {"sample": i, "law": name,
+            "args": [x.to_json() if hasattr(x, "to_json") else str(x)
+                     for x in args]}
+
+
+_RING_LAWS = (
+    ("add-associative", lambda a, b, c: (a + b) + c == a + (b + c)),
+    ("add-commutative", lambda a, b, c: a + b == b + a),
+    ("mul-associative", lambda a, b, c: (a * b) * c == a * (b * c)),
+    ("mul-commutative", lambda a, b, c: a * b == b * a),
+    ("distributive", lambda a, b, c: a * (b + c) == a * b + a * c),
+    ("inverse", lambda a, b, c: a.is_zero() or a * a.inv() == coeff.RF_ONE),
+)
+
+_CANONICAL_LAWS = (
+    ("idempotent", lambda a, b: coeff.RatFunc(a.num, a.den) == a),
+    ("cross-multiplication",
+     lambda a, b: (a == b) == ((a.num * b.den) == (b.num * a.den))),
+)
+
+
+def _direct_substitution(p, q0):
+    direct = sum((c * q0 ** e for e, c in p.terms.items()), Fraction(0))
+    return p.evaluate(q0) == direct
+
+
 def check_coeff_ring_axioms(N, seed):
     rng = random.Random(seed)
-    ok = True
-    for _ in range(1000):
-        a, b, c = (_random_ratfunc(rng) for _ in range(3))
-        if (a + b) + c != a + (b + c) or a + b != b + a:
-            ok = False
-        if (a * b) * c != a * (b * c) or a * b != b * a:
-            ok = False
-        if a * (b + c) != a * b + a * c:
-            ok = False
-        if not a.is_zero() and a * a.inv() != coeff.RF_ONE:
-            ok = False
-        if not ok:
-            break
-    return [Certificate.verdict("coeff ring-axioms", {"triples": 1000}, ok,
+    broken = _first_broken(
+        lambda: tuple(_random_ratfunc(rng) for _ in range(3)), 1000, _RING_LAWS)
+    return [Certificate.verdict("coeff ring-axioms", {"triples": 1000},
+                                broken is None,
+                                witness=lambda: _law_witness(broken),
                                 seed=seed)]
 
 
 def check_coeff_rf_canonical(N, seed):
     rng = random.Random(seed)
-    ok = True
-    for _ in range(300):
-        a = _random_ratfunc(rng)
-        b = _random_ratfunc(rng)
-        # idempotence of normalisation
-        if coeff.RatFunc(a.num, a.den) != a:
-            ok = False
-        # cross-multiplication equality
-        eq = a == b
-        cross = (a.num * b.den) == (b.num * a.den)
-        if eq != cross:
-            ok = False
-        if not ok:
-            break
-    return [Certificate.verdict("coeff rf-canonical", {"samples": 300}, ok,
+    broken = _first_broken(
+        lambda: (_random_ratfunc(rng), _random_ratfunc(rng)), 300,
+        _CANONICAL_LAWS)
+    return [Certificate.verdict("coeff rf-canonical", {"samples": 300},
+                                broken is None,
+                                witness=lambda: _law_witness(broken),
                                 seed=seed)]
 
 
 def check_coeff_eval(N, seed):
     rng = random.Random(seed)
-    ok = True
-    for _ in range(20):
-        p = _random_laurent(rng)
-        q0 = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        direct = sum((c * q0 ** e for e, c in p.terms.items()), Fraction(0))
-        if p.evaluate(q0) != direct:
-            ok = False
+    broken = _first_broken(
+        lambda: (_random_laurent(rng),
+                 Fraction(rng.randint(1, 9), rng.randint(1, 9))),
+        20, (("direct-substitution", _direct_substitution),))
     return [Certificate.verdict("coeff eval-direct-substitution",
-                                {"points": 20}, ok, seed=seed)]
+                                {"points": 20}, broken is None,
+                                witness=lambda: _law_witness(broken),
+                                seed=seed)]
 
 
 # -- combinatorics ---------------------------------------------------------------
@@ -582,27 +603,43 @@ def check_sign_compat(N, seed):
                                 {"samples": 100}, ok, seed=seed)]
 
 
-def check_tn_invariance(N, seed):
-    rng = random.Random(seed)
-    n = min(N, 3)
-    ok = True
-    for _ in range(100):
+def tn_invariance_samples(n, samples, rng):
+    """Draw `samples` exact Hermitian z of size n from rng, each with three
+    exact triangular t: an elementary shear, a diagonal and a general one.
+    Per sample: None if t* z t has the shape of z for all three, else a
+    witness naming the sample, the first t that changes the shape, and z.
+    The tn-invariance suite and `qrea classical invariance` read it."""
+    out = []
+    for i in range(samples):
         z = classical.random_exact_hermitian(n, rng)
-        # one elementary shear and one diagonal, plus a general element
         lam = classical.random_rational(rng)
         shear = classical.gr_identity(n)
         if n >= 2:
             shear[0][1] = classical.GaussRat(lam, classical.random_rational(rng))
         diag = classical.gr_identity(n)
-        for i in range(n):
-            diag[i][i] = classical.GaussRat(Fraction(rng.randint(1, 5),
+        for k in range(n):
+            diag[k][k] = classical.GaussRat(Fraction(rng.randint(1, 5),
                                                      rng.randint(1, 5)))
         gen = classical.random_triangular(n, rng)
-        for t in (shear, diag, gen):
-            if not classical.tn_invariance_check(z, t):
-                ok = False
+        broken = next(((name, t) for name, t in (("shear", shear),
+                                                 ("diagonal", diag),
+                                                 ("general", gen))
+                       if not classical.tn_invariance_check(z, t)), None)
+        out.append(None if broken is None else {
+            "sample": i, "element": broken[0],
+            "t": [[e.to_json() for e in row] for row in broken[1]],
+            "z": z.to_json()})
+    return out
+
+
+def check_tn_invariance(N, seed):
+    n = min(N, 4)
+    bad = [w for w in tn_invariance_samples(n, 100, random.Random(seed)) if w]
     return [Certificate.verdict("classical tn-invariance",
-                                {"N": n, "samples": 100}, ok, seed=seed)]
+                                {"N": n, "samples": 100}, not bad,
+                                witness=lambda: {"failures": len(bad),
+                                                 "first": bad[0]},
+                                seed=seed)]
 
 
 def check_decompose(N, seed):
@@ -628,8 +665,8 @@ def check_bivector(N, seed):
     n = min(N, 3)
     ok = True
     for _ in range(20):
-        zr = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        z = classical.HermitianMatrix((zr + zr.conj().T) / 2, mode="numeric")
+        z = classical.HermitianMatrix(classical.random_numeric_hermitian(n, rng),
+                                      mode="numeric")
         try:
             classical.poisson_bivector(z)
         except classical.IllConditioned:
@@ -638,27 +675,37 @@ def check_bivector(N, seed):
                                 {"N": n, "samples": 20}, ok, seed=seed)]
 
 
+def tangency_reports(n, samples, rng):
+    """Leaf-tangency reports at up to `samples` random numeric Hermitian
+    matrices of size n drawn from the numpy Generator rng.  A draw too close
+    to a rank threshold is skipped; at most 4 * samples draws are made.  The
+    tangency suite and `qrea classical tangency` read it."""
+    reports = []
+    attempts = 0
+    while len(reports) < samples and attempts < 4 * samples:
+        attempts += 1
+        z = classical.HermitianMatrix(classical.random_numeric_hermitian(n, rng),
+                                      mode="numeric")
+        try:
+            reports.append(classical.leaf_tangency_check(z))
+        except classical.IllConditioned:
+            continue
+    return reports
+
+
 def check_tangency(N, seed):
     rng = np.random.default_rng(seed)
     out = []
     for n in (2, 3):
-        ok = True
-        done = 0
-        attempts = 0
-        while done < 50 and attempts < 200:
-            attempts += 1
-            zr = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            z = classical.HermitianMatrix((zr + zr.conj().T) / 2, mode="numeric")
-            try:
-                rep = classical.leaf_tangency_check(z)
-            except classical.IllConditioned:
-                continue
-            done += 1
-            if not rep["equal"]:
-                ok = False
-        out.append(Certificate.verdict("classical tangency",
-                                       {"N": n, "samples": done},
-                                       ok and done == 50, seed=seed))
+        reports = tangency_reports(n, 50, rng)
+        bad = [i for i, rep in enumerate(reports) if not rep["equal"]]
+        out.append(Certificate.verdict(
+            "classical tangency", {"N": n, "samples": len(reports)},
+            not bad and len(reports) == 50,
+            witness=lambda: {
+                "failures": len(bad),
+                "first": {"sample": bad[0], **reports[bad[0]]} if bad else None},
+            seed=seed))
     return out
 
 

@@ -114,17 +114,25 @@ def gr_identity(n):
     return [[GaussRat(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
+@lru_cache(maxsize=None)
+def _signed_permutations(k):
+    """(permutation of range(k), its sign) for each permutation."""
+    return tuple((perm, (-1) ** inversions(perm))
+                 for perm in permutations(range(k)))
+
+
 def exact_minor(z, rows, cols):
     """Determinant of the (rows, cols) submatrix over GaussRat."""
     rows, cols = tuple(rows), tuple(cols)
     if len(rows) != len(cols):
         raise ValueError("minor needs equally many rows and columns")
+    sub = [[z[r - 1][c - 1] for c in cols] for r in rows]
     total = GR0
-    for perm in permutations(range(len(rows))):
-        term = GaussRat((-1) ** inversions(perm))
-        for r, p in enumerate(perm):
-            term = term * z[rows[r] - 1][cols[p] - 1]
-        total = total + term
+    for perm, sign in _signed_permutations(len(rows)):
+        term = GR1
+        for row, p in zip(sub, perm):
+            term = term * row[p]
+        total = total + term if sign > 0 else total - term
     return total
 
 
@@ -949,8 +957,7 @@ def jacobi_check(N, samples=100, seed=0, tol=1e-8):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        zr = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        zn = (zr + zr.conj().T) / 2
+        zn = random_numeric_hermitian(N, rng)
         vals = {(i + 1, j + 1): zn[i, j] for i in range(N) for j in range(N)}
         for poly in cyclic.values():
             total = 0j
@@ -1026,6 +1033,13 @@ def random_compatible_weights(shape, rng):
     lam.extend([Fraction(0)] * zero)
     rng.shuffle(lam)
     return lam
+
+
+def random_numeric_hermitian(N, rng):
+    """(X + X*)/2 as an ndarray, X with standard normal real and imaginary
+    parts drawn from the numpy Generator rng."""
+    zr = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    return (zr + zr.conj().T) / 2
 
 
 def random_exact_hermitian(N, rng):

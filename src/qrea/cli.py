@@ -277,20 +277,11 @@ def cmd_classical(args):
                                          lab.shape.same_shape(S)))
     elif args.classical_cmd == "tangency":
         import numpy as np
-        rng = np.random.default_rng(args.seed)
-        done = attempts = 0
-        while done < args.samples and attempts < 10 * args.samples:
-            attempts += 1
-            zr = rng.standard_normal((args.N, args.N)) \
-                + 1j * rng.standard_normal((args.N, args.N))
-            z = classical.HermitianMatrix((zr + zr.conj().T) / 2, mode="numeric")
-            try:
-                rep = classical.leaf_tangency_check(z)
-            except classical.IllConditioned:
-                continue
-            done += 1
+        reports = checks.tangency_reports(args.N, args.samples,
+                                          np.random.default_rng(args.seed))
+        for i, rep in enumerate(reports, 1):
             certs.append(Certificate.verdict("classical tangency",
-                                             {"N": args.N, "sample": done},
+                                             {"N": args.N, "sample": i},
                                              rep["equal"], witness=rep,
                                              seed=args.seed))
     elif args.classical_cmd == "jacobi":
@@ -304,14 +295,13 @@ def cmd_classical(args):
         sys.stdout.write(json.dumps({"max_residual": rep["max_residual"]},
                                     sort_keys=True) + "\n")
     elif args.classical_cmd == "invariance":
-        import random as _random
-        rng = _random.Random(args.seed)
-        for i in range(args.samples):
-            z = classical.random_exact_hermitian(args.N, rng)
-            t = classical.random_triangular(args.N, rng)
+        import random
+        witnesses = checks.tn_invariance_samples(args.N, args.samples,
+                                                 random.Random(args.seed))
+        for i, w in enumerate(witnesses):
             certs.append(Certificate.verdict(
                 "classical invariance", {"N": args.N, "sample": i},
-                classical.tn_invariance_check(z, t), seed=args.seed))
+                w is None, witness=w, seed=args.seed))
     for c in certs:
         _emit(c, sys.stdout)
     return _summarise(certs, t0, f"classical {args.classical_cmd}")

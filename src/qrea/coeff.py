@@ -7,17 +7,22 @@ the workhorse; rational functions only appear through the wedge-splitting
 denominators and through solved linear systems, and are kept in a canonical
 reduced form so that equality is structural.
 
-A coefficient is a Python ``int`` whenever it is integral and a ``Fraction``
-only when it is not, so the braid tables, the bicharacter and the twisted
-product, whose coefficients are all integral, run on ``int`` arithmetic.
-``int`` and an integral ``Fraction`` compare, hash and print alike, so the
-representation does not show in equality, hashing or JSON.  Reduction works
-over the integers too: denominators are cleared by one common integer, the
-gcd is taken by the primitive polynomial remainder sequence (Knuth, TAOCP
-vol. 2, 4.6.1), and only the final monic normalisation divides.
+Both exact scalars are stored on Python ints.  A ``RatFunc`` is a quotient
+of two Laurent polynomials over Z, coprime, with the integer content divided
+out and the denominator's leading coefficient positive; the braid tables,
+the bicharacter and the twisted product, whose coefficients are all Laurent
+polynomials over Z, stay on the Laurent fast path.  Reduction works over
+the integers: input denominators are cleared by one common integer, the gcd
+is taken by the primitive polynomial remainder sequence (Knuth, TAOCP vol.
+2, 4.6.1) and the content by one integer gcd.  Sums and products of reduced
+fractions cancel only what can be common (Henrici; TAOCP 4.5.1).
 
 ``GaussRat`` provides exact complex rationals for the classical side, where
-minor vanishing has to be decided exactly.
+minor vanishing has to be decided exactly.  It is stored as (a + b i)/d over
+Z with d > 0 and gcd(a, b, d) = 1.
+
+``LaurentPoly`` itself still takes rational coefficients: an ``int`` when
+integral, a ``Fraction`` only when not; ``RatFunc`` clears them on input.
 """
 
 from __future__ import annotations
@@ -302,10 +307,10 @@ def _dense_gcd(a, b):
 
     The primitive polynomial remainder sequence over Z (Knuth, TAOCP vol. 2,
     4.6.1): each pseudo-remainder is divided by its content, so coefficients
-    stay small and no Fraction arises.  It differs from the gcd over Q only
-    by a constant factor, which RatFunc's monic normalisation removes, so
-    the canonical form is the one a Euclidean gcd over Fraction gives.
-    RatFunc.__init__ calls it on every reduction it makes.
+    stay small and no Fraction arises.  By Gauss's lemma the result divides
+    both inputs over Z.  RatFunc.__init__ calls it on every reduction it
+    makes, and RatFunc's sums and products on the coprimality tests of their
+    shortcuts.
     """
     a = _dense_primitive(a)
     b = _dense_primitive(b)
@@ -321,15 +326,24 @@ def _dense_gcd(a, b):
 # ---------------------------------------------------------------------------
 
 class RatFunc:
-    """Quotient of Laurent polynomials in canonical reduced form.
+    """Quotient of Laurent polynomials over Z in canonical reduced form.
 
-    Canonical form: numerator and denominator coprime, denominator an
-    ordinary polynomial with nonzero constant term, monic in its top degree.
-    Any q-power slack is carried by the numerator, so equal fractions have
-    identical representations.  The reduction runs on integers: num and den
-    are scaled by one common integer to clear their denominators, divided
-    exactly by their primitive gcd, and only then divided by the leading
-    coefficient of the denominator.
+    Canonical form:
+    - num and den have int coefficients and are coprime as polynomials;
+    - den is an ordinary polynomial with nonzero constant term and a
+      positive leading coefficient, so any q-power slack is in num;
+    - the gcd of all coefficients of num and den together is 1.
+    Equal fractions therefore have identical representations, and den == 1
+    exactly when the value is a Laurent polynomial over Z; a rational
+    constant such as 1/2 is num 1 over den 2.
+
+    The constructor reduces any input: num and den are scaled by one common
+    integer to clear Fraction coefficients, divided exactly by their
+    primitive gcd and then by the integer content.  Products and sums of
+    canonical fractions cancel only what can be common (Henrici's method,
+    Knuth, TAOCP vol. 2, 4.5.1): a/b * c/d divides out gcd(a, d) and
+    gcd(c, b), after which the product is reduced; a/b + c/d with coprime b
+    and d is (ad + cb)/(bd), already reduced.  Inversion is gcd-free.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -344,12 +358,10 @@ class RatFunc:
         if den.is_zero():
             raise ZeroDenominator("rational function with denominator 0")
         if num.is_zero():
-            self.num = _LP_ZERO
-            self.den = _LP_ONE
-        elif den.is_one():
-            self.num = num
-            self.den = _LP_ONE
-        else:
+            num = _LP_ZERO
+            den = _LP_ONE
+        elif not (den.is_one()
+                  and all(type(c) is int for c in num.terms.values())):
             on, dn = _to_dense(num)
             od, dd = _to_dense(den)
             m = lcm(*(c.denominator for c in dn + dd if type(c) is not int))
@@ -360,23 +372,24 @@ class RatFunc:
             if len(g) > 1:
                 dn = _dense_divexact(dn, g)
                 dd = _dense_divexact(dd, g)
-            lc = dd[-1]
-            if lc != 1:
-                dn = [Fraction(c, lc) if c % lc else c // lc for c in dn]
-                dd = [Fraction(c, lc) if c % lc else c // lc for c in dd]
-            self.num = _from_dense(on - od, dn)
-            self.den = _from_dense(0, dd)
+            c = gcd(*dn, *dd)
+            if dd[-1] < 0:
+                c = -c
+            if c != 1:
+                dn = [x // c for x in dn]
+                dd = [x // c for x in dd]
+            num = _from_dense(on - od, dn)
+            den = _from_dense(0, dd)
+        self.num = num
+        self.den = den
         self._hash = None
 
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
     def from_laurent(p):
-        out = RatFunc.__new__(RatFunc)
-        out.num = p
-        out.den = _LP_ONE
-        out._hash = None
-        return out
+        """p / 1 for a Laurent polynomial p with int coefficients."""
+        return _ratfunc(p, _LP_ONE)
 
     @staticmethod
     def q_power(n):
@@ -384,7 +397,7 @@ class RatFunc:
 
     @staticmethod
     def const(c):
-        return RatFunc.from_laurent(LaurentPoly.const(c))
+        return RatFunc(LaurentPoly.const(c))
 
     # -- predicates ------------------------------------------------------------
 
@@ -397,43 +410,55 @@ class RatFunc:
     # -- field operations -------------------------------------------------------
 
     def __add__(self, other):
-        if self.num.is_zero():
+        a, b = self.num, self.den
+        c, d = other.num, other.den
+        if not a.terms:
             return other
-        if other.num.is_zero():
+        if not c.terms:
             return self
-        if self.den.is_one() and other.den.is_one():
-            return RatFunc.from_laurent(self.num + other.num)
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        b_one, d_one = b.is_one(), d.is_one()
+        if b_one and d_one:
+            return _ratfunc(a + c, _LP_ONE)
+        if b == d:
+            return RatFunc(a + c, b)
+        if not (b_one or d_one) and len(_dense_gcd(_to_dense(b)[1],
+                                                   _to_dense(d)[1])) > 1:
+            return RatFunc(a * d + c * b, b * d)
+        return _content_free(a * d + c * b, b * d)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        out = RatFunc.__new__(RatFunc)
-        out.num = -self.num
-        out.den = self.den
-        out._hash = None
-        return out
+        return _ratfunc(-self.num, self.den)
 
     def __mul__(self, other):
-        if self.num.is_zero() or other.num.is_zero():
+        a, b = self.num, self.den
+        c, d = other.num, other.den
+        if not a.terms or not c.terms:
             return RF_ZERO
-        if self.den.is_one() and other.den.is_one():
-            return RatFunc.from_laurent(self.num * other.num)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        b_one, d_one = b.is_one(), d.is_one()
+        if b_one and d_one:
+            return _ratfunc(a * c, _LP_ONE)
+        if not d_one:
+            a, d = _cancel(a, d)
+        if not b_one:
+            c, b = _cancel(c, b)
+        return _content_free(a * c, b * d)
 
     def __truediv__(self, other):
-        if other.num.is_zero():
-            raise ZeroDenominator("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return self * other.inv()
 
     def inv(self):
-        if self.num.is_zero():
+        t = self.num.terms
+        if not t:
             raise ZeroDenominator("inverse of 0")
-        return RatFunc(self.den, self.num)
+        # den/num, both multiplied by s * q^-lo so that the new denominator
+        # is a polynomial with positive leading coefficient
+        lo = min(t)
+        s = -1 if t[max(t)] < 0 else 1
+        return _ratfunc(_laurent({e - lo: s * c for e, c in self.den.terms.items()}),
+                        _laurent({e - lo: s * c for e, c in t.items()}))
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
@@ -482,6 +507,38 @@ class RatFunc:
         return f"({self.num!r})/({self.den!r})"
 
 
+def _ratfunc(num, den):
+    """The RatFunc num/den, taken to be in canonical form already."""
+    out = RatFunc.__new__(RatFunc)
+    out.num = num
+    out.den = den
+    out._hash = None
+    return out
+
+
+def _cancel(p, den):
+    """p and den divided by their gcd; den is a canonical denominator."""
+    op, dp = _to_dense(p)
+    dd = _to_dense(den)[1]
+    g = _dense_gcd(dp, dd)
+    if len(g) == 1:
+        return p, den
+    return (_from_dense(op, _dense_divexact(dp, g)),
+            _from_dense(0, _dense_divexact(dd, g)))
+
+
+def _content_free(num, den):
+    """The RatFunc num/den for coprime num and den, den with nonzero constant
+    term and positive leading coefficient: divided by the integer content."""
+    if not num.terms:
+        return RF_ZERO
+    c = gcd(*num.terms.values(), *den.terms.values())
+    if c != 1:
+        num = _laurent({e: x // c for e, x in num.terms.items()})
+        den = _laurent({e: x // c for e, x in den.terms.items()})
+    return _ratfunc(num, den)
+
+
 RF_ZERO = RatFunc.from_laurent(_LP_ZERO)
 RF_ONE = RatFunc.from_laurent(_LP_ONE)
 RF_Q = RatFunc.q_power(1)
@@ -512,61 +569,93 @@ def rational_sqrt(x):
 
 
 class GaussRat:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
 
-    __slots__ = ("re", "im")
+    Stored as (a + b i)/d over the integers with d > 0 and gcd(a, b, d) = 1,
+    so equal values have equal (a, b, d).  Every operation works on ints and
+    normalises by one integer gcd; ``re`` and ``im`` read the parts as
+    Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        # d = lcm of the two denominators leaves gcd(a, b, d) = 1
+        d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        return GaussRat(self.re + other.re, self.im + other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _gauss(self.a + other.a, self.b + other.b, d1)
+        return _gauss(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1,
+                      d1 * d2)
 
     def __sub__(self, other):
-        return GaussRat(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _gauss_raw(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        return GaussRat(self.re * other.re - self.im * other.im,
-                        self.re * other.im + self.im * other.re)
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return _gauss(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     def __truediv__(self, other):
-        n = other.abs2()
+        # x / y = x * conj(y) * d_y / (a_y^2 + b_y^2)
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        n = a2 * a2 + b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by zero GaussRat")
-        return GaussRat((self.re * other.re + self.im * other.im) / n,
-                        (other.re * self.im - self.re * other.im) / n)
+        d2 = other.d
+        return _gauss((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
+                      self.d * n)
 
     def conj(self):
-        return GaussRat(self.re, -self.im)
+        return _gauss_raw(self.a, -self.b, self.d)
 
     def abs2(self):
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def scale(self, c):
-        return GaussRat(self.re * c, self.im * c)
+        """self times a rational c."""
+        n, m = c.numerator, c.denominator
+        return _gauss(self.a * n, self.b * n, self.d * m)
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return self.a == 0 and self.b == 0
 
     def is_real(self):
-        return self.im == 0
+        return self.b == 0
 
     def __eq__(self, other):
         if isinstance(other, GaussRat):
-            return self.re == other.re and self.im == other.im
+            return (self.a == other.a and self.b == other.b
+                    and self.d == other.d)
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return (self.b == 0
+                    and self.a * other.denominator == other.numerator * self.d)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def to_complex(self):
-        return complex(self.re, self.im)
+        return complex(self.a / self.d, self.b / self.d)
 
     def to_json(self):
         return {"re": str(self.re), "im": str(self.im)}
@@ -576,10 +665,37 @@ class GaussRat:
         return GaussRat(Fraction(obj["re"]), Fraction(obj.get("im", "0")))
 
     def __repr__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
 
+
+def _gauss_raw(a, b, d):
+    """The GaussRat (a + b i)/d, with d > 0 and gcd(a, b, d) = 1 given."""
+    out = _new(GaussRat)
+    out.a = a
+    out.b = b
+    out.d = d
+    return out
+
+
+def _gauss(a, b, d):
+    """The GaussRat (a + b i)/d for d > 0, divided by gcd(a, b, d)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    out = _new(GaussRat)
+    out.a = a
+    out.b = b
+    out.d = d
+    return out
+
+
+_new = object.__new__

@@ -280,3 +280,46 @@ def test_shape_matrix_validation():
         ShapeMatrix((2, 1), [G(1), G(-1)])       # not conjugate-symmetric
     with pytest.raises(ValueError):
         ShapeMatrix((2, 1), [None, None])        # zero slots on a 2-cycle
+
+
+def _congruence_by_lower(z, t):
+    """A wrong tn-invariance check: congruence by the lower-triangular t*
+    instead of t, which moves the shape."""
+    zt = gr_matmul(t, gr_matmul(z.entries, gr_conj_t(t)))
+    return shape_of(z).same_shape(shape_of(HermitianMatrix(zt, mode="exact")))
+
+
+def test_tn_invariance_witness_names_sample_and_element(monkeypatch):
+    from qrea import checks, classical
+    monkeypatch.setattr(classical, "tn_invariance_check", _congruence_by_lower)
+    cert, = checks.check_tn_invariance(3, 0)
+    assert cert.status == "fail"
+    first = cert.witness["first"]
+    assert cert.witness["failures"] >= 1
+    assert first["element"] in ("shear", "diagonal", "general")
+    z = HermitianMatrix.from_json(first["z"])
+    t = [[GaussRat.from_json(e) for e in row] for row in first["t"]]
+    assert not _congruence_by_lower(z, t)
+    assert tn_invariance_check(z, t)
+    # it is the first: the samples before it pass even the wrong check
+    assert checks.tn_invariance_samples(3, first["sample"],
+                                        random.Random(0)) \
+        == [None] * first["sample"]
+
+
+def test_tangency_witness_names_first_failing_sample(monkeypatch):
+    from qrea import checks, classical
+    right = classical.leaf_tangency_check
+    calls = []
+
+    def flaky(z):
+        calls.append(z)
+        rep = right(z)
+        return {**rep, "equal": rep["equal"] and len(calls) != 3}
+
+    monkeypatch.setattr(classical, "leaf_tangency_check", flaky)
+    cert = checks.check_tangency(2, 0)[0]
+    assert cert.status == "fail"
+    assert cert.witness["failures"] == 1
+    assert cert.witness["first"]["sample"] == 2
+    assert cert.witness["first"]["equal"] is False

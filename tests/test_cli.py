@@ -235,6 +235,19 @@ def test_check_all_n3_qmatrix_and_rea_lines_pinned(capsys, monkeypatch):
         "09048b8b543fe83683a6c5809be53cebf187e468ee97ee12c4577ea87c2dead9")
 
 
+def test_check_all_n4_coeff_and_classical_lines_pinned(capsys, monkeypatch):
+    # the coeff.* and classical.* lines of `check-all --N 4 --seed 0`, byte
+    # for byte: the exact-scalar suites, tn-invariance at N=4
+    monkeypatch.setattr(checks, "CHECKS", [
+        (name, fn) for name, fn in checks.CHECKS
+        if name.split(".")[0] in ("coeff", "classical")])
+    code, out, _ = run_cli(capsys, ["--seed", "0", "check-all", "--N", "4"])
+    assert code == 0
+    assert len(out.splitlines()) == 12
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5492a9bb50055dcb2613fffc3a0918a35712c53322500b891aff345d64b07d81")
+
+
 def test_registry_matches_manifest():
     import importlib.resources as res
     manifest = res.files("qrea").joinpath("check_manifest.txt") \

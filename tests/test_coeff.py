@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qrea import checks
 from qrea.braiding import rhat_entries
 from qrea.coeff import (GaussRat, LaurentPoly, PoleAtPoint, RatFunc,
                         RF_ONE, RF_ZERO, ZeroDenominator, rational_sqrt,
@@ -111,15 +113,33 @@ def test_rf_canonical_idempotent_and_cross_multiplication():
         assert (a == b) == ((a.num * b.den) == (b.num * a.den))
 
 
+def _is_canonical(r):
+    """The Z-content canonical form: int coefficients only, den a polynomial
+    with nonzero constant term and positive leading coefficient, the gcd of
+    all coefficients 1; zero is 0/1."""
+    n, d = r.num.terms, r.den.terms
+    if not n:
+        return d == {0: 1}
+    return (all(type(c) is int for c in (*n.values(), *d.values()))
+            and min(d) == 0 and d[max(d)] > 0
+            and gcd(*n.values(), *d.values()) == 1)
+
+
 def test_denominator_normalisation():
     rng = random.Random(7)
     for _ in range(200):
-        a = _random_rf(rng)
-        if a.is_zero():
-            assert a.den.is_one()
-            continue
-        assert a.den.min_exp() == 0
-        assert a.den.terms[a.den.max_exp()] == 1  # monic
+        assert _is_canonical(_random_rf(rng))
+
+
+def test_rational_constants_and_laurent_fractions_are_reduced():
+    half = RatFunc(F(1, 2))
+    assert (half.num.terms, half.den.terms) == ({0: 1}, {0: 2})
+    assert RatFunc.const(F(1, 2)) == half and not half.den.is_one()
+    r = RatFunc(L({1: F(2, 3), -1: F(4, 3)}))
+    assert (r.num.terms, r.den.terms) == ({1: 2, -1: 4}, {0: 3})
+    assert RatFunc(L({2: 4}), L({0: 6})) == RatFunc(L({2: 2}), L({0: 3}))
+    assert (half * RatFunc(2)).is_one() and (half + half).is_one()
+    assert RatFunc(L({0: 1}), L({0: -1, 1: -2})).den.terms == {0: 1, 1: 2}
 
 
 def test_eval_matches_direct_substitution():
@@ -174,15 +194,11 @@ _laurent_st = st.dictionaries(st.integers(-3, 3), _coeff,
 _nonzero_st = _laurent_st.filter(lambda p: not p.is_zero())
 
 
-def _canonical_types(p):
-    """Every coefficient an int when integral, a Fraction otherwise."""
-    return all(type(c) is int or (type(c) is F and c.denominator != 1)
-               for c in p.terms.values())
-
-
 def _sympy_reduced(num, den):
-    """(num, den) term dicts of num/den as sympy.cancel reduces it, with the
-    denominator made a monic polynomial with nonzero constant term."""
+    """(num, den) term dicts of num/den as sympy.cancel reduces it, put in
+    the Z-content canonical form: den a polynomial with nonzero constant
+    term and positive leading coefficient, all coefficients integers with
+    gcd 1."""
     sympy = pytest.importorskip("sympy")
     q = sympy.Symbol("q")
 
@@ -191,19 +207,18 @@ def _sympy_reduced(num, den):
                     for e, c in p.terms.items()), sympy.Integer(0))
 
     n, d = sympy.fraction(sympy.cancel(expr(num) / expr(den)))
-    dp = sympy.Poly(d, q)
-    low = min(m for (m,), _ in dp.terms())
-    lc = dp.LC()
-
-    def terms(p):
-        out = {}
-        for (m,), c in sympy.Poly(p, q).terms():
-            if c:
-                r = sympy.Rational(c / lc)
-                out[m - low] = F(int(r.p), int(r.q))
-        return out
-
-    return terms(n), terms(d)
+    terms = {}
+    for key, p in (("num", n), ("den", d)):
+        terms[key] = {m: F(int(sympy.Rational(c).p), int(sympy.Rational(c).q))
+                      for (m,), c in sympy.Poly(p, q).terms() if c}
+    low = min(terms["den"])
+    scale = lcm(*(c.denominator for t in terms.values() for c in t.values()))
+    ints = [c * scale for t in terms.values() for c in t.values()]
+    content = gcd(*(int(c) for c in ints))
+    if terms["den"][max(terms["den"])] < 0:
+        content = -content
+    return tuple({m - low: int(c * scale / content) for m, c in terms[key].items()}
+                 for key in ("num", "den"))
 
 
 @settings(max_examples=100, deadline=None)
@@ -212,9 +227,75 @@ def test_reduction_matches_sympy_cancel(a, b, c):
     # a common factor c, so that the gcd is nontrivial most of the time
     num, den = a * c, b * c
     r = RatFunc(num, den)
-    assert (r.num.terms, r.den.terms) == _sympy_reduced(num, den)
-    assert _canonical_types(r.num) and _canonical_types(r.den)
+    got = (r.num.terms, r.den.terms)
+    assert got == _sympy_reduced(num, den)
+    assert all(type(x) is int for t in got for x in t.values())
     assert RatFunc(r.num, r.den) == r
+
+
+@st.composite
+def _rf_pairs(draw):
+    """Two RatFuncs whose denominators, or one's numerator and the other's
+    denominator, often share the factor c, so that the shortcuts of + and *
+    meet nontrivial gcds."""
+    c = draw(_nonzero_st)
+    x = RatFunc(draw(_laurent_st), draw(_nonzero_st) * c)
+    yn, yd = draw(_laurent_st), draw(_nonzero_st)
+    if draw(st.booleans()):
+        yn = yn * c
+    if draw(st.booleans()):
+        yd = yd * c
+    return x, RatFunc(yn, yd)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rf_pairs())
+def test_shortcut_ops_match_full_reduction(pair):
+    x, y = pair
+    cross = (x.num * y.den, y.num * x.den)
+    results = [(x * y, RatFunc(x.num * y.num, x.den * y.den)),
+               (x + y, RatFunc(cross[0] + cross[1], x.den * y.den)),
+               (x - y, RatFunc(cross[0] - cross[1], x.den * y.den)),
+               (-x, RatFunc(-x.num, x.den))]
+    if not y.is_zero():
+        results += [(x / y, RatFunc(x.num * y.den, x.den * y.num)),
+                    (y.inv(), RatFunc(y.den, y.num))]
+    for got, full in results:
+        assert got == full
+        assert _is_canonical(got)
+
+
+_frac_st = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_frac_st, _frac_st, _frac_st, _frac_st, _frac_st)
+def test_gauss_rat_matches_fraction_pair_oracle(xr, xi, yr, yi, c):
+    x, y = GaussRat(xr, xi), GaussRat(yr, yi)
+    results = [(x, xr, xi), (x + y, xr + yr, xi + yi),
+               (x - y, xr - yr, xi - yi), (-x, -xr, -xi),
+               (x * y, xr * yr - xi * yi, xr * yi + xi * yr),
+               (x.conj(), xr, -xi), (x.scale(c), xr * c, xi * c),
+               (x.scale(int(c)), xr * int(c), xi * int(c))]
+    n = yr * yr + yi * yi
+    if n:
+        results.append((x / y, (xr * yr + xi * yi) / n, (xi * yr - xr * yi) / n))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    for g, re, im in results:
+        assert (g.re, g.im) == (re, im)
+        assert all(type(v) is int for v in (g.a, g.b, g.d))
+        assert g.d > 0 and gcd(g.a, g.b, g.d) == 1
+        assert g.is_zero() == (re == 0 and im == 0)
+        assert g.is_real() == (im == 0)
+        assert g.to_json() == {"re": str(re), "im": str(im)}
+        assert g.to_complex() == complex(float(re), float(im))
+    assert x.abs2() == xr * xr + xi * xi
+    assert (x == y) == ((xr, xi) == (yr, yi))
+    assert (x == xr) == (xi == 0) and (x == 0) == x.is_zero()
+    assert (hash(x) == hash(y)) or x != y
+    assert GaussRat.from_json(x.to_json()) == x
 
 
 # -- the integer fast path ------------------------------------------------------
@@ -248,3 +329,41 @@ def test_laurent_path_coefficients_stay_int(star3):
     bad = [v for v in values for p in (v.num, v.den)
            if any(type(c) is not int for c in p.terms.values())]
     assert not bad, f"{len(bad)} of {len(values)} values off the int path: {bad[:3]}"
+
+
+# -- failure witnesses of the coeff suites ----------------------------------------
+
+def test_ring_axioms_witness_names_first_broken_law(monkeypatch):
+    # * as the left projection: associative, but not commutative
+    monkeypatch.setattr(RatFunc, "__mul__", lambda a, b: a)
+    cert, = checks.check_coeff_ring_axioms(2, 0)
+    assert cert.status == "fail"
+    rng = random.Random(0)
+    first = [checks._random_ratfunc(rng).to_json() for _ in range(3)]
+    assert first[0] != first[1]
+    assert cert.witness == {"sample": 0, "law": "mul-commutative",
+                            "args": first}
+
+
+def test_rf_canonical_witness_names_first_broken_law(monkeypatch):
+    monkeypatch.setattr(RatFunc, "__eq__", lambda a, b: False)
+    cert, = checks.check_coeff_rf_canonical(2, 0)
+    assert cert.status == "fail"
+    assert (cert.witness["sample"], cert.witness["law"]) == (0, "idempotent")
+    assert len(cert.witness["args"]) == 2
+
+
+def test_eval_witness_names_the_point(monkeypatch):
+    right = LaurentPoly.evaluate
+    monkeypatch.setattr(LaurentPoly, "evaluate",
+                        lambda p, q0: right(p, q0) + (q0 > 1))
+    cert, = checks.check_coeff_eval(2, 0)
+    assert cert.status == "fail"
+    w = cert.witness
+    assert w["law"] == "direct-substitution"
+    p, q0 = LaurentPoly.from_json(w["args"][0]), F(w["args"][1])
+    assert q0 > 1
+    rng = random.Random(0)
+    for i in range(w["sample"]):
+        checks._random_laurent(rng)
+        assert F(rng.randint(1, 9), rng.randint(1, 9)) <= 1
