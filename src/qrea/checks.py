@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from . import braiding, classical, coeff, indexsets, qmatrix, rea, shapes
-from .linalg import add_term
+from .linalg import add_term, rank
 from .qmatrix import Certificate
 
 _CTX_CACHE = {}
@@ -565,42 +565,51 @@ def check_semiclassical(N, seed):
 
 # -- classical ------------------------------------------------------------------------
 
+def _failures_witness(bad):
+    """The witness of a sampling suite: the failure count and the first."""
+    return lambda: {"failures": len(bad), "first": bad[0]}
+
+
 def check_shape_roundtrip(N, seed):
     rng = random.Random(seed)
-    ok = True
-    for _ in range(100):
+    bad = []
+    for i in range(100):
         n = rng.randint(1, min(N, 4))
         S = classical.random_shape(n, rng)
         lam = classical.random_compatible_weights(S, rng)
         z = classical.build_leaf_point(S, lam)
-        if z.mode == "exact":
-            if not classical.shape_of(z).same_shape(S):
-                ok = False
+        shape_ok = z.mode != "exact" or classical.shape_of(z).same_shape(S)
         lab = classical.leaf_label(z)
         target = np.sort(np.array([float(x) for x in lam]))
-        if np.max(np.abs(np.array(lab.weight) - target)) > 1e-9:
-            ok = False
+        weight_err = np.max(np.abs(np.array(lab.weight) - target))
+        if not shape_ok or weight_err > 1e-9:
+            bad.append({"sample": i, "shape": S.to_json(),
+                        "weights": [str(x) for x in lam], "z": z.to_json(),
+                        "leaf": lab.to_json()})
     return [Certificate.verdict("classical shape-roundtrip", {"samples": 100},
-                                ok, seed=seed)]
+                                not bad, witness=_failures_witness(bad),
+                                seed=seed)]
 
 
 def check_sign_compat(N, seed):
     rng = random.Random(seed)
-    ok = True
-    for _ in range(100):
+    bad = []
+    for i in range(100):
         n = rng.randint(1, min(N, 4))
         z = classical.random_exact_hermitian(n, rng)
         s = classical.shape_of(z)
-        zero = n - classical.exact_rank(z.entries)
+        zero = n - rank(z.entries)
         ev = z.eigenvalues()
         idx = np.argsort(np.abs(ev))
         nonzero = ev[idx[zero:]]
-        plus = int(np.sum(nonzero > 0))
-        minus = int(np.sum(nonzero < 0))
-        if s.sign_multiset() != (plus, minus, zero):
-            ok = False
+        signs = (int(np.sum(nonzero > 0)), int(np.sum(nonzero < 0)), zero)
+        if s.sign_multiset() != signs:
+            bad.append({"sample": i, "z": z.to_json(),
+                        "shape_signs": list(s.sign_multiset()),
+                        "eigenvalue_signs": list(signs)})
     return [Certificate.verdict("classical sign-compatibility",
-                                {"samples": 100}, ok, seed=seed)]
+                                {"samples": 100}, not bad,
+                                witness=_failures_witness(bad), seed=seed)]
 
 
 def tn_invariance_samples(n, samples, rng):
@@ -637,26 +646,25 @@ def check_tn_invariance(N, seed):
     bad = [w for w in tn_invariance_samples(n, 100, random.Random(seed)) if w]
     return [Certificate.verdict("classical tn-invariance",
                                 {"N": n, "samples": 100}, not bad,
-                                witness=lambda: {"failures": len(bad),
-                                                 "first": bad[0]},
-                                seed=seed)]
+                                witness=_failures_witness(bad), seed=seed)]
 
 
 def check_decompose(N, seed):
     rng = random.Random(seed)
-    ok = True
-    for _ in range(50):
+    bad = []
+    for i in range(50):
         n = rng.randint(1, min(N, 4))
         z = classical.random_exact_hermitian(n, rng)
         t, S = classical.decompose(z)
-        if classical.decompose_residual(z, t, S) > 1e-9:
-            ok = False
-        if not classical.shape_of(z).same_shape(S, tol=1e-8):
-            ok = False
-        tn = t.to_numeric()
-        if np.any(np.real(np.diag(tn)) <= 0):
-            ok = False
-    return [Certificate.verdict("classical decompose", {"samples": 50}, ok,
+        resid = classical.decompose_residual(z, t, S)
+        expected = classical.shape_of(z)
+        if (resid > 1e-9 or not expected.same_shape(S, tol=1e-8)
+                or np.any(np.real(np.diag(t.to_numeric())) <= 0)):
+            bad.append({"sample": i, "z": z.to_json(), "t": t.to_json(),
+                        "shape": S.to_json(), "shape_of": expected.to_json(),
+                        "residual": resid})
+    return [Certificate.verdict("classical decompose", {"samples": 50},
+                                not bad, witness=_failures_witness(bad),
                                 seed=seed)]
 
 

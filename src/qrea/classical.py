@@ -3,29 +3,31 @@
 Shape extraction is definition-faithful: for each size it scans minor labels
 in the pair-lexicographic order (column set first) and takes the first
 nonvanishing minor, all over exact complex rationals, so the discrete data
-(the involution and the vanishing pattern) are decided exactly.  Slot phases
+(the involution and the vanishing pattern) are decided exactly.  Minors and
+ranks come from the one dense elimination, linalg.gauss_jordan.  Slot phases
 are recovered from the positivity normalisation; they stay exact whenever the
 relevant square root is rational and drop to floating point otherwise.
 
-The congruence decomposition z = t* S t is a separate elimination algorithm
-and is cross-checked against the scanner.  The quadratic bracket on Hermitian
-matrices is built symbolically with exact coefficients from the classical
-r-matrix, then evaluated numerically for the bivector, orbit-tangency and
-Jacobi checks.
+The congruence decomposition z = t* S t is one pivoting loop for both scalar
+kinds, exact and floating point, which differ only in the zero test,
+conjugation and the square root; it is cross-checked against the scanner.
+The quadratic bracket on Hermitian matrices is built symbolically with exact
+coefficients from the classical r-matrix, then evaluated numerically for the
+bivector, orbit-tangency and Jacobi checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
 from .coeff import GaussRat, rational_sqrt
-from .indexsets import inversions
-from .linalg import add_term
+from .linalg import add_term, determinant, rank
 
 
 class InconsistentPivots(RuntimeError):
@@ -61,6 +63,8 @@ class HermitianMatrix:
             self.entries = [[e if isinstance(e, GaussRat) else GaussRat(e)
                              for e in row] for row in entries]
             self.N = len(self.entries)
+            if any(len(row) != self.N for row in self.entries):
+                raise ValueError("matrix is not square")
             if check:
                 for i in range(self.N):
                     for j in range(self.N):
@@ -68,6 +72,9 @@ class HermitianMatrix:
                             raise ValueError("matrix is not self-adjoint")
         elif mode == "numeric":
             self.entries = np.array(entries, dtype=complex)
+            shape = self.entries.shape
+            if len(shape) != 2 or shape[0] != shape[1]:
+                raise ValueError("matrix is not square")
             self.N = self.entries.shape[0]
             if check and np.max(np.abs(self.entries - self.entries.conj().T)) > 1e-12:
                 raise ValueError("matrix is not self-adjoint within 1e-12")
@@ -114,49 +121,12 @@ def gr_identity(n):
     return [[GaussRat(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
-@lru_cache(maxsize=None)
-def _signed_permutations(k):
-    """(permutation of range(k), its sign) for each permutation."""
-    return tuple((perm, (-1) ** inversions(perm))
-                 for perm in permutations(range(k)))
-
-
 def exact_minor(z, rows, cols):
-    """Determinant of the (rows, cols) submatrix over GaussRat."""
-    rows, cols = tuple(rows), tuple(cols)
+    """Determinant of the (rows, cols) submatrix over GaussRat, labels
+    1-based."""
     if len(rows) != len(cols):
         raise ValueError("minor needs equally many rows and columns")
-    sub = [[z[r - 1][c - 1] for c in cols] for r in rows]
-    total = GR0
-    for perm, sign in _signed_permutations(len(rows)):
-        term = GR1
-        for row, p in zip(sub, perm):
-            term = term * row[p]
-        total = total + term if sign > 0 else total - term
-    return total
-
-
-def exact_rank(z):
-    """Rank of a GaussRat matrix by fraction-free-ish elimination."""
-    m = [row[:] for row in z]
-    n = len(m)
-    rank = 0
-    for col in range(n):
-        piv = None
-        for r in range(rank, n):
-            if not m[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv_p = GR1 / m[rank][col]
-        for r in range(n):
-            if r != rank and not m[r][col].is_zero():
-                f = m[r][col] * inv_p
-                m[r] = [e - f * pe for e, pe in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+    return determinant([[z[r - 1][c - 1] for c in cols] for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +193,13 @@ class ShapeMatrix:
 
     def matrix(self):
         """As a HermitianMatrix (exact when every slot is exact)."""
-        if self.is_exact():
-            ent = [[GR0 for _ in range(self.N)] for _ in range(self.N)]
-            for i in range(1, self.N + 1):
-                if self.u[i - 1] is not None:
-                    ent[self.tau[i - 1] - 1][i - 1] = self.u[i - 1]
-            return HermitianMatrix(ent, mode="exact")
-        ent = np.zeros((self.N, self.N), dtype=complex)
+        exact = self.is_exact()
+        ent = [[GR0 if exact else 0j] * self.N for _ in range(self.N)]
         for i in range(1, self.N + 1):
-            ent[self.tau[i - 1] - 1][i - 1] = self.slot_complex(i)
-        return HermitianMatrix(ent, mode="numeric")
+            if self.u[i - 1] is not None:
+                ent[self.tau[i - 1] - 1][i - 1] = (self.u[i - 1] if exact
+                                                   else self.slot_complex(i))
+        return HermitianMatrix(ent, mode="exact" if exact else "numeric")
 
     def sign_multiset(self):
         """Counts (plus, minus, zero) of the eigenvalues, structurally."""
@@ -246,8 +213,7 @@ class ShapeMatrix:
             if ui is None:
                 zero += 1
             elif t == i:
-                val = ui.re if isinstance(ui, GaussRat) else complex(ui).real
-                if val > 0:
+                if self.slot_complex(i).real > 0:
                     plus += 1
                 else:
                     minus += 1
@@ -316,15 +282,15 @@ def shape_of(z):
     if z.mode != "exact":
         raise ValueError("shape_of needs exact entries")
     N = z.N
-    rank = exact_rank(z.entries)
+    r = rank(z.entries)
     tau = list(range(1, N + 1))
     u = [None] * N
-    if rank == 0:
+    if r == 0:
         return ShapeMatrix(tau, u)
     pairs = []           # chain of (column, row) pivots
     prev_dir = GR1
     prev_cols, prev_rows = (), ()
-    for k in range(1, rank + 1):
+    for k in range(1, r + 1):
         pivot = None
         for J in combinations(range(1, N + 1), k):
             for I in combinations(range(1, N + 1), k):
@@ -391,48 +357,48 @@ def tn_invariance_check(z, t):
 # Congruence decomposition
 # ---------------------------------------------------------------------------
 
-def _inv_upper_exact(g):
-    """Inverse of an upper-triangular GaussRat matrix (back substitution)."""
-    n = len(g)
-    inv = gr_identity(n)
-    for col in range(n):
-        x = [GR0] * n
-        for i in range(n - 1, -1, -1):
-            s = GR1 if i == col else GR0
-            for j in range(i + 1, n):
-                s = s - g[i][j] * x[j]
-            x[i] = s / g[i][i]
-        for i in range(n):
-            inv[i][col] = x[i]
-    return inv
-
-
 class _ExactSqrtMiss(Exception):
     pass
 
 
-def _decompose_exact(z):
-    N = z.N
-    m = [row[:] for row in z.entries]
-    g = gr_identity(N)
+def _exact_root(x):
+    """sqrt|x| of a nonzero GaussRat, as a GaussRat, when it is rational."""
+    root = rational_sqrt(x.abs2())
+    root = None if root is None else rational_sqrt(root)
+    if root is None:
+        raise _ExactSqrtMiss
+    return GaussRat(root)
+
+
+def _congruence(m, t, is_zero, conj, root):
+    """Reduce the matrix m (a list of rows) to its shape S by congruences,
+    in place, keeping z = t* m t: t is passed as the identity and leaves
+    upper triangular with positive diagonal.  Returns S.
+
+    The scalar kind enters only through is_zero, conj and root (sqrt|x| as
+    a scalar of the kind).  Each pivot is the first nonzero entry, columns
+    first, among the rows and columns not yet used.
+    """
+    N = len(m)
 
     def congr(p, r, lam):
-        # z <- (I + lam e_{p,r})* z (I + lam e_{p,r}); updates g too
+        # m <- E* m E and t <- E^-1 t for E = I + lam e_{p,r}
         for x in range(N):
             m[x][r] = m[x][r] + lam * m[x][p]
-        lc = lam.conj()
+        lc = conj(lam)
         for x in range(N):
             m[r][x] = m[r][x] + lc * m[p][x]
         for x in range(N):
-            g[x][r] = g[x][r] + lam * g[x][p]
+            t[p][x] = t[p][x] - lam * t[r][x]
 
-    def scale(p, d):
+    def scale(p, s):
+        # the same with E the identity but 1/s at (p, p)
         for x in range(N):
-            m[x][p] = m[x][p].scale(d)
+            m[x][p] = m[x][p] / s
         for x in range(N):
-            m[p][x] = m[p][x].scale(d)
+            m[p][x] = m[p][x] / s
         for x in range(N):
-            g[x][p] = g[x][p].scale(d)
+            t[p][x] = t[p][x] * s
 
     used = set()
     while True:
@@ -441,7 +407,7 @@ def _decompose_exact(z):
             if c in used:
                 continue
             for r in range(N):
-                if r not in used and not m[r][c].is_zero():
+                if r not in used and not is_zero(m[r][c]):
                     pivot = (c, r)
                     break
             if pivot:
@@ -451,110 +417,33 @@ def _decompose_exact(z):
         p, i = pivot
         if i == p:
             for r in range(N):
-                if r not in used and r != p and not m[r][p].is_zero():
-                    congr(p, r, (GR0 - m[r][p] / m[p][p]).conj())
-            val = m[p][p]
-            root = rational_sqrt(abs(val.re))
-            if root is None:
-                raise _ExactSqrtMiss
-            scale(p, Fraction(1) / root)
+                if r not in used and r != p and not is_zero(m[r][p]):
+                    congr(p, r, conj(-(m[r][p] / m[p][p])))
+            scale(p, root(m[p][p]))
             used.add(p)
         else:
             beta = m[i][p]
-            if not m[i][i].is_zero():
-                congr(p, i, GR0 - m[i][i] / (beta + beta))
+            if not is_zero(m[i][i]):
+                congr(p, i, -(m[i][i] / (beta + beta)))
             for r in range(N):
-                if r not in used and r not in (p, i) and not m[r][p].is_zero():
-                    congr(i, r, (GR0 - m[r][p] / m[i][p]).conj())
+                if r not in used and r not in (p, i) and not is_zero(m[r][p]):
+                    congr(i, r, conj(-(m[r][p] / m[i][p])))
             for r in range(N):
-                if r not in used and r not in (p, i) and not m[r][i].is_zero():
-                    congr(p, r, (GR0 - m[r][i] / m[p][i]).conj())
-            root = rational_sqrt(m[i][p].abs2())
-            if root is None:
-                raise _ExactSqrtMiss
-            root = rational_sqrt(root)
-            if root is None:
-                raise _ExactSqrtMiss
-            f = Fraction(1) / root
-            scale(p, f)
-            scale(i, f)
+                if r not in used and r not in (p, i) and not is_zero(m[r][i]):
+                    congr(p, r, conj(-(m[r][i] / m[p][i])))
+            s = root(m[i][p])
+            scale(p, s)
+            scale(i, s)
             used.add(p)
             used.add(i)
-    tau = list(range(1, N + 1))
-    u = [None] * N
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            if not m[j - 1][i - 1].is_zero():
-                tau[i - 1] = j
-                u[i - 1] = m[j - 1][i - 1]
-    S = ShapeMatrix(tau, u)
-    t = _inv_upper_exact(g)
-    return HermitianMatrix([row[:] for row in t], mode="exact",
-                           check=False), S
-
-
-def _decompose_numeric(zn):
-    N = zn.shape[0]
-    m = zn.astype(complex).copy()
-    g = np.eye(N, dtype=complex)
-    tol = 1e-11 * max(1.0, np.max(np.abs(zn)))
-
-    def congr(p, r, lam):
-        m[:, r] += lam * m[:, p]
-        m[r, :] += np.conj(lam) * m[p, :]
-        g[:, r] += lam * g[:, p]
-
-    def scale(p, d):
-        m[:, p] *= d
-        m[p, :] *= d
-        g[:, p] *= d
-
-    used = set()
-    while True:
-        pivot = None
-        for c in range(N):
-            if c in used:
-                continue
-            for r in range(N):
-                if r not in used and abs(m[r, c]) > tol:
-                    pivot = (c, r)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        p, i = pivot
-        if i == p:
-            for r in range(N):
-                if r not in used and r != p and abs(m[r, p]) > tol:
-                    congr(p, r, np.conj(-m[r, p] / m[p, p]))
-            scale(p, 1.0 / np.sqrt(abs(m[p, p].real)))
-            used.add(p)
-        else:
-            beta = m[i, p]
-            congr(p, i, -m[i, i] / (2 * beta))
-            for r in range(N):
-                if r not in used and r not in (p, i) and abs(m[r, p]) > tol:
-                    congr(i, r, np.conj(-m[r, p] / m[i, p]))
-            for r in range(N):
-                if r not in used and r not in (p, i) and abs(m[r, i]) > tol:
-                    congr(p, r, np.conj(-m[r, i] / m[p, i]))
-            f = 1.0 / np.sqrt(abs(m[i, p]))
-            scale(p, f)
-            scale(i, f)
-            used.add(p)
-            used.add(i)
-    m[np.abs(m) < 10 * tol] = 0.0
     tau = list(range(1, N + 1))
     u = [None] * N
     for i in range(N):
         for j in range(N):
-            if m[j, i] != 0:
+            if not is_zero(m[j][i]):
                 tau[i] = j + 1
-                u[i] = complex(m[j, i] / abs(m[j, i]))
-    S = ShapeMatrix(tau, u)
-    t = np.linalg.inv(g)
-    return HermitianMatrix(t, mode="numeric", check=False), S
+                u[i] = m[j][i]
+    return ShapeMatrix(tau, u)
 
 
 def decompose(z):
@@ -563,12 +452,21 @@ def decompose(z):
     Stays exact when every required square root is rational, otherwise
     falls back to floating point.  Returns (t, S).
     """
+    N = z.N
     if z.mode == "exact":
+        t = gr_identity(N)
         try:
-            return _decompose_exact(z)
+            S = _congruence([row[:] for row in z.entries], t, GaussRat.is_zero,
+                            GaussRat.conj, _exact_root)
+            return HermitianMatrix(t, mode="exact", check=False), S
         except _ExactSqrtMiss:
             pass
-    return _decompose_numeric(z.to_numeric())
+    zn = z.to_numeric()
+    tol = 1e-11 * max(1.0, np.max(np.abs(zn)))
+    t = np.eye(N, dtype=complex).tolist()
+    S = _congruence(zn.tolist(), t, lambda x: abs(x) <= tol,
+                    complex.conjugate, lambda x: math.sqrt(abs(x)))
+    return HermitianMatrix(t, mode="numeric", check=False), S
 
 
 def decompose_residual(z, t, S):
@@ -593,24 +491,11 @@ class LeafLabel:
 
 
 def weight_sign(lam, zero_tol=0.0):
-    plus = minus = zero = 0
-    for x in lam:
-        if isinstance(x, (int, Fraction)):
-            v = Fraction(x)
-            if v > 0:
-                plus += 1
-            elif v < 0:
-                minus += 1
-            else:
-                zero += 1
-        else:
-            if x > zero_tol:
-                plus += 1
-            elif x < -zero_tol:
-                minus += 1
-            else:
-                zero += 1
-    return plus, minus, zero
+    """Counts (plus, minus, zero) of the weights, zero within zero_tol; a
+    rational weight compares exactly."""
+    plus = sum(1 for x in lam if x > zero_tol)
+    minus = sum(1 for x in lam if x < -zero_tol)
+    return plus, minus, len(lam) - plus - minus
 
 
 def leaf_label(z):
@@ -633,58 +518,36 @@ def build_leaf_point(shape, lam):
     lam = list(lam)
     if weight_sign(lam) != shape.sign_multiset():
         raise SignMismatch(f"{weight_sign(lam)} != {shape.sign_multiset()}")
-    exactable = shape.is_exact() and all(isinstance(x, (int, Fraction))
-                                         for x in lam)
-    pos = sorted([Fraction(x) if exactable else float(x) for x in lam if x > 0],
-                 reverse=True)
-    neg = sorted([Fraction(x) if exactable else float(x) for x in lam if x < 0])
+    pos = sorted((x for x in lam if x > 0), reverse=True)
+    neg = sorted(x for x in lam if x < 0)
     N = shape.N
-    blocks = []
+    diag, pairs = [], []         # (i, eigenvalue) and (i, tau(i), l1, l2)
     for i in range(1, N + 1):
         t = shape.tau[i - 1]
         if t == i and shape.u[i - 1] is not None:
-            val = shape.u[i - 1]
-            s = val.re > 0 if isinstance(val, GaussRat) else complex(val).real > 0
-            blocks.append(("diag", i, pos.pop(0) if s else neg.pop(0)))
+            diag.append((i, pos.pop(0) if shape.slot_complex(i).real > 0
+                         else neg.pop(0)))
         elif t > i:
-            blocks.append(("pair", i, pos.pop(0), neg.pop(0)))
-    if exactable:
-        roots = {}
-        for blk in blocks:
-            if blk[0] == "pair":
-                _, i, l1, l2 = blk
-                r = rational_sqrt(l1 * (-l2))
-                if r is None:
-                    exactable = False
-                    break
-                roots[i] = r
-    if exactable:
-        ent = [[GR0 for _ in range(N)] for _ in range(N)]
-        for blk in blocks:
-            if blk[0] == "diag":
-                _, i, a = blk
-                ent[i - 1][i - 1] = GaussRat(a)
-            else:
-                _, i, l1, l2 = blk
-                t = shape.tau[i - 1]
-                c = GaussRat(roots[i])
-                ent[i - 1][t - 1] = c * shape.u[t - 1]
-                ent[t - 1][i - 1] = c * shape.u[i - 1]
-                ent[t - 1][t - 1] = GaussRat(l1 + l2)
-        return HermitianMatrix(ent, mode="exact")
-    ent = np.zeros((N, N), dtype=complex)
-    for blk in blocks:
-        if blk[0] == "diag":
-            _, i, a = blk
-            ent[i - 1, i - 1] = float(a)
-        else:
-            _, i, l1, l2 = blk
-            t = shape.tau[i - 1]
-            c = float(np.sqrt(float(l1) * (-float(l2))))
-            ent[i - 1, t - 1] = c * shape.slot_complex(t)
-            ent[t - 1, i - 1] = c * shape.slot_complex(i)
-            ent[t - 1, t - 1] = float(l1) + float(l2)
-    return HermitianMatrix(ent, mode="numeric")
+            pairs.append((i, t, pos.pop(0), neg.pop(0)))
+    exact = shape.is_exact() and all(isinstance(x, (int, Fraction))
+                                     for x in lam)
+    if exact:
+        roots = [rational_sqrt(l1 * -l2) for _, _, l1, l2 in pairs]
+        exact = None not in roots
+    if exact:
+        scalar, slots = GaussRat, shape.u
+    else:
+        scalar, slots = float, [shape.slot_complex(i) for i in range(1, N + 1)]
+        roots = [math.sqrt(float(l1) * -float(l2)) for _, _, l1, l2 in pairs]
+    ent = [[scalar(0)] * N for _ in range(N)]
+    for i, x in diag:
+        ent[i - 1][i - 1] = scalar(x)
+    for (i, t, l1, l2), root in zip(pairs, roots):
+        c = scalar(root)
+        ent[i - 1][t - 1] = c * slots[t - 1]
+        ent[t - 1][i - 1] = c * slots[i - 1]
+        ent[t - 1][t - 1] = scalar(l1) + scalar(l2)
+    return HermitianMatrix(ent, mode="exact" if exact else "numeric")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ unknown or malformed flags, the usage errors are:
   that produces no certificates;
 - a QREA_SEED that is not an integer;
 - a `classical shape|decompose|leaf` file that cannot be read or is not a
-  Hermitian matrix in JSON;
+  square Hermitian matrix in JSON; for `classical shape`, one whose mode is
+  not exact;
 - a `classical build --shape` that is not an object with lists tau and u
   of one length, with a slot that is not null, "0", a phase object or a
   rational, or that is no valid shape; --weights that are not
@@ -245,6 +246,9 @@ def cmd_classical(args):
     certs = []
     if args.classical_cmd == "shape":
         z = _load_matrix(args.file)
+        if z.mode != "exact":
+            raise UsageError(f"classical shape needs an exact matrix, "
+                             f"{args.file} is {z.mode}")
         s = classical.shape_of(z)
         certs.append(Certificate("classical shape", {"file": args.file},
                                  "pass", witness=None))

@@ -1,14 +1,17 @@
-"""Small exact linear algebra over the rational-function field.
+"""Small exact linear algebra over the two exact scalar fields: RatFunc
+(rational functions of q) and GaussRat (Gaussian rationals).
 
 add_term is the one helper for sparse linear combinations: every sparse
 vector, polynomial or tensor over RatFunc or GaussRat is a dict key ->
 nonzero scalar, built up by add_term, which drops a key whose coefficient
 cancels.  It needs only + and is_zero() of the scalar.
+
+gauss_jordan is the one dense elimination; rank, determinant and
+invert_matrix read their results off it.  It needs only + - * / and
+is_zero() of the scalar, so both fields go through it.
 """
 
 from __future__ import annotations
-
-from .coeff import RF_ONE, RF_ZERO
 
 
 def add_term(out, key, c):
@@ -26,28 +29,68 @@ class SingularMatrix(ValueError):
     pass
 
 
-def invert_matrix(rows):
-    """Invert a dense square matrix of RatFunc entries (Gauss-Jordan)."""
-    n = len(rows)
-    aug = [list(r) + [RF_ONE if i == j else RF_ZERO for j in range(n)]
-           for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not aug[r][col].is_zero():
-                piv = r
-                break
+def gauss_jordan(rows):
+    """Gauss-Jordan elimination of a dense matrix given as a list of rows.
+
+    Each column takes as pivot its first nonzero entry at or below the
+    current row.  Returns (m, pivots, swaps): m is the reduced row echelon
+    form, each pivot 1 and alone in its column, with the zero rows last;
+    pivots holds (column, value) per pivot row, the value being the entry
+    before its row was divided by it; swaps counts the row exchanges.
+    """
+    m = [list(r) for r in rows]
+    pivots = []
+    swaps = 0
+    for col in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(m)) if not m[r][col].is_zero()),
+                   None)
         if piv is None:
-            raise SingularMatrix(f"singular at column {col}")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = aug[col][col].inv()
-        aug[col] = [e * inv_p for e in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                prow = aug[col]
-                aug[r] = [e - f * pe for e, pe in zip(aug[r], prow)]
-    return [r[n:] for r in aug]
+            continue
+        if piv != top:
+            m[top], m[piv] = m[piv], m[top]
+            swaps += 1
+        p = m[top][col]
+        # left of col the pivot row is zero, and stays so in every row
+        prow = m[top][col:] = [e / p for e in m[top][col:]]
+        for r, row in enumerate(m):
+            f = row[col]
+            if r != top and not f.is_zero():
+                row[col:] = [e - f * pe for e, pe in zip(row[col:], prow)]
+        pivots.append((col, p))
+    return m, pivots, swaps
+
+
+def rank(rows):
+    return len(gauss_jordan(rows)[1])
+
+
+def determinant(rows):
+    """Determinant of a nonempty square matrix: the product of the pivots,
+    negated after an odd number of row exchanges."""
+    m, pivots, swaps = gauss_jordan(rows)
+    if len(pivots) < len(m):
+        return m[-1][-1]        # an entry of a zero row: the scalar zero
+    det = pivots[0][1]
+    for _, p in pivots[1:]:
+        det = det * p
+    return -det if swaps % 2 else det
+
+
+def invert_matrix(rows):
+    """Invert a dense square matrix: gauss_jordan of (rows | identity)."""
+    n = len(rows)
+    x = next((e for r in rows for e in r if not e.is_zero()), None)
+    if x is None:
+        raise SingularMatrix("zero matrix")
+    # one and zero of the scalar field, taken from the matrix itself
+    one, zero = x / x, x - x
+    m, pivots, _ = gauss_jordan([list(r) + [one if i == j else zero
+                                            for j in range(n)]
+                                 for i, r in enumerate(rows)])
+    if [c for c, _ in pivots] != list(range(n)):
+        raise SingularMatrix(f"rank {sum(c < n for c, _ in pivots)} < {n}")
+    return [r[n:] for r in m]
 
 
 def sparse_row_reduce(vectors, greater):

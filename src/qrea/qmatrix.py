@@ -897,13 +897,10 @@ def _verify_braidcomm(ctx, family, instance):
         first = {(A, B): tab.inv_entry(B, Ip, I, A) for A, B in pairs}
         second = {(C, D): tab.entry(Jp, D, C, J) for C, D in pairs}
     lhs = ctx.minor_prod_nf(Ip, Jp, I, J)
-    rhs = NCPoly.zero(N)
-    for (A, B), c1 in first.items():
-        if c1.is_zero():
-            continue
-        for (C, D), c2 in second.items():
-            if not c2.is_zero():
-                rhs = rhs + ctx.minor_prod_nf(A, C, B, D).scale(c1 * c2)
+    rhs = sum_terms(N, [(c1 * c2, (A, C, B, D))
+                        for (A, B), c1 in first.items() if not c1.is_zero()
+                        for (C, D), c2 in second.items() if not c2.is_zero()],
+                    ctx.minor_prod_nf)
     inst = _inst_json(instance, BRAIDCOMM_KEYS)
     return Certificate.verdict(f"verify {family}", inst, lhs == rhs,
                                lambda: _nf_diff(lhs, rhs))

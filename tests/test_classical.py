@@ -7,13 +7,14 @@ import pytest
 from qrea.classical import (GaussRat, HermitianMatrix, IllConditioned,
                             NotTriangular, ShapeMatrix, SignMismatch,
                             bracket_matrix_at, build_leaf_point, decompose, decompose_residual,
-                            exact_minor, exact_rank, gr_conj_t, gr_identity,
+                            exact_minor, gr_conj_t, gr_identity,
                             gr_matmul, jacobi_check, leaf_label,
                             leaf_tangency_check, poisson_bivector,
                             poisson_bracket_coeffs, random_compatible_weights,
                             random_exact_hermitian, random_shape,
                             random_triangular, shape_of, tn_invariance_check,
                             weight_sign)
+from qrea.linalg import rank
 
 
 def G(re, im=0):
@@ -138,6 +139,23 @@ def test_decompose_matches_shape_of():
         assert decompose_residual(z, t, S) <= 1e-9
 
 
+def test_decompose_is_exact_only_on_rational_roots():
+    # diagonal and two-cycle pivots, each with a rational and an irrational
+    # square root: sqrt 4 and sqrt 9, sqrt|4|; sqrt 2, sqrt|2|
+    for entries, mode in (([[4, 0], [0, -9]], "exact"),
+                          ([[0, 4], [4, 1]], "exact"),
+                          ([[2, 1], [1, -1]], "numeric"),
+                          ([[0, 2], [2, 0]], "numeric")):
+        z = H(entries)
+        t, S = decompose(z)
+        assert t.mode == mode and S.is_exact() == (mode == "exact")
+        assert shape_of(z).same_shape(S, tol=1e-12)
+        assert decompose_residual(z, t, S) <= 1e-12
+        assert np.all(np.diag(t.to_numeric()).real > 0)
+    t, _ = decompose(H([[4, 0], [0, -9]]))
+    assert t.entries == [[G(2), G(0)], [G(0), G(3)]]
+
+
 def test_build_leaf_point_examples():
     S = ShapeMatrix((2, 1), [G(1), G(1)])
     z = build_leaf_point(S, [F(1), F(-1)])
@@ -182,7 +200,7 @@ def test_sign_compatibility_random():
         N = rng.randint(1, 4)
         z = random_exact_hermitian(N, rng)
         s = shape_of(z)
-        zero = N - exact_rank(z.entries)
+        zero = N - rank(z.entries)
         ev = z.eigenvalues()
         nonzero = ev[np.argsort(np.abs(ev))[zero:]]
         assert s.sign_multiset() == (int(np.sum(nonzero > 0)),
@@ -323,3 +341,29 @@ def test_tangency_witness_names_first_failing_sample(monkeypatch):
     assert cert.witness["failures"] == 1
     assert cert.witness["first"]["sample"] == 2
     assert cert.witness["first"]["equal"] is False
+
+
+def test_decompose_witness_names_first_failing_sample(monkeypatch):
+    from qrea import checks, classical
+    right = classical.decompose
+    calls = []
+
+    def negated_on_third_call(z):
+        # -t keeps z = t* S t and the shape but not the positive diagonal
+        calls.append(z)
+        t, S = right(z)
+        if len(calls) == 3:
+            t = HermitianMatrix(-t.to_numeric(), mode="numeric", check=False)
+        return t, S
+
+    monkeypatch.setattr(classical, "decompose", negated_on_third_call)
+    cert, = checks.check_decompose(4, 0)
+    assert cert.status == "fail"
+    assert cert.witness["failures"] == 1
+    first = cert.witness["first"]
+    assert first["sample"] == 2
+    assert first["residual"] <= 1e-9
+    assert first["shape"]["tau"] == first["shape_of"]["tau"]
+    diag = [row[k]["re"] for k, row in enumerate(first["t"]["entries"])]
+    assert diag and all(x < 0 for x in diag)
+    assert HermitianMatrix.from_json(first["z"]).N == len(diag)

@@ -185,11 +185,24 @@ _MISSING_FILE = str(Path(__file__).parent / "no_such_matrix.json")
     ["classical", "jacobi", "--samples", "0"],
     # (environment, argv)
     ({"QREA_SEED": "abc"}, ["check-all", "--N", "2"]),
+    # a dict in argv is written to a file and replaced by its path
+    ["classical", "shape", {"N": 1, "mode": "numeric",
+                            "entries": [[{"re": 1.0, "im": 0.0}]]}],
+    ["classical", "leaf", {"N": 1, "mode": "exact",
+                           "entries": [[{"re": "1"}, {"re": "0"}]]}],
+    ["classical", "decompose", {"N": 2, "mode": "numeric",
+                                "entries": [[{"re": 1.0, "im": 0.0},
+                                             {"re": 0.0, "im": 0.0}]]}],
 ])
-def test_bad_input_is_usage_error(capsys, monkeypatch, argv):
+def test_bad_input_is_usage_error(capsys, monkeypatch, tmp_path, argv):
     env, argv = argv if isinstance(argv, tuple) else ({}, argv)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            path = tmp_path / f"arg{i}.json"
+            path.write_text(json.dumps(arg))
+            argv = argv[:i] + [str(path)] + argv[i + 1:]
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == ""

@@ -1,13 +1,21 @@
-"""The sparse-accumulate helper, and a guard that it stays the only one."""
+"""The sparse-accumulate helper and the dense elimination, and guards that
+each stays the only one."""
 
 import re
+from fractions import Fraction
+from functools import reduce
+from itertools import permutations
+from operator import add, mul
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import qrea
-from qrea.coeff import LaurentPoly, RatFunc
-from qrea.linalg import add_term
+from qrea.coeff import RF_ONE, GaussRat, LaurentPoly, RatFunc
+from qrea.linalg import (SingularMatrix, add_term, determinant, invert_matrix,
+                         rank)
 from qrea.qmatrix import NCPoly
 
 # Few keys and small coefficients, so that terms collide and cancel often.
@@ -81,3 +89,92 @@ def test_no_hand_written_accumulate_loops():
             if _ACCUMULATE_IDIOM.search(line):
                 hits.append(f"{path.name}:{n}: {line.strip()}")
     assert not hits, "use linalg.add_term:\n" + "\n".join(hits)
+
+
+_gauss = st.builds(lambda a, b, d: GaussRat(Fraction(a, d), Fraction(b, d)),
+                   st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def _square_matrices(draw, scalar):
+    """A square matrix of size 1-4; half of them singular by construction,
+    one row a combination of the others (the zero row at size 1)."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.lists(st.lists(scalar, min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        zero = m[0][0] - m[0][0]
+        row = [zero] * n
+        for j in range(n):
+            if j != k:
+                c = draw(scalar)
+                row = [e + c * x for e, x in zip(row, m[j])]
+        m[k] = row
+    return m
+
+
+def _leibniz(m):
+    """The determinant as the signed sum over permutations, the oracle."""
+    n = len(m)
+    terms = []
+    for perm in permutations(range(n)):
+        term = reduce(mul, (m[i][perm[i]] for i in range(n)))
+        odd = sum(perm[a] > perm[b] for a in range(n)
+                  for b in range(a + 1, n)) % 2
+        terms.append(-term if odd else term)
+    return reduce(add, terms)
+
+
+def _check_elimination(m, one):
+    """Determinant against _leibniz; an exact inverse, or SingularMatrix."""
+    n = len(m)
+    assert determinant(m) == _leibniz(m)
+    if rank(m) < n:
+        assert determinant(m).is_zero()
+        with pytest.raises(SingularMatrix):
+            invert_matrix(m)
+        return
+    inv = invert_matrix(m)
+    for i in range(n):
+        for j in range(n):
+            entry = reduce(add, (inv[i][k] * m[k][j] for k in range(n)))
+            assert entry == one if i == j else entry.is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_square_matrices(_gauss))
+def test_elimination_on_gauss_rat_against_numpy(m):
+    a = np.array([[e.to_complex() for e in row] for row in m])
+    # nonzero singular values of these small-denominator matrices are far
+    # above 1e-12, rounding errors far below
+    assert rank(m) == np.linalg.matrix_rank(a, tol=1e-12)
+    scale = max(1.0, float(np.prod(np.linalg.norm(a, axis=1))))
+    assert abs(determinant(m).to_complex() - np.linalg.det(a)) <= 1e-12 * scale
+    _check_elimination(m, GaussRat(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square_matrices(_ratfunc))
+def test_elimination_on_ratfunc(m):
+    _check_elimination(m, RF_ONE)
+
+
+# `row[col:] = [e - f * pe for e, pe in zip(...)]`, the row operation of a
+# dense elimination.
+_ROW_OPERATION = re.compile(
+    r"\w+\s*-\s*\w+\s*\*\s*\w+\s+for\s+\w+,\s*\w+\s+in\s+zip\(")
+
+
+def test_one_dense_elimination():
+    hits = []
+    for path in sorted(Path(qrea.__file__).parent.glob("*.py")):
+        for n, line in enumerate(path.read_text().splitlines(), start=1):
+            if _ROW_OPERATION.search(line):
+                hits.append(f"{path.name}:{n}")
+    assert len(hits) == 1 and hits[0].startswith("linalg.py:"), \
+        "use linalg.gauss_jordan:\n" + "\n".join(hits)
+    classical = (Path(qrea.__file__).parent / "classical.py").read_text()
+    # the minor expansion and a separate numeric inverse are gone
+    for name in ("permutations", "np.linalg.inv", "np.linalg.det"):
+        assert name not in classical, name
