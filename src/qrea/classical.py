@@ -168,11 +168,9 @@ class ShapeMatrix:
             if isinstance(ui, GaussRat) and isinstance(uj, GaussRat):
                 if uj != ui.conj():
                     raise ValueError("slots are not conjugate-symmetric")
-            else:
-                a = complex(ui.to_complex() if isinstance(ui, GaussRat) else ui)
-                b = complex(uj.to_complex() if isinstance(uj, GaussRat) else uj)
-                if abs(b - a.conjugate()) > 1e-10:
-                    raise ValueError("slots are not conjugate-symmetric")
+            elif abs(self.slot_complex(self.tau[i - 1])
+                     - self.slot_complex(i).conjugate()) > 1e-10:
+                raise ValueError("slots are not conjugate-symmetric")
 
     @property
     def support(self):
@@ -335,9 +333,7 @@ def _check_triangular_exact(t):
     n = len(t)
     for i in range(n):
         d = t[i][i]
-        if not d.is_zero() and (not d.is_real() or d.re <= 0):
-            raise NotTriangular("diagonal must be strictly positive")
-        if d.is_zero():
+        if d.is_zero() or not d.is_real() or d.re <= 0:
             raise NotTriangular("diagonal must be strictly positive")
         for j in range(i):
             if not t[i][j].is_zero():
@@ -371,9 +367,9 @@ def _exact_root(x):
 
 
 def _congruence(m, t, is_zero, conj, root):
-    """Reduce the matrix m (a list of rows) to its shape S by congruences,
+    """Reduce the matrix m (a list of rows) to its shape by congruences,
     in place, keeping z = t* m t: t is passed as the identity and leaves
-    upper triangular with positive diagonal.  Returns S.
+    upper triangular with positive diagonal.
 
     The scalar kind enters only through is_zero, conj and root (sqrt|x| as
     a scalar of the kind).  Each pivot is the first nonzero entry, columns
@@ -423,8 +419,9 @@ def _congruence(m, t, is_zero, conj, root):
             used.add(p)
         else:
             beta = m[i][p]
-            if not is_zero(m[i][i]):
-                congr(p, i, -(m[i][i] / (beta + beta)))
+            # unconditional: a float residue below the zero test would
+            # grow past it when p and i are scaled by 1/sqrt|beta|
+            congr(p, i, -(m[i][i] / (beta + beta)))
             for r in range(N):
                 if r not in used and r not in (p, i) and not is_zero(m[r][p]):
                     congr(i, r, conj(-(m[r][p] / m[i][p])))
@@ -436,6 +433,11 @@ def _congruence(m, t, is_zero, conj, root):
             scale(i, s)
             used.add(p)
             used.add(i)
+
+
+def _read_shape(m, is_zero):
+    """The ShapeMatrix of a matrix reduced by _congruence."""
+    N = len(m)
     tau = list(range(1, N + 1))
     u = [None] * N
     for i in range(N):
@@ -454,19 +456,21 @@ def decompose(z):
     """
     N = z.N
     if z.mode == "exact":
-        t = gr_identity(N)
+        t, m = gr_identity(N), [row[:] for row in z.entries]
         try:
-            S = _congruence([row[:] for row in z.entries], t, GaussRat.is_zero,
-                            GaussRat.conj, _exact_root)
-            return HermitianMatrix(t, mode="exact", check=False), S
+            _congruence(m, t, GaussRat.is_zero, GaussRat.conj, _exact_root)
+            return (HermitianMatrix(t, mode="exact", check=False),
+                    _read_shape(m, GaussRat.is_zero))
         except _ExactSqrtMiss:
             pass
     zn = z.to_numeric()
     tol = 1e-11 * max(1.0, np.max(np.abs(zn)))
-    t = np.eye(N, dtype=complex).tolist()
-    S = _congruence(zn.tolist(), t, lambda x: abs(x) <= tol,
-                    complex.conjugate, lambda x: math.sqrt(abs(x)))
-    return HermitianMatrix(t, mode="numeric", check=False), S
+    t, m = np.eye(N, dtype=complex).tolist(), zn.tolist()
+    _congruence(m, t, lambda x: abs(x) <= tol, complex.conjugate,
+                lambda x: math.sqrt(abs(x)))
+    # rounding noise left in the eliminated entries reads as zero
+    return (HermitianMatrix(t, mode="numeric", check=False),
+            _read_shape(m, lambda x: abs(x) < 10 * tol))
 
 
 def decompose_residual(z, t, S):
@@ -763,12 +767,10 @@ def leaf_tangency_check(z, tol=1e-8):
     N = zn.shape[0]
     basis = realification_basis(N)
     pi = poisson_bivector(zn)
-    u_cols = [_coords(a.conj().T @ zn + zn @ a, basis)
-              for a in _unitary_lie_basis(N)]
-    t_cols = [_coords(a.conj().T @ zn + zn @ a, basis)
-              for a in _triangular_lie_basis(N)]
-    U = np.array(u_cols).T
-    T = np.array(t_cols).T
+    # the two orbit tangents: a* z + z a over each Lie algebra's basis
+    U, T = (np.array([_coords(a.conj().T @ zn + zn @ a, basis)
+                      for a in lie(N)]).T
+            for lie in (_unitary_lie_basis, _triangular_lie_basis))
     rank_pi = _numeric_rank(pi, tol)
     rank_u = _numeric_rank(U, tol)
     rank_t = _numeric_rank(T, tol)

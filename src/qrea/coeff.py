@@ -625,6 +625,13 @@ class GaussRat:
         return _gauss((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
                       self.d * n)
 
+    def inv(self):
+        a, b = self.a, self.b
+        n = a * a + b * b
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero GaussRat")
+        return _gauss(a * self.d, -b * self.d, n)
+
     def conj(self):
         return _gauss_raw(self.a, -self.b, self.d)
 

@@ -7,7 +7,7 @@ nonzero scalar, built up by add_term, which drops a key whose coefficient
 cancels.  It needs only + and is_zero() of the scalar.
 
 gauss_jordan is the one dense elimination; rank, determinant and
-invert_matrix read their results off it.  It needs only + - * / and
+invert_matrix read their results off it.  It needs only + - *, inv() and
 is_zero() of the scalar, so both fields go through it.
 """
 
@@ -51,8 +51,9 @@ def gauss_jordan(rows):
             m[top], m[piv] = m[piv], m[top]
             swaps += 1
         p = m[top][col]
+        ip = p.inv()
         # left of col the pivot row is zero, and stays so in every row
-        prow = m[top][col:] = [e / p for e in m[top][col:]]
+        prow = m[top][col:] = [e * ip for e in m[top][col:]]
         for r, row in enumerate(m):
             f = row[col]
             if r != top and not f.is_zero():
@@ -84,7 +85,7 @@ def invert_matrix(rows):
     if x is None:
         raise SingularMatrix("zero matrix")
     # one and zero of the scalar field, taken from the matrix itself
-    one, zero = x / x, x - x
+    one, zero = x * x.inv(), x - x
     m, pivots, _ = gauss_jordan([list(r) + [one if i == j else zero
                                             for j in range(n)]
                                  for i, r in enumerate(rows)])

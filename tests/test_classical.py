@@ -154,6 +154,12 @@ def test_decompose_is_exact_only_on_rational_roots():
         assert np.all(np.diag(t.to_numeric()).real > 0)
     t, _ = decompose(H([[4, 0], [0, -9]]))
     assert t.entries == [[G(2), G(0)], [G(0), G(3)]]
+    # a two-cycle whose diagonal entry is below the zero test: it is still
+    # eliminated, not scaled by 1/|beta| into a second nonzero in its column
+    z = HermitianMatrix(np.array([[0, 1e-6, 0], [1e-6, 9e-12, 0], [0, 0, 1]],
+                                 dtype=complex), mode="numeric")
+    t, S = decompose(z)
+    assert S.tau == (2, 1, 3) and decompose_residual(z, t, S) <= 1e-12
 
 
 def test_build_leaf_point_examples():
