@@ -24,11 +24,11 @@ embed-equivariance and the tests check against.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import combinations, permutations
+from itertools import permutations, product
 
 from .coeff import (RF_ONE, RF_Q, RF_QDIFF, RF_QINV, RF_ZERO, RatFunc,
                     rf_q_int)
-from .indexsets import IndexSet, inversions
+from .indexsets import dominated, inversions, merge, rest, select, subsets
 from .linalg import add_term
 
 
@@ -185,22 +185,13 @@ def build_braid(N):
 
 def braid_relation_check(N):
     """R12 R23 R12 == R23 R12 R23 on every basis word of length three."""
-    for word in _all_words(N, 3):
+    for word in product(range(1, N + 1), repeat=3):
         t = {word: RF_ONE}
         lhs = apply_elementary(apply_elementary(apply_elementary(t, 0), 1), 0)
         rhs = apply_elementary(apply_elementary(apply_elementary(t, 1), 0), 1)
         if lhs != rhs:
             return False
     return True
-
-
-def _all_words(N, length):
-    if length == 0:
-        return [()]
-    words = [()]
-    for _ in range(length):
-        words = [w + (x,) for w in words for x in range(1, N + 1)]
-    return words
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +339,7 @@ def braid_wedge_pair(pair_vec, k, l, inverse=False):
 def embed_equivariance_check(N, k):
     """Every elementary braid move fixes iota-images up to the factor -q."""
     minus_q = rf_q_int(1)
-    for key in combinations(range(1, N + 1), k):
+    for key in subsets(N, k):
         t = embed_basis(key)
         for p in range(k - 1):
             lifted = apply_elementary(t, p)
@@ -361,11 +352,6 @@ def embed_equivariance_check(N, k):
 # ---------------------------------------------------------------------------
 # Wedge braiding coefficient tables
 # ---------------------------------------------------------------------------
-
-def subsets(N, k):
-    """The k-subsets of 1..N as increasing tuples, in lexicographic order."""
-    return [tuple(c) for c in combinations(range(1, N + 1), k)]
-
 
 class WedgeBraidTable:
     """Coefficients of the wedge braiding and of its inverse.
@@ -395,12 +381,10 @@ class WedgeBraidTable:
                     self.inv_entries[(I, J, Ip, Jp)] = c
 
     def entry(self, I, J, Ip, Jp):
-        return self.entries.get((tuple(I), tuple(J), tuple(Ip), tuple(Jp)),
-                                RF_ZERO)
+        return self.entries.get((I, J, Ip, Jp), RF_ZERO)
 
     def inv_entry(self, I, J, Ip, Jp):
-        return self.inv_entries.get((tuple(I), tuple(J), tuple(Ip), tuple(Jp)),
-                                    RF_ZERO)
+        return self.inv_entries.get((I, J, Ip, Jp), RF_ZERO)
 
     # -- structural checks ---------------------------------------------------
 
@@ -416,11 +400,9 @@ class WedgeBraidTable:
         for (I, J, Ip, Jp), c in table.items():
             if c.is_zero():
                 continue
-            si, sj = IndexSet(I), IndexSet(J)
-            sip, sjp = IndexSet(Ip), IndexSet(Jp)
-            ok = (sj.dominated_by(si) and sjp.dominated_by(sip)
-                  and sj.minus(si) == sjp.minus(sip)
-                  and si.minus(sj) == sip.minus(sjp))
+            ok = (dominated(J, I) and dominated(Jp, Ip)
+                  and set(J) - set(I) == set(Jp) - set(Ip)
+                  and set(I) - set(J) == set(Ip) - set(Jp))
             if not ok:
                 bad.append((I, J, Ip, Jp))
         return bad
@@ -428,8 +410,8 @@ class WedgeBraidTable:
     def diagonal_report(self):
         """Check entry(I,I,Ip,Ip) = q^-|I n Ip| and the inverse analogue."""
         bad = []
-        for I in combinations(range(1, self.N + 1), self.k):
-            for Ip in combinations(range(1, self.N + 1), self.l):
+        for I in subsets(self.N, self.k):
+            for Ip in subsets(self.N, self.l):
                 m = len(set(I) & set(Ip))
                 if self.entry(I, I, Ip, Ip) != RatFunc.q_power(-m):
                     bad.append(("direct", I, Ip))
@@ -461,19 +443,12 @@ class WedgeBraidTable:
 # Scalar lemma for the inverse braiding on antisymmetrised pairs
 # ---------------------------------------------------------------------------
 
-def _selected(T, positions):
-    return tuple(T[p - 1] for p in positions)
-
-
 def _antisym_pair_vector(S, T, l):
     """sum_P (-q)^{wt P} e_{S u T_P} (x) e_{S u T^P} over P in C([|T|], l)."""
-    t = len(T)
     vec = {}
-    for combo in combinations(range(1, t + 1), l):
-        TP = _selected(T, combo)
-        TPc = tuple(x for i, x in enumerate(T, start=1) if i not in combo)
-        add_term(vec, (tuple(sorted(S + TP)), tuple(sorted(S + TPc))),
-                 rf_q_int(sum(combo)))
+    for P in subsets(len(T), l):
+        add_term(vec, (merge(S, select(T, P)), merge(S, rest(T, P))),
+                 rf_q_int(sum(P)))
     return vec
 
 

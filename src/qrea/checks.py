@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import product
 
 import numpy as np
 
@@ -178,26 +178,25 @@ def check_coeff_eval(N, seed):
 # -- combinatorics ---------------------------------------------------------------
 
 def check_dominance_refines_lex(N, seed):
-    ok = True
-    for k in range(1, 7):
-        for I in indexsets.index_sets(6, k):
-            for J in indexsets.index_sets(6, k):
-                if I.dominated_by(J) and J.lex_cmp(I) < 0:
-                    ok = False
+    bad = [(I, J) for k in range(1, 7)
+           for I, J in product(indexsets.subsets(6, k), repeat=2)
+           if indexsets.dominated(I, J) and J < I]
     return [Certificate.verdict("combinatorics dominance-refines-lex",
-                                {"N": 6}, ok)]
+                                {"N": 6}, not bad,
+                                witness=_failures_witness(bad))]
 
 
 def check_weight_split(N, seed):
-    ok = True
+    bad = []
     for k in range(0, 7):
-        for I in indexsets.index_sets(6, k):
+        for I in indexsets.subsets(6, k):
             for l in range(0, k + 1):
-                for K in combinations(range(1, k + 1), l):
-                    IK, IKc = I.subselect(indexsets.IndexSet(K))
-                    if IK.weight() + IKc.weight() != I.weight():
-                        ok = False
-    return [Certificate.verdict("combinatorics weight-split", {"N": 6}, ok)]
+                for K in indexsets.subsets(k, l):
+                    IK, IKc = indexsets.select(I, K), indexsets.rest(I, K)
+                    if sum(IK) + sum(IKc) != sum(I):
+                        bad.append((I, K))
+    return [Certificate.verdict("combinatorics weight-split", {"N": 6},
+                                not bad, witness=_failures_witness(bad))]
 
 
 def check_comb_lemma_sweep(N, seed):
@@ -205,12 +204,12 @@ def check_comb_lemma_sweep(N, seed):
     count, bad = indexsets.sweep_comb_lemma(n)
     return [Certificate.verdict("combinatorics dominance-lemma",
                                 {"N": n, "pairs": count}, not bad,
-                                witness={"counterexamples": len(bad)})]
+                                witness=_failures_witness(bad))]
 
 
 def check_inversion_parity(N, seed):
     rng = random.Random(seed)
-    ok = True
+    bad = []
     for _ in range(200):
         n = rng.randint(1, 6)
         a = list(range(1, n + 1))
@@ -220,9 +219,10 @@ def check_inversion_parity(N, seed):
         comp = [a[b[i] - 1] for i in range(n)]
         par = (indexsets.inversions(a) + indexsets.inversions(b)) % 2
         if indexsets.inversions(comp) % 2 != par:
-            ok = False
+            bad.append((a, b))
     return [Certificate.verdict("combinatorics inversion-parity",
-                                {"samples": 200}, ok, seed=seed)]
+                                {"samples": 200}, not bad,
+                                witness=_failures_witness(bad), seed=seed)]
 
 
 # -- braiding -----------------------------------------------------------------------
@@ -293,7 +293,7 @@ def check_embed_equivariance(N, seed):
 
 def check_scalar_lemma(N, seed):
     n = min(N, 4)
-    subs = [c for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
+    subs = [c for k in range(n + 1) for c in indexsets.subsets(n, k)]
     bad = []
     for I in subs:
         for Ip in subs:
@@ -309,7 +309,7 @@ def check_antisym_swap(N, seed):
     n = min(N, 4)
     ok = True
     for t in range(1, n + 1):
-        for T in combinations(range(1, n + 1), t):
+        for T in indexsets.subsets(n, t):
             for l in range(0, t + 1):
                 if not braiding.antisymmetrizer_swap_check(n, T, l):
                     ok = False
@@ -373,12 +373,12 @@ def check_minor_coproduct(N, seed):
     ctx = get_ctx(n)
     ok = True
     for k in range(1, n + 1):
-        for rows in combinations(range(1, n + 1), k):
-            for cols in combinations(range(1, n + 1), k):
+        for rows in indexsets.subsets(n, k):
+            for cols in indexsets.subsets(n, k):
                 p = qmatrix.quantum_minor(n, rows, cols)
                 got = _nf_pair_accumulate(ctx.rw, qmatrix.coproduct(p), {})
                 expected = {}
-                for K in combinations(range(1, n + 1), k):
+                for K in indexsets.subsets(n, k):
                     left = qmatrix.quantum_minor(n, rows, K)
                     right = qmatrix.quantum_minor(n, K, cols)
                     pairs = {}
@@ -424,11 +424,11 @@ def check_minor_table_crosscheck(N, seed):
     ok = True
     for k in range(1, min(n, 3) + 1):
         for l in range(1, min(n, 3) + 1):
-            for A in combinations(range(1, n + 1), k):
-                for B in combinations(range(1, n + 1), k):
+            for A in indexsets.subsets(n, k):
+                for B in indexsets.subsets(n, k):
                     pa = ctx.minor(A, B)
-                    for C in combinations(range(1, n + 1), l):
-                        for D in combinations(range(1, n + 1), l):
+                    for C in indexsets.subsets(n, l):
+                        for D in indexsets.subsets(n, l):
                             pb = ctx.minor(C, D)
                             if ctx.r_minor(A, B, C, D) != bich.pair_functional("r", pa, pb):
                                 ok = False
@@ -528,8 +528,8 @@ def qcomm_certificates(N, fams):
     ctx = get_ctx(N)
     return [shapes.shape_qcomm_certificate(ctx, s, k, I, J)
             for s in fams for k in range(1, s.rank + 1) for m in (1, 2)
-            for I in combinations(range(1, N + 1), m)
-            for J in combinations(range(1, N + 1), m)]
+            for I in indexsets.subsets(N, m)
+            for J in indexsets.subsets(N, m)]
 
 
 def check_qcomm(N, seed):

@@ -100,6 +100,9 @@ class HermitianMatrix:
 
     @staticmethod
     def from_json(obj):
+        if type(obj["N"]) is not int or obj["N"] != len(obj["entries"]):
+            raise ValueError(f"declared N {obj['N']!r} is not the number of "
+                             f"rows, {len(obj['entries'])}")
         if obj["mode"] == "exact":
             ent = [[GaussRat.from_json(e) for e in row] for row in obj["entries"]]
         else:

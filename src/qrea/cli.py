@@ -11,16 +11,17 @@ unknown or malformed flags, the usage errors are:
 - an --instance that is not a JSON object, lacks a key of its family, holds
   an index set that is not increasing within 1..N, or a position outside
   its set, or sets of inconsistent sizes;
-- a --shape that is not JSON; for `rea qcomm`, one that is not a
-  self-adjoint shape of size N;
+- a --shape that is not JSON; for `rea qcomm`, one that is not an object
+  with an integer list tau and a list u, or not a self-adjoint shape of
+  size N;
 - `wedge-table` degrees outside 0..N;
 - `rea shapes`, and `rea qcomm` without --shape, beyond N = 5;
 - an --N below 1, a `classical jacobi --samples` below 1, and any run
   that produces no certificates;
 - a QREA_SEED that is not an integer;
 - a `classical shape|decompose|leaf` file that cannot be read or is not a
-  square Hermitian matrix in JSON; for `classical shape`, one whose mode is
-  not exact;
+  square Hermitian matrix in JSON, or whose "N" is not its number of rows;
+  for `classical shape`, one whose mode is not exact;
 - a `classical build --shape` that is not an object with lists tau and u
   of one length, with a slot that is not null, "0", a phase object or a
   rational, or that is no valid shape; --weights that are not

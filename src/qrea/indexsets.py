@@ -1,15 +1,16 @@
 """Index-set calculus.
 
-Sorted subsets of [N] = {1, ..., N} carry two comparisons: the total
-lexicographic order and the componentwise dominance order, both extended
-lexicographically to pairs (first component compared first).  Everything
-downstream (minor labels, braiding supports, shape chains) is phrased in
-terms of these.
+An index set is a sorted tuple of distinct positive integers, a subset of
+[N] = {1, ..., N}.  Sets of one size carry two comparisons: the total
+lexicographic order, which is Python's tuple `<`, and the componentwise
+dominance order `dominated`.  Both extend to (J, I) pairs with the first
+component compared first; tuple `<` on pairs already is that lex order.
+Everything downstream (minor labels, braiding supports, shape chains) is
+phrased in terms of these functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 
@@ -21,226 +22,88 @@ class PositionOutOfRange(ValueError):
     """Sub-selection positions outside 1..len(I)."""
 
 
-class IndexSet:
-    """Strictly increasing tuple of positive integers."""
-
-    __slots__ = ("elems", "mask")
-
-    def __init__(self, elems=()):
-        t = tuple(sorted(set(int(e) for e in elems)))
-        if len(t) != len(tuple(elems)) and len(set(elems)) != len(tuple(elems)):
-            raise ValueError(f"repeated elements in {elems!r}")
-        if t and t[0] < 1:
-            raise ValueError(f"elements must be >= 1: {elems!r}")
-        self.elems = t
-        m = 0
-        for e in t:
-            m |= 1 << e
-        self.mask = m
-
-    # -- basic protocol -----------------------------------------------------
-
-    def __len__(self):
-        return len(self.elems)
-
-    def __iter__(self):
-        return iter(self.elems)
-
-    def __contains__(self, x):
-        return bool(self.mask >> x & 1)
-
-    def __eq__(self, other):
-        return isinstance(other, IndexSet) and self.elems == other.elems
-
-    def __hash__(self):
-        return hash(self.elems)
-
-    def __repr__(self):
-        return "{" + ",".join(map(str, self.elems)) + "}"
-
-    def to_json(self):
-        return list(self.elems)
-
-    # -- orders --------------------------------------------------------------
-
-    def lex_cmp(self, other):
-        """-1 / 0 / +1 in the lexicographic order; sizes must agree."""
-        if len(self) != len(other):
-            raise SizeMismatch(f"|{self}| != |{other}|")
-        if self.elems < other.elems:
-            return -1
-        if self.elems > other.elems:
-            return 1
-        return 0
-
-    def __lt__(self, other):
-        return self.lex_cmp(other) < 0
-
-    def __le__(self, other):
-        return self.lex_cmp(other) <= 0
-
-    def dominated_by(self, other):
-        """Componentwise i_p <= j_p."""
-        if len(self) != len(other):
-            raise SizeMismatch(f"|{self}| != |{other}|")
-        return all(a <= b for a, b in zip(self.elems, other.elems))
-
-    def dom_cmp(self, other):
-        le = self.dominated_by(other)
-        ge = other.dominated_by(self)
-        if le and ge:
-            return "equal"
-        if le:
-            return "less-eq"
-        if ge:
-            return "greater-eq"
-        return "incomparable"
-
-    # -- weights and selections ------------------------------------------------
-
-    def weight(self):
-        return sum(self.elems)
-
-    def subselect(self, K):
-        """Split by positions: (I_K, I^K) for K a set of positions in 1..len."""
-        if any(p < 1 or p > len(self.elems) for p in K):
-            raise PositionOutOfRange(f"positions {K} outside 1..{len(self.elems)}")
-        picked = tuple(self.elems[p - 1] for p in K)
-        rest = tuple(e for i, e in enumerate(self.elems, start=1) if i not in K)
-        return IndexSet(picked), IndexSet(rest)
-
-    # -- boolean algebra ---------------------------------------------------------
-
-    def union(self, other):
-        return IndexSet(self.elems + tuple(e for e in other.elems if e not in self))
-
-    def intersect(self, other):
-        return IndexSet(tuple(e for e in self.elems if e in other))
-
-    def minus(self, other):
-        return IndexSet(tuple(e for e in self.elems if e not in other))
-
-    def symdiff(self, other):
-        return self.minus(other).union(other.minus(self))
+def subsets(N, k):
+    """The k-subsets of 1..N as increasing tuples, in lexicographic order."""
+    return list(combinations(range(1, N + 1), k))
 
 
-def index_sets(N, k):
-    """All k-subsets of [N] in lexicographic order."""
-    return [IndexSet(c) for c in combinations(range(1, N + 1), k)]
+def dominated(I, J):
+    """I below J in the dominance order: i_p <= j_p for every p."""
+    if len(I) != len(J):
+        raise SizeMismatch(f"|{I}| != |{J}|")
+    return all(a <= b for a, b in zip(I, J))
 
 
-def all_subsets(N):
-    out = []
-    for k in range(N + 1):
-        out.extend(index_sets(N, k))
-    return out
+def _check_positions(I, K):
+    if any(p < 1 or p > len(I) for p in K):
+        raise PositionOutOfRange(f"positions {K} outside 1..{len(I)}")
 
 
-# -- pair orders (first component decides first) ------------------------------
-
-def pair_lex_less(JI, JI2):
-    (J, I), (J2, I2) = JI, JI2
-    c = J.lex_cmp(J2)
-    if c != 0:
-        return c < 0
-    return I.lex_cmp(I2) < 0
+def select(I, K):
+    """I_K: the elements of I at the 1-based positions K."""
+    _check_positions(I, K)
+    return tuple(I[p - 1] for p in K)
 
 
-def pair_dom_strictly_less(JI, JI2):
+def rest(I, K):
+    """I^K: the elements of I at the positions not in K."""
+    _check_positions(I, K)
+    return tuple(e for p, e in enumerate(I, start=1) if p not in K)
+
+
+def merge(A, B):
+    """The union of two disjoint index sets."""
+    return tuple(sorted(A + B))
+
+
+def pair_dom_strictly_less(x, y):
     """(J, I) strictly below (J', I') in the dominance pair order."""
-    (J, I), (J2, I2) = JI, JI2
-    if J.dominated_by(J2) and J != J2:
-        return True
-    if J == J2:
-        return I.dominated_by(I2) and I != I2
-    return False
+    (J, I), (J2, I2) = x, y
+    if J != J2:
+        return dominated(J, J2)
+    return I != I2 and dominated(I, I2)
 
 
-# -- bijections and inversions --------------------------------------------------
-
-def inversions(images):
+def inversions(seq):
     """Number of inverted pairs in a sequence of comparable values."""
-    seq = list(images)
-    return sum(1 for a in range(len(seq)) for b in range(a + 1, len(seq))
-               if seq[a] > seq[b])
-
-
-@dataclass(frozen=True)
-class Bijection:
-    """Bijection between two totally ordered index sets, given by images.
-
-    images[p] is the image of the p-th smallest element of the domain.
-    """
-
-    domain: IndexSet
-    codomain: IndexSet
-    images: tuple
-
-    def __post_init__(self):
-        if len(self.domain) != len(self.codomain):
-            raise SizeMismatch("bijection between sets of different sizes")
-        if sorted(self.images) != list(self.codomain.elems):
-            raise ValueError("images do not enumerate the codomain")
-
-    def inversions(self):
-        return inversions(self.images)
+    return sum(a > b for a, b in combinations(seq, 2))
 
 
 # -- dominance lemma oracle -------------------------------------------------------
 
-@dataclass
-class CombLemmaReport:
-    I: IndexSet
-    J: IndexSet
-    admissible: list        # all P passing both lex inequalities
-    witness: object         # the unique equality witness, or None
-    counterexamples: list   # admissible P that are not equalities
-    ok: bool
-
-
 def check_comb_lemma(I, J):
     """Brute-force check of the dominance lemma for one pair (I, J).
 
-    With S = I n J and T = I delta J, every P subset of positions of T with
-    S u T_P >=lex J and S u T^P >=lex I must give equality in both.  The
-    enumeration itself is the oracle: it returns the witness or a
-    counterexample.
+    With S = I n J and T = I delta J, every set P of |J \\ I| positions of T
+    with S u T_P >=lex J and S u T^P >=lex I must give equality in both.
+    The enumeration itself is the oracle.  Returns (witness,
+    counterexamples): the P giving equality (None if there is none) and the
+    other admissible P; together they are all admissible P.
     """
-    S = I.intersect(J)
-    T = I.symdiff(J)
-    t = len(T)
-    m = len(J) - len(S)
-    admissible = []
-    counterexamples = []
-    witness = None
-    for combo in combinations(range(1, t + 1), m):
-        P = IndexSet(combo)
-        TP, TPc = T.subselect(P)
-        left = S.union(TP)
-        right = S.union(TPc)
-        if J.lex_cmp(left) <= 0 and I.lex_cmp(right) <= 0:
-            admissible.append(P)
+    S = tuple(sorted(set(I) & set(J)))
+    T = tuple(sorted(set(I) ^ set(J)))
+    witness, counterexamples = None, []
+    for P in subsets(len(T), len(J) - len(S)):
+        left, right = merge(S, select(T, P)), merge(S, rest(T, P))
+        if J <= left and I <= right:
             if left == J and right == I:
                 witness = P
             else:
                 counterexamples.append(P)
-    return CombLemmaReport(I=I, J=J, admissible=admissible, witness=witness,
-                           counterexamples=counterexamples,
-                           ok=not counterexamples)
+    return witness, counterexamples
 
 
 def sweep_comb_lemma(N):
     """Exhaustive dominance-lemma sweep over all I, J inside [N].
 
-    Returns (pairs_checked, counterexample_reports).
+    Returns (pairs_checked, bad), bad listing (I, J, counterexamples) for
+    every pair with a counterexample.
     """
-    subsets = all_subsets(N)
+    sets = [I for k in range(N + 1) for I in subsets(N, k)]
     bad = []
-    count = 0
-    for I in subsets:
-        for J in subsets:
-            count += 1
-            rep = check_comb_lemma(I, J)
-            if not rep.ok:
-                bad.append(rep)
-    return count, bad
+    for I in sets:
+        for J in sets:
+            counterexamples = check_comb_lemma(I, J)[1]
+            if counterexamples:
+                bad.append((I, J, counterexamples))
+    return len(sets) ** 2, bad

@@ -19,12 +19,11 @@ commutativity) is verified by exact normal-form equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations, product
 
-from .braiding import (WedgeBraidTable, apply_two_site, by_column,
-                       rhat_entries, subsets)
+from .braiding import WedgeBraidTable, apply_two_site, by_column, rhat_entries
 from .coeff import RF_ONE, RF_ZERO, rf_q_int
-from .indexsets import SizeMismatch, inversions
+from .indexsets import SizeMismatch, inversions, merge, rest, select, subsets
 from .linalg import SingularMatrix, add_term, invert_matrix, sparse_row_reduce
 
 
@@ -310,47 +309,30 @@ def degree_dimension(N, rw, d):
     Independent of the rewriting engine: spans u * rel * v over all
     positions and takes a sparse rank.
     """
-    gens = list(range(N * N))
-    words = [()]
-    for _ in range(d):
-        words = [w + (g,) for w in words for g in gens]
+    gens = range(N * N)
     vectors = []
     for lead, rhs in rw.rules.items():
         rel = {lead: RF_ONE}
         for w, c in rhs.items():
             add_term(rel, w, -c)
         for pre_len in range(d - 1):
-            post_len = d - 2 - pre_len
-            pres = [()]
-            for _ in range(pre_len):
-                pres = [w + (g,) for w in pres for g in gens]
-            posts = [()]
-            for _ in range(post_len):
-                posts = [w + (g,) for w in posts for g in gens]
-            for u in pres:
-                for v in posts:
+            for u in product(gens, repeat=pre_len):
+                for v in product(gens, repeat=d - 2 - pre_len):
                     vectors.append({u + w + v: c for w, c in rel.items()})
     rank = len(sparse_row_reduce(vectors, _word_greater))
-    return len(words) - rank
+    return len(gens) ** d - rank
 
 
 # ---------------------------------------------------------------------------
 # Bialgebra structure
 # ---------------------------------------------------------------------------
 
-def _mid_tuples(N, length):
-    out = [()]
-    for _ in range(length):
-        out = [t + (m,) for t in out for m in range(1, N + 1)]
-    return out
-
-
 def coproduct_word(word, N):
     """Delta of a word: list of (left word, right word) pairs, coefficient 1."""
     rows = word_rows(word, N)
     cols = word_cols(word, N)
     out = []
-    for mid in _mid_tuples(N, len(word)):
+    for mid in product(range(1, N + 1), repeat=len(word)):
         out.append((word_from_rc(rows, mid, N), word_from_rc(mid, cols, N)))
     return out
 
@@ -544,8 +526,8 @@ class Bicharacter:
         pairing, in its loop order, as (i, j, k, l, got, expected); None
         when every sum matches."""
         N = self.N
-        tuples_s = _mid_tuples(N, s)
-        tuples_t = _mid_tuples(N, t)
+        tuples_s = list(product(range(1, N + 1), repeat=s))
+        tuples_t = list(product(range(1, N + 1), repeat=t))
         # words_s[x][y] is a(x, y) and words_t[x][y] is b(x, y), built once
         words_s = {x: {y: word_from_rc(x, y, N) for y in tuples_s}
                    for x in tuples_s}
@@ -725,13 +707,11 @@ class QContext:
 
     def r_minor(self, A, B, C, D):
         """r on a pair of minors, via the wedge braiding table."""
-        return self.table(len(A), len(C)).entry(tuple(B), tuple(A),
-                                                tuple(C), tuple(D))
+        return self.table(len(A), len(C)).entry(B, A, C, D)
 
     def rinv_minor(self, A, B, C, D):
         """The (Delta, Delta) convolution inverse on a pair of minors."""
-        return self.table(len(A), len(C)).inv_entry(tuple(B), tuple(A),
-                                                    tuple(C), tuple(D))
+        return self.table(len(A), len(C)).inv_entry(B, A, C, D)
 
     def rpr_minor(self, A, B, C, D):
         """The (Delta, Delta^op) convolution inverse on a pair of minors."""
@@ -740,7 +720,7 @@ class QContext:
         if tab is None:
             tab = self._solve_minor_inverse(k, l, cop=True)
             self._rpr_minor[(k, l)] = tab
-        return tab.get((tuple(A), tuple(B), tuple(C), tuple(D)), RF_ZERO)
+        return tab.get((A, B, C, D), RF_ZERO)
 
     def rinv_minor_solved(self, k, l):
         """Minor-level solve of the plain convolution inverse (cross-check)."""
@@ -782,18 +762,6 @@ class QContext:
 # Identity families
 # ---------------------------------------------------------------------------
 
-def _tsel(I, K):
-    return tuple(I[p - 1] for p in K)
-
-
-def _trest(I, K):
-    return tuple(e for p, e in enumerate(I, start=1) if p not in K)
-
-
-def _merge(A, B):
-    return tuple(sorted(A + B))
-
-
 def _nf_json(p):
     return {word_str(w, p.N, p.tag): c.to_json()
             for w, c in sorted(p.coeffs.items())}
@@ -833,19 +801,18 @@ def expansion_terms(family, instance):
     r = k - len(F)
     if any(p > k for p in F + G) or any(p > r for p in K + Kp):
         raise IllFormedInstance("selection positions out of range")
-    IF, IFc = _tsel(I, F), _trest(I, F)
-    JG, JGc = _tsel(J, G), _trest(J, G)
+    IF, IFc = select(I, F), rest(I, F)
+    JG, JGc = select(J, G), rest(J, G)
     left = [(RF_ONE, (I, J, IF, JG))] if K == Kp else []
     right = []
-    for P in combinations(range(1, r + 1), len(K)):
+    for P in subsets(r, len(K)):
         # a row family selects K (first minor) and K' (second) among the
         # rows and P among the columns; a col family swaps the two sides
         rk, rkp, ck, ckp = ((K, Kp, P, P) if family.endswith("row")
                             else (P, P, K, Kp))
         right.append((rf_q_int(sum(P) - sum(K)),
-                      (_merge(IF, _tsel(IFc, rk)), _merge(JG, _tsel(JGc, ck)),
-                       _merge(IF, _trest(IFc, rkp)),
-                       _merge(JG, _trest(JGc, ckp)))))
+                      (merge(IF, select(IFc, rk)), merge(JG, select(JGc, ck)),
+                       merge(IF, rest(IFc, rkp)), merge(JG, rest(JGc, ckp)))))
     return left, right
 
 
@@ -911,34 +878,27 @@ def _verify_braidcomm(ctx, family, instance):
 def laplace_instances(N, kmax=None):
     kmax = N if kmax is None else kmax
     for k in range(1, kmax + 1):
-        for I in combinations(range(1, N + 1), k):
-            for J in combinations(range(1, N + 1), k):
-                for l in range(0, k + 1):
-                    for K in combinations(range(1, k + 1), l):
-                        for Kp in combinations(range(1, k + 1), l):
-                            yield {"I": I, "J": J, "K": K, "Kp": Kp}
+        for I, J in product(subsets(N, k), repeat=2):
+            for l in range(0, k + 1):
+                for K, Kp in product(subsets(k, l), repeat=2):
+                    yield {"I": I, "J": J, "K": K, "Kp": Kp}
 
 
 def muir_instances(N, kmax=None, rmax=None):
     kmax = N if kmax is None else kmax
     for k in range(1, kmax + 1):
         for r in range(1, (k if rmax is None else min(k, rmax)) + 1):
-            for I in combinations(range(1, N + 1), k):
-                for J in combinations(range(1, N + 1), k):
-                    for F in combinations(range(1, k + 1), k - r):
-                        for G in combinations(range(1, k + 1), k - r):
-                            for l in range(0, r + 1):
-                                for K in combinations(range(1, r + 1), l):
-                                    for Kp in combinations(range(1, r + 1), l):
-                                        yield {"I": I, "J": J, "F": F, "G": G,
-                                               "K": K, "Kp": Kp}
+            for I, J in product(subsets(N, k), repeat=2):
+                for F, G in product(subsets(k, k - r), repeat=2):
+                    for l in range(0, r + 1):
+                        for K, Kp in product(subsets(r, l), repeat=2):
+                            yield {"I": I, "J": J, "F": F, "G": G,
+                                   "K": K, "Kp": Kp}
 
 
 def braidcomm_instances(N, kmax=2, lmax=2):
     for k in range(1, kmax + 1):
         for l in range(1, lmax + 1):
-            for I in combinations(range(1, N + 1), k):
-                for J in combinations(range(1, N + 1), k):
-                    for Ip in combinations(range(1, N + 1), l):
-                        for Jp in combinations(range(1, N + 1), l):
-                            yield {"I": I, "J": J, "Ip": Ip, "Jp": Jp}
+            ksets, lsets = subsets(N, k), subsets(N, l)
+            for I, J, Ip, Jp in product(ksets, ksets, lsets, lsets):
+                yield {"I": I, "J": J, "Ip": Ip, "Jp": Jp}

@@ -24,14 +24,15 @@ reflection equation and cross-checks them against the twisted product.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import product
 
-from .braiding import rhat_entries, subsets
+from .braiding import rhat_entries
 from .coeff import RF_ONE, RF_ZERO
+from .indexsets import subsets
 from .linalg import add_term
 from .qmatrix import (BRAIDCOMM_KEYS, MUIR_KEYS, Certificate,
                       IllFormedInstance, NCPoly, QContext, _inst_json,
-                      _mid_tuples, _nf_diff, _nf_json, braidcomm_labels,
+                      _nf_diff, _nf_json, braidcomm_labels,
                       derive_rewrite_system, expansion_terms, gen_id,
                       sum_terms, word_cols, word_from_rc, word_rows)
 
@@ -66,7 +67,7 @@ class StarAlgebra:
         # sum of r(X_{rows_u, a}, X_{c, d}) r'(X_{b, cols_u}, X_{rows_v, c})
         # X_{a, b} X_{d, cols_v}, over the nonzero entries of both images
         terms = {}
-        for ad in _mid_tuples(N, s + len(v)):
+        for ad in product(range(1, N + 1), repeat=s + len(v)):
             a_t, d_t = ad[:s], ad[s:]
             tail = word_from_rc(d_t, cols_v, N)
             for rows, c1 in bich.image("r", s, ad).items():
@@ -303,11 +304,10 @@ def _rea_gencomm(star, instance):
 
 def rea_laplace_instances(N, kmax=3):
     for k in range(1, min(N, kmax) + 1):
-        for I in combinations(range(1, N + 1), k):
-            for J in combinations(range(1, N + 1), k):
-                for m in range(0, k + 1):
-                    for K in combinations(range(1, k + 1), m):
-                        yield {"I": I, "J": J, "K": K}
+        for I, J in product(subsets(N, k), repeat=2):
+            for m in range(0, k + 1):
+                for K in subsets(k, m):
+                    yield {"I": I, "J": J, "K": K}
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,13 @@ the published family table at N = 3.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import product
 
 from .coeff import RatFunc
-from .indexsets import IndexSet, pair_dom_strictly_less, pair_lex_less
+from .indexsets import pair_dom_strictly_less, subsets
 from .qmatrix import Certificate
 
 
@@ -106,6 +107,13 @@ class QuantumShape:
 
     @staticmethod
     def from_json(obj):
+        """A shape from {"tau": [ints], "u": [symbols]}; anything else is a
+        MalformedShape."""
+        if (not isinstance(obj, dict) or not isinstance(obj.get("tau"), list)
+                or not isinstance(obj.get("u"), list)
+                or not all(type(t) is int for t in obj["tau"])):
+            raise MalformedShape("a shape is an object with an integer list "
+                                 "tau and a list u")
         return QuantumShape(obj["tau"], obj["u"])
 
     def __repr__(self):
@@ -151,7 +159,7 @@ def enumerate_shapes(N):
     families = []
     for m in range(N, -1, -1):
         bucket = []
-        for support in combinations(range(1, N + 1), m):
+        for support in subsets(N, m):
             for tau_map in _involutions(support):
                 tau = tuple(tau_map.get(i, i) for i in range(1, N + 1))
                 cycles = sorted((i, tau_map[i]) for i in support if tau_map[i] > i)
@@ -199,21 +207,16 @@ def build_shape_ideal(shape, flavor="dom"):
     closed under the formal adjoint."""
     if flavor not in ("dom", "lex"):
         raise ValueError("flavor must be 'dom' or 'lex'")
-    less = pair_dom_strictly_less if flavor == "dom" else pair_lex_less
+    less = pair_dom_strictly_less if flavor == "dom" else operator.lt
     N = shape.N
     M = shape.rank
     gens = set()
     if M < N:
-        for I in combinations(range(1, N + 1), M + 1):
-            for J in combinations(range(1, N + 1), M + 1):
-                gens.add((I, J))
+        gens.update(product(subsets(N, M + 1), repeat=2))
     for k in range(1, M + 1):
-        cols0 = IndexSet(shape.support_prefix(k))
-        rows0 = IndexSet(shape.tau_prefix(k))
-        for I in combinations(range(1, N + 1), k):
-            for J in combinations(range(1, N + 1), k):
-                if less((IndexSet(J), IndexSet(I)), (cols0, rows0)):
-                    gens.add((I, J))
+        chain = (shape.support_prefix(k), shape.tau_prefix(k))
+        gens.update((I, J) for I, J in product(subsets(N, k), repeat=2)
+                    if less((J, I), chain))
     closed = set(gens)
     for (I, J) in gens:
         closed.add((J, I))

@@ -193,6 +193,12 @@ _MISSING_FILE = str(Path(__file__).parent / "no_such_matrix.json")
     ["classical", "decompose", {"N": 2, "mode": "numeric",
                                 "entries": [[{"re": 1.0, "im": 0.0},
                                              {"re": 0.0, "im": 0.0}]]}],
+    ["rea", "qcomm", "--N", "3", "--shape", '{"tau":[1,2,3]}'],
+    ["rea", "qcomm", "--N", "3", "--shape", '[1,2,3]'],
+    ["rea", "qcomm", "--N", "3", "--shape",
+     '{"tau":["a","b","c"],"u":["s1","s2","s3"]}'],
+    ["classical", "decompose", {"N": 3, "mode": "exact",
+                                "entries": [[{"re": "1"}]]}],
 ])
 def test_bad_input_is_usage_error(capsys, monkeypatch, tmp_path, argv):
     env, argv = argv if isinstance(argv, tuple) else ({}, argv)

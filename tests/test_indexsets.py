@@ -1,42 +1,36 @@
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrea.indexsets import (Bijection, IndexSet, PositionOutOfRange,
-                            SizeMismatch, check_comb_lemma, index_sets,
-                            inversions, pair_dom_strictly_less,
-                            pair_lex_less, sweep_comb_lemma)
+from qrea import checks, indexsets
+from qrea.indexsets import (PositionOutOfRange, SizeMismatch,
+                            check_comb_lemma, dominated, inversions, merge,
+                            pair_dom_strictly_less, rest, select, subsets,
+                            sweep_comb_lemma)
 
 
-def S(*xs):
-    return IndexSet(xs)
-
-
-def test_lex_examples():
-    assert S(1, 3).lex_cmp(S(2, 3)) < 0
-    assert S(1, 4).lex_cmp(S(1, 4)) == 0
-    assert S(1, 4).lex_cmp(S(2, 3)) < 0
-
-
-def test_lex_size_mismatch():
+def test_dominated_size_mismatch():
     with pytest.raises(SizeMismatch):
-        S(1).lex_cmp(S(1, 2))
+        dominated((1,), (1, 2))
 
 
 def test_dom_examples():
-    assert S(1, 2).dom_cmp(S(2, 3)) == "less-eq"
-    assert S(1, 4).dom_cmp(S(2, 3)) == "incomparable"
-    assert S(2, 4).dom_cmp(S(2, 4)) == "equal"
+    assert dominated((1, 2), (2, 3)) and not dominated((2, 3), (1, 2))
+    assert not dominated((1, 4), (2, 3)) and not dominated((2, 3), (1, 4))
+    assert dominated((2, 4), (2, 4))
 
 
 def test_subselect_examples():
-    assert S(2, 5, 7).subselect(S(1, 3)) == (S(2, 7), S(5))
-    assert S(2, 5, 7).subselect(S(1, 2, 3)) == (S(2, 5, 7), S())
-    assert S(1, 2, 3, 4).subselect(S(2, 4)) == (S(2, 4), S(1, 3))
-    with pytest.raises(PositionOutOfRange):
-        S(1, 2).subselect(S(3))
+    def split(I, K):
+        return select(I, K), rest(I, K)
+    assert split((2, 5, 7), (1, 3)) == ((2, 7), (5,))
+    assert split((2, 5, 7), (1, 2, 3)) == ((2, 5, 7), ())
+    assert split((1, 2, 3, 4), (2, 4)) == ((2, 4), (1, 3))
+    for f in (select, rest):
+        for K in ((3,), (0,)):
+            with pytest.raises(PositionOutOfRange):
+                f((1, 2), K)
 
 
 def test_inversions():
@@ -45,48 +39,40 @@ def test_inversions():
     assert inversions((4, 3, 2, 1)) == 6
 
 
-def test_bijection():
-    b = Bijection(S(1, 2, 3), S(2, 5, 7), (5, 2, 7))
-    assert b.inversions() == 1
-    with pytest.raises(ValueError):
-        Bijection(S(1, 2), S(3, 4), (3, 3))
-
-
 def test_dominance_refines_lex_exhaustive():
     for k in range(1, 7):
-        for I in index_sets(6, k):
-            for J in index_sets(6, k):
-                if I.dominated_by(J):
-                    assert I.lex_cmp(J) <= 0
+        for I in subsets(6, k):
+            for J in subsets(6, k):
+                if dominated(I, J):
+                    assert I <= J
 
 
 def test_weight_split():
     for k in range(0, 7):
-        for I in index_sets(6, k):
+        for I in subsets(6, k):
             for l in range(0, k + 1):
-                for K in combinations(range(1, k + 1), l):
-                    IK, IKc = I.subselect(IndexSet(K))
-                    assert IK.weight() + IKc.weight() == I.weight()
+                for K in subsets(k, l):
+                    assert sum(select(I, K)) + sum(rest(I, K)) == sum(I)
 
 
 def test_pair_orders():
-    a = (S(1), S(2))
-    b = (S(2), S(1))
-    assert pair_lex_less(a, b) and not pair_lex_less(b, a)
-    assert pair_dom_strictly_less((S(1, 2), S(1, 2)), (S(1, 3), S(1, 2)))
+    a = ((1,), (2,))
+    b = ((2,), (1,))
+    assert a < b and not b < a
+    assert pair_dom_strictly_less(((1, 2), (1, 2)), ((1, 3), (1, 2)))
     # same first component: second decides
-    assert pair_dom_strictly_less((S(1, 2), S(1, 2)), (S(1, 2), S(1, 3)))
-    assert not pair_dom_strictly_less((S(1, 4), S(1)), (S(2, 3), S(1)))
+    assert pair_dom_strictly_less(((1, 2), (1, 2)), ((1, 2), (1, 3)))
+    assert not pair_dom_strictly_less(((1, 4), (1,)), ((2, 3), (1,)))
 
 
 def test_comb_lemma_small_example():
-    rep = check_comb_lemma(S(2), S(1))
-    assert rep.ok and rep.witness == S(1) and len(rep.admissible) == 1
+    witness, counterexamples = check_comb_lemma((2,), (1,))
+    assert witness == (1,) and counterexamples == []
 
 
 def test_comb_lemma_equal_sets():
-    rep = check_comb_lemma(S(1, 3), S(1, 3))
-    assert rep.ok and rep.witness is not None
+    witness, counterexamples = check_comb_lemma((1, 3), (1, 3))
+    assert witness is not None and counterexamples == []
 
 
 def test_comb_lemma_sweep_6():
@@ -107,21 +93,47 @@ def test_inversion_parity_multiplicative():
         assert inversions(comp) % 2 == (inversions(a) + inversions(b)) % 2
 
 
-def test_set_algebra():
-    assert S(1, 2, 4).symdiff(S(2, 3)) == S(1, 3, 4)
-    assert S(1, 2, 4).intersect(S(2, 3)) == S(2)
-    assert S(1, 2, 4).union(S(2, 3)) == S(1, 2, 3, 4)
-    assert S(1, 2, 4).minus(S(2)) == S(1, 4)
+# -- failure witnesses of the combinatorics suites ---------------------------------
+
+_first_draws = []
 
 
-def test_json():
-    assert S(2, 4).to_json() == [2, 4]
+def _record_inversions(seq):
+    """A broken inversion count that records what it is asked about."""
+    _first_draws.append(list(seq))
+    return 1
+
+
+@pytest.mark.parametrize("suite, name, fake, first", [
+    # every pair counts as dominated: the first with J <lex I fails
+    ("combinatorics.dominance-refines-lex", "dominated", lambda I, J: True,
+     lambda: ((2,), (1,))),
+    # I_K is all of I: the first nonempty I with K = () fails
+    ("combinatorics.weight-split", "select", lambda I, K: I,
+     lambda: ((1,), ())),
+    # T_P is the top |P| elements of T: at I = {1}, J = {2} the positions
+    # P = {1} pass both lex tests with S u T^P = {2} != I
+    ("combinatorics.dominance-lemma", "select",
+     lambda T, P: T[len(T) - len(P):], lambda: ((1,), (2,), [(1,)])),
+    # parity 1 + 1 against 1: the first draw (a, b) fails
+    ("combinatorics.inversion-parity", "inversions", _record_inversions,
+     lambda: (_first_draws[0], _first_draws[1])),
+])
+def test_combinatorics_witness_names_first_failure(monkeypatch, suite, name,
+                                                   fake, first):
+    _first_draws.clear()
+    monkeypatch.setattr(indexsets, name, fake)
+    [cert] = dict(checks.CHECKS)[suite](2, 0)
+    assert cert.status == "fail"
+    assert cert.witness["failures"] >= 1
+    assert cert.witness["first"] == first()
 
 
 # -- order properties ------------------------------------------------------------
 
 def _sets(k):
-    return st.sets(st.integers(1, 4), min_size=k, max_size=k).map(IndexSet)
+    return st.sets(st.integers(1, 4), min_size=k, max_size=k).map(
+        lambda s: tuple(sorted(s)))
 
 
 # three subsets of 1..4 of one size, and three (J, I) pairs of one pair of
@@ -133,29 +145,15 @@ _pair_triples = st.tuples(st.integers(0, 2), st.integers(0, 2)).flatmap(
 
 @settings(max_examples=100, deadline=None)
 @given(_triples)
-def test_lex_cmp_is_a_total_order(abc):
+def test_dominance_is_a_partial_order_refined_by_lex(abc):
     a, b, c = abc
-    assert a.lex_cmp(a) == 0
-    assert a.lex_cmp(b) == -b.lex_cmp(a)
-    assert (a.lex_cmp(b) == 0) == (a == b)
-    if a.lex_cmp(b) <= 0 and b.lex_cmp(c) <= 0:
-        assert a.lex_cmp(c) <= 0
-
-
-@settings(max_examples=100, deadline=None)
-@given(_triples)
-def test_dom_cmp_is_a_partial_order_refined_by_lex(abc):
-    a, b, c = abc
-    assert a.dom_cmp(a) == "equal"
-    flipped = {"equal": "equal", "less-eq": "greater-eq",
-               "greater-eq": "less-eq", "incomparable": "incomparable"}
-    assert b.dom_cmp(a) == flipped[a.dom_cmp(b)]
-    if a.dominated_by(b) and b.dominated_by(a):
+    assert dominated(a, a)
+    if dominated(a, b) and dominated(b, a):
         assert a == b
-    if a.dominated_by(b) and b.dominated_by(c):
-        assert a.dominated_by(c)
-    if a.dominated_by(b):
-        assert a.lex_cmp(b) <= 0
+    if dominated(a, b) and dominated(b, c):
+        assert dominated(a, c)
+    if dominated(a, b):
+        assert a <= b
 
 
 @settings(max_examples=100, deadline=None)
@@ -165,3 +163,21 @@ def test_pair_dom_strictly_less_is_a_strict_order(xyz):
     assert not pair_dom_strictly_less(x, x)
     if pair_dom_strictly_less(x, y) and pair_dom_strictly_less(y, z):
         assert pair_dom_strictly_less(x, z)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.integers(1, 8), max_size=6).flatmap(
+    lambda s: st.tuples(st.just(tuple(sorted(s))),
+                        st.sets(st.integers(1, len(s)) if s else st.nothing())
+                        .map(lambda K: tuple(sorted(K))))),
+       st.integers(1, 3))
+def test_select_rest_split_a_set(IK, beyond):
+    I, K = IK
+    picked, left = select(I, K), rest(I, K)
+    assert len(picked) == len(K) and not set(picked) & set(left)
+    assert merge(picked, left) == I
+    for bad in (0, len(I) + beyond):
+        with pytest.raises(PositionOutOfRange):
+            select(I, K + (bad,))
+        with pytest.raises(PositionOutOfRange):
+            rest(I, K + (bad,))
