@@ -11,10 +11,12 @@ positions of every word of a tensor dictionary.  The braid moves are that
 kernel with the R-hat table at adjacent positions; the bicharacter tables in
 qmatrix are the same kernel with their own generator tables.
 
-Wedge powers are handled through the splitting pair iota/rho: iota embeds the
-q-antisymmetric subspace into the tensor power with a q-factorial
-normalisation, rho projects a tensor word onto the sorted wedge basis with a
-(-q)^inversions sign.  The braiding between wedge powers braids the sorted
+Wedge powers are handled through the splitting pair iota/rho: iota
+(embed_basis) embeds the q-antisymmetric subspace into the tensor power with
+a q-factorial normalisation, rho (wedge_sign on one word) projects a tensor
+word onto the sorted wedge basis with a (-q)^inversions sign.  Wedge vectors
+are plain dicts over sorted index tuples, and pairs of them are projected by
+project_pair, rho (x) rho.  The braiding between wedge powers braids the sorted
 word e_I (x) e_J by a fixed reduced product of braid moves and projects it
 back.  No iota-embedding is needed: rho o R_i = (-q) rho, so the q-factorial
 normalisation of iota cancels exactly.  iota is kept as the oracle that
@@ -198,66 +200,11 @@ def braid_relation_check(N):
 # q-wedge algebra
 # ---------------------------------------------------------------------------
 
-class WedgeVector:
-    """Element of the k-th q-wedge power: sorted index tuples -> RatFunc."""
-
-    __slots__ = ("degree", "coeffs")
-
-    def __init__(self, degree, coeffs=None):
-        self.degree = degree
-        self.coeffs = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                key = tuple(key)
-                if len(key) != degree:
-                    raise DegreeOutOfRange(f"{key} has wrong degree")
-                if not c.is_zero():
-                    self.coeffs[key] = c
-
-    def __eq__(self, other):
-        return (isinstance(other, WedgeVector)
-                and self.degree == other.degree
-                and self.coeffs == other.coeffs)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def scale(self, scalar):
-        if scalar.is_zero():
-            return WedgeVector(self.degree)
-        return WedgeVector(self.degree,
-                           {k: c * scalar for k, c in self.coeffs.items()})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            add_term(out, k, c)
-        v = WedgeVector(self.degree)
-        v.coeffs = out
-        return v
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"({c!r})*e_{list(k)}"
-                          for k, c in sorted(self.coeffs.items()))
-
-
 def wedge_sign(word):
     """(coeff, sorted tuple) of a wedge word, or None when an index repeats."""
     if len(set(word)) != len(word):
         return None
     return rf_q_int(inversions(word)), tuple(sorted(word))
-
-
-def wedge_reduce(word):
-    """Straighten a wedge word onto the sorted basis."""
-    word = tuple(word)
-    sg = wedge_sign(word)
-    if sg is None:
-        return WedgeVector(len(word))
-    coeff, key = sg
-    return WedgeVector(len(word), {key: coeff})
 
 
 def q2_factorial(l):
@@ -278,29 +225,6 @@ def embed_basis(key):
     for perm in permutations(key):
         out[perm] = rf_q_int(inversions(perm)) * norm
     return out
-
-
-def wedge_embed(v):
-    """iota on a WedgeVector; returns a tensor dictionary."""
-    out = {}
-    for key, c in v.coeffs.items():
-        for word, f in embed_basis(key).items():
-            add_term(out, word, c * f)
-    return out
-
-
-def wedge_project(tensor, degree):
-    """rho on a tensor dictionary of fixed word length."""
-    v = WedgeVector(degree)
-    acc = {}
-    for word, c in tensor.items():
-        sg = wedge_sign(word)
-        if sg is None:
-            continue
-        coeff, key = sg
-        add_term(acc, key, c * coeff)
-    v.coeffs = acc
-    return v
 
 
 # -- pairs of wedge factors ---------------------------------------------------
@@ -452,7 +376,7 @@ def _antisym_pair_vector(S, T, l):
     return vec
 
 
-def rmatrix_lemma_check(N, I, Ip):
+def rmatrix_lemma_check(I, Ip):
     """Verify the closed-form scalar for the inverse braiding on xi.
 
     For subsets I, Ip of [N], builds the antisymmetrised pair vector xi,
@@ -481,7 +405,7 @@ def rmatrix_lemma_check(N, I, Ip):
                 "expected": {str(k): v.to_json() for k, v in expected.items()}}}
 
 
-def antisymmetrizer_swap_check(N, T, l):
+def antisymmetrizer_swap_check(T, l):
     """Specialised eigen-identity: the inverse braiding permutes the
     antisymmetrised pair vectors of a fixed symmetric difference, with the
     stated (-q)-power."""

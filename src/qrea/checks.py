@@ -297,7 +297,7 @@ def check_scalar_lemma(N, seed):
     bad = []
     for I in subs:
         for Ip in subs:
-            rep = braiding.rmatrix_lemma_check(n, I, Ip)
+            rep = braiding.rmatrix_lemma_check(I, Ip)
             if not rep["ok"]:
                 bad.append((I, Ip))
     return [Certificate.verdict("braiding scalar-lemma",
@@ -311,7 +311,7 @@ def check_antisym_swap(N, seed):
     for t in range(1, n + 1):
         for T in indexsets.subsets(n, t):
             for l in range(0, t + 1):
-                if not braiding.antisymmetrizer_swap_check(n, T, l):
+                if not braiding.antisymmetrizer_swap_check(T, l):
                     ok = False
     return [Certificate.verdict("braiding antisym-swap", {"N": n}, ok)]
 

@@ -11,9 +11,11 @@ relevant square root is rational and drop to floating point otherwise.
 The congruence decomposition z = t* S t is one pivoting loop for both scalar
 kinds, exact and floating point, which differ only in the zero test,
 conjugation and the square root; it is cross-checked against the scanner.
-The quadratic bracket on Hermitian matrices is built symbolically with exact
-coefficients from the classical r-matrix, then evaluated numerically for the
-bivector, orbit-tangency and Jacobi checks.
+The quadratic bracket on Hermitian matrices is read off the sparse classical
+r-matrix e_ii (x) e_ii + 2 sum_{i<j} e_ij (x) e_ji: each of its four terms is
+a short sum over the nonzero entries of r, with exact coefficients.  The
+table is evaluated numerically for the bivector and orbit-tangency checks;
+the Jacobi check builds its cyclic sums exactly, then samples them.
 """
 
 from __future__ import annotations
@@ -478,7 +480,7 @@ def decompose(z):
 
 def decompose_residual(z, t, S):
     zn = z.to_numeric()
-    tn = t.to_numeric() if isinstance(t, HermitianMatrix) else np.asarray(t, dtype=complex)
+    tn = t.to_numeric()
     sn = S.matrix().to_numeric()
     return float(np.max(np.abs(zn - tn.conj().T @ sn @ tn)))
 
@@ -561,81 +563,41 @@ def build_leaf_point(shape, lam):
 # The quadratic bracket
 # ---------------------------------------------------------------------------
 
-def _poly_mul(a, b):
-    out = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            add_term(out, tuple(sorted(ma + mb)), ca * cb)
-    return out
-
-
-def _poly_scale(a, c):
-    return {m: v * c for m, v in a.items()} if not c.is_zero() else {}
-
-
-def _mat_mul_poly(A, B):
-    n = len(A)
-    return [[_sum_polys(_poly_mul(A[i][k], B[k][j]) for k in range(n))
-             for j in range(n)] for i in range(n)]
-
-
-def _sum_polys(polys):
-    out = {}
-    for p in polys:
-        for m, c in p.items():
-            add_term(out, m, c)
-    return out
-
-
-def _kron_poly(A, B):
-    n = len(A)
-    m = len(B)
-    out = [[{} for _ in range(n * m)] for _ in range(n * m)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(m):
-                for l in range(m):
-                    out[i * m + k][j * m + l] = _poly_mul(A[i][j], B[k][l])
-    return out
-
-
 def poisson_bracket_coeffs(N):
     """{Z_ij, Z_kl} as exact quadratic forms in the matrix entries.
 
     Returns a dict mapping ((i,j),(k,l)) to {sorted entry-pair: GaussRat};
-    the coefficients are purely imaginary.
+    the coefficients are purely imaginary.  The bracket is -i times the
+    ((i,k), (j,l)) entry of
+
+        r21 Z1 Z2 - Z1 Z2 r + Z1 r Z2 - Z2 r21 Z1
+
+    with Z1 = Z (x) 1, Z2 = 1 (x) Z and the classical r-matrix
+    r = sum_i e_ii (x) e_ii + 2 sum_{i<j} e_ij (x) e_ji on C^N (x) C^N.
+    Each of the four terms is a sum over the nonzero entries of r.
     """
-    one, two = {(): GR1}, {(): GaussRat(2)}
-    zvar = [[{((i + 1, j + 1),): GR1} for j in range(N)] for i in range(N)]
-    # the classical r-matrix on C^N (x) C^N and its flip r21, rows and
-    # columns indexed by i * N + j (0-based), as constant polynomials
-    rP = [[{} for _ in range(N * N)] for _ in range(N * N)]
-    r21P = [[{} for _ in range(N * N)] for _ in range(N * N)]
-    for i in range(N):
-        rP[i * N + i][i * N + i] = r21P[i * N + i][i * N + i] = one
-        for j in range(i + 1, N):
-            # e_ij (x) e_ji, and its flip
-            rP[i * N + j][j * N + i] = r21P[j * N + i][i * N + j] = two
-    eyeP = [[one if i == j else {} for j in range(N)] for i in range(N)]
-    zz = _kron_poly(zvar, zvar)
-    z1 = _kron_poly(zvar, eyeP)
-    oz = _kron_poly(eyeP, zvar)
-    t1 = _mat_mul_poly(r21P, zz)
-    t2 = _mat_mul_poly(zz, rP)
-    t3 = _mat_mul_poly(_mat_mul_poly(z1, rP), oz)
-    t4 = _mat_mul_poly(_mat_mul_poly(oz, r21P), z1)
-    neg = GaussRat(-1)
-    M = [[_sum_polys((t1[a][b], _poly_scale(t2[a][b], neg),
-                      t3[a][b], _poly_scale(t4[a][b], neg)))
-          for b in range(N * N)] for a in range(N * N)]
-    minus_i = GaussRat(0, -1)
-    out = {}
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            for k in range(1, N + 1):
-                for l in range(1, N + 1):
-                    entry = M[(i - 1) * N + (k - 1)][(j - 1) * N + (l - 1)]
-                    out[((i, j), (k, l))] = _poly_scale(entry, minus_i)
+    rng = range(1, N + 1)
+    out = {((i, j), (k, l)): {} for i in rng for j in rng
+           for k in rng for l in rng}
+    # r as (row pair, column pair, -i * value): e_ab (x) e_cd sits at row
+    # (a, c) and column (b, d); r21 = e_cd (x) e_ab is its flip
+    r = [((i, i), (i, i), GaussRat(0, -1)) for i in rng]
+    r += [((i, j), (j, i), GaussRat(0, -2)) for i in rng for j in rng if i < j]
+    for (x, y), (u, w), c in r:
+        for a in rng:
+            for b in rng:
+                # r21 Z1 Z2, r21 at row (y, x), column (w, u)
+                add_term(out[((y, a), (x, b))],
+                         tuple(sorted(((w, a), (u, b)))), c)
+                # -Z1 Z2 r
+                add_term(out[((a, u), (b, w))],
+                         tuple(sorted(((a, x), (b, y)))), -c)
+                # Z1 r Z2
+                add_term(out[((a, u), (y, b))],
+                         tuple(sorted(((a, x), (w, b)))), c)
+                # -Z2 r21 Z1, r21 at row (y, x), column (w, u)
+                add_term(out[((y, b), (a, u))],
+                         tuple(sorted(((a, x), (w, b)))), -c)
     return out
 
 
@@ -802,24 +764,23 @@ def jacobi_check(N, samples=100, seed=0, tol=1e-8):
     """Cyclic Jacobi residual of the quadratic bracket at random points."""
     table = poisson_bracket_coeffs(N)
 
-    def bracket_with_poly(ij, poly):
-        out = {}
+    def add_bracket_with_poly(out, ij, poly):
+        """out += {Z_ij, poly}, by the Leibniz rule."""
         for mono, c in poly.items():
             for pos, var in enumerate(mono):
                 rest = mono[:pos] + mono[pos + 1:]
                 inner = table[(ij, var)]
                 for m2, c2 in inner.items():
                     add_term(out, tuple(sorted(m2 + rest)), c * c2)
-        return out
 
     coords = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
     cyclic = {}
     for f in coords:
         for g in coords:
             for h in coords:
-                total = _sum_polys(
-                    bracket_with_poly(a, table[(b, c)])
-                    for a, b, c in ((f, g, h), (g, h, f), (h, f, g)))
+                total = {}
+                for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
+                    add_bracket_with_poly(total, a, table[(b, c)])
                 if total:
                     cyclic[(f, g, h)] = total
     rng = np.random.default_rng(seed)
@@ -852,7 +813,7 @@ def random_exact_phase(rng):
     return rng.choice(choices)
 
 
-def random_shape(N, rng, allow_float=False):
+def random_shape(N, rng):
     """Random exact self-adjoint shape matrix."""
     items = list(range(1, N + 1))
     rng.shuffle(items)

@@ -10,8 +10,14 @@ Quantum minors are the matrix coefficients of the wedge coaction.  The
 bicharacter functional and its two convolution inverses are matrix
 coefficients of ordered products of a two-site generator table, computed by
 the braiding module's two-site kernel: the table of the bicharacter is read
-off R-hat, and the tables of the inverses are obtained by solving the
-convolution definitions as finite linear systems.
+off R-hat, and the generator tables of the inverses are obtained by solving
+the convolution definitions as finite linear systems.
+
+On pairs of minors, r and its plain inverse are entries of the wedge braiding
+table, and r' is the bicharacter's r' functional on the two minor
+polynomials.  So the twisted product reads the one r' table at word level
+(`star_word`) and at minor level (`star_minor`), and the convolution
+certificates of that table cover both.
 Every identity family (Laplace, the common-submatrix expansion, braided
 commutativity) is verified by exact normal-form equality.
 """
@@ -62,18 +68,17 @@ def word_from_rc(rows, cols, N):
     return tuple((r - 1) * N + (c - 1) for r, c in zip(rows, cols))
 
 
-def word_str(word, N, tag="X"):
-    return "*".join(f"{tag}{g // N + 1}{g % N + 1}" for g in word) if word else "1"
+def word_str(word, N):
+    return "*".join(f"X{g // N + 1}{g % N + 1}" for g in word) if word else "1"
 
 
 class NCPoly:
     """Noncommutative polynomial: coefficient map from words to RatFunc."""
 
-    __slots__ = ("tag", "N", "coeffs")
+    __slots__ = ("N", "coeffs")
 
-    def __init__(self, N, coeffs=None, tag="X"):
+    def __init__(self, N, coeffs=None):
         self.N = N
-        self.tag = tag
         self.coeffs = {}
         if coeffs:
             for w, c in coeffs.items():
@@ -81,29 +86,29 @@ class NCPoly:
                     self.coeffs[tuple(w)] = c
 
     @staticmethod
-    def zero(N, tag="X"):
-        return NCPoly(N, None, tag)
+    def zero(N):
+        return NCPoly(N)
 
     @staticmethod
-    def unit(N, tag="X"):
-        return NCPoly(N, {(): RF_ONE}, tag)
+    def unit(N):
+        return NCPoly(N, {(): RF_ONE})
 
     @staticmethod
-    def generator(N, i, j, tag="X"):
-        return NCPoly(N, {(gen_id(i, j, N),): RF_ONE}, tag)
+    def generator(N, i, j):
+        return NCPoly(N, {(gen_id(i, j, N),): RF_ONE})
 
     def is_zero(self):
         return not self.coeffs
 
     def __eq__(self, other):
-        return (isinstance(other, NCPoly) and self.tag == other.tag
-                and self.N == other.N and self.coeffs == other.coeffs)
+        return (isinstance(other, NCPoly) and self.N == other.N
+                and self.coeffs == other.coeffs)
 
     def __add__(self, other):
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
             add_term(out, w, c)
-        p = NCPoly(self.N, None, self.tag)
+        p = NCPoly(self.N)
         p.coeffs = out
         return p
 
@@ -112,13 +117,13 @@ class NCPoly:
 
     def scale(self, c):
         if c.is_zero():
-            return NCPoly(self.N, None, self.tag)
-        p = NCPoly(self.N, None, self.tag)
+            return NCPoly(self.N)
+        p = NCPoly(self.N)
         p.coeffs = {w: co * c for w, co in self.coeffs.items()}
         return p
 
     def __mul__(self, other):
-        p = NCPoly(self.N, None, self.tag)
+        p = NCPoly(self.N)
         out = {}
         for wa, ca in self.coeffs.items():
             for wb, cb in other.coeffs.items():
@@ -129,7 +134,7 @@ class NCPoly:
     def adjoint(self):
         """Formal *-structure: reverse words, transpose each generator."""
         N = self.N
-        p = NCPoly(self.N, None, self.tag)
+        p = NCPoly(self.N)
         out = {}
         for w, c in self.coeffs.items():
             add_term(out, tuple(gen_id(g % N + 1, g // N + 1, N)
@@ -140,7 +145,7 @@ class NCPoly:
     def __repr__(self):
         if not self.coeffs:
             return "0"
-        parts = [f"({c!r})*{word_str(w, self.N, self.tag)}"
+        parts = [f"({c!r})*{word_str(w, self.N)}"
                  for w, c in sorted(self.coeffs.items())]
         return " + ".join(parts)
 
@@ -180,9 +185,8 @@ def _word_greater(a, b):
 class RewriteSystem:
     """Oriented quadratic straightening rules with memoised insertion."""
 
-    def __init__(self, N, tag, rules):
+    def __init__(self, N, rules):
         self.N = N
-        self.tag = tag
         self.rules = rules            # (g1, g2) with g1 > g2 -> dict word -> RatFunc
         self._insert_memo = {}
 
@@ -230,7 +234,7 @@ class RewriteSystem:
                 continue
             for m, c2 in self.nf_word(w).items():
                 add_term(out, m, c * c2)
-        q = NCPoly(p.N, None, p.tag)
+        q = NCPoly(p.N)
         q.coeffs = out
         return q
 
@@ -252,7 +256,7 @@ class RewriteSystem:
             i = rng.choice(descents)
             for (a, b), c2 in self.rules[(w[i], w[i + 1])].items():
                 add_term(work, w[:i] + (a, b) + w[i + 2:], c * c2)
-        q = NCPoly(p.N, None, p.tag)
+        q = NCPoly(p.N)
         q.coeffs = done
         return q
 
@@ -281,7 +285,7 @@ class RewriteSystem:
         return True
 
 
-def derive_rewrite_system(N, tag, relation_vectors):
+def derive_rewrite_system(N, relation_vectors):
     """Row-reduce relation vectors and orient each pivot at its lead word."""
     pivots = sparse_row_reduce(relation_vectors, _word_greater)
     rules = {}
@@ -290,12 +294,12 @@ def derive_rewrite_system(N, tag, relation_vectors):
             raise NonOrientable(f"sorted leading word {lead}")
         rhs = {w: (RF_ZERO - c) for w, c in vec.items() if w != lead}
         rules[lead] = rhs
-    return RewriteSystem(N, tag, rules)
+    return RewriteSystem(N, rules)
 
 
 def derive_rewrite_rules(N):
     """Straightening rules of the quantum matrix algebra for size N."""
-    rw = derive_rewrite_system(N, "X", exchange_relations(N))
+    rw = derive_rewrite_system(N, exchange_relations(N))
     expected = N * N * (N * N - 1) // 2
     if len(rw.rules) != expected:
         raise NonOrientable(
@@ -358,7 +362,7 @@ def counit(p):
     return total
 
 
-def quantum_minor(N, rows, cols, tag="X"):
+def quantum_minor(N, rows, cols):
     """Wedge-coaction coefficient: the minor with the given row and column
     sets, as a signed sum over row arrangements."""
     rows = tuple(sorted(rows))
@@ -366,12 +370,12 @@ def quantum_minor(N, rows, cols, tag="X"):
     if len(rows) != len(cols):
         raise SizeMismatch(f"|{rows}| != |{cols}|")
     if not rows:
-        return NCPoly.unit(N, tag)
+        return NCPoly.unit(N)
     coeffs = {}
     for perm in permutations(rows):
         w = word_from_rc(perm, cols, N)
         coeffs[w] = rf_q_int(inversions(perm))
-    return NCPoly(N, coeffs, tag)
+    return NCPoly(N, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +612,6 @@ class QContext:
         self._minors = {}
         self._minor_prod = {}
         self._rpr_minor = {}
-        self._rinv_minor_solved = {}
         self._contractions = {}
         self._gencomm = {}
 
@@ -714,48 +717,14 @@ class QContext:
         return self.table(len(A), len(C)).inv_entry(B, A, C, D)
 
     def rpr_minor(self, A, B, C, D):
-        """The (Delta, Delta^op) convolution inverse on a pair of minors."""
-        k, l = len(A), len(C)
-        tab = self._rpr_minor.get((k, l))
-        if tab is None:
-            tab = self._solve_minor_inverse(k, l, cop=True)
-            self._rpr_minor[(k, l)] = tab
-        return tab.get((A, B, C, D), RF_ZERO)
-
-    def rinv_minor_solved(self, k, l):
-        """Minor-level solve of the plain convolution inverse (cross-check)."""
-        tab = self._rinv_minor_solved.get((k, l))
-        if tab is None:
-            tab = self._solve_minor_inverse(k, l, cop=False)
-            self._rinv_minor_solved[(k, l)] = tab
-        return tab
-
-    def _solve_minor_inverse(self, k, l, cop):
-        N = self.N
-        idx = [(A, B) for A in subsets(N, k) for B in subsets(N, l)]
-        rows = []
-        for (A, D) in idx:
-            row = []
-            for (K, L) in idx:
-                if cop:
-                    row.append(self.r_minor(A, K, L, D))
-                else:
-                    row.append(self.r_minor(A, K, D, L))
-            rows.append(row)
-        try:
-            inv = invert_matrix(rows)
-        except SingularMatrix as exc:
-            raise SingularConvolutionSystem(str(exc)) from exc
-        table = {}
-        for a, (K, L) in enumerate(idx):
-            for b, (B, C) in enumerate(idx):
-                val = inv[a][b]
-                if not val.is_zero():
-                    if cop:
-                        table[(K, B, C, L)] = val
-                    else:
-                        table[(K, B, L, C)] = val
-        return table
+        """The (Delta, Delta^op) convolution inverse on a pair of minors,
+        read from the bicharacter, memoised."""
+        key = (A, B, C, D)
+        hit = self._rpr_minor.get(key)
+        if hit is None:
+            hit = self._rpr_minor[key] = self.bich.pair_functional(
+                "rpr", self.minor(A, B), self.minor(C, D))
+        return hit
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +732,7 @@ class QContext:
 # ---------------------------------------------------------------------------
 
 def _nf_json(p):
-    return {word_str(w, p.N, p.tag): c.to_json()
+    return {word_str(w, p.N): c.to_json()
             for w, c in sorted(p.coeffs.items())}
 
 

@@ -8,6 +8,12 @@ equation algebra at desk scale: reflection-algebra minors are the ordinary
 quantum minors viewed inside the twisted product, and every reflection-side
 identity is checked by exact normal-form equality in this model.
 
+Both products read r' only through `qmatrix.Bicharacter`.  `star_word`
+propagates words through the bicharacter's r and r' images; `star_minor`
+takes r on minors from the wedge braiding table and r' on minors from
+`QContext.rpr_minor`, which is the bicharacter's r' on the two minor
+polynomials.
+
 The reflection-algebra identity families share their expansions with the
 quantum-matrix ones.  Laplace and Muir take the term lists of
 `qmatrix.expansion_terms` and expand each minor product (a, b)(c, d) as the
@@ -229,7 +235,7 @@ def derive_rea_rewrite(star):
     equation, cross-checked against the twisted-product model."""
     N = star.N
     vectors = list(reflection_slot_vectors(N).values())
-    rw = derive_rewrite_system(N, "Z", vectors)
+    rw = derive_rewrite_system(N, vectors)
     expected = N * N * (N * N - 1) // 2
     if len(rw.rules) != expected:
         raise FlatnessCheckFailed(

@@ -98,10 +98,6 @@ class QuantumShape:
         """The dominance shape ideal, built on first use and kept."""
         return build_shape_ideal(self, "dom")
 
-    def is_self_adjoint(self):
-        return all(_conj_symbol(self.u[i - 1]) == self.u[self.tau[i - 1] - 1]
-                   for i in range(1, self.N + 1))
-
     def to_json(self):
         return {"tau": list(self.tau), "u": list(self.u)}
 

@@ -53,7 +53,7 @@ def test_nonorientable_raises():
     # a relation whose leading word is already sorted cannot be oriented
     vec = {(0, 1): RF_ONE, (0, 0): RF_ZERO - RF_ONE}
     with pytest.raises(NonOrientable):
-        derive_rewrite_system(2, "X", [vec])
+        derive_rewrite_system(2, [vec])
 
 
 def test_normal_form_fixed_points(ctx2):
@@ -262,15 +262,35 @@ def test_minor_tables_match_functionals(ctx2):
                                 b.pair_functional("r", pa, pb)
                             assert ctx2.rinv_minor(A, B, C, D) == \
                                 b.pair_functional("rinv", pa, pb)
-                            assert ctx2.rpr_minor(A, B, C, D) == \
-                                b.pair_functional("rpr", pa, pb)
 
 
-def test_minor_rinv_solve_agrees_with_braiding_route(ctx2):
-    for (k, l) in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        tab = ctx2.rinv_minor_solved(k, l)
-        for (K, B, L, C), v in tab.items():
-            assert ctx2.rinv_minor(K, B, L, C) == v
+@pytest.mark.parametrize("N, quadruples", [(2, 36), (3, 400)])
+def test_minor_convolution_identities(N, quadruples):
+    """The two defining identities of the convolution inverses on minors,
+    on every label quadruple (A, B, C, D), empty labels included:
+
+        sum_{K,L} r(A,K,L,D) r'(K,B,C,L)   = [A=B][C=D]
+        sum_{K,L} r(A,K,D,L) r^-1(K,B,L,C) = [A=B][C=D]
+    """
+    ctx = checks.get_ctx(N)
+    labels = [(A, B) for k in range(N + 1)
+              for A, B in product(combinations(range(1, N + 1), k), repeat=2)]
+    count = 0
+    for (A, B), (C, D) in product(labels, repeat=2):
+        ksets = list(combinations(range(1, N + 1), len(A)))
+        lsets = list(combinations(range(1, N + 1), len(C)))
+        rpr_sum, rinv_sum = RF_ZERO, RF_ZERO
+        for K in ksets:
+            for L in lsets:
+                rpr_sum = rpr_sum + (ctx.r_minor(A, K, L, D)
+                                     * ctx.rpr_minor(K, B, C, L))
+                rinv_sum = rinv_sum + (ctx.r_minor(A, K, D, L)
+                                       * ctx.rinv_minor(K, B, L, C))
+        expected = RF_ONE if (A == B and C == D) else RF_ZERO
+        assert rpr_sum == expected, ("rpr", A, B, C, D)
+        assert rinv_sum == expected, ("rinv", A, B, C, D)
+        count += 1
+    assert count == quadruples
 
 
 def test_laplace_row_example(ctx2):
