@@ -1,15 +1,19 @@
 """Braid operator on C^N (x) C^N and its lifts to q-wedge powers.
 
 The operator sends e_a (x) e_b to q^{-delta_ab} e_b (x) e_a plus, when b < a,
-(q^{-1} - q) e_a (x) e_b.  It is symmetric, satisfies the braid relation and
-the quadratic Hecke identity (both verified, never assumed), and generates
-every commutation coefficient used downstream.
+(q^{-1} - q) e_a (x) e_b; braid_pair_action is that move and its inverse.
+Its symmetry, the braid relation and the quadratic Hecke identity are
+verified on basis words (symmetry_check, braid_relation_check, hecke_check),
+never assumed, and the move generates every commutation coefficient used
+downstream.
 
 Every coefficient table comes from one sparse two-site kernel,
 apply_two_site, which applies a table (a, b) -> [((x, y), c)] at two
 positions of every word of a tensor dictionary.  The braid moves are that
-kernel with the R-hat table at adjacent positions; the bicharacter tables in
-qmatrix are the same kernel with their own generator tables.
+kernel with the R-hat table at adjacent positions.  The bicharacter r of
+qmatrix and its two convolution inverses are the same kernel with generator
+tables read off braid_pair_action: r off the move, r^{-1} off the inverse
+move, and r' off the inverse move twisted by a power of q.
 
 Wedge powers are handled through the splitting pair iota/rho: iota
 (embed_basis) embeds the q-antisymmetric subspace into the tensor power with
@@ -25,7 +29,6 @@ embed-equivariance and the tests check against.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from itertools import permutations, product
 
 from .coeff import (RF_ONE, RF_Q, RF_QDIFF, RF_QINV, RF_ZERO, RatFunc,
@@ -65,16 +68,6 @@ def rhat_entries(N):
     return {((x, y), (a, b)): c
             for a in range(1, N + 1) for b in range(1, N + 1)
             for (x, y), c in braid_pair_action(a, b)}
-
-
-def by_column(entries):
-    """Group a sparse matrix {(row, col): coeff} as col -> [(row, coeff)].
-
-    Columns without entries read as empty lists."""
-    table = defaultdict(list)
-    for (row, col), c in entries.items():
-        table[col].append((row, c))
-    return table
 
 
 class _RhatTable(dict):
@@ -135,65 +128,46 @@ def apply_block_lift(tensor, k, l, inverse=False):
 
 
 # ---------------------------------------------------------------------------
-# Braid operator as a sparse matrix (pair basis), for the global identities
+# The braid, Hecke and symmetry identities, checked on basis words
 # ---------------------------------------------------------------------------
 
-class BraidOperator:
-    """Sparse matrix of the braid operator on the pair basis of C^N (x) C^N."""
-
-    def __init__(self, N, entries):
-        self.N = N
-        # entries: dict[((k, l), (a, b))] -> RatFunc, column (a, b)
-        self.entries = entries
-
-    def entry(self, row, col):
-        return self.entries.get((row, col), RF_ZERO)
-
-    def is_symmetric(self):
-        return all(self.entry(col, row) == c
-                   for (row, col), c in self.entries.items())
-
-    def compose(self, other):
-        by_col = by_column(self.entries)
-        out = {}
-        for (mid, col), c in other.entries.items():
-            for row, c2 in by_col[mid]:
-                add_term(out, (row, col), c2 * c)
-        return BraidOperator(self.N, out)
-
-    def add_scalar_multiple_of_identity(self, scalar):
-        out = dict(self.entries)
-        for a in range(1, self.N + 1):
-            for b in range(1, self.N + 1):
-                add_term(out, ((a, b), (a, b)), scalar)
-        return BraidOperator(self.N, out)
-
-    def hecke_check(self):
-        """(R - q^{-1})(R + q) == 0, exactly."""
-        left = self.add_scalar_multiple_of_identity(RF_ZERO - RF_QINV)
-        right = self.add_scalar_multiple_of_identity(RF_Q)
-        return not left.compose(right).entries
-
-    def inverse(self):
-        """Inverse via the Hecke identity: R^{-1} = R + (q - q^{-1}) id."""
-        return self.add_scalar_multiple_of_identity(_RF_QDIFF_NEG)
-
-
-def build_braid(N):
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return BraidOperator(N, rhat_entries(N))
-
-
 def braid_relation_check(N):
-    """R12 R23 R12 == R23 R12 R23 on every basis word of length three."""
+    """R12 R23 R12 == R23 R12 R23 on every basis word of length three.
+
+    Returns the first word on which the two sides differ, or None."""
     for word in product(range(1, N + 1), repeat=3):
         t = {word: RF_ONE}
         lhs = apply_elementary(apply_elementary(apply_elementary(t, 0), 1), 0)
         rhs = apply_elementary(apply_elementary(apply_elementary(t, 1), 0), 1)
         if lhs != rhs:
-            return False
-    return True
+            return word
+    return None
+
+
+def hecke_check(N):
+    """R R t == t + (q^{-1} - q) R t, that is (R - q^{-1})(R + q) == 0, on
+    every basis word t of length two.
+
+    Returns the first word on which the two sides differ, or None."""
+    for word in product(range(1, N + 1), repeat=2):
+        t = {word: RF_ONE}
+        once = apply_elementary(t, 0)
+        rhs = dict(t)
+        for w, c in once.items():
+            add_term(rhs, w, c * RF_QDIFF)
+        if apply_elementary(once, 0) != rhs:
+            return word
+    return None
+
+
+def symmetry_check(N):
+    """R-hat equals its transpose.  Returns the first entry (row, column)
+    whose transposed entry differs, or None."""
+    entries = rhat_entries(N)
+    for (row, col), c in entries.items():
+        if entries.get((col, row)) != c:
+            return row, col
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -403,18 +377,3 @@ def rmatrix_lemma_check(I, Ip):
             "mismatch": None if ok else {
                 "got": {str(k): v.to_json() for k, v in got.items()},
                 "expected": {str(k): v.to_json() for k, v in expected.items()}}}
-
-
-def antisymmetrizer_swap_check(T, l):
-    """Specialised eigen-identity: the inverse braiding permutes the
-    antisymmetrised pair vectors of a fixed symmetric difference, with the
-    stated (-q)-power."""
-    T = tuple(sorted(T))
-    t = len(T)
-    lp = t - l
-    xi = _antisym_pair_vector((), T, l)
-    xi_p = _antisym_pair_vector((), T, lp)
-    scalar = rf_q_int(l * (l + 1) // 2 - lp * (lp + 1) // 2 - l * lp)
-    expected = {key: c * scalar for key, c in xi_p.items()}
-    got = braid_wedge_pair(xi, lp, l, inverse=True)
-    return got == expected

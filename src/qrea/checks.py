@@ -227,27 +227,24 @@ def check_inversion_parity(N, seed):
 
 # -- braiding -----------------------------------------------------------------------
 
-def braid_checks(n):
-    """Whether the size-n braid operator satisfies the braid relation and
-    the Hecke relation and is symmetric, by name in that order; the braiding
-    suites and `qrea braid` read it."""
-    R = braiding.build_braid(n)
-    return {"braid-relation": braiding.braid_relation_check(n),
-            "hecke": R.hecke_check(), "symmetric": R.is_symmetric()}
-
-
 def check_braid_relation(N, seed):
-    return [Certificate.verdict("braiding braid-relation", {"N": n},
-                                braid_checks(n)["braid-relation"])
-            for n in range(1, min(N, 4) + 1)]
+    out = []
+    for n in range(1, min(N, 4) + 1):
+        word = braiding.braid_relation_check(n)
+        out.append(Certificate.verdict(
+            "braiding braid-relation", {"N": n}, word is None,
+            witness=lambda: {"word": word}))
+    return out
 
 
 def check_hecke(N, seed):
     out = []
     for n in range(1, min(N, 4) + 1):
-        passed = braid_checks(n)
-        out.append(Certificate.verdict("braiding hecke", {"N": n},
-                                       passed["hecke"] and passed["symmetric"]))
+        word = braiding.hecke_check(n)
+        entry = braiding.symmetry_check(n)
+        out.append(Certificate.verdict(
+            "braiding hecke", {"N": n}, word is None and entry is None,
+            witness=lambda: {"word": word, "asymmetric": entry}))
     return out
 
 
@@ -305,15 +302,24 @@ def check_scalar_lemma(N, seed):
                                 not bad, witness={"failed": bad[:5]})]
 
 
-def check_antisym_swap(N, seed):
-    n = min(N, 4)
-    ok = True
+def _antisym_swap_failure(n):
+    """The scalar lemma on disjoint pairs: the inverse braiding swaps the
+    antisymmetrised pair vectors of each T, split after l letters.  The
+    first failing (T, l) with its mismatch, or None."""
     for t in range(1, n + 1):
         for T in indexsets.subsets(n, t):
-            for l in range(0, t + 1):
-                if not braiding.antisymmetrizer_swap_check(T, l):
-                    ok = False
-    return [Certificate.verdict("braiding antisym-swap", {"N": n}, ok)]
+            for l in range(t + 1):
+                rep = braiding.rmatrix_lemma_check(T[:l], T[l:])
+                if not rep["ok"]:
+                    return {"T": T, "l": l, "mismatch": rep["mismatch"]}
+    return None
+
+
+def check_antisym_swap(N, seed):
+    n = min(N, 4)
+    failed = _antisym_swap_failure(n)
+    return [Certificate.verdict("braiding antisym-swap", {"N": n},
+                                failed is None, witness=lambda: failed)]
 
 
 # -- qmatrix ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ vector, polynomial or tensor over RatFunc or GaussRat is a dict key ->
 nonzero scalar, built up by add_term, which drops a key whose coefficient
 cancels.  It needs only + and is_zero() of the scalar.
 
-gauss_jordan is the one dense elimination; rank, determinant and
-invert_matrix read their results off it.  It needs only + - *, inv() and
-is_zero() of the scalar, so both fields go through it.
+gauss_jordan is the one dense elimination; rank and determinant read their
+results off it.  It needs only + - *, inv() and is_zero() of the scalar, so
+both fields go through it.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ def add_term(out, key, c):
         out.pop(key, None)
     else:
         out[key] = s
-
-
-class SingularMatrix(ValueError):
-    pass
 
 
 def gauss_jordan(rows):
@@ -76,22 +72,6 @@ def determinant(rows):
     for _, p in pivots[1:]:
         det = det * p
     return -det if swaps % 2 else det
-
-
-def invert_matrix(rows):
-    """Invert a dense square matrix: gauss_jordan of (rows | identity)."""
-    n = len(rows)
-    x = next((e for r in rows for e in r if not e.is_zero()), None)
-    if x is None:
-        raise SingularMatrix("zero matrix")
-    # one and zero of the scalar field, taken from the matrix itself
-    one, zero = x * x.inv(), x - x
-    m, pivots, _ = gauss_jordan([list(r) + [one if i == j else zero
-                                            for j in range(n)]
-                                 for i, r in enumerate(rows)])
-    if [c for c, _ in pivots] != list(range(n)):
-        raise SingularMatrix(f"rank {sum(c < n for c, _ in pivots)} < {n}")
-    return [r[n:] for r in m]
 
 
 def sparse_row_reduce(vectors, greater):

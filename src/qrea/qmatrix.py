@@ -9,9 +9,13 @@ forms are sorted words in the row-major generator order.
 Quantum minors are the matrix coefficients of the wedge coaction.  The
 bicharacter functional and its two convolution inverses are matrix
 coefficients of ordered products of a two-site generator table, computed by
-the braiding module's two-site kernel: the table of the bicharacter is read
-off R-hat, and the generator tables of the inverses are obtained by solving
-the convolution definitions as finite linear systems.
+the braiding module's two-site kernel.  All three generator tables are read
+off the braid move: r off R-hat, r^{-1} off the inverse move, and r' off the
+inverse move twisted by q^{2(a-x)}, the crossing relation of the GL(N)
+R-matrix (Faddeev, Reshetikhin and Takhtajan, "Quantization of Lie groups
+and Lie algebras", 1990).  Nothing is solved: the convolution certificates,
+which re-substitute both inverses into their defining identities, are the
+one oracle of the closed forms.
 
 On pairs of minors, r and its plain inverse are entries of the wedge braiding
 table, and r' is the bicharacter's r' functional on the two minor
@@ -27,20 +31,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .braiding import WedgeBraidTable, apply_two_site, by_column, rhat_entries
-from .coeff import RF_ONE, RF_ZERO, rf_q_int
+from .braiding import (WedgeBraidTable, apply_two_site, braid_pair_action,
+                       rhat_entries)
+from .coeff import RF_ONE, RF_ZERO, RatFunc, rf_q_int
 from .indexsets import SizeMismatch, inversions, merge, rest, select, subsets
-from .linalg import SingularMatrix, add_term, invert_matrix, sparse_row_reduce
+from .linalg import add_term, sparse_row_reduce
 
 
 class NonOrientable(Exception):
     """A derived relation has a sorted leading word; the order convention
     cannot orient it into a terminating rule."""
-
-
-class SingularConvolutionSystem(Exception):
-    """A convolution-inverse linear system is singular, which contradicts
-    the defining relations."""
 
 
 class IllFormedInstance(ValueError):
@@ -390,61 +390,31 @@ class Bicharacter:
     length t, f(u, v) is the coefficient at rows(u) + rows(v) of an ordered
     product of T at positions (p, s + q), applied to e_{cols(u) + cols(v)}:
 
-    - r: T = P R-hat, p = s-1..0 outer, q = 0..t-1 inner;
-    - r_inv, r_prime: the convolution inverses' generator tables, solved
-      from the defining identities, p = 0..s-1 outer, q = t-1..0 inner.
+    - r: p = s-1..0 outer, q = 0..t-1 inner, and r(X_xa, X_yb) the
+      coefficient of e_y (x) e_x in R-hat(e_a (x) e_b);
+    - r_inv: p = 0..s-1 outer, q = t-1..0 inner, and r^{-1}(X_xa, X_yb) the
+      coefficient of e_x (x) e_y in R-hat^{-1}(e_b (x) e_a);
+    - r_prime: the order of r_inv, and r'(X_xa, X_yb) =
+      q^{2(a-x)} r^{-1}(X_xa, X_yb).
 
-    The product image is memoised per (s, column word), the values per
-    word pair.
+    The tables are per instance and mutable.  The product image is memoised
+    per (s, column word), the values per word pair.
     """
 
     def __init__(self, N):
         self.N = N
-        # r(X_xa, X_yb) is the (y, x), (a, b) entry of R-hat.
-        r_entries = {((y, x), ab): c
-                     for ((x, y), ab), c in rhat_entries(N).items()}
-        self._tables = {"r": by_column(r_entries),
-                        "rinv": by_column(self._solve_base(r_entries, False)),
-                        "rpr": by_column(self._solve_base(r_entries, True))}
+        cols = list(product(range(1, N + 1), repeat=2))
+        rinv = {(a, b): braid_pair_action(b, a, inverse=True)
+                for a, b in cols}
+        self._tables = {
+            "r": {(a, b): [((y, x), c) for (x, y), c in braid_pair_action(a, b)]
+                  for a, b in cols},
+            "rinv": rinv,
+            "rpr": {(a, b): [((x, y), RatFunc.q_power(2 * (a - x)) * c)
+                             for (x, y), c in column]
+                    for (a, b), column in rinv.items()}}
         self._memo = {"r": {}, "rinv": {}, "rpr": {}}
         self._images = {"r": {}, "rinv": {}, "rpr": {}}
-
-    # -- generator-level solves -------------------------------------------------
-
-    def _solve_base(self, r_entries, cop):
-        """Invert the reshaped generator matrix of r.
-
-        cop=False: rows (i,k), cols (m,n), entry r(X_im, X_kn)   -> r^{-1}
-        cop=True : rows (i,l), cols (m,n), entry r(X_im, X_nl)   -> r'
-        Returns the inverse's generator table as {((x, y), (a, b)): value}.
-        """
-        N = self.N
-        rng = range(1, N + 1)
-        rows = []
-        for a in rng:
-            for b in rng:
-                rows.append([r_entries.get(((a, n), (m, b)) if cop
-                                           else ((a, b), (m, n)), RF_ZERO)
-                             for m in rng for n in rng])
-        try:
-            inv = invert_matrix(rows)
-        except SingularMatrix as exc:
-            raise SingularConvolutionSystem(str(exc)) from exc
-        table = {}
-        for m in rng:
-            for n in rng:
-                for j in rng:
-                    for k in rng:
-                        val = inv[(m - 1) * N + (n - 1)][(j - 1) * N + (k - 1)]
-                        if val.is_zero():
-                            continue
-                        if cop:
-                            # r'(X_mj, X_kn)
-                            table[((m, k), (j, n))] = val
-                        else:
-                            # r^{-1}(X_mj, X_nk)
-                            table[((m, n), (j, k))] = val
-        return table
 
     # -- evaluation by propagation ---------------------------------------------
 
@@ -521,7 +491,7 @@ class Bicharacter:
 
         and r is evaluated once per outer pair, not once per inner pair.
         Every factor comes from `r`, `r_inv` or `r_prime` on words, never
-        from the solved tables directly.
+        from the generator tables directly.
         """
         return self.first_mismatch(s, t, which) is None
 

@@ -1,12 +1,17 @@
-from itertools import combinations
+from itertools import combinations, product
 
-from qrea.braiding import (antisymmetrizer_swap_check, apply_block_lift,
+import pytest
+
+from qrea import braiding, checks
+from qrea.braiding import (apply_block_lift, apply_elementary,
                            braid_pair_action, braid_relation_check,
-                           braid_wedge_pair, build_braid, embed_basis,
-                           embed_equivariance_check, project_pair,
-                           q2_factorial, rmatrix_lemma_check, wedge_sign,
+                           braid_wedge_pair, embed_basis,
+                           embed_equivariance_check, hecke_check,
+                           project_pair, q2_factorial, rhat_entries,
+                           rmatrix_lemma_check, symmetry_check, wedge_sign,
                            WedgeBraidTable)
-from qrea.coeff import RF_ONE, RF_QDIFF, RF_QINV, RatFunc, rf_q_int
+from qrea.coeff import RF_ONE, RF_Q, RF_QDIFF, RF_QINV, RatFunc, rf_q_int
+from qrea.linalg import add_term
 
 
 def test_braid_action_examples():
@@ -17,30 +22,31 @@ def test_braid_action_examples():
 
 
 def test_braid_n1_is_scalar():
-    R = build_braid(1)
-    assert R.entries == {((1, 1), (1, 1)): RF_QINV}
-    assert braid_relation_check(1)
+    assert rhat_entries(1) == {((1, 1), (1, 1)): RF_QINV}
+    assert braid_relation_check(1) is None
 
 
 def test_braid_relation_small():
-    assert braid_relation_check(2)
-    assert braid_relation_check(3)
+    assert braid_relation_check(2) is None
+    assert braid_relation_check(3) is None
 
 
 def test_hecke_and_symmetry():
     for n in (1, 2, 3):
-        R = build_braid(n)
-        assert R.is_symmetric()
-        assert R.hecke_check()
+        assert symmetry_check(n) is None
+        assert hecke_check(n) is None
 
 
 def test_inverse_via_hecke():
-    R = build_braid(2)
-    Rinv = R.inverse()
-    prod = R.compose(Rinv)
-    ident = {((a, b), (a, b)): RF_ONE
-             for a in (1, 2) for b in (1, 2)}
-    assert prod.entries == ident
+    # R^{-1} = R + (q - q^{-1}) id, and R^{-1} R = id, on every pair word
+    for N in (2, 3):
+        for word in product(range(1, N + 1), repeat=2):
+            t = {word: RF_ONE}
+            forward = apply_elementary(t, 0)
+            expected = dict(forward)
+            add_term(expected, word, RF_Q - RF_QINV)
+            assert apply_elementary(t, 0, inverse=True) == expected, word
+            assert apply_elementary(forward, 0, inverse=True) == t, word
 
 
 def test_wedge_reduce_examples():
@@ -160,6 +166,82 @@ def test_scalar_lemma_sweep_n3():
 
 
 def test_antisymmetrizer_swap():
+    # the scalar lemma on the disjoint pair (T[:l], T[l:])
     for T in ((1, 2), (1, 3), (1, 2, 3), (2, 3, 4)):
         for l in range(0, len(T) + 1):
-            assert antisymmetrizer_swap_check(T, l), (T, l)
+            assert rmatrix_lemma_check(T[:l], T[l:])["ok"], (T, l)
+
+
+# -- witnesses of the braiding suites ----------------------------------------
+
+@pytest.fixture
+def broken_move(monkeypatch):
+    """The braid move, and its inverse, with the image of e_1 (x) e_2 (of
+    e_2 (x) e_1 for the inverse) scaled by q."""
+    move = braiding.braid_pair_action
+
+    def broken(a, b, inverse=False):
+        out = move(a, b, inverse)
+        if (a, b) == ((2, 1) if inverse else (1, 2)):
+            out = [(xy, c * RF_Q) for xy, c in out]
+        return out
+
+    monkeypatch.setattr(braiding, "braid_pair_action", broken)
+    for inverse in (False, True):
+        monkeypatch.setitem(braiding._RHAT_TABLES, inverse,
+                            braiding._RhatTable(inverse))
+
+
+def _first_failure(words, holds):
+    return next((w for w in words if not holds(w)), None)
+
+
+def _braid_holds(word):
+    t = {word: RF_ONE}
+    return (apply_elementary(apply_elementary(apply_elementary(t, 0), 1), 0)
+            == apply_elementary(apply_elementary(apply_elementary(t, 1), 0), 1))
+
+
+def _hecke_holds(word):
+    t = {word: RF_ONE}
+    rhs = dict(t)
+    for w, c in apply_elementary(t, 0).items():
+        add_term(rhs, w, c * RF_QDIFF)
+    return apply_elementary(apply_elementary(t, 0), 0) == rhs
+
+
+def test_braid_relation_witness_is_first_failing_word(broken_move):
+    certs = checks.check_braid_relation(3, 0)
+    assert [c.status for c in certs] == ["pass", "fail", "fail"]
+    for n, cert in ((2, certs[1]), (3, certs[2])):
+        word = cert.witness["word"]
+        assert word == (2, 1, 1)
+        assert word == _first_failure(product(range(1, n + 1), repeat=3),
+                                      _braid_holds)
+
+
+def test_hecke_witness_is_first_failing_word_and_entry(broken_move):
+    certs = checks.check_hecke(2, 0)
+    assert [c.status for c in certs] == ["pass", "fail"]
+    w = certs[1].witness
+    assert w["word"] == (1, 2)
+    assert w["word"] == _first_failure(product((1, 2), repeat=2),
+                                       _hecke_holds)
+    # R-hat sends e_1 (x) e_2 to q e_2 (x) e_1 but e_2 (x) e_1 to e_1 (x) e_2 + ...
+    assert w["asymmetric"] == ((2, 1), (1, 2))
+    entries = rhat_entries(2)
+    assert entries[((2, 1), (1, 2))] != entries[((1, 2), (2, 1))]
+
+
+def test_antisym_swap_witness_is_first_failing_pair(broken_move):
+    [cert] = checks.check_antisym_swap(2, 0)
+    assert cert.status == "fail"
+    w = cert.witness
+    assert (w["T"], w["l"]) == ((1, 2), 1)
+    cases = [(T, l) for t in (1, 2) for T in combinations((1, 2), t)
+             for l in range(t + 1)]
+    first = _first_failure(
+        cases, lambda c: rmatrix_lemma_check(c[0][:c[1]], c[0][c[1]:])["ok"])
+    assert first == ((1, 2), 1)
+    assert w["mismatch"] == rmatrix_lemma_check((1,), (2,))["mismatch"]
+    assert w["mismatch"]["got"] != w["mismatch"]["expected"]

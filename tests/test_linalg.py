@@ -1,6 +1,7 @@
 """The sparse-accumulate helper and the dense elimination, and guards that
 each stays the only one."""
 
+import ast
 import re
 from fractions import Fraction
 from functools import reduce
@@ -9,13 +10,11 @@ from operator import add, mul
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import qrea
 from qrea.coeff import RF_ONE, GaussRat, LaurentPoly, RatFunc
-from qrea.linalg import (SingularMatrix, add_term, determinant, invert_matrix,
-                         rank)
+from qrea.linalg import add_term, determinant, gauss_jordan, rank
 from qrea.qmatrix import NCPoly
 
 # Few keys and small coefficients, so that terms collide and cancel often.
@@ -127,15 +126,21 @@ def _leibniz(m):
 
 
 def _check_elimination(m, one):
-    """Determinant against _leibniz; an exact inverse, or SingularMatrix."""
+    """Determinant against _leibniz; gauss_jordan of (m | I) has fewer than
+    n pivots in m exactly when m is singular, and otherwise an inverse of m
+    in its right block."""
     n = len(m)
+    zero = one - one
     assert determinant(m) == _leibniz(m)
-    if rank(m) < n:
+    reduced, pivots, _ = gauss_jordan(
+        [list(r) + [one if i == j else zero for j in range(n)]
+         for i, r in enumerate(m)])
+    left_rank = sum(c < n for c, _ in pivots)
+    assert left_rank == rank(m)
+    if left_rank < n:
         assert determinant(m).is_zero()
-        with pytest.raises(SingularMatrix):
-            invert_matrix(m)
         return
-    inv = invert_matrix(m)
+    inv = [r[n:] for r in reduced]
     for i in range(n):
         for j in range(n):
             entry = reduce(add, (inv[i][k] * m[k][j] for k in range(n)))
@@ -178,3 +183,19 @@ def test_one_dense_elimination():
     # the minor expansion and a separate numeric inverse are gone
     for name in ("permutations", "np.linalg.inv", "np.linalg.det"):
         assert name not in classical, name
+
+
+def test_one_braid_kernel():
+    """The bicharacter and twisted-product tables come from the braid move,
+    not from a dense solve, and no module keeps a second braid operator."""
+    src = Path(qrea.__file__).parent
+    for name in ("braiding.py", "qmatrix.py", "rea.py"):
+        text = (src / name).read_text()
+        for solve in ("gauss_jordan", "invert_matrix"):
+            assert solve not in text, f"{name} uses {solve}"
+    braid_classes = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and "Braid" in node.name:
+                braid_classes.append(f"{path.name}:{node.name}")
+    assert braid_classes == ["braiding.py:WedgeBraidTable"], braid_classes

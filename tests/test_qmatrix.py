@@ -168,12 +168,17 @@ def test_convolution_certificates(ctx2):
     for (s, t) in ((1, 1), (1, 2), (2, 1), (2, 2)):
         assert b.certify_bidegree(s, t, "rinv")
         assert b.certify_bidegree(s, t, "rpr")
+    # the closed-form generator tables hold at every N, not only at N = 2
+    for N in (1, 3, 4, 5):
+        b = Bicharacter(N)
+        assert b.certify_bidegree(1, 1, "rinv"), N
+        assert b.certify_bidegree(1, 1, "rpr"), N
 
 
 @pytest.mark.parametrize("which", ["rinv", "rpr"])
 def test_convolution_certificates_fail_on_a_perturbed_table(monkeypatch, which):
-    """One entry of a solved inverse table, shifted by 1, must fail every
-    bidegree, and the check's certificates must carry a true witness."""
+    """One entry of an inverse's generator table, shifted by 1, must fail
+    every bidegree, and the check's certificates must carry a true witness."""
     ctx = QContext(2)            # fresh: the shared context stays intact
     b = ctx.bich
     column = b._tables[which][min(b._tables[which])]
@@ -184,6 +189,10 @@ def test_convolution_certificates_fail_on_a_perturbed_table(monkeypatch, which):
     for (s, t) in bidegrees:
         assert not b.certify_bidegree(s, t, which)
         assert b.certify_bidegree(s, t, other)
+    # the tables are per instance: another fresh context is untouched
+    fresh = QContext(2).bich
+    for (s, t) in bidegrees:
+        assert fresh.certify_bidegree(s, t, which)
     monkeypatch.setitem(checks._CTX_CACHE, 2, ctx)
     certs = checks.check_convolution_certificates(2, 0)
     assert [cert.instance["bidegree"] for cert in certs] == [list(d) for d in bidegrees]

@@ -5,7 +5,6 @@ import pytest
 
 from qrea import checks, qmatrix, rea
 from qrea.classical import poisson_bracket_coeffs
-from qrea.coeff import RF_ONE
 from qrea.qmatrix import (NCPoly, QContext, braidcomm_instances,
                           degree_dimension, gen_id, muir_instances,
                           verify_identity)
