@@ -302,22 +302,16 @@ def check_scalar_lemma(N, seed):
                                 not bad, witness={"failed": bad[:5]})]
 
 
-def _antisym_swap_failure(n):
+def check_antisym_swap(N, seed):
     """The scalar lemma on disjoint pairs: the inverse braiding swaps the
     antisymmetrised pair vectors of each T, split after l letters.  The
-    first failing (T, l) with its mismatch, or None."""
-    for t in range(1, n + 1):
-        for T in indexsets.subsets(n, t):
-            for l in range(t + 1):
-                rep = braiding.rmatrix_lemma_check(T[:l], T[l:])
-                if not rep["ok"]:
-                    return {"T": T, "l": l, "mismatch": rep["mismatch"]}
-    return None
-
-
-def check_antisym_swap(N, seed):
+    witness is the first failing (T, l) with its mismatch."""
     n = min(N, 4)
-    failed = _antisym_swap_failure(n)
+    reports = ((T, l, braiding.rmatrix_lemma_check(T[:l], T[l:]))
+               for t in range(1, n + 1) for T in indexsets.subsets(n, t)
+               for l in range(t + 1))
+    failed = next(({"T": T, "l": l, "mismatch": rep["mismatch"]}
+                   for T, l, rep in reports if not rep["ok"]), None)
     return [Certificate.verdict("braiding antisym-swap", {"N": n},
                                 failed is None, witness=lambda: failed)]
 

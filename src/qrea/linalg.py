@@ -6,9 +6,9 @@ vector, polynomial or tensor over RatFunc or GaussRat is a dict key ->
 nonzero scalar, built up by add_term, which drops a key whose coefficient
 cancels.  It needs only + and is_zero() of the scalar.
 
-gauss_jordan is the one dense elimination; rank and determinant read their
-results off it.  It needs only + - *, inv() and is_zero() of the scalar, so
-both fields go through it.
+gauss_jordan is the one dense elimination; rank, determinant and
+invert_matrix read their results off it.  It needs only + - *, inv() and
+is_zero() of the scalar, so both fields go through it.
 """
 
 from __future__ import annotations
@@ -72,6 +72,24 @@ def determinant(rows):
     for _, p in pivots[1:]:
         det = det * p
     return -det if swaps % 2 else det
+
+
+def invert_matrix(rows):
+    """Inverse of a dense square matrix: gauss_jordan of (rows | identity).
+    Raises ValueError when the matrix is singular."""
+    n = len(rows)
+    x = next((e for r in rows for e in r if not e.is_zero()), None)
+    if x is None:
+        raise ValueError("singular matrix: zero")
+    # one and zero of the scalar field, taken from the matrix itself
+    one, zero = x * x.inv(), x - x
+    m, pivots, _ = gauss_jordan([list(r) + [one if i == j else zero
+                                            for j in range(n)]
+                                 for i, r in enumerate(rows)])
+    if [c for c, _ in pivots] != list(range(n)):
+        rank = sum(c < n for c, _ in pivots)
+        raise ValueError(f"singular matrix: rank {rank} < {n}")
+    return [r[n:] for r in m]
 
 
 def sparse_row_reduce(vectors, greater):

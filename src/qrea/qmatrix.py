@@ -9,19 +9,19 @@ forms are sorted words in the row-major generator order.
 Quantum minors are the matrix coefficients of the wedge coaction.  The
 bicharacter functional and its two convolution inverses are matrix
 coefficients of ordered products of a two-site generator table, computed by
-the braiding module's two-site kernel.  All three generator tables are read
-off the braid move: r off R-hat, r^{-1} off the inverse move, and r' off the
-inverse move twisted by q^{2(a-x)}, the crossing relation of the GL(N)
-R-matrix (Faddeev, Reshetikhin and Takhtajan, "Quantization of Lie groups
-and Lie algebras", 1990).  Nothing is solved: the convolution certificates,
-which re-substitute both inverses into their defining identities, are the
-one oracle of the closed forms.
+the braiding module's two-site kernel.  Both generator tables are read off
+the braid move: r off R-hat and r^{-1} off the inverse move.  r' is r^{-1}
+twisted by q^{2(a-x)} on each generator X_xa of the left word, the crossing
+relation of the GL(N) R-matrix (Faddeev, Reshetikhin and Takhtajan,
+"Quantization of Lie groups and Lie algebras", 1990).  Nothing is solved:
+the convolution certificates, which re-substitute both inverses into their
+defining identities, are the one oracle of the closed forms.
 
 On pairs of minors, r and its plain inverse are entries of the wedge braiding
 table, and r' is the bicharacter's r' functional on the two minor
-polynomials.  So the twisted product reads the one r' table at word level
-(`star_word`) and at minor level (`star_minor`), and the convolution
-certificates of that table cover both.
+polynomials.  So the twisted product reads the one r' functional at word
+level (`star_word`) and at minor level (`star_minor`), and the convolution
+certificates of r' cover both.
 Every identity family (Laplace, the common-submatrix expansion, braided
 commutativity) is verified by exact normal-form equality.
 """
@@ -385,7 +385,7 @@ def quantum_minor(N, rows, cols):
 class Bicharacter:
     """Functional tables for the braiding bicharacter on monomial pairs.
 
-    Each functional f is a two-site generator table T, with
+    The functionals r and r^{-1} are each a two-site generator table T, with
     T[(a, b)] = [((x, y), f(X_xa, X_yb))].  On words u of length s and v of
     length t, f(u, v) is the coefficient at rows(u) + rows(v) of an ordered
     product of T at positions (p, s + q), applied to e_{cols(u) + cols(v)}:
@@ -394,8 +394,10 @@ class Bicharacter:
       coefficient of e_y (x) e_x in R-hat(e_a (x) e_b);
     - r_inv: p = 0..s-1 outer, q = t-1..0 inner, and r^{-1}(X_xa, X_yb) the
       coefficient of e_x (x) e_y in R-hat^{-1}(e_b (x) e_a);
-    - r_prime: the order of r_inv, and r'(X_xa, X_yb) =
-      q^{2(a-x)} r^{-1}(X_xa, X_yb).
+    - r_prime: r'(X_xa, X_yb) = q^{2(a-x)} r^{-1}(X_xa, X_yb), in the order
+      of r_inv.  Each two-site step moves one letter of u from its column a
+      to its row x, so the twists telescope: r'(u, v) = rpr_twist(cols(u),
+      rows(u)) r^{-1}(u, v), and r' has no table of its own.
 
     The tables are per instance and mutable.  The product image is memoised
     per (s, column word), the values per word pair.
@@ -404,17 +406,13 @@ class Bicharacter:
     def __init__(self, N):
         self.N = N
         cols = list(product(range(1, N + 1), repeat=2))
-        rinv = {(a, b): braid_pair_action(b, a, inverse=True)
-                for a, b in cols}
         self._tables = {
             "r": {(a, b): [((y, x), c) for (x, y), c in braid_pair_action(a, b)]
                   for a, b in cols},
-            "rinv": rinv,
-            "rpr": {(a, b): [((x, y), RatFunc.q_power(2 * (a - x)) * c)
-                             for (x, y), c in column]
-                    for (a, b), column in rinv.items()}}
-        self._memo = {"r": {}, "rinv": {}, "rpr": {}}
-        self._images = {"r": {}, "rinv": {}, "rpr": {}}
+            "rinv": {(a, b): braid_pair_action(b, a, inverse=True)
+                     for a, b in cols}}
+        self._memo = {"r": {}, "rinv": {}}
+        self._images = {"r": {}, "rinv": {}}
 
     # -- evaluation by propagation ---------------------------------------------
 
@@ -455,7 +453,16 @@ class Bicharacter:
         return self._value("rinv", wa, wb)
 
     def r_prime(self, wa, wb):
-        return self._value("rpr", wa, wb)
+        v = self.r_inv(wa, wb)
+        if v.is_zero():
+            return v
+        return self.rpr_twist(word_cols(wa, self.N), word_rows(wa, self.N)) * v
+
+    @staticmethod
+    def rpr_twist(cols, rows):
+        """q^{2(sum cols - sum rows)}: the factor r' carries over r^{-1} on a
+        left word with these columns and rows."""
+        return RatFunc.q_power(2 * (sum(cols) - sum(rows)))
 
     # -- functional evaluation on polynomials ---------------------------------------
 

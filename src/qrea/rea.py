@@ -9,8 +9,9 @@ quantum minors viewed inside the twisted product, and every reflection-side
 identity is checked by exact normal-form equality in this model.
 
 Both products read r' only through `qmatrix.Bicharacter`.  `star_word`
-propagates words through the bicharacter's r and r' images; `star_minor`
-takes r on minors from the wedge braiding table and r' on minors from
+propagates words through the bicharacter's r and r^{-1} images, twisting
+the second by `Bicharacter.rpr_twist` into r'; `star_minor` takes r on
+minors from the wedge braiding table and r' on minors from
 `QContext.rpr_minor`, which is the bicharacter's r' on the two minor
 polynomials.
 
@@ -79,12 +80,13 @@ class StarAlgebra:
             for rows, c1 in bich.image("r", s, ad).items():
                 if rows[:s] != rows_u:
                     continue
-                img = bich.image("rpr", s, cols_u + rows[s:])
+                img = bich.image("rinv", s, cols_u + rows[s:])
                 for rows2, c2 in img.items():
                     if rows2[s:] != rows_v:
                         continue
+                    twist = bich.rpr_twist(cols_u, rows2[:s])
                     add_term(terms, word_from_rc(a_t, rows2[:s], N) + tail,
-                             c1 * c2)
+                             c1 * twist * c2)
         acc = self.ctx.rw.normal_form(NCPoly(N, terms))
         self._star_word_memo[key] = acc
         return acc

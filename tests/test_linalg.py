@@ -10,11 +10,13 @@ from operator import add, mul
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import qrea
 from qrea.coeff import RF_ONE, GaussRat, LaurentPoly, RatFunc
-from qrea.linalg import add_term, determinant, gauss_jordan, rank
+from qrea.linalg import (add_term, determinant, gauss_jordan,
+                         invert_matrix, rank)
 from qrea.qmatrix import NCPoly
 
 # Few keys and small coefficients, so that terms collide and cancel often.
@@ -128,7 +130,7 @@ def _leibniz(m):
 def _check_elimination(m, one):
     """Determinant against _leibniz; gauss_jordan of (m | I) has fewer than
     n pivots in m exactly when m is singular, and otherwise an inverse of m
-    in its right block."""
+    in its right block, which invert_matrix returns."""
     n = len(m)
     zero = one - one
     assert determinant(m) == _leibniz(m)
@@ -139,8 +141,11 @@ def _check_elimination(m, one):
     assert left_rank == rank(m)
     if left_rank < n:
         assert determinant(m).is_zero()
+        with pytest.raises(ValueError):
+            invert_matrix(m)
         return
     inv = [r[n:] for r in reduced]
+    assert invert_matrix(m) == inv
     for i in range(n):
         for j in range(n):
             entry = reduce(add, (inv[i][k] * m[k][j] for k in range(n)))

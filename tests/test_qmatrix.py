@@ -177,19 +177,25 @@ def test_convolution_certificates(ctx2):
 
 @pytest.mark.parametrize("which", ["rinv", "rpr"])
 def test_convolution_certificates_fail_on_a_perturbed_table(monkeypatch, which):
-    """One entry of an inverse's generator table, shifted by 1, must fail
-    every bidegree, and the check's certificates must carry a true witness."""
+    """One entry of the r^{-1} generator table shifted by 1, or the r' twist
+    reversed, must fail every bidegree of that inverse, and the check's
+    certificates must carry a true witness."""
     ctx = QContext(2)            # fresh: the shared context stays intact
     b = ctx.bich
-    column = b._tables[which][min(b._tables[which])]
-    row, c = column[0]
-    column[0] = (row, c + RF_ONE)
-    other = "rpr" if which == "rinv" else "rinv"
+    if which == "rinv":
+        column = b._tables["rinv"][min(b._tables["rinv"])]
+        row, c = column[0]
+        column[0] = (row, c + RF_ONE)
+    else:
+        twist = b.rpr_twist
+        monkeypatch.setattr(b, "rpr_twist", lambda cols, rows: twist(rows, cols))
     bidegrees = ((1, 1), (1, 2), (2, 1), (2, 2))
     for (s, t) in bidegrees:
         assert not b.certify_bidegree(s, t, which)
-        assert b.certify_bidegree(s, t, other)
-    # the tables are per instance: another fresh context is untouched
+        # r' is r^{-1} twisted: a wrong r^{-1} table fails both, a wrong
+        # twist only r'
+        assert b.certify_bidegree(s, t, "rinv") == (which == "rpr")
+    # the tables and the twist are per instance: a fresh context is untouched
     fresh = QContext(2).bich
     for (s, t) in bidegrees:
         assert fresh.certify_bidegree(s, t, which)
