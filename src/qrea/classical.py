@@ -51,6 +51,10 @@ class IllConditioned(RuntimeError):
 
 GR0 = GaussRat(0)
 GR1 = GaussRat(1)
+# leaf_tangency_check's relative rank threshold and containment residual,
+# and the largest cyclic residual that jacobi_check passes
+TANGENCY_TOL = 1e-8
+JACOBI_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -709,24 +713,25 @@ def _triangular_lie_basis(N):
     return out
 
 
-def _numeric_rank(mat, tol):
+def _numeric_rank(mat):
     if mat.size == 0:
         return 0
     sv = np.linalg.svd(mat, compute_uv=False)
     smax = sv[0] if len(sv) else 0.0
     if smax == 0.0:
         return 0
-    band = [s for s in sv if tol * smax * 1e-2 < s < tol * smax * 1e2]
+    cut = TANGENCY_TOL * smax
+    band = [s for s in sv if cut * 1e-2 < s < cut * 1e2]
     if band:
         raise IllConditioned(f"singular values near the rank threshold: {band}")
-    return int(np.sum(sv > tol * smax))
+    return int(np.sum(sv > cut))
 
 
-def leaf_tangency_check(z, tol=1e-8):
+def leaf_tangency_check(z):
     """Compare the bivector range with the two orbit tangents at z.
 
     Returns dims of the bivector range, both tangents and their
-    intersection, and whether range = intersection within tolerance.
+    intersection, and whether range = intersection within TANGENCY_TOL.
     """
     zn = z.to_numeric() if isinstance(z, HermitianMatrix) else np.asarray(z, dtype=complex)
     N = zn.shape[0]
@@ -736,10 +741,10 @@ def leaf_tangency_check(z, tol=1e-8):
     U, T = (np.array([_coords(a.conj().T @ zn + zn @ a, basis)
                       for a in lie(N)]).T
             for lie in (_unitary_lie_basis, _triangular_lie_basis))
-    rank_pi = _numeric_rank(pi, tol)
-    rank_u = _numeric_rank(U, tol)
-    rank_t = _numeric_rank(T, tol)
-    rank_union = _numeric_rank(np.hstack([U, T]), tol)
+    rank_pi = _numeric_rank(pi)
+    rank_u = _numeric_rank(U)
+    rank_t = _numeric_rank(T)
+    rank_union = _numeric_rank(np.hstack([U, T]))
     inter_dim = rank_u + rank_t - rank_union
     # Range basis of the bivector
     contained = True
@@ -752,7 +757,7 @@ def leaf_tangency_check(z, tol=1e-8):
                 continue
             sol, *_rest = np.linalg.lstsq(span, rng, rcond=None)
             resid = np.max(np.abs(span @ sol - rng))
-            if resid > tol:
+            if resid > TANGENCY_TOL:
                 contained = False
     equal = contained and (rank_pi == inter_dim)
     return {"bivector_rank": rank_pi, "unitary_dim": rank_u,
@@ -760,8 +765,9 @@ def leaf_tangency_check(z, tol=1e-8):
             "equal": bool(equal)}
 
 
-def jacobi_check(N, samples=100, seed=0, tol=1e-8):
-    """Cyclic Jacobi residual of the quadratic bracket at random points."""
+def jacobi_check(N, samples=100, seed=0):
+    """Cyclic Jacobi residual of the quadratic bracket at random points,
+    passing up to JACOBI_TOL."""
     table = poisson_bracket_coeffs(N)
 
     def add_bracket_with_poly(out, ij, poly):
@@ -797,7 +803,7 @@ def jacobi_check(N, samples=100, seed=0, tol=1e-8):
                 total += term
             worst = max(worst, abs(total))
     return {"N": N, "samples": samples, "max_residual": worst,
-            "ok": worst <= tol, "nonzero_cyclic_polys": len(cyclic)}
+            "ok": worst <= JACOBI_TOL, "nonzero_cyclic_polys": len(cyclic)}
 
 
 # ---------------------------------------------------------------------------

@@ -2,27 +2,29 @@
 
 Everything on the quantum side of the package is computed over ``RatFunc``,
 the field of rational functions in a single deformation parameter ``q`` with
-rational coefficients.  Laurent polynomials (integer exponents allowed) are
-the workhorse; rational functions only appear through the wedge-splitting
-denominators and through solved linear systems, and are kept in a canonical
-reduced form so that equality is structural.
+rational coefficients.  Laurent polynomials over Z (integer exponents
+allowed) are the workhorse; rational functions only appear through the
+wedge-splitting denominators and through solved linear systems, and are kept
+in a canonical reduced form so that equality is structural.
 
 Both exact scalars are stored on Python ints.  A ``RatFunc`` is a quotient
 of two Laurent polynomials over Z, coprime, with the integer content divided
 out and the denominator's leading coefficient positive; the braid tables,
 the bicharacter and the twisted product, whose coefficients are all Laurent
 polynomials over Z, stay on the Laurent fast path.  Reduction works over
-the integers: input denominators are cleared by one common integer, the gcd
-is taken by the primitive polynomial remainder sequence (Knuth, TAOCP vol.
-2, 4.6.1) and the content by one integer gcd.  Sums and products of reduced
-fractions cancel only what can be common (Henrici; TAOCP 4.5.1).
+the integers: the gcd is taken by the primitive polynomial remainder
+sequence (Knuth, TAOCP vol. 2, 4.6.1) and the content by one integer gcd.
+Sums and products of reduced fractions cancel only what can be common
+(Henrici; TAOCP 4.5.1).
 
 ``GaussRat`` provides exact complex rationals for the classical side, where
 minor vanishing has to be decided exactly.  It is stored as (a + b i)/d over
 Z with d > 0 and gcd(a, b, d) = 1.
 
-``LaurentPoly`` itself still takes rational coefficients: an ``int`` when
-integral, a ``Fraction`` only when not; ``RatFunc`` clears them on input.
+``LaurentPoly`` is a Laurent polynomial over Z: it stores ``int``
+coefficients only, and refuses a non-integral one.  A rational constant c
+enters the field as ``RatFunc(c)`` or ``RatFunc.const(c)``, which is
+c.numerator over c.denominator.
 """
 
 from __future__ import annotations
@@ -47,12 +49,11 @@ class PoleAtPoint(ZeroDivisionError):
 # ---------------------------------------------------------------------------
 
 class LaurentPoly:
-    """Laurent polynomial in q with rational coefficients.
+    """Laurent polynomial in q with integer coefficients.
 
-    Stored as a map exponent -> nonzero coefficient; the empty map is 0.  A
-    coefficient is an ``int`` when it is integral and a ``Fraction``
-    otherwise; every constructor and operation keeps it so.  Instances are
-    treated as immutable.
+    Stored as a map exponent -> nonzero int coefficient; the empty map is 0.
+    The constructor converts an integral Fraction to its int and raises
+    ValueError on a non-integral one.  Instances are treated as immutable.
     """
 
     __slots__ = ("terms", "_hash")
@@ -63,8 +64,9 @@ class LaurentPoly:
             for e, c in terms.items():
                 if type(c) is not int:
                     c = Fraction(c)
-                    if c.denominator == 1:
-                        c = c.numerator
+                    if c.denominator != 1:
+                        raise ValueError(f"non-integral coefficient {c}")
+                    c = c.numerator
                 if c:
                     d[int(e)] = c
         self.terms = d
@@ -85,8 +87,8 @@ class LaurentPoly:
         return LaurentPoly({0: c})
 
     @staticmethod
-    def q_power(n, coeff=1):
-        return LaurentPoly({n: coeff})
+    def q_power(n):
+        return LaurentPoly({n: 1})
 
     # -- predicates / accessors ---------------------------------------------
 
@@ -178,7 +180,7 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(obj):
-        return LaurentPoly({int(e): Fraction(c) for e, c in obj.items()})
+        return LaurentPoly({int(e): int(c) for e, c in obj.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -203,11 +205,7 @@ class LaurentPoly:
 
 
 def _laurent(d):
-    """LaurentPoly on a dict of nonzero coefficients, taken over as is
-    except that integral Fractions become ints."""
-    for e, c in d.items():
-        if type(c) is not int and c.denominator == 1:
-            d[e] = c.numerator
+    """LaurentPoly on a dict of nonzero int coefficients, taken over as is."""
     out = LaurentPoly.__new__(LaurentPoly)
     out.terms = d
     out._hash = None
@@ -220,8 +218,8 @@ _LP_ONE = LaurentPoly({0: 1})
 
 # -- dense polynomials, for reduction -------------------------------------------
 #
-# A dense polynomial is its coefficient list, constant term first, with a
-# nonzero last entry; [] is 0.  From _dense_primitive on, the lists hold ints.
+# A dense polynomial is its int coefficient list, constant term first, with
+# a nonzero last entry; [] is 0.
 
 def _to_dense(p):
     """(offset, coefficient list) with list[0] != 0 unless p == 0."""
@@ -237,13 +235,6 @@ def _to_dense(p):
 
 def _from_dense(offset, coeffs):
     return _laurent({offset + i: c for i, c in enumerate(coeffs) if c})
-
-
-def _dense_times(a, m):
-    """Rational coefficients times m, a common multiple of their
-    denominators, as ints."""
-    return [c * m if type(c) is int else c.numerator * (m // c.denominator)
-            for c in a]
 
 
 def _dense_trim(a):
@@ -334,40 +325,36 @@ class RatFunc:
       positive leading coefficient, so any q-power slack is in num;
     - the gcd of all coefficients of num and den together is 1.
     Equal fractions therefore have identical representations, and den == 1
-    exactly when the value is a Laurent polynomial over Z; a rational
-    constant such as 1/2 is num 1 over den 2.
+    exactly when the value is a Laurent polynomial over Z.
 
-    The constructor reduces any input: num and den are scaled by one common
-    integer to clear Fraction coefficients, divided exactly by their
-    primitive gcd and then by the integer content.  Products and sums of
-    canonical fractions cancel only what can be common (Henrici's method,
-    Knuth, TAOCP vol. 2, 4.5.1): a/b * c/d divides out gcd(a, d) and
-    gcd(c, b), after which the product is reduced; a/b + c/d with coprime b
-    and d is (ad + cb)/(bd), already reduced.  Inversion is gcd-free.
+    The constructor takes num as a LaurentPoly, a dict of its terms or a
+    rational constant c, which counts as c.numerator over c.denominator (so
+    1/2 is num 1 over den 2), and den as a LaurentPoly.  It divides num and
+    den exactly by their primitive gcd and then by the integer content, and
+    skips both when den is 1.  Products and sums of canonical fractions
+    cancel only what can be common (Henrici's method, Knuth, TAOCP vol. 2,
+    4.5.1): a/b * c/d divides out gcd(a, d) and gcd(c, b), after which the
+    product is reduced; a/b + c/d with coprime b and d is (ad + cb)/(bd),
+    already reduced.  Inversion is gcd-free.
     """
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num, den=None):
-        if not isinstance(num, LaurentPoly):
-            num = LaurentPoly.const(num) if not isinstance(num, dict) else LaurentPoly(num)
-        if den is None:
-            den = _LP_ONE
-        elif not isinstance(den, LaurentPoly):
-            den = LaurentPoly.const(den) if not isinstance(den, dict) else LaurentPoly(den)
+    def __init__(self, num, den=_LP_ONE):
+        if isinstance(num, dict):
+            num = LaurentPoly(num)
+        elif not isinstance(num, LaurentPoly):
+            c = Fraction(num)
+            num = LaurentPoly.const(c.numerator)
+            den = den * LaurentPoly.const(c.denominator)
         if den.is_zero():
             raise ZeroDenominator("rational function with denominator 0")
         if num.is_zero():
             num = _LP_ZERO
             den = _LP_ONE
-        elif not (den.is_one()
-                  and all(type(c) is int for c in num.terms.values())):
+        elif not den.is_one():
             on, dn = _to_dense(num)
             od, dd = _to_dense(den)
-            m = lcm(*(c.denominator for c in dn + dd if type(c) is not int))
-            if m != 1:
-                dn = _dense_times(dn, m)
-                dd = _dense_times(dd, m)
             g = _dense_gcd(dn, dd)
             if len(g) > 1:
                 dn = _dense_divexact(dn, g)
@@ -397,7 +384,8 @@ class RatFunc:
 
     @staticmethod
     def const(c):
-        return RatFunc(LaurentPoly.const(c))
+        """The rational constant c, c.numerator over c.denominator."""
+        return RatFunc(c)
 
     # -- predicates ------------------------------------------------------------
 

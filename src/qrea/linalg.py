@@ -4,7 +4,8 @@
 add_term is the one helper for sparse linear combinations: every sparse
 vector, polynomial or tensor over RatFunc or GaussRat is a dict key ->
 nonzero scalar, built up by add_term, which drops a key whose coefficient
-cancels.  It needs only + and is_zero() of the scalar.
+cancels.  It needs only + and is_zero() of the scalar.  qmatrix.sum_terms,
+the one sum of noncommutative polynomials, builds on it.
 
 gauss_jordan is the one dense elimination; rank, determinant and
 invert_matrix read their results off it.  It needs only + - *, inv() and

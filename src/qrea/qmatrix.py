@@ -24,6 +24,10 @@ level (`star_word`) and at minor level (`star_minor`), and the convolution
 certificates of r' cover both.
 Every identity family (Laplace, the common-submatrix expansion, braided
 commutativity) is verified by exact normal-form equality.
+
+`sum_terms` is the one polynomial sum: every linear combination of NCPolys,
+here and in the reflection algebra, adds into one dict with
+`linalg.add_term`.  An NCPoly has a product but no + or -.
 """
 
 from __future__ import annotations
@@ -86,10 +90,6 @@ class NCPoly:
                     self.coeffs[tuple(w)] = c
 
     @staticmethod
-    def zero(N):
-        return NCPoly(N)
-
-    @staticmethod
     def unit(N):
         return NCPoly(N, {(): RF_ONE})
 
@@ -104,41 +104,12 @@ class NCPoly:
         return (isinstance(other, NCPoly) and self.N == other.N
                 and self.coeffs == other.coeffs)
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            add_term(out, w, c)
-        p = NCPoly(self.N)
-        p.coeffs = out
-        return p
-
-    def __sub__(self, other):
-        return self + other.scale(RF_ZERO - RF_ONE)
-
-    def scale(self, c):
-        if c.is_zero():
-            return NCPoly(self.N)
-        p = NCPoly(self.N)
-        p.coeffs = {w: co * c for w, co in self.coeffs.items()}
-        return p
-
     def __mul__(self, other):
         p = NCPoly(self.N)
         out = {}
         for wa, ca in self.coeffs.items():
             for wb, cb in other.coeffs.items():
                 add_term(out, wa + wb, ca * cb)
-        p.coeffs = out
-        return p
-
-    def adjoint(self):
-        """Formal *-structure: reverse words, transpose each generator."""
-        N = self.N
-        p = NCPoly(self.N)
-        out = {}
-        for w, c in self.coeffs.items():
-            add_term(out, tuple(gen_id(g % N + 1, g // N + 1, N)
-                                for g in reversed(w)), c)
         p.coeffs = out
         return p
 
@@ -772,11 +743,17 @@ def braidcomm_labels(instance):
 
 
 def sum_terms(N, terms, value):
-    """Sum of sign * value(A, B, C, D) over (sign, (A, B, C, D)) terms."""
-    acc = NCPoly.zero(N)
-    for sign, labels in terms:
-        acc = acc + value(*labels).scale(sign)
-    return acc
+    """The NCPoly sum of c * value(*args) over the (c, args) terms, c a
+    RatFunc: the one polynomial sum.  It adds into one new dict with
+    add_term, so it neither changes nor returns a value of `value`, which
+    may be memoised."""
+    out = {}
+    for c, args in terms:
+        for w, cw in value(*args).coeffs.items():
+            add_term(out, w, cw * c)
+    p = NCPoly(N)
+    p.coeffs = out
+    return p
 
 
 def verify_identity(ctx, family, instance):

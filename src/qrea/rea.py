@@ -26,6 +26,12 @@ q-commutation certificates do.
 
 A second realisation derives quadratic straightening rules directly from the
 reflection equation and cross-checks them against the twisted product.
+
+Every linear combination of twisted products (the bilinear `star`, the
+minor-level sum, the reflection slots, the rule cross-check and the
+commutators) is a term list summed by `qmatrix.sum_terms`.  The structural
+checks return None on a pass, or their first failing instance with both
+normal forms.
 """
 
 from __future__ import annotations
@@ -93,11 +99,10 @@ class StarAlgebra:
 
     def star(self, f, g):
         """Twisted product of two polynomials (bilinear over star_word)."""
-        acc = NCPoly.zero(self.N)
-        for wu, cu in f.coeffs.items():
-            for wv, cv in g.coeffs.items():
-                acc = acc + self.star_word(wu, wv).scale(cu * cv)
-        return acc
+        return sum_terms(self.N, [(cu * cv, (wu, wv))
+                                  for wu, cu in f.coeffs.items()
+                                  for wv, cv in g.coeffs.items()],
+                         self.star_word)
 
     # -- minor-level product -----------------------------------------------------
 
@@ -112,7 +117,7 @@ class StarAlgebra:
         k, l = len(key[0]), len(key[2])
         ksets, lsets = subsets(N, k), subsets(N, l)
         A, B, C, D = key
-        acc = NCPoly.zero(N)
+        terms = []
         for K in ksets:
             for L in lsets:
                 for E in lsets:
@@ -123,36 +128,46 @@ class StarAlgebra:
                         c2 = ctx.rpr_minor(M, B, C, L)
                         if c2.is_zero():
                             continue
-                        acc = acc + ctx.minor_prod_nf(K, M, E, D).scale(c1 * c2)
+                        terms.append((c1 * c2, (K, M, E, D)))
+        acc = sum_terms(N, terms, ctx.minor_prod_nf)
         self._star_minor_memo[key] = acc
         return acc
 
     # -- structural checks ----------------------------------------------------------
 
     def unit_check(self, polys):
+        """1 * p and p * 1 against the normal form of p: the first failing
+        p, its side and both normal forms, or None."""
         one = NCPoly.unit(self.N)
         for p in polys:
             nf = self.ctx.rw.normal_form(p)
-            if self.star(one, p) != nf or self.star(p, one) != nf:
-                return False
-        return True
+            for side, f, g in (("left", one, p), ("right", p, one)):
+                got = self.star(f, g)
+                if got != nf:
+                    return {"poly": _nf_json(p), "side": side,
+                            **_nf_diff(got, nf)}
+        return None
 
     def associativity_check(self, triples):
+        """(f * g) * h against f * (g * h): the first failing triple and
+        both normal forms, or None."""
         for f, g, h in triples:
             left = self.star(self.star(f, g), h)
             right = self.star(f, self.star(g, h))
             if left != right:
-                return False
-        return True
+                return {"triple": [_nf_json(p) for p in (f, g, h)],
+                        **_nf_diff(left, right)}
+        return None
 
     def reverse_braid_check(self, pairs):
-        """Recover the plain product from the twisted one on generator pairs."""
+        """Recover the plain product from the twisted one on generator pairs:
+        the first failing pair and both normal forms, or None."""
         N = self.N
         bich = self.ctx.bich
         for (i, j), (k, l) in pairs:
             expected = self.ctx.rw.normal_form(
                 NCPoly.generator(N, i, j) * NCPoly.generator(N, k, l))
-            acc = NCPoly.zero(N)
+            terms = []
             for a in range(1, N + 1):
                 for c in range(1, N + 1):
                     c1 = bich.r_inv((gen_id(i, a, N),), (gen_id(k, c, N),))
@@ -163,12 +178,12 @@ class StarAlgebra:
                             c2 = bich.r((gen_id(b, j, N),), (gen_id(c, d, N),))
                             if c2.is_zero():
                                 continue
-                            acc = acc + self.star_word(
-                                (gen_id(a, b, N),), (gen_id(d, l, N),)
-                            ).scale(c1 * c2)
-            if acc != expected:
-                return False
-        return True
+                            terms.append((c1 * c2, ((gen_id(a, b, N),),
+                                                    (gen_id(d, l, N),))))
+            got = sum_terms(N, terms, self.star_word)
+            if got != expected:
+                return {"pair": [[i, j], [k, l]], **_nf_diff(got, expected)}
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +238,8 @@ def reflection_equation_check(star):
     N = star.N
     failures = []
     for slot, vec in reflection_slot_vectors(N).items():
-        acc = NCPoly.zero(N)
-        for (g1, g2), c in vec.items():
-            acc = acc + star.star_word((g1,), (g2,)).scale(c)
+        acc = sum_terms(N, [(c, ((g1,), (g2,)))
+                            for (g1, g2), c in vec.items()], star.star_word)
         if not acc.is_zero():
             failures.append({"slot": slot, "residual": _nf_json(acc)})
     return Certificate.verdict("rea reflection", {"N": N}, not failures,
@@ -246,10 +260,9 @@ def derive_rea_rewrite(star):
         raise FlatnessCheckFailed("critical pair failed to resolve")
     # every rule must be a twisted-product identity under Z_ij -> X_ij
     for (g1, g2), rhs in rw.rules.items():
-        acc = star.star_word((g1,), (g2,))
-        for w, c in rhs.items():
-            acc = acc - star.star_word((w[0],), (w[1],)).scale(c)
-        if not acc.is_zero():
+        terms = [(RF_ONE, ((g1,), (g2,)))]
+        terms += [(-c, ((w[0],), (w[1],))) for w, c in rhs.items()]
+        if not sum_terms(N, terms, star.star_word).is_zero():
             raise FlatnessCheckFailed(f"rule at {(g1, g2)} fails in the model")
     return rw
 
@@ -329,10 +342,9 @@ def star_commutator_first_order(star, ij, kl):
     dictionary collects d/dq at q=1 of each normal-form coefficient.
     """
     N = star.N
-    i, j = ij
-    k, l = kl
-    comm = (star.star_word((gen_id(i, j, N),), (gen_id(k, l, N),))
-            - star.star_word((gen_id(k, l, N),), (gen_id(i, j, N),)))
+    a, b = gen_id(*ij, N), gen_id(*kl, N)
+    comm = sum_terms(N, [(RF_ONE, ((a,), (b,))), (-RF_ONE, ((b,), (a,)))],
+                     star.star_word)
     ok_constant = True
     firsts = {}
     for w, c in comm.coeffs.items():

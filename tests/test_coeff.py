@@ -23,9 +23,13 @@ def test_difference_of_squares():
 
 
 def test_additive_identity():
-    p = L({3: F(2, 5), -1: 7})
-    assert p + LaurentPoly.zero() == p
+    p = L({3: -2, -1: 7})
+    assert p + LaurentPoly.zero() == p and LaurentPoly.zero() + p == p
     assert (p - p).is_zero()
+    # a rational multiple enters through a RatFunc constant
+    r = RatFunc(F(2, 5)) * RatFunc.from_laurent(p)
+    assert r + RF_ZERO == r and RF_ZERO + r == r
+    assert (r - r).is_zero() and (r - r) == RF_ZERO
 
 
 def test_repeated_distribution():
@@ -135,8 +139,19 @@ def test_rational_constants_and_laurent_fractions_are_reduced():
     half = RatFunc(F(1, 2))
     assert (half.num.terms, half.den.terms) == ({0: 1}, {0: 2})
     assert RatFunc.const(F(1, 2)) == half and not half.den.is_one()
-    r = RatFunc(L({1: F(2, 3), -1: F(4, 3)}))
+    r = RatFunc(F(2, 3)) * RatFunc.from_laurent(L({1: 1, -1: 2}))
     assert (r.num.terms, r.den.terms) == ({1: 2, -1: 4}, {0: 3})
+    assert _is_canonical(r) and _is_canonical(RatFunc.const(F(-6, 4)))
+    assert (RatFunc.const(F(-6, 4)).num.terms,
+            RatFunc.const(F(-6, 4)).den.terms) == ({0: -3}, {0: 2})
+    assert RatFunc(F(4, 2)) == RatFunc(2) == RatFunc.from_laurent(L({0: 2}))
+    # LaurentPoly is over Z: integral Fractions become ints, others raise
+    ints = L({0: F(4, 2), 1: F(-3)}).terms
+    assert ints == {0: 2, 1: -3} and all(type(c) is int for c in ints.values())
+    with pytest.raises(ValueError):
+        LaurentPoly({0: F(1, 2)})
+    with pytest.raises(ValueError):
+        LaurentPoly.const(F(-5, 3))
     assert RatFunc(L({2: 4}), L({0: 6})) == RatFunc(L({2: 2}), L({0: 3}))
     assert (half * RatFunc(2)).is_one() and (half + half).is_one()
     assert RatFunc(L({0: 1}), L({0: -1, 1: -2})).den.terms == {0: 1, 1: 2}
@@ -159,10 +174,14 @@ def test_minus_q_powers():
 
 
 def test_laurent_json_roundtrip():
-    p = L({-2: F(3, 7), 0: -1, 5: F(22)})
-    assert LaurentPoly.from_json(p.to_json()) == p
+    p = L({-2: 3, 0: -1, 5: F(22)})
+    back = LaurentPoly.from_json(p.to_json())
+    assert back == p and all(type(c) is int for c in back.terms.values())
     r = RatFunc(L({0: 1, 2: 1}), L({0: 1, 2: -1}))
     assert RatFunc.from_json(r.to_json()) == r
+    # a rational constant factor travels in the denominator
+    s = RatFunc(F(3, 7)) * r
+    assert RatFunc.from_json(s.to_json()) == s and s.den.terms == {0: -7, 2: 7}
 
 
 def test_gauss_rat_field_and_conjugation():
@@ -187,16 +206,17 @@ def test_rational_sqrt():
 
 # -- reduction against an independent oracle ----------------------------------
 
-_coeff = st.one_of(st.integers(-6, 6),
-                   st.fractions(min_value=-6, max_value=6, max_denominator=4))
+_coeff = st.integers(-6, 6)
 _laurent_st = st.dictionaries(st.integers(-3, 3), _coeff,
                               max_size=4).map(LaurentPoly)
 _nonzero_st = _laurent_st.filter(lambda p: not p.is_zero())
+_rational_st = st.fractions(min_value=-6, max_value=6,
+                            max_denominator=4).filter(bool)
 
 
-def _sympy_reduced(num, den):
-    """(num, den) term dicts of num/den as sympy.cancel reduces it, put in
-    the Z-content canonical form: den a polynomial with nonzero constant
+def _sympy_reduced(num, den, k=F(1)):
+    """(num, den) term dicts of k * num/den as sympy.cancel reduces it, put
+    in the Z-content canonical form: den a polynomial with nonzero constant
     term and positive leading coefficient, all coefficients integers with
     gcd 1."""
     sympy = pytest.importorskip("sympy")
@@ -206,7 +226,8 @@ def _sympy_reduced(num, den):
         return sum((sympy.Rational(c.numerator, c.denominator) * q ** e
                     for e, c in p.terms.items()), sympy.Integer(0))
 
-    n, d = sympy.fraction(sympy.cancel(expr(num) / expr(den)))
+    k = sympy.Rational(k.numerator, k.denominator)
+    n, d = sympy.fraction(sympy.cancel(k * expr(num) / expr(den)))
     terms = {}
     for key, p in (("num", n), ("den", d)):
         terms[key] = {m: F(int(sympy.Rational(c).p), int(sympy.Rational(c).q))
@@ -222,8 +243,8 @@ def _sympy_reduced(num, den):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_laurent_st, _nonzero_st, _nonzero_st)
-def test_reduction_matches_sympy_cancel(a, b, c):
+@given(_laurent_st, _nonzero_st, _nonzero_st, _rational_st)
+def test_reduction_matches_sympy_cancel(a, b, c, k):
     # a common factor c, so that the gcd is nontrivial most of the time
     num, den = a * c, b * c
     r = RatFunc(num, den)
@@ -231,6 +252,10 @@ def test_reduction_matches_sympy_cancel(a, b, c):
     assert got == _sympy_reduced(num, den)
     assert all(type(x) is int for t in got for x in t.values())
     assert RatFunc(r.num, r.den) == r
+    # a rational constant k enters as k.numerator over k.denominator
+    for kr in (RatFunc(k) * r, r * RatFunc.const(k)):
+        assert (kr.num.terms, kr.den.terms) == _sympy_reduced(num, den, k)
+        assert _is_canonical(kr)
 
 
 @st.composite

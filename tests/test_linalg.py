@@ -1,5 +1,5 @@
-"""The sparse-accumulate helper and the dense elimination, and guards that
-each stays the only one."""
+"""The sparse-accumulate helper, the polynomial sum built on it and the
+dense elimination, and guards that each stays the only one."""
 
 import ast
 import re
@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qrea
+from qrea import coeff
 from qrea.coeff import RF_ONE, GaussRat, LaurentPoly, RatFunc
 from qrea.linalg import (add_term, determinant, gauss_jordan,
                          invert_matrix, rank)
-from qrea.qmatrix import NCPoly
+from qrea.qmatrix import NCPoly, sum_terms
 
 # Few keys and small coefficients, so that terms collide and cancel often.
 _laurent = st.dictionaries(st.integers(-2, 2), st.integers(-2, 2),
@@ -65,16 +66,39 @@ def test_add_term_is_the_filtered_naive_sum(terms, rnd):
 
 
 @settings(max_examples=50, deadline=None)
-@given(_cancelling_terms(_words), _cancelling_terms(_words))
-def test_ncpoly_add_and_mul_against_naive_sums(a_terms, b_terms):
-    a = NCPoly(2, _naive_sum(a_terms))
+@given(_cancelling_terms(_words), _cancelling_terms(_words),
+       st.randoms(use_true_random=False))
+def test_sum_terms_and_mul_against_naive_sums(a_terms, b_terms, rnd):
+    """sum_terms of c * (w b) over the (w, c) of a_terms is a * b: the naive
+    sum of the expanded products, with no zero stored, in any term order,
+    and with the memoised values it read left as they were."""
+    # a leading coefficient 1, where a sum could hand out its first summand
+    a_terms = [((), RF_ONE)] + a_terms
     b = NCPoly(2, _naive_sum(b_terms))
-    assert (a + b).coeffs == _naive_sum([*a.coeffs.items(),
-                                         *b.coeffs.items()])
-    assert (a - a).is_zero()
-    assert (a * b).coeffs == _naive_sum(
-        [(wa + wb, ca * cb) for wa, ca in a.coeffs.items()
-         for wb, cb in b.coeffs.items()])
+    memo = {}
+
+    def times_b(w):
+        if w not in memo:
+            memo[w] = NCPoly(2, {w: RF_ONE}) * b
+        return memo[w]
+
+    naive = _naive_sum([(w + wb, c * cb) for w, c in a_terms
+                        for wb, cb in b.coeffs.items()])
+    terms = [(c, (w,)) for w, c in a_terms]
+    total = sum_terms(2, terms, times_b)
+    assert total.N == 2 and total.coeffs == naive
+    assert not any(c.is_zero() for c in total.coeffs.values())
+    shuffled = list(terms)
+    rnd.shuffle(shuffled)
+    assert sum_terms(2, shuffled, times_b) == total
+    assert sum_terms(2, terms + [(-c, w) for c, w in shuffled],
+                     times_b).is_zero()
+    assert sum_terms(2, [], times_b) == NCPoly(2)
+    for w, p in memo.items():
+        assert p.coeffs == {w + wb: cb for wb, cb in b.coeffs.items()}
+        assert p is not total and p.coeffs is not total.coeffs
+    a = NCPoly(2, _naive_sum(a_terms))
+    assert (a * b).coeffs == naive
 
 
 # `s = out.get(key, RF_ZERO) + c`, the accumulate step add_term replaces.
@@ -204,3 +228,14 @@ def test_one_braid_kernel():
             if isinstance(node, ast.ClassDef) and "Braid" in node.name:
                 braid_classes.append(f"{path.name}:{node.name}")
     assert braid_classes == ["braiding.py:WedgeBraidTable"], braid_classes
+
+
+def test_one_accumulator():
+    """Every polynomial sum goes through qmatrix.sum_terms, and LaurentPoly
+    is over Z, so RatFunc clears no Fraction denominators."""
+    for name in ("__add__", "__sub__", "scale", "zero"):
+        assert name not in vars(NCPoly), f"NCPoly.{name}"
+    src = Path(qrea.__file__).parent
+    for name in ("qmatrix.py", "rea.py"):
+        assert ".scale(" not in (src / name).read_text(), name
+    assert not hasattr(coeff, "_dense_times")

@@ -13,8 +13,8 @@ from qrea.qmatrix import (Bicharacter, IllFormedInstance, NCPoly,
                           degree_dimension,
                           derive_rewrite_rules, derive_rewrite_system,
                           exchange_relations, gen_id, laplace_instances,
-                          muir_instances, quantum_minor, verify_identity,
-                          word_from_rc)
+                          muir_instances, quantum_minor, sum_terms,
+                          verify_identity, word_from_rc)
 
 
 def g(i, j, N=2):
@@ -83,12 +83,14 @@ _generator_products = st.lists(
 @given(_generator_products)
 def test_normal_form_idempotent_on_generator_products(ctx2, products):
     # a sum of products of N=2 generators, each product of up to 5 factors
-    p = NCPoly(2, {})
-    for factors in products:
+    def product_of(factors):
         term = NCPoly.unit(2)
         for i, j in factors:
             term = term * NCPoly.generator(2, i, j)
-        p = p + term
+        return term
+
+    p = sum_terms(2, [(RF_ONE, (factors,)) for factors in products],
+                  product_of)
     once = ctx2.rw.normal_form(p)
     assert ctx2.rw.normal_form(once) == once
 
@@ -151,7 +153,7 @@ def test_quantum_determinant_central_n2(ctx2):
     for i in (1, 2):
         for j in (1, 2):
             x = NCPoly.generator(2, i, j)
-            assert ctx2.rw.normal_form(det * x - x * det).is_zero()
+            assert ctx2.rw.normal_form(det * x) == ctx2.rw.normal_form(x * det)
 
 
 def test_bicharacter_base_values(ctx2):
@@ -354,11 +356,3 @@ def test_ill_formed_instance(ctx2):
                         {"I": (1, 2), "J": (1,), "K": (1,), "Kp": (1,)})
     with pytest.raises(IllFormedInstance):
         verify_identity(ctx2, "nonsense", {})
-
-
-def test_adjoint_is_involutive():
-    rng = random.Random(4)
-    for _ in range(20):
-        w = tuple(rng.randrange(4) for _ in range(3))
-        p = NCPoly(2, {w: RF_ONE})
-        assert p.adjoint().adjoint() == p

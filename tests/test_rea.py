@@ -5,11 +5,12 @@ import pytest
 
 from qrea import checks, qmatrix, rea
 from qrea.classical import poisson_bracket_coeffs
-from qrea.qmatrix import (NCPoly, QContext, braidcomm_instances,
-                          degree_dimension, gen_id, muir_instances,
-                          verify_identity)
-from qrea.rea import (StarAlgebra, derive_rea_rewrite, random_monomials,
-                      rea_laplace_instances, rea_verify,
+from qrea.coeff import RF_ONE, RF_Q, RatFunc
+from qrea.qmatrix import (NCPoly, QContext, _nf_diff, _nf_json,
+                          braidcomm_instances, degree_dimension, gen_id,
+                          muir_instances, sum_terms, verify_identity)
+from qrea.rea import (FlatnessCheckFailed, StarAlgebra, derive_rea_rewrite,
+                      random_monomials, rea_laplace_instances, rea_verify,
                       reflection_equation_check, reflection_slot_vectors,
                       semiclassical_bracket_check,
                       star_commutator_first_order)
@@ -18,14 +19,14 @@ from qrea.shapes import enumerate_shapes, shape_qcomm_certificate
 
 def test_star_unit(star2):
     polys = random_monomials(2, 2, 10, seed=1)
-    assert star2.unit_check(polys)
+    assert star2.unit_check(polys) is None
 
 
 def test_star_associativity(star2):
     rng = random.Random(8)
     monos = random_monomials(2, 2, 10, seed=8)
     triples = [tuple(rng.sample(monos, 3)) for _ in range(6)]
-    assert star2.associativity_check(triples)
+    assert star2.associativity_check(triples) is None
 
 
 def test_star_minor_matches_star_word_on_generators(star2):
@@ -65,7 +66,7 @@ def test_reflection_slots_nontrivial():
 def test_reverse_braid(star2):
     pairs = [((i, j), (k, l)) for i in (1, 2) for j in (1, 2)
              for k in (1, 2) for l in (1, 2)]
-    assert star2.reverse_braid_check(pairs)
+    assert star2.reverse_braid_check(pairs) is None
 
 
 def test_rea_rewrite_n2(star2):
@@ -147,9 +148,9 @@ def test_wedge_contraction_reverses_the_twist(star2):
     count = 0
     for a, b in labels:
         for c, d in labels:
-            acc = NCPoly.zero(2)
-            for (X, Z, W), v in ctx.wedge_contraction(a, c, b).items():
-                acc = acc + star2.star_minor(X, Z, W, d).scale(v)
+            acc = sum_terms(2, [(v, (X, Z, W, d)) for (X, Z, W), v
+                                in ctx.wedge_contraction(a, c, b).items()],
+                            star2.star_minor)
             assert acc == ctx.minor_prod_nf(a, b, c, d), (a, b, c, d)
             count += 1
     assert count == 25
@@ -231,3 +232,108 @@ def test_dropped_expansion_term_fails_every_subfamily(monkeypatch, algebra,
             certs = [rea_verify(star, sub, i) for i in sweep(2)]
         assert any(c.status == "fail" for c in certs), sub
     _suite_names_first_failure(monkeypatch, star, algebra, family)
+
+
+# -- witnesses of the structural suites ---------------------------------------
+
+def _scaled_star_word(monkeypatch, star, factor):
+    """Make star.star_word, on this instance only, return factor(u, v) times
+    its value."""
+    original = star.star_word
+    monkeypatch.setattr(star, "star_word", lambda u, v: sum_terms(
+        star.N, [(factor(u, v), (u, v))], original))
+
+
+def _failing_suite_witness(monkeypatch, star, suite):
+    """Run the check-all suite at N = 2 on `star`, assert that its one
+    certificate fails, and return the witness."""
+    monkeypatch.setitem(checks._CTX_CACHE, 2, star.ctx)
+    monkeypatch.setitem(checks._STAR_CACHE, 2, star)
+    [cert] = dict(checks.CHECKS)[suite](2, 0)
+    assert cert.status == "fail"
+    return cert.witness
+
+
+def _times_q(p):
+    return sum_terms(p.N, [(RF_Q, ())], lambda: p)
+
+
+def test_star_unit_witness_is_first_failing_poly(monkeypatch):
+    star = _fresh_star()
+    # 1 * p picks up a factor q; p * 1 does not
+    _scaled_star_word(monkeypatch, star, lambda u, v: RF_ONE if u else RF_Q)
+    witness = _failing_suite_witness(monkeypatch, star, "rea.star-unit")
+    p = random_monomials(2, 2, 10, 0)[0]
+    nf = star.ctx.rw.normal_form(p)
+    assert witness == {"poly": _nf_json(p), "side": "left",
+                       **_nf_diff(_times_q(nf), nf)}
+
+
+def test_star_associativity_witness_is_first_failing_triple(monkeypatch):
+    star = _fresh_star()
+    # (f g) h gains q^(2|f||g||h|) over f (g h): no triple associates
+    _scaled_star_word(monkeypatch, star,
+                      lambda u, v: RatFunc.q_power(len(u) ** 2 * len(v)))
+    witness = _failing_suite_witness(monkeypatch, star,
+                                     "rea.star-associativity")
+    rng = random.Random(0)
+    monos = random_monomials(2, 2, 9, 0)
+    f, g, h = rng.sample(monos, 3)
+    left, right = star.star(star.star(f, g), h), star.star(f, star.star(g, h))
+    assert left != right
+    assert witness == {"triple": [_nf_json(p) for p in (f, g, h)],
+                       **_nf_diff(left, right)}
+
+
+def test_reverse_braid_witness_is_first_failing_pair(monkeypatch):
+    star = _fresh_star()
+    _scaled_star_word(monkeypatch, star, lambda u, v: RF_Q)
+    witness = _failing_suite_witness(monkeypatch, star, "rea.reverse-braid")
+    rng = random.Random(0)
+    (i, j), (k, l) = [(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(2)]
+    expected = star.ctx.rw.normal_form(NCPoly.generator(2, i, j)
+                                       * NCPoly.generator(2, k, l))
+    assert witness == {"pair": [[i, j], [k, l]],
+                       **_nf_diff(_times_q(expected), expected)}
+
+
+def test_rewrite_crosscheck_witness_is_the_flatness_message(monkeypatch):
+    star = _fresh_star()
+    # a twist on the descending generator pairs only breaks the rules
+    _scaled_star_word(monkeypatch, star,
+                      lambda u, v: RF_Q if u > v else RF_ONE)
+    with pytest.raises(FlatnessCheckFailed) as failure:
+        derive_rea_rewrite(star)
+    assert "fails in the model" in str(failure.value)
+    witness = _failing_suite_witness(monkeypatch, star,
+                                     "rea.rewrite-crosscheck")
+    assert witness == {"error": str(failure.value)}
+
+
+def test_sums_leave_every_memo_as_a_fresh_context_computes_it():
+    """No polynomial sum changes a memoised star_word, star_minor or
+    minor_prod_nf value that it adds up: after the star, star_minor and
+    verify_identity sums at N = 2, every memo value equals the value a
+    fresh context computes for its key."""
+    star = _fresh_star()
+    monos = random_monomials(2, 2, 8, seed=3)
+    for f, g in zip(monos, monos[1:]):
+        assert star.star(star.star(f, g), f) == star.star(f, star.star(g, f))
+    assert reflection_equation_check(star).status == "pass"
+    derive_rea_rewrite(star)
+    for (algebra, family), (subs, sweep, _keys) in checks.FAMILIES.items():
+        for inst in sweep(2):
+            for sub in subs:
+                if algebra == "qmatrix":
+                    cert = verify_identity(star.ctx, sub, inst)
+                else:
+                    cert = rea_verify(star, sub, inst)
+                assert cert.status == "pass", (sub, inst)
+    fresh = _fresh_star()
+    memos = [(star._star_word_memo, fresh.star_word),
+             (star._star_minor_memo, fresh.star_minor),
+             (star.ctx._minor_prod, fresh.ctx.minor_prod_nf)]
+    for memo, compute in memos:
+        assert memo
+        for key, value in memo.items():
+            assert value == compute(*key), key
