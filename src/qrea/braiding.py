@@ -234,8 +234,21 @@ def braid_wedge_pair(pair_vec, k, l, inverse=False):
     return project_pair(t, k + l - first)
 
 
+def _first_difference(got, expected):
+    """The first key, in sorted order, at which two sparse vectors differ,
+    with both values, or None when they are equal."""
+    for key in sorted(got.keys() | expected.keys()):
+        a, b = got.get(key, RF_ZERO), expected.get(key, RF_ZERO)
+        if a != b:
+            return {"entry": key, "got": a.to_json(), "expected": b.to_json()}
+    return None
+
+
 def embed_equivariance_check(N, k):
-    """Every elementary braid move fixes iota-images up to the factor -q."""
+    """Every elementary braid move fixes iota-images up to the factor -q.
+
+    Returns None, or the first failing sorted word (key) and move position,
+    with the first word at which the move and -q disagree."""
     minus_q = rf_q_int(1)
     for key in subsets(N, k):
         t = embed_basis(key)
@@ -243,8 +256,9 @@ def embed_equivariance_check(N, k):
             lifted = apply_elementary(t, p)
             expected = {w: c * minus_q for w, c in t.items()}
             if lifted != expected:
-                return False
-    return True
+                return {"k": k, "key": key, "position": p,
+                        **_first_difference(lifted, expected)}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -306,27 +320,36 @@ class WedgeBraidTable:
         return bad
 
     def diagonal_report(self):
-        """Check entry(I,I,Ip,Ip) = q^-|I n Ip| and the inverse analogue."""
+        """Check entry(I,I,Ip,Ip) = q^-|I n Ip| and the inverse analogue:
+        each failing diagonal entry, with its value and the expected one."""
         bad = []
         for I in subsets(self.N, self.k):
             for Ip in subsets(self.N, self.l):
                 m = len(set(I) & set(Ip))
-                if self.entry(I, I, Ip, Ip) != RatFunc.q_power(-m):
-                    bad.append(("direct", I, Ip))
-                if self.inv_entry(I, I, Ip, Ip) != RatFunc.q_power(m):
-                    bad.append(("inverse", I, Ip))
+                for kind, got, expected in (
+                        ("direct", self.entry(I, I, Ip, Ip), RatFunc.q_power(-m)),
+                        ("inverse", self.inv_entry(I, I, Ip, Ip),
+                         RatFunc.q_power(m))):
+                    if got != expected:
+                        bad.append({"diagonal": kind, "I": I, "I'": Ip,
+                                    "got": got.to_json(),
+                                    "expected": expected.to_json()})
         return bad
 
     def composition_identity_check(self):
-        """Inverse braiding composed with the braiding is the identity."""
+        """Inverse braiding composed with the braiding is the identity.
+
+        Returns None, or the first (I, J') whose round trip is not e_I (x)
+        e_J', with the first entry at which it differs."""
         ksets, lsets = subsets(self.N, self.k), subsets(self.N, self.l)
         for I in ksets:
             for Jp in lsets:
                 image = braid_wedge_pair({(I, Jp): RF_ONE}, self.k, self.l)
                 back = braid_wedge_pair(image, self.k, self.l, inverse=True)
                 if len(back) != 1 or back.get((I, Jp)) != RF_ONE:
-                    return False
-        return True
+                    return {"I": I, "J'": Jp,
+                            **_first_difference(back, {(I, Jp): RF_ONE})}
+        return None
 
     def to_json(self):
         ent = []

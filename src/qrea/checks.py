@@ -13,8 +13,6 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 
-import numpy as np
-
 from . import braiding, classical, coeff, indexsets, qmatrix, rea, shapes
 from .linalg import add_term, rank
 from .qmatrix import Certificate
@@ -253,21 +251,28 @@ def _table_degrees(N):
     return [(k, l) for k in range(1, cap + 1) for l in range(1, cap + 1)]
 
 
-def wedge_table_ok(tbl):
+def wedge_table_mismatch(tbl):
     """The support condition of a wedge table and of its inverse, and its
-    diagonal values; the wedge-table suite and `qrea wedge-table --check`."""
-    return (not tbl.support_condition_violations()
-            and not tbl.support_condition_violations(tbl.inv_entries)
-            and not tbl.diagonal_report())
+    diagonal values; the wedge-table suite and `qrea wedge-table --check`.
+    Returns None, or the first entry that breaks one of them."""
+    for kind, table in (("direct", tbl.entries), ("inverse", tbl.inv_entries)):
+        bad = tbl.support_condition_violations(table)
+        if bad:
+            return {"support": kind, "entry": bad[0],
+                    "value": table[bad[0]].to_json()}
+    return next(iter(tbl.diagonal_report()), None)
 
 
 def check_wedge_tables(N, seed):
+    out = []
     n = min(N, 4)
     ctx = get_ctx(n)
-    return [Certificate.verdict("braiding wedge-table",
-                                {"N": n, "k": k, "l": l},
-                                wedge_table_ok(ctx.table(k, l)))
-            for (k, l) in _table_degrees(n)]
+    for (k, l) in _table_degrees(n):
+        bad = wedge_table_mismatch(ctx.table(k, l))
+        out.append(Certificate.verdict(
+            "braiding wedge-table", {"N": n, "k": k, "l": l}, bad is None,
+            witness=lambda: bad))
+    return out
 
 
 def check_wedge_composition(N, seed):
@@ -275,17 +280,19 @@ def check_wedge_composition(N, seed):
     n = min(N, 4)
     ctx = get_ctx(n)
     for (k, l) in _table_degrees(n):
+        bad = ctx.table(k, l).composition_identity_check()
         out.append(Certificate.verdict(
             "braiding wedge-composition", {"N": n, "k": k, "l": l},
-            ctx.table(k, l).composition_identity_check()))
+            bad is None, witness=lambda: bad))
     return out
 
 
 def check_embed_equivariance(N, seed):
     n = min(N, 4)
-    ok = all(braiding.embed_equivariance_check(n, k)
-             for k in range(1, min(n, 3) + 1))
-    return [Certificate.verdict("braiding embed-equivariance", {"N": n}, ok)]
+    bad = next(filter(None, (braiding.embed_equivariance_check(n, k)
+                             for k in range(1, min(n, 3) + 1))), None)
+    return [Certificate.verdict("braiding embed-equivariance", {"N": n},
+                                bad is None, witness=lambda: bad)]
 
 
 def check_scalar_lemma(N, seed):
@@ -587,8 +594,8 @@ def check_shape_roundtrip(N, seed):
         z = classical.build_leaf_point(S, lam)
         shape_ok = z.mode != "exact" or classical.shape_of(z).same_shape(S)
         lab = classical.leaf_label(z)
-        target = np.sort(np.array([float(x) for x in lam]))
-        weight_err = np.max(np.abs(np.array(lab.weight) - target))
+        target = sorted(float(x) for x in lam)
+        weight_err = max(abs(w - x) for w, x in zip(lab.weight, target))
         if not shape_ok or weight_err > 1e-9:
             bad.append({"sample": i, "shape": S.to_json(),
                         "weights": [str(x) for x in lam], "z": z.to_json(),
@@ -606,10 +613,9 @@ def check_sign_compat(N, seed):
         z = classical.random_exact_hermitian(n, rng)
         s = classical.shape_of(z)
         zero = n - rank(z.entries)
-        ev = z.eigenvalues()
-        idx = np.argsort(np.abs(ev))
-        nonzero = ev[idx[zero:]]
-        signs = (int(np.sum(nonzero > 0)), int(np.sum(nonzero < 0)), zero)
+        plus, minus, _ = classical.weight_sign(
+            sorted(z.eigenvalues(), key=abs)[zero:])
+        signs = (plus, minus, zero)
         if s.sign_multiset() != signs:
             bad.append({"sample": i, "z": z.to_json(),
                         "shape_signs": list(s.sign_multiset()),
@@ -666,7 +672,8 @@ def check_decompose(N, seed):
         resid = classical.decompose_residual(z, t, S)
         expected = classical.shape_of(z)
         if (resid > 1e-9 or not expected.same_shape(S, tol=1e-8)
-                or np.any(np.real(np.diag(t.to_numeric())) <= 0)):
+                or any(row[i].real <= 0
+                       for i, row in enumerate(t.to_numeric()))):
             bad.append({"sample": i, "z": z.to_json(), "t": t.to_json(),
                         "shape": S.to_json(), "shape_of": expected.to_json(),
                         "residual": resid})
@@ -676,7 +683,7 @@ def check_decompose(N, seed):
 
 
 def check_bivector(N, seed):
-    rng = np.random.default_rng(seed)
+    rng = classical.numeric_rng(seed)
     n = min(N, 3)
     ok = True
     for _ in range(20):
@@ -709,7 +716,7 @@ def tangency_reports(n, samples, rng):
 
 
 def check_tangency(N, seed):
-    rng = np.random.default_rng(seed)
+    rng = classical.numeric_rng(seed)
     out = []
     for n in (2, 3):
         reports = tangency_reports(n, 50, rng)

@@ -16,6 +16,12 @@ r-matrix e_ii (x) e_ii + 2 sum_{i<j} e_ij (x) e_ji: each of its four terms is
 a short sum over the nonzero entries of r, with exact coefficients.  The
 table is evaluated numerically for the bivector and orbit-tangency checks;
 the Jacobi check builds its cyclic sums exactly, then samples them.
+
+numpy serves only the numeric Hermitian path: the numeric HermitianMatrix
+mode and its eigenvalues, decompose's floating-point fallback, and the
+bivector, tangency and Jacobi samplers.  Each of those routines imports it
+itself, so the exact side, and every module that imports this one, runs
+without loading numpy.
 """
 
 from __future__ import annotations
@@ -25,8 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-
-import numpy as np
 
 from .coeff import GaussRat, rational_sqrt
 from .linalg import add_term, determinant, rank
@@ -77,6 +81,7 @@ class HermitianMatrix:
                         if self.entries[i][j] != self.entries[j][i].conj():
                             raise ValueError("matrix is not self-adjoint")
         elif mode == "numeric":
+            import numpy as np
             self.entries = np.array(entries, dtype=complex)
             shape = self.entries.shape
             if len(shape) != 2 or shape[0] != shape[1]:
@@ -91,9 +96,11 @@ class HermitianMatrix:
     def to_numeric(self):
         if self.mode == "numeric":
             return self.entries
+        import numpy as np
         return np.array([[e.to_complex() for e in row] for row in self.entries])
 
     def eigenvalues(self):
+        import numpy as np
         return np.sort(np.linalg.eigvalsh(self.to_numeric()))
 
     def to_json(self):
@@ -472,6 +479,7 @@ def decompose(z):
                     _read_shape(m, GaussRat.is_zero))
         except _ExactSqrtMiss:
             pass
+    import numpy as np
     zn = z.to_numeric()
     tol = 1e-11 * max(1.0, np.max(np.abs(zn)))
     t, m = np.eye(N, dtype=complex).tolist(), zn.tolist()
@@ -483,6 +491,7 @@ def decompose(z):
 
 
 def decompose_residual(z, t, S):
+    import numpy as np
     zn = z.to_numeric()
     tn = t.to_numeric()
     sn = S.matrix().to_numeric()
@@ -610,6 +619,7 @@ def _bracket_terms(N):
     """poisson_bracket_coeffs(N) as numeric arrays: one row (target, p, q)
     of flat indices and one coefficient c per term, the bracket at the flat
     index target of (i, j, k, l) being the sum of c * z[p] * z[q]."""
+    import numpy as np
     terms = [((((i - 1) * N + j - 1) * N + k - 1) * N + l - 1,
               (a - 1) * N + b - 1, (c - 1) * N + d - 1, g.to_complex())
              for ((i, j), (k, l)), form in poisson_bracket_coeffs(N).items()
@@ -621,6 +631,7 @@ def _bracket_terms(N):
 def bracket_matrix_at(z):
     """Complex bracket values {Z_ij, Z_kl}(z) as a 4-index array: the exact
     quadratic forms of poisson_bracket_coeffs evaluated at z."""
+    import numpy as np
     zn = np.asarray(z, dtype=complex)
     N = zn.shape[0]
     index, c = _bracket_terms(N)
@@ -634,34 +645,44 @@ def bracket_matrix_at(z):
 # Bivector, tangency, Jacobi
 # ---------------------------------------------------------------------------
 
+def numeric_rng(seed):
+    """The numpy Generator that a numeric sampler draws from: one per suite
+    or CLI run, seeded with its seed."""
+    import numpy as np
+    return np.random.default_rng(seed)
+
+
+def _basis(N, diag, pairs):
+    """An (N*N, N, N) array of matrices: diag at each diagonal unit, then,
+    for each i < j, one matrix per (upper, lower) pair holding upper at
+    (i, j) and lower at (j, i)."""
+    import numpy as np
+    out = np.zeros((N * N, N, N), dtype=complex)
+    for i in range(N):
+        out[i, i, i] = diag
+    a = N
+    for i in range(N):
+        for j in range(i + 1, N):
+            for upper, lower in pairs:
+                out[a, i, j], out[a, j, i] = upper, lower
+                a += 1
+    return out
+
+
 def realification_basis(N):
     """Orthonormal Hermitian basis: diagonal units, then real and imaginary
     off-diagonal combinations."""
-    basis = []
-    for i in range(N):
-        e = np.zeros((N, N), dtype=complex)
-        e[i, i] = 1
-        basis.append(e)
-    s = 1 / np.sqrt(2)
-    for i in range(N):
-        for j in range(i + 1, N):
-            e = np.zeros((N, N), dtype=complex)
-            e[i, j] = s
-            e[j, i] = s
-            basis.append(e)
-            e = np.zeros((N, N), dtype=complex)
-            e[i, j] = 1j * s
-            e[j, i] = -1j * s
-            basis.append(e)
-    return basis
+    s = 1 / math.sqrt(2)
+    return _basis(N, 1, ((s, s), (1j * s, -1j * s)))
 
 
 def poisson_bivector(z):
     """Real antisymmetric bivector matrix in the realification coordinates."""
+    import numpy as np
     zn = z.to_numeric() if isinstance(z, HermitianMatrix) else np.asarray(z, dtype=complex)
     N = zn.shape[0]
     B = bracket_matrix_at(zn)
-    E = np.array(realification_basis(N))
+    E = realification_basis(N)
     full = np.einsum("Aba,Bdc,abcd->AB", E, E, B)
     scale = max(1.0, float(np.max(np.abs(zn))) ** 2)
     if np.max(np.abs(full.imag)) > 1e-12 * scale:
@@ -673,47 +694,24 @@ def poisson_bivector(z):
     return pi
 
 
-def _coords(v, basis):
-    return np.array([np.trace(E @ v).real for E in basis])
-
-
 def _unitary_lie_basis(N):
-    out = []
-    for i in range(N):
-        a = np.zeros((N, N), dtype=complex)
-        a[i, i] = 1j
-        out.append(a)
-    for i in range(N):
-        for j in range(i + 1, N):
-            a = np.zeros((N, N), dtype=complex)
-            a[i, j] = 1
-            a[j, i] = -1
-            out.append(a)
-            a = np.zeros((N, N), dtype=complex)
-            a[i, j] = 1j
-            a[j, i] = 1j
-            out.append(a)
-    return out
+    return _basis(N, 1j, ((1, -1), (1j, 1j)))
 
 
 def _triangular_lie_basis(N):
-    out = []
-    for i in range(N):
-        a = np.zeros((N, N), dtype=complex)
-        a[i, i] = 1
-        out.append(a)
-    for i in range(N):
-        for j in range(i + 1, N):
-            a = np.zeros((N, N), dtype=complex)
-            a[i, j] = 1
-            out.append(a)
-            a = np.zeros((N, N), dtype=complex)
-            a[i, j] = 1j
-            out.append(a)
-    return out
+    return _basis(N, 1, ((1, 0), (1j, 0)))
+
+
+def _tangent_coords(zn, lie, E):
+    """The orbit tangents a* z + z a over the Lie basis `lie`, one column
+    each, in the realification coordinates tr(E v) of the basis E."""
+    import numpy as np
+    v = lie.conj().transpose(0, 2, 1) @ zn + zn @ lie
+    return np.einsum("kab,mba->km", E, v).real
 
 
 def _numeric_rank(mat):
+    import numpy as np
     if mat.size == 0:
         return 0
     sv = np.linalg.svd(mat, compute_uv=False)
@@ -733,14 +731,13 @@ def leaf_tangency_check(z):
     Returns dims of the bivector range, both tangents and their
     intersection, and whether range = intersection within TANGENCY_TOL.
     """
+    import numpy as np
     zn = z.to_numeric() if isinstance(z, HermitianMatrix) else np.asarray(z, dtype=complex)
     N = zn.shape[0]
-    basis = realification_basis(N)
+    E = realification_basis(N)
     pi = poisson_bivector(zn)
-    # the two orbit tangents: a* z + z a over each Lie algebra's basis
-    U, T = (np.array([_coords(a.conj().T @ zn + zn @ a, basis)
-                      for a in lie(N)]).T
-            for lie in (_unitary_lie_basis, _triangular_lie_basis))
+    U = _tangent_coords(zn, _unitary_lie_basis(N), E)
+    T = _tangent_coords(zn, _triangular_lie_basis(N), E)
     rank_pi = _numeric_rank(pi)
     rank_u = _numeric_rank(U)
     rank_t = _numeric_rank(T)
@@ -789,7 +786,7 @@ def jacobi_check(N, samples=100, seed=0):
                     add_bracket_with_poly(total, a, table[(b, c)])
                 if total:
                     cyclic[(f, g, h)] = total
-    rng = np.random.default_rng(seed)
+    rng = numeric_rng(seed)
     worst = 0.0
     for _ in range(samples):
         zn = random_numeric_hermitian(N, rng)

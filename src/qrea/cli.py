@@ -135,9 +135,12 @@ def cmd_wedge_table(args):
     sys.stdout.write(json.dumps(tbl.to_json(), sort_keys=True) + "\n")
     ok = True
     if args.check:
-        ok = checks.wedge_table_ok(tbl) and tbl.composition_identity_check()
+        bad = (checks.wedge_table_mismatch(tbl)
+               or tbl.composition_identity_check())
+        ok = bad is None
         _emit(Certificate.verdict("wedge-table",
-                                  {"N": args.N, "k": args.k, "l": args.l}, ok),
+                                  {"N": args.N, "k": args.k, "l": args.l}, ok,
+                                  witness=bad),
               sys.stdout)
     print(f"[wedge-table] dumped N={args.N} k={args.k} l={args.l} "
           f"({time.time() - t0:.1f}s)", file=sys.stderr)
@@ -284,9 +287,8 @@ def cmd_classical(args):
                                          {"weights": [str(w) for w in lam]},
                                          lab.shape.same_shape(S)))
     elif args.classical_cmd == "tangency":
-        import numpy as np
         reports = checks.tangency_reports(args.N, args.samples,
-                                          np.random.default_rng(args.seed))
+                                          classical.numeric_rng(args.seed))
         for i, rep in enumerate(reports, 1):
             certs.append(Certificate.verdict("classical tangency",
                                              {"N": args.N, "sample": i},

@@ -11,7 +11,9 @@ from qrea.braiding import (apply_block_lift, apply_elementary,
                            rmatrix_lemma_check, symmetry_check, wedge_sign,
                            WedgeBraidTable)
 from qrea.coeff import RF_ONE, RF_Q, RF_QDIFF, RF_QINV, RatFunc, rf_q_int
+from qrea.indexsets import dominated
 from qrea.linalg import add_term
+from qrea.qmatrix import QContext
 
 
 def test_braid_action_examples():
@@ -83,7 +85,7 @@ def test_project_embed_identity():
 def test_embed_equivariance():
     for N in (2, 3, 4):
         for k in range(2, min(N, 3) + 1):
-            assert embed_equivariance_check(N, k)
+            assert embed_equivariance_check(N, k) is None
 
 
 def test_block_lift_is_braiding_on_vectors():
@@ -131,7 +133,7 @@ def test_table_support_and_composition():
         assert tbl.support_condition_violations() == []
         assert tbl.support_condition_violations(tbl.inv_entries) == []
         assert tbl.diagonal_report() == []
-        assert tbl.composition_identity_check()
+        assert tbl.composition_identity_check() is None
 
 
 def test_table_json():
@@ -245,3 +247,77 @@ def test_antisym_swap_witness_is_first_failing_pair(broken_move):
     assert first == ((1, 2), 1)
     assert w["mismatch"] == rmatrix_lemma_check((1,), (2,))["mismatch"]
     assert w["mismatch"]["got"] != w["mismatch"]["expected"]
+
+
+def _fresh_ctx(monkeypatch, N):
+    """A fresh QContext of size N in place of the suites' cached one, so
+    that a perturbed table does not outlive the test."""
+    ctx = QContext(N)
+    monkeypatch.setitem(checks._CTX_CACHE, N, ctx)
+    return ctx
+
+
+def test_wedge_table_witness_is_first_failing_entry(monkeypatch):
+    ctx = _fresh_ctx(monkeypatch, 2)
+    # (1, 1): an entry of the inverse table off the support, J = (2,) not
+    # dominated by I = (1,)
+    off = ((1,), (2,), (1,), (1,))
+    assert not dominated(off[1], off[0])
+    ctx.table(1, 1).inv_entries[off] = RF_Q
+    # (1, 2): two wrong diagonal entries; the inverse one at I = (1,) is
+    # scanned before the direct one at I = (2,)
+    t12 = ctx.table(1, 2)
+    t12.inv_entries[(1,), (1,), (1, 2), (1, 2)] *= RF_Q
+    t12.entries[(2,), (2,), (1, 2), (1, 2)] *= RF_Q
+    certs = checks.check_wedge_tables(2, 0)
+    assert [c.status for c in certs] == ["fail", "fail", "pass", "pass"]
+    assert [c.witness for c in certs[2:]] == [None, None]
+    assert certs[0].witness == {"support": "inverse", "entry": off,
+                                "value": RF_Q.to_json()}
+    got = t12.inv_entry((1,), (1,), (1, 2), (1, 2))
+    assert certs[1].witness == {"diagonal": "inverse", "I": (1,),
+                                "I'": (1, 2), "got": got.to_json(),
+                                "expected": RatFunc.q_power(1).to_json()}
+    assert got != RatFunc.q_power(1)
+
+
+def test_wedge_composition_witness_is_first_failing_pair(monkeypatch):
+    ctx = _fresh_ctx(monkeypatch, 2)
+    move = braiding.braid_wedge_pair
+
+    def broken(pair_vec, k, l, inverse=False):
+        # the (1, 1) inverse braiding of e_2 (x) e_2 scaled by q
+        out = move(pair_vec, k, l, inverse)
+        if inverse and (k, l) == (1, 1) and ((2,), (2,)) in pair_vec:
+            out = {key: c * RF_Q for key, c in out.items()}
+        return out
+
+    monkeypatch.setattr(braiding, "braid_wedge_pair", broken)
+    certs = checks.check_wedge_composition(2, 0)
+    assert [c.status for c in certs] == ["fail", "pass", "pass", "pass"]
+    # (2,) (x) (2,) is the last of the four (I, J') pairs of degree (1, 1)
+    first = _first_failure(
+        product([(1,), (2,)], repeat=2),
+        lambda p: broken(broken({p: RF_ONE}, 1, 1), 1, 1, inverse=True)
+        == {p: RF_ONE})
+    assert first == ((2,), (2,))
+    assert certs[0].witness == {"I": (2,), "J'": (2,), "entry": first,
+                                "got": RF_Q.to_json(),
+                                "expected": RF_ONE.to_json()}
+    assert ctx.table(1, 1).composition_identity_check() == certs[0].witness
+
+
+def test_embed_equivariance_witness_is_first_failing_word(broken_move):
+    [cert] = checks.check_embed_equivariance(2, 0)
+    assert cert.status == "fail"
+    w = cert.witness
+    assert (w["k"], w["key"], w["position"]) == (2, (1, 2), 0)
+    t = embed_basis((1, 2))
+    lifted = apply_elementary(t, 0)
+    expected = {word: c * rf_q_int(1) for word, c in t.items()}
+    word = _first_failure(sorted(lifted.keys() | expected.keys()),
+                          lambda u: lifted.get(u) == expected.get(u))
+    assert w["entry"] == word
+    assert w["got"] == lifted[word].to_json()
+    assert w["expected"] == expected[word].to_json()
+    assert w["got"] != w["expected"]

@@ -12,8 +12,10 @@ from qrea.classical import (GaussRat, HermitianMatrix, IllConditioned,
                             leaf_tangency_check, poisson_bivector,
                             poisson_bracket_coeffs, random_compatible_weights,
                             random_exact_hermitian, random_shape,
-                            random_triangular, shape_of, tn_invariance_check,
-                            weight_sign)
+                            random_numeric_hermitian, random_triangular,
+                            realification_basis, shape_of, tn_invariance_check,
+                            weight_sign, _tangent_coords, _triangular_lie_basis,
+                            _unitary_lie_basis)
 from qrea.linalg import rank
 
 
@@ -256,6 +258,22 @@ def test_tangency_random_sweep():
                 continue
             assert rep["equal"], rep
             done += 1
+
+
+def test_tangent_coordinates_against_the_trace_loop():
+    # the one-einsum projection of the orbit tangents against tr(E v) taken
+    # one basis pair at a time; the summation order differs, so the bound is
+    # a float64 rounding bound, not equality
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3, 4):
+        zn = random_numeric_hermitian(n, rng)
+        E = realification_basis(n)
+        for lie in (_unitary_lie_basis(n), _triangular_lie_basis(n)):
+            loop = np.array([[np.trace(e @ (a.conj().T @ zn + zn @ a)).real
+                              for a in lie] for e in E])
+            got = _tangent_coords(zn, lie, E)
+            assert got.shape == loop.shape == (n * n, n * n)
+            assert np.max(np.abs(got - loop)) <= 1e-12 * np.max(np.abs(zn))
 
 
 def test_jacobi():

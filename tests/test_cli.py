@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -272,3 +274,58 @@ def test_registry_matches_manifest():
     manifest = res.files("qrea").joinpath("check_manifest.txt") \
         .read_text().split()
     assert manifest == [name for name, _ in checks.CHECKS]
+
+
+# Run in a fresh interpreter: imports qrea's entry points, runs every
+# qmatrix.* and rea.* suite and the exact CLI commands at N=2, and prints
+# whether numpy was loaded.
+_EXACT_SIDE = """
+import contextlib, io, sys
+import qrea.checks, qrea.cli
+for name, suite in qrea.checks.CHECKS:
+    if name.split(".")[0] in ("qmatrix", "rea"):
+        assert all(c.status == "pass" for c in suite(2, 0)), name
+for argv in (["braid", "--N", "2"],
+             ["wedge-table", "--N", "2", "--k", "1", "--l", "2", "--check"],
+             ["verify", "muir", "--N", "2"], ["rea", "verify", "laplace"],
+             ["rea", "shapes", "--N", "2"], ["rea", "qcomm", "--N", "2"],
+             ["rea", "semiclassical"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert qrea.cli.main(argv) == 0, argv
+print("numpy" in sys.modules)
+"""
+
+
+def test_exact_side_runs_without_numpy():
+    src = Path(checks.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", _EXACT_SIDE],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def _import_time_imports(tree):
+    """The import statements of a module that run when it is imported: all
+    but those inside a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_numpy_at_module_level():
+    hits = []
+    for path in sorted(Path(checks.__file__).parent.glob("*.py")):
+        for node in _import_time_imports(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""])
+            if any(n.split(".")[0] == "numpy" for n in names):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert not hits, "import numpy inside the numeric routine:\n" + \
+        "\n".join(hits)
