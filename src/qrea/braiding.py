@@ -15,26 +15,28 @@ qmatrix and its two convolution inverses are the same kernel with generator
 tables read off braid_pair_action: r off the move, r^{-1} off the inverse
 move, and r' off the inverse move twisted by a power of q.
 
-Wedge powers are handled through the splitting pair iota/rho: iota
-(embed_basis) embeds the q-antisymmetric subspace into the tensor power with
-a q-factorial normalisation, rho (wedge_sign on one word) projects a tensor
-word onto the sorted wedge basis with a (-q)^inversions sign.  Wedge vectors
-are plain dicts over sorted index tuples, and pairs of them are projected by
-project_pair, rho (x) rho.  The braiding between wedge powers braids the sorted
-word e_I (x) e_J by a fixed reduced product of braid moves and projects it
-back.  No iota-embedding is needed: rho o R_i = (-q) rho, so the q-factorial
-normalisation of iota cancels exactly.  iota is kept as the oracle that
-embed-equivariance and the tests check against.
+Wedge powers are handled through the pair iota/rho: iota (embed_basis)
+sends e_I to the q-antisymmetric sum of (-q)^inversions e_w over the
+arrangements w of I, rho (wedge_sign on one word) projects a tensor word
+onto the sorted wedge basis with a (-q)^inversions sign, and rho o iota is
+[k]_{q^2}! (q2_factorial) times the identity on the k-th wedge power.  Every
+coefficient is a Laurent polynomial over Z.  Wedge vectors are plain dicts
+over sorted index tuples, and pairs of them are projected by project_pair,
+rho (x) rho.  The braiding between wedge powers braids the sorted word
+e_I (x) e_J by a fixed reduced product of braid moves and projects it back.
+No iota-embedding is needed: rho o R_i = (-q) rho, so (rho (x) rho) B
+(iota (x) iota) is that braiding times [k]_{q^2}! [l]_{q^2}!.  iota is kept
+as the oracle that embed-equivariance and the tests check against.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
 
-from .coeff import (RF_ONE, RF_Q, RF_QDIFF, RF_QINV, RF_ZERO, RatFunc,
-                    rf_q_int)
+from .coeff import (LP_ONE, LP_Q, LP_QDIFF, LP_QINV, LP_ZERO, LaurentPoly,
+                    lp_q_int)
 from .indexsets import dominated, inversions, merge, rest, select, subsets
-from .linalg import add_term
+from .linalg import add_term, first_difference
 
 
 class DegreeOutOfRange(ValueError):
@@ -46,20 +48,20 @@ class DegreeOutOfRange(ValueError):
 # ---------------------------------------------------------------------------
 
 # q - q^{-1}, weight of the extra diagonal term of the inverse
-_RF_QDIFF_NEG = RF_ZERO - RF_QDIFF
+_LP_QDIFF_NEG = -LP_QDIFF
 
 
 def braid_pair_action(a, b, inverse=False):
     """Image of e_a (x) e_b as a list of ((c, d), coeff)."""
     if a == b:
-        return [((a, a), RF_Q if inverse else RF_QINV)]
-    out = [((b, a), RF_ONE)]
+        return [((a, a), LP_Q if inverse else LP_QINV)]
+    out = [((b, a), LP_ONE)]
     if inverse:
         if b > a:
-            out.append(((a, b), _RF_QDIFF_NEG))
+            out.append(((a, b), _LP_QDIFF_NEG))
     else:
         if b < a:
-            out.append(((a, b), RF_QDIFF))
+            out.append(((a, b), LP_QDIFF))
     return out
 
 
@@ -136,7 +138,7 @@ def braid_relation_check(N):
 
     Returns the first word on which the two sides differ, or None."""
     for word in product(range(1, N + 1), repeat=3):
-        t = {word: RF_ONE}
+        t = {word: LP_ONE}
         lhs = apply_elementary(apply_elementary(apply_elementary(t, 0), 1), 0)
         rhs = apply_elementary(apply_elementary(apply_elementary(t, 1), 0), 1)
         if lhs != rhs:
@@ -150,11 +152,11 @@ def hecke_check(N):
 
     Returns the first word on which the two sides differ, or None."""
     for word in product(range(1, N + 1), repeat=2):
-        t = {word: RF_ONE}
+        t = {word: LP_ONE}
         once = apply_elementary(t, 0)
         rhs = dict(t)
         for w, c in once.items():
-            add_term(rhs, w, c * RF_QDIFF)
+            add_term(rhs, w, c * LP_QDIFF)
         if apply_elementary(once, 0) != rhs:
             return word
     return None
@@ -178,27 +180,22 @@ def wedge_sign(word):
     """(coeff, sorted tuple) of a wedge word, or None when an index repeats."""
     if len(set(word)) != len(word):
         return None
-    return rf_q_int(inversions(word)), tuple(sorted(word))
+    return lp_q_int(inversions(word)), tuple(sorted(word))
 
 
 def q2_factorial(l):
-    """prod_{k=1..l} (1 - q^{2k}) / (1 - q^2) as a RatFunc."""
-    out = RF_ONE
+    """[l]_{q^2}! = prod_{k=1..l} (1 + q^2 + ... + q^{2k-2}), the scalar by
+    which rho o iota acts on the l-th wedge power."""
+    out = LP_ONE
     for k in range(1, l + 1):
-        num = RatFunc({0: 1, 2 * k: -1})
-        den = RatFunc({0: 1, 2: -1})
-        out = out * (num / den)
+        out = out * LaurentPoly({2 * i: 1 for i in range(k)})
     return out
 
 
 def embed_basis(key):
-    """iota on one sorted basis element: tensor dict, q-factorial normalised."""
-    key = tuple(key)
-    norm = q2_factorial(len(key)).inv()
-    out = {}
-    for perm in permutations(key):
-        out[perm] = rf_q_int(inversions(perm)) * norm
-    return out
+    """iota on one sorted basis element, as a tensor dict: the sum of
+    (-q)^{inv(w)} e_w over the arrangements w of key."""
+    return {perm: lp_q_int(inversions(perm)) for perm in permutations(key)}
 
 
 # -- pairs of wedge factors ---------------------------------------------------
@@ -225,8 +222,8 @@ def braid_wedge_pair(pair_vec, k, l, inverse=False):
     inverse=True computes the inverse map wedge^l (x) wedge^k -> ...; the
     input pair vector is then expected to have degrees (l, k).  Keys are
     pairs of sorted index tuples; each is braided as the single word
-    e_I (x) e_J, which equals (rho (x) rho) B (iota (x) iota) because the
-    q-factorial normalisation of iota cancels against rho o R_i = (-q) rho.
+    e_I (x) e_J.  Since rho o R_i = (-q) rho, (rho (x) rho) B (iota (x) iota)
+    is this map times [k]_{q^2}! [l]_{q^2}!.
     """
     first = l if inverse else k
     t = {ka + kb: c for (ka, kb), c in pair_vec.items()}
@@ -234,22 +231,12 @@ def braid_wedge_pair(pair_vec, k, l, inverse=False):
     return project_pair(t, k + l - first)
 
 
-def _first_difference(got, expected):
-    """The first key, in sorted order, at which two sparse vectors differ,
-    with both values, or None when they are equal."""
-    for key in sorted(got.keys() | expected.keys()):
-        a, b = got.get(key, RF_ZERO), expected.get(key, RF_ZERO)
-        if a != b:
-            return {"entry": key, "got": a.to_json(), "expected": b.to_json()}
-    return None
-
-
 def embed_equivariance_check(N, k):
     """Every elementary braid move fixes iota-images up to the factor -q.
 
     Returns None, or the first failing sorted word (key) and move position,
     with the first word at which the move and -q disagree."""
-    minus_q = rf_q_int(1)
+    minus_q = lp_q_int(1)
     for key in subsets(N, k):
         t = embed_basis(key)
         for p in range(k - 1):
@@ -257,7 +244,7 @@ def embed_equivariance_check(N, k):
             expected = {w: c * minus_q for w, c in t.items()}
             if lifted != expected:
                 return {"k": k, "key": key, "position": p,
-                        **_first_difference(lifted, expected)}
+                        **first_difference(lifted, expected)}
     return None
 
 
@@ -285,18 +272,18 @@ class WedgeBraidTable:
         ksets, lsets = subsets(N, k), subsets(N, l)
         for I in ksets:
             for Jp in lsets:
-                image = braid_wedge_pair({(I, Jp): RF_ONE}, k, l)
+                image = braid_wedge_pair({(I, Jp): LP_ONE}, k, l)
                 for (Ip, J), c in image.items():
                     self.entries[(I, J, Ip, Jp)] = c
-                image = braid_wedge_pair({(Jp, I): RF_ONE}, k, l, inverse=True)
+                image = braid_wedge_pair({(Jp, I): LP_ONE}, k, l, inverse=True)
                 for (J, Ip), c in image.items():
                     self.inv_entries[(I, J, Ip, Jp)] = c
 
     def entry(self, I, J, Ip, Jp):
-        return self.entries.get((I, J, Ip, Jp), RF_ZERO)
+        return self.entries.get((I, J, Ip, Jp), LP_ZERO)
 
     def inv_entry(self, I, J, Ip, Jp):
-        return self.inv_entries.get((I, J, Ip, Jp), RF_ZERO)
+        return self.inv_entries.get((I, J, Ip, Jp), LP_ZERO)
 
     # -- structural checks ---------------------------------------------------
 
@@ -327,9 +314,10 @@ class WedgeBraidTable:
             for Ip in subsets(self.N, self.l):
                 m = len(set(I) & set(Ip))
                 for kind, got, expected in (
-                        ("direct", self.entry(I, I, Ip, Ip), RatFunc.q_power(-m)),
+                        ("direct", self.entry(I, I, Ip, Ip),
+                         LaurentPoly.q_power(-m)),
                         ("inverse", self.inv_entry(I, I, Ip, Ip),
-                         RatFunc.q_power(m))):
+                         LaurentPoly.q_power(m))):
                     if got != expected:
                         bad.append({"diagonal": kind, "I": I, "I'": Ip,
                                     "got": got.to_json(),
@@ -344,11 +332,11 @@ class WedgeBraidTable:
         ksets, lsets = subsets(self.N, self.k), subsets(self.N, self.l)
         for I in ksets:
             for Jp in lsets:
-                image = braid_wedge_pair({(I, Jp): RF_ONE}, self.k, self.l)
+                image = braid_wedge_pair({(I, Jp): LP_ONE}, self.k, self.l)
                 back = braid_wedge_pair(image, self.k, self.l, inverse=True)
-                if len(back) != 1 or back.get((I, Jp)) != RF_ONE:
+                if len(back) != 1 or back.get((I, Jp)) != LP_ONE:
                     return {"I": I, "J'": Jp,
-                            **_first_difference(back, {(I, Jp): RF_ONE})}
+                            **first_difference(back, {(I, Jp): LP_ONE})}
         return None
 
     def to_json(self):
@@ -369,7 +357,7 @@ def _antisym_pair_vector(S, T, l):
     vec = {}
     for P in subsets(len(T), l):
         add_term(vec, (merge(S, select(T, P)), merge(S, rest(T, P))),
-                 rf_q_int(sum(P)))
+                 lp_q_int(sum(P)))
     return vec
 
 
@@ -389,7 +377,7 @@ def rmatrix_lemma_check(I, Ip):
     lp = len([x for x in Ip if x not in I])
     xi = _antisym_pair_vector(S, T, l)
     xi_p = _antisym_pair_vector(S, T, lp)
-    scalar = RatFunc.q_power(len(S)) * rf_q_int(
+    scalar = LaurentPoly.q_power(len(S)) * lp_q_int(
         l * (l + 1) // 2 - lp * (lp + 1) // 2 - l * lp)
     expected = {key: c * scalar for key, c in xi_p.items()}
     # inverse braiding wedge^{|I|} (x) wedge^{|Ip|} -> wedge^{|Ip|} (x) wedge^{|I|}

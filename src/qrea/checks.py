@@ -12,9 +12,10 @@ import random
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from math import comb
 
 from . import braiding, classical, coeff, indexsets, qmatrix, rea, shapes
-from .linalg import add_term, rank
+from .linalg import add_term, first_difference, rank
 from .qmatrix import Certificate
 
 _CTX_CACHE = {}
@@ -306,7 +307,7 @@ def check_scalar_lemma(N, seed):
                 bad.append((I, Ip))
     return [Certificate.verdict("braiding scalar-lemma",
                                 {"N": n, "pairs": len(subs) ** 2},
-                                not bad, witness={"failed": bad[:5]})]
+                                not bad, witness=lambda: {"failed": bad[:5]})]
 
 
 def check_antisym_swap(N, seed):
@@ -336,30 +337,39 @@ def check_pbw_dimensions(N, seed):
                 # confluence certificate at this size
                 continue
             dim = qmatrix.degree_dimension(n, ctx.rw, d)
-            from math import comb
-            out.append(Certificate.verdict("qmatrix pbw-dimension",
-                                           {"N": n, "degree": d},
-                                           dim == comb(n * n + d - 1, d)))
-        out.append(Certificate.verdict("qmatrix confluence", {"N": n},
-                                       ctx.rw.critical_pairs_ok()))
+            expected = comb(n * n + d - 1, d)
+            out.append(Certificate.verdict(
+                "qmatrix pbw-dimension", {"N": n, "degree": d},
+                dim == expected,
+                witness=lambda dim=dim, expected=expected: {
+                    "dimension": dim, "expected": expected}))
+        failure = ctx.rw.critical_pair_failure()
+        out.append(Certificate.verdict(
+            "qmatrix confluence", {"N": n}, failure is None,
+            witness=lambda failure=failure: failure))
     return out
 
 
 def check_counit_coassoc(N, seed):
+    """(epsilon (x) id) Delta w = w on 50 random words; the witness is the
+    first failing word, its draw and its first mismatching word."""
     rng = random.Random(seed)
     n = min(N, 3)
-    ok = True
-    for _ in range(50):
+    failure = None
+    for i in range(50):
         w = tuple(rng.randrange(n * n) for _ in range(rng.randint(1, 3)))
-        p = qmatrix.NCPoly(n, {w: coeff.RF_ONE})
+        p = qmatrix.NCPoly(n, {w: coeff.LP_ONE})
         left = {}
         for (w1, w2), c in qmatrix.coproduct(p).items():
             if qmatrix.counit_word(w1, n):
                 add_term(left, w2, c)
-        if left != {w: coeff.RF_ONE}:
-            ok = False
+        if left != p.coeffs:
+            failure = {"sample": i, "word": w,
+                       **first_difference(left, p.coeffs)}
+            break
     return [Certificate.verdict("qmatrix counit-axiom", {"N": n, "words": 50},
-                                ok, seed=seed)]
+                                failure is None, witness=lambda: failure,
+                                seed=seed)]
 
 
 def _nf_pair_accumulate(rw, pairs, acc):
@@ -374,11 +384,12 @@ def check_minor_coproduct(N, seed):
     """Delta on a minor equals the sum over intermediate index sets.
 
     The identity lives in the quotient, so both tensor legs are compared
-    in normal form.
+    in normal form.  The witness is the first failing minor and the first
+    (left, right) word pair at which the two sides differ.
     """
     n = min(N, 3)
     ctx = get_ctx(n)
-    ok = True
+    failure = None
     for k in range(1, n + 1):
         for rows in indexsets.subsets(n, k):
             for cols in indexsets.subsets(n, k):
@@ -393,9 +404,11 @@ def check_minor_coproduct(N, seed):
                         for w2, c2 in right.coeffs.items():
                             pairs[(w1, w2)] = c1 * c2
                     _nf_pair_accumulate(ctx.rw, pairs, expected)
-                if got != expected:
-                    ok = False
-    return [Certificate.verdict("qmatrix minor-coproduct", {"N": n}, ok)]
+                if got != expected and failure is None:
+                    failure = {"rows": rows, "cols": cols,
+                               **first_difference(got, expected)}
+    return [Certificate.verdict("qmatrix minor-coproduct", {"N": n},
+                                failure is None, witness=lambda: failure)]
 
 
 def _convolution_witness(bich, s, t):
@@ -424,11 +437,13 @@ def check_convolution_certificates(N, seed):
 
 
 def check_minor_table_crosscheck(N, seed):
-    """The functional tables on minor pairs against the wedge braiding."""
+    """The functional tables on minor pairs against the wedge braiding.  The
+    witness is the first (which, A, B, C, D) whose table entry and
+    functional value differ, with both values."""
     n = min(N, 3)
     ctx = get_ctx(n)
     bich = ctx.bich
-    ok = True
+    failure = None
     for k in range(1, min(n, 3) + 1):
         for l in range(1, min(n, 3) + 1):
             for A in indexsets.subsets(n, k):
@@ -437,11 +452,18 @@ def check_minor_table_crosscheck(N, seed):
                     for C in indexsets.subsets(n, l):
                         for D in indexsets.subsets(n, l):
                             pb = ctx.minor(C, D)
-                            if ctx.r_minor(A, B, C, D) != bich.pair_functional("r", pa, pb):
-                                ok = False
-                            if ctx.rinv_minor(A, B, C, D) != bich.pair_functional("rinv", pa, pb):
-                                ok = False
-    return [Certificate.verdict("qmatrix minor-table-crosscheck", {"N": n}, ok)]
+                            for which, table in (("r", ctx.r_minor),
+                                                 ("rinv", ctx.rinv_minor)):
+                                got = table(A, B, C, D)
+                                value = bich.pair_functional(which, pa, pb)
+                                if got != value and failure is None:
+                                    failure = {
+                                        "which": which, "A": A, "B": B,
+                                        "C": C, "D": D,
+                                        "table": got.to_json(),
+                                        "functional": value.to_json()}
+    return [Certificate.verdict("qmatrix minor-table-crosscheck", {"N": n},
+                                failure is None, witness=lambda: failure)]
 
 
 # -- rea ------------------------------------------------------------------------------------

@@ -1,30 +1,28 @@
 """Exact scalar arithmetic.
 
-Everything on the quantum side of the package is computed over ``RatFunc``,
-the field of rational functions in a single deformation parameter ``q`` with
-rational coefficients.  Laurent polynomials over Z (integer exponents
-allowed) are the workhorse; rational functions only appear through the
-wedge-splitting denominators and through solved linear systems, and are kept
-in a canonical reduced form so that equality is structural.
+The quantum side of the package (braid and wedge tables, the bicharacter,
+normal forms, the twisted product and the shape certificates) computes over
+``LaurentPoly``, the ring Z[q, q^-1] of Laurent polynomials with integer
+coefficients.  Every entry of R-hat, of the bicharacter r, of its inverse
+and of r' is +-1, a power of q or q^-1 - q, so every coefficient built from
+them stays in this ring.  ``LaurentPoly.inv`` divides only by the units
++-q^k, which is all the sparse row reduction of the relations needs, and
+raises ``NotAUnit`` on anything else.  The constants ``LP_Q``, ``LP_QINV``,
+``LP_QDIFF`` and ``lp_q_int`` are the braid move's coefficients.
 
-Both exact scalars are stored on Python ints.  A ``RatFunc`` is a quotient
-of two Laurent polynomials over Z, coprime, with the integer content divided
-out and the denominator's leading coefficient positive; the braid tables,
-the bicharacter and the twisted product, whose coefficients are all Laurent
-polynomials over Z, stay on the Laurent fast path.  Reduction works over
-the integers: the gcd is taken by the primitive polynomial remainder
-sequence (Knuth, TAOCP vol. 2, 4.6.1) and the content by one integer gcd.
-Sums and products of reduced fractions cancel only what can be common
-(Henrici; TAOCP 4.5.1).
+``RatFunc``, the field of rational functions in q over Q, serves the
+``coeff.*`` suites.  A ``RatFunc`` is a quotient of two Laurent polynomials
+over Z, coprime, with the integer content divided out and the denominator's
+leading coefficient positive.  Reduction works over the integers: the gcd
+is taken by the primitive polynomial remainder sequence (Knuth, TAOCP
+vol. 2, 4.6.1) and the content by one integer gcd.  Sums and products of
+reduced fractions cancel only what can be common (Henrici; TAOCP 4.5.1).
+A rational constant c enters the field as ``RatFunc(c)`` or
+``RatFunc.const(c)``, which is c.numerator over c.denominator.
 
 ``GaussRat`` provides exact complex rationals for the classical side, where
 minor vanishing has to be decided exactly.  It is stored as (a + b i)/d over
 Z with d > 0 and gcd(a, b, d) = 1.
-
-``LaurentPoly`` is a Laurent polynomial over Z: it stores ``int``
-coefficients only, and refuses a non-integral one.  A rational constant c
-enters the field as ``RatFunc(c)`` or ``RatFunc.const(c)``, which is
-c.numerator over c.denominator.
 """
 
 from __future__ import annotations
@@ -44,6 +42,10 @@ class PoleAtPoint(ZeroDivisionError):
     """Evaluation of a rational function at a pole."""
 
 
+class NotAUnit(ZeroDivisionError):
+    """Inverse of a Laurent polynomial other than a unit +-q^k."""
+
+
 # ---------------------------------------------------------------------------
 # Laurent polynomials
 # ---------------------------------------------------------------------------
@@ -54,6 +56,9 @@ class LaurentPoly:
     Stored as a map exponent -> nonzero int coefficient; the empty map is 0.
     The constructor converts an integral Fraction to its int and raises
     ValueError on a non-integral one.  Instances are treated as immutable.
+    Read as the fraction p/1, p has ``num`` p and ``den`` 1, so code that
+    reads a scalar's numerator and denominator (the ``RatFunc``
+    constructor, perfbench's exponent-span counter) takes either type.
     """
 
     __slots__ = ("terms", "_hash")
@@ -76,11 +81,7 @@ class LaurentPoly:
 
     @staticmethod
     def zero():
-        return _LP_ZERO
-
-    @staticmethod
-    def one():
-        return _LP_ONE
+        return LP_ZERO
 
     @staticmethod
     def const(c):
@@ -97,6 +98,14 @@ class LaurentPoly:
 
     def is_one(self):
         return self.terms == {0: 1}
+
+    @property
+    def num(self):
+        return self
+
+    @property
+    def den(self):
+        return LP_ONE
 
     def min_exp(self):
         return min(self.terms)
@@ -130,7 +139,7 @@ class LaurentPoly:
     def __mul__(self, other):
         a, b = self.terms, other.terms
         if not a or not b:
-            return _LP_ZERO
+            return LP_ZERO
         d = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
@@ -141,6 +150,15 @@ class LaurentPoly:
                 else:
                     d.pop(e, None)
         return _laurent(d)
+
+    def inv(self):
+        """The inverse of a unit +-q^k; NotAUnit on any other value."""
+        t = self.terms
+        if len(t) == 1:
+            (e, c), = t.items()
+            if c == 1 or c == -1:
+                return _laurent({-e: c})
+        raise NotAUnit(f"{self!r} is not a unit of Z[q, q^-1]")
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -212,8 +230,17 @@ def _laurent(d):
     return out
 
 
-_LP_ZERO = LaurentPoly()
-_LP_ONE = LaurentPoly({0: 1})
+LP_ZERO = LaurentPoly()
+LP_ONE = LaurentPoly({0: 1})
+LP_Q = LaurentPoly({1: 1})
+LP_QINV = LaurentPoly({-1: 1})
+# q^{-1} - q, the off-diagonal weight of the braid operator
+LP_QDIFF = LaurentPoly({-1: 1, 1: -1})
+
+
+def lp_q_int(n):
+    """(-q)**n, n any integer."""
+    return _laurent({n: 1 if n % 2 == 0 else -1})
 
 
 # -- dense polynomials, for reduction -------------------------------------------
@@ -340,7 +367,7 @@ class RatFunc:
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num, den=_LP_ONE):
+    def __init__(self, num, den=LP_ONE):
         if isinstance(num, dict):
             num = LaurentPoly(num)
         elif not isinstance(num, LaurentPoly):
@@ -350,8 +377,8 @@ class RatFunc:
         if den.is_zero():
             raise ZeroDenominator("rational function with denominator 0")
         if num.is_zero():
-            num = _LP_ZERO
-            den = _LP_ONE
+            num = LP_ZERO
+            den = LP_ONE
         elif not den.is_one():
             on, dn = _to_dense(num)
             od, dd = _to_dense(den)
@@ -376,11 +403,7 @@ class RatFunc:
     @staticmethod
     def from_laurent(p):
         """p / 1 for a Laurent polynomial p with int coefficients."""
-        return _ratfunc(p, _LP_ONE)
-
-    @staticmethod
-    def q_power(n):
-        return RatFunc.from_laurent(LaurentPoly.q_power(n))
+        return _ratfunc(p, LP_ONE)
 
     @staticmethod
     def const(c):
@@ -406,7 +429,7 @@ class RatFunc:
             return self
         b_one, d_one = b.is_one(), d.is_one()
         if b_one and d_one:
-            return _ratfunc(a + c, _LP_ONE)
+            return _ratfunc(a + c, LP_ONE)
         if b == d:
             return RatFunc(a + c, b)
         if not (b_one or d_one) and len(_dense_gcd(_to_dense(b)[1],
@@ -427,7 +450,7 @@ class RatFunc:
             return RF_ZERO
         b_one, d_one = b.is_one(), d.is_one()
         if b_one and d_one:
-            return _ratfunc(a * c, _LP_ONE)
+            return _ratfunc(a * c, LP_ONE)
         if not d_one:
             a, d = _cancel(a, d)
         if not b_one:
@@ -486,7 +509,7 @@ class RatFunc:
     @staticmethod
     def from_json(obj):
         num = LaurentPoly.from_json(obj["num"])
-        den = LaurentPoly.from_json(obj["den"]) if "den" in obj else _LP_ONE
+        den = LaurentPoly.from_json(obj["den"]) if "den" in obj else LP_ONE
         return RatFunc(num, den)
 
     def __repr__(self):
@@ -527,17 +550,8 @@ def _content_free(num, den):
     return _ratfunc(num, den)
 
 
-RF_ZERO = RatFunc.from_laurent(_LP_ZERO)
-RF_ONE = RatFunc.from_laurent(_LP_ONE)
-RF_Q = RatFunc.q_power(1)
-RF_QINV = RatFunc.q_power(-1)
-# q^{-1} - q, the off-diagonal weight of the braid operator
-RF_QDIFF = RatFunc.from_laurent(LaurentPoly({-1: 1, 1: -1}))
-
-
-def rf_q_int(n):
-    """(-q)**n as a RatFunc, n any integer."""
-    return RatFunc.from_laurent(LaurentPoly({n: 1 if n % 2 == 0 else -1}))
+RF_ZERO = RatFunc.from_laurent(LP_ZERO)
+RF_ONE = RatFunc.from_laurent(LP_ONE)
 
 
 # ---------------------------------------------------------------------------

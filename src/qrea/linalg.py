@@ -1,18 +1,25 @@
-"""Small exact linear algebra over the two exact scalar fields: RatFunc
-(rational functions of q) and GaussRat (Gaussian rationals).
+"""Small exact linear algebra over the package's exact scalars: LaurentPoly
+(Laurent polynomials in q over Z, the quantum side), RatFunc (rational
+functions of q) and GaussRat (Gaussian rationals, the classical side).
 
 add_term is the one helper for sparse linear combinations: every sparse
-vector, polynomial or tensor over RatFunc or GaussRat is a dict key ->
-nonzero scalar, built up by add_term, which drops a key whose coefficient
-cancels.  It needs only + and is_zero() of the scalar.  qmatrix.sum_terms,
-the one sum of noncommutative polynomials, builds on it.
+vector, polynomial or tensor is a dict key -> nonzero scalar, built up by
+add_term, which drops a key whose coefficient cancels.  It needs only + and
+is_zero() of the scalar.  qmatrix.sum_terms, the one sum of noncommutative
+polynomials, builds on it.
 
 gauss_jordan is the one dense elimination; rank, determinant and
 invert_matrix read their results off it.  It needs only + - *, inv() and
-is_zero() of the scalar, so both fields go through it.
+is_zero() of the scalar, so RatFunc and GaussRat go through it.
+sparse_row_reduce is the sparse elimination of the quantum side, over
+LaurentPoly, whose inv() exists only for the units +-q^k (coeff.NotAUnit
+otherwise): it divides a pivot by a unit leading coefficient and keeps any
+other pivot as it is, reducing against it fraction-free.
 """
 
 from __future__ import annotations
+
+from .coeff import NotAUnit
 
 
 def add_term(out, key, c):
@@ -24,6 +31,19 @@ def add_term(out, key, c):
         out.pop(key, None)
     else:
         out[key] = s
+
+
+def first_difference(got, expected):
+    """The first key, in sorted order, at which two sparse vectors differ,
+    with both values as JSON (an absent key holds zero), or None when they
+    are equal.  The witness of every failed sparse-vector identity."""
+    for key in sorted(got.keys() | expected.keys()):
+        a, b = got.get(key), expected.get(key)
+        if a != b:
+            a = b - b if a is None else a
+            b = a - a if b is None else b
+            return {"entry": key, "got": a.to_json(), "expected": b.to_json()}
+    return None
 
 
 def gauss_jordan(rows):
@@ -94,14 +114,18 @@ def invert_matrix(rows):
 
 
 def sparse_row_reduce(vectors, greater):
-    """Reduce sparse vectors (dict key->RatFunc) to echelon pivots.
+    """Reduce sparse vectors (dict key -> scalar) to echelon pivots.
 
     greater(a, b) is a strict total order on keys; each returned pivot maps
-    its leading key (the greatest in its vector) to a vector normalised to
-    leading coefficient one.  Empty vectors are accepted and contribute no
-    pivot.
+    its leading key (the greatest in its vector) to its vector, divided by
+    the leading coefficient where that has an inverse.  A pivot whose
+    leading coefficient a has none (NotAUnit) is kept with a, and a vector
+    v with leading coefficient f at its key becomes a v - f pivot, so the
+    number of pivots is still the rank over the field of fractions.  Empty
+    vectors are accepted and contribute no pivot.
     """
     pivots = {}
+    unnormalised = set()
 
     def leading(v):
         lead = None
@@ -118,11 +142,19 @@ def sparse_row_reduce(vectors, greater):
             if piv is None:
                 break
             f = v[lead]
+            if lead in unnormalised:
+                a = piv[lead]
+                v = {k: a * c for k, c in v.items()}
             for k, c in piv.items():
                 add_term(v, k, -(f * c))
         if v:
             lead = leading(v)
-            inv_l = v[lead].inv()
-            pivots[lead] = {k: c * inv_l for k, c in v.items()}
+            try:
+                inv_l = v[lead].inv()
+            except NotAUnit:
+                pivots[lead] = v
+                unnormalised.add(lead)
+            else:
+                pivots[lead] = {k: c * inv_l for k, c in v.items()}
     return pivots
 

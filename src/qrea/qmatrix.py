@@ -37,14 +37,15 @@ from itertools import permutations, product
 
 from .braiding import (WedgeBraidTable, apply_two_site, braid_pair_action,
                        rhat_entries)
-from .coeff import RF_ONE, RF_ZERO, RatFunc, rf_q_int
+from .coeff import LP_ONE, LP_ZERO, LaurentPoly, lp_q_int
 from .indexsets import SizeMismatch, inversions, merge, rest, select, subsets
-from .linalg import add_term, sparse_row_reduce
+from .linalg import add_term, first_difference, sparse_row_reduce
 
 
 class NonOrientable(Exception):
-    """A derived relation has a sorted leading word; the order convention
-    cannot orient it into a terminating rule."""
+    """A derived relation has a sorted leading word, or a leading
+    coefficient that is not a unit +-q^k; the order convention cannot orient
+    it into a terminating rule over Z[q, q^-1]."""
 
 
 class IllFormedInstance(ValueError):
@@ -77,7 +78,7 @@ def word_str(word, N):
 
 
 class NCPoly:
-    """Noncommutative polynomial: coefficient map from words to RatFunc."""
+    """Noncommutative polynomial: coefficient map from words to LaurentPoly."""
 
     __slots__ = ("N", "coeffs")
 
@@ -91,11 +92,11 @@ class NCPoly:
 
     @staticmethod
     def unit(N):
-        return NCPoly(N, {(): RF_ONE})
+        return NCPoly(N, {(): LP_ONE})
 
     @staticmethod
     def generator(N, i, j):
-        return NCPoly(N, {(gen_id(i, j, N),): RF_ONE})
+        return NCPoly(N, {(gen_id(i, j, N),): LP_ONE})
 
     def is_zero(self):
         return not self.coeffs
@@ -158,7 +159,8 @@ class RewriteSystem:
 
     def __init__(self, N, rules):
         self.N = N
-        self.rules = rules            # (g1, g2) with g1 > g2 -> dict word -> RatFunc
+        # (g1, g2) with g1 > g2 -> dict word -> LaurentPoly
+        self.rules = rules
         self._insert_memo = {}
 
     # -- normal forms ---------------------------------------------------------
@@ -171,7 +173,7 @@ class RewriteSystem:
         if hit is not None:
             return hit
         if not mono or g <= mono[0]:
-            res = {(g,) + mono: RF_ONE}
+            res = {(g,) + mono: LP_ONE}
         else:
             rest = mono[1:]
             acc = {}
@@ -185,10 +187,10 @@ class RewriteSystem:
         return res
 
     def nf_word(self, word):
-        """Normal form of a word as dict sorted-word -> RatFunc."""
+        """Normal form of a word as dict sorted-word -> LaurentPoly."""
         if len(word) <= 1:
-            return {tuple(word): RF_ONE}
-        acc = {word[-1:]: RF_ONE}
+            return {tuple(word): LP_ONE}
+        acc = {word[-1:]: LP_ONE}
         for g in reversed(word[:-1]):
             nxt = {}
             for mono, c in acc.items():
@@ -233,8 +235,12 @@ class RewriteSystem:
 
     # -- confluence -------------------------------------------------------------
 
-    def critical_pairs_ok(self):
-        """Resolve every overlap g1 g2 g3 (g1 > g2 > g3) both ways."""
+    def critical_pair_failure(self):
+        """Resolve every overlap g1 g2 g3 (g1 > g2 > g3) both ways.
+
+        Returns the first overlap (g1, g2, g3), in generator order, whose two
+        resolutions differ, with the first word at which they do and both
+        of its coefficients; None when every overlap resolves."""
         gens = sorted({g for (g, _) in self.rules} | {h for (_, h) in self.rules})
         for g1 in gens:
             for g2 in gens:
@@ -252,8 +258,9 @@ class RewriteSystem:
                         for m, c2 in self.nf_word((g1, a, b)).items():
                             add_term(right, m, c * c2)
                     if left != right:
-                        return False
-        return True
+                        return {"overlap": (g1, g2, g3),
+                                **first_difference(left, right)}
+        return None
 
 
 def derive_rewrite_system(N, relation_vectors):
@@ -263,7 +270,9 @@ def derive_rewrite_system(N, relation_vectors):
     for lead, vec in pivots.items():
         if len(lead) != 2 or lead[0] <= lead[1]:
             raise NonOrientable(f"sorted leading word {lead}")
-        rhs = {w: (RF_ZERO - c) for w, c in vec.items() if w != lead}
+        if not vec[lead].is_one():
+            raise NonOrientable(f"leading coefficient {vec[lead]!r} at {lead}")
+        rhs = {w: -c for w, c in vec.items() if w != lead}
         rules[lead] = rhs
     return RewriteSystem(N, rules)
 
@@ -287,7 +296,7 @@ def degree_dimension(N, rw, d):
     gens = range(N * N)
     vectors = []
     for lead, rhs in rw.rules.items():
-        rel = {lead: RF_ONE}
+        rel = {lead: LP_ONE}
         for w, c in rhs.items():
             add_term(rel, w, -c)
         for pre_len in range(d - 1):
@@ -313,7 +322,7 @@ def coproduct_word(word, N):
 
 
 def coproduct(p):
-    """Delta on an NCPoly, as a dict (word, word) -> RatFunc."""
+    """Delta on an NCPoly, as a dict (word, word) -> LaurentPoly."""
     out = {}
     for w, c in p.coeffs.items():
         for pair in coproduct_word(w, p.N):
@@ -326,7 +335,7 @@ def counit_word(word, N):
 
 
 def counit(p):
-    total = RF_ZERO
+    total = LP_ZERO
     for w, c in p.coeffs.items():
         if counit_word(w, p.N):
             total = total + c
@@ -345,7 +354,7 @@ def quantum_minor(N, rows, cols):
     coeffs = {}
     for perm in permutations(rows):
         w = word_from_rc(perm, cols, N)
-        coeffs[w] = rf_q_int(inversions(perm))
+        coeffs[w] = lp_q_int(inversions(perm))
     return NCPoly(N, coeffs)
 
 
@@ -400,7 +409,7 @@ class Bicharacter:
             else:
                 sites = [(p, s + q) for p in ps for q in reversed(qs)]
             table = self._tables[which]
-            img = {cols: RF_ONE}
+            img = {cols: LP_ONE}
             for i, j in sites:
                 img = apply_two_site(img, i, j, table)
             images[key] = img
@@ -414,7 +423,7 @@ class Bicharacter:
             wa, wb = key
             N = self.N
             img = self.image(which, len(wa), word_cols(wa + wb, N))
-            hit = memo[key] = img.get(word_rows(wa + wb, N), RF_ZERO)
+            hit = memo[key] = img.get(word_rows(wa + wb, N), LP_ZERO)
         return hit
 
     def r(self, wa, wb):
@@ -433,13 +442,13 @@ class Bicharacter:
     def rpr_twist(cols, rows):
         """q^{2(sum cols - sum rows)}: the factor r' carries over r^{-1} on a
         left word with these columns and rows."""
-        return RatFunc.q_power(2 * (sum(cols) - sum(rows)))
+        return LaurentPoly.q_power(2 * (sum(cols) - sum(rows)))
 
     # -- functional evaluation on polynomials ---------------------------------------
 
     def pair_functional(self, which, pa, pb):
         fn = {"r": self.r, "rinv": self.r_inv, "rpr": self.r_prime}[which]
-        total = RF_ZERO
+        total = LP_ZERO
         for wa, ca in pa.coeffs.items():
             for wb, cb in pb.coeffs.items():
                 v = fn(wa, wb)
@@ -505,12 +514,13 @@ class Bicharacter:
                             terms.append((words_s[m_t], b[n_t], c1))
                 for j_t in tuples_s:
                     for p_t in tuples_t:
-                        total = RF_ZERO
+                        total = LP_ZERO
                         for words_m, words_n, c1 in terms:
                             c2 = inverse(words_m[j_t], words_n[p_t])
                             if not c2.is_zero():
                                 total = total + c1 * c2
-                        expected = RF_ONE if (i_t == j_t and o_t == p_t) else RF_ZERO
+                        expected = (LP_ONE if (i_t == j_t and o_t == p_t)
+                                    else LP_ZERO)
                         if total != expected:
                             k_t, l_t = (o_t, p_t) if which == "rinv" else (p_t, o_t)
                             return i_t, j_t, k_t, l_t, total, expected
@@ -720,14 +730,14 @@ def expansion_terms(family, instance):
         raise IllFormedInstance("selection positions out of range")
     IF, IFc = select(I, F), rest(I, F)
     JG, JGc = select(J, G), rest(J, G)
-    left = [(RF_ONE, (I, J, IF, JG))] if K == Kp else []
+    left = [(LP_ONE, (I, J, IF, JG))] if K == Kp else []
     right = []
     for P in subsets(r, len(K)):
         # a row family selects K (first minor) and K' (second) among the
         # rows and P among the columns; a col family swaps the two sides
         rk, rkp, ck, ckp = ((K, Kp, P, P) if family.endswith("row")
                             else (P, P, K, Kp))
-        right.append((rf_q_int(sum(P) - sum(K)),
+        right.append((lp_q_int(sum(P) - sum(K)),
                       (merge(IF, select(IFc, rk)), merge(JG, select(JGc, ck)),
                        merge(IF, rest(IFc, rkp)), merge(JG, rest(JGc, ckp)))))
     return left, right
@@ -744,7 +754,7 @@ def braidcomm_labels(instance):
 
 def sum_terms(N, terms, value):
     """The NCPoly sum of c * value(*args) over the (c, args) terms, c a
-    RatFunc: the one polynomial sum.  It adds into one new dict with
+    LaurentPoly: the one polynomial sum.  It adds into one new dict with
     add_term, so it neither changes nor returns a value of `value`, which
     may be memoised."""
     out = {}

@@ -40,7 +40,7 @@ import random
 from itertools import product
 
 from .braiding import rhat_entries
-from .coeff import RF_ONE, RF_ZERO
+from .coeff import LP_ONE, LP_ZERO
 from .indexsets import subsets
 from .linalg import add_term
 from .qmatrix import (BRAIDCOMM_KEYS, MUIR_KEYS, Certificate,
@@ -206,12 +206,12 @@ def reflection_slot_vectors(N):
                     v = {}
                     for b in rng:
                         for c in rng:
-                            c1 = rhat.get(((k, l), (c, b)), RF_ZERO)
+                            c1 = rhat.get(((k, l), (c, b)), LP_ZERO)
                             if c1.is_zero():
                                 continue
                             for d in rng:
                                 for f in rng:
-                                    c2 = rhat.get(((c, d), (i, f)), RF_ZERO)
+                                    c2 = rhat.get(((c, d), (i, f)), LP_ZERO)
                                     if c2.is_zero():
                                         continue
                                     add_term(v, (gen_id(b, d, N),
@@ -219,11 +219,11 @@ def reflection_slot_vectors(N):
                     for b in rng:
                         for d in rng:
                             for e in rng:
-                                c1 = rhat.get(((k, b), (e, d)), RF_ZERO)
+                                c1 = rhat.get(((k, b), (e, d)), LP_ZERO)
                                 if c1.is_zero():
                                     continue
                                 for f in rng:
-                                    c2 = rhat.get(((e, f), (i, j)), RF_ZERO)
+                                    c2 = rhat.get(((e, f), (i, j)), LP_ZERO)
                                     if c2.is_zero():
                                         continue
                                     add_term(v, (gen_id(l, b, N),
@@ -256,11 +256,13 @@ def derive_rea_rewrite(star):
     if len(rw.rules) != expected:
         raise FlatnessCheckFailed(
             f"{len(rw.rules)} rules, expected {expected}")
-    if not rw.critical_pairs_ok():
-        raise FlatnessCheckFailed("critical pair failed to resolve")
+    failure = rw.critical_pair_failure()
+    if failure is not None:
+        raise FlatnessCheckFailed(
+            f"critical pair failed to resolve: {failure}")
     # every rule must be a twisted-product identity under Z_ij -> X_ij
     for (g1, g2), rhs in rw.rules.items():
-        terms = [(RF_ONE, ((g1,), (g2,)))]
+        terms = [(LP_ONE, ((g1,), (g2,)))]
         terms += [(-c, ((w[0],), (w[1],))) for w, c in rhs.items()]
         if not sum_terms(N, terms, star.star_word).is_zero():
             raise FlatnessCheckFailed(f"rule at {(g1, g2)} fails in the model")
@@ -343,7 +345,7 @@ def star_commutator_first_order(star, ij, kl):
     """
     N = star.N
     a, b = gen_id(*ij, N), gen_id(*kl, N)
-    comm = sum_terms(N, [(RF_ONE, ((a,), (b,))), (-RF_ONE, ((b,), (a,)))],
+    comm = sum_terms(N, [(LP_ONE, ((a,), (b,))), (-LP_ONE, ((b,), (a,)))],
                      star.star_word)
     ok_constant = True
     firsts = {}
@@ -397,5 +399,5 @@ def random_monomials(N, max_degree, count, seed):
     out = []
     for _ in range(count):
         d = rng.randint(1, max_degree)
-        out.append(NCPoly(N, {random_word(N, d, rng): RF_ONE}))
+        out.append(NCPoly(N, {random_word(N, d, rng): LP_ONE}))
     return out

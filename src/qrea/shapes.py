@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
-from .coeff import RatFunc
+from .coeff import LaurentPoly
 from .indexsets import pair_dom_strictly_less, subsets
 from .qmatrix import Certificate
 
@@ -254,8 +254,8 @@ def shape_qcomm_certificate(ctx, shape, k, I, J):
         for (K, L, Lp) in coeffs
         if (K, L, Lp) != (B, A, other) and not ideal.contains_label(K, L))
     inst = {"shape": shape.to_json(), "k": k, "I": list(I), "J": list(J)}
-    expected_left = RatFunc.q_power(exp_left)
-    expected_right = RatFunc.q_power(exp_right)
+    expected_left = LaurentPoly.q_power(exp_left)
+    expected_right = LaurentPoly.q_power(exp_right)
     exponent = -exp_left + exp_right
     if found["left"] != expected_left or found["right"] != expected_right:
         return Certificate("rea qcomm", inst, "fail", witness={

@@ -1,4 +1,4 @@
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -10,21 +10,22 @@ from qrea.braiding import (apply_block_lift, apply_elementary,
                            project_pair, q2_factorial, rhat_entries,
                            rmatrix_lemma_check, symmetry_check, wedge_sign,
                            WedgeBraidTable)
-from qrea.coeff import RF_ONE, RF_Q, RF_QDIFF, RF_QINV, RatFunc, rf_q_int
-from qrea.indexsets import dominated
+from qrea.coeff import (LP_ONE, LP_Q, LP_QDIFF, LP_QINV, LP_ZERO, LaurentPoly,
+                        lp_q_int)
+from qrea.indexsets import dominated, inversions
 from qrea.linalg import add_term
 from qrea.qmatrix import QContext
 
 
 def test_braid_action_examples():
     # e2 (x) e1 -> e1 (x) e2 + (q^-1 - q) e2 (x) e1
-    assert braid_pair_action(2, 1) == [((1, 2), RF_ONE), ((2, 1), RF_QDIFF)]
-    assert braid_pair_action(1, 1) == [((1, 1), RF_QINV)]
-    assert braid_pair_action(1, 2) == [((2, 1), RF_ONE)]
+    assert braid_pair_action(2, 1) == [((1, 2), LP_ONE), ((2, 1), LP_QDIFF)]
+    assert braid_pair_action(1, 1) == [((1, 1), LP_QINV)]
+    assert braid_pair_action(1, 2) == [((2, 1), LP_ONE)]
 
 
 def test_braid_n1_is_scalar():
-    assert rhat_entries(1) == {((1, 1), (1, 1)): RF_QINV}
+    assert rhat_entries(1) == {((1, 1), (1, 1)): LP_QINV}
     assert braid_relation_check(1) is None
 
 
@@ -43,43 +44,54 @@ def test_inverse_via_hecke():
     # R^{-1} = R + (q - q^{-1}) id, and R^{-1} R = id, on every pair word
     for N in (2, 3):
         for word in product(range(1, N + 1), repeat=2):
-            t = {word: RF_ONE}
+            t = {word: LP_ONE}
             forward = apply_elementary(t, 0)
             expected = dict(forward)
-            add_term(expected, word, RF_Q - RF_QINV)
+            add_term(expected, word, LP_Q - LP_QINV)
             assert apply_elementary(t, 0, inverse=True) == expected, word
             assert apply_elementary(forward, 0, inverse=True) == t, word
 
 
 def test_wedge_reduce_examples():
-    assert wedge_sign((2, 1)) == (rf_q_int(1), (1, 2))
+    assert wedge_sign((2, 1)) == (lp_q_int(1), (1, 2))
     assert wedge_sign((1, 1)) is None
-    assert wedge_sign((3, 2, 1)) == (rf_q_int(3), (1, 2, 3))
+    assert wedge_sign((3, 2, 1)) == (lp_q_int(3), (1, 2, 3))
 
 
 def test_embed_degree_one_is_identity():
-    assert embed_basis((2,)) == {(2,): RF_ONE}
+    assert embed_basis((2,)) == {(2,): LP_ONE}
 
 
 def test_embed_degree_two():
-    norm = q2_factorial(2).inv()  # 1/(1 + q^2)
-    assert q2_factorial(2) == RatFunc({0: 1, 2: 1})
-    emb = embed_basis((1, 2))
-    assert emb == {(1, 2): norm, (2, 1): rf_q_int(1) * norm}
+    assert embed_basis((1, 2)) == {(1, 2): LP_ONE, (2, 1): lp_q_int(1)}
+
+
+def test_q2_factorial():
+    assert q2_factorial(0) == q2_factorial(1) == LP_ONE
+    assert q2_factorial(2) == LaurentPoly({0: 1, 2: 1})
+    # (1 + q^2)(1 + q^2 + q^4)
+    assert q2_factorial(3) == LaurentPoly({0: 1, 2: 2, 4: 2, 6: 1})
+    # [k]_{q^2}! counts permutations by inversions: sum over S_k of q^{2 inv}
+    for k in range(5):
+        expected = {}
+        for perm in permutations(range(k)):
+            add_term(expected, 0, LaurentPoly.q_power(2 * inversions(perm)))
+        assert q2_factorial(k) == expected.get(0, LP_ZERO), k
 
 
 def test_project_examples():
     # rho on one wedge factor: the second factor of the pair is empty
-    assert project_pair({(1, 2): RF_ONE}, 2) == {((1, 2), ()): RF_ONE}
-    assert project_pair({(2, 1): RF_ONE}, 2) == {((1, 2), ()): rf_q_int(1)}
+    assert project_pair({(1, 2): LP_ONE}, 2) == {((1, 2), ()): LP_ONE}
+    assert project_pair({(2, 1): LP_ONE}, 2) == {((1, 2), ()): lp_q_int(1)}
 
 
 def test_project_embed_identity():
+    # rho o iota = [k]_{q^2}! id: iota is not normalised
     for N in (2, 3, 4):
         for k in range(0, min(N, 3) + 1):
             for key in combinations(range(1, N + 1), k):
                 assert project_pair(embed_basis(key), k) == \
-                    {(key, ()): RF_ONE}
+                    {(key, ()): q2_factorial(k)}
 
 
 def test_embed_equivariance():
@@ -92,19 +104,20 @@ def test_block_lift_is_braiding_on_vectors():
     # degree (1,1) block lift must equal the braid operator itself
     for a in (1, 2):
         for b in (1, 2):
-            t = apply_block_lift({(a, b): RF_ONE}, 1, 1)
+            t = apply_block_lift({(a, b): LP_ONE}, 1, 1)
             expected = dict(braid_pair_action(a, b))
             assert t == expected
 
 
 def test_sorted_word_braiding_matches_embedded_braiding():
-    # braid_wedge_pair braids the sorted word e_I (x) e_J directly; it must
-    # equal (rho (x) rho) B (iota (x) iota) with the normalised embedding
+    # braid_wedge_pair braids the sorted word e_I (x) e_J directly; times
+    # [k]_{q^2}! [l]_{q^2}! it must equal (rho (x) rho) B (iota (x) iota)
     N = 3
     for k in range(4):
         for l in range(4):
             for inverse in (False, True):
                 first, second = (l, k) if inverse else (k, l)
+                scale = q2_factorial(k) * q2_factorial(l)
                 for I in combinations(range(1, N + 1), first):
                     for J in combinations(range(1, N + 1), second):
                         t = {wa + wb: ca * cb
@@ -112,9 +125,10 @@ def test_sorted_word_braiding_matches_embedded_braiding():
                              for wb, cb in embed_basis(J).items()}
                         t = apply_block_lift(t, k, l, inverse=inverse)
                         expected = project_pair(t, second)
-                        got = braid_wedge_pair({(I, J): RF_ONE}, k, l,
+                        got = braid_wedge_pair({(I, J): LP_ONE}, k, l,
                                                inverse=inverse)
-                        assert got == expected, (k, l, inverse, I, J)
+                        assert {key: c * scale for key, c in got.items()} \
+                            == expected, (k, l, inverse, I, J)
 
 
 def test_table_diagonals():
@@ -122,9 +136,9 @@ def test_table_diagonals():
     for I in combinations((1, 2, 3), 2):
         for Ip in combinations((1, 2, 3), 2):
             m = len(set(I) & set(Ip))
-            assert tbl.entry(I, I, Ip, Ip) == RatFunc.q_power(-m)
-            assert tbl.inv_entry(I, I, Ip, Ip) == RatFunc.q_power(m)
-    assert tbl.entry((1, 2), (1, 2), (2, 3), (2, 3)) == RF_QINV
+            assert tbl.entry(I, I, Ip, Ip) == LaurentPoly.q_power(-m)
+            assert tbl.inv_entry(I, I, Ip, Ip) == LaurentPoly.q_power(m)
+    assert tbl.entry((1, 2), (1, 2), (2, 3), (2, 3)) == LP_QINV
 
 
 def test_table_support_and_composition():
@@ -147,9 +161,9 @@ def test_scalar_lemma_two_singletons():
     rep = rmatrix_lemma_check((1,), (2,))
     assert rep["ok"]
     # explicit vector check: R^{-1} applied to xi gives (-q)^{-1} xi'
-    xi = {((1,), (2,)): rf_q_int(1), ((2,), (1,)): rf_q_int(2)}
+    xi = {((1,), (2,)): lp_q_int(1), ((2,), (1,)): lp_q_int(2)}
     got = braid_wedge_pair(xi, 1, 1, inverse=True)
-    scalar = rf_q_int(-1)
+    scalar = lp_q_int(-1)
     assert got == {k: c * scalar for k, c in xi.items()}
 
 
@@ -157,7 +171,7 @@ def test_scalar_lemma_equal_sets():
     for I in ((1,), (1, 2), (2, 3)):
         rep = rmatrix_lemma_check(I, I)
         assert rep["ok"]
-        assert RatFunc.from_json(rep["scalar"]) == RatFunc.q_power(len(I))
+        assert LaurentPoly.from_json(rep["scalar"]) == LaurentPoly.q_power(len(I))
 
 
 def test_scalar_lemma_sweep_n3():
@@ -185,7 +199,7 @@ def broken_move(monkeypatch):
     def broken(a, b, inverse=False):
         out = move(a, b, inverse)
         if (a, b) == ((2, 1) if inverse else (1, 2)):
-            out = [(xy, c * RF_Q) for xy, c in out]
+            out = [(xy, c * LP_Q) for xy, c in out]
         return out
 
     monkeypatch.setattr(braiding, "braid_pair_action", broken)
@@ -199,16 +213,16 @@ def _first_failure(words, holds):
 
 
 def _braid_holds(word):
-    t = {word: RF_ONE}
+    t = {word: LP_ONE}
     return (apply_elementary(apply_elementary(apply_elementary(t, 0), 1), 0)
             == apply_elementary(apply_elementary(apply_elementary(t, 1), 0), 1))
 
 
 def _hecke_holds(word):
-    t = {word: RF_ONE}
+    t = {word: LP_ONE}
     rhs = dict(t)
     for w, c in apply_elementary(t, 0).items():
-        add_term(rhs, w, c * RF_QDIFF)
+        add_term(rhs, w, c * LP_QDIFF)
     return apply_elementary(apply_elementary(t, 0), 0) == rhs
 
 
@@ -249,6 +263,15 @@ def test_antisym_swap_witness_is_first_failing_pair(broken_move):
     assert w["mismatch"]["got"] != w["mismatch"]["expected"]
 
 
+def test_scalar_lemma_witness_lists_the_first_failing_pairs(broken_move):
+    [cert] = checks.check_scalar_lemma(2, 0)
+    assert cert.status == "fail"
+    subs = [c for k in range(3) for c in combinations((1, 2), k)]
+    failing = [(I, Ip) for I in subs for Ip in subs
+               if not rmatrix_lemma_check(I, Ip)["ok"]]
+    assert failing and cert.witness == {"failed": failing[:5]}
+
+
 def _fresh_ctx(monkeypatch, N):
     """A fresh QContext of size N in place of the suites' cached one, so
     that a perturbed table does not outlive the test."""
@@ -263,22 +286,22 @@ def test_wedge_table_witness_is_first_failing_entry(monkeypatch):
     # dominated by I = (1,)
     off = ((1,), (2,), (1,), (1,))
     assert not dominated(off[1], off[0])
-    ctx.table(1, 1).inv_entries[off] = RF_Q
+    ctx.table(1, 1).inv_entries[off] = LP_Q
     # (1, 2): two wrong diagonal entries; the inverse one at I = (1,) is
     # scanned before the direct one at I = (2,)
     t12 = ctx.table(1, 2)
-    t12.inv_entries[(1,), (1,), (1, 2), (1, 2)] *= RF_Q
-    t12.entries[(2,), (2,), (1, 2), (1, 2)] *= RF_Q
+    t12.inv_entries[(1,), (1,), (1, 2), (1, 2)] *= LP_Q
+    t12.entries[(2,), (2,), (1, 2), (1, 2)] *= LP_Q
     certs = checks.check_wedge_tables(2, 0)
     assert [c.status for c in certs] == ["fail", "fail", "pass", "pass"]
     assert [c.witness for c in certs[2:]] == [None, None]
     assert certs[0].witness == {"support": "inverse", "entry": off,
-                                "value": RF_Q.to_json()}
+                                "value": LP_Q.to_json()}
     got = t12.inv_entry((1,), (1,), (1, 2), (1, 2))
     assert certs[1].witness == {"diagonal": "inverse", "I": (1,),
                                 "I'": (1, 2), "got": got.to_json(),
-                                "expected": RatFunc.q_power(1).to_json()}
-    assert got != RatFunc.q_power(1)
+                                "expected": LaurentPoly.q_power(1).to_json()}
+    assert got != LaurentPoly.q_power(1)
 
 
 def test_wedge_composition_witness_is_first_failing_pair(monkeypatch):
@@ -289,7 +312,7 @@ def test_wedge_composition_witness_is_first_failing_pair(monkeypatch):
         # the (1, 1) inverse braiding of e_2 (x) e_2 scaled by q
         out = move(pair_vec, k, l, inverse)
         if inverse and (k, l) == (1, 1) and ((2,), (2,)) in pair_vec:
-            out = {key: c * RF_Q for key, c in out.items()}
+            out = {key: c * LP_Q for key, c in out.items()}
         return out
 
     monkeypatch.setattr(braiding, "braid_wedge_pair", broken)
@@ -298,12 +321,12 @@ def test_wedge_composition_witness_is_first_failing_pair(monkeypatch):
     # (2,) (x) (2,) is the last of the four (I, J') pairs of degree (1, 1)
     first = _first_failure(
         product([(1,), (2,)], repeat=2),
-        lambda p: broken(broken({p: RF_ONE}, 1, 1), 1, 1, inverse=True)
-        == {p: RF_ONE})
+        lambda p: broken(broken({p: LP_ONE}, 1, 1), 1, 1, inverse=True)
+        == {p: LP_ONE})
     assert first == ((2,), (2,))
     assert certs[0].witness == {"I": (2,), "J'": (2,), "entry": first,
-                                "got": RF_Q.to_json(),
-                                "expected": RF_ONE.to_json()}
+                                "got": LP_Q.to_json(),
+                                "expected": LP_ONE.to_json()}
     assert ctx.table(1, 1).composition_identity_check() == certs[0].witness
 
 
@@ -314,7 +337,7 @@ def test_embed_equivariance_witness_is_first_failing_word(broken_move):
     assert (w["k"], w["key"], w["position"]) == (2, (1, 2), 0)
     t = embed_basis((1, 2))
     lifted = apply_elementary(t, 0)
-    expected = {word: c * rf_q_int(1) for word, c in t.items()}
+    expected = {word: c * lp_q_int(1) for word, c in t.items()}
     word = _first_failure(sorted(lifted.keys() | expected.keys()),
                           lambda u: lifted.get(u) == expected.get(u))
     assert w["entry"] == word

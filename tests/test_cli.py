@@ -47,6 +47,11 @@ def test_wedge_table_dump(capsys):
     assert code == 0
     first = json.loads(out.strip().splitlines()[0])
     assert first["N"] == 2 and first["entries"]
+    # values are LaurentPoly.to_json: exponent -> coefficient, no wrapper
+    values = {(tuple(e["I"]), tuple(e["J"]), tuple(e["I'"]), tuple(e["J'"])):
+              e["value"] for e in first["entries"]}
+    assert values[(2,), (1,), (2,), (1,)] == {"-1": "1", "1": "-1"}
+    assert values[(1,), (1,), (1,), (1,)] == {"-1": "1"}
 
 
 def test_verify_instance(capsys):

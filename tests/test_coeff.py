@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 from fractions import Fraction as F
 from math import gcd, lcm
@@ -5,11 +7,11 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrea import checks
+from qrea import braiding, checks, qmatrix, rea, shapes
 from qrea.braiding import rhat_entries
-from qrea.coeff import (GaussRat, LaurentPoly, PoleAtPoint, RatFunc,
-                        RF_ONE, RF_ZERO, ZeroDenominator, rational_sqrt,
-                        rf_q_int)
+from qrea.coeff import (LP_ONE, GaussRat, LaurentPoly, NotAUnit, PoleAtPoint,
+                        RatFunc, RF_ONE, RF_ZERO, ZeroDenominator,
+                        lp_q_int, rational_sqrt)
 
 
 def L(d):
@@ -167,10 +169,11 @@ def test_eval_matches_direct_substitution():
 
 
 def test_minus_q_powers():
-    assert rf_q_int(0) == RF_ONE
-    assert rf_q_int(2) == RatFunc.from_laurent(L({2: 1}))
-    assert rf_q_int(-1) == RatFunc.from_laurent(L({-1: -1}))
-    assert rf_q_int(3) * rf_q_int(-3) == RF_ONE
+    assert lp_q_int(0) == LP_ONE
+    assert lp_q_int(2) == L({2: 1})
+    assert lp_q_int(-1) == L({-1: -1})
+    assert lp_q_int(3) * lp_q_int(-3) == LP_ONE
+    assert all(type(lp_q_int(n)) is LaurentPoly for n in range(-3, 4))
 
 
 def test_laurent_json_roundtrip():
@@ -351,9 +354,78 @@ def test_laurent_path_coefficients_stay_int(star3):
     assert star3._star_word_memo
     for p in star3._star_word_memo.values():
         values += p.coeffs.values()
-    bad = [v for v in values for p in (v.num, v.den)
-           if any(type(c) is not int for c in p.terms.values())]
+    bad = [v for v in values if type(v) is not LaurentPoly
+           or any(type(c) is not int for c in v.terms.values())]
     assert not bad, f"{len(bad)} of {len(values)} values off the int path: {bad[:3]}"
+
+
+def test_quantum_side_values_are_laurent():
+    """After every qmatrix.* and rea.* suite at N=3, every coefficient the
+    quantum side stores is a LaurentPoly, not a RatFunc with denominator 1;
+    and no quantum-side module names RatFunc or its constants."""
+    for name, suite in checks.CHECKS:
+        if name.startswith(("qmatrix.", "rea.")):
+            assert all(c.status == "pass" for c in suite(3, 0)), name
+    ctx, star = checks.get_ctx(3), checks.get_star(3)
+    bich = ctx.bich
+    sources = {
+        "bicharacter tables": [c for table in bich._tables.values()
+                               for column in table.values()
+                               for _, c in column],
+        "bicharacter images": [c for images in bich._images.values()
+                               for img in images.values()
+                               for c in img.values()],
+        "bicharacter memos": [c for memo in bich._memo.values()
+                              for c in memo.values()],
+        "wedge tables": [c for t in ctx._tables.values()
+                         for c in (*t.entries.values(),
+                                   *t.inv_entries.values())],
+        "rewrite rules": [c for rhs in ctx.rw.rules.values()
+                          for c in rhs.values()],
+        "insert memo": [c for img in ctx.rw._insert_memo.values()
+                        for c in img.values()],
+        "minor products": [c for p in ctx._minor_prod.values()
+                           for c in p.coeffs.values()],
+        "r' on minors": list(ctx._rpr_minor.values()),
+        "star_word memo": [c for p in star._star_word_memo.values()
+                           for c in p.coeffs.values()],
+        "star_minor memo": [c for p in star._star_minor_memo.values()
+                            for c in p.coeffs.values()],
+    }
+    for source, values in sources.items():
+        assert values, source
+        bad = [v for v in values if type(v) is not LaurentPoly]
+        assert not bad, f"{source}: {len(bad)} of {len(values)}: {bad[:3]}"
+    for module in (braiding, qmatrix, rea, shapes):
+        names = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(ast.parse(inspect.getsource(module)))
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+        names |= {alias.name for node in ast.walk(ast.parse(
+                      inspect.getsource(module)))
+                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not {n for n in names
+                    if n == "RatFunc" or n.startswith(("RF_", "rf_"))}, \
+            module.__name__
+
+
+def test_laurent_inverse_only_of_units():
+    for unit in (L({0: 1}), L({0: -1}), L({3: 1}), L({-2: -1})):
+        assert unit * unit.inv() == LP_ONE
+        assert type(unit.inv()) is LaurentPoly
+    for value in (L({0: 2}), L({0: 1, 1: 1}), LaurentPoly.zero(), L({1: -3})):
+        with pytest.raises(NotAUnit):
+            value.inv()
+    assert issubclass(NotAUnit, ZeroDivisionError)
+
+
+def test_laurent_reads_as_fraction_over_one():
+    p = L({-1: 1, 1: -1})
+    assert p.num is p and p.den == LP_ONE
+    assert LaurentPoly.zero().den == LP_ONE
+    # a RatFunc built from the pair is the same value over its field
+    assert RatFunc(p.num, p.den) == RatFunc.from_laurent(p)
+    with pytest.raises(AttributeError):
+        p.num = L({0: 1})
 
 
 # -- failure witnesses of the coeff suites ----------------------------------------

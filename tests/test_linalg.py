@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 import qrea
 from qrea import coeff
-from qrea.coeff import RF_ONE, GaussRat, LaurentPoly, RatFunc
+from qrea.coeff import RF_ONE, GaussRat, LaurentPoly, NotAUnit, RatFunc
 from qrea.linalg import (add_term, determinant, gauss_jordan,
-                         invert_matrix, rank)
+                         invert_matrix, rank, sparse_row_reduce)
 from qrea.qmatrix import NCPoly, sum_terms
 
 # Few keys and small coefficients, so that terms collide and cancel often.
@@ -101,10 +101,10 @@ def test_sum_terms_and_mul_against_naive_sums(a_terms, b_terms, rnd):
     assert (a * b).coeffs == naive
 
 
-# `s = out.get(key, RF_ZERO) + c`, the accumulate step add_term replaces.
+# `s = out.get(key, LP_ZERO) + c`, the accumulate step add_term replaces.
 # LaurentPoly's own exponent loops add plain numbers and do not match.
 _ACCUMULATE_IDIOM = re.compile(
-    r"\.get\([^()]*,\s*(?:\w+\.)?(?:RF_ZERO|GR0)\)\s*[-+]")
+    r"\.get\([^()]*,\s*(?:\w+\.)?(?:LP_ZERO|RF_ZERO|GR0)\)\s*[-+]")
 
 
 def test_no_hand_written_accumulate_loops():
@@ -192,6 +192,28 @@ def test_elimination_on_gauss_rat_against_numpy(m):
 @given(_square_matrices(_ratfunc))
 def test_elimination_on_ratfunc(m):
     _check_elimination(m, RF_ONE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 3), _laurent, max_size=4),
+                max_size=5))
+def test_sparse_row_reduce_rank_over_laurent(vectors):
+    """Over LaurentPoly, pivots led by a unit are normalised and the others
+    kept: the pivot count is the rank over the fraction field (gauss_jordan
+    over RatFunc), and every pivot leads its vector."""
+    vectors = [{k: c for k, c in v.items() if not c.is_zero()}
+               for v in vectors]
+    pivots = sparse_row_reduce(vectors, lambda a, b: a > b)
+    dense = [[RatFunc(v.get(k, LaurentPoly())) for k in range(4)]
+             for v in vectors]
+    assert len(pivots) == (rank(dense) if dense else 0)
+    for lead, vec in pivots.items():
+        assert max(vec) == lead and not any(c.is_zero() for c in vec.values())
+        try:
+            vec[lead].inv()
+        except NotAUnit:
+            continue
+        assert vec[lead].is_one()
 
 
 # `row[col:] = [e - f * pe for e, pe in zip(...)]`, the row operation of a

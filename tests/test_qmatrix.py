@@ -5,8 +5,8 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrea import checks
-from qrea.coeff import RF_ONE, RF_QINV, RF_ZERO, RatFunc, rf_q_int
+from qrea import checks, qmatrix
+from qrea.coeff import LP_ONE, LP_Q, LP_QINV, LP_ZERO, LaurentPoly, lp_q_int
 from qrea.qmatrix import (Bicharacter, IllFormedInstance, NCPoly,
                           NonOrientable, QContext, braidcomm_instances,
                           coproduct, coproduct_word, counit, counit_word,
@@ -45,20 +45,20 @@ def test_degree_dimensions_n2():
 
 
 def test_critical_pairs():
-    assert derive_rewrite_rules(2).critical_pairs_ok()
-    assert derive_rewrite_rules(3).critical_pairs_ok()
+    assert derive_rewrite_rules(2).critical_pair_failure() is None
+    assert derive_rewrite_rules(3).critical_pair_failure() is None
 
 
 def test_nonorientable_raises():
     # a relation whose leading word is already sorted cannot be oriented
-    vec = {(0, 1): RF_ONE, (0, 0): RF_ZERO - RF_ONE}
+    vec = {(0, 1): LP_ONE, (0, 0): LP_ZERO - LP_ONE}
     with pytest.raises(NonOrientable):
         derive_rewrite_system(2, [vec])
 
 
 def test_normal_form_fixed_points(ctx2):
     rw = ctx2.rw
-    p = NCPoly(2, {(g(1, 1), g(1, 1)): RF_ONE})
+    p = NCPoly(2, {(g(1, 1), g(1, 1)): LP_ONE})
     assert rw.normal_form(p) == p
     one = NCPoly.unit(2)
     assert rw.normal_form(one) == one
@@ -69,7 +69,7 @@ def test_normal_form_idempotent_linear(ctx2):
     rw = ctx2.rw
     for _ in range(30):
         w = tuple(rng.randrange(4) for _ in range(4))
-        p = rw.normal_form(NCPoly(2, {w: RF_ONE}))
+        p = rw.normal_form(NCPoly(2, {w: LP_ONE}))
         assert rw.normal_form(p) == p
         assert all(m[i] <= m[i + 1] for m in p.coeffs for i in range(len(m) - 1))
 
@@ -89,7 +89,7 @@ def test_normal_form_idempotent_on_generator_products(ctx2, products):
             term = term * NCPoly.generator(2, i, j)
         return term
 
-    p = sum_terms(2, [(RF_ONE, (factors,)) for factors in products],
+    p = sum_terms(2, [(LP_ONE, (factors,)) for factors in products],
                   product_of)
     once = ctx2.rw.normal_form(p)
     assert ctx2.rw.normal_form(once) == once
@@ -100,7 +100,7 @@ def test_confluence_spot_check_random_orders(ctx3):
     rw = ctx3.rw
     for _ in range(25):
         w = tuple(rng.randrange(9) for _ in range(3))
-        p = NCPoly(3, {w: RF_ONE})
+        p = NCPoly(3, {w: LP_ONE})
         assert rw.normal_form(p) == rw.naive_normal_form(p, rng)
 
 
@@ -114,12 +114,12 @@ def test_relation_count_matches_exchange_rank():
 
 def test_coproduct_generator():
     p = NCPoly.generator(2, 1, 1)
-    assert coproduct(p) == {((g(1, 1),), (g(1, 1),)): RF_ONE,
-                            ((g(1, 2),), (g(2, 1),)): RF_ONE}
+    assert coproduct(p) == {((g(1, 1),), (g(1, 1),)): LP_ONE,
+                            ((g(1, 2),), (g(2, 1),)): LP_ONE}
 
 
 def test_coproduct_unit():
-    assert coproduct(NCPoly.unit(2)) == {((), ()): RF_ONE}
+    assert coproduct(NCPoly.unit(2)) == {((), ()): LP_ONE}
 
 
 def test_counit_axiom_random_words():
@@ -127,24 +127,24 @@ def test_counit_axiom_random_words():
     for _ in range(50):
         w = tuple(rng.randrange(4) for _ in range(3))
         left = {}
-        for (w1, w2), c in coproduct(NCPoly(2, {w: RF_ONE})).items():
+        for (w1, w2), c in coproduct(NCPoly(2, {w: LP_ONE})).items():
             if counit_word(w1, 2):
-                left[w2] = left.get(w2, RF_ZERO) + c
+                left[w2] = left.get(w2, LP_ZERO) + c
         left = {k: v for k, v in left.items() if not v.is_zero()}
-        assert left == {w: RF_ONE}
+        assert left == {w: LP_ONE}
 
 
 def test_counit_on_minor():
     # counit of a minor is the Kronecker delta of its labels
-    assert counit(quantum_minor(3, (1, 2), (1, 2))) == RF_ONE
+    assert counit(quantum_minor(3, (1, 2), (1, 2))) == LP_ONE
     assert counit(quantum_minor(3, (1, 2), (1, 3))).is_zero()
 
 
 def test_minor_examples():
     assert quantum_minor(2, (1,), (1,)) == NCPoly.generator(2, 1, 1)
     got = quantum_minor(2, (1, 2), (1, 2))
-    expected = NCPoly(2, {(g(1, 1), g(2, 2)): RF_ONE,
-                          (g(2, 1), g(1, 2)): rf_q_int(1)})
+    expected = NCPoly(2, {(g(1, 1), g(2, 2)): LP_ONE,
+                          (g(2, 1), g(1, 2)): lp_q_int(1)})
     assert got == expected
 
 
@@ -158,10 +158,10 @@ def test_quantum_determinant_central_n2(ctx2):
 
 def test_bicharacter_base_values(ctx2):
     b = ctx2.bich
-    assert b.r((g(1, 1),), (g(1, 1),)) == RF_QINV
-    assert b.r((g(1, 1),), (g(2, 2),)) == RF_ONE
+    assert b.r((g(1, 1),), (g(1, 1),)) == LP_QINV
+    assert b.r((g(1, 1),), (g(2, 2),)) == LP_ONE
     # counit base case: r(1, X_ij) = delta_ij
-    assert b.r((), (g(1, 1),)) == RF_ONE
+    assert b.r((), (g(1, 1),)) == LP_ONE
     assert b.r((), (g(1, 2),)).is_zero()
 
 
@@ -187,7 +187,7 @@ def test_convolution_certificates_fail_on_a_perturbed_table(monkeypatch, which):
     if which == "rinv":
         column = b._tables["rinv"][min(b._tables["rinv"])]
         row, c = column[0]
-        column[0] = (row, c + RF_ONE)
+        column[0] = (row, c + LP_ONE)
     else:
         twist = b.rpr_twist
         monkeypatch.setattr(b, "rpr_twist", lambda cols, rows: twist(rows, cols))
@@ -212,7 +212,7 @@ def test_convolution_certificates_fail_on_a_perturbed_table(monkeypatch, which):
         s, t = w["bidegree"]
         i, j, k, l = (tuple(w[x]) for x in "ijkl")
         # the reported sum, recomputed over every middle without pruning
-        total = RF_ZERO
+        total = LP_ZERO
         for m in product((1, 2), repeat=s):
             for n in product((1, 2), repeat=t):
                 if which == "rinv":
@@ -221,7 +221,7 @@ def test_convolution_certificates_fail_on_a_perturbed_table(monkeypatch, which):
                 else:
                     total = total + (b.r(word_from_rc(i, m, 2), word_from_rc(n, l, 2))
                                      * inverse(word_from_rc(m, j, 2), word_from_rc(k, n, 2)))
-        expected = RF_ONE if (i, k) == (j, l) else RF_ZERO
+        expected = LP_ONE if (i, k) == (j, l) else LP_ZERO
         assert w["got"] == total.to_json() != expected.to_json()
         assert w["expected"] == expected.to_json()
 
@@ -242,14 +242,14 @@ def test_bicharacter_multiplicative_laws(ctx2, which, swap):
                 value = f(wa, wb)
                 if s > 1:
                     g, rest = wa[:1], wa[1:]
-                    total = RF_ZERO
+                    total = LP_ZERO
                     for w1, w2 in coproduct_word(wb, 2):
                         total = total + (f(g, w2 if swap else w1)
                                          * f(rest, w1 if swap else w2))
                     assert total == value, (which, wa, wb)
                 if t > 1:
                     h, rest = wb[:1], wb[1:]
-                    total = RF_ZERO
+                    total = LP_ZERO
                     for a1, a2 in coproduct_word(wa, 2):
                         total = total + (f(a1 if swap else a2, h)
                                          * f(a2 if swap else a1, rest))
@@ -262,7 +262,7 @@ def test_rinv_minor_diagonals(ctx3):
             for I in combinations((1, 2, 3), k):
                 for Ip in combinations((1, 2, 3), l):
                     m = len(set(I) & set(Ip))
-                    assert ctx3.rinv_minor(I, I, Ip, Ip) == RatFunc.q_power(m)
+                    assert ctx3.rinv_minor(I, I, Ip, Ip) == LaurentPoly.q_power(m)
 
 
 def test_minor_tables_match_functionals(ctx2):
@@ -296,14 +296,14 @@ def test_minor_convolution_identities(N, quadruples):
     for (A, B), (C, D) in product(labels, repeat=2):
         ksets = list(combinations(range(1, N + 1), len(A)))
         lsets = list(combinations(range(1, N + 1), len(C)))
-        rpr_sum, rinv_sum = RF_ZERO, RF_ZERO
+        rpr_sum, rinv_sum = LP_ZERO, LP_ZERO
         for K in ksets:
             for L in lsets:
                 rpr_sum = rpr_sum + (ctx.r_minor(A, K, L, D)
                                      * ctx.rpr_minor(K, B, C, L))
                 rinv_sum = rinv_sum + (ctx.r_minor(A, K, D, L)
                                        * ctx.rinv_minor(K, B, L, C))
-        expected = RF_ONE if (A == B and C == D) else RF_ZERO
+        expected = LP_ONE if (A == B and C == D) else LP_ZERO
         assert rpr_sum == expected, ("rpr", A, B, C, D)
         assert rinv_sum == expected, ("rinv", A, B, C, D)
         count += 1
@@ -356,3 +356,86 @@ def test_ill_formed_instance(ctx2):
                         {"I": (1, 2), "J": (1,), "K": (1,), "Kp": (1,)})
     with pytest.raises(IllFormedInstance):
         verify_identity(ctx2, "nonsense", {})
+
+
+# -- witnesses of the qmatrix suites --------------------------------------------
+
+@pytest.fixture
+def scaled_coproduct(monkeypatch):
+    """The coproduct with every term of a word of length 2 or more scaled
+    by q: Delta is then no longer multiplicative on the coordinate ring."""
+    delta = qmatrix.coproduct
+
+    def broken(p):
+        out = delta(p)
+        return {pair: c * LP_Q if len(pair[0]) > 1 else c
+                for pair, c in out.items()}
+
+    monkeypatch.setattr(qmatrix, "coproduct", broken)
+    return broken
+
+
+def test_counit_axiom_witness_is_first_failing_word(scaled_coproduct):
+    [cert] = checks.check_counit_coassoc(3, 5)
+    assert cert.status == "fail"
+    rng = random.Random(5)
+    draws = [tuple(rng.randrange(9) for _ in range(rng.randint(1, 3)))
+             for _ in range(50)]
+    first = next(i for i, w in enumerate(draws) if len(w) > 1)
+    assert cert.witness == {"sample": first, "word": draws[first],
+                            "entry": draws[first], "got": LP_Q.to_json(),
+                            "expected": LP_ONE.to_json()}
+
+
+def test_minor_coproduct_witness_is_first_failing_minor(monkeypatch,
+                                                        scaled_coproduct):
+    monkeypatch.setitem(checks._CTX_CACHE, 2, QContext(2))
+    [cert] = checks.check_minor_coproduct(2, 0)
+    assert cert.status == "fail"
+    w = cert.witness
+    # every 1x1 minor passes: its words have length 1
+    assert (w["rows"], w["cols"]) == ((1, 2), (1, 2))
+    rw = checks.get_ctx(2).rw
+    got = checks._nf_pair_accumulate(
+        rw, scaled_coproduct(quantum_minor(2, (1, 2), (1, 2))), {})
+    assert w["entry"] == min(got)
+    assert w["got"] == got[w["entry"]].to_json() != w["expected"]
+    assert LaurentPoly.from_json(w["got"]) == \
+        LaurentPoly.from_json(w["expected"]) * LP_Q
+
+
+def test_confluence_and_pbw_witnesses_on_a_perturbed_rule(monkeypatch):
+    ctx = QContext(2)
+    monkeypatch.setitem(checks._CTX_CACHE, 2, ctx)
+    lead = min(ctx.rw.rules)
+    ctx.rw.rules[lead] = {w: c * LP_Q for w, c in ctx.rw.rules[lead].items()}
+    certs = checks.check_pbw_dimensions(2, 0)
+    assert [c.command for c in certs] == ["qmatrix pbw-dimension"] * 2 + \
+        ["qmatrix confluence"]
+    confluence = certs[-1]
+    assert confluence.status == "fail"
+    w = confluence.witness
+    g1, g2, g3 = w["overlap"]
+    assert g1 > g2 > g3 and lead in ((g1, g2), (g2, g3))
+    assert w["got"] != w["expected"]
+    # the scaled rule leads with q, no unit: the rank is still taken over
+    # the fraction field, and one degree-3 relation is lost
+    assert [c.status for c in certs[:2]] == ["pass", "fail"]
+    assert certs[0].witness is None
+    assert certs[1].witness == {"dimension": 19, "expected": comb(6, 3)}
+
+
+def test_minor_table_crosscheck_witness_names_the_entry(monkeypatch):
+    ctx = QContext(2)
+    monkeypatch.setitem(checks._CTX_CACHE, 2, ctx)
+    key = ((2,), (1,), (2,), (1,))
+    table = ctx.table(1, 1)
+    table.entries[key] = table.entries[key] * LP_Q
+    [cert] = checks.check_minor_table_crosscheck(2, 0)
+    assert cert.status == "fail"
+    # r_minor(A, B, C, D) is entry(B, A, C, D)
+    A, B, C, D = (1,), (2,), (2,), (1,)
+    value = ctx.bich.pair_functional("r", ctx.minor(A, B), ctx.minor(C, D))
+    assert cert.witness == {"which": "r", "A": A, "B": B, "C": C, "D": D,
+                            "table": (value * LP_Q).to_json(),
+                            "functional": value.to_json()}

@@ -5,7 +5,7 @@ import pytest
 
 from qrea import checks, qmatrix, rea
 from qrea.classical import poisson_bracket_coeffs
-from qrea.coeff import RF_ONE, RF_Q, RatFunc
+from qrea.coeff import LP_ONE, LP_Q, LaurentPoly
 from qrea.qmatrix import (NCPoly, QContext, _nf_diff, _nf_json,
                           braidcomm_instances, degree_dimension, gen_id,
                           muir_instances, sum_terms, verify_identity)
@@ -255,13 +255,13 @@ def _failing_suite_witness(monkeypatch, star, suite):
 
 
 def _times_q(p):
-    return sum_terms(p.N, [(RF_Q, ())], lambda: p)
+    return sum_terms(p.N, [(LP_Q, ())], lambda: p)
 
 
 def test_star_unit_witness_is_first_failing_poly(monkeypatch):
     star = _fresh_star()
     # 1 * p picks up a factor q; p * 1 does not
-    _scaled_star_word(monkeypatch, star, lambda u, v: RF_ONE if u else RF_Q)
+    _scaled_star_word(monkeypatch, star, lambda u, v: LP_ONE if u else LP_Q)
     witness = _failing_suite_witness(monkeypatch, star, "rea.star-unit")
     p = random_monomials(2, 2, 10, 0)[0]
     nf = star.ctx.rw.normal_form(p)
@@ -273,7 +273,7 @@ def test_star_associativity_witness_is_first_failing_triple(monkeypatch):
     star = _fresh_star()
     # (f g) h gains q^(2|f||g||h|) over f (g h): no triple associates
     _scaled_star_word(monkeypatch, star,
-                      lambda u, v: RatFunc.q_power(len(u) ** 2 * len(v)))
+                      lambda u, v: LaurentPoly.q_power(len(u) ** 2 * len(v)))
     witness = _failing_suite_witness(monkeypatch, star,
                                      "rea.star-associativity")
     rng = random.Random(0)
@@ -287,7 +287,7 @@ def test_star_associativity_witness_is_first_failing_triple(monkeypatch):
 
 def test_reverse_braid_witness_is_first_failing_pair(monkeypatch):
     star = _fresh_star()
-    _scaled_star_word(monkeypatch, star, lambda u, v: RF_Q)
+    _scaled_star_word(monkeypatch, star, lambda u, v: LP_Q)
     witness = _failing_suite_witness(monkeypatch, star, "rea.reverse-braid")
     rng = random.Random(0)
     (i, j), (k, l) = [(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(2)]
@@ -301,7 +301,7 @@ def test_rewrite_crosscheck_witness_is_the_flatness_message(monkeypatch):
     star = _fresh_star()
     # a twist on the descending generator pairs only breaks the rules
     _scaled_star_word(monkeypatch, star,
-                      lambda u, v: RF_Q if u > v else RF_ONE)
+                      lambda u, v: LP_Q if u > v else LP_ONE)
     with pytest.raises(FlatnessCheckFailed) as failure:
         derive_rea_rewrite(star)
     assert "fails in the model" in str(failure.value)
