@@ -523,39 +523,63 @@ def check_rea_rewrite(N, seed):
     return out
 
 
+# the published N=3 table: family counts by rank, and tau with the chain
+# minor labels of each rank-3 family
+SHAPE_COUNTS_N3 = {3: 4, 2: 6, 1: 3}
+SHAPE_RANK3_N3 = [
+    ((1, 2, 3), [((1,), (1,)), ((1, 2), (1, 2)), ((1, 2, 3), (1, 2, 3))]),
+    ((2, 1, 3), [((2,), (1,)), ((1, 2), (1, 2)), ((1, 2, 3), (1, 2, 3))]),
+    ((3, 2, 1), [((3,), (1,)), ((1, 3), (1, 3)), ((1, 2, 3), (1, 2, 3))]),
+    ((1, 3, 2), [((3,), (2,)), ((2, 3), (2, 3)), ((1, 2, 3), (1, 2, 3))]),
+]
+
+
 def check_shape_families(N, seed):
-    fams = shapes.enumerate_shapes(3)
     by_rank = {}
-    for s in fams:
+    for s in shapes.enumerate_shapes(3):
         by_rank.setdefault(s.rank, []).append(s)
-    counts_ok = (len(by_rank.get(3, [])) == 4 and len(by_rank.get(2, [])) == 6
-                 and len(by_rank.get(1, [])) == 3)
-    expected_rank3 = [
-        ((1, 2, 3), [((1,), (1,)), ((1, 2), (1, 2)), ((1, 2, 3), (1, 2, 3))]),
-        ((2, 1, 3), [((2,), (1,)), ((1, 2), (1, 2)), ((1, 2, 3), (1, 2, 3))]),
-        ((3, 2, 1), [((3,), (1,)), ((1, 3), (1, 3)), ((1, 2, 3), (1, 2, 3))]),
-        ((1, 3, 2), [((3,), (2,)), ((2, 3), (2, 3)), ((1, 2, 3), (1, 2, 3))]),
-    ]
-    labels_ok = all(s.tau == tau and s.minor_labels() == lab
-                    for s, (tau, lab) in zip(by_rank.get(3, []), expected_rank3))
+    counts_ok = all(len(by_rank.get(rank, [])) == count
+                    for rank, count in SHAPE_COUNTS_N3.items())
+    wrong = [(s, tau, lab) for s, (tau, lab)
+             in zip(by_rank.get(3, []), SHAPE_RANK3_N3)
+             if s.tau != tau or s.minor_labels() != lab]
+
+    def witness():
+        out = {"counts": {str(rank): len(fams)
+                          for rank, fams in sorted(by_rank.items())},
+               "expected_counts": {str(rank): count for rank, count
+                                   in sorted(SHAPE_COUNTS_N3.items())}}
+        if wrong:
+            s, tau, lab = wrong[0]
+            out["first"] = {"family": s.to_json(),
+                            "labels": s.minor_labels(),
+                            "expected_tau": tau, "expected_labels": lab}
+        return out
     return [Certificate.verdict("rea shape-families", {"N": 3},
-                                counts_ok and labels_ok)]
+                                counts_ok and not wrong, witness=witness)]
+
+
+def _shape_ideal_failure(shape):
+    """The first broken condition of one family's two shape ideals, with
+    its least offending label, or None."""
+    dom = set(shapes.build_shape_ideal(shape, "dom").generators)
+    lex = set(shapes.build_shape_ideal(shape, "lex").generators)
+    conditions = (
+        ("dom inside lex", dom - lex),
+        ("dom adjoint-closed", {(I, J) for I, J in dom if (J, I) not in dom}),
+        ("lex adjoint-closed", {(I, J) for I, J in lex if (J, I) not in lex}))
+    for name, bad in conditions:
+        if bad:
+            return {"family": shape.to_json(), "condition": name,
+                    "label": min(bad)}
+    return None
 
 
 def check_shape_ideals(N, seed):
-    ok = True
-    for s in shapes.enumerate_shapes(3):
-        dom = shapes.build_shape_ideal(s, "dom")
-        lex = shapes.build_shape_ideal(s, "lex")
-        if not set(dom.generators) <= set(lex.generators):
-            ok = False
-        for (I, J) in dom.generators:
-            if (J, I) not in set(dom.generators):
-                ok = False
-        for (I, J) in lex.generators:
-            if (J, I) not in set(lex.generators):
-                ok = False
-    return [Certificate.verdict("rea shape-ideals", {"N": 3}, ok)]
+    failure = next(filter(None, map(_shape_ideal_failure,
+                                    shapes.enumerate_shapes(3))), None)
+    return [Certificate.verdict("rea shape-ideals", {"N": 3},
+                                failure is None, witness=failure)]
 
 
 def qcomm_certificates(N, fams):
@@ -593,9 +617,10 @@ def check_semiclassical(N, seed):
     out = []
     for n in range(2, min(N, 3) + 1):
         certs = semiclassical_certificates(n)
+        bad = [c.to_json() for c in certs if c.status != "pass"]
         out.append(Certificate.verdict(
             "rea semiclassical", {"N": n, "pairs": len(certs)},
-            all(c.status == "pass" for c in certs)))
+            not bad, witness=_failures_witness(bad)))
     return out
 
 

@@ -15,7 +15,11 @@ twisted by q^{2(a-x)} on each generator X_xa of the left word, the crossing
 relation of the GL(N) R-matrix (Faddeev, Reshetikhin and Takhtajan,
 "Quantization of Lie groups and Lie algebras", 1990).  Nothing is solved:
 the convolution certificates, which re-substitute both inverses into their
-defining identities, are the one oracle of the closed forms.
+defining identities, are the one oracle of the closed forms.  At bidegree
+(s, t) the functional r is the matrix whose column m+n is the image of
+e_{m+n} (rows i+k), and r^{-1} likewise, so a certificate is the sparse
+product R * R^{-1} = 1 of column images, and for r' a partial transpose of
+it; no word pair is evaluated.
 
 On pairs of minors, r and its plain inverse are entries of the wedge braiding
 table, and r' is the bicharacter's r' functional on the two minor
@@ -379,6 +383,12 @@ class Bicharacter:
       to its row x, so the twists telescope: r'(u, v) = rpr_twist(cols(u),
       rows(u)) r^{-1}(u, v), and r' has no table of its own.
 
+    So at bidegree (s, t) each functional is a matrix with one column per
+    column word, `image(which, s, cols)`, sparse: f(u, v) is the entry
+    rows(u) + rows(v) of column cols(u) + cols(v).  The convolution
+    certificates multiply these columns; `r`, `r_inv` and `r_prime` read
+    single entries, for the minor functionals and the reverse braid.
+
     The tables are per instance and mutable.  The product image is memoised
     per (s, column word), the values per word pair.
     """
@@ -467,64 +477,72 @@ class Bicharacter:
         which="rinv": r(a(i,m), b(k,n)) rinv(a(m,j), b(n,l))
         which="rpr" : r(a(i,m), b(n,l)) rpr(a(m,j), b(k,n))
 
-        must equal the counit pairing delta(i,j) delta(k,l).  The r factor
-        does not depend on j and on one of k, l: on (i, k, m, n) for rinv,
-        on (i, l, m, n) for rpr.  So the loops nest as
+        must equal the counit pairing delta(i,j) delta(k,l).  Each factor is
+        an entry of a column image: r(a(x,m), b(y,n)) is entry x+y of
+        `image("r", s, m+n)` and rinv(a(m,x), b(n,y)) entry m+n of
+        `image("rinv", s, x+y)`.  So each sum is a sparse matrix product of
+        column images, taken over their nonzero entries only:
 
-            for i, then k (rinv) or l (rpr):
-                list the (m, n) whose r factor is nonzero, with that factor
-                for j, then l (rinv) or k (rpr):
-                    sum r factor * inverse factor over that list
+        - rinv: column j+l of R * R^{-1} is the sum of v * image("r", s, m+n)
+          over the entries (m+n, v) of image("rinv", s, j+l), and must be
+          e_{j+l};
+        - rpr: a partial transpose.  For each j, every entry (m+k, v) of
+          image("rinv", s, j+n), twisted by rpr_twist(j, m), meets the
+          entries (i+n, w) of image("r", s, m+l) whose row tail is n, and
+          w * v accumulates at (i, k, l).
 
-        and r is evaluated once per outer pair, not once per inner pair.
-        Every factor comes from `r`, `r_inv` or `r_prime` on words, never
-        from the generator tables directly.
+        No word pair is evaluated, so the value memo stays as it is.
         """
         return self.first_mismatch(s, t, which) is None
 
     def first_mismatch(self, s, t, which):
         """The first sum of `certify_bidegree` that misses the counit
-        pairing, in its loop order, as (i, j, k, l, got, expected); None
-        when every sum matches."""
+        pairing, as (i, j, k, l, got, expected); None when every sum matches.
+        "First" is in the order i, then k (rinv) or l (rpr), then j, then l
+        (rinv) or k (rpr).  Mismatches are collected only in the columns
+        whose product is wrong."""
         N = self.N
         tuples_s = list(product(range(1, N + 1), repeat=s))
         tuples_t = list(product(range(1, N + 1), repeat=t))
-        # words_s[x][y] is a(x, y) and words_t[x][y] is b(x, y), built once
-        words_s = {x: {y: word_from_rc(x, y, N) for y in tuples_s}
-                   for x in tuples_s}
-        words_t = {x: {y: word_from_rc(x, y, N) for y in tuples_t}
-                   for x in tuples_t}
+        # each miss is (i, k or l, j, l or k, got, expected): loop order
+        misses = []
         if which == "rinv":
-            inverse, b = self.r_inv, words_t
+            for j in tuples_s:
+                for l in tuples_t:
+                    got = {}
+                    for mn, v in self.image("rinv", s, j + l).items():
+                        for ik, w in self.image("r", s, mn).items():
+                            add_term(got, ik, w * v)
+                    misses += [(ik[:s], ik[s:], j, l, g, e)
+                               for ik, g, e in _misses(got, {j + l: LP_ONE})]
         else:
-            # rpr reads b with its indices swapped: b[o][n] = b(n, o) is
-            # b(n, l) at o = l, and b[n][p] = b(p, n) is b(k, n) at p = k
-            inverse = self.r_prime
-            b = {x: {y: words_t[y][x] for y in tuples_t} for x in tuples_t}
-        for i_t in tuples_s:
-            words_i = words_s[i_t]
-            for o_t in tuples_t:
-                words_o = b[o_t]
-                terms = []
-                for m_t in tuples_s:
-                    wa = words_i[m_t]
-                    for n_t in tuples_t:
-                        c1 = self.r(wa, words_o[n_t])
-                        if not c1.is_zero():
-                            terms.append((words_s[m_t], b[n_t], c1))
-                for j_t in tuples_s:
-                    for p_t in tuples_t:
-                        total = LP_ZERO
-                        for words_m, words_n, c1 in terms:
-                            c2 = inverse(words_m[j_t], words_n[p_t])
-                            if not c2.is_zero():
-                                total = total + c1 * c2
-                        expected = (LP_ONE if (i_t == j_t and o_t == p_t)
-                                    else LP_ZERO)
-                        if total != expected:
-                            k_t, l_t = (o_t, p_t) if which == "rinv" else (p_t, o_t)
-                            return i_t, j_t, k_t, l_t, total, expected
-        return None
+            for j in tuples_s:
+                got = {}
+                for n in tuples_t:
+                    for mk, v in self.image("rinv", s, j + n).items():
+                        m, k = mk[:s], mk[s:]
+                        v = self.rpr_twist(j, m) * v
+                        for l in tuples_t:
+                            for i_n, w in self.image("r", s, m + l).items():
+                                if i_n[s:] == n:
+                                    add_term(got, (i_n[:s], l, k), w * v)
+                expected = {(j, k, k): LP_ONE for k in tuples_t}
+                misses += [(i, l, j, k, g, e)
+                           for (i, l, k), g, e in _misses(got, expected)]
+        if not misses:
+            return None
+        i, o, j, p, got, expected = min(misses, key=lambda miss: miss[:4])
+        k, l = (o, p) if which == "rinv" else (p, o)
+        return i, j, k, l, got, expected
+
+
+def _misses(got, expected):
+    """(key, got, expected) at every key where two sparse vectors differ."""
+    if got == expected:
+        return []
+    return [(key, got.get(key, LP_ZERO), expected.get(key, LP_ZERO))
+            for key in got.keys() | expected.keys()
+            if got.get(key, LP_ZERO) != expected.get(key, LP_ZERO)]
 
 
 # ---------------------------------------------------------------------------

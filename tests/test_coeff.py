@@ -336,6 +336,8 @@ def test_laurent_path_coefficients_stay_int(star3):
     ctx = star3.ctx
     for u, v in [((0,), (4,)), ((1, 3), (5,)), ((8,), (0, 4)), ((2, 6), (7, 2))]:
         star3.star_word(u, v)
+        # the twisted product and the certificates read images only
+        ctx.bich.r(u, v), ctx.bich.r_prime(u, v)
     for which in ("rinv", "rpr"):
         assert ctx.bich.certify_bidegree(1, 1, which)
     values = list(rhat_entries(3).values())

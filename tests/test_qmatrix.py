@@ -165,16 +165,101 @@ def test_bicharacter_base_values(ctx2):
     assert b.r((), (g(1, 2),)).is_zero()
 
 
+BIDEGREES = ((1, 1), (1, 2), (2, 1), (2, 2))
+
+
 def test_convolution_certificates(ctx2):
     b = ctx2.bich
-    for (s, t) in ((1, 1), (1, 2), (2, 1), (2, 2)):
+    for (s, t) in BIDEGREES:
         assert b.certify_bidegree(s, t, "rinv")
         assert b.certify_bidegree(s, t, "rpr")
     # the closed-form generator tables hold at every N, not only at N = 2
-    for N in (1, 3, 4, 5):
+    for N in (3, 4):
+        b = Bicharacter(N)
+        for (s, t) in BIDEGREES:
+            assert b.certify_bidegree(s, t, "rinv"), (N, s, t)
+            assert b.certify_bidegree(s, t, "rpr"), (N, s, t)
+    for N in (1, 5):
         b = Bicharacter(N)
         assert b.certify_bidegree(1, 1, "rinv"), N
         assert b.certify_bidegree(1, 1, "rpr"), N
+
+
+def test_convolution_certificates_read_images_only():
+    """The certificates multiply column images: they evaluate no word pair,
+    so a fresh bicharacter's value memo stays empty."""
+    b = Bicharacter(3)
+    for (s, t) in BIDEGREES:
+        assert b.certify_bidegree(s, t, "rinv") and b.certify_bidegree(s, t, "rpr")
+    assert b._memo == {"r": {}, "rinv": {}}
+    assert b._images["r"] and b._images["rinv"]
+
+
+def dense_first_mismatch(b, s, t, which):
+    """The reference sweep: every (i, k or l, j, l or k) in that order, each
+    sum over every middle (m, n), every factor a word-pair value of `r`,
+    `r_inv` or `r_prime`; returns what `first_mismatch` must."""
+    N = b.N
+    tuples_s = list(product(range(1, N + 1), repeat=s))
+    tuples_t = list(product(range(1, N + 1), repeat=t))
+    middles = list(product(tuples_s, tuples_t))
+    inverse = b.r_inv if which == "rinv" else b.r_prime
+
+    def a(x, y):
+        return word_from_rc(x, y, N)
+
+    # rinv: r(a(i,m), b(o,n)) inverse(a(m,j), b(n,p)), (k, l) = (o, p);
+    # rpr:  r(a(i,m), b(n,o)) inverse(a(m,j), b(p,n)), (k, l) = (p, o)
+    if which == "rinv":
+        left = {(i, o): [b.r(a(i, m), a(o, n)) for m, n in middles]
+                for i in tuples_s for o in tuples_t}
+        right = {(j, p): [inverse(a(m, j), a(n, p)) for m, n in middles]
+                 for j in tuples_s for p in tuples_t}
+    else:
+        left = {(i, o): [b.r(a(i, m), a(n, o)) for m, n in middles]
+                for i in tuples_s for o in tuples_t}
+        right = {(j, p): [inverse(a(m, j), a(p, n)) for m, n in middles]
+                 for j in tuples_s for p in tuples_t}
+    for i, o in product(tuples_s, tuples_t):
+        row = left[i, o]
+        for j, p in product(tuples_s, tuples_t):
+            total = LP_ZERO
+            for c1, c2 in zip(row, right[j, p]):
+                if not (c1.is_zero() or c2.is_zero()):
+                    total = total + c1 * c2
+            expected = LP_ONE if (i, o) == (j, p) else LP_ZERO
+            if total != expected:
+                k, l = (o, p) if which == "rinv" else (p, o)
+                return i, j, k, l, total, expected
+    return None
+
+
+def _bump_first_entry(b, which):
+    column = b._tables[which][min(b._tables[which])]
+    row, c = column[0]
+    column[0] = (row, c + LP_ONE)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("perturbation", [None, "r", "rinv", "twist"])
+def test_first_mismatch_matches_dense_reference(N, perturbation):
+    """The sparse products of column images find exactly the mismatch of the
+    dense sweep, on the true tables and on an r entry + 1, an r^{-1} entry
+    + 1 and a reversed r' twist."""
+    for (s, t) in BIDEGREES:
+        for which in ("rinv", "rpr"):
+            b = Bicharacter(N)
+            if perturbation == "twist":
+                twist = b.rpr_twist
+                b.rpr_twist = lambda cols, rows, twist=twist: twist(rows, cols)
+            elif perturbation is not None:
+                _bump_first_entry(b, perturbation)
+            want = dense_first_mismatch(b, s, t, which)
+            assert b.first_mismatch(s, t, which) == want, (s, t, which)
+            if perturbation is None or (perturbation, which) == ("twist", "rinv"):
+                assert want is None
+            else:
+                assert want is not None
 
 
 @pytest.mark.parametrize("which", ["rinv", "rpr"])
@@ -185,13 +270,11 @@ def test_convolution_certificates_fail_on_a_perturbed_table(monkeypatch, which):
     ctx = QContext(2)            # fresh: the shared context stays intact
     b = ctx.bich
     if which == "rinv":
-        column = b._tables["rinv"][min(b._tables["rinv"])]
-        row, c = column[0]
-        column[0] = (row, c + LP_ONE)
+        _bump_first_entry(b, "rinv")
     else:
         twist = b.rpr_twist
         monkeypatch.setattr(b, "rpr_twist", lambda cols, rows: twist(rows, cols))
-    bidegrees = ((1, 1), (1, 2), (2, 1), (2, 2))
+    bidegrees = BIDEGREES
     for (s, t) in bidegrees:
         assert not b.certify_bidegree(s, t, which)
         # r' is r^{-1} twisted: a wrong r^{-1} table fails both, a wrong

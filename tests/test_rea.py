@@ -337,3 +337,20 @@ def test_sums_leave_every_memo_as_a_fresh_context_computes_it():
         assert memo
         for key, value in memo.items():
             assert value == compute(*key), key
+
+
+def test_semiclassical_witness_names_first_failing_pair(monkeypatch):
+    """With one bracket coefficient negated, the N=2 certificate fails with
+    the failure count and the first failing pair's own certificate."""
+    table = dict(poisson_bracket_coeffs(2))
+    key = next(k for k in sorted(table) if table[k])
+    mono = min(table[key])
+    table[key] = {**table[key], mono: -table[key][mono]}
+    monkeypatch.setattr(checks.classical, "poisson_bracket_coeffs",
+                        lambda N: table)
+    (cert,) = checks.check_semiclassical(2, 0)
+    assert cert.status == "fail"
+    ij, kl = key
+    first = semiclassical_bracket_check(checks.get_star(2), ij, kl, table)
+    assert first.status == "fail"
+    assert cert.witness == {"failures": 1, "first": first.to_json()}
