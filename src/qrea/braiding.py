@@ -259,6 +259,10 @@ class WedgeBraidTable:
     e_I (x) e_Jp under the (k, l) braiding; inv_entry(I, J, Ip, Jp) is the
     coefficient of e_J (x) e_Ip in the image of e_Jp (x) e_I under the
     inverse.  I, J run over k-subsets and Ip, Jp over l-subsets.
+
+    Most label quadruples hold zero, so a sweep that fixes some labels reads
+    `slice(inverse, fixed)`: the nonzero entries grouped by their labels at
+    the positions `fixed`, each group a sorted list, built once per table.
     """
 
     def __init__(self, N, k, l):
@@ -269,6 +273,7 @@ class WedgeBraidTable:
         self.l = l
         self.entries = {}
         self.inv_entries = {}
+        self._slices = {}
         ksets, lsets = subsets(N, k), subsets(N, l)
         for I in ksets:
             for Jp in lsets:
@@ -284,6 +289,24 @@ class WedgeBraidTable:
 
     def inv_entry(self, I, J, Ip, Jp):
         return self.inv_entries.get((I, J, Ip, Jp), LP_ZERO)
+
+    def slice(self, inverse, fixed):
+        """The nonzero entries (inv_entries when `inverse`), grouped by their
+        labels at the positions `fixed` (0-3, in the order I, J, Ip, Jp):
+        {fixed labels: [(other labels, value)]}, each list sorted by its
+        labels, so that a loop over it visits the keys in the order of the
+        nested subset loops it replaces.  Built once per (inverse, fixed);
+        callers only read it."""
+        key = (inverse, tuple(fixed))
+        hit = self._slices.get(key)
+        if hit is None:
+            free = [p for p in range(4) if p not in fixed]
+            hit = self._slices[key] = {}
+            table = self.inv_entries if inverse else self.entries
+            for labels in sorted(table):
+                hit.setdefault(tuple(labels[p] for p in fixed), []).append(
+                    (tuple(labels[p] for p in free), table[labels]))
+        return hit
 
     # -- structural checks ---------------------------------------------------
 

@@ -9,6 +9,7 @@ and a unit test keeps the two in sync.  Suites are deterministic given
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -834,7 +835,9 @@ CHECKS = [
 
 
 def run_all(N, seed):
-    """Run every registered suite; yields (name, certificate)."""
+    """Run every registered suite; yields (name, certificates, wall seconds)
+    per suite."""
     for name, fn in CHECKS:
-        for cert in fn(N, seed):
-            yield name, cert
+        t0 = time.perf_counter()
+        certs = list(fn(N, seed))
+        yield name, certs, time.perf_counter() - t0

@@ -2,7 +2,8 @@
 
 Certificates stream to stdout as JSON lines (one per instance, in a
 canonical order so identical seeds and arguments give byte-identical
-output); a human summary with timings goes to stderr.  Exit code 0 means
+output); a human summary with timings goes to stderr, and with
+`check-all --timings` one line of wall seconds per suite.  Exit code 0 means
 every requested check passed, 1 means some check failed, 2 is a usage
 error.  The environment variable QREA_SEED overrides --seed.
 
@@ -320,11 +321,14 @@ def cmd_classical(args):
 def cmd_check_all(args):
     t0 = time.time()
     certs = []
-    for name, cert in checks.run_all(args.N, args.seed):
-        rec = cert.to_json()
-        rec["suite"] = name
-        sys.stdout.write(json.dumps(rec, sort_keys=True) + "\n")
-        certs.append(cert)
+    for name, suite_certs, seconds in checks.run_all(args.N, args.seed):
+        for cert in suite_certs:
+            rec = cert.to_json()
+            rec["suite"] = name
+            sys.stdout.write(json.dumps(rec, sort_keys=True) + "\n")
+        certs += suite_certs
+        if args.timings:
+            print(f"[timings] {name} {seconds:.3f}s", file=sys.stderr)
     return _summarise(certs, t0, "check-all")
 
 
@@ -386,6 +390,8 @@ def build_parser():
 
     ca = sub.add_parser("check-all", help="run every registered suite")
     ca.add_argument("--N", type=int, default=2)
+    ca.add_argument("--timings", action="store_true",
+                    help="print each suite's wall seconds to stderr")
     ca.set_defaults(fn=cmd_check_all)
     return p
 

@@ -24,10 +24,14 @@ it; no word pair is evaluated.
 On pairs of minors, r and its plain inverse are entries of the wedge braiding
 table, and r' is the bicharacter's r' functional on the two minor
 polynomials.  So the twisted product reads the one r' functional at word
-level (`star_word`) and at minor level (`star_minor`), and the convolution
-certificates of r' cover both.
+level (`star_word`, which reads r by rows: `Bicharacter.coimage`) and at
+minor level (`star_minor`, through the index `QContext.rpr_minors` of its
+nonzero values), and the convolution certificates of r' cover both.
 Every identity family (Laplace, the common-submatrix expansion, braided
-commutativity) is verified by exact normal-form equality.
+commutativity) is verified by exact normal-form equality.  The sweeps over
+wedge-table labels visit only nonzero entries, through the table's slices;
+the label arithmetic of a Laplace or Muir instance is memoised once for
+both algebras; and normal forms are memoised per word suffix.
 
 `sum_terms` is the one polynomial sum: every linear combination of NCPolys,
 here and in the reflection algebra, adds into one dict with
@@ -159,13 +163,21 @@ def _word_greater(a, b):
 
 
 class RewriteSystem:
-    """Oriented quadratic straightening rules with memoised insertion."""
+    """Oriented quadratic straightening rules with memoised insertion.
+
+    The normal form of a word w is the insertion of its first letter into
+    the normal form of w[1:], so normal forms are memoised per suffix: a
+    word shares the work of every word that ends like it.  Only proper
+    suffixes are kept, not the words asked for, which rarely recur (at N=4
+    keeping them would add a third to the peak memory of the quantum
+    suites).  Memoised values are shared; callers only read them."""
 
     def __init__(self, N, rules):
         self.N = N
         # (g1, g2) with g1 > g2 -> dict word -> LaurentPoly
         self.rules = rules
         self._insert_memo = {}
+        self._nf_memo = {}
 
     # -- normal forms ---------------------------------------------------------
 
@@ -192,16 +204,25 @@ class RewriteSystem:
 
     def nf_word(self, word):
         """Normal form of a word as dict sorted-word -> LaurentPoly."""
+        return self._nf(tuple(word), keep=False)
+
+    def _nf(self, word, keep=True):
+        """nf_word: _insert(word[0], .) over nf(word[1:]), read from the
+        suffix memo, and stored there when `keep`."""
         if len(word) <= 1:
-            return {tuple(word): LP_ONE}
-        acc = {word[-1:]: LP_ONE}
-        for g in reversed(word[:-1]):
-            nxt = {}
-            for mono, c in acc.items():
-                for m2, c2 in self._insert(g, mono).items():
-                    add_term(nxt, m2, c * c2)
-            acc = nxt
-        return acc
+            return {word: LP_ONE}
+        memo = self._nf_memo
+        hit = memo.get(word)
+        if hit is None:
+            g = word[0]
+            insert = self._insert
+            hit = {}
+            for mono, c in self._nf(word[1:]).items():
+                for m2, c2 in insert(g, mono).items():
+                    add_term(hit, m2, c * c2)
+            if keep:
+                memo[word] = hit
+        return hit
 
     def normal_form(self, p):
         out = {}
@@ -389,8 +410,16 @@ class Bicharacter:
     certificates multiply these columns; `r`, `r_inv` and `r_prime` read
     single entries, for the minor functionals and the reverse braid.
 
-    The tables are per instance and mutable.  The product image is memoised
-    per (s, column word), the values per word pair.
+    A row of that matrix is `coimage(which, s, rows)`, {cols: value}: by
+    the transposition principle (Buergisser, Clausen and Shokrollahi,
+    "Algebraic Complexity Theory", 1997, ch. 13) the transpose of an
+    ordered product of two-site steps is the product of the transposed
+    steps in the reversed order, so a row costs what a column does.  The
+    twisted product reads r by rows.  The transposed tables are built once,
+    from the generator tables as they stand at construction.
+
+    The tables are per instance and mutable.  The product images and
+    coimages are memoised per (s, word), the values per word pair.
     """
 
     def __init__(self, N):
@@ -401,10 +430,26 @@ class Bicharacter:
                   for a, b in cols},
             "rinv": {(a, b): braid_pair_action(b, a, inverse=True)
                      for a, b in cols}}
+        self._cotables = {}
+        for which, table in self._tables.items():
+            cotable = self._cotables[which] = {xy: [] for xy in cols}
+            for ab, image in table.items():
+                for xy, c in image:
+                    cotable[xy].append((ab, c))
         self._memo = {"r": {}, "rinv": {}}
         self._images = {"r": {}, "rinv": {}}
+        self._coimages = {"r": {}, "rinv": {}}
 
     # -- evaluation by propagation ---------------------------------------------
+
+    @staticmethod
+    def _sites(which, s, n):
+        """The two-site steps of functional `which` on words of length n
+        whose first s letters are the left word, in the order applied."""
+        ps, qs = range(s), range(n - s)
+        if which == "r":
+            return [(p, s + q) for p in reversed(ps) for q in qs]
+        return [(p, s + q) for p in ps for q in reversed(qs)]
 
     def image(self, which, s, cols):
         """The ordered two-site product of functional `which` applied to
@@ -413,16 +458,26 @@ class Bicharacter:
         images = self._images[which]
         img = images.get(key)
         if img is None:
-            ps, qs = range(s), range(len(cols) - s)
-            if which == "r":
-                sites = [(p, s + q) for p in reversed(ps) for q in qs]
-            else:
-                sites = [(p, s + q) for p in ps for q in reversed(qs)]
             table = self._tables[which]
             img = {cols: LP_ONE}
-            for i, j in sites:
+            for i, j in self._sites(which, s, len(cols)):
                 img = apply_two_site(img, i, j, table)
             images[key] = img
+        return img
+
+    def coimage(self, which, s, rows):
+        """Row `rows` of the matrix of `image`: {cols: value}, the entry
+        `rows` of every image(which, s, cols) that has one.  The transposed
+        steps applied to e_rows in the reversed order."""
+        key = (s, rows)
+        coimages = self._coimages[which]
+        img = coimages.get(key)
+        if img is None:
+            cotable = self._cotables[which]
+            img = {rows: LP_ONE}
+            for i, j in reversed(self._sites(which, s, len(rows))):
+                img = apply_two_site(img, i, j, cotable)
+            coimages[key] = img
         return img
 
     def _value(self, which, wa, wb):
@@ -588,6 +643,7 @@ class QContext:
         self._minors = {}
         self._minor_prod = {}
         self._rpr_minor = {}
+        self._rpr_index = {}
         self._contractions = {}
         self._gencomm = {}
 
@@ -628,18 +684,11 @@ class QContext:
         if hit is None:
             a, c, b = key
             tab = self.table(len(a), len(c))
-            xsets, ysets = subsets(self.N, len(a)), subsets(self.N, len(c))
+            by_b_y = tab.slice(False, (0, 2))
             hit = self._contractions[key] = {}
-            for X in xsets:
-                for Y in ysets:
-                    c1 = tab.inv_entry(X, a, c, Y)
-                    if c1.is_zero():
-                        continue
-                    for Z in xsets:
-                        for W in ysets:
-                            c2 = tab.entry(b, Z, Y, W)
-                            if not c2.is_zero():
-                                add_term(hit, (X, Z, W), c1 * c2)
+            for (X, Y), c1 in tab.slice(True, (1, 2)).get((a, c), ()):
+                for (Z, W), c2 in by_b_y.get((b, Y), ()):
+                    add_term(hit, (X, Z, W), c1 * c2)
         return hit
 
     def gencomm_coefficients(self, I, J, Ip, Jp):
@@ -658,27 +707,15 @@ class QContext:
         if hit is None:
             I, J, Ip, Jp = key
             kl, lk = self.table(len(I), len(Ip)), self.table(len(Ip), len(I))
-            ksets, lsets = subsets(self.N, len(I)), subsets(self.N, len(Ip))
+            kl_by_i_pp = kl.slice(False, (0, 2))
+            lk_by_pp_j = lk.slice(False, (0, 2))
             left, right = {}, {}
-            for Pp in lsets:
-                for K in ksets:
-                    f = lk.entry(Pp, Ip, J, K)
-                    if f.is_zero():
-                        continue
-                    for L in ksets:
-                        for Lp in lsets:
-                            g = kl.entry(I, L, Pp, Lp)
-                            if not g.is_zero():
-                                add_term(left, (K, L, Lp), f * g)
-                for L in ksets:
-                    g = kl.entry(I, L, Pp, Jp)
-                    if g.is_zero():
-                        continue
-                    for K in ksets:
-                        for Lp in lsets:
-                            f = lk.entry(Pp, Lp, J, K)
-                            if not f.is_zero():
-                                add_term(right, (K, L, Lp), f * g)
+            for (Pp, K), f in lk.slice(False, (1, 2)).get((Ip, J), ()):
+                for (L, Lp), g in kl_by_i_pp.get((I, Pp), ()):
+                    add_term(left, (K, L, Lp), f * g)
+            for (L, Pp), g in kl.slice(False, (0, 3)).get((I, Jp), ()):
+                for (Lp, K), f in lk_by_pp_j.get((Pp, J), ()):
+                    add_term(right, (K, L, Lp), f * g)
             hit = self._gencomm[key] = (left, right)
         return hit
 
@@ -700,6 +737,18 @@ class QContext:
         if hit is None:
             hit = self._rpr_minor[key] = self.bich.pair_functional(
                 "rpr", self.minor(A, B), self.minor(C, D))
+        return hit
+
+    def rpr_minors(self, B, C, D):
+        """[(A, rpr_minor(A, B, C, D))] over the |B|-subsets A, in order,
+        nonzero values only: the r' index of the twisted minor product,
+        built once per (B, C, D) from one rpr_minor call per A."""
+        key = (B, C, D)
+        hit = self._rpr_index.get(key)
+        if hit is None:
+            hit = self._rpr_index[key] = [
+                (A, v) for A in subsets(self.N, len(B))
+                if not (v := self.rpr_minor(A, B, C, D)).is_zero()]
         return hit
 
 
@@ -735,11 +784,26 @@ def expansion_terms(family, instance):
     (sign, (A, B, C, D)) and stands for sign times the minor product
     (A, B)(C, D).  A Laplace instance is the Muir one with no common
     submatrix (F = G = ()), its left term the minor (I, J) times the empty
-    minor.  The left side is empty unless K = K'.
+    minor.  The left side is empty unless K = K'.  Both sides are tuples,
+    memoised per (row or col, labels) and shared by the quantum-matrix and
+    reflection-algebra families.
     """
     if family.startswith("laplace"):
         instance = dict(instance, F=(), G=())
-    I, J, F, G, K, Kp = (tuple(instance[n]) for n in MUIR_KEYS)
+    key = (family.endswith("row"),
+           *(tuple(instance[n]) for n in MUIR_KEYS))
+    hit = _EXPANSION_MEMO.get(key)
+    if hit is None:
+        hit = _EXPANSION_MEMO[key] = _expansion(*key)
+    return hit
+
+
+# (row family, I, J, F, G, K, K') -> (left, right) of expansion_terms
+_EXPANSION_MEMO = {}
+
+
+def _expansion(row, I, J, F, G, K, Kp):
+    """The terms of expansion_terms, computed."""
     k = len(I)
     if len(J) != k or len(F) != len(G) or len(K) != len(Kp):
         raise IllFormedInstance("sizes inconsistent")
@@ -748,17 +812,16 @@ def expansion_terms(family, instance):
         raise IllFormedInstance("selection positions out of range")
     IF, IFc = select(I, F), rest(I, F)
     JG, JGc = select(J, G), rest(J, G)
-    left = [(LP_ONE, (I, J, IF, JG))] if K == Kp else []
+    left = ((LP_ONE, (I, J, IF, JG)),) if K == Kp else ()
     right = []
     for P in subsets(r, len(K)):
         # a row family selects K (first minor) and K' (second) among the
         # rows and P among the columns; a col family swaps the two sides
-        rk, rkp, ck, ckp = ((K, Kp, P, P) if family.endswith("row")
-                            else (P, P, K, Kp))
+        rk, rkp, ck, ckp = (K, Kp, P, P) if row else (P, P, K, Kp)
         right.append((lp_q_int(sum(P) - sum(K)),
                       (merge(IF, select(IFc, rk)), merge(JG, select(JGc, ck)),
                        merge(IF, rest(IFc, rkp)), merge(JG, rest(JGc, ckp)))))
-    return left, right
+    return left, tuple(right)
 
 
 def braidcomm_labels(instance):
@@ -774,11 +837,15 @@ def sum_terms(N, terms, value):
     """The NCPoly sum of c * value(*args) over the (c, args) terms, c a
     LaurentPoly: the one polynomial sum.  It adds into one new dict with
     add_term, so it neither changes nor returns a value of `value`, which
-    may be memoised."""
+    may be memoised.  A coefficient c equal to one multiplies nothing."""
     out = {}
     for c, args in terms:
-        for w, cw in value(*args).coeffs.items():
-            add_term(out, w, cw * c)
+        if c.is_one():
+            for w, cw in value(*args).coeffs.items():
+                add_term(out, w, cw)
+        else:
+            for w, cw in value(*args).coeffs.items():
+                add_term(out, w, cw * c)
     p = NCPoly(N)
     p.coeffs = out
     return p
@@ -801,23 +868,35 @@ def verify_identity(ctx, family, instance):
                                lhs == rhs, lambda: _nf_diff(lhs, rhs))
 
 
+def braidcomm_factors(ctx, family, I, J, Ip, Jp):
+    """The nonzero factors ([((A, B), c1)], [((C, D), c2)]) of a braided
+    commutation instance, whose right side is the sum of c1 c2 (A, C)(B, D):
+
+        braidcomm-1   c1 = entry(A, I, I', B),    c2 = inv_entry(J, C, D, J')
+        braidcomm-2   c1 = inv_entry(B, I', I, A), c2 = entry(J', D, C, J)
+
+    on the (|I|, |I'|) wedge table, and the (|I'|, |I|) one for braidcomm-2.
+    Each list is one group of a table slice."""
+    if family == "braidcomm-1":
+        tab = ctx.table(len(I), len(Ip))
+        first = tab.slice(False, (1, 2)).get((I, Ip), ())
+        second = tab.slice(True, (0, 3)).get((J, Jp), ())
+        return first, second
+    tab = ctx.table(len(Ip), len(I))
+    first = [((A, B), c) for (B, A), c
+             in tab.slice(True, (1, 2)).get((Ip, I), ())]
+    second = [((C, D), c) for (D, C), c
+              in tab.slice(False, (0, 3)).get((Jp, J), ())]
+    return first, second
+
+
 def _verify_braidcomm(ctx, family, instance):
     I, J, Ip, Jp = braidcomm_labels(instance)
     N = ctx.N
-    pairs = [(A, B) for A in subsets(N, len(I)) for B in subsets(N, len(Ip))]
-    # the rhs is the sum of first[A, B] second[C, D] (A, C)(B, D)
-    if family == "braidcomm-1":
-        tab = ctx.table(len(I), len(Ip))
-        first = {(A, B): tab.entry(A, I, Ip, B) for A, B in pairs}
-        second = {(C, D): tab.inv_entry(J, C, D, Jp) for C, D in pairs}
-    else:
-        tab = ctx.table(len(Ip), len(I))
-        first = {(A, B): tab.inv_entry(B, Ip, I, A) for A, B in pairs}
-        second = {(C, D): tab.entry(Jp, D, C, J) for C, D in pairs}
+    first, second = braidcomm_factors(ctx, family, I, J, Ip, Jp)
     lhs = ctx.minor_prod_nf(Ip, Jp, I, J)
     rhs = sum_terms(N, [(c1 * c2, (A, C, B, D))
-                        for (A, B), c1 in first.items() if not c1.is_zero()
-                        for (C, D), c2 in second.items() if not c2.is_zero()],
+                        for (A, B), c1 in first for (C, D), c2 in second],
                     ctx.minor_prod_nf)
     inst = _inst_json(instance, BRAIDCOMM_KEYS)
     return Certificate.verdict(f"verify {family}", inst, lhs == rhs,

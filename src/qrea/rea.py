@@ -9,20 +9,22 @@ quantum minors viewed inside the twisted product, and every reflection-side
 identity is checked by exact normal-form equality in this model.
 
 Both products read r' only through `qmatrix.Bicharacter`.  `star_word`
-propagates words through the bicharacter's r and r^{-1} images, twisting
-the second by `Bicharacter.rpr_twist` into r'; `star_minor` takes r on
-minors from the wedge braiding table and r' on minors from
-`QContext.rpr_minor`, which is the bicharacter's r' on the two minor
-polynomials.
+works from the row side: for each row tail c whose r^{-1} image (twisted by
+`Bicharacter.rpr_twist` into r') has an entry ending in rows(v), it reads
+the r values of all column tuples at once, as the coimage of rows(u) + c,
+and skips every other c.  `star_minor` takes r on minors from a slice of
+the wedge braiding table and r' on minors from `QContext.rpr_minors`, the
+nonzero values of the bicharacter's r' on the two minor polynomials.
 
 The reflection-algebra identity families share their expansions with the
 quantum-matrix ones.  Laplace and Muir take the term lists of
-`qmatrix.expansion_terms` and expand each minor product (a, b)(c, d) as the
-twisted products star_minor(X, Z, W, d) weighted by the wedge-table
-contraction `QContext.wedge_contraction(a, c, b)`; laplace2 places the
-contraction of (b, d, a) transposed, as star_minor(c, W, Z, X).  The general
-commutation family reads `QContext.gencomm_coefficients`, as the shape
-q-commutation certificates do.
+`qmatrix.expansion_terms`, memoised there for both algebras, and expand
+each minor product (a, b)(c, d) as the twisted products
+star_minor(X, Z, W, d) weighted by the wedge-table contraction
+`QContext.wedge_contraction(a, c, b)`; laplace2 places the contraction of
+(b, d, a) transposed, as star_minor(c, W, Z, X).  The general commutation
+family reads `QContext.gencomm_coefficients`, as the shape q-commutation
+certificates do.
 
 A second realisation derives quadratic straightening rules directly from the
 reflection equation and cross-checks them against the twisted product.
@@ -78,21 +80,20 @@ class StarAlgebra:
         rows_u, cols_u = word_rows(u, N), word_cols(u, N)
         rows_v, cols_v = word_rows(v, N), word_cols(v, N)
         # sum of r(X_{rows_u, a}, X_{c, d}) r'(X_{b, cols_u}, X_{rows_v, c})
-        # X_{a, b} X_{d, cols_v}, over the nonzero entries of both images
+        # X_{a, b} X_{d, cols_v}: for each c with an r' entry, the entries
+        # {ad: r} of one row of r, read as a coimage
         terms = {}
-        for ad in product(range(1, N + 1), repeat=s + len(v)):
-            a_t, d_t = ad[:s], ad[s:]
-            tail = word_from_rc(d_t, cols_v, N)
-            for rows, c1 in bich.image("r", s, ad).items():
-                if rows[:s] != rows_u:
-                    continue
-                img = bich.image("rinv", s, cols_u + rows[s:])
-                for rows2, c2 in img.items():
-                    if rows2[s:] != rows_v:
-                        continue
-                    twist = bich.rpr_twist(cols_u, rows2[:s])
-                    add_term(terms, word_from_rc(a_t, rows2[:s], N) + tail,
-                             c1 * twist * c2)
+        for c in product(range(1, N + 1), repeat=len(v)):
+            rprs = [(rows[:s], bich.rpr_twist(cols_u, rows[:s]) * c2)
+                    for rows, c2 in bich.image("rinv", s, cols_u + c).items()
+                    if rows[s:] == rows_v]
+            if not rprs:
+                continue
+            for ad, c1 in bich.coimage("r", s, rows_u + c).items():
+                a_t = ad[:s]
+                tail = word_from_rc(ad[s:], cols_v, N)
+                for b, c2 in rprs:
+                    add_term(terms, word_from_rc(a_t, b, N) + tail, c1 * c2)
         acc = self.ctx.rw.normal_form(NCPoly(N, terms))
         self._star_word_memo[key] = acc
         return acc
@@ -112,24 +113,14 @@ class StarAlgebra:
         hit = self._star_minor_memo.get(key)
         if hit is not None:
             return hit
-        N = self.N
         ctx = self.ctx
-        k, l = len(key[0]), len(key[2])
-        ksets, lsets = subsets(N, k), subsets(N, l)
         A, B, C, D = key
-        terms = []
-        for K in ksets:
-            for L in lsets:
-                for E in lsets:
-                    c1 = ctx.r_minor(A, K, L, E)
-                    if c1.is_zero():
-                        continue
-                    for M in ksets:
-                        c2 = ctx.rpr_minor(M, B, C, L)
-                        if c2.is_zero():
-                            continue
-                        terms.append((c1 * c2, (K, M, E, D)))
-        acc = sum_terms(N, terms, ctx.minor_prod_nf)
+        # r_minor(A, K, L, E) is the wedge-table entry (K, A, L, E)
+        tab = ctx.table(len(A), len(C))
+        terms = [(c1 * c2, (K, M, E, D))
+                 for (K, L, E), c1 in tab.slice(False, (1,)).get((A,), ())
+                 for M, c2 in ctx.rpr_minors(B, C, L)]
+        acc = sum_terms(self.N, terms, ctx.minor_prod_nf)
         self._star_minor_memo[key] = acc
         return acc
 

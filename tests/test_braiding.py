@@ -344,3 +344,30 @@ def test_embed_equivariance_witness_is_first_failing_word(broken_move):
     assert w["got"] == lifted[word].to_json()
     assert w["expected"] == expected[word].to_json()
     assert w["got"] != w["expected"]
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_slices_match_full_label_sweeps(N):
+    """Every slice of every table holds exactly the nonzero entries of a
+    sweep over all label quadruples, grouped by the fixed labels, each
+    group in sorted order; a second call returns the same slice."""
+    for k in range(N + 1):
+        for l in range(N + 1):
+            tab = WedgeBraidTable(N, k, l)
+            ksets, lsets = braiding.subsets(N, k), braiding.subsets(N, l)
+            for inverse in (False, True):
+                value = tab.inv_entry if inverse else tab.entry
+                for size in range(1, 4):
+                    for fixed in combinations(range(4), size):
+                        want = {}
+                        for labels in product(ksets, ksets, lsets, lsets):
+                            c = value(*labels)
+                            if c.is_zero():
+                                continue
+                            want.setdefault(
+                                tuple(labels[p] for p in fixed), []).append(
+                                (tuple(labels[p] for p in range(4)
+                                       if p not in fixed), c))
+                        got = tab.slice(inverse, fixed)
+                        assert got == want, (k, l, inverse, fixed)
+                        assert tab.slice(inverse, fixed) is got

@@ -236,9 +236,14 @@ def test_removed_flags_are_rejected(argv):
 
 def test_check_all_deterministic_and_covers(capsys):
     code1, out1, _ = run_cli(capsys, ["check-all", "--N", "2"])
-    code2, out2, _ = run_cli(capsys, ["check-all", "--N", "2"])
+    code2, out2, err2 = run_cli(capsys, ["check-all", "--N", "2", "--timings"])
     assert code1 == 0 and code2 == 0
+    # --timings writes to stderr only: one line per suite, in suite order
     assert out1 == out2
+    timed = [line.split() for line in err2.splitlines()
+             if line.startswith("[timings]")]
+    assert [t[1] for t in timed] == [name for name, _ in checks.CHECKS]
+    assert all(t[2].endswith("s") and float(t[2][:-1]) >= 0 for t in timed)
     # the recorded N=2 seed-0 certificate stream, byte for byte
     assert hashlib.sha256(out1.encode()).hexdigest() == (
         "391dcdf59b29c1c5362db55e8ce411551deaa1afb3fcef0f2f0657658a49a631")

@@ -377,6 +377,9 @@ def test_quantum_side_values_are_laurent():
         "bicharacter images": [c for images in bich._images.values()
                                for img in images.values()
                                for c in img.values()],
+        "bicharacter coimages": [c for coimages in bich._coimages.values()
+                                 for img in coimages.values()
+                                 for c in img.values()],
         "bicharacter memos": [c for memo in bich._memo.values()
                               for c in memo.values()],
         "wedge tables": [c for t in ctx._tables.values()
@@ -389,6 +392,12 @@ def test_quantum_side_values_are_laurent():
         "minor products": [c for p in ctx._minor_prod.values()
                            for c in p.coeffs.values()],
         "r' on minors": list(ctx._rpr_minor.values()),
+        "r' index": [c for row in ctx._rpr_index.values() for _, c in row],
+        "table slices": [c for t in ctx._tables.values()
+                         for sl in t._slices.values()
+                         for group in sl.values() for _, c in group],
+        "normal forms": [c for nf in ctx.rw._nf_memo.values()
+                         for c in nf.values()],
         "star_word memo": [c for p in star._star_word_memo.values()
                            for c in p.coeffs.values()],
         "star_minor memo": [c for p in star._star_minor_memo.values()

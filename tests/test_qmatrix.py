@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from qrea import checks, qmatrix
 from qrea.coeff import LP_ONE, LP_Q, LP_QINV, LP_ZERO, LaurentPoly, lp_q_int
+from qrea.indexsets import subsets
+from qrea.linalg import add_term
 from qrea.qmatrix import (Bicharacter, IllFormedInstance, NCPoly,
                           NonOrientable, QContext, braidcomm_instances,
                           coproduct, coproduct_word, counit, counit_word,
@@ -522,3 +524,112 @@ def test_minor_table_crosscheck_witness_names_the_entry(monkeypatch):
     assert cert.witness == {"which": "r", "A": A, "B": B, "C": C, "D": D,
                             "table": (value * LP_Q).to_json(),
                             "functional": value.to_json()}
+
+
+# -- the row side and the sparse sweeps, against dense references ---------------
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_coimage_is_the_transpose_of_image(N):
+    """Row `rows` of the matrix whose columns are image(which, s, cols) is
+    coimage(which, s, rows), at every bidegree with s + t <= 3."""
+    b = Bicharacter(N)
+    for n in range(1, 4):
+        words = list(product(range(1, N + 1), repeat=n))
+        for s in range(n + 1):
+            for which in ("r", "rinv"):
+                rows = {}
+                for cols in words:
+                    for row, c in b.image(which, s, cols).items():
+                        rows.setdefault(row, {})[cols] = c
+                for row in words:
+                    assert b.coimage(which, s, row) == rows.get(row, {}), \
+                        (which, s, row)
+
+
+def _nf_word_loop(rw, word):
+    """The normal form of a word by inserting its letters right to left,
+    nothing memoised but the insertions."""
+    if len(word) <= 1:
+        return {tuple(word): LP_ONE}
+    acc = {word[-1:]: LP_ONE}
+    for g in reversed(word[:-1]):
+        nxt = {}
+        for mono, c in acc.items():
+            for m2, c2 in rw._insert(g, mono).items():
+                add_term(nxt, m2, c * c2)
+        acc = nxt
+    return acc
+
+
+def test_nf_word_matches_the_memo_free_loop():
+    """The suffix-memoised normal form is the right-to-left loop's dict,
+    entry for entry and in the same order: on every word of length <= 4 at
+    N=2, and on 300 random words at N=3."""
+    rw = derive_rewrite_rules(2)
+    words = [w for n in range(5) for w in product(range(4), repeat=n)]
+    rng = random.Random(20)
+    rw3 = derive_rewrite_rules(3)
+    words3 = [tuple(rng.randrange(9) for _ in range(rng.randint(2, 6)))
+              for _ in range(300)]
+    for system, ws in ((rw, words), (rw3, words3)):
+        for w in ws:
+            got = system.nf_word(w)
+            assert list(got.items()) == list(_nf_word_loop(system, w).items()), w
+
+
+def _dense_gencomm(ctx, I, J, Ip, Jp):
+    kl, lk = ctx.table(len(I), len(Ip)), ctx.table(len(Ip), len(I))
+    ksets, lsets = subsets(ctx.N, len(I)), subsets(ctx.N, len(Ip))
+    left, right = {}, {}
+    for Pp, K, L, Lp in product(lsets, ksets, ksets, lsets):
+        add_term(left, (K, L, Lp),
+                 lk.entry(Pp, Ip, J, K) * kl.entry(I, L, Pp, Lp))
+        add_term(right, (K, L, Lp),
+                 lk.entry(Pp, Lp, J, K) * kl.entry(I, L, Pp, Jp))
+    return left, right
+
+
+def _dense_contraction(ctx, a, c, b):
+    tab = ctx.table(len(a), len(c))
+    xsets, ysets = subsets(ctx.N, len(a)), subsets(ctx.N, len(c))
+    out = {}
+    for X, Y, Z, W in product(xsets, ysets, xsets, ysets):
+        add_term(out, (X, Z, W), tab.inv_entry(X, a, c, Y) * tab.entry(b, Z, Y, W))
+    return out
+
+
+def _dense_braidcomm_factors(ctx, family, I, J, Ip, Jp):
+    pairs = list(product(subsets(ctx.N, len(I)), subsets(ctx.N, len(Ip))))
+    if family == "braidcomm-1":
+        tab = ctx.table(len(I), len(Ip))
+        first = {(A, B): tab.entry(A, I, Ip, B) for A, B in pairs}
+        second = {(C, D): tab.inv_entry(J, C, D, Jp) for C, D in pairs}
+    else:
+        tab = ctx.table(len(Ip), len(I))
+        first = {(A, B): tab.inv_entry(B, Ip, I, A) for A, B in pairs}
+        second = {(C, D): tab.entry(Jp, D, C, J) for C, D in pairs}
+    return ({key: c for key, c in first.items() if not c.is_zero()},
+            {key: c for key, c in second.items() if not c.is_zero()})
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_slice_sweeps_match_full_label_sweeps(N):
+    """gencomm_coefficients, wedge_contraction and the braided-commutation
+    factor lists, each read off table slices, against sweeps over every
+    label tuple."""
+    ctx = QContext(N)
+    for inst in braidcomm_instances(N):
+        I, J, Ip, Jp = (inst[n] for n in ("I", "J", "Ip", "Jp"))
+        assert ctx.gencomm_coefficients(I, J, Ip, Jp) == \
+            _dense_gencomm(ctx, I, J, Ip, Jp), inst
+        for family in ("braidcomm-1", "braidcomm-2"):
+            first, second = qmatrix.braidcomm_factors(ctx, family, I, J, Ip, Jp)
+            want = _dense_braidcomm_factors(ctx, family, I, J, Ip, Jp)
+            assert (dict(first), dict(second)) == want, (family, inst)
+            assert len(first) == len(want[0]) and len(second) == len(want[1])
+    for k in range(1, N + 1):
+        for l in range(1, N + 1):
+            for a, b in product(subsets(N, k), repeat=2):
+                for c in subsets(N, l):
+                    assert ctx.wedge_contraction(a, c, b) == \
+                        _dense_contraction(ctx, a, c, b), (a, c, b)

@@ -1,14 +1,16 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from qrea import checks, qmatrix, rea
 from qrea.classical import poisson_bracket_coeffs
 from qrea.coeff import LP_ONE, LP_Q, LaurentPoly
+from qrea.linalg import add_term
 from qrea.qmatrix import (NCPoly, QContext, _nf_diff, _nf_json,
                           braidcomm_instances, degree_dimension, gen_id,
-                          muir_instances, sum_terms, verify_identity)
+                          muir_instances, sum_terms, verify_identity,
+                          word_cols, word_from_rc, word_rows)
 from qrea.rea import (FlatnessCheckFailed, StarAlgebra, derive_rea_rewrite,
                       random_monomials, rea_laplace_instances, rea_verify,
                       reflection_equation_check, reflection_slot_vectors,
@@ -311,10 +313,12 @@ def test_rewrite_crosscheck_witness_is_the_flatness_message(monkeypatch):
 
 
 def test_sums_leave_every_memo_as_a_fresh_context_computes_it():
-    """No polynomial sum changes a memoised star_word, star_minor or
-    minor_prod_nf value that it adds up: after the star, star_minor and
-    verify_identity sums at N = 2, every memo value equals the value a
-    fresh context computes for its key."""
+    """No polynomial sum changes a memoised value that it reads: after the
+    star, star_minor and verify_identity sums at N = 2, every value of the
+    star_word, star_minor, minor_prod_nf, normal-form, coimage, r' index,
+    table slice, contraction, general-commutation and expansion memos
+    equals the value a fresh context (or a fresh computation, for the
+    module's expansion memo) gives for its key."""
     star = _fresh_star()
     monos = random_monomials(2, 2, 8, seed=3)
     for f, g in zip(monos, monos[1:]):
@@ -330,11 +334,28 @@ def test_sums_leave_every_memo_as_a_fresh_context_computes_it():
                     cert = rea_verify(star, sub, inst)
                 assert cert.status == "pass", (sub, inst)
     fresh = _fresh_star()
+    ctx, bich = star.ctx, star.ctx.bich
     memos = [(star._star_word_memo, fresh.star_word),
              (star._star_minor_memo, fresh.star_minor),
-             (star.ctx._minor_prod, fresh.ctx.minor_prod_nf)]
-    for memo, compute in memos:
+             (ctx._minor_prod, fresh.ctx.minor_prod_nf),
+             (ctx.rw._nf_memo, lambda *w: fresh.ctx.rw.nf_word(w)),
+             (ctx._rpr_index, fresh.ctx.rpr_minors),
+             (ctx._contractions, fresh.ctx.wedge_contraction),
+             (ctx._gencomm, fresh.ctx.gencomm_coefficients),
+             (qmatrix._EXPANSION_MEMO, qmatrix._expansion)]
+    # the twisted product reads r by rows, and r^{-1} by columns only
+    memos.append((bich._coimages["r"],
+                  lambda s, rows: fresh.ctx.bich.coimage("r", s, rows)))
+    assert not bich._coimages["rinv"]
+    for memo, _compute in memos:
         assert memo
+    sliced = [(kl, table) for kl, table in ctx._tables.items() if table._slices]
+    assert sliced
+    memos += [(table._slices,
+               lambda inverse, fixed, kl=kl: fresh.ctx.table(*kl).slice(
+                   inverse, fixed))
+              for kl, table in sliced]
+    for memo, compute in memos:
         for key, value in memo.items():
             assert value == compute(*key), key
 
@@ -354,3 +375,38 @@ def test_semiclassical_witness_names_first_failing_pair(monkeypatch):
     first = semiclassical_bracket_check(checks.get_star(2), ij, kl, table)
     assert first.status == "fail"
     assert cert.witness == {"failures": 1, "first": first.to_json()}
+
+
+# -- the twisted product from the row side ------------------------------------
+
+def _star_word_by_columns(star, u, v):
+    """The twisted product of two words by the column sweep: every column
+    tuple ad, its r image filtered to the rows of u."""
+    N, bich = star.N, star.ctx.bich
+    s = len(u)
+    rows_u, cols_u = word_rows(u, N), word_cols(u, N)
+    rows_v, cols_v = word_rows(v, N), word_cols(v, N)
+    terms = {}
+    for ad in product(range(1, N + 1), repeat=s + len(v)):
+        tail = word_from_rc(ad[s:], cols_v, N)
+        for rows, c1 in bich.image("r", s, ad).items():
+            if rows[:s] != rows_u:
+                continue
+            for rows2, c2 in bich.image("rinv", s, cols_u + rows[s:]).items():
+                if rows2[s:] == rows_v:
+                    twist = bich.rpr_twist(cols_u, rows2[:s])
+                    add_term(terms, word_from_rc(ad[:s], rows2[:s], N) + tail,
+                             c1 * twist * c2)
+    return star.ctx.rw.normal_form(NCPoly(N, terms))
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_star_word_matches_the_column_sweep(N):
+    """star_word, which reads r by rows, equals the column sweep on every
+    pair of words of degree <= 2."""
+    star = StarAlgebra(N)
+    words = [w for n in range(3) for w in product(range(N * N), repeat=n)]
+    for u in words:
+        for v in words:
+            assert star.star_word(u, v) == _star_word_by_columns(star, u, v), \
+                (u, v)
