@@ -12,14 +12,15 @@ The congruence decomposition z = t* S t is one pivoting loop for both scalar
 kinds, exact and floating point, which differ only in the zero test,
 conjugation and the square root; it is cross-checked against the scanner.
 The quadratic bracket on Hermitian matrices is read off the sparse classical
-r-matrix e_ii (x) e_ii + 2 sum_{i<j} e_ij (x) e_ji: each of its four terms is
-a short sum over the nonzero entries of r, with exact coefficients.  The
-table is evaluated numerically for the bivector and orbit-tangency checks;
-the Jacobi check builds its cyclic sums exactly, then samples them.
+r-matrix e_ii (x) e_ii + 2 sum_{i<j} e_ij (x) e_ji, with exact coefficients.
+The bivector, tangency and Jacobi checks evaluate it at exact points in the
+complex coordinates Z_ij, with exact ranks.  Complexification keeps every
+rank of the real picture: the matrix {Z_ij, Z_kl}(z) is the real bivector
+in another basis, and Hermitian tangent vectors are independent over C when
+they are over R.
 
-numpy serves only the numeric Hermitian path: the numeric HermitianMatrix
-mode and its eigenvalues, decompose's floating-point fallback, and the
-bivector, tangency and Jacobi samplers.  Each of those routines imports it
+numpy serves only the numeric HermitianMatrix mode and its eigenvalues, and
+decompose's floating-point fallback and residual.  Each of those imports it
 itself, so the exact side, and every module that imports this one, runs
 without loading numpy.
 """
@@ -27,13 +28,13 @@ without loading numpy.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations, product
 
 from .coeff import GaussRat, rational_sqrt
-from .linalg import add_term, determinant, rank
+from .linalg import add_term, determinant, gauss_jordan, rank
 
 
 class InconsistentPivots(RuntimeError):
@@ -49,16 +50,8 @@ class SignMismatch(ValueError):
     pass
 
 
-class IllConditioned(RuntimeError):
-    pass
-
-
 GR0 = GaussRat(0)
 GR1 = GaussRat(1)
-# leaf_tangency_check's relative rank threshold and containment residual,
-# and the largest cyclic residual that jacobi_check passes
-TANGENCY_TOL = 1e-8
-JACOBI_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -614,157 +607,99 @@ def poisson_bracket_coeffs(N):
     return out
 
 
-@lru_cache(maxsize=None)
-def _bracket_terms(N):
-    """poisson_bracket_coeffs(N) as numeric arrays: one row (target, p, q)
-    of flat indices and one coefficient c per term, the bracket at the flat
-    index target of (i, j, k, l) being the sum of c * z[p] * z[q]."""
-    import numpy as np
-    terms = [((((i - 1) * N + j - 1) * N + k - 1) * N + l - 1,
-              (a - 1) * N + b - 1, (c - 1) * N + d - 1, g.to_complex())
-             for ((i, j), (k, l)), form in poisson_bracket_coeffs(N).items()
-             for ((a, b), (c, d)), g in form.items()]
-    return (np.array([t[:3] for t in terms], dtype=int).reshape(-1, 3),
-            np.array([t[3] for t in terms], dtype=complex))
+def bracket_at(z):
+    """The N^2 x N^2 matrix {Z_ij, Z_kl}(z) at an exact HermitianMatrix z,
+    rows (i, j) and columns (k, l) in row-major order: column (k, l) is the
+    Hamiltonian vector field of Z_kl at z in the coordinates Z_ij."""
+    if z.mode != "exact":
+        raise ValueError("bracket_at needs exact entries")
+    table = poisson_bracket_coeffs(z.N)
+    coords = list(product(range(1, z.N + 1), repeat=2))
+    return [[_value(table[(ij, kl)], z.entries) for kl in coords]
+            for ij in coords]
 
 
-def bracket_matrix_at(z):
-    """Complex bracket values {Z_ij, Z_kl}(z) as a 4-index array: the exact
-    quadratic forms of poisson_bracket_coeffs evaluated at z."""
-    import numpy as np
-    zn = np.asarray(z, dtype=complex)
-    N = zn.shape[0]
-    index, c = _bracket_terms(N)
-    zf = zn.ravel()
-    out = np.zeros(N ** 4, dtype=complex)
-    np.add.at(out, index[:, 0], c * zf[index[:, 1]] * zf[index[:, 2]])
-    return out.reshape(N, N, N, N)
+def _value(poly, e):
+    """A polynomial {monomial: coefficient} in the entries Z_ij, each
+    monomial a sorted tuple of (i, j), at the exact matrix entries e."""
+    total = GR0
+    for mono, c in poly.items():
+        for i, j in mono:
+            c = c * e[i - 1][j - 1]
+        total = total + c
+    return total
 
 
 # ---------------------------------------------------------------------------
-# Bivector, tangency, Jacobi
+# Tangency and Jacobi
 # ---------------------------------------------------------------------------
 
-def numeric_rng(seed):
-    """The numpy Generator that a numeric sampler draws from: one per suite
-    or CLI run, seeded with its seed."""
-    import numpy as np
-    return np.random.default_rng(seed)
+def orbit_tangents(z):
+    """The tangents a* z + z a of the unitary and the triangular dressing
+    orbits at the exact z, as lists of their N^2 entries in row-major
+    order, for a over the real bases i e_kk, e_rc - e_cr, i (e_rc + e_cr)
+    of u(N) and e_kk, e_rc, i e_rc of b(N), the upper triangular matrices
+    with a real diagonal (r < c)."""
+    e, N = z.entries, z.N
+    i1 = GaussRat(0, 1)
+
+    def tangent(*a):
+        v = [[GR0] * N for _ in range(N)]
+        for r, c, x in a:
+            for k in range(N):
+                v[c][k] = v[c][k] + x.conj() * e[r][k]
+                v[k][c] = v[k][c] + e[k][r] * x
+        return [y for row in v for y in row]
+
+    U = [tangent((k, k, i1)) for k in range(N)]
+    T = [tangent((k, k, GR1)) for k in range(N)]
+    for r, c in combinations(range(N), 2):
+        U += [tangent((r, c, GR1), (c, r, -GR1)),
+              tangent((r, c, i1), (c, r, i1))]
+        T += [tangent((r, c, GR1)), tangent((r, c, i1))]
+    return U, T
 
 
-def _basis(N, diag, pairs):
-    """An (N*N, N, N) array of matrices: diag at each diagonal unit, then,
-    for each i < j, one matrix per (upper, lower) pair holding upper at
-    (i, j) and lower at (j, i)."""
-    import numpy as np
-    out = np.zeros((N * N, N, N), dtype=complex)
-    for i in range(N):
-        out[i, i, i] = diag
-    a = N
-    for i in range(N):
-        for j in range(i + 1, N):
-            for upper, lower in pairs:
-                out[a, i, j], out[a, j, i] = upper, lower
-                a += 1
-    return out
-
-
-def realification_basis(N):
-    """Orthonormal Hermitian basis: diagonal units, then real and imaginary
-    off-diagonal combinations."""
-    s = 1 / math.sqrt(2)
-    return _basis(N, 1, ((s, s), (1j * s, -1j * s)))
-
-
-def poisson_bivector(z):
-    """Real antisymmetric bivector matrix in the realification coordinates."""
-    import numpy as np
-    zn = z.to_numeric() if isinstance(z, HermitianMatrix) else np.asarray(z, dtype=complex)
-    N = zn.shape[0]
-    B = bracket_matrix_at(zn)
-    E = realification_basis(N)
-    full = np.einsum("Aba,Bdc,abcd->AB", E, E, B)
-    scale = max(1.0, float(np.max(np.abs(zn))) ** 2)
-    if np.max(np.abs(full.imag)) > 1e-12 * scale:
-        raise IllConditioned("bracket of real coordinates not real")
-    pi = full.real
-    asym = np.max(np.abs(pi + pi.T))
-    if asym > 1e-12 * max(1.0, float(np.max(np.abs(pi)))):
-        raise IllConditioned(f"bivector not antisymmetric: {asym}")
-    return pi
-
-
-def _unitary_lie_basis(N):
-    return _basis(N, 1j, ((1, -1), (1j, 1j)))
-
-
-def _triangular_lie_basis(N):
-    return _basis(N, 1, ((1, 0), (1j, 0)))
-
-
-def _tangent_coords(zn, lie, E):
-    """The orbit tangents a* z + z a over the Lie basis `lie`, one column
-    each, in the realification coordinates tr(E v) of the basis E."""
-    import numpy as np
-    v = lie.conj().transpose(0, 2, 1) @ zn + zn @ lie
-    return np.einsum("kab,mba->km", E, v).real
-
-
-def _numeric_rank(mat):
-    import numpy as np
-    if mat.size == 0:
-        return 0
-    sv = np.linalg.svd(mat, compute_uv=False)
-    smax = sv[0] if len(sv) else 0.0
-    if smax == 0.0:
-        return 0
-    cut = TANGENCY_TOL * smax
-    band = [s for s in sv if cut * 1e-2 < s < cut * 1e2]
-    if band:
-        raise IllConditioned(f"singular values near the rank threshold: {band}")
-    return int(np.sum(sv > cut))
+def _ranks(*blocks):
+    """rank [b1], rank [b1 | b2], ... for blocks of column vectors, read
+    off the pivot columns of one gauss_jordan of [b1 | b2 | ...]."""
+    pivots = gauss_jordan(list(zip(*sum(blocks, []))))[1]
+    return [sum(c < end for c, _ in pivots)
+            for end in accumulate(len(b) for b in blocks)]
 
 
 def leaf_tangency_check(z):
-    """Compare the bivector range with the two orbit tangents at z.
+    """Compare the bivector range with the two orbit tangents at an exact z.
 
-    Returns dims of the bivector range, both tangents and their
-    intersection, and whether range = intersection within TANGENCY_TOL.
+    The symplectic leaf through z is a component of the intersection of
+    the unitary and the triangular dressing orbits (Semenov-Tian-Shansky,
+    Publ. RIMS 21, 1985), so the range of the bivector is the intersection
+    of their tangent spaces.  Returns the dims of the bivector range, both
+    tangents and their intersection, and whether range = intersection.
+    intersection_dim reads rank [U | pi | T] as rank [U | T], which holds
+    whenever the range lies in the unitary tangent, as equal requires.
     """
-    import numpy as np
-    zn = z.to_numeric() if isinstance(z, HermitianMatrix) else np.asarray(z, dtype=complex)
-    N = zn.shape[0]
-    E = realification_basis(N)
-    pi = poisson_bivector(zn)
-    U = _tangent_coords(zn, _unitary_lie_basis(N), E)
-    T = _tangent_coords(zn, _triangular_lie_basis(N), E)
-    rank_pi = _numeric_rank(pi)
-    rank_u = _numeric_rank(U)
-    rank_t = _numeric_rank(T)
-    rank_union = _numeric_rank(np.hstack([U, T]))
-    inter_dim = rank_u + rank_t - rank_union
-    # Range basis of the bivector
-    contained = True
-    if rank_pi:
-        uu, sv, _ = np.linalg.svd(pi)
-        rng = uu[:, :rank_pi]
-        for span in (U, T):
-            if span.size == 0:
-                contained = rank_pi == 0
-                continue
-            sol, *_rest = np.linalg.lstsq(span, rng, rcond=None)
-            resid = np.max(np.abs(span @ sol - rng))
-            if resid > TANGENCY_TOL:
-                contained = False
-    equal = contained and (rank_pi == inter_dim)
+    pi = list(zip(*bracket_at(z)))
+    U, T = orbit_tangents(z)
+    rank_u, rank_up, rank_upt = _ranks(U, pi, T)
+    rank_t, rank_tp = _ranks(T, pi)
+    rank_pi, = _ranks(pi)
+    inter_dim = rank_u + rank_t - rank_upt
+    equal = rank_up == rank_u and rank_tp == rank_t and rank_pi == inter_dim
     return {"bivector_rank": rank_pi, "unitary_dim": rank_u,
             "triangular_dim": rank_t, "intersection_dim": inter_dim,
-            "equal": bool(equal)}
+            "equal": equal}
 
 
 def jacobi_check(N, samples=100, seed=0):
-    """Cyclic Jacobi residual of the quadratic bracket at random points,
-    passing up to JACOBI_TOL."""
+    """The cyclic Jacobi sums {f,{g,h}} + {g,{h,f}} + {h,{f,g}} over all
+    coordinate triples, built as exact cubic polynomials by the Leibniz
+    rule and evaluated exactly at `samples` random exact Hermitian points.
+
+    ok when every value is zero.  max_residual is a value of largest
+    modulus; first names the first nonzero cyclic sum by its triple, its
+    first monomial and that monomial's coefficient, and is None if none.
+    """
     table = poisson_bracket_coeffs(N)
 
     def add_bracket_with_poly(out, ij, poly):
@@ -772,35 +707,27 @@ def jacobi_check(N, samples=100, seed=0):
         for mono, c in poly.items():
             for pos, var in enumerate(mono):
                 rest = mono[:pos] + mono[pos + 1:]
-                inner = table[(ij, var)]
-                for m2, c2 in inner.items():
+                for m2, c2 in table[(ij, var)].items():
                     add_term(out, tuple(sorted(m2 + rest)), c * c2)
 
-    coords = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
     cyclic = {}
-    for f in coords:
-        for g in coords:
-            for h in coords:
-                total = {}
-                for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
-                    add_bracket_with_poly(total, a, table[(b, c)])
-                if total:
-                    cyclic[(f, g, h)] = total
-    rng = numeric_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        zn = random_numeric_hermitian(N, rng)
-        vals = {(i + 1, j + 1): zn[i, j] for i in range(N) for j in range(N)}
-        for poly in cyclic.values():
-            total = 0j
-            for mono, c in poly.items():
-                term = complex(c.to_complex())
-                for var in mono:
-                    term *= vals[var]
-                total += term
-            worst = max(worst, abs(total))
+    coords = list(product(range(1, N + 1), repeat=2))
+    for f, g, h in product(coords, repeat=3):
+        total = {}
+        for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
+            add_bracket_with_poly(total, a, table[(b, c)])
+        if total:
+            cyclic[(f, g, h)] = total
+    rng = random.Random(seed)
+    points = [random_exact_hermitian(N, rng).entries for _ in range(samples)]
+    worst = max((_value(poly, e) for e in points for poly in cyclic.values()),
+                key=GaussRat.abs2, default=GR0)
+    first = next(({"triple": t, "monomial": min(poly),
+                   "coefficient": poly[min(poly)].to_json()}
+                  for t, poly in cyclic.items()), None)
     return {"N": N, "samples": samples, "max_residual": worst,
-            "ok": worst <= JACOBI_TOL, "nonzero_cyclic_polys": len(cyclic)}
+            "ok": worst.is_zero(), "nonzero_cyclic_polys": len(cyclic),
+            "first": first}
 
 
 # ---------------------------------------------------------------------------
@@ -865,13 +792,6 @@ def random_compatible_weights(shape, rng):
     lam.extend([Fraction(0)] * zero)
     rng.shuffle(lam)
     return lam
-
-
-def random_numeric_hermitian(N, rng):
-    """(X + X*)/2 as an ndarray, X with standard normal real and imaginary
-    parts drawn from the numpy Generator rng."""
-    zr = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    return (zr + zr.conj().T) / 2
 
 
 def random_exact_hermitian(N, rng):

@@ -7,6 +7,11 @@ output); a human summary with timings goes to stderr, and with
 every requested check passed, 1 means some check failed, 2 is a usage
 error.  The environment variable QREA_SEED overrides --seed.
 
+`classical tangency` checks the leaf tangency at exact random Hermitian
+points, one certificate each; `classical jacobi` evaluates the exact cyclic
+Jacobi sums at exact random points and prints the residual of largest
+modulus as an exact complex rational.
+
 A usage error prints one line to stderr and nothing to stdout.  Besides
 unknown or malformed flags, the usage errors are:
 - an --instance that is not a JSON object, lacks a key of its family, holds
@@ -34,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 import time
 from fractions import Fraction
@@ -289,7 +295,7 @@ def cmd_classical(args):
                                          lab.shape.same_shape(S)))
     elif args.classical_cmd == "tangency":
         reports = checks.tangency_reports(args.N, args.samples,
-                                          classical.numeric_rng(args.seed))
+                                          random.Random(args.seed))
         for i, rep in enumerate(reports, 1):
             certs.append(Certificate.verdict("classical tangency",
                                              {"N": args.N, "sample": i},
@@ -303,10 +309,10 @@ def cmd_classical(args):
         certs.append(Certificate.verdict("classical jacobi",
                                          {"N": args.N, "samples": args.samples},
                                          rep["ok"], seed=args.seed))
-        sys.stdout.write(json.dumps({"max_residual": rep["max_residual"]},
-                                    sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(
+            {"max_residual": rep["max_residual"].to_json()},
+            sort_keys=True) + "\n")
     elif args.classical_cmd == "invariance":
-        import random
         witnesses = checks.tn_invariance_samples(args.N, args.samples,
                                                  random.Random(args.seed))
         for i, w in enumerate(witnesses):

@@ -10,8 +10,9 @@ them stays in this ring.  ``LaurentPoly.inv`` divides only by the units
 raises ``NotAUnit`` on anything else.  The constants ``LP_Q``, ``LP_QINV``,
 ``LP_QDIFF`` and ``lp_q_int`` are the braid move's coefficients.
 
-``RatFunc``, the field of rational functions in q over Q, serves the
-``coeff.*`` suites.  A ``RatFunc`` is a quotient of two Laurent polynomials
+``RatFunc``, the field of rational functions in q over Q, serves only the
+``coeff.rf-canonical`` suite and the tests; ``coeff.ring-axioms`` certifies
+``LaurentPoly``.  A ``RatFunc`` is a quotient of two Laurent polynomials
 over Z, coprime, with the integer content divided out and the denominator's
 leading coefficient positive.  Reduction works over the integers: the gcd
 is taken by the primitive polynomial remainder sequence (Knuth, TAOCP

@@ -1,21 +1,19 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
 
-from qrea.classical import (GaussRat, HermitianMatrix, IllConditioned,
-                            NotTriangular, ShapeMatrix, SignMismatch,
-                            bracket_matrix_at, build_leaf_point, decompose, decompose_residual,
-                            exact_minor, gr_conj_t, gr_identity,
-                            gr_matmul, jacobi_check, leaf_label,
-                            leaf_tangency_check, poisson_bivector,
-                            poisson_bracket_coeffs, random_compatible_weights,
-                            random_exact_hermitian, random_shape,
-                            random_numeric_hermitian, random_triangular,
-                            realification_basis, shape_of, tn_invariance_check,
-                            weight_sign, _tangent_coords, _triangular_lie_basis,
-                            _unitary_lie_basis)
+from qrea.classical import (GaussRat, HermitianMatrix, NotTriangular,
+                            ShapeMatrix, SignMismatch, bracket_at,
+                            build_leaf_point, decompose, decompose_residual,
+                            exact_minor, gr_conj_t, gr_identity, gr_matmul,
+                            jacobi_check, leaf_label, leaf_tangency_check,
+                            orbit_tangents, poisson_bracket_coeffs,
+                            random_compatible_weights, random_exact_hermitian,
+                            random_shape, random_triangular, shape_of,
+                            tn_invariance_check, weight_sign)
 from qrea.linalg import rank
 
 
@@ -216,85 +214,139 @@ def test_sign_compatibility_random():
 
 
 def test_bivector_trivial_points():
-    z0 = HermitianMatrix(np.zeros((2, 2)), mode="numeric")
-    assert np.max(np.abs(poisson_bivector(z0))) == 0.0
-    z1 = HermitianMatrix(np.eye(3), mode="numeric")
-    assert np.max(np.abs(poisson_bivector(z1))) < 1e-13
+    # the bracket vanishes exactly at 0 and at the identity
+    for z in (H([[0, 0], [0, 0]]), H([[1, 0, 0], [0, 1, 0], [0, 0, 1]])):
+        assert all(v.is_zero() for row in bracket_at(z) for v in row)
 
 
 def test_bivector_diag_structure():
-    # at diag(1,-1) the only nonzero directions mix the two off-diagonal
-    # realification coordinates
-    z = HermitianMatrix(np.diag([1.0, -1.0]), mode="numeric")
-    pi = poisson_bivector(z)
-    assert np.max(np.abs(pi[:2, :])) < 1e-13
-    assert np.max(np.abs(pi[:, :2])) < 1e-13
-    assert abs(pi[2, 3]) > 0.5
+    # at diag(1, -1) the only nonzero brackets pair the two off-diagonal
+    # coordinates: {Z_12, Z_21} = -4i = -{Z_21, Z_12}
+    from qrea import checks
+    z = H([[1, 0], [0, -1]])
+    assert checks.bivector_mismatch(z) is None
+    pi = bracket_at(z)
+    assert {(a, b) for a in range(4) for b in range(4)
+            if not pi[a][b].is_zero()} == {(1, 2), (2, 1)}
+    assert pi[1][2] == G(0, -4) and pi[2][1] == G(0, 4)
 
 
 def test_tangency_zero_point():
-    rep = leaf_tangency_check(HermitianMatrix(np.zeros((2, 2)), mode="numeric"))
+    rep = leaf_tangency_check(H([[0, 0], [0, 0]]))
     assert rep == {"bivector_rank": 0, "unitary_dim": 0, "triangular_dim": 0,
                    "intersection_dim": 0, "equal": True}
 
 
 def test_tangency_diag():
-    rep = leaf_tangency_check(HermitianMatrix(np.diag([1.0, -1.0]),
-                                              mode="numeric"))
-    assert rep["equal"]
-    assert rep["bivector_rank"] == rep["intersection_dim"] == 2
+    rep = leaf_tangency_check(H([[1, 0], [0, -1]]))
+    assert rep == {"bivector_rank": 2, "unitary_dim": 2, "triangular_dim": 4,
+                   "intersection_dim": 2, "equal": True}
 
 
 def test_tangency_random_sweep():
-    rng = np.random.default_rng(23)
+    # exact random points, and exact leaf points of random shapes: no draw
+    # is skipped, and at n = 3 the draws reach leaves of several ranks
+    rng = random.Random(23)
     for n in (2, 3):
-        done = 0
-        while done < 15:
-            zr = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            z = HermitianMatrix((zr + zr.conj().T) / 2, mode="numeric")
-            try:
-                rep = leaf_tangency_check(z)
-            except IllConditioned:
-                continue
-            assert rep["equal"], rep
-            done += 1
+        points = [random_exact_hermitian(n, rng) for _ in range(15)]
+        while len(points) < 30:
+            S = random_shape(n, rng)
+            z = build_leaf_point(S, random_compatible_weights(S, rng))
+            if z.mode == "exact":
+                points.append(z)
+        ranks = set()
+        for z in points:
+            rep = leaf_tangency_check(z)
+            assert rep["equal"], (z.to_json(), rep)
+            ranks.add(rep["bivector_rank"])
+        assert n == 2 or len(ranks) > 1, ranks
+
+
+def _dense(n, *entries):
+    m = [[G(0)] * n for _ in range(n)]
+    for r, c, x in entries:
+        m[r][c] = x
+    return m
 
 
 def test_tangent_coordinates_against_the_trace_loop():
-    # the one-einsum projection of the orbit tangents against tr(E v) taken
-    # one basis pair at a time; the summation order differs, so the bound is
-    # a float64 rounding bound, not equality
-    rng = np.random.default_rng(4)
+    # the sparse orbit tangents against a* z + z a multiplied out densely,
+    # over the dense real bases of u(n) and b(n); exact, so equality
+    i = G(0, 1)
+    rng = random.Random(4)
     for n in (1, 2, 3, 4):
-        zn = random_numeric_hermitian(n, rng)
-        E = realification_basis(n)
-        for lie in (_unitary_lie_basis(n), _triangular_lie_basis(n)):
-            loop = np.array([[np.trace(e @ (a.conj().T @ zn + zn @ a)).real
-                              for a in lie] for e in E])
-            got = _tangent_coords(zn, lie, E)
-            assert got.shape == loop.shape == (n * n, n * n)
-            assert np.max(np.abs(got - loop)) <= 1e-12 * np.max(np.abs(zn))
+        z = random_exact_hermitian(n, rng)
+        pairs = [(r, c) for r in range(n) for c in range(r + 1, n)]
+        unitary = [_dense(n, (k, k, i)) for k in range(n)] + [
+            m for r, c in pairs
+            for m in (_dense(n, (r, c, G(1)), (c, r, G(-1))),
+                      _dense(n, (r, c, i), (c, r, i)))]
+        triangular = [_dense(n, (k, k, G(1))) for k in range(n)] + [
+            _dense(n, (r, c, x)) for r, c in pairs for x in (G(1), i)]
+        for a in unitary:
+            assert gr_conj_t(a) == [[-x for x in row] for row in a]
+        for a in triangular:
+            assert all(a[r][c].is_zero() for r in range(n) for c in range(r))
+            assert all(a[k][k].is_real() for k in range(n))
+        U, T = orbit_tangents(z)
+        for basis, got in ((unitary, U), (triangular, T)):
+            loop = []
+            for a in basis:
+                v = [[x + y for x, y in zip(r1, r2)]
+                     for r1, r2 in zip(gr_matmul(gr_conj_t(a), z.entries),
+                                       gr_matmul(z.entries, a))]
+                assert v == gr_conj_t(v)        # tangent to Herm(n)
+                loop.append([x for row in v for x in row])
+            assert len(got) == n * n and got == loop
 
 
 def test_jacobi():
     rep = jacobi_check(2, samples=100, seed=2)
-    assert rep["ok"] and rep["max_residual"] <= 1e-8
+    assert rep["ok"] and rep["max_residual"].is_zero()
+    assert rep["nonzero_cyclic_polys"] == 0 and rep["first"] is None
     rep = jacobi_check(3, samples=20, seed=2)
-    assert rep["ok"]
+    assert rep["ok"] and rep["nonzero_cyclic_polys"] == 0
+
+
+def _kron(a, b):
+    n = len(a)
+    return [[a[i][k] * b[j][l] for k in range(n) for l in range(n)]
+            for i in range(n) for j in range(n)]
+
+
+def _combine(*terms):
+    """The sum of sign * (product of the matrices) over (sign, matrices)."""
+    out = None
+    for sign, mats in terms:
+        m = mats[0]
+        for x in mats[1:]:
+            m = gr_matmul(m, x)
+        m = [[G(sign) * e for e in row] for row in m]
+        out = m if out is None else [[x + y for x, y in zip(r1, r2)]
+                                     for r1, r2 in zip(out, m)]
+    return out
 
 
 def test_bracket_matrix_evaluates_the_exact_table():
-    # the numeric bracket at an exact point against the exact quadratic
-    # forms evaluated in exact arithmetic, entry by entry
+    # the bracket at exact points against -i times the ((i,k), (j,l)) entry
+    # of r21 Z1 Z2 - Z1 Z2 r + Z1 r Z2 - Z2 r21 Z1, multiplied out densely
+    # from Kronecker products, r = sum e_ii (x) e_ii + 2 sum_{i<j} e_ij (x) e_ji
     rng = random.Random(5)
     for n in (1, 2, 3):
         z = random_exact_hermitian(n, rng)
-        got = bracket_matrix_at(z.to_numeric())
-        for ((i, j), (k, l)), form in poisson_bracket_coeffs(n).items():
-            exact = GaussRat(0)
-            for ((a, b), (c, d)), g in form.items():
-                exact = exact + g * z.entries[a - 1][b - 1] * z.entries[c - 1][d - 1]
-            assert abs(got[i - 1, j - 1, k - 1, l - 1] - exact.to_complex()) < 1e-9
+        one = gr_identity(n)
+        z1, z2 = _kron(z.entries, one), _kron(one, z.entries)
+        unit = [[_dense(n, (a, b, G(1))) for b in range(n)] for a in range(n)]
+        r = _combine(*[(1, [_kron(unit[a][a], unit[a][a])]) for a in range(n)],
+                     *[(2, [_kron(unit[a][b], unit[b][a])])
+                       for a in range(n) for b in range(a + 1, n)])
+        r21 = [[r[j * n + i][l * n + k] for k in range(n) for l in range(n)]
+               for i in range(n) for j in range(n)]
+        m = _combine((1, [r21, z1, z2]), (-1, [z1, z2, r]), (1, [z1, r, z2]),
+                     (-1, [z2, r21, z1]))
+        pi = bracket_at(z)
+        for i, j, k, l in product(range(n), repeat=4):
+            assert pi[i * n + j][k * n + l] == G(0, -1) * m[i * n + k][j * n + l]
 
 
 def test_bracket_antisymmetry_symbolic():
@@ -365,6 +417,114 @@ def test_tangency_witness_names_first_failing_sample(monkeypatch):
     assert cert.witness["failures"] == 1
     assert cert.witness["first"]["sample"] == 2
     assert cert.witness["first"]["equal"] is False
+    assert cert.witness["bivector_ranks"] == sorted(
+        {rep["bivector_rank"] for rep in checks.tangency_reports(
+            2, 50, random.Random(0))})
+
+
+def test_tangency_fails_when_the_draws_reach_one_rank(monkeypatch):
+    # every draw the same generic point: each passes, but at n = 3 a run
+    # that sees only one leaf rank is no pass; n = 2 has no such rule
+    from qrea import checks, classical
+    monkeypatch.setattr(classical, "random_exact_hermitian",
+                        lambda n, rng: H([[k + 1 if k == l else 1 for l in
+                                           range(n)] for k in range(n)]))
+    two, three = checks.check_tangency(2, 0)
+    assert two.status == "pass" and three.status == "fail"
+    assert three.witness == {"failures": 0, "bivector_ranks": [6],
+                             "first": None}
+
+
+def _perturbed_bracket(monkeypatch):
+    """Add i Z_11 Z_22 to the table entry {Z_11, Z_12} only."""
+    from qrea import classical
+    right = classical.poisson_bracket_coeffs
+
+    def perturbed(N):
+        table = right(N)
+        table[((1, 1), (1, 2))][((1, 1), (2, 2))] = G(0, 1)
+        return table
+
+    monkeypatch.setattr(classical, "poisson_bracket_coeffs", perturbed)
+
+
+def test_poisson_suites_fail_on_a_perturbed_bracket(monkeypatch):
+    from qrea import checks
+    _perturbed_bracket(monkeypatch)
+    rng = random.Random(0)
+    points = [random_exact_hermitian(2, rng) for _ in range(20)]
+    # bivector-antisymmetry: the first point and entry where the perturbed
+    # {Z_11, Z_12} differs from -{Z_12, Z_11}
+    cert, = checks.check_bivector(2, 0)
+    assert cert.status == "fail"
+    w = cert.witness
+    first = next(i for i, z in enumerate(points)
+                 if not (z.entries[0][0] * z.entries[1][1]).is_zero())
+    assert (w["sample"], w["law"], w["entry"]) == (
+        first, "antisymmetry", [[1, 1], [1, 2]])
+    assert checks.bivector_mismatch(points[first]) == {
+        k: v for k, v in w.items() if k != "sample"}
+    # tangency: the first draw whose ranks no longer match, and the ranks
+    for cert in checks.check_tangency(2, 0):
+        assert cert.status == "fail"
+        first = cert.witness["first"]
+        assert not first["equal"] and cert.witness["failures"] >= 1
+        assert first["bivector_rank"] in cert.witness["bivector_ranks"]
+    # jacobi: the first nonzero cyclic sum and its first term
+    for cert in checks.check_jacobi(2, 0):
+        assert cert.status == "fail"
+        w = cert.witness
+        assert w["nonzero_cyclic_polys"] > 0
+        assert w["max_residual"] != {"re": "0", "im": "0"}
+        assert w["first"]["triple"] == ((1, 1), (1, 2), (1, 2))
+        assert w["first"]["monomial"] == ((1, 1), (1, 1), (1, 2))
+        assert w["first"]["coefficient"] == {"re": "2", "im": "0"}
+
+
+def test_shape_roundtrip_witness_names_first_failing_sample(monkeypatch):
+    from qrea import checks, classical
+    right = classical.build_leaf_point
+    # doubled weights keep the shape but not the spectrum
+    monkeypatch.setattr(classical, "build_leaf_point",
+                        lambda S, lam: right(S, [2 * x for x in lam]))
+    cert, = checks.check_shape_roundtrip(4, 0)
+    assert cert.status == "fail"
+    first = cert.witness["first"]
+    lam = [F(x) for x in first["weights"]]
+    assert any(lam)
+    assert first["leaf"]["weight"] == pytest.approx(sorted(2 * x for x in lam))
+    assert ShapeMatrix(first["shape"]["tau"], [
+        None if u is None else GaussRat.from_json(u)
+        for u in first["shape"]["u"]]).rank == sum(1 for x in lam if x)
+    # it is the first: every earlier sample drew all-zero weights
+    rng = random.Random(0)
+    for _ in range(first["sample"]):
+        S = random_shape(rng.randint(1, 4), rng)
+        assert not any(random_compatible_weights(S, rng))
+
+
+def test_sign_compatibility_witness_names_first_failing_sample(monkeypatch):
+    from qrea import checks, classical
+    right = classical.weight_sign
+
+    def swapped(lam, zero_tol=0.0):
+        plus, minus, zero = right(lam, zero_tol)
+        return minus, plus, zero
+
+    monkeypatch.setattr(classical, "weight_sign", swapped)
+    cert, = checks.check_sign_compat(4, 0)
+    assert cert.status == "fail"
+    first = cert.witness["first"]
+    plus, minus, zero = first["shape_signs"]
+    assert plus != minus and first["eigenvalue_signs"] == [minus, plus, zero]
+    z = HermitianMatrix.from_json(first["z"])
+    assert list(shape_of(z).sign_multiset()) == first["shape_signs"]
+    # it is the first: every earlier sample has as many plus as minus signs
+    rng = random.Random(0)
+    for _ in range(first["sample"]):
+        z = random_exact_hermitian(rng.randint(1, 4), rng)
+        plus, minus, _ = shape_of(z).sign_multiset()
+        assert plus == minus
 
 
 def test_decompose_witness_names_first_failing_sample(monkeypatch):

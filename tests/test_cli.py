@@ -122,9 +122,14 @@ def test_classical_build(capsys):
 
 
 def test_classical_tangency_and_invariance(capsys):
-    code, out, _ = run_cli(capsys, ["classical", "tangency", "--N", "2",
+    # tangency draws exact points: one passing certificate per sample, none
+    # skipped
+    code, out, _ = run_cli(capsys, ["classical", "tangency", "--N", "3",
                                     "--samples", "5", "--seed", "3"])
     assert code == 0
+    recs = [json.loads(l) for l in out.strip().splitlines()]
+    assert [(r["instance"], r["status"], r["seed"]) for r in recs] == [
+        ({"N": 3, "sample": i}, "pass", 3) for i in range(1, 6)]
     code, out, _ = run_cli(capsys, ["classical", "invariance", "--N", "2",
                                     "--samples", "5", "--seed", "3"])
     assert code == 0
@@ -153,6 +158,8 @@ def test_global_seed_reaches_classical_subcommands(capsys, monkeypatch):
     assert code == 0
     recs = [json.loads(l) for l in out.strip().splitlines()]
     assert [r["seed"] for r in recs if "seed" in r] == [5]
+    # the residual is exact: a complex rational, here zero
+    assert recs[0] == {"max_residual": {"re": "0", "im": "0"}}
 
 
 _MISSING_FILE = str(Path(__file__).parent / "no_such_matrix.json")
@@ -287,19 +294,23 @@ def test_registry_matches_manifest():
 
 
 # Run in a fresh interpreter: imports qrea's entry points, runs every
-# qmatrix.* and rea.* suite and the exact CLI commands at N=2, and prints
-# whether numpy was loaded.
+# coeff.*, qmatrix.* and rea.* suite, the three Poisson suites and the exact
+# CLI commands at N=2, and prints whether numpy was loaded.
 _EXACT_SIDE = """
 import contextlib, io, sys
 import qrea.checks, qrea.cli
+poisson = ("classical.bivector-antisymmetry", "classical.tangency",
+           "classical.jacobi")
 for name, suite in qrea.checks.CHECKS:
-    if name.split(".")[0] in ("qmatrix", "rea"):
+    if name.split(".")[0] in ("coeff", "qmatrix", "rea") or name in poisson:
         assert all(c.status == "pass" for c in suite(2, 0)), name
 for argv in (["braid", "--N", "2"],
              ["wedge-table", "--N", "2", "--k", "1", "--l", "2", "--check"],
              ["verify", "muir", "--N", "2"], ["rea", "verify", "laplace"],
              ["rea", "shapes", "--N", "2"], ["rea", "qcomm", "--N", "2"],
-             ["rea", "semiclassical"]):
+             ["rea", "semiclassical"],
+             ["classical", "tangency", "--N", "3", "--samples", "5"],
+             ["classical", "jacobi", "--samples", "5"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert qrea.cli.main(argv) == 0, argv
 print("numpy" in sys.modules)

@@ -443,14 +443,59 @@ def test_laurent_reads_as_fraction_over_one():
 
 def test_ring_axioms_witness_names_first_broken_law(monkeypatch):
     # * as the left projection: associative, but not commutative
-    monkeypatch.setattr(RatFunc, "__mul__", lambda a, b: a)
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: a)
     cert, = checks.check_coeff_ring_axioms(2, 0)
     assert cert.status == "fail"
     rng = random.Random(0)
-    first = [checks._random_ratfunc(rng).to_json() for _ in range(3)]
+    first = [checks._random_laurent(rng).to_json() for _ in range(3)]
     assert first[0] != first[1]
     assert cert.witness == {"sample": 0, "law": "mul-commutative",
                             "args": first}
+
+
+def test_ring_axioms_fail_on_a_perturbed_product(monkeypatch):
+    # a product that drops the top term of a two-term factor: commutative,
+    # and caught by the first triple whose laws see it
+    right = LaurentPoly.__mul__
+
+    def perturbed(a, b):
+        p = right(a, b)
+        if len(a.terms) == 2 and len(p.terms) > 1:
+            return LaurentPoly({e: c for e, c in p.terms.items()
+                                if e != p.max_exp()})
+        return p
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", perturbed)
+    cert, = checks.check_coeff_ring_axioms(2, 0)
+    assert cert.status == "fail"
+    w = cert.witness
+    args = [LaurentPoly.from_json(x) for x in w["args"]]
+    law = dict(checks._RING_LAWS)[w["law"]]
+    assert not law(*args)
+    monkeypatch.setattr(LaurentPoly, "__mul__", right)
+    assert law(*args)
+
+
+@pytest.mark.parametrize("a, unit", [
+    (L({3: 1}), True), (L({-2: -1}), True), (LP_ONE, True),
+    (LaurentPoly.zero(), False), (L({0: 2}), False), (L({1: 1, 0: 1}), False),
+])
+def test_units_law(monkeypatch, a, unit):
+    # a * a.inv() = 1 for +-q^k, and NotAUnit for anything else, 0 included
+    assert checks._units_law(a, None, None)
+    if unit:
+        assert a * a.inv() == LP_ONE
+    else:
+        with pytest.raises(NotAUnit):
+            a.inv()
+
+    def refuse(self):
+        raise NotAUnit(repr(self))
+
+    # an inv() that refuses a unit, or answers for a non-unit, breaks it
+    monkeypatch.setattr(LaurentPoly, "inv",
+                        refuse if unit else lambda self: LP_ONE)
+    assert not checks._units_law(a, None, None)
 
 
 def test_rf_canonical_witness_names_first_broken_law(monkeypatch):

@@ -410,3 +410,37 @@ def test_star_word_matches_the_column_sweep(N):
         for v in words:
             assert star.star_word(u, v) == _star_word_by_columns(star, u, v), \
                 (u, v)
+
+
+def test_reflection_equation_witness_names_the_failing_slots(monkeypatch):
+    star = _fresh_star()
+    vectors = reflection_slot_vectors(2)
+    g = next(iter(next(iter(vectors.values()))))
+    u, v = (g[0],), (g[1],)
+    word = star.star_word(u, v)
+    # one generator product picks up a factor q: exactly the slots whose
+    # relation holds that product break, each by (q - 1) c times it
+    _scaled_star_word(monkeypatch, star,
+                      lambda a, b: LP_Q if (a, b) == (u, v) else LP_ONE)
+    witness = _failing_suite_witness(monkeypatch, star,
+                                     "rea.reflection-equation")
+    failing = [slot for slot, vec in vectors.items() if g in vec]
+    assert failing and [f["slot"] for f in witness["failures"]] == failing
+    c = vectors[failing[0]][g]
+    assert witness["failures"][0]["residual"] == _nf_json(
+        sum_terms(2, [((LP_Q - LP_ONE) * c, ())], lambda: word))
+
+
+def test_braidcomm_suite_witness_on_a_dropped_factor(monkeypatch):
+    original = qmatrix.braidcomm_factors
+
+    def dropped(ctx, family, I, J, Ip, Jp):
+        first, second = original(ctx, family, I, J, Ip, Jp)
+        return first, list(second)[:-1]
+
+    monkeypatch.setattr(qmatrix, "braidcomm_factors", dropped)
+    star = _fresh_star()
+    for sub in ("braidcomm-1", "braidcomm-2"):
+        assert any(verify_identity(star.ctx, sub, inst).status == "fail"
+                   for inst in braidcomm_instances(2)), sub
+    _suite_names_first_failure(monkeypatch, star, "qmatrix", "braidcomm")
