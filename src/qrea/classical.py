@@ -4,7 +4,7 @@ Shape extraction is definition-faithful: for each size it scans minor labels
 in the pair-lexicographic order (column set first) and takes the first
 nonvanishing minor, all over exact complex rationals, so the discrete data
 (the involution and the vanishing pattern) are decided exactly.  Minors and
-ranks come from the one dense elimination, linalg.gauss_jordan.  Slot phases
+ranks come from the one dense elimination, linalg.echelon.  Slot phases
 are recovered from the positivity normalisation; they stay exact whenever the
 relevant square root is rational and drop to floating point otherwise.
 
@@ -19,10 +19,15 @@ rank of the real picture: the matrix {Z_ij, Z_kl}(z) is the real bivector
 in another basis, and Hermitian tangent vectors are independent over C when
 they are over R.
 
-numpy serves only the numeric HermitianMatrix mode and its eigenvalues, and
-decompose's floating-point fallback and residual.  Each of those imports it
-itself, so the exact side, and every module that imports this one, runs
-without loading numpy.
+The spectrum is checked without computing it: power_sums gives tr z^m for
+m = 1..N, which fix the eigenvalues as a multiset, and eigenvalue_signs
+counts their signs exactly by Descartes' rule on the characteristic
+polynomial, which Newton's identities build from the power sums.
+
+Numeric matrices hold Python complex numbers, and decompose's floating-point
+fallback and its residual are plain Python.  numpy serves only to_numeric
+and eigenvalues, which import it when they run, so every check-all suite,
+and every module that imports this one, runs without loading numpy.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations, product
 
 from .coeff import GaussRat, rational_sqrt
-from .linalg import add_term, determinant, gauss_jordan, rank
+from .linalg import add_term, determinant, echelon, rank
 
 
 class InconsistentPivots(RuntimeError):
@@ -65,32 +70,30 @@ class HermitianMatrix:
         if mode == "exact":
             self.entries = [[e if isinstance(e, GaussRat) else GaussRat(e)
                              for e in row] for row in entries]
-            self.N = len(self.entries)
-            if any(len(row) != self.N for row in self.entries):
-                raise ValueError("matrix is not square")
-            if check:
-                for i in range(self.N):
-                    for j in range(self.N):
-                        if self.entries[i][j] != self.entries[j][i].conj():
-                            raise ValueError("matrix is not self-adjoint")
+            skew, within = (lambda a, b: a != b.conj()), ""
         elif mode == "numeric":
-            import numpy as np
-            self.entries = np.array(entries, dtype=complex)
-            shape = self.entries.shape
-            if len(shape) != 2 or shape[0] != shape[1]:
-                raise ValueError("matrix is not square")
-            self.N = self.entries.shape[0]
-            if check and np.max(np.abs(self.entries - self.entries.conj().T)) > 1e-12:
-                raise ValueError("matrix is not self-adjoint within 1e-12")
+            self.entries = [[complex(e) for e in row] for row in entries]
+            skew, within = ((lambda a, b: abs(a - b.conjugate()) > 1e-12),
+                            " within 1e-12")
         else:
             raise ValueError(f"unknown mode {mode!r}")
+        self.N = len(self.entries)
         self.mode = mode
+        if any(len(row) != self.N for row in self.entries):
+            raise ValueError("matrix is not square")
+        if check and any(skew(self.entries[i][j], self.entries[j][i])
+                         for i in range(self.N) for j in range(i, self.N)):
+            raise ValueError("matrix is not self-adjoint" + within)
+
+    def complex_entries(self):
+        """The entries as lists of Python complex numbers."""
+        if self.mode == "numeric":
+            return [row[:] for row in self.entries]
+        return [[e.to_complex() for e in row] for row in self.entries]
 
     def to_numeric(self):
-        if self.mode == "numeric":
-            return self.entries
         import numpy as np
-        return np.array([[e.to_complex() for e in row] for row in self.entries])
+        return np.array(self.complex_entries(), dtype=complex)
 
     def eigenvalues(self):
         import numpy as np
@@ -116,9 +119,17 @@ class HermitianMatrix:
         return HermitianMatrix(ent, mode=obj["mode"])
 
 
+def _total(terms):
+    """The sum of a nonempty iterable of scalars, exact or complex."""
+    terms = iter(terms)
+    return sum(terms, next(terms))
+
+
 def gr_matmul(a, b):
+    """The product of two matrices, lists of rows of GaussRat or of complex
+    numbers."""
     n, m, p = len(a), len(b), len(b[0])
-    return [[sum((a[i][k] * b[k][j] for k in range(m)), GR0)
+    return [[_total(a[i][k] * b[k][j] for k in range(m))
              for j in range(p)] for i in range(n)]
 
 
@@ -472,23 +483,72 @@ def decompose(z):
                     _read_shape(m, GaussRat.is_zero))
         except _ExactSqrtMiss:
             pass
-    import numpy as np
-    zn = z.to_numeric()
-    tol = 1e-11 * max(1.0, np.max(np.abs(zn)))
-    t, m = np.eye(N, dtype=complex).tolist(), zn.tolist()
+    m = z.complex_entries()
+    tol = 1e-11 * max(1.0, max(abs(x) for row in m for x in row))
+    t = [[complex(i == j) for j in range(N)] for i in range(N)]
     _congruence(m, t, lambda x: abs(x) <= tol, complex.conjugate,
                 lambda x: math.sqrt(abs(x)))
+    # the congruences keep m Hermitian only up to rounding; (m + m*)/2 makes
+    # the fixed slots real and the two-cycle slots conjugate again, and the
     # rounding noise left in the eliminated entries reads as zero
+    m = [[(m[i][j] + m[j][i].conjugate()) / 2 for j in range(N)]
+         for i in range(N)]
     return (HermitianMatrix(t, mode="numeric", check=False),
             _read_shape(m, lambda x: abs(x) < 10 * tol))
 
 
 def decompose_residual(z, t, S):
-    import numpy as np
-    zn = z.to_numeric()
-    tn = t.to_numeric()
-    sn = S.matrix().to_numeric()
-    return float(np.max(np.abs(zn - tn.conj().T @ sn @ tn)))
+    """The largest modulus of an entry of z - t* S t, in floating point."""
+    tc = t.complex_entries()
+    tst = gr_matmul([[x.conjugate() for x in col] for col in zip(*tc)],
+                    gr_matmul(S.matrix().complex_entries(), tc))
+    return max(abs(a - b) for ra, rb in zip(z.complex_entries(), tst)
+               for a, b in zip(ra, rb))
+
+
+# ---------------------------------------------------------------------------
+# Spectra
+# ---------------------------------------------------------------------------
+
+def power_sums(z):
+    """[tr z, tr z^2, ..., tr z^N] of a HermitianMatrix, exact or numeric:
+    the power sums of its eigenvalues, which fix them as a multiset.  Each
+    trace of z^(a+b) is read as the sum of the (z^a)_ij (z^b)_ji, so only
+    the powers up to z^ceil(N/2) are multiplied out."""
+    e, n = z.entries, z.N
+    powers = [None, e]
+    while len(powers) <= (n + 1) // 2:
+        powers.append(gr_matmul(powers[-1], e))
+    sums = [_total(e[i][i] for i in range(n))]
+    for m in range(2, n + 1):
+        a, b = powers[m // 2], powers[m - m // 2]
+        sums.append(_total(a[i][j] * b[j][i]
+                           for i in range(n) for j in range(n)))
+    return sums
+
+
+def eigenvalue_signs(z):
+    """Counts (plus, minus, zero) of the eigenvalues of an exact Hermitian
+    z, by Descartes' rule of signs on its characteristic polynomial, which
+    is exact because that polynomial is real-rooted.  Its coefficients come
+    from the power sums by Newton's identities."""
+    if z.mode != "exact":
+        raise ValueError("eigenvalue_signs needs exact entries")
+    p = [x.re for x in power_sums(z)]       # real: z is Hermitian
+    e = [Fraction(1)]                       # elementary symmetric e_0..e_N
+    for k in range(1, z.N + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * p[i - 1]
+                     for i in range(1, k + 1)) / k)
+
+    def changes(coeffs):
+        signs = [c > 0 for c in coeffs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    # det(x - z) has the coefficients (-1)^k e_k and det(-x - z) the e_k up
+    # to one sign, from x^N down; x^(N - k) for the last nonzero e_k is the
+    # lowest power in both
+    plus = changes([-c if k % 2 else c for k, c in enumerate(e)])
+    return plus, changes(e), z.N - max(k for k, c in enumerate(e) if c)
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +722,8 @@ def orbit_tangents(z):
 
 def _ranks(*blocks):
     """rank [b1], rank [b1 | b2], ... for blocks of column vectors, read
-    off the pivot columns of one gauss_jordan of [b1 | b2 | ...]."""
-    pivots = gauss_jordan(list(zip(*sum(blocks, []))))[1]
+    off the pivot columns of one echelon of [b1 | b2 | ...]."""
+    pivots = echelon(list(zip(*sum(blocks, []))))[1]
     return [sum(c < end for c, _ in pivots)
             for end in accumulate(len(b) for b in blocks)]
 

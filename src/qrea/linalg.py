@@ -8,9 +8,10 @@ add_term, which drops a key whose coefficient cancels.  It needs only + and
 is_zero() of the scalar.  qmatrix.sum_terms, the one sum of noncommutative
 polynomials, builds on it.
 
-gauss_jordan is the one dense elimination; rank, determinant and
-invert_matrix read their results off it.  It needs only + - *, inv() and
-is_zero() of the scalar, so RatFunc and GaussRat go through it.
+echelon is the one dense elimination, forward only: rank and determinant
+read its pivots, and invert_matrix is the adjugate over determinant.  It
+needs only + - *, inv() and is_zero() of the scalar, so RatFunc and
+GaussRat go through it.
 sparse_row_reduce is the sparse elimination of the quantum side, over
 LaurentPoly, whose inv() exists only for the units +-q^k (coeff.NotAUnit
 otherwise): it divides a pivot by a unit leading coefficient and keeps any
@@ -46,20 +47,25 @@ def first_difference(got, expected):
     return None
 
 
-def gauss_jordan(rows):
-    """Gauss-Jordan elimination of a dense matrix given as a list of rows.
+def echelon(rows):
+    """Forward elimination of a dense matrix given as a list of rows.
 
     Each column takes as pivot its first nonzero entry at or below the
-    current row.  Returns (m, pivots, swaps): m is the reduced row echelon
-    form, each pivot 1 and alone in its column, with the zero rows last;
-    pivots holds (column, value) per pivot row, the value being the entry
-    before its row was divided by it; swaps counts the row exchanges.
+    current row; the rows below it are updated only where the pivot row is
+    nonzero, and the elimination stops once every row holds a pivot.
+    Returns (m, pivots, swaps): m is a row echelon form of the matrix, with
+    the pivots left as they are and the zero rows last; pivots holds
+    (column, value) per pivot row, the columns being the lex-first
+    independent ones; swaps counts the row exchanges.
     """
     m = [list(r) for r in rows]
     pivots = []
     swaps = 0
-    for col in range(len(m[0]) if m else 0):
+    width = len(m[0]) if m else 0
+    for col in range(width):
         top = len(pivots)
+        if top == len(m):
+            break
         piv = next((r for r in range(top, len(m)) if not m[r][col].is_zero()),
                    None)
         if piv is None:
@@ -67,26 +73,31 @@ def gauss_jordan(rows):
         if piv != top:
             m[top], m[piv] = m[piv], m[top]
             swaps += 1
-        p = m[top][col]
+        prow = m[top]
+        p = prow[col]
         ip = p.inv()
-        # left of col the pivot row is zero, and stays so in every row
-        prow = m[top][col:] = [e * ip for e in m[top][col:]]
-        for r, row in enumerate(m):
+        zero = p - p
+        tail = [(j, prow[j]) for j in range(col + 1, width)
+                if not prow[j].is_zero()]
+        for row in m[top + 1:]:
             f = row[col]
-            if r != top and not f.is_zero():
-                row[col:] = [e - f * pe for e, pe in zip(row[col:], prow)]
+            if not f.is_zero():
+                f = f * ip
+                row[col] = zero
+                for j, pe in tail:
+                    row[j] = row[j] - f * pe
         pivots.append((col, p))
     return m, pivots, swaps
 
 
 def rank(rows):
-    return len(gauss_jordan(rows)[1])
+    return len(echelon(rows)[1])
 
 
 def determinant(rows):
     """Determinant of a nonempty square matrix: the product of the pivots,
     negated after an odd number of row exchanges."""
-    m, pivots, swaps = gauss_jordan(rows)
+    m, pivots, swaps = echelon(rows)
     if len(pivots) < len(m):
         return m[-1][-1]        # an entry of a zero row: the scalar zero
     det = pivots[0][1]
@@ -96,21 +107,20 @@ def determinant(rows):
 
 
 def invert_matrix(rows):
-    """Inverse of a dense square matrix: gauss_jordan of (rows | identity).
+    """Inverse of a dense square matrix: its adjugate, the signed
+    determinants of the (n-1)-minors transposed, over its determinant.
     Raises ValueError when the matrix is singular."""
     n = len(rows)
-    x = next((e for r in rows for e in r if not e.is_zero()), None)
-    if x is None:
-        raise ValueError("singular matrix: zero")
-    # one and zero of the scalar field, taken from the matrix itself
-    one, zero = x * x.inv(), x - x
-    m, pivots, _ = gauss_jordan([list(r) + [one if i == j else zero
-                                            for j in range(n)]
-                                 for i, r in enumerate(rows)])
-    if [c for c, _ in pivots] != list(range(n)):
-        rank = sum(c < n for c, _ in pivots)
-        raise ValueError(f"singular matrix: rank {rank} < {n}")
-    return [r[n:] for r in m]
+    det = determinant(rows)
+    if det.is_zero():
+        raise ValueError("singular matrix")
+    dinv = det.inv()
+    if n == 1:
+        return [[dinv]]
+    adj = [[determinant([r[:i] + r[i + 1:] for k, r in enumerate(rows)
+                         if k != j]) for j in range(n)] for i in range(n)]
+    return [[-a * dinv if (i + j) % 2 else a * dinv for j, a in enumerate(row)]
+            for i, row in enumerate(adj)]
 
 
 def sparse_row_reduce(vectors, greater):

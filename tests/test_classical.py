@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from qrea.classical import (GaussRat, HermitianMatrix, NotTriangular,
-                            ShapeMatrix, SignMismatch, bracket_at,
+                            ShapeMatrix, SignMismatch, _ranks, bracket_at,
                             build_leaf_point, decompose, decompose_residual,
-                            exact_minor, gr_conj_t, gr_identity, gr_matmul,
-                            jacobi_check, leaf_label, leaf_tangency_check,
-                            orbit_tangents, poisson_bracket_coeffs,
+                            eigenvalue_signs, exact_minor, gr_conj_t,
+                            gr_identity, gr_matmul, jacobi_check, leaf_label,
+                            leaf_tangency_check, orbit_tangents,
+                            poisson_bracket_coeffs, power_sums,
                             random_compatible_weights, random_exact_hermitian,
                             random_shape, random_triangular, shape_of,
                             tn_invariance_check, weight_sign)
@@ -162,6 +163,54 @@ def test_decompose_is_exact_only_on_rational_roots():
     assert S.tau == (2, 1, 3) and decompose_residual(z, t, S) <= 1e-12
 
 
+def _gr_rows(rows):
+    """A HermitianMatrix from rows of "re,im" strings."""
+    return HermitianMatrix([[GaussRat(*(F(x) for x in e.split(",")))
+                             for e in row] for row in rows])
+
+
+def test_decompose_float_path_leaves_an_exactly_hermitian_shape():
+    # two draws of `check-all --N 4` (seeds 14 and 43) whose congruences
+    # left a fixed slot at -1 - 1.3e-12i and 1 + 5.1e-13i: the shape must be
+    # exactly Hermitian, so that S.matrix() and the residual accept it
+    for rows in (
+            [["-112/75,0", "-7/5,28/15", "14/5,28/15"],
+             ["-7/5,-28/15", "-4543/1200,0", "287/120,21/20"],
+             ["14/5,-28/15", "287/120,-21/20", "-9917/60,0"]],
+            [["30,0", "36,-12", "3/2,-4", "-12,0"],
+             ["36,12", "48,0", "58/15,-21/5", "-79/5,-32/9"],
+             ["3/2,4", "58/15,21/5", "479/360,0", "-41/72,179/270"],
+             ["-12,0", "-79/5,32/9", "-41/72,-179/270", "497/100,0"]]):
+        z = _gr_rows(rows)
+        t, S = decompose(z)
+        assert t.mode == "numeric" and not S.is_exact()
+        for i in range(1, z.N + 1):
+            if S.tau[i - 1] == i and S.u[i - 1] is not None:
+                assert S.u[i - 1].imag == 0.0
+            elif S.u[i - 1] is not None:
+                assert S.u[S.tau[i - 1] - 1] == S.u[i - 1].conjugate()
+        m = S.matrix().entries
+        assert m == [[x.conjugate() for x in col] for col in zip(*m)]
+        assert decompose_residual(z, t, S) <= 1e-9
+        assert shape_of(z).same_shape(S, tol=1e-8)
+
+
+def test_decompose_residual_against_numpy():
+    rng = random.Random(61)
+    for _ in range(30):
+        z = random_exact_hermitian(rng.randint(1, 4), rng)
+        t, S = decompose(z)
+        zn, tn, sn = z.to_numeric(), t.to_numeric(), S.matrix().to_numeric()
+        expected = float(np.max(np.abs(zn - tn.conj().T @ sn @ tn)))
+        assert abs(decompose_residual(z, t, S) - expected) <= 1e-12
+        # a perturbed t: the residual is the numpy one, and large
+        bad = HermitianMatrix(2 * tn, mode="numeric", check=False)
+        expected = float(np.max(np.abs(zn - 4 * tn.conj().T @ sn @ tn)))
+        got = decompose_residual(z, bad, S)
+        assert abs(got - expected) <= 1e-9 * max(1.0, expected)
+        assert got >= 3 * float(np.max(np.abs(zn))) - 1e-9
+
+
 def test_build_leaf_point_examples():
     S = ShapeMatrix((2, 1), [G(1), G(1)])
     z = build_leaf_point(S, [F(1), F(-1)])
@@ -200,6 +249,76 @@ def test_leaf_roundtrip_random():
         assert weight_sign(lab.weight, zero_tol=1e-9) == S.sign_multiset()
 
 
+def _unitary(n, rng):
+    """An exact unitary: a product of rational plane rotations and phases."""
+    u = gr_identity(n)
+    for _ in range(3 * n):
+        a, b = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        c, s = rng.choice([(F(3, 5), F(4, 5)), (F(5, 13), F(-12, 13)),
+                           (F(0), F(1))])
+        g = gr_identity(n)
+        ph = rng.choice([G(1), G(0, 1), G(F(3, 5), F(4, 5))])
+        if a != b:
+            g[a][a], g[a][b], g[b][a], g[b][b] = G(c), G(-s) * ph, \
+                G(s) * ph.conj(), G(c)
+        else:
+            g[a][a] = ph
+        u = gr_matmul(g, u)
+    assert gr_matmul(gr_conj_t(u), u) == gr_identity(n)
+    return u
+
+
+_SPECTRA = [[0], [F(5, 2)], [-3], [0, 0], [1, -1], [2, 2], [F(1, 2), -F(1, 3)],
+            [1, -1, 0], [2, 2, -1], [0, 0, 4], [-1, -1, -1], [3, 0, 0, -3],
+            [1, 1, 1, 1], [-2, -2, 0, 5], [0, 0, 0, 0], [F(7, 3), -4, -4, 0]]
+
+
+def test_power_sums_and_descartes_on_known_spectra():
+    # z = U* diag(lam) U for exact unitaries U has the spectrum lam, zero and
+    # repeated eigenvalues included
+    rng = random.Random(13)
+    for lam in _SPECTRA:
+        n = len(lam)
+        signs = (sum(x > 0 for x in lam), sum(x < 0 for x in lam),
+                 sum(x == 0 for x in lam))
+        for _ in range(3):
+            u = _unitary(n, rng)
+            d = [[G(lam[i]) if i == j else G(0) for j in range(n)]
+                 for i in range(n)]
+            z = HermitianMatrix(gr_matmul(gr_conj_t(u), gr_matmul(d, u)))
+            assert power_sums(z) == [sum(F(x) ** m for x in lam)
+                                     for m in range(1, n + 1)]
+            assert eigenvalue_signs(z) == signs, (lam, z.to_json())
+            assert eigenvalue_signs(z) == shape_of(z).sign_multiset()
+            # the numeric copy: the same power sums up to rounding
+            zn = HermitianMatrix(z.complex_entries(), mode="numeric")
+            for got, want in zip(power_sums(zn), power_sums(z)):
+                assert abs(got - want.to_complex()) <= 1e-12 * max(
+                    1, abs(want.to_complex()))
+
+
+def test_ranks_are_the_prefix_ranks():
+    # _ranks of blocks of column vectors against one rank call per prefix,
+    # on the tangency blocks and on random blocks with repeated columns
+    rng = random.Random(8)
+    for n in (1, 2, 3):
+        for _ in range(4):
+            z = random_exact_hermitian(n, rng)
+            U, T = orbit_tangents(z)
+            pi = [list(c) for c in zip(*bracket_at(z))]
+            cols = [[G(rng.randint(-2, 2)) for _ in range(n * n)]
+                    for _ in range(3)]
+            extra = cols + [[G(2) * x for x in cols[0]]]
+            for blocks in ((U, pi, T), (T, pi), (pi,), (extra, U), (cols,
+                                                                   extra)):
+                prefix = []
+                expected = []
+                for b in blocks:
+                    prefix += b
+                    expected.append(rank([list(r) for r in zip(*prefix)]))
+                assert _ranks(*blocks) == expected
+
+
 def test_sign_compatibility_random():
     rng = random.Random(17)
     for _ in range(100):
@@ -209,8 +328,12 @@ def test_sign_compatibility_random():
         zero = N - rank(z.entries)
         ev = z.eigenvalues()
         nonzero = ev[np.argsort(np.abs(ev))[zero:]]
-        assert s.sign_multiset() == (int(np.sum(nonzero > 0)),
-                                     int(np.sum(nonzero < 0)), zero)
+        signs = (int(np.sum(nonzero > 0)), int(np.sum(nonzero < 0)), zero)
+        assert s.sign_multiset() == signs and eigenvalue_signs(z) == signs
+        for m, p in enumerate(power_sums(z), start=1):
+            assert p.is_real()
+            assert abs(float(p.re) - np.sum(ev ** m)) <= 1e-9 * max(
+                1.0, float(np.sum(np.abs(ev) ** m)))
 
 
 def test_bivector_trivial_points():
@@ -363,8 +486,14 @@ def test_matrix_json_roundtrip():
     z2 = HermitianMatrix.from_json(z.to_json())
     assert z2.entries == z.entries
     zn = HermitianMatrix(np.array([[1.0, 1j], [-1j, 0.0]]), mode="numeric")
+    assert zn.entries == [[1, 1j], [-1j, 0]]
+    assert all(type(e) is complex for row in zn.entries for e in row)
     zn2 = HermitianMatrix.from_json(zn.to_json())
-    assert np.max(np.abs(zn.entries - zn2.entries)) == 0.0
+    assert zn2.mode == "numeric" and zn2.entries == zn.entries
+    with pytest.raises(ValueError):
+        HermitianMatrix([[1.0, 1j], [1j, 0.0]], mode="numeric")
+    with pytest.raises(ValueError):
+        HermitianMatrix([[1.0, 0.0]], mode="numeric")
 
 
 def test_shape_matrix_validation():
@@ -492,7 +621,20 @@ def test_shape_roundtrip_witness_names_first_failing_sample(monkeypatch):
     first = cert.witness["first"]
     lam = [F(x) for x in first["weights"]]
     assert any(lam)
-    assert first["leaf"]["weight"] == pytest.approx(sorted(2 * x for x in lam))
+    # the first power sum that differs, from the z that was built: that of
+    # the doubled weights against that of the weights
+    z = HermitianMatrix.from_json(first["z"])
+    m = first["power_sum"]["m"]
+    assert power_sums(z)[:m - 1] == [sum(x ** k for x in lam)
+                                     for k in range(1, m)]
+    assert first["power_sum"]["expected"] == str(sum(x ** m for x in lam))
+    assert GaussRat.from_json(first["power_sum"]["trace"]) == \
+        sum((2 * x) ** m for x in lam)
+    assert ShapeMatrix(first["shape_of"]["tau"], [
+        None if u is None else GaussRat.from_json(u)
+        for u in first["shape_of"]["u"]]).same_shape(ShapeMatrix(
+            first["shape"]["tau"], [None if u is None else GaussRat.from_json(u)
+                                    for u in first["shape"]["u"]]))
     assert ShapeMatrix(first["shape"]["tau"], [
         None if u is None else GaussRat.from_json(u)
         for u in first["shape"]["u"]]).rank == sum(1 for x in lam if x)
@@ -505,13 +647,13 @@ def test_shape_roundtrip_witness_names_first_failing_sample(monkeypatch):
 
 def test_sign_compatibility_witness_names_first_failing_sample(monkeypatch):
     from qrea import checks, classical
-    right = classical.weight_sign
+    right = classical.eigenvalue_signs
 
-    def swapped(lam, zero_tol=0.0):
-        plus, minus, zero = right(lam, zero_tol)
+    def swapped(z):
+        plus, minus, zero = right(z)
         return minus, plus, zero
 
-    monkeypatch.setattr(classical, "weight_sign", swapped)
+    monkeypatch.setattr(classical, "eigenvalue_signs", swapped)
     cert, = checks.check_sign_compat(4, 0)
     assert cert.status == "fail"
     first = cert.witness["first"]

@@ -286,6 +286,19 @@ def test_check_all_n4_coeff_and_classical_lines_pinned(capsys, monkeypatch):
         "5492a9bb50055dcb2613fffc3a0918a35712c53322500b891aff345d64b07d81")
 
 
+def test_check_all_n4_exits_0_on_the_seeds_that_crashed(capsys, monkeypatch):
+    # decompose's float path left a fixed slot off the real axis by 1e-12,
+    # and the shape's own matrix rejected it with a traceback
+    monkeypatch.setattr(checks, "CHECKS", [
+        (name, fn) for name, fn in checks.CHECKS
+        if name == "classical.decompose"])
+    for seed in ("14", "43"):
+        code, out, _ = run_cli(capsys, ["--seed", seed, "check-all", "--N",
+                                        "4"])
+        assert code == 0
+        assert json.loads(out)["status"] == "pass"
+
+
 def test_registry_matches_manifest():
     import importlib.resources as res
     manifest = res.files("qrea").joinpath("check_manifest.txt") \
@@ -293,18 +306,17 @@ def test_registry_matches_manifest():
     assert manifest == [name for name, _ in checks.CHECKS]
 
 
-# Run in a fresh interpreter: imports qrea's entry points, runs every
-# coeff.*, qmatrix.* and rea.* suite, the three Poisson suites and the exact
-# CLI commands at N=2, and prints whether numpy was loaded.
+# Run in a fresh interpreter: imports qrea's entry points, runs every suite
+# of check-all and the exact CLI commands at N=2, `classical decompose` on
+# the exact matrix file named by the first argument included, and prints
+# whether numpy was loaded.
 _EXACT_SIDE = """
 import contextlib, io, sys
 import qrea.checks, qrea.cli
-poisson = ("classical.bivector-antisymmetry", "classical.tangency",
-           "classical.jacobi")
 for name, suite in qrea.checks.CHECKS:
-    if name.split(".")[0] in ("coeff", "qmatrix", "rea") or name in poisson:
-        assert all(c.status == "pass" for c in suite(2, 0)), name
-for argv in (["braid", "--N", "2"],
+    assert all(c.status == "pass" for c in suite(2, 0)), name
+for argv in (["classical", "decompose", sys.argv[1]],
+             ["braid", "--N", "2"],
              ["wedge-table", "--N", "2", "--k", "1", "--l", "2", "--check"],
              ["verify", "muir", "--N", "2"], ["rea", "verify", "laplace"],
              ["rea", "shapes", "--N", "2"], ["rea", "qcomm", "--N", "2"],
@@ -317,9 +329,14 @@ print("numpy" in sys.modules)
 """
 
 
-def test_exact_side_runs_without_numpy():
+def test_exact_side_runs_without_numpy(tmp_path):
     src = Path(checks.__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, "-c", _EXACT_SIDE],
+    # sqrt 2 and sqrt 3 are irrational: decompose takes its float path
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps({"N": 2, "mode": "exact", "entries": [
+        [{"re": "2", "im": "0"}, {"re": "1", "im": "1"}],
+        [{"re": "1", "im": "-1"}, {"re": "-1", "im": "0"}]]}))
+    proc = subprocess.run([sys.executable, "-c", _EXACT_SIDE, str(path)],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr

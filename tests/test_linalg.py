@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 import qrea
 from qrea import coeff
 from qrea.coeff import RF_ONE, GaussRat, LaurentPoly, NotAUnit, RatFunc
-from qrea.linalg import (add_term, determinant, gauss_jordan,
-                         invert_matrix, rank, sparse_row_reduce)
+from qrea.linalg import (add_term, determinant, echelon, invert_matrix, rank,
+                         sparse_row_reduce)
 from qrea.qmatrix import NCPoly, sum_terms
 
 # Few keys and small coefficients, so that terms collide and cancel often.
@@ -152,28 +152,26 @@ def _leibniz(m):
 
 
 def _check_elimination(m, one):
-    """Determinant against _leibniz; gauss_jordan of (m | I) has fewer than
-    n pivots in m exactly when m is singular, and otherwise an inverse of m
-    in its right block, which invert_matrix returns."""
+    """Determinant against _leibniz; echelon leaves a row of m without a
+    pivot exactly when m is singular, and then invert_matrix raises;
+    otherwise invert_matrix returns a two-sided inverse of m."""
     n = len(m)
-    zero = one - one
-    assert determinant(m) == _leibniz(m)
-    reduced, pivots, _ = gauss_jordan(
-        [list(r) + [one if i == j else zero for j in range(n)]
-         for i, r in enumerate(m)])
-    left_rank = sum(c < n for c, _ in pivots)
-    assert left_rank == rank(m)
-    if left_rank < n:
-        assert determinant(m).is_zero()
+    det = determinant(m)
+    assert det == _leibniz(m)
+    _, pivots, _ = echelon(m)
+    assert len(pivots) == rank(m)
+    if len(pivots) < n:
+        assert det.is_zero()
         with pytest.raises(ValueError):
             invert_matrix(m)
         return
-    inv = [r[n:] for r in reduced]
-    assert invert_matrix(m) == inv
-    for i in range(n):
-        for j in range(n):
-            entry = reduce(add, (inv[i][k] * m[k][j] for k in range(n)))
-            assert entry == one if i == j else entry.is_zero()
+    assert not det.is_zero()
+    inv = invert_matrix(m)
+    for a, b in ((inv, m), (m, inv)):
+        for i in range(n):
+            for j in range(n):
+                entry = reduce(add, (a[i][k] * b[k][j] for k in range(n)))
+                assert entry == one if i == j else entry.is_zero()
 
 
 @settings(max_examples=150, deadline=None)
@@ -194,12 +192,57 @@ def test_elimination_on_ratfunc(m):
     _check_elimination(m, RF_ONE)
 
 
+@st.composite
+def _rectangular_matrices(draw):
+    """A rows x cols GaussRat matrix, wide or tall, half of them the
+    product of a rows x k and a k x cols matrix, so of rank at most k."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+
+    def block(r, c):
+        return draw(st.lists(st.lists(_gauss, min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+
+    if draw(st.booleans()):
+        return block(rows, cols)
+    k = draw(st.integers(0, min(rows, cols) - 1))
+    if k == 0:
+        return [[GaussRat(0)] * cols for _ in range(rows)]
+    a, b = block(rows, k), block(k, cols)
+    return [[reduce(add, (a[i][x] * b[x][j] for x in range(k)))
+             for j in range(cols)] for i in range(rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rectangular_matrices())
+def test_echelon_pivots_are_the_lex_first_independent_columns(m):
+    a = np.array([[e.to_complex() for e in row] for row in m])
+
+    def numpy_rank(c):
+        return 0 if c == 0 else np.linalg.matrix_rank(a[:, :c], tol=1e-12)
+
+    reduced, pivots, swaps = echelon(m)
+    assert rank(m) == len(pivots) == numpy_rank(len(m[0]))
+    # column c holds a pivot exactly when it is independent of those
+    # before it
+    assert [c for c, _ in pivots] == [
+        c for c in range(len(m[0])) if numpy_rank(c + 1) > numpy_rank(c)]
+    # a row echelon form: each pivot row zero left of its pivot, which is
+    # the value recorded, and the rows without a pivot zero
+    for i, row in enumerate(reduced):
+        if i < len(pivots):
+            col, value = pivots[i]
+            assert all(e.is_zero() for e in row[:col]) and row[col] == value
+        else:
+            assert all(e.is_zero() for e in row)
+    assert 0 <= swaps < len(m)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.dictionaries(st.integers(0, 3), _laurent, max_size=4),
                 max_size=5))
 def test_sparse_row_reduce_rank_over_laurent(vectors):
     """Over LaurentPoly, pivots led by a unit are normalised and the others
-    kept: the pivot count is the rank over the fraction field (gauss_jordan
+    kept: the pivot count is the rank over the fraction field (echelon
     over RatFunc), and every pivot leads its vector."""
     vectors = [{k: c for k, c in v.items() if not c.is_zero()}
                for v in vectors]
@@ -216,10 +259,13 @@ def test_sparse_row_reduce_rank_over_laurent(vectors):
         assert vec[lead].is_one()
 
 
-# `row[col:] = [e - f * pe for e, pe in zip(...)]`, the row operation of a
-# dense elimination.
+# The row operation of a dense elimination: an entry updated in place,
+# `row[j] = row[j] - f * pe` or `row[j] -= f * pe`, or a whole row at once,
+# `row[col:] = [e - f * pe for e, pe in zip(...)]`.
 _ROW_OPERATION = re.compile(
-    r"\w+\s*-\s*\w+\s*\*\s*\w+\s+for\s+\w+,\s*\w+\s+in\s+zip\(")
+    r"(\w+\[\w+\])\s*=\s*\1\s*-\s*\w+\s*\*\s*\w+"
+    r"|\w+\[\w+\]\s*-=\s*\w+\s*\*\s*\w+"
+    r"|\w+\s*-\s*\w+\s*\*\s*\w+\s+for\s+\w+,\s*\w+\s+in\s+zip\(")
 
 
 def test_one_dense_elimination():
@@ -229,7 +275,7 @@ def test_one_dense_elimination():
             if _ROW_OPERATION.search(line):
                 hits.append(f"{path.name}:{n}")
     assert len(hits) == 1 and hits[0].startswith("linalg.py:"), \
-        "use linalg.gauss_jordan:\n" + "\n".join(hits)
+        "use linalg.echelon:\n" + "\n".join(hits)
     classical = (Path(qrea.__file__).parent / "classical.py").read_text()
     # the minor expansion and a separate numeric inverse are gone
     for name in ("permutations", "np.linalg.inv", "np.linalg.det"):
@@ -242,7 +288,7 @@ def test_one_braid_kernel():
     src = Path(qrea.__file__).parent
     for name in ("braiding.py", "qmatrix.py", "rea.py"):
         text = (src / name).read_text()
-        for solve in ("gauss_jordan", "invert_matrix"):
+        for solve in ("echelon", "invert_matrix"):
             assert solve not in text, f"{name} uses {solve}"
     braid_classes = []
     for path in sorted(src.glob("*.py")):
