@@ -715,14 +715,13 @@ def tn_invariance_samples(n, samples, rng):
         for k in range(n):
             diag[k][k] = classical.GaussRat(Fraction(rng.randint(1, 5),
                                                      rng.randint(1, 5)))
-        gen = classical.random_triangular(n, rng)
-        broken = next(((name, t) for name, t in (("shear", shear),
-                                                 ("diagonal", diag),
-                                                 ("general", gen))
-                       if not classical.tn_invariance_check(z, t)), None)
-        out.append(None if broken is None else {
-            "sample": i, "element": broken[0],
-            "t": [[e.to_json() for e in row] for row in broken[1]],
+        ts = {"shear": shear, "diagonal": diag,
+              "general": classical.random_triangular(n, rng)}
+        moved = classical.tn_invariance_check(z, list(ts.values()))
+        out.append(None if moved is None else {
+            "sample": i,
+            "element": next(name for name, t in ts.items() if t is moved),
+            "t": [[e.to_json() for e in row] for row in moved],
             "z": z.to_json()})
     return out
 

@@ -3,21 +3,24 @@
 Shape extraction is definition-faithful: for each size it scans minor labels
 in the pair-lexicographic order (column set first) and takes the first
 nonvanishing minor, all over exact complex rationals, so the discrete data
-(the involution and the vanishing pattern) are decided exactly.  Minors and
-ranks come from the one dense elimination, linalg.echelon.  Slot phases
-are recovered from the positivity normalisation; they stay exact whenever the
-relevant square root is rational and drop to floating point otherwise.
+(the involution and the vanishing pattern) are decided exactly.  Minors come
+from one memo per matrix (minors), each the Laplace expansion over the
+smaller ones, with no division; the rank that bounds the scan comes from the
+one dense elimination, linalg.echelon.  Slot phases are recovered from the
+positivity normalisation; they stay exact whenever the relevant square root
+is rational and drop to floating point otherwise.
 
 The congruence decomposition z = t* S t is one pivoting loop for both scalar
 kinds, exact and floating point, which differ only in the zero test,
 conjugation and the square root; it is cross-checked against the scanner.
 The quadratic bracket on Hermitian matrices is read off the sparse classical
-r-matrix e_ii (x) e_ii + 2 sum_{i<j} e_ij (x) e_ji, with exact coefficients.
-The bivector, tangency and Jacobi checks evaluate it at exact points in the
-complex coordinates Z_ij, with exact ranks.  Complexification keeps every
-rank of the real picture: the matrix {Z_ij, Z_kl}(z) is the real bivector
-in another basis, and Hermitian tangent vectors are independent over C when
-they are over R.
+r-matrix e_ii (x) e_ii + 2 sum_{i<j} e_ij (x) e_ji, with exact coefficients,
+built once per N.  The bivector, tangency and Jacobi checks evaluate it at
+exact points in the complex coordinates Z_ij, with exact ranks, and the
+Jacobi check builds one cyclic sum per cyclic class of coordinate triples.
+Complexification keeps every rank of the real picture: the matrix
+{Z_ij, Z_kl}(z) is the real bivector in another basis, and Hermitian tangent
+vectors are independent over C when they are over R.
 
 The spectrum is checked without computing it: power_sums gives tr z^m for
 m = 1..N, which fix the eigenvalues as a multiset, and eigenvalue_signs
@@ -36,10 +39,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, reduce
 from itertools import accumulate, combinations, product
+from operator import add, mul
 
 from .coeff import GaussRat, rational_sqrt
-from .linalg import add_term, determinant, echelon, rank
+from .linalg import add_term, echelon, rank
 
 
 class InconsistentPivots(RuntimeError):
@@ -128,9 +133,8 @@ def _total(terms):
 def gr_matmul(a, b):
     """The product of two matrices, lists of rows of GaussRat or of complex
     numbers."""
-    n, m, p = len(a), len(b), len(b[0])
-    return [[_total(a[i][k] * b[k][j] for k in range(m))
-             for j in range(p)] for i in range(n)]
+    cols = list(zip(*b))
+    return [[reduce(add, map(mul, row, col)) for col in cols] for row in a]
 
 
 def gr_conj_t(a):
@@ -141,12 +145,36 @@ def gr_identity(n):
     return [[GaussRat(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
+def minors(e):
+    """The minors of the exact matrix e (a list of rows), as a function
+    minor(rows, cols) of two equally long tuples of 1-based labels.  Each
+    minor is the Laplace expansion along its last column over the minors
+    one size smaller, which are kept, so every minor of e is computed once
+    and no division is needed."""
+    memo = {((), ()): GR1}
+
+    def minor(rows, cols):
+        v = memo.get((rows, cols))
+        if v is None:
+            col, rest, last = cols[-1] - 1, cols[:-1], len(cols) - 1
+            v = GR0
+            for p, r in enumerate(rows):
+                x = e[r - 1][col]
+                if not x.is_zero():
+                    x = x * minor(rows[:p] + rows[p + 1:], rest)
+                    v = v - x if (last - p) % 2 else v + x
+            memo[(rows, cols)] = v
+        return v
+
+    return minor
+
+
 def exact_minor(z, rows, cols):
     """Determinant of the (rows, cols) submatrix over GaussRat, labels
     1-based."""
     if len(rows) != len(cols):
         raise ValueError("minor needs equally many rows and columns")
-    return determinant([[z[r - 1][c - 1] for c in cols] for r in rows])
+    return minors(z)(tuple(rows), tuple(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +308,12 @@ class ShapeMatrix:
 
 def _phase_of(d):
     """Exact unimodular direction of a nonzero GaussRat when |d| is rational,
-    else a complex phase."""
-    a2 = d.abs2()
-    root = rational_sqrt(a2)
-    if root is not None:
-        return d.scale(Fraction(1) / root)
+    else a complex phase.  For d = (a + b i)/n, |d| is rational exactly when
+    a^2 + b^2 is a square, and then d/|d| = (a + b i)/sqrt(a^2 + b^2)."""
+    a2 = d.a * d.a + d.b * d.b
+    root = math.isqrt(a2)
+    if root * root == a2:
+        return GaussRat(Fraction(d.a, root), Fraction(d.b, root))
     c = d.to_complex()
     return c / abs(c)
 
@@ -305,19 +334,14 @@ def shape_of(z):
     u = [None] * N
     if r == 0:
         return ShapeMatrix(tau, u)
+    minor = minors(z.entries)
     pairs = []           # chain of (column, row) pivots
     prev_dir = GR1
     prev_cols, prev_rows = (), ()
     for k in range(1, r + 1):
-        pivot = None
-        for J in combinations(range(1, N + 1), k):
-            for I in combinations(range(1, N + 1), k):
-                val = exact_minor(z.entries, I, J)
-                if not val.is_zero():
-                    pivot = (J, I, val)
-                    break
-            if pivot:
-                break
+        labels = list(combinations(range(1, N + 1), k))
+        pivot = next(((J, I, val) for J in labels for I in labels
+                      if not (val := minor(I, J)).is_zero()), None)
         if pivot is None:
             raise InconsistentPivots(f"no nonzero minor at size {k}")
         J, I, val = pivot
@@ -360,13 +384,15 @@ def _check_triangular_exact(t):
                 raise NotTriangular("lower part must vanish")
 
 
-def tn_invariance_check(z, t):
-    """Shape equality of z and t* z t for exact triangular t."""
-    _check_triangular_exact(t)
-    s1 = shape_of(z)
-    zt = gr_matmul(gr_conj_t(t), gr_matmul(z.entries, t))
-    s2 = shape_of(HermitianMatrix(zt, mode="exact"))
-    return s1.same_shape(s2)
+def tn_invariance_check(z, ts):
+    """The first of the exact triangular matrices ts whose congruence t* z t
+    has another shape than z, or None when every one keeps the shape."""
+    for t in ts:
+        _check_triangular_exact(t)
+    s = shape_of(z)
+    return next((t for t in ts if not s.same_shape(shape_of(HermitianMatrix(
+        gr_matmul(gr_conj_t(t), gr_matmul(z.entries, t)), mode="exact")))),
+        None)
 
 
 # ---------------------------------------------------------------------------
@@ -629,12 +655,14 @@ def build_leaf_point(shape, lam):
 # The quadratic bracket
 # ---------------------------------------------------------------------------
 
+@cache
 def poisson_bracket_coeffs(N):
     """{Z_ij, Z_kl} as exact quadratic forms in the matrix entries.
 
     Returns a dict mapping ((i,j),(k,l)) to {sorted entry-pair: GaussRat};
-    the coefficients are purely imaginary.  The bracket is -i times the
-    ((i,k), (j,l)) entry of
+    the coefficients are purely imaginary.  The table is built once per N
+    and shared by every caller, which must not modify it.  The bracket is
+    -i times the ((i,k), (j,l)) entry of
 
         r21 Z1 Z2 - Z1 Z2 r + Z1 r Z2 - Z2 r21 Z1
 
@@ -675,18 +703,26 @@ def bracket_at(z):
         raise ValueError("bracket_at needs exact entries")
     table = poisson_bracket_coeffs(z.N)
     coords = list(product(range(1, z.N + 1), repeat=2))
-    return [[_value(table[(ij, kl)], z.entries) for kl in coords]
+    monomials = {}
+    return [[_value(table[(ij, kl)], z.entries, monomials) for kl in coords]
             for ij in coords]
 
 
-def _value(poly, e):
+def _value(poly, e, monomials):
     """A polynomial {monomial: coefficient} in the entries Z_ij, each
-    monomial a sorted tuple of (i, j), at the exact matrix entries e."""
+    monomial a sorted tuple of (i, j), at the exact matrix entries e.
+    monomials keeps the monomial values at e, so that polynomials evaluated
+    at one point share them."""
     total = GR0
     for mono, c in poly.items():
-        for i, j in mono:
-            c = c * e[i - 1][j - 1]
-        total = total + c
+        v = monomials.get(mono)
+        if v is None:
+            (i, j), *rest = mono
+            v = e[i - 1][j - 1]
+            for i, j in rest:
+                v = v * e[i - 1][j - 1]
+            monomials[mono] = v
+        total = total + c * v
     return total
 
 
@@ -701,22 +737,27 @@ def orbit_tangents(z):
     of u(N) and e_kk, e_rc, i e_rc of b(N), the upper triangular matrices
     with a real diagonal (r < c)."""
     e, N = z.entries, z.N
-    i1 = GaussRat(0, 1)
 
     def tangent(*a):
-        v = [[GR0] * N for _ in range(N)]
-        for r, c, x in a:
-            for k in range(N):
-                v[c][k] = v[c][k] + x.conj() * e[r][k]
-                v[k][c] = v[k][c] + e[k][r] * x
-        return [y for row in v for y in row]
+        # a lists (r, c, p) for the terms i^p e_rc of a; the units act on
+        # the entries of z as sign and part swaps, and an entry that no
+        # term reaches (None) is zero
+        v = [[None] * N for _ in range(N)]
 
-    U = [tangent((k, k, i1)) for k in range(N)]
-    T = [tangent((k, k, GR1)) for k in range(N)]
+        def add(x, y, w):
+            v[x][y] = w if v[x][y] is None else v[x][y] + w
+
+        for r, c, p in a:
+            for k in range(N):
+                add(c, k, e[r][k].times_i_power(-p))
+                add(k, c, e[k][r].times_i_power(p))
+        return [GR0 if y is None else y for row in v for y in row]
+
+    U = [tangent((k, k, 1)) for k in range(N)]
+    T = [tangent((k, k, 0)) for k in range(N)]
     for r, c in combinations(range(N), 2):
-        U += [tangent((r, c, GR1), (c, r, -GR1)),
-              tangent((r, c, i1), (c, r, i1))]
-        T += [tangent((r, c, GR1)), tangent((r, c, i1))]
+        U += [tangent((r, c, 0), (c, r, 2)), tangent((r, c, 1), (c, r, 1))]
+        T += [tangent((r, c, 0)), tangent((r, c, 1))]
     return U, T
 
 
@@ -755,6 +796,9 @@ def jacobi_check(N, samples=100, seed=0):
     """The cyclic Jacobi sums {f,{g,h}} + {g,{h,f}} + {h,{f,g}} over all
     coordinate triples, built as exact cubic polynomials by the Leibniz
     rule and evaluated exactly at `samples` random exact Hermitian points.
+    The three rotations of a triple have the same sum, so it is built once
+    per cyclic class, at the lex-first rotation, and counted at the class
+    size; the points are drawn only when some sum is nonzero.
 
     ok when every value is zero.  max_residual is a value of largest
     modulus; first names the first nonzero cyclic sum by its triple, its
@@ -770,23 +814,33 @@ def jacobi_check(N, samples=100, seed=0):
                 for m2, c2 in table[(ij, var)].items():
                     add_term(out, tuple(sorted(m2 + rest)), c * c2)
 
-    cyclic = {}
+    cyclic = {}          # lex-first rotation -> its nonzero cyclic sum
+    count = 0
     coords = list(product(range(1, N + 1), repeat=2))
     for f, g, h in product(coords, repeat=3):
+        if (g, h, f) < (f, g, h) or (h, f, g) < (f, g, h):
+            continue
         total = {}
         for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
             add_bracket_with_poly(total, a, table[(b, c)])
         if total:
             cyclic[(f, g, h)] = total
-    rng = random.Random(seed)
-    points = [random_exact_hermitian(N, rng).entries for _ in range(samples)]
-    worst = max((_value(poly, e) for e in points for poly in cyclic.values()),
-                key=GaussRat.abs2, default=GR0)
+            count += 1 if f == g == h else 3
+    worst = GR0
+    if cyclic:
+        rng = random.Random(seed)
+        points = [random_exact_hermitian(N, rng).entries
+                  for _ in range(samples)]
+        values = []
+        for e in points:
+            monomials = {}
+            values += [_value(poly, e, monomials) for poly in cyclic.values()]
+        worst = max(values, key=GaussRat.abs2)
     first = next(({"triple": t, "monomial": min(poly),
                    "coefficient": poly[min(poly)].to_json()}
                   for t, poly in cyclic.items()), None)
     return {"N": N, "samples": samples, "max_residual": worst,
-            "ok": worst.is_zero(), "nonzero_cyclic_polys": len(cyclic),
+            "ok": worst.is_zero(), "nonzero_cyclic_polys": count,
             "first": first}
 
 
@@ -794,13 +848,15 @@ def jacobi_check(N, samples=100, seed=0):
 # Random exact test data
 # ---------------------------------------------------------------------------
 
+_EXACT_PHASES = [GaussRat(1), GaussRat(-1), GaussRat(0, 1), GaussRat(0, -1),
+                 GaussRat(Fraction(3, 5), Fraction(4, 5)),
+                 GaussRat(Fraction(-3, 5), Fraction(4, 5)),
+                 GaussRat(Fraction(5, 13), Fraction(-12, 13))]
+
+
 def random_exact_phase(rng):
     """Random exact unimodular GaussRat (fourth roots and Pythagorean)."""
-    choices = [GaussRat(1), GaussRat(-1), GaussRat(0, 1), GaussRat(0, -1),
-               GaussRat(Fraction(3, 5), Fraction(4, 5)),
-               GaussRat(Fraction(-3, 5), Fraction(4, 5)),
-               GaussRat(Fraction(5, 13), Fraction(-12, 13))]
-    return rng.choice(choices)
+    return rng.choice(_EXACT_PHASES)
 
 
 def random_shape(N, rng):

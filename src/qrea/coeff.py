@@ -586,7 +586,11 @@ class GaussRat:
         if type(re) is int and type(im) is int:
             self.a, self.b, self.d = re, im, 1
             return
-        re, im = Fraction(re), Fraction(im)
+        # ints and Fractions already carry a reduced numerator and denominator
+        if type(re) not in (int, Fraction):
+            re = Fraction(re)
+        if type(im) not in (int, Fraction):
+            im = Fraction(im)
         # d = lcm of the two denominators leaves gcd(a, b, d) = 1
         d = lcm(re.denominator, im.denominator)
         self.a = re.numerator * (d // re.denominator)
@@ -609,7 +613,11 @@ class GaussRat:
                       d1 * d2)
 
     def __sub__(self, other):
-        return self + -other
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _gauss(self.a - other.a, self.b - other.b, d1)
+        return _gauss(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1,
+                      d1 * d2)
 
     def __neg__(self):
         return _gauss_raw(-self.a, -self.b, self.d)
@@ -637,6 +645,17 @@ class GaussRat:
 
     def conj(self):
         return _gauss_raw(self.a, -self.b, self.d)
+
+    def times_i_power(self, k):
+        """self times i^k: a swap and sign change of the parts, no gcd."""
+        a, b, k = self.a, self.b, k % 4
+        if k == 1:
+            a, b = -b, a
+        elif k == 2:
+            a, b = -a, -b
+        elif k == 3:
+            a, b = b, -a
+        return _gauss_raw(a, b, self.d)
 
     def abs2(self):
         return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)

@@ -35,20 +35,20 @@ def dominated(I, J):
 
 
 def _check_positions(I, K):
-    if any(p < 1 or p > len(I) for p in K):
+    if K and (min(K) < 1 or max(K) > len(I)):
         raise PositionOutOfRange(f"positions {K} outside 1..{len(I)}")
 
 
 def select(I, K):
     """I_K: the elements of I at the 1-based positions K."""
     _check_positions(I, K)
-    return tuple(I[p - 1] for p in K)
+    return tuple([I[p - 1] for p in K])
 
 
 def rest(I, K):
     """I^K: the elements of I at the positions not in K."""
     _check_positions(I, K)
-    return tuple(e for p, e in enumerate(I, start=1) if p not in K)
+    return tuple([e for p, e in enumerate(I, start=1) if p not in K])
 
 
 def merge(A, B):
@@ -79,17 +79,25 @@ def check_comb_lemma(I, J):
     The enumeration itself is the oracle.  Returns (witness,
     counterexamples): the P giving equality (None if there is none) and the
     other admissible P; together they are all admissible P.
+
+    S u X and S u Y compare as X and Y do, for X and Y of one size disjoint
+    from S: the least element in one and not the other decides both.  So
+    each P compares T_P with J \\ I and T^P with I \\ J, and S is merged
+    into neither.
     """
-    S = tuple(sorted(set(I) & set(J)))
-    T = tuple(sorted(set(I) ^ set(J)))
+    si, sj = set(I), set(J)
+    T = tuple(sorted(si ^ sj))
+    J_only, I_only = tuple(sorted(sj - si)), tuple(sorted(si - sj))
     witness, counterexamples = None, []
-    for P in subsets(len(T), len(J) - len(S)):
-        left, right = merge(S, select(T, P)), merge(S, rest(T, P))
-        if J <= left and I <= right:
-            if left == J and right == I:
-                witness = P
-            else:
-                counterexamples.append(P)
+    for P in subsets(len(T), len(J_only)):
+        left = select(T, P)
+        if J_only <= left:
+            right = rest(T, P)
+            if I_only <= right:
+                if left == J_only and right == I_only:
+                    witness = P
+                else:
+                    counterexamples.append(P)
     return witness, counterexamples
 
 

@@ -4,18 +4,19 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrea.classical import (GaussRat, HermitianMatrix, NotTriangular,
                             ShapeMatrix, SignMismatch, _ranks, bracket_at,
                             build_leaf_point, decompose, decompose_residual,
                             eigenvalue_signs, exact_minor, gr_conj_t,
                             gr_identity, gr_matmul, jacobi_check, leaf_label,
-                            leaf_tangency_check, orbit_tangents,
+                            leaf_tangency_check, minors, orbit_tangents,
                             poisson_bracket_coeffs, power_sums,
                             random_compatible_weights, random_exact_hermitian,
                             random_shape, random_triangular, shape_of,
                             tn_invariance_check, weight_sign)
-from qrea.linalg import rank
+from qrea.linalg import add_term, determinant, rank
 
 
 def G(re, im=0):
@@ -77,27 +78,67 @@ def test_exact_minor_against_numpy():
         assert abs(exact - np.linalg.det(sub)) < 1e-8
 
 
+def _low_rank_hermitian(n, terms):
+    """The sum of s v v* over (s, v) in terms, s = +-1 and v a vector of
+    Gaussian integers: exact, Hermitian and of rank at most len(terms)."""
+    z = [[G(0)] * n for _ in range(n)]
+    for s, v in terms:
+        for i, j in product(range(n), repeat=2):
+            z[i][j] = z[i][j] + G(s) * v[i] * v[j].conj()
+    return HermitianMatrix(z)
+
+
+_gauss_ints = st.builds(G, st.integers(-2, 2), st.integers(-2, 2))
+_rank_deficient = st.integers(1, 4).flatmap(lambda n: st.builds(
+    _low_rank_hermitian, st.just(n), st.lists(
+        st.tuples(st.sampled_from([1, -1]), st.lists(
+            _gauss_ints, min_size=n, max_size=n)), max_size=n - 1)))
+_drawn = st.builds(lambda n, seed: random_exact_hermitian(
+    n, random.Random(seed)), st.integers(1, 4), st.integers(0, 10 ** 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_rank_deficient, _drawn), st.randoms(use_true_random=False))
+def test_minor_memo_matches_determinant(z, order):
+    # one memo read in a random order of labels, sizes mixed: every minor
+    # against a fresh elimination of its submatrix
+    n = z.N
+    labels = [(I, J) for k in range(1, n + 1)
+              for I in product(range(1, n + 1), repeat=k)
+              if list(I) == sorted(set(I))
+              for J in product(range(1, n + 1), repeat=k)
+              if list(J) == sorted(set(J))]
+    order.shuffle(labels)
+    minor = minors(z.entries)
+    for I, J in labels:
+        assert minor(I, J) == determinant(
+            [[z.entries[r - 1][c - 1] for c in J] for r in I]), (I, J)
+    # the scan pivots once per unit of rank
+    assert shape_of(z).rank == rank(z.entries)
+
+
 def test_tn_invariance_examples():
     rng = random.Random(3)
     z = random_exact_hermitian(3, rng)
-    assert tn_invariance_check(z, gr_identity(3))
+    assert tn_invariance_check(z, [gr_identity(3)]) is None
     shear = gr_identity(3)
     shear[0][1] = G(F(5, 3), F(-1, 2))
-    assert tn_invariance_check(z, shear)
+    assert tn_invariance_check(z, [shear]) is None
     diag = gr_identity(3)
     diag[0][0], diag[2][2] = G(2), G(F(1, 3))
-    assert tn_invariance_check(z, diag)
+    assert tn_invariance_check(z, [diag]) is None
+    assert tn_invariance_check(z, [gr_identity(3), shear, diag]) is None
 
 
 def test_not_triangular():
     bad = gr_identity(2)
     bad[1][0] = G(1)
     with pytest.raises(NotTriangular):
-        tn_invariance_check(H([[1, 0], [0, 1]]), bad)
+        tn_invariance_check(H([[1, 0], [0, 1]]), [bad])
     nonpos = gr_identity(2)
     nonpos[0][0] = G(-1)
     with pytest.raises(NotTriangular):
-        tn_invariance_check(H([[1, 0], [0, 1]]), nonpos)
+        tn_invariance_check(H([[1, 0], [0, 1]]), [nonpos])
 
 
 def test_decompose_shape_matrix_fixed_point():
@@ -431,6 +472,54 @@ def test_jacobi():
     assert rep["ok"] and rep["nonzero_cyclic_polys"] == 0
 
 
+def _jacobi_by_every_triple(N, samples, seed):
+    """The Jacobi check as one cyclic sum per ordered triple, every point
+    drawn, every sum evaluated: the reference for jacobi_check."""
+    from qrea import classical
+    table = classical.poisson_bracket_coeffs(N)
+    coords = list(product(range(1, N + 1), repeat=2))
+    cyclic = {}
+    for f, g, h in product(coords, repeat=3):
+        total = {}
+        for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
+            for mono, x in table[(b, c)].items():
+                for pos, var in enumerate(mono):
+                    rest = mono[:pos] + mono[pos + 1:]
+                    for m2, y in table[(a, var)].items():
+                        add_term(total, tuple(sorted(m2 + rest)), x * y)
+        if total:
+            cyclic[(f, g, h)] = total
+    rng = random.Random(seed)
+    points = [random_exact_hermitian(N, rng).entries for _ in range(samples)]
+    values = []
+    for e in points:
+        for poly in cyclic.values():
+            v = G(0)
+            for mono, c in poly.items():
+                for i, j in mono:
+                    c = c * e[i - 1][j - 1]
+                v = v + c
+            values.append(v)
+    worst = max(values, key=GaussRat.abs2, default=G(0))
+    first = next(({"triple": t, "monomial": min(poly),
+                   "coefficient": poly[min(poly)].to_json()}
+                  for t, poly in cyclic.items()), None)
+    return len(cyclic), first, worst
+
+
+@pytest.mark.parametrize("N, samples", [(2, 40), (3, 4)])
+def test_jacobi_per_cyclic_class_matches_every_triple(monkeypatch, N,
+                                                      samples):
+    for perturb in (False, True):
+        if perturb:
+            _perturbed_bracket(monkeypatch)
+        rep = jacobi_check(N, samples=samples, seed=3)
+        count, first, worst = _jacobi_by_every_triple(N, samples, 3)
+        assert (rep["nonzero_cyclic_polys"], rep["first"]) == (count, first)
+        assert rep["max_residual"] == worst
+        assert rep["ok"] == (not perturb)
+
+
 def _kron(a, b):
     n = len(a)
     return [[a[i][k] * b[j][l] for k in range(n) for l in range(n)]
@@ -505,11 +594,14 @@ def test_shape_matrix_validation():
         ShapeMatrix((2, 1), [None, None])        # zero slots on a 2-cycle
 
 
-def _congruence_by_lower(z, t):
+def _congruence_by_lower(z, ts):
     """A wrong tn-invariance check: congruence by the lower-triangular t*
-    instead of t, which moves the shape."""
-    zt = gr_matmul(t, gr_matmul(z.entries, gr_conj_t(t)))
-    return shape_of(z).same_shape(shape_of(HermitianMatrix(zt, mode="exact")))
+    instead of t, which moves the shape.  The first t of ts whose wrong
+    congruence moves the shape of z, or None."""
+    s = shape_of(z)
+    return next((t for t in ts if not s.same_shape(shape_of(HermitianMatrix(
+        gr_matmul(t, gr_matmul(z.entries, gr_conj_t(t))), mode="exact")))),
+        None)
 
 
 def test_tn_invariance_witness_names_sample_and_element(monkeypatch):
@@ -522,8 +614,8 @@ def test_tn_invariance_witness_names_sample_and_element(monkeypatch):
     assert first["element"] in ("shear", "diagonal", "general")
     z = HermitianMatrix.from_json(first["z"])
     t = [[GaussRat.from_json(e) for e in row] for row in first["t"]]
-    assert not _congruence_by_lower(z, t)
-    assert tn_invariance_check(z, t)
+    assert _congruence_by_lower(z, [t]) is not None
+    assert tn_invariance_check(z, [t]) is None
     # it is the first: the samples before it pass even the wrong check
     assert checks.tn_invariance_samples(3, first["sample"],
                                         random.Random(0)) \
@@ -565,13 +657,15 @@ def test_tangency_fails_when_the_draws_reach_one_rank(monkeypatch):
 
 
 def _perturbed_bracket(monkeypatch):
-    """Add i Z_11 Z_22 to the table entry {Z_11, Z_12} only."""
+    """Add i Z_11 Z_22 to the table entry {Z_11, Z_12} only, in a copy: the
+    table that poisson_bracket_coeffs returns is shared."""
     from qrea import classical
     right = classical.poisson_bracket_coeffs
 
     def perturbed(N):
-        table = right(N)
-        table[((1, 1), (1, 2))][((1, 1), (2, 2))] = G(0, 1)
+        table = dict(right(N))
+        key = ((1, 1), (1, 2))
+        table[key] = {**table[key], ((1, 1), (2, 2)): G(0, 1)}
         return table
 
     monkeypatch.setattr(classical, "poisson_bracket_coeffs", perturbed)
@@ -693,3 +787,17 @@ def test_decompose_witness_names_first_failing_sample(monkeypatch):
     diag = [row[k]["re"] for k, row in enumerate(first["t"]["entries"])]
     assert diag and all(x < 0 for x in diag)
     assert HermitianMatrix.from_json(first["z"]).N == len(diag)
+
+
+def test_poisson_suites_leave_the_shared_table_as_built():
+    # last in this file, so that it runs after every test above that
+    # perturbs the bracket: the table poisson_bracket_coeffs shares must
+    # still be the one it built
+    from qrea import checks
+    for n in (2, 3):
+        for suite in (checks.check_bivector, checks.check_tangency,
+                      checks.check_jacobi, checks.check_semiclassical):
+            assert all(c.status == "pass" for c in suite(n, 0))
+    for n in (2, 3):
+        assert poisson_bracket_coeffs(n) == \
+            poisson_bracket_coeffs.__wrapped__(n)

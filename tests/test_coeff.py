@@ -305,6 +305,9 @@ def test_gauss_rat_matches_fraction_pair_oracle(xr, xi, yr, yi, c):
                (x * y, xr * yr - xi * yi, xr * yi + xi * yr),
                (x.conj(), xr, -xi), (x.scale(c), xr * c, xi * c),
                (x.scale(int(c)), xr * int(c), xi * int(c))]
+    # times i^k for k = -1..4: the parts rotate by a quarter turn per step
+    parts = [(xi, -xr), (xr, xi), (-xi, xr), (-xr, -xi), (xi, -xr), (xr, xi)]
+    results += [(x.times_i_power(k), *parts[k + 1]) for k in range(-1, 5)]
     n = yr * yr + yi * yi
     if n:
         results.append((x / y, (xr * yr + xi * yi) / n, (xi * yr - xr * yi) / n))

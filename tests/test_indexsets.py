@@ -81,6 +81,53 @@ def test_comb_lemma_sweep_6():
     assert bad == []
 
 
+def _merging_comb_lemma(I, J):
+    """check_comb_lemma with S merged into both sides of every comparison:
+    the reference enumeration."""
+    S = tuple(sorted(set(I) & set(J)))
+    T = tuple(sorted(set(I) ^ set(J)))
+    witness, counterexamples = None, []
+    for P in subsets(len(T), len(J) - len(S)):
+        left = merge(S, indexsets.select(T, P))
+        right = merge(S, indexsets.rest(T, P))
+        if J <= left and I <= right:
+            if left == J and right == I:
+                witness = P
+            else:
+                counterexamples.append(P)
+    return witness, counterexamples
+
+
+def _all_pairs(n):
+    sets = [I for k in range(n + 1) for I in subsets(n, k)]
+    return [(I, J) for I in sets for J in sets]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_sweep_matches_the_merging_enumeration(n):
+    pairs = _all_pairs(n)
+    for I, J in pairs:
+        assert check_comb_lemma(I, J) == _merging_comb_lemma(I, J), (I, J)
+    bad = [(I, J, c) for I, J in pairs if (c := _merging_comb_lemma(I, J)[1])]
+    assert sweep_comb_lemma(n) == (len(pairs), bad)
+
+
+@pytest.mark.parametrize("fake", [
+    lambda T, P: T[len(T) - len(P):],                    # the top |P| of T
+    lambda T, P: tuple(sorted(T[len(T) - p] for p in P)),  # mirrored P
+], ids=["top", "mirrored"])
+def test_comb_lemma_matches_the_merging_enumeration_on_a_broken_select(
+        monkeypatch, fake):
+    # a wrong T_P makes counterexamples; both enumerations find the same
+    monkeypatch.setattr(indexsets, "select", fake)
+    found = 0
+    for I, J in _all_pairs(4):
+        got = check_comb_lemma(I, J)
+        assert got == _merging_comb_lemma(I, J), (I, J)
+        found += bool(got[1])
+    assert found
+
+
 def test_inversion_parity_multiplicative():
     rng = random.Random(9)
     for _ in range(300):
