@@ -927,6 +927,32 @@ def random_exact_hermitian(N, rng):
             E[tu - 1][i - 1] = c * shape.u[i - 1]
             E[i - 1][tu - 1] = c * shape.u[tu - 1]
             E[tu - 1][tu - 1] = GaussRat(random_rational(rng))
-    t = random_triangular(N, rng)
-    z = gr_matmul(gr_conj_t(t), gr_matmul(E, t))
-    return HermitianMatrix(z, mode="exact")
+    t = _sparse_rows(random_triangular(N, rng))
+    # E has at most two nonzeros per row and t is triangular: summing over
+    # stored entries only skips about a third of the dense products
+    t_star = [{} for _ in range(N)]
+    for k, row in enumerate(t):
+        for i, x in row.items():
+            t_star[i][k] = x.conj()
+    z = _sparse_product(t_star, _sparse_product(_sparse_rows(E), t))
+    return HermitianMatrix([[row.get(j, GR0) for j in range(N)] for row in z],
+                           mode="exact")
+
+
+def _sparse_rows(a):
+    """A GaussRat matrix as rows of {column: nonzero entry}."""
+    return [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in a]
+
+
+def _sparse_product(a, b):
+    """The product of two matrices of sparse rows, summed over their stored
+    entries only."""
+    out = []
+    for row in a:
+        acc = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                p = x * y
+                acc[j] = acc[j] + p if j in acc else p
+        out.append(acc)
+    return out

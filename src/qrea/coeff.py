@@ -10,6 +10,16 @@ them stays in this ring.  ``LaurentPoly.inv`` divides only by the units
 raises ``NotAUnit`` on anything else.  The constants ``LP_Q``, ``LP_QINV``,
 ``LP_QDIFF`` and ``lp_q_int`` are the braid move's coefficients.
 
+A ``LaurentPoly`` is packed by Kronecker substitution (von zur Gathen and
+Gerhard, Modern Computer Algebra, 3rd ed., 8.4) into (lo, P, n): the value
+q^lo * sum_i c_i q^i is held as the one int P = sum_i c_i 2^(64 i), whose
+balanced base-2^64 digits, each in (-2^63, 2^63], are the c_i, and n bounds
+its l1 norm (n_a + n_b for a sum, n_a * n_b for a product).  A product is
+one int product, a sum one shift and one add.  The guard keeps every digit
+exact: no value has l1 norm 2^62 or more, an operation whose bound reaches
+2^62 checks the exact norm, and a result at or past 2^62 raises
+OverflowError.
+
 ``RatFunc``, the field of rational functions in q over Q, serves only the
 ``coeff.rf-canonical`` suite and the tests; ``coeff.ring-axioms`` certifies
 ``LaurentPoly``.  A ``RatFunc`` is a quotient of two Laurent polynomials
@@ -51,31 +61,82 @@ class NotAUnit(ZeroDivisionError):
 # Laurent polynomials
 # ---------------------------------------------------------------------------
 
+_DIGIT_BITS = 64
+_DIGIT_BASE = 1 << _DIGIT_BITS
+_DIGIT_MASK = _DIGIT_BASE - 1
+_DIGIT_HALF = _DIGIT_BASE >> 1
+_NORM_LIMIT = 1 << 62
+
+
+def _digits(P):
+    """The balanced base-2^64 digits of P, lowest first; [] for 0."""
+    out = []
+    while P:
+        c = P & _DIGIT_MASK
+        if c > _DIGIT_HALF:
+            c -= _DIGIT_BASE
+        out.append(c)
+        P = (P - c) >> _DIGIT_BITS
+    return out
+
+
+def _trim_low(lo, P):
+    """(lo, P) with the zero low digits of P, P != 0, moved into lo."""
+    tz = ((P & -P).bit_length() - 1) // _DIGIT_BITS
+    return lo + tz, P >> (tz * _DIGIT_BITS)
+
+
+def _norm_overflow(n):
+    """The error for a value of l1 norm n >= 2^62."""
+    return OverflowError(f"Laurent coefficient l1 norm {n} reaches 2^62")
+
+
 class LaurentPoly:
     """Laurent polynomial in q with integer coefficients.
 
-    Stored as a map exponent -> nonzero int coefficient; the empty map is 0.
-    The constructor converts an integral Fraction to its int and raises
-    ValueError on a non-integral one.  Instances are treated as immutable.
-    Read as the fraction p/1, p has ``num`` p and ``den`` 1, so code that
-    reads a scalar's numerator and denominator (the ``RatFunc``
+    Stored packed as (lo, P, n): the value is q^lo * sum_i c_i q^i, where
+    the c_i are the balanced base-2^64 digits of the int P, lowest first,
+    with c_0 != 0 unless the value is 0 (then lo = P = 0).  n is an upper
+    bound on the l1 norm sum_i |c_i|.  Every value has l1 norm below 2^62,
+    so no digit of a sum or product can leave (-2^63, 2^63]: when the bound
+    of a result reaches 2^62 the exact norm is taken from the digits, and a
+    result whose exact norm reaches 2^62 raises OverflowError.
+
+    The constructor takes a dict exponent -> coefficient; it converts an
+    integral Fraction (or float) exponent or coefficient to its int and
+    raises ValueError on a non-integral one.  ``terms`` decodes the digits
+    into such a dict, without zero coefficients.  Instances are treated as
+    immutable.  Read as the fraction p/1, p has ``num`` p and ``den`` 1, so
+    code that reads a scalar's numerator and denominator (the ``RatFunc``
     constructor, perfbench's exponent-span counter) takes either type.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("lo", "P", "n", "_hash")
 
     def __init__(self, terms=None):
-        d = {}
+        lo = P = n = 0
         if terms:
+            lo = min(terms)
             for e, c in terms.items():
-                if type(c) is not int:
-                    c = Fraction(c)
-                    if c.denominator != 1:
-                        raise ValueError(f"non-integral coefficient {c}")
-                    c = c.numerator
-                if c:
-                    d[int(e)] = c
-        self.terms = d
+                if type(e) is not int or type(c) is not int:
+                    p = LaurentPoly({_integral(e, "exponent"):
+                                     _integral(c, "coefficient")
+                                     for e, c in terms.items()})
+                    lo, P, n = p.lo, p.P, p.n
+                    break
+                P += c << ((e - lo) * _DIGIT_BITS)
+                n += abs(c)
+            else:
+                if not P:
+                    lo = 0
+                elif not P & _DIGIT_MASK:
+                    # the lowest exponents had zero coefficients
+                    lo, P = _trim_low(lo, P)
+                if n >= _NORM_LIMIT:
+                    raise _norm_overflow(n)
+        self.lo = lo
+        self.P = P
+        self.n = n
         self._hash = None
 
     # -- constructors -------------------------------------------------------
@@ -95,10 +156,16 @@ class LaurentPoly:
     # -- predicates / accessors ---------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.P
 
     def is_one(self):
-        return self.terms == {0: 1}
+        return self.P == 1 and self.lo == 0
+
+    @property
+    def terms(self):
+        """exponent -> nonzero int coefficient, decoded from the digits."""
+        lo = self.lo
+        return {lo + i: c for i, c in enumerate(_digits(self.P)) if c}
 
     @property
     def num(self):
@@ -109,66 +176,83 @@ class LaurentPoly:
         return LP_ONE
 
     def min_exp(self):
-        return min(self.terms)
+        if not self.P:
+            raise ValueError("the zero Laurent polynomial has no exponent")
+        return self.lo
 
     def max_exp(self):
-        return max(self.terms)
+        return self.min_exp() + len(_digits(self.P)) - 1
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
-        a, b = self.terms, other.terms
-        if not a:
+        Pa, Pb = self.P, other.P
+        if not Pa:
             return other
-        if not b:
+        if not Pb:
             return self
-        d = dict(a)
-        for e, c in b.items():
-            s = d.get(e, 0) + c
-            if s:
-                d[e] = s
-            else:
-                d.pop(e, None)
-        return _laurent(d)
+        lo = self.lo
+        shift = other.lo - lo
+        if shift > 0:
+            P = Pa + (Pb << (shift * _DIGIT_BITS))
+        elif shift < 0:
+            lo = other.lo
+            P = (Pa << (-shift * _DIGIT_BITS)) + Pb
+        else:
+            P = Pa + Pb
+            if not P:
+                return LP_ZERO
+            if not P & _DIGIT_MASK:
+                lo, P = _trim_low(lo, P)
+        n = self.n + other.n
+        if n >= _NORM_LIMIT:
+            # the digits of P are exact, as both norms are below 2^62
+            n = sum(map(abs, _digits(P)))
+            if n >= _NORM_LIMIT:
+                raise _norm_overflow(n)
+        # _packed, inlined on the hot path
+        out = _new(LaurentPoly)
+        out.lo = lo
+        out.P = P
+        out.n = n
+        out._hash = None
+        return out
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return _laurent({e: -c for e, c in self.terms.items()})
+        return _packed(self.lo, -self.P, self.n)
 
     def __mul__(self, other):
-        a, b = self.terms, other.terms
-        if not a or not b:
+        P = self.P * other.P
+        if not P:
             return LP_ZERO
-        d = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                s = d.get(e, 0) + ca * cb
-                if s:
-                    d[e] = s
-                else:
-                    d.pop(e, None)
-        return _laurent(d)
+        n = self.n * other.n
+        if n >= _NORM_LIMIT:
+            return _checked_product(self, other)
+        # _packed, inlined on the hot path
+        out = _new(LaurentPoly)
+        out.lo = self.lo + other.lo
+        out.P = P
+        out.n = n
+        out._hash = None
+        return out
 
     def inv(self):
         """The inverse of a unit +-q^k; NotAUnit on any other value."""
-        t = self.terms
-        if len(t) == 1:
-            (e, c), = t.items()
-            if c == 1 or c == -1:
-                return _laurent({-e: c})
+        if self.P == 1 or self.P == -1:
+            return _packed(-self.lo, self.P, 1)
         raise NotAUnit(f"{self!r} is not a unit of Z[q, q^-1]")
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.P == other.P and self.lo == other.lo
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self.terms.items())))
+            self._hash = hash((self.lo, self.P))
         return self._hash
 
     # -- calculus ------------------------------------------------------------
@@ -176,7 +260,7 @@ class LaurentPoly:
     def evaluate(self, q0):
         """Exact value at a rational point q0 (q0 != 0 if negative exponents)."""
         q0 = Fraction(q0)
-        if q0 == 0 and self.terms and self.min_exp() < 0:
+        if q0 == 0 and self.P and self.lo < 0:
             raise PoleAtPoint("negative exponent at q0 = 0")
         total = F0
         for e, c in self.terms.items():
@@ -195,18 +279,19 @@ class LaurentPoly:
     # -- serialisation / display ---------------------------------------------
 
     def to_json(self):
-        return {str(e): str(c) for e, c in sorted(self.terms.items())}
+        return {str(e): str(c) for e, c in self.terms.items()}
 
     @staticmethod
     def from_json(obj):
         return LaurentPoly({int(e): int(c) for e, c in obj.items()})
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
+        for e in sorted(terms, reverse=True):
+            c = terms[e]
             if e == 0:
                 parts.append(str(c))
             else:
@@ -223,12 +308,34 @@ class LaurentPoly:
         return s
 
 
-def _laurent(d):
-    """LaurentPoly on a dict of nonzero int coefficients, taken over as is."""
-    out = LaurentPoly.__new__(LaurentPoly)
-    out.terms = d
+def _integral(x, what):
+    """x as an int; ValueError when x is not integral."""
+    x = Fraction(x)
+    if x.denominator != 1:
+        raise ValueError(f"non-integral {what} {x}")
+    return x.numerator
+
+
+def _packed(lo, P, n):
+    """The LaurentPoly (lo, P, n), taken to be in packed form already."""
+    out = _new(LaurentPoly)
+    out.lo = lo
+    out.P = P
+    out.n = n
     out._hash = None
     return out
+
+
+def _checked_product(a, b):
+    """a * b when the norm bound reaches the limit: the digits of the int
+    product may have overflowed, so the exact schoolbook product is packed,
+    or refused by its norm."""
+    da, db = _digits(a.P), _digits(b.P)
+    out = [0] * (len(da) + len(db) - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            out[i + j] += x * y
+    return _from_dense(a.lo + b.lo, out)
 
 
 LP_ZERO = LaurentPoly()
@@ -241,7 +348,7 @@ LP_QDIFF = LaurentPoly({-1: 1, 1: -1})
 
 def lp_q_int(n):
     """(-q)**n, n any integer."""
-    return _laurent({n: 1 if n % 2 == 0 else -1})
+    return _packed(n, 1 if n % 2 == 0 else -1, 1)
 
 
 # -- dense polynomials, for reduction -------------------------------------------
@@ -251,18 +358,31 @@ def lp_q_int(n):
 
 def _to_dense(p):
     """(offset, coefficient list) with list[0] != 0 unless p == 0."""
-    if not p.terms:
-        return 0, []
-    lo = min(p.terms)
-    hi = max(p.terms)
-    coeffs = [0] * (hi - lo + 1)
-    for e, c in p.terms.items():
-        coeffs[e - lo] = c
-    return lo, coeffs
+    return p.lo, _digits(p.P)
 
 
 def _from_dense(offset, coeffs):
-    return _laurent({offset + i: c for i, c in enumerate(coeffs) if c})
+    """q^offset * sum_i coeffs[i] q^i, packed; zeros at either end of the
+    list are allowed."""
+    n = sum(map(abs, coeffs))
+    if not n:
+        return LP_ZERO
+    if n >= _NORM_LIMIT:
+        raise _norm_overflow(n)
+    P = 0
+    for c in reversed(coeffs):
+        P = (P << _DIGIT_BITS) + c
+    if not P & _DIGIT_MASK:
+        offset, P = _trim_low(offset, P)
+    return _packed(offset, P, n)
+
+
+def _divided(p, lo, c):
+    """p moved to lowest exponent lo, with every coefficient divided by the
+    int c, which divides them all, so c divides the packed int exactly."""
+    if c == 1 and lo == p.lo:
+        return p
+    return _packed(lo, p.P // c, p.n // abs(c))
 
 
 def _dense_trim(a):
@@ -387,14 +507,15 @@ class RatFunc:
             if len(g) > 1:
                 dn = _dense_divexact(dn, g)
                 dd = _dense_divexact(dd, g)
+                num = _from_dense(on, dn)
+                den = _from_dense(od, dd)
             c = gcd(*dn, *dd)
             if dd[-1] < 0:
                 c = -c
-            if c != 1:
-                dn = [x // c for x in dn]
-                dd = [x // c for x in dd]
-            num = _from_dense(on - od, dn)
-            den = _from_dense(0, dd)
+            # the constant terms of dn and dd are nonzero, so num moves by
+            # -od and den becomes a polynomial
+            num = _divided(num, num.lo - od, c)
+            den = _divided(den, 0, c)
         self.num = num
         self.den = den
         self._hash = None
@@ -424,9 +545,9 @@ class RatFunc:
     def __add__(self, other):
         a, b = self.num, self.den
         c, d = other.num, other.den
-        if not a.terms:
+        if a.is_zero():
             return other
-        if not c.terms:
+        if c.is_zero():
             return self
         b_one, d_one = b.is_one(), d.is_one()
         if b_one and d_one:
@@ -447,7 +568,7 @@ class RatFunc:
     def __mul__(self, other):
         a, b = self.num, self.den
         c, d = other.num, other.den
-        if not a.terms or not c.terms:
+        if a.is_zero() or c.is_zero():
             return RF_ZERO
         b_one, d_one = b.is_one(), d.is_one()
         if b_one and d_one:
@@ -462,15 +583,15 @@ class RatFunc:
         return self * other.inv()
 
     def inv(self):
-        t = self.num.terms
-        if not t:
+        num, den = self.num, self.den
+        if num.is_zero():
             raise ZeroDenominator("inverse of 0")
         # den/num, both multiplied by s * q^-lo so that the new denominator
-        # is a polynomial with positive leading coefficient
-        lo = min(t)
-        s = -1 if t[max(t)] < 0 else 1
-        return _ratfunc(_laurent({e - lo: s * c for e, c in self.den.terms.items()}),
-                        _laurent({e - lo: s * c for e, c in t.items()}))
+        # is a polynomial with positive leading coefficient; a packed value
+        # has the sign of its leading coefficient
+        s = -1 if num.P < 0 else 1
+        return _ratfunc(_packed(den.lo - num.lo, s * den.P, den.n),
+                        _packed(0, s * num.P, num.n))
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
@@ -542,12 +663,12 @@ def _cancel(p, den):
 def _content_free(num, den):
     """The RatFunc num/den for coprime num and den, den with nonzero constant
     term and positive leading coefficient: divided by the integer content."""
-    if not num.terms:
+    if num.is_zero():
         return RF_ZERO
-    c = gcd(*num.terms.values(), *den.terms.values())
+    c = gcd(*_digits(num.P), *_digits(den.P))
     if c != 1:
-        num = _laurent({e: x // c for e, x in num.terms.items()})
-        den = _laurent({e: x // c for e, x in den.terms.items()})
+        num = _divided(num, num.lo, c)
+        den = _divided(den, den.lo, c)
     return _ratfunc(num, den)
 
 

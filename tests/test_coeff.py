@@ -12,6 +12,7 @@ from qrea.braiding import rhat_entries
 from qrea.coeff import (LP_ONE, GaussRat, LaurentPoly, NotAUnit, PoleAtPoint,
                         RatFunc, RF_ONE, RF_ZERO, ZeroDenominator,
                         lp_q_int, rational_sqrt)
+from qrea.coeff import _from_dense, _to_dense
 
 
 def L(d):
@@ -327,6 +328,192 @@ def test_gauss_rat_matches_fraction_pair_oracle(xr, xi, yr, yi, c):
     assert (x == xr) == (xi == 0) and (x == 0) == x.is_zero()
     assert (hash(x) == hash(y)) or x != y
     assert GaussRat.from_json(x.to_json()) == x
+
+
+# -- the packed form against a dict reference -----------------------------------
+
+_GUARD = 2 ** 62
+
+
+class _DictLaurent:
+    """Reference Z[q, q^-1]: a map exponent -> nonzero int coefficient, with
+    unbounded coefficients."""
+
+    def __init__(self, terms):
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    def __add__(self, other):
+        d = dict(self.terms)
+        for e, c in other.terms.items():
+            d[e] = d.get(e, 0) + c
+        return _DictLaurent(d)
+
+    def __neg__(self):
+        return _DictLaurent({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        d = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                d[ea + eb] = d.get(ea + eb, 0) + ca * cb
+        return _DictLaurent(d)
+
+    def norm(self):
+        return sum(abs(c) for c in self.terms.values())
+
+
+def _assert_same(p, ref):
+    """Every reading of the packed p agrees with the reference value."""
+    t = ref.terms
+    assert p.terms == t
+    assert all(type(c) is int for c in p.terms.values())
+    assert p.is_zero() == (not t)
+    assert p.is_one() == (t == {0: 1})
+    if t:
+        assert (p.min_exp(), p.max_exp()) == (min(t), max(t))
+    fresh = LaurentPoly(t)
+    assert p == fresh and hash(p) == hash(fresh)
+    assert LaurentPoly.from_json(p.to_json()) == p
+    assert p.to_json() == {str(e): str(c) for e, c in sorted(t.items())}
+    q0 = F(-2, 3)
+    assert p.evaluate(q0) == sum((c * q0 ** e for e, c in t.items()), F(0))
+    assert p.taylor1() == (sum(t.values()), sum(c * e for e, c in t.items()))
+    unit = len(t) == 1 and abs(*t.values()) == 1
+    if unit:
+        (e, c), = t.items()
+        assert p.inv().terms == {-e: c} and p * p.inv() == LP_ONE
+    else:
+        with pytest.raises(NotAUnit):
+            p.inv()
+
+
+@st.composite
+def _reference_terms(draw):
+    """Exponents of both signs, spread over many 64-bit digits, small
+    coefficients and sometimes one near the guard, l1 norm below 2^62."""
+    exps = st.integers(-70, 70)
+    d = draw(st.dictionaries(exps, st.integers(-6, 6), max_size=5))
+    if draw(st.booleans()):
+        room = _GUARD - 1 - sum(abs(c) for e, c in d.items())
+        d[draw(exps)] = draw(st.sampled_from([1, -1])) * draw(
+            st.integers(room - 20, room) | st.integers(1, 2 ** 40))
+    return d
+
+
+@st.composite
+def _reference_pairs(draw):
+    """Two term dicts; the second often holds the negatives of some of the
+    first's terms, so that a sum cancels, in part or to zero."""
+    a, b = draw(_reference_terms()), draw(_reference_terms())
+    if draw(st.booleans()):
+        for e, c in a.items():
+            if draw(st.booleans()):
+                b[e] = -c
+    if draw(st.booleans()):
+        b = {e: -c for e, c in a.items()}
+    if sum(abs(c) for c in b.values()) >= _GUARD:
+        b = {e: -c for e, c in a.items()}
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reference_pairs())
+def test_packed_laurent_matches_dict_reference(pair):
+    ra, rb = (_DictLaurent(d) for d in pair)
+    a, b = LaurentPoly(pair[0]), LaurentPoly(pair[1])
+    _assert_same(a, ra)
+    _assert_same(b, rb)
+    assert (a == b) == (ra.terms == rb.terms)
+    assert (hash(a) == hash(b)) or a != b
+    _assert_same(-a, -ra)
+    # a result of l1 norm 2^62 or more is refused, any other is exact
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        ref = op(ra, rb)
+        if ref.norm() >= _GUARD:
+            with pytest.raises(OverflowError):
+                op(a, b)
+        else:
+            _assert_same(op(a, b), ref)
+    # a sum that cancelled keeps a loose norm bound into the next product
+    if (ra + rb).norm() < _GUARD:
+        ref = (ra + rb) * rb
+        if ref.norm() >= _GUARD:
+            with pytest.raises(OverflowError):
+                (a + b) * b
+        else:
+            _assert_same((a + b) * b, ref)
+
+
+def test_norm_guard_raises_overflow():
+    top = _GUARD - 1
+    big = L({0: top})
+    with pytest.raises(OverflowError):
+        L({0: _GUARD})
+    with pytest.raises(OverflowError):
+        L({-1: 2 ** 61, 5: -2 ** 61})
+    with pytest.raises(OverflowError):
+        big + LP_ONE
+    with pytest.raises(OverflowError):
+        big - L({3: -1})
+    with pytest.raises(OverflowError):
+        big * L({0: 2})
+    # a coefficient past 2^63 would wrap into the next digit of the int product
+    with pytest.raises(OverflowError):
+        big * L({0: 4, 1: 1})
+    with pytest.raises(OverflowError):
+        big * big
+    x = L({0: 2 ** 60})
+    with pytest.raises(OverflowError):
+        x + x + x + x
+    # the bound reaches 2^62, the exact norm does not: the value stands
+    assert (big + L({0: 1 - top, 2: 1})).terms == {0: 1, 2: 1}
+    assert (big - big).is_zero() and big * LP_ONE == big
+    # (1 + q) * (1 - q + q^2 - q^3 + q^4) = 1 + q^5; the bound is 2.5 * 2^62
+    a = L({0: 2, 1: 2})
+    b = L({i: (-1) ** i * 2 ** 59 for i in range(5)})
+    assert (a * b).terms == {0: 2 ** 60, 5: 2 ** 60}
+
+
+def _dense_lists():
+    inner = st.lists(st.integers(-2 ** 40, 2 ** 40), max_size=6)
+    zeros = st.integers(0, 3).map(lambda k: [0] * k)
+    return st.tuples(zeros, inner, zeros).map(lambda t: t[0] + t[1] + t[2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-70, 70), _dense_lists())
+def test_dense_roundtrip_with_zeros_at_both_ends(offset, coeffs):
+    p = _from_dense(offset, coeffs)
+    assert p.terms == {offset + i: c for i, c in enumerate(coeffs) if c}
+    lo, dense = _to_dense(p)
+    nonzero = [i for i, c in enumerate(coeffs) if c]
+    if nonzero:
+        # the zeros at both ends are gone, the inner ones kept
+        assert dense == coeffs[nonzero[0]:nonzero[-1] + 1]
+        assert lo == offset + nonzero[0]
+    else:
+        assert (lo, dense) == (0, []) and p.is_zero()
+    assert _from_dense(lo, dense) == p
+
+
+def test_dense_roundtrip_examples():
+    p = _from_dense(-3, [0, 0, 5, -1, 0, 2 ** 61, 0, 0])
+    assert p.terms == {-1: 5, 0: -1, 2: 2 ** 61}
+    assert _to_dense(p) == (-1, [5, -1, 0, 2 ** 61])
+    assert _from_dense(4, [0, 0]).is_zero()
+    assert _to_dense(LaurentPoly.zero()) == (0, [])
+
+
+def test_non_integral_exponent_raises():
+    for bad in ({1.5: 1}, {F(1, 2): 3}, {F(-7, 2): 0}):
+        with pytest.raises(ValueError):
+            LaurentPoly(bad)
+    # integral exponents of other types are taken as their int
+    assert LaurentPoly({2.0: 1, F(-4, 2): 3}).terms == {2: 1, -2: 3}
+    assert LaurentPoly.from_json({"-2": "3", "2": "1"}) == L({-2: 3, 2: 1})
 
 
 # -- the integer fast path ------------------------------------------------------
