@@ -647,17 +647,11 @@ def _failures_witness(bad):
 def power_sum_mismatch(z, lam):
     """The first m at which tr z^m differs from the sum of the lam_i^m, as
     a witness, or None: then z has the spectrum lam, since the power sums
-    for m = 1..N fix a multiset of N numbers.  Exact for exact z; for
-    numeric z, within a relative 1e-9 of the sum of the |lam_i|^m."""
+    for m = 1..N fix a multiset of N numbers."""
     for m, got in enumerate(classical.power_sums(z), start=1):
         want = sum(x ** m for x in lam)
-        if z.mode == "exact":
-            if got != want:
-                return {"m": m, "trace": got.to_json(), "expected": str(want)}
-        elif abs(got - float(want)) > 1e-9 * float(sum(abs(x) ** m
-                                                        for x in lam)):
-            return {"m": m, "trace": {"re": got.real, "im": got.imag},
-                    "expected": float(want)}
+        if got != want:
+            return {"m": m, "trace": got.to_json(), "expected": str(want)}
     return None
 
 
@@ -669,13 +663,12 @@ def check_shape_roundtrip(N, seed):
         S = classical.random_shape(n, rng)
         lam = classical.random_compatible_weights(S, rng)
         z = classical.build_leaf_point(S, lam)
-        shape = classical.shape_of(z) if z.mode == "exact" else None
+        shape = classical.shape_of(z)
         spectrum = power_sum_mismatch(z, lam)
-        if spectrum or (shape and not shape.same_shape(S)):
+        if spectrum or shape != S:
             bad.append({"sample": i, "shape": S.to_json(),
                         "weights": [str(x) for x in lam], "z": z.to_json(),
-                        "shape_of": shape and shape.to_json(),
-                        "power_sum": spectrum})
+                        "shape_of": shape.to_json(), "power_sum": spectrum})
     return [Certificate.verdict("classical shape-roundtrip", {"samples": 100},
                                 not bad, witness=_failures_witness(bad),
                                 seed=seed)]
@@ -734,21 +727,45 @@ def check_tn_invariance(N, seed):
                                 witness=_failures_witness(bad), seed=seed)]
 
 
+def decompose_mismatch(z, t, M):
+    """The first way in which (t, M) fails to decompose z, as a witness, or
+    None: z = t* M t entry by entry, in row-major order, then t unit upper
+    triangular, then the shape read off M equal to shape_of(z)."""
+    n = z.N
+    tmt = classical.gr_matmul(classical.gr_conj_t(t),
+                              classical.gr_matmul(M.entries, t))
+    for i, j in product(range(n), repeat=2):
+        if tmt[i][j] != z.entries[i][j]:
+            return {"law": "z = t* M t", "entry": [i + 1, j + 1],
+                    "got": tmt[i][j].to_json(),
+                    "expected": z.entries[i][j].to_json()}
+    for i, j in product(range(n), repeat=2):
+        if j <= i and t[i][j] != int(i == j):
+            return {"law": "unit upper triangular", "entry": [i + 1, j + 1],
+                    "got": t[i][j].to_json()}
+    expected = classical.shape_of(z)
+    try:
+        shape = classical.reduced_shape(M)
+    except ValueError as exc:
+        return {"law": "reduced", "error": str(exc)}
+    if shape != expected:
+        return {"law": "shape", "shape": shape.to_json(),
+                "shape_of": expected.to_json()}
+    return None
+
+
 def check_decompose(N, seed):
     rng = random.Random(seed)
     bad = []
     for i in range(50):
         n = rng.randint(1, min(N, 4))
         z = classical.random_exact_hermitian(n, rng)
-        t, S = classical.decompose(z)
-        resid = classical.decompose_residual(z, t, S)
-        expected = classical.shape_of(z)
-        if (resid > 1e-9 or not expected.same_shape(S, tol=1e-8)
-                or any(row[i].real <= 0
-                       for i, row in enumerate(t.complex_entries()))):
-            bad.append({"sample": i, "z": z.to_json(), "t": t.to_json(),
-                        "shape": S.to_json(), "shape_of": expected.to_json(),
-                        "residual": resid})
+        t, M = classical.decompose(z)
+        w = decompose_mismatch(z, t, M)
+        if w:
+            bad.append({"sample": i, "z": z.to_json(),
+                        "t": [[e.to_json() for e in row] for row in t],
+                        "M": M.to_json(), **w})
     return [Certificate.verdict("classical decompose", {"samples": 50},
                                 not bad, witness=_failures_witness(bad),
                                 seed=seed)]

@@ -1,18 +1,26 @@
 """Classical side: shapes of Hermitian matrices and the quadratic bracket.
 
+Every matrix here holds exact complex rationals (GaussRat), and no square
+root is taken.  A slot of a shape is a ray: a nonzero GaussRat that stands
+for its direction u/|u|.  ShapeMatrix keeps it in a canonical form, the unit
+phase when |u| is rational and the primitive Gaussian integer otherwise, so
+slots, and shapes, compare with ==.
+
 Shape extraction is definition-faithful: for each size it scans minor labels
 in the pair-lexicographic order (column set first) and takes the first
-nonvanishing minor, all over exact complex rationals, so the discrete data
-(the involution and the vanishing pattern) are decided exactly.  Minors come
-from one memo per matrix (minors), each the Laplace expansion over the
-smaller ones, with no division; the rank that bounds the scan comes from the
-one dense elimination, linalg.echelon.  Slot phases are recovered from the
-positivity normalisation; they stay exact whenever the relevant square root
-is rational and drop to floating point otherwise.
+nonvanishing minor, so the discrete data (the involution and the vanishing
+pattern) and the slot rays, ratios of consecutive pivot minors, are decided
+exactly.  Minors come from one memo per matrix (minors), each the Laplace
+expansion over the smaller ones, with no division; the rank that bounds the
+scan comes from the one dense elimination, linalg.echelon.
 
-The congruence decomposition z = t* S t is one pivoting loop for both scalar
-kinds, exact and floating point, which differ only in the zero test,
-conjugation and the square root; it is cross-checked against the scanner.
+The congruence decomposition is the LDL* form of the pivoting loop (Golub
+and Van Loan, Matrix Computations, 4.1-4.2): z = t'* M t' with t' unit upper
+triangular and M holding one real d_p at each fixed point p of the
+involution and one beta at each two-cycle.  The paper's t is
+diag(rho_p^(1/4)) t', with rho_p = |M_tau(p),p|^2, and is not formed.  The
+shape read off M is cross-checked against the scanner.
+
 The quadratic bracket on Hermitian matrices is read off the sparse classical
 r-matrix e_ii (x) e_ii + 2 sum_{i<j} e_ij (x) e_ji, with exact coefficients,
 built once per N.  The bivector, tangency and Jacobi checks evaluate it at
@@ -23,24 +31,18 @@ Complexification keeps every rank of the real picture: the matrix
 vectors are independent over C when they are over R.
 
 The spectrum is checked without computing it: power_sums gives tr z^m for
-m = 1..N, which fix the eigenvalues as a multiset, and eigenvalue_signs
-counts their signs exactly by Descartes' rule on the characteristic
-polynomial, which Newton's identities build from the power sums.
-
-Numeric matrices hold Python complex numbers, and decompose's floating-point
-fallback and its residual are plain Python.  numpy serves only to_numeric
-and eigenvalues, which import it when they run, so every check-all suite,
-and every module that imports this one, runs without loading numpy.
+m = 1..N, which fix the eigenvalues as a multiset; charpoly turns them into
+the characteristic polynomial by Newton's identities, and eigenvalue_signs
+counts the signs of its roots exactly by Descartes' rule.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import accumulate, combinations, product
+from math import gcd, isqrt
 from operator import add, mul
 
 from .coeff import GaussRat, rational_sqrt
@@ -49,7 +51,7 @@ from .linalg import add_term, echelon, rank
 
 class InconsistentPivots(RuntimeError):
     """The minor scan produced pivots that do not assemble into a shape;
-    cannot happen for genuinely Hermitian exact input."""
+    cannot happen for genuinely Hermitian input."""
 
 
 class NotTriangular(ValueError):
@@ -69,70 +71,42 @@ GR1 = GaussRat(1)
 # ---------------------------------------------------------------------------
 
 class HermitianMatrix:
-    """Self-adjoint matrix, exact (GaussRat entries) or numeric (complex)."""
+    """Self-adjoint matrix with GaussRat entries."""
 
-    def __init__(self, entries, mode="exact", check=True):
-        if mode == "exact":
-            self.entries = [[e if isinstance(e, GaussRat) else GaussRat(e)
-                             for e in row] for row in entries]
-            skew, within = (lambda a, b: a != b.conj()), ""
-        elif mode == "numeric":
-            self.entries = [[complex(e) for e in row] for row in entries]
-            skew, within = ((lambda a, b: abs(a - b.conjugate()) > 1e-12),
-                            " within 1e-12")
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+    def __init__(self, entries):
+        self.entries = [[e if isinstance(e, GaussRat) else GaussRat(e)
+                         for e in row] for row in entries]
         self.N = len(self.entries)
-        self.mode = mode
-        if any(len(row) != self.N for row in self.entries):
+        e = self.entries
+        if any(len(row) != self.N for row in e):
             raise ValueError("matrix is not square")
-        if check and any(skew(self.entries[i][j], self.entries[j][i])
-                         for i in range(self.N) for j in range(i, self.N)):
-            raise ValueError("matrix is not self-adjoint" + within)
-
-    def complex_entries(self):
-        """The entries as lists of Python complex numbers."""
-        if self.mode == "numeric":
-            return [row[:] for row in self.entries]
-        return [[e.to_complex() for e in row] for row in self.entries]
-
-    def to_numeric(self):
-        import numpy as np
-        return np.array(self.complex_entries(), dtype=complex)
-
-    def eigenvalues(self):
-        import numpy as np
-        return np.sort(np.linalg.eigvalsh(self.to_numeric()))
+        if any(e[i][j] != e[j][i].conj()
+               for i in range(self.N) for j in range(i, self.N)):
+            raise ValueError("matrix is not self-adjoint")
 
     def to_json(self):
-        if self.mode == "exact":
-            ent = [[e.to_json() for e in row] for row in self.entries]
-        else:
-            ent = [[{"re": float(e.real), "im": float(e.imag)} for e in row]
-                   for row in self.entries]
-        return {"N": self.N, "mode": self.mode, "entries": ent}
+        return {"N": self.N, "mode": "exact",
+                "entries": [[e.to_json() for e in row] for row in self.entries]}
 
     @staticmethod
     def from_json(obj):
-        if type(obj["N"]) is not int or obj["N"] != len(obj["entries"]):
-            raise ValueError(f"declared N {obj['N']!r} is not the number of "
-                             f"rows, {len(obj['entries'])}")
-        if obj["mode"] == "exact":
-            ent = [[GaussRat.from_json(e) for e in row] for row in obj["entries"]]
-        else:
-            ent = [[complex(e["re"], e["im"]) for e in row] for row in obj["entries"]]
-        return HermitianMatrix(ent, mode=obj["mode"])
-
-
-def _total(terms):
-    """The sum of a nonempty iterable of scalars, exact or complex."""
-    terms = iter(terms)
-    return sum(terms, next(terms))
+        """The matrix of a JSON object {"N", "mode", "entries"}, N >= 1.  A
+        "numeric" file, with float parts, is read exactly: each float is the
+        binary rational it denotes."""
+        N = obj["N"]
+        if type(N) is not int or N < 1:
+            raise ValueError(f"N must be a positive integer, got {N!r}")
+        if N != len(obj["entries"]):
+            raise ValueError(f"declared N {N} is not the number of rows, "
+                             f"{len(obj['entries'])}")
+        if obj["mode"] not in ("exact", "numeric"):
+            raise ValueError(f"unknown mode {obj['mode']!r}")
+        return HermitianMatrix([[GaussRat.from_json(e) for e in row]
+                                for row in obj["entries"]])
 
 
 def gr_matmul(a, b):
-    """The product of two matrices, lists of rows of GaussRat or of complex
-    numbers."""
+    """The product of two matrices, lists of rows of GaussRat."""
     cols = list(zip(*b))
     return [[reduce(add, map(mul, row, col)) for col in cols] for row in a]
 
@@ -181,43 +155,51 @@ def exact_minor(z, rows, cols):
 # Shape matrices
 # ---------------------------------------------------------------------------
 
-class ShapeMatrix:
-    """Involution plus slot phases; the matrix sends e_i to u_i e_{tau(i)}.
+def ray(d):
+    """The canonical form of the ray of a nonzero GaussRat d.  For
+    d = (a + b i)/n, |d| is rational exactly when a^2 + b^2 is a square r^2,
+    and then the form is the unit phase (a + b i)/r; otherwise it is the
+    primitive Gaussian integer (a + b i)/gcd(a, b)."""
+    a, b, n = d.a, d.b, d.d
+    s = a * a + b * b
+    if s == n * n:
+        return d
+    r = isqrt(s)
+    if r * r == s:
+        return GaussRat(a, b) / GaussRat(r)
+    g = gcd(a, b)
+    return d if g == 1 and n == 1 else GaussRat(a // g, b // g)
 
-    Slot values: None for zero slots, GaussRat for exactly representable
-    unimodular phases, complex for the rest.
+
+class ShapeMatrix:
+    """Involution plus slot rays; the matrix sends e_i to u_i e_{tau(i)}.
+
+    A slot is None (a zero slot, at a fixed point) or a nonzero GaussRat,
+    kept as its canonical ray; u_tau(i) is the conjugate of u_i, so a fixed
+    slot is +1 or -1.
     """
 
     def __init__(self, tau, u):
         self.tau = tuple(int(t) for t in tau)
         self.N = len(self.tau)
-        self.u = list(u)
         if sorted(self.tau) != list(range(1, self.N + 1)):
             raise ValueError("tau is not a permutation")
-        for i in range(1, self.N + 1):
-            if self.tau[self.tau[i - 1] - 1] != i:
+        if len(u) != self.N:
+            raise ValueError(f"{len(u)} slots for {self.N} points")
+        self.u = []
+        for i, (t, ui) in enumerate(zip(self.tau, u), start=1):
+            if self.tau[t - 1] != i:
                 raise ValueError("tau is not an involution")
-            ui = self.u[i - 1]
             if ui is None:
-                if self.tau[i - 1] != i:
+                if t != i:
                     raise ValueError(f"zero slot {i} must be a fixed point")
-                continue
-            if isinstance(ui, GaussRat):
-                if ui.abs2() != 1:
-                    raise ValueError(f"slot {i} is not unimodular")
-            elif abs(abs(complex(ui)) - 1.0) > 1e-10:
-                raise ValueError(f"slot {i} is not unimodular within 1e-10")
-        for i in range(1, self.N + 1):
-            ui, uj = self.u[i - 1], self.u[self.tau[i - 1] - 1]
-            if (ui is None) != (uj is None):
-                raise ValueError("support is not tau-invariant")
-            if ui is None:
-                continue
-            if isinstance(ui, GaussRat) and isinstance(uj, GaussRat):
-                if uj != ui.conj():
-                    raise ValueError("slots are not conjugate-symmetric")
-            elif abs(self.slot_complex(self.tau[i - 1])
-                     - self.slot_complex(i).conjugate()) > 1e-10:
+            elif ui.is_zero():
+                raise ValueError(f"slot {i} is zero; a zero slot is None")
+            else:
+                ui = ray(ui)
+            self.u.append(ui)
+        for i, (t, ui) in enumerate(zip(self.tau, self.u), start=1):
+            if ui is not None and self.u[t - 1] != ui.conj():
                 raise ValueError("slots are not conjugate-symmetric")
 
     @property
@@ -228,75 +210,38 @@ class ShapeMatrix:
     def rank(self):
         return len(self.support)
 
-    def is_exact(self):
-        return all(ui is None or isinstance(ui, GaussRat) for ui in self.u)
-
-    def slot_complex(self, i):
-        ui = self.u[i - 1]
-        if ui is None:
-            return 0j
-        return ui.to_complex() if isinstance(ui, GaussRat) else complex(ui)
+    def __eq__(self, other):
+        if not isinstance(other, ShapeMatrix):
+            return NotImplemented
+        return self.tau == other.tau and self.u == other.u
 
     def matrix(self):
-        """As a HermitianMatrix (exact when every slot is exact)."""
-        exact = self.is_exact()
-        ent = [[GR0 if exact else 0j] * self.N for _ in range(self.N)]
-        for i in range(1, self.N + 1):
-            if self.u[i - 1] is not None:
-                ent[self.tau[i - 1] - 1][i - 1] = (self.u[i - 1] if exact
-                                                   else self.slot_complex(i))
-        return HermitianMatrix(ent, mode="exact" if exact else "numeric")
+        """As a HermitianMatrix, each slot its canonical ray."""
+        ent = [[GR0] * self.N for _ in range(self.N)]
+        for i, (t, ui) in enumerate(zip(self.tau, self.u)):
+            if ui is not None:
+                ent[t - 1][i] = ui
+        return HermitianMatrix(ent)
 
     def sign_multiset(self):
         """Counts (plus, minus, zero) of the eigenvalues, structurally."""
         plus = minus = zero = 0
-        seen = set()
-        for i in range(1, self.N + 1):
-            if i in seen:
-                continue
-            t = self.tau[i - 1]
-            ui = self.u[i - 1]
+        for i, (t, ui) in enumerate(zip(self.tau, self.u), start=1):
             if ui is None:
                 zero += 1
             elif t == i:
-                if self.slot_complex(i).real > 0:
+                if ui.re > 0:
                     plus += 1
                 else:
                     minus += 1
-            else:
-                seen.add(t)
+            elif t > i:
                 plus += 1
                 minus += 1
         return plus, minus, zero
 
-    def same_shape(self, other, tol=1e-10):
-        """Equality with exact tau/pattern and tolerance on float phases."""
-        if self.tau != other.tau:
-            return False
-        for i in range(1, self.N + 1):
-            a, b = self.u[i - 1], other.u[i - 1]
-            if (a is None) != (b is None):
-                return False
-            if a is None:
-                continue
-            if isinstance(a, GaussRat) and isinstance(b, GaussRat):
-                if a != b:
-                    return False
-            elif abs(self.slot_complex(i) - other.slot_complex(i)) > tol:
-                return False
-        return True
-
     def to_json(self):
-        slots = []
-        for ui in self.u:
-            if ui is None:
-                slots.append(None)
-            elif isinstance(ui, GaussRat):
-                slots.append(ui.to_json())
-            else:
-                slots.append({"re": float(ui.real), "im": float(ui.imag),
-                              "numeric": True})
-        return {"tau": list(self.tau), "u": slots}
+        return {"tau": list(self.tau),
+                "u": [None if ui is None else ui.to_json() for ui in self.u]}
 
     def __repr__(self):
         return f"ShapeMatrix(tau={self.tau}, u={self.u})"
@@ -306,28 +251,14 @@ class ShapeMatrix:
 # Shape of a Hermitian matrix
 # ---------------------------------------------------------------------------
 
-def _phase_of(d):
-    """Exact unimodular direction of a nonzero GaussRat when |d| is rational,
-    else a complex phase.  For d = (a + b i)/n, |d| is rational exactly when
-    a^2 + b^2 is a square, and then d/|d| = (a + b i)/sqrt(a^2 + b^2)."""
-    a2 = d.a * d.a + d.b * d.b
-    root = math.isqrt(a2)
-    if root * root == a2:
-        return GaussRat(Fraction(d.a, root), Fraction(d.b, root))
-    c = d.to_complex()
-    return c / abs(c)
-
-
 def shape_of(z):
-    """Shape of an exact Hermitian matrix via lex-first nonvanishing minors.
+    """Shape of a Hermitian matrix via lex-first nonvanishing minors.
 
     For each size k up to the rank, scans label pairs (columns, rows) in the
-    pair-lexicographic order and pivots on the first nonzero exact minor;
-    the pivots assemble the involution, and slot phases come out of the
-    positivity normalisation as ratios of consecutive pivot minors.
+    pair-lexicographic order and pivots on the first nonzero minor; the
+    pivots assemble the involution, and each slot is the ray of the ratio of
+    two consecutive pivot minors, signed by the positivity normalisation.
     """
-    if z.mode != "exact":
-        raise ValueError("shape_of needs exact entries")
     N = z.N
     r = rank(z.entries)
     tau = list(range(1, N + 1))
@@ -359,13 +290,11 @@ def shape_of(z):
                   if images[a] > images[b])
         direction = GaussRat((-1) ** inv) * val
         ratio = direction / prev_dir
-        phase = _phase_of(ratio)
         p, tp = pairs[-1]
         tau[p - 1], tau[tp - 1] = tp, p
-        u[p - 1] = phase
+        u[p - 1] = ratio
         if tp != p:
-            u[tp - 1] = phase.conj() if isinstance(phase, GaussRat) \
-                else complex(phase).conjugate()
+            u[tp - 1] = ratio.conj()
         prev_cols, prev_rows, prev_dir = J, I, direction
     try:
         return ShapeMatrix(tau, u)
@@ -373,7 +302,7 @@ def shape_of(z):
         raise InconsistentPivots(str(exc)) from exc
 
 
-def _check_triangular_exact(t):
+def _check_triangular(t):
     n = len(t)
     for i in range(n):
         d = t[i][i]
@@ -388,38 +317,26 @@ def tn_invariance_check(z, ts):
     """The first of the exact triangular matrices ts whose congruence t* z t
     has another shape than z, or None when every one keeps the shape."""
     for t in ts:
-        _check_triangular_exact(t)
+        _check_triangular(t)
     s = shape_of(z)
-    return next((t for t in ts if not s.same_shape(shape_of(HermitianMatrix(
-        gr_matmul(gr_conj_t(t), gr_matmul(z.entries, t)), mode="exact")))),
-        None)
+    return next((t for t in ts if s != shape_of(HermitianMatrix(
+        gr_matmul(gr_conj_t(t), gr_matmul(z.entries, t))))), None)
 
 
 # ---------------------------------------------------------------------------
 # Congruence decomposition
 # ---------------------------------------------------------------------------
 
-class _ExactSqrtMiss(Exception):
-    pass
+def _congruence(m, t):
+    """Reduce the Hermitian matrix m (a list of rows) by congruences, in
+    place, keeping z = t* m t: t is passed as the identity and leaves unit
+    upper triangular.  m leaves with at most one nonzero entry in each
+    column: d_p at (p, p) for a fixed point p, and beta at (i, p) with
+    conj(beta) at (p, i) for a two-cycle (p, i).
 
-
-def _exact_root(x):
-    """sqrt|x| of a nonzero GaussRat, as a GaussRat, when it is rational."""
-    root = rational_sqrt(x.abs2())
-    root = None if root is None else rational_sqrt(root)
-    if root is None:
-        raise _ExactSqrtMiss
-    return GaussRat(root)
-
-
-def _congruence(m, t, is_zero, conj, root):
-    """Reduce the matrix m (a list of rows) to its shape by congruences,
-    in place, keeping z = t* m t: t is passed as the identity and leaves
-    upper triangular with positive diagonal.
-
-    The scalar kind enters only through is_zero, conj and root (sqrt|x| as
-    a scalar of the kind).  Each pivot is the first nonzero entry, columns
-    first, among the rows and columns not yet used.
+    Each pivot is the first nonzero entry, columns first, among the rows and
+    columns not yet used; every multiplier is a quotient of entries, so no
+    square root is taken.
     """
     N = len(m)
 
@@ -427,20 +344,11 @@ def _congruence(m, t, is_zero, conj, root):
         # m <- E* m E and t <- E^-1 t for E = I + lam e_{p,r}
         for x in range(N):
             m[x][r] = m[x][r] + lam * m[x][p]
-        lc = conj(lam)
+        lc = lam.conj()
         for x in range(N):
             m[r][x] = m[r][x] + lc * m[p][x]
         for x in range(N):
             t[p][x] = t[p][x] - lam * t[r][x]
-
-    def scale(p, s):
-        # the same with E the identity but 1/s at (p, p)
-        for x in range(N):
-            m[x][p] = m[x][p] / s
-        for x in range(N):
-            m[p][x] = m[p][x] / s
-        for x in range(N):
-            t[p][x] = t[p][x] * s
 
     used = set()
     while True:
@@ -449,7 +357,7 @@ def _congruence(m, t, is_zero, conj, root):
             if c in used:
                 continue
             for r in range(N):
-                if r not in used and not is_zero(m[r][c]):
+                if r not in used and not m[r][c].is_zero():
                     pivot = (c, r)
                     break
             if pivot:
@@ -459,77 +367,51 @@ def _congruence(m, t, is_zero, conj, root):
         p, i = pivot
         if i == p:
             for r in range(N):
-                if r not in used and r != p and not is_zero(m[r][p]):
-                    congr(p, r, conj(-(m[r][p] / m[p][p])))
-            scale(p, root(m[p][p]))
+                if r not in used and r != p and not m[r][p].is_zero():
+                    congr(p, r, (-(m[r][p] / m[p][p])).conj())
             used.add(p)
         else:
             beta = m[i][p]
-            # unconditional: a float residue below the zero test would
-            # grow past it when p and i are scaled by 1/sqrt|beta|
-            congr(p, i, -(m[i][i] / (beta + beta)))
+            if not m[i][i].is_zero():
+                congr(p, i, -(m[i][i] / (beta + beta)))
             for r in range(N):
-                if r not in used and r not in (p, i) and not is_zero(m[r][p]):
-                    congr(i, r, conj(-(m[r][p] / m[i][p])))
+                if r not in used and r not in (p, i) and not m[r][p].is_zero():
+                    congr(i, r, (-(m[r][p] / m[i][p])).conj())
             for r in range(N):
-                if r not in used and r not in (p, i) and not is_zero(m[r][i]):
-                    congr(p, r, conj(-(m[r][i] / m[p][i])))
-            s = root(m[i][p])
-            scale(p, s)
-            scale(i, s)
+                if r not in used and r not in (p, i) and not m[r][i].is_zero():
+                    congr(p, r, (-(m[r][i] / m[p][i])).conj())
             used.add(p)
             used.add(i)
 
 
-def _read_shape(m, is_zero):
-    """The ShapeMatrix of a matrix reduced by _congruence."""
-    N = len(m)
+def decompose(z):
+    """Factor z = t'* M t' exactly, with no square root.
+
+    Returns (t', M): t' unit upper triangular, as a list of rows, and M a
+    HermitianMatrix with at most one nonzero entry per column, d_p at a
+    fixed point p and beta at (tau(p), p) on a two-cycle; reduced_shape(M)
+    is the shape of z.
+    """
+    t, m = gr_identity(z.N), [row[:] for row in z.entries]
+    _congruence(m, t)
+    return t, HermitianMatrix(m)
+
+
+def reduced_shape(M):
+    """The ShapeMatrix of a matrix M with at most one nonzero entry per
+    column, as decompose returns it: that entry is the column's slot.
+    Raises ValueError when M is not of that form."""
+    N = M.N
     tau = list(range(1, N + 1))
     u = [None] * N
     for i in range(N):
-        for j in range(N):
-            if not is_zero(m[j][i]):
-                tau[i] = j + 1
-                u[i] = m[j][i]
+        rows = [j for j in range(N) if not M.entries[j][i].is_zero()]
+        if len(rows) > 1:
+            raise ValueError(f"column {i + 1} of M has {len(rows)} nonzero "
+                             f"entries")
+        if rows:
+            tau[i], u[i] = rows[0] + 1, M.entries[rows[0]][i]
     return ShapeMatrix(tau, u)
-
-
-def decompose(z):
-    """Factor z = t* S t with t upper triangular, positive diagonal.
-
-    Stays exact when every required square root is rational, otherwise
-    falls back to floating point.  Returns (t, S).
-    """
-    N = z.N
-    if z.mode == "exact":
-        t, m = gr_identity(N), [row[:] for row in z.entries]
-        try:
-            _congruence(m, t, GaussRat.is_zero, GaussRat.conj, _exact_root)
-            return (HermitianMatrix(t, mode="exact", check=False),
-                    _read_shape(m, GaussRat.is_zero))
-        except _ExactSqrtMiss:
-            pass
-    m = z.complex_entries()
-    tol = 1e-11 * max(1.0, max(abs(x) for row in m for x in row))
-    t = [[complex(i == j) for j in range(N)] for i in range(N)]
-    _congruence(m, t, lambda x: abs(x) <= tol, complex.conjugate,
-                lambda x: math.sqrt(abs(x)))
-    # the congruences keep m Hermitian only up to rounding; (m + m*)/2 makes
-    # the fixed slots real and the two-cycle slots conjugate again, and the
-    # rounding noise left in the eliminated entries reads as zero
-    m = [[(m[i][j] + m[j][i].conjugate()) / 2 for j in range(N)]
-         for i in range(N)]
-    return (HermitianMatrix(t, mode="numeric", check=False),
-            _read_shape(m, lambda x: abs(x) < 10 * tol))
-
-
-def decompose_residual(z, t, S):
-    """The largest modulus of an entry of z - t* S t, in floating point."""
-    tc = t.complex_entries()
-    tst = gr_matmul([[x.conjugate() for x in col] for col in zip(*tc)],
-                    gr_matmul(S.matrix().complex_entries(), tc))
-    return max(abs(a - b) for ra, rb in zip(z.complex_entries(), tst)
-               for a, b in zip(ra, rb))
 
 
 # ---------------------------------------------------------------------------
@@ -537,118 +419,92 @@ def decompose_residual(z, t, S):
 # ---------------------------------------------------------------------------
 
 def power_sums(z):
-    """[tr z, tr z^2, ..., tr z^N] of a HermitianMatrix, exact or numeric:
-    the power sums of its eigenvalues, which fix them as a multiset.  Each
-    trace of z^(a+b) is read as the sum of the (z^a)_ij (z^b)_ji, so only
-    the powers up to z^ceil(N/2) are multiplied out."""
+    """[tr z, tr z^2, ..., tr z^N] of a HermitianMatrix: the power sums of
+    its eigenvalues, which fix them as a multiset.  Each trace of z^(a+b) is
+    read as the sum of the (z^a)_ij (z^b)_ji, so only the powers up to
+    z^ceil(N/2) are multiplied out."""
     e, n = z.entries, z.N
     powers = [None, e]
     while len(powers) <= (n + 1) // 2:
         powers.append(gr_matmul(powers[-1], e))
-    sums = [_total(e[i][i] for i in range(n))]
+    sums = [reduce(add, (e[i][i] for i in range(n)))]
     for m in range(2, n + 1):
         a, b = powers[m // 2], powers[m - m // 2]
-        sums.append(_total(a[i][j] * b[j][i]
-                           for i in range(n) for j in range(n)))
+        sums.append(reduce(add, (a[i][j] * b[j][i]
+                                 for i in range(n) for j in range(n))))
     return sums
 
 
-def eigenvalue_signs(z):
-    """Counts (plus, minus, zero) of the eigenvalues of an exact Hermitian
-    z, by Descartes' rule of signs on its characteristic polynomial, which
-    is exact because that polynomial is real-rooted.  Its coefficients come
-    from the power sums by Newton's identities."""
-    if z.mode != "exact":
-        raise ValueError("eigenvalue_signs needs exact entries")
-    p = [x.re for x in power_sums(z)]       # real: z is Hermitian
-    e = [Fraction(1)]                       # elementary symmetric e_0..e_N
+def charpoly(z):
+    """The coefficients of det(x - z), exact rationals from x^N down to x^0.
+    Newton's identities turn the power sums into the elementary symmetric
+    functions e_k of the eigenvalues, and x^(N - k) has the coefficient
+    (-1)^k e_k; real, because z is Hermitian."""
+    p = [x.re for x in power_sums(z)]
+    e = [Fraction(1)]
     for k in range(1, z.N + 1):
         e.append(sum((-1) ** (i - 1) * e[k - i] * p[i - 1]
                      for i in range(1, k + 1)) / k)
+    return [-c if k % 2 else c for k, c in enumerate(e)]
 
-    def changes(coeffs):
-        signs = [c > 0 for c in coeffs if c]
+
+def eigenvalue_signs(z):
+    """Counts (plus, minus, zero) of the eigenvalues of a Hermitian z, by
+    Descartes' rule of signs on its characteristic polynomial, which is
+    exact because that polynomial is real-rooted."""
+    coeffs = charpoly(z)
+
+    def changes(cs):
+        signs = [c > 0 for c in cs if c]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    # det(x - z) has the coefficients (-1)^k e_k and det(-x - z) the e_k up
-    # to one sign, from x^N down; x^(N - k) for the last nonzero e_k is the
-    # lowest power in both
-    plus = changes([-c if k % 2 else c for k, c in enumerate(e)])
-    return plus, changes(e), z.N - max(k for k, c in enumerate(e) if c)
+    # det(-x - z) has the coefficients (-1)^k c_k up to one sign; x^(N - k)
+    # for the last nonzero c_k is the lowest power of both
+    minus = changes([-c if k % 2 else c for k, c in enumerate(coeffs)])
+    return (changes(coeffs), minus,
+            z.N - max(k for k, c in enumerate(coeffs) if c))
 
 
 # ---------------------------------------------------------------------------
-# Leaf labels
+# Leaf points
 # ---------------------------------------------------------------------------
-
-@dataclass
-class LeafLabel:
-    shape: ShapeMatrix
-    weight: list
-
-    def to_json(self):
-        return {"shape": self.shape.to_json(),
-                "weight": [float(w) for w in self.weight]}
-
-
-def weight_sign(lam, zero_tol=0.0):
-    """Counts (plus, minus, zero) of the weights, zero within zero_tol; a
-    rational weight compares exactly."""
-    plus = sum(1 for x in lam if x > zero_tol)
-    minus = sum(1 for x in lam if x < -zero_tol)
-    return plus, minus, len(lam) - plus - minus
-
-
-def leaf_label(z):
-    """Pair the shape with the sorted spectrum."""
-    if z.mode == "exact":
-        s = shape_of(z)
-    else:
-        _, s = decompose(z)
-    return LeafLabel(shape=s, weight=[float(w) for w in z.eigenvalues()])
-
 
 def build_leaf_point(shape, lam):
-    """Assemble an enhanced-shape representative with the given spectrum.
+    """An exact point of the leaf of the given shape and weights.
 
-    Fixed support points receive matching-sign eigenvalues on the diagonal;
-    each two-cycle receives one positive and one negative eigenvalue through
-    the standard 2x2 congruence block.  Exact when the block square roots
-    are rational and all phases exact.
+    lam holds one rational weight per slot, in slot order: 0 at a zero slot
+    and the slot's sign at a fixed point i, where it sits on the diagonal.
+    A two-cycle (i, t), i < t, takes lam_i > 0 > lam_t, in the block
+    [[0, c conj(u)], [c u, lam_i + lam_t]] on rows and columns i, t, with
+    u = u_i and c > 0 rational, c^2 |u|^2 = -lam_i lam_t, so that its
+    eigenvalues are lam_i and lam_t.  Raises SignMismatch when lam does not
+    fit the slots, and ValueError naming the two-cycle when its
+    -lam_i lam_t / |u|^2 is not a rational square.
     """
-    lam = list(lam)
-    if weight_sign(lam) != shape.sign_multiset():
-        raise SignMismatch(f"{weight_sign(lam)} != {shape.sign_multiset()}")
-    pos = sorted((x for x in lam if x > 0), reverse=True)
-    neg = sorted(x for x in lam if x < 0)
     N = shape.N
-    diag, pairs = [], []         # (i, eigenvalue) and (i, tau(i), l1, l2)
-    for i in range(1, N + 1):
-        t = shape.tau[i - 1]
-        if t == i and shape.u[i - 1] is not None:
-            diag.append((i, pos.pop(0) if shape.slot_complex(i).real > 0
-                         else neg.pop(0)))
+    if len(lam) != N:
+        raise SignMismatch(f"{len(lam)} weights for {N} slots")
+    for i, (t, ui, x) in enumerate(zip(shape.tau, shape.u, lam), start=1):
+        want = (0 if ui is None else 1 if t > i or (t == i and ui.re > 0)
+                else -1)
+        if (x > 0) - (x < 0) != want:
+            raise SignMismatch(f"slot {i} needs a weight of sign {want:+d}, "
+                               f"got {x}")
+    ent = [[GR0] * N for _ in range(N)]
+    for i, (t, ui) in enumerate(zip(shape.tau, shape.u), start=1):
+        if t == i:
+            ent[i - 1][i - 1] = GaussRat(lam[i - 1])
         elif t > i:
-            pairs.append((i, t, pos.pop(0), neg.pop(0)))
-    exact = shape.is_exact() and all(isinstance(x, (int, Fraction))
-                                     for x in lam)
-    if exact:
-        roots = [rational_sqrt(l1 * -l2) for _, _, l1, l2 in pairs]
-        exact = None not in roots
-    if exact:
-        scalar, slots = GaussRat, shape.u
-    else:
-        scalar, slots = float, [shape.slot_complex(i) for i in range(1, N + 1)]
-        roots = [math.sqrt(float(l1) * -float(l2)) for _, _, l1, l2 in pairs]
-    ent = [[scalar(0)] * N for _ in range(N)]
-    for i, x in diag:
-        ent[i - 1][i - 1] = scalar(x)
-    for (i, t, l1, l2), root in zip(pairs, roots):
-        c = scalar(root)
-        ent[i - 1][t - 1] = c * slots[t - 1]
-        ent[t - 1][i - 1] = c * slots[i - 1]
-        ent[t - 1][t - 1] = scalar(l1) + scalar(l2)
-    return HermitianMatrix(ent, mode="exact" if exact else "numeric")
+            li, lt = lam[i - 1], lam[t - 1]
+            c = rational_sqrt(-li * lt / ui.abs2())
+            if c is None:
+                raise ValueError(
+                    f"two-cycle ({i}, {t}): -({li})({lt})/|u_{i}|^2 is not "
+                    f"a rational square")
+            ent[t - 1][i - 1] = ui.scale(c)
+            ent[i - 1][t - 1] = shape.u[t - 1].scale(c)
+            ent[t - 1][t - 1] = GaussRat(li + lt)
+    return HermitianMatrix(ent)
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +555,6 @@ def bracket_at(z):
     """The N^2 x N^2 matrix {Z_ij, Z_kl}(z) at an exact HermitianMatrix z,
     rows (i, j) and columns (k, l) in row-major order: column (k, l) is the
     Hamiltonian vector field of Z_kl at z in the coordinates Z_ij."""
-    if z.mode != "exact":
-        raise ValueError("bracket_at needs exact entries")
     table = poisson_bracket_coeffs(z.N)
     coords = list(product(range(1, z.N + 1), repeat=2))
     monomials = {}
@@ -899,14 +753,21 @@ def random_triangular(N, rng):
 
 
 def random_compatible_weights(shape, rng):
-    plus, minus, zero = shape.sign_multiset()
+    """One random rational weight per slot that fits the shape, for
+    build_leaf_point: 0 at a zero slot, the slot's sign at a fixed point,
+    and at a two-cycle (i, t), i < t, a positive lam_i and
+    lam_t = -lam_i m^2 |u_i|^2 for a random rational m > 0, so that the
+    block's c = lam_i m is rational."""
     lam = []
-    for _ in range(plus):
-        lam.append(Fraction(rng.randint(1, 9), rng.randint(1, 4)))
-    for _ in range(minus):
-        lam.append(-Fraction(rng.randint(1, 9), rng.randint(1, 4)))
-    lam.extend([Fraction(0)] * zero)
-    rng.shuffle(lam)
+    for i, (t, ui) in enumerate(zip(shape.tau, shape.u), start=1):
+        if ui is None:
+            lam.append(Fraction(0))
+        elif t >= i:
+            w = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            lam.append(-w if t == i and ui.re < 0 else w)
+        else:
+            m = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+            lam.append(-lam[t - 1] * m * m * ui.abs2())
     return lam
 
 
@@ -935,8 +796,7 @@ def random_exact_hermitian(N, rng):
         for i, x in row.items():
             t_star[i][k] = x.conj()
     z = _sparse_product(t_star, _sparse_product(_sparse_rows(E), t))
-    return HermitianMatrix([[row.get(j, GR0) for j in range(N)] for row in z],
-                           mode="exact")
+    return HermitianMatrix([[row.get(j, GR0) for j in range(N)] for row in z])
 
 
 def _sparse_rows(a):

@@ -26,12 +26,16 @@ unknown or malformed flags, the usage errors are:
   that produces no certificates;
 - a QREA_SEED that is not an integer;
 - a `classical shape|decompose|leaf` file that cannot be read or is not a
-  square Hermitian matrix in JSON, or whose "N" is not its number of rows;
-  for `classical shape`, one whose mode is not exact;
+  square Hermitian matrix in JSON, whose "N" is below 1 or not its number
+  of rows, or whose mode is neither exact nor numeric (a numeric file is
+  read exactly, each float the binary rational it denotes);
 - a `classical build --shape` that is not an object with lists tau and u
-  of one length, with a slot that is not null, "0", a phase object or a
-  rational, or that is no valid shape; --weights that are not
-  comma-separated rationals, or whose signs do not fit the shape.
+  of one length, with a slot that is not null, "0", a rational or an
+  exact object {"re", "im"} (a phase object marked numeric is refused),
+  or that is no valid shape; --weights that are not comma-separated
+  rationals, one per slot, whose signs do not fit the slots, or that give
+  a two-cycle (i, t) a pair whose -lam_i lam_t / |u_i|^2 is not a
+  rational square.
 """
 
 from __future__ import annotations
@@ -225,8 +229,9 @@ def _shape_slot(slot):
     if slot is None or slot == "0":
         return None
     if isinstance(slot, dict):
-        if slot.get("numeric"):
-            return complex(slot["re"], slot["im"])
+        if "numeric" in slot:
+            raise UsageError("--shape slots are exact; a numeric phase "
+                             "object is not read")
         return classical.GaussRat.from_json(slot)
     return classical.GaussRat(Fraction(slot))
 
@@ -259,40 +264,38 @@ def cmd_classical(args):
     t0 = time.time()
     certs = []
     if args.classical_cmd == "shape":
-        z = _load_matrix(args.file)
-        if z.mode != "exact":
-            raise UsageError(f"classical shape needs an exact matrix, "
-                             f"{args.file} is {z.mode}")
-        s = classical.shape_of(z)
+        s = classical.shape_of(_load_matrix(args.file))
         certs.append(Certificate("classical shape", {"file": args.file},
                                  "pass", witness=None))
         sys.stdout.write(json.dumps({"shape": s.to_json()}, sort_keys=True) + "\n")
     elif args.classical_cmd == "decompose":
         z = _load_matrix(args.file)
-        t, S = classical.decompose(z)
-        resid = classical.decompose_residual(z, t, S)
-        rec = {"t": t.to_json(), "shape": S.to_json(), "residual": resid}
+        t, M = classical.decompose(z)
+        bad = checks.decompose_mismatch(z, t, M)
+        rec = {"t": [[e.to_json() for e in row] for row in t],
+               "M": M.to_json(), "shape": classical.reduced_shape(M).to_json()}
         sys.stdout.write(json.dumps(rec, sort_keys=True) + "\n")
         certs.append(Certificate.verdict("classical decompose",
-                                         {"file": args.file}, resid <= 1e-9))
+                                         {"file": args.file}, bad is None,
+                                         witness=bad))
     elif args.classical_cmd == "leaf":
         z = _load_matrix(args.file)
-        lab = classical.leaf_label(z)
-        sys.stdout.write(json.dumps(lab.to_json(), sort_keys=True) + "\n")
+        rec = {"shape": classical.shape_of(z).to_json(),
+               "charpoly": [str(c) for c in classical.charpoly(z)]}
+        sys.stdout.write(json.dumps(rec, sort_keys=True) + "\n")
         certs.append(Certificate("classical leaf", {"file": args.file}, "pass"))
     elif args.classical_cmd == "build":
         S = _load_shape(args.shape)
         lam = _load_weights(args.weights)
         try:
             z = classical.build_leaf_point(S, lam)
-        except classical.SignMismatch as exc:
-            raise UsageError(f"--weights signs do not fit the shape: {exc}") \
+        except ValueError as exc:
+            raise UsageError(f"--weights do not fit the shape: {exc}") \
                 from None
         sys.stdout.write(json.dumps(z.to_json(), sort_keys=True) + "\n")
-        lab = classical.leaf_label(z)
         certs.append(Certificate.verdict("classical build",
                                          {"weights": [str(w) for w in lam]},
-                                         lab.shape.same_shape(S)))
+                                         classical.shape_of(z) == S))
     elif args.classical_cmd == "tangency":
         reports = checks.tangency_reports(args.N, args.samples,
                                           random.Random(args.seed))

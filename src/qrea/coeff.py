@@ -804,9 +804,6 @@ class GaussRat:
     def __hash__(self):
         return hash((self.a, self.b, self.d))
 
-    def to_complex(self):
-        return complex(self.a / self.d, self.b / self.d)
-
     def to_json(self):
         return {"re": str(self.re), "im": str(self.im)}
 

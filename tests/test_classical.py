@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from qrea.classical import (GaussRat, HermitianMatrix, NotTriangular,
                             ShapeMatrix, SignMismatch, _ranks, bracket_at,
-                            build_leaf_point, decompose, decompose_residual,
+                            build_leaf_point, charpoly, decompose,
                             eigenvalue_signs, exact_minor, gr_conj_t,
-                            gr_identity, gr_matmul, jacobi_check, leaf_label,
+                            gr_identity, gr_matmul, jacobi_check,
                             leaf_tangency_check, minors, orbit_tangents,
                             poisson_bracket_coeffs, power_sums,
                             random_compatible_weights, random_exact_hermitian,
-                            random_shape, random_triangular, shape_of,
-                            tn_invariance_check, weight_sign)
+                            random_shape, random_triangular, reduced_shape,
+                            shape_of, tn_invariance_check)
 from qrea.linalg import add_term, determinant, rank
 
 
@@ -26,6 +26,11 @@ def G(re, im=0):
 def H(rows):
     return HermitianMatrix([[G(*e) if isinstance(e, tuple) else G(e)
                              for e in row] for row in rows])
+
+
+def _numeric(z):
+    """The entries of z as a numpy array: the floating-point oracle."""
+    return np.array([[complex(e.re, e.im) for e in row] for row in z.entries])
 
 
 def test_shape_of_diagonal():
@@ -46,7 +51,7 @@ def test_shape_matrix_is_its_own_shape():
     for _ in range(40):
         S = random_shape(rng.randint(1, 4), rng)
         z = S.matrix()
-        assert shape_of(z).same_shape(S)
+        assert shape_of(z) == S
 
 
 def test_generate_and_recover_roundtrip():
@@ -56,7 +61,7 @@ def test_generate_and_recover_roundtrip():
         S = random_shape(N, rng)
         t = random_triangular(N, rng)
         z = gr_matmul(gr_conj_t(t), gr_matmul(S.matrix().entries, t))
-        assert shape_of(HermitianMatrix(z)).same_shape(S)
+        assert shape_of(HermitianMatrix(z)) == S
 
 
 def test_rank_zero():
@@ -72,8 +77,9 @@ def test_exact_minor_against_numpy():
         k = rng.randint(1, N)
         rows = tuple(sorted(rng.sample(range(1, N + 1), k)))
         cols = tuple(sorted(rng.sample(range(1, N + 1), k)))
-        exact = exact_minor(z.entries, rows, cols).to_complex()
-        sub = z.to_numeric()[np.ix_([r - 1 for r in rows],
+        exact = exact_minor(z.entries, rows, cols)
+        exact = complex(exact.re, exact.im)
+        sub = _numeric(z)[np.ix_([r - 1 for r in rows],
                                     [c - 1 for c in cols])]
         assert abs(exact - np.linalg.det(sub)) < 1e-8
 
@@ -141,34 +147,32 @@ def test_not_triangular():
         tn_invariance_check(H([[1, 0], [0, 1]]), [nonpos])
 
 
+def _assert_decomposes(z, t, M):
+    """z = t* M t exactly, t unit upper triangular, M with at most one
+    nonzero entry per column and the shape of z read off it."""
+    n = z.N
+    assert gr_matmul(gr_conj_t(t), gr_matmul(M.entries, t)) == z.entries
+    assert all(t[i][j] == (1 if i == j else 0)
+               for i in range(n) for j in range(i + 1))
+    assert reduced_shape(M) == shape_of(z)
+
+
 def test_decompose_shape_matrix_fixed_point():
     rng = random.Random(41)
     S = random_shape(3, rng)
-    t, S2 = decompose(S.matrix())
-    assert S2.same_shape(S)
-    tn = t.to_numeric()
-    assert np.max(np.abs(tn - np.eye(3))) < 1e-12
+    t, M = decompose(S.matrix())
+    assert t == gr_identity(3) and M.entries == S.matrix().entries
+    assert reduced_shape(M) == S
 
 
 def test_decompose_2x2_block_example():
     d = F(3, 7)
-    z = H([[0, 1], [1, 0]])
-    z.entries[1][1] = G(d)
-    t, S = decompose(z)
-    assert S.tau == (2, 1) and S.u[0] == G(1) and S.u[1] == G(1)
-    assert t.entries[0][0] == G(1)
-    assert t.entries[0][1] == G(d / 2)
-    assert decompose_residual(z, t, S) == 0.0
-
-
-def test_decompose_random_numeric_n4():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        zr = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        z = HermitianMatrix((zr + zr.conj().T) / 2, mode="numeric")
-        t, S = decompose(z)
-        assert decompose_residual(z, t, S) <= 1e-9
-        assert np.all(np.real(np.diag(t.to_numeric())) > 0)
+    z = H([[0, 1], [1, d]])
+    t, M = decompose(z)
+    assert t == [[G(1), G(d / 2)], [G(0), G(1)]]
+    assert M.entries == [[G(0), G(1)], [G(1), G(0)]]
+    assert reduced_shape(M) == ShapeMatrix((2, 1), [G(1), G(1)])
+    _assert_decomposes(z, t, M)
 
 
 def test_decompose_matches_shape_of():
@@ -176,32 +180,31 @@ def test_decompose_matches_shape_of():
     for _ in range(50):
         N = rng.randint(1, 4)
         z = random_exact_hermitian(N, rng)
-        t, S = decompose(z)
-        assert shape_of(z).same_shape(S, tol=1e-8)
-        assert decompose_residual(z, t, S) <= 1e-9
+        _assert_decomposes(z, *decompose(z))
 
 
-def test_decompose_is_exact_only_on_rational_roots():
-    # diagonal and two-cycle pivots, each with a rational and an irrational
-    # square root: sqrt 4 and sqrt 9, sqrt|4|; sqrt 2, sqrt|2|
-    for entries, mode in (([[4, 0], [0, -9]], "exact"),
-                          ([[0, 4], [4, 1]], "exact"),
-                          ([[2, 1], [1, -1]], "numeric"),
-                          ([[0, 2], [2, 0]], "numeric")):
-        z = H(entries)
-        t, S = decompose(z)
-        assert t.mode == mode and S.is_exact() == (mode == "exact")
-        assert shape_of(z).same_shape(S, tol=1e-12)
-        assert decompose_residual(z, t, S) <= 1e-12
-        assert np.all(np.diag(t.to_numeric()).real > 0)
-    t, _ = decompose(H([[4, 0], [0, -9]]))
-    assert t.entries == [[G(2), G(0)], [G(0), G(3)]]
-    # a two-cycle whose diagonal entry is below the zero test: it is still
-    # eliminated, not scaled by 1/|beta| into a second nonzero in its column
-    z = HermitianMatrix(np.array([[0, 1e-6, 0], [1e-6, 9e-12, 0], [0, 0, 1]],
-                                 dtype=complex), mode="numeric")
-    t, S = decompose(z)
-    assert S.tau == (2, 1, 3) and decompose_residual(z, t, S) <= 1e-12
+def test_decompose_takes_no_square_root():
+    # diagonal and two-cycle pivots whose square roots are rational (4, 9;
+    # |4|) and irrational (2, 3/2; |2|): each factors exactly, with t unit
+    # upper triangular and the pivots d_p and beta left in M
+    for rows, t, m in (
+            ([[4, 0], [0, -9]], [[1, 0], [0, 1]], [[4, 0], [0, -9]]),
+            ([[0, 4], [4, 1]], [[1, F(1, 8)], [0, 1]], [[0, 4], [4, 0]]),
+            ([[2, 1], [1, -1]], [[1, F(1, 2)], [0, 1]],
+             [[2, 0], [0, F(-3, 2)]]),
+            ([[0, 2], [2, 0]], [[1, 0], [0, 1]], [[0, 2], [2, 0]])):
+        z = H(rows)
+        got_t, M = decompose(z)
+        assert got_t == [[G(x) for x in row] for row in t]
+        assert M.entries == H(m).entries
+        _assert_decomposes(z, got_t, M)
+    # a two-cycle whose diagonal entry is tiny against beta: it is
+    # eliminated all the same, and M keeps beta alone in its columns
+    z = H([[0, F(1, 10 ** 6), 0], [F(1, 10 ** 6), F(9, 10 ** 12), 0],
+           [0, 0, 1]])
+    t, M = decompose(z)
+    assert reduced_shape(M).tau == (2, 1, 3) and M.entries[1][1] == 0
+    _assert_decomposes(z, t, M)
 
 
 def _gr_rows(rows):
@@ -210,10 +213,9 @@ def _gr_rows(rows):
                              for e in row] for row in rows])
 
 
-def test_decompose_float_path_leaves_an_exactly_hermitian_shape():
-    # two draws of `check-all --N 4` (seeds 14 and 43) whose congruences
-    # left a fixed slot at -1 - 1.3e-12i and 1 + 5.1e-13i: the shape must be
-    # exactly Hermitian, so that S.matrix() and the residual accept it
+def test_decompose_is_exact_on_the_draws_that_took_floats():
+    # two draws of `check-all --N 4` (seeds 14 and 43) on which the old
+    # floating-point path left a fixed slot off the real axis by 1e-12
     for rows in (
             [["-112/75,0", "-7/5,28/15", "14/5,28/15"],
              ["-7/5,-28/15", "-4543/1200,0", "287/120,21/20"],
@@ -223,71 +225,60 @@ def test_decompose_float_path_leaves_an_exactly_hermitian_shape():
              ["3/2,4", "58/15,21/5", "479/360,0", "-41/72,179/270"],
              ["-12,0", "-79/5,32/9", "-41/72,-179/270", "497/100,0"]]):
         z = _gr_rows(rows)
-        t, S = decompose(z)
-        assert t.mode == "numeric" and not S.is_exact()
+        t, M = decompose(z)
+        _assert_decomposes(z, t, M)
+        S = reduced_shape(M)
         for i in range(1, z.N + 1):
             if S.tau[i - 1] == i and S.u[i - 1] is not None:
-                assert S.u[i - 1].imag == 0.0
-            elif S.u[i - 1] is not None:
-                assert S.u[S.tau[i - 1] - 1] == S.u[i - 1].conjugate()
-        m = S.matrix().entries
-        assert m == [[x.conjugate() for x in col] for col in zip(*m)]
-        assert decompose_residual(z, t, S) <= 1e-9
-        assert shape_of(z).same_shape(S, tol=1e-8)
-
-
-def test_decompose_residual_against_numpy():
-    rng = random.Random(61)
-    for _ in range(30):
-        z = random_exact_hermitian(rng.randint(1, 4), rng)
-        t, S = decompose(z)
-        zn, tn, sn = z.to_numeric(), t.to_numeric(), S.matrix().to_numeric()
-        expected = float(np.max(np.abs(zn - tn.conj().T @ sn @ tn)))
-        assert abs(decompose_residual(z, t, S) - expected) <= 1e-12
-        # a perturbed t: the residual is the numpy one, and large
-        bad = HermitianMatrix(2 * tn, mode="numeric", check=False)
-        expected = float(np.max(np.abs(zn - 4 * tn.conj().T @ sn @ tn)))
-        got = decompose_residual(z, bad, S)
-        assert abs(got - expected) <= 1e-9 * max(1.0, expected)
-        assert got >= 3 * float(np.max(np.abs(zn))) - 1e-9
+                assert S.u[i - 1] in (G(1), G(-1))
 
 
 def test_build_leaf_point_examples():
     S = ShapeMatrix((2, 1), [G(1), G(1)])
     z = build_leaf_point(S, [F(1), F(-1)])
-    assert z.mode == "exact"
-    assert z.entries[0][1] == G(1) and z.entries[1][1].is_zero()
-    lam = sorted(z.eigenvalues())
-    assert abs(lam[0] + 1) < 1e-12 and abs(lam[1] - 1) < 1e-12
-
-    z = build_leaf_point(S, [F(2), F(-3)])
-    lam = z.eigenvalues()
-    assert abs(lam[0] + 3) < 1e-9 and abs(lam[1] - 2) < 1e-9
-
+    assert z.entries == [[G(0), G(1)], [G(1), G(0)]]
+    assert charpoly(z) == [1, 0, -1]
+    # c^2 = 2 * 8: the block [[0, 4], [4, -6]], spectrum {2, -8}
+    z = build_leaf_point(S, [F(2), F(-8)])
+    assert z.entries == [[G(0), G(4)], [G(4), G(-6)]]
+    assert power_sums(z) == [-6, 4 + 64]
     S = ShapeMatrix((1, 2), [G(1), None])
     z = build_leaf_point(S, [F(7), F(0)])
     assert z.entries[0][0] == G(7) and z.entries[1][1].is_zero()
+    # a slot of irrational modulus: c^2 |1 + i|^2 = 1 * 2
+    S = ShapeMatrix((2, 1), [G(1, 1), G(1, -1)])
+    z = build_leaf_point(S, [F(1), F(-2)])
+    assert z.entries == [[G(0), G(1, -1)], [G(1, 1), G(-1)]]
+    assert shape_of(z) == S and charpoly(z) == [1, 1, -2]
 
 
 def test_build_sign_mismatch():
     S = ShapeMatrix((1, 2), [G(1), G(-1)])
     with pytest.raises(SignMismatch):
         build_leaf_point(S, [F(1), F(1)])
+    with pytest.raises(SignMismatch):
+        build_leaf_point(S, [F(1)])
+    # a two-cycle takes its positive weight first
+    with pytest.raises(SignMismatch):
+        build_leaf_point(ShapeMatrix((2, 1), [G(1), G(1)]), [F(-8), F(2)])
+    # -2 * -3 = 6 is no rational square: the pair is named
+    with pytest.raises(ValueError, match=r"two-cycle \(1, 2\)"):
+        build_leaf_point(ShapeMatrix((2, 1), [G(1), G(1)]), [F(2), F(-3)])
 
 
 def test_leaf_roundtrip_random():
+    # per-slot weights: the built point has the shape, and its power sums,
+    # which fix the spectrum, are those of the weights
     rng = random.Random(90)
     for _ in range(100):
         N = rng.randint(1, 4)
         S = random_shape(N, rng)
         lam = random_compatible_weights(S, rng)
         z = build_leaf_point(S, lam)
-        lab = leaf_label(z)
-        if z.mode == "exact":
-            assert lab.shape.same_shape(S)
-        target = np.sort(np.array([float(x) for x in lam]))
-        assert np.max(np.abs(np.array(lab.weight) - target)) <= 1e-9
-        assert weight_sign(lab.weight, zero_tol=1e-9) == S.sign_multiset()
+        assert shape_of(z) == S
+        assert power_sums(z) == [sum(x ** m for x in lam)
+                                 for m in range(1, N + 1)]
+        assert eigenvalue_signs(z) == S.sign_multiset()
 
 
 def _unitary(n, rng):
@@ -331,11 +322,11 @@ def test_power_sums_and_descartes_on_known_spectra():
                                      for m in range(1, n + 1)]
             assert eigenvalue_signs(z) == signs, (lam, z.to_json())
             assert eigenvalue_signs(z) == shape_of(z).sign_multiset()
-            # the numeric copy: the same power sums up to rounding
-            zn = HermitianMatrix(z.complex_entries(), mode="numeric")
-            for got, want in zip(power_sums(zn), power_sums(z)):
-                assert abs(got - want.to_complex()) <= 1e-12 * max(
-                    1, abs(want.to_complex()))
+            # det(x - z) = prod (x - lam_i), multiplied out
+            poly = [F(1)]
+            for x in lam:
+                poly = [a - x * b for a, b in zip(poly + [0], [0] + poly)]
+            assert charpoly(z) == poly
 
 
 def test_ranks_are_the_prefix_ranks():
@@ -367,7 +358,7 @@ def test_sign_compatibility_random():
         z = random_exact_hermitian(N, rng)
         s = shape_of(z)
         zero = N - rank(z.entries)
-        ev = z.eigenvalues()
+        ev = np.linalg.eigvalsh(_numeric(z))
         nonzero = ev[np.argsort(np.abs(ev))[zero:]]
         signs = (int(np.sum(nonzero > 0)), int(np.sum(nonzero < 0)), zero)
         assert s.sign_multiset() == signs and eigenvalue_signs(z) == signs
@@ -413,11 +404,10 @@ def test_tangency_random_sweep():
     rng = random.Random(23)
     for n in (2, 3):
         points = [random_exact_hermitian(n, rng) for _ in range(15)]
-        while len(points) < 30:
+        for _ in range(15):
             S = random_shape(n, rng)
-            z = build_leaf_point(S, random_compatible_weights(S, rng))
-            if z.mode == "exact":
-                points.append(z)
+            points.append(build_leaf_point(S, random_compatible_weights(S,
+                                                                        rng)))
         ranks = set()
         for z in points:
             rep = leaf_tangency_check(z)
@@ -574,24 +564,52 @@ def test_matrix_json_roundtrip():
     z = H([[1, (0, 2)], [(0, -2), -3]])
     z2 = HermitianMatrix.from_json(z.to_json())
     assert z2.entries == z.entries
-    zn = HermitianMatrix(np.array([[1.0, 1j], [-1j, 0.0]]), mode="numeric")
-    assert zn.entries == [[1, 1j], [-1j, 0]]
-    assert all(type(e) is complex for row in zn.entries for e in row)
-    zn2 = HermitianMatrix.from_json(zn.to_json())
-    assert zn2.mode == "numeric" and zn2.entries == zn.entries
+    # a numeric file: each float is read as the binary rational it denotes
+    zn = HermitianMatrix.from_json({"N": 2, "mode": "numeric", "entries": [
+        [{"re": 0.1, "im": 0.0}, {"re": 0.0, "im": 1.5}],
+        [{"re": 0.0, "im": -1.5}, {"re": -2.0, "im": 0.0}]]})
+    assert zn.entries == [[G(F(0.1)), G(0, F(3, 2))],
+                          [G(0, F(-3, 2)), G(-2)]]
+    assert F(0.1) != F(1, 10)
+    for obj in ({"N": 0, "mode": "exact", "entries": []},
+                {"N": 2, "mode": "exact", "entries": [[{"re": "1"}]]},
+                {"N": 1, "mode": "float", "entries": [[{"re": "1"}]]}):
+        with pytest.raises(ValueError):
+            HermitianMatrix.from_json(obj)
     with pytest.raises(ValueError):
-        HermitianMatrix([[1.0, 1j], [1j, 0.0]], mode="numeric")
+        H([[1, (0, 1)], [(0, 1), 0]])           # not self-adjoint
     with pytest.raises(ValueError):
-        HermitianMatrix([[1.0, 0.0]], mode="numeric")
+        H([[1, 0]])                             # not square
 
 
 def test_shape_matrix_validation():
     with pytest.raises(ValueError):
-        ShapeMatrix((2, 1), [G(2), G(F(1, 2))])  # not unimodular
-    with pytest.raises(ValueError):
         ShapeMatrix((2, 1), [G(1), G(-1)])       # not conjugate-symmetric
     with pytest.raises(ValueError):
         ShapeMatrix((2, 1), [None, None])        # zero slots on a 2-cycle
+    with pytest.raises(ValueError):
+        ShapeMatrix((1, 2), [G(0, 1), G(1)])     # a fixed slot off the axis
+    with pytest.raises(ValueError):
+        ShapeMatrix((1, 2), [G(0), G(1)])        # zero, not None
+    with pytest.raises(ValueError):
+        ShapeMatrix((1, 2), [G(1)])              # one slot short
+
+
+def test_shape_slots_are_canonical_rays():
+    # a slot stands for its direction: a unit phase when its modulus is
+    # rational, else the primitive Gaussian integer on it
+    S = ShapeMatrix((2, 1, 3), [G(2), G(F(1, 2)), G(F(-3, 7))])
+    assert S.u == [G(1), G(1), G(-1)]
+    S = ShapeMatrix((2, 1), [G(F(3, 2), 2), G(F(3, 7), F(-4, 7))])
+    assert S.u == [G(F(3, 5), F(4, 5)), G(F(3, 5), F(-4, 5))]
+    S = ShapeMatrix((2, 1), [G(F(2, 3), F(2, 3)), G(5, -5)])
+    assert S.u == [G(1, 1), G(1, -1)]
+    assert S == ShapeMatrix((2, 1), [G(7, 7), G(1, -1)])
+    assert S != ShapeMatrix((2, 1), [G(1, 2), G(1, -2)])
+    # the shape of [[0, 1 - i], [1 + i, 0]] reads the slot 1 + i, of
+    # irrational modulus, both by the minor scan and off decompose's M
+    z = H([[0, (1, -1)], [(1, 1), 0]])
+    assert shape_of(z) == S == reduced_shape(decompose(z)[1])
 
 
 def _congruence_by_lower(z, ts):
@@ -599,9 +617,8 @@ def _congruence_by_lower(z, ts):
     instead of t, which moves the shape.  The first t of ts whose wrong
     congruence moves the shape of z, or None."""
     s = shape_of(z)
-    return next((t for t in ts if not s.same_shape(shape_of(HermitianMatrix(
-        gr_matmul(t, gr_matmul(z.entries, gr_conj_t(t))), mode="exact")))),
-        None)
+    return next((t for t in ts if s != shape_of(HermitianMatrix(
+        gr_matmul(t, gr_matmul(z.entries, gr_conj_t(t)))))), None)
 
 
 def test_tn_invariance_witness_names_sample_and_element(monkeypatch):
@@ -704,6 +721,11 @@ def test_poisson_suites_fail_on_a_perturbed_bracket(monkeypatch):
         assert w["first"]["coefficient"] == {"re": "2", "im": "0"}
 
 
+def _shape_json(obj):
+    return ShapeMatrix(obj["tau"], [None if u is None else GaussRat.from_json(u)
+                                    for u in obj["u"]])
+
+
 def test_shape_roundtrip_witness_names_first_failing_sample(monkeypatch):
     from qrea import checks, classical
     right = classical.build_leaf_point
@@ -714,24 +736,21 @@ def test_shape_roundtrip_witness_names_first_failing_sample(monkeypatch):
     assert cert.status == "fail"
     first = cert.witness["first"]
     lam = [F(x) for x in first["weights"]]
-    assert any(lam)
+    S = _shape_json(first["shape"])
+    # one weight per slot, nonzero exactly on the support
+    assert len(lam) == S.N and any(lam)
+    assert [i for i, x in enumerate(lam, start=1) if x] == list(S.support)
     # the first power sum that differs, from the z that was built: that of
     # the doubled weights against that of the weights
     z = HermitianMatrix.from_json(first["z"])
+    assert z.entries == right(S, [2 * x for x in lam]).entries
     m = first["power_sum"]["m"]
     assert power_sums(z)[:m - 1] == [sum(x ** k for x in lam)
                                      for k in range(1, m)]
     assert first["power_sum"]["expected"] == str(sum(x ** m for x in lam))
     assert GaussRat.from_json(first["power_sum"]["trace"]) == \
         sum((2 * x) ** m for x in lam)
-    assert ShapeMatrix(first["shape_of"]["tau"], [
-        None if u is None else GaussRat.from_json(u)
-        for u in first["shape_of"]["u"]]).same_shape(ShapeMatrix(
-            first["shape"]["tau"], [None if u is None else GaussRat.from_json(u)
-                                    for u in first["shape"]["u"]]))
-    assert ShapeMatrix(first["shape"]["tau"], [
-        None if u is None else GaussRat.from_json(u)
-        for u in first["shape"]["u"]]).rank == sum(1 for x in lam if x)
+    assert _shape_json(first["shape_of"]) == S
     # it is the first: every earlier sample drew all-zero weights
     rng = random.Random(0)
     for _ in range(first["sample"]):
@@ -768,25 +787,44 @@ def test_decompose_witness_names_first_failing_sample(monkeypatch):
     right = classical.decompose
     calls = []
 
-    def negated_on_third_call(z):
-        # -t keeps z = t* S t and the shape but not the positive diagonal
+    def perturbed_on_third_call(z):
         calls.append(z)
-        t, S = right(z)
+        t, M = right(z)
         if len(calls) == 3:
-            t = HermitianMatrix(-t.to_numeric(), mode="numeric", check=False)
-        return t, S
+            t[0][0] = G(2)
+        return t, M
 
-    monkeypatch.setattr(classical, "decompose", negated_on_third_call)
+    monkeypatch.setattr(classical, "decompose", perturbed_on_third_call)
     cert, = checks.check_decompose(4, 0)
     assert cert.status == "fail"
     assert cert.witness["failures"] == 1
     first = cert.witness["first"]
     assert first["sample"] == 2
-    assert first["residual"] <= 1e-9
-    assert first["shape"]["tau"] == first["shape_of"]["tau"]
-    diag = [row[k]["re"] for k, row in enumerate(first["t"]["entries"])]
-    assert diag and all(x < 0 for x in diag)
-    assert HermitianMatrix.from_json(first["z"]).N == len(diag)
+    z = HermitianMatrix.from_json(first["z"])
+    t = [[GaussRat.from_json(e) for e in row] for row in first["t"]]
+    M = HermitianMatrix.from_json(first["M"])
+    assert z.entries == calls[2].entries and M.entries == right(z)[1].entries
+    assert t[0][0] == 2
+    # the first entry, in row-major order, at which z and t* M t differ
+    tmt = gr_matmul(gr_conj_t(t), gr_matmul(M.entries, t))
+    i, j = next((i, j) for i in range(z.N) for j in range(z.N)
+                if tmt[i][j] != z.entries[i][j])
+    assert (first["law"], first["entry"]) == ("z = t* M t", [i + 1, j + 1])
+    assert GaussRat.from_json(first["got"]) == tmt[i][j]
+    assert GaussRat.from_json(first["expected"]) == z.entries[i][j]
+
+
+def test_decompose_mismatch_laws():
+    from qrea import checks
+    zero = H([[0, 0], [0, 0]])
+    lower = [[G(1), G(0)], [G(1), G(1)]]
+    assert checks.decompose_mismatch(zero, lower, zero) == {
+        "law": "unit upper triangular", "entry": [2, 1],
+        "got": {"re": "1", "im": "0"}}
+    ones = H([[1, 1], [1, 1]])
+    assert checks.decompose_mismatch(ones, gr_identity(2), ones)["law"] == \
+        "reduced"
+    assert checks.decompose_mismatch(ones, *decompose(ones)) is None
 
 
 def test_poisson_suites_leave_the_shared_table_as_built():

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -104,21 +105,70 @@ def test_classical_file_commands(tmp_path, capsys):
     rec = json.loads(out.strip().splitlines()[0])
     assert rec["shape"]["tau"] == [2, 1]
 
+    # a two-cycle already reduced: t' = 1 and M = z, exactly
     code, out, _ = run_cli(capsys, ["classical", "decompose", str(path)])
     assert code == 0
     rec = json.loads(out.strip().splitlines()[0])
-    assert rec["residual"] <= 1e-9
+    one, zero = {"re": "1", "im": "0"}, {"re": "0", "im": "0"}
+    assert rec == {"t": [[one, zero], [zero, one]], "M": z,
+                   "shape": {"tau": [2, 1], "u": [{"re": "0", "im": "-1"},
+                                                  {"re": "0", "im": "1"}]}}
 
+    # the exact characteristic polynomial x^2 - 1, not float eigenvalues
     code, out, _ = run_cli(capsys, ["classical", "leaf", str(path)])
     assert code == 0
+    assert json.loads(out.strip().splitlines()[0])["charpoly"] == [
+        "1", "0", "-1"]
+
+    # a numeric file is read exactly, 0.1 as the binary rational it is
+    path.write_text(json.dumps({"N": 1, "mode": "numeric",
+                                "entries": [[{"re": 0.1, "im": 0.0}]]}))
+    code, out, _ = run_cli(capsys, ["classical", "leaf", str(path)])
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[0])["charpoly"] == [
+        "1", "-3602879701896397/36028797018963968"]
+
+
+def test_classical_shape_of_an_irrational_ray(tmp_path, capsys):
+    # [[0, 1 - i], [1 + i, 0]]: the pivot ratio 1 + i has modulus sqrt 2, so
+    # the slot is the primitive Gaussian integer 1 + i; decompose's M reads
+    # the same shape, and `classical build` round-trips it
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps({"N": 2, "mode": "exact", "entries": [
+        [{"re": "0"}, {"re": "1", "im": "-1"}],
+        [{"re": "1", "im": "1"}, {"re": "0"}]]}))
+    shape = {"tau": [2, 1], "u": [{"re": "1", "im": "1"},
+                                  {"re": "1", "im": "-1"}]}
+    code, out, _ = run_cli(capsys, ["classical", "shape", str(path)])
+    assert code == 0
+    assert json.loads(out.splitlines()[0]) == {"shape": shape}
+    code, out, _ = run_cli(capsys, ["classical", "decompose", str(path)])
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["shape"] == shape
+    code, out, _ = run_cli(capsys, ["classical", "build", "--shape",
+                                    json.dumps(shape), "--weights", "1,-2"])
+    assert code == 0
+    built, cert = (json.loads(l) for l in out.splitlines())
+    assert cert["status"] == "pass"
+    assert built["entries"][1][0] == {"re": "1", "im": "1"}
 
 
 def test_classical_build(capsys):
     shape = json.dumps({"tau": [2, 1], "u": [{"re": "0", "im": "-1"},
                                              {"re": "0", "im": "1"}]})
+    # one weight per slot: -(2)(-8) = 16 is a square, so the block
+    # [[0, 4i], [-4i, -6]] is exact
     code, out, _ = run_cli(capsys, ["classical", "build", "--shape", shape,
-                                    "--weights", "2,-3"])
+                                    "--weights", "2,-8"])
     assert code == 0
+    built, cert = (json.loads(l) for l in out.splitlines())
+    assert built["entries"][0][1] == {"re": "0", "im": "4"}
+    assert cert["status"] == "pass"
+    # -(2)(-3) = 6 is not: a usage error that names the pair
+    code, out, err = run_cli(capsys, ["classical", "build", "--shape", shape,
+                                      "--weights", "2,-3"])
+    assert (code, out) == (2, "")
+    assert "two-cycle (1, 2)" in err
 
 
 def test_classical_tangency_and_invariance(capsys):
@@ -200,8 +250,7 @@ _MISSING_FILE = str(Path(__file__).parent / "no_such_matrix.json")
     # (environment, argv)
     ({"QREA_SEED": "abc"}, ["check-all", "--N", "2"]),
     # a dict in argv is written to a file and replaced by its path
-    ["classical", "shape", {"N": 1, "mode": "numeric",
-                            "entries": [[{"re": 1.0, "im": 0.0}]]}],
+    ["classical", "shape", {"N": 0, "mode": "exact", "entries": []}],
     ["classical", "leaf", {"N": 1, "mode": "exact",
                            "entries": [[{"re": "1"}, {"re": "0"}]]}],
     ["classical", "decompose", {"N": 2, "mode": "numeric",
@@ -213,6 +262,14 @@ _MISSING_FILE = str(Path(__file__).parent / "no_such_matrix.json")
      '{"tau":["a","b","c"],"u":["s1","s2","s3"]}'],
     ["classical", "decompose", {"N": 3, "mode": "exact",
                                 "entries": [[{"re": "1"}]]}],
+    ["classical", "decompose", {"N": 0, "mode": "exact", "entries": []}],
+    ["classical", "leaf", {"N": 0, "mode": "exact", "entries": []}],
+    ["classical", "build", "--shape", '{"tau":[2,1],"u":["1","1"]}',
+     "--weights", "2"],
+    ["classical", "build", "--shape", '{"tau":[2,1],"u":["1","1"]}',
+     "--weights", "2,-3"],
+    ["classical", "build", "--shape",
+     '{"tau":[1],"u":[{"re":1.0,"im":0.0,"numeric":true}]}', "--weights", "2"],
 ])
 def test_bad_input_is_usage_error(capsys, monkeypatch, tmp_path, argv):
     env, argv = argv if isinstance(argv, tuple) else ({}, argv)
@@ -241,6 +298,13 @@ def test_removed_flags_are_rejected(argv):
     assert exc.value.code == 2
 
 
+# `check-all --seed 0` stdout sha256 by N
+_DIGESTS = {
+    "2": "391dcdf59b29c1c5362db55e8ce411551deaa1afb3fcef0f2f0657658a49a631",
+    "3": "88bae471497bd0ad863a33cb38849e054f8e3c56e5a99a6ae095bf9079930ce1",
+    "4": "24c5fb601059fb6d5c644111c9a1538ae4ce9a759a9f6e2b85cdb68ca3046cad"}
+
+
 def test_check_all_deterministic_and_covers(capsys):
     code1, out1, _ = run_cli(capsys, ["check-all", "--N", "2"])
     code2, out2, err2 = run_cli(capsys, ["check-all", "--N", "2", "--timings"])
@@ -252,8 +316,7 @@ def test_check_all_deterministic_and_covers(capsys):
     assert [t[1] for t in timed] == [name for name, _ in checks.CHECKS]
     assert all(t[2].endswith("s") and float(t[2][:-1]) >= 0 for t in timed)
     # the recorded N=2 seed-0 certificate stream, byte for byte
-    assert hashlib.sha256(out1.encode()).hexdigest() == (
-        "391dcdf59b29c1c5362db55e8ce411551deaa1afb3fcef0f2f0657658a49a631")
+    assert hashlib.sha256(out1.encode()).hexdigest() == _DIGESTS["2"]
     lines = out1.strip().splitlines()
     assert len(lines) >= 12
     suites = {json.loads(l)["suite"] for l in lines}
@@ -287,8 +350,8 @@ def test_check_all_n4_coeff_and_classical_lines_pinned(capsys, monkeypatch):
 
 
 def test_check_all_n4_exits_0_on_the_seeds_that_crashed(capsys, monkeypatch):
-    # decompose's float path left a fixed slot off the real axis by 1e-12,
-    # and the shape's own matrix rejected it with a traceback
+    # a floating-point decompose once left a fixed slot off the real axis
+    # by 1e-12 on these seeds, and the shape's own matrix rejected it
     monkeypatch.setattr(checks, "CHECKS", [
         (name, fn) for name, fn in checks.CHECKS
         if name == "classical.decompose"])
@@ -299,6 +362,23 @@ def test_check_all_n4_exits_0_on_the_seeds_that_crashed(capsys, monkeypatch):
         assert json.loads(out)["status"] == "pass"
 
 
+def test_check_all_takes_no_square_root(capsys, monkeypatch):
+    # the whole `check-all --seed 0` stream at N = 2, 3 and 4, byte for
+    # byte, with math.sqrt raising; and no source file names a float root
+    def no_sqrt(x):
+        raise AssertionError(f"math.sqrt({x!r})")
+
+    monkeypatch.setattr(math, "sqrt", no_sqrt)
+    for n, digest in _DIGESTS.items():
+        code, out, _ = run_cli(capsys, ["--seed", "0", "check-all", "--N", n])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, n
+    for path in sorted(Path(checks.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        for name in ("math.sqrt", "cmath", "complex(", "** 0.5", "**0.5"):
+            assert name not in text, (path.name, name)
+
+
 def test_registry_matches_manifest():
     import importlib.resources as res
     manifest = res.files("qrea").joinpath("check_manifest.txt") \
@@ -307,15 +387,22 @@ def test_registry_matches_manifest():
 
 
 # Run in a fresh interpreter: imports qrea's entry points, runs every suite
-# of check-all and the exact CLI commands at N=2, `classical decompose` on
-# the exact matrix file named by the first argument included, and prints
-# whether numpy was loaded.
+# of check-all and every CLI command at N=2, the classical ones on the
+# matrix file named by the first argument, prints the record that
+# `classical decompose` writes for it and whether numpy was loaded.
 _EXACT_SIDE = """
 import contextlib, io, sys
 import qrea.checks, qrea.cli
 for name, suite in qrea.checks.CHECKS:
     assert all(c.status == "pass" for c in suite(2, 0)), name
-for argv in (["classical", "decompose", sys.argv[1]],
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert qrea.cli.main(["classical", "decompose", sys.argv[1]]) == 0
+print(out.getvalue().splitlines()[0])
+for argv in (["classical", "shape", sys.argv[1]],
+             ["classical", "leaf", sys.argv[1]],
+             ["classical", "build", "--shape", '{"tau":[2,1],"u":["1","1"]}',
+              "--weights", "2,-8"],
              ["braid", "--N", "2"],
              ["wedge-table", "--N", "2", "--k", "1", "--l", "2", "--check"],
              ["verify", "muir", "--N", "2"], ["rea", "verify", "laplace"],
@@ -331,7 +418,8 @@ print("numpy" in sys.modules)
 
 def test_exact_side_runs_without_numpy(tmp_path):
     src = Path(checks.__file__).resolve().parent.parent
-    # sqrt 2 and sqrt 3 are irrational: decompose takes its float path
+    # sqrt 2 is irrational, and decompose needs none: z = t'* M t' with
+    # t' = [[1, (1 + i)/2], [0, 1]] and M = diag(2, -2)
     path = tmp_path / "z.json"
     path.write_text(json.dumps({"N": 2, "mode": "exact", "entries": [
         [{"re": "2", "im": "0"}, {"re": "1", "im": "1"}],
@@ -340,30 +428,26 @@ def test_exact_side_runs_without_numpy(tmp_path):
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
-
-
-def _import_time_imports(tree):
-    """The import statements of a module that run when it is imported: all
-    but those inside a function body."""
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            yield node
-        stack.extend(ast.iter_child_nodes(node))
+    decomposed, numpy_loaded = proc.stdout.splitlines()
+    one, zero = {"re": "1", "im": "0"}, {"re": "0", "im": "0"}
+    rec = json.loads(decomposed)
+    assert rec["t"] == [[one, {"re": "1/2", "im": "1/2"}], [zero, one]]
+    assert rec["M"]["entries"] == [[{"re": "2", "im": "0"}, zero],
+                                   [zero, {"re": "-2", "im": "0"}]]
+    assert numpy_loaded == "False"
 
 
 def test_no_module_imports_numpy_at_module_level():
+    # nor in a function body: src/qrea runs without numpy
     hits = []
     for path in sorted(Path(checks.__file__).parent.glob("*.py")):
-        for node in _import_time_imports(ast.parse(path.read_text())):
-            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
-                     else [node.module or ""])
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
             if any(n.split(".")[0] == "numpy" for n in names):
                 hits.append(f"{path.name}:{node.lineno}")
-    assert not hits, "import numpy inside the numeric routine:\n" + \
-        "\n".join(hits)
+    assert not hits, "numpy imported in src/qrea:\n" + "\n".join(hits)

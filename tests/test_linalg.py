@@ -174,15 +174,21 @@ def _check_elimination(m, one):
                 assert entry == one if i == j else entry.is_zero()
 
 
+def _numeric(m):
+    """A GaussRat matrix as a numpy array: the floating-point oracle."""
+    return np.array([[complex(e.re, e.im) for e in row] for row in m])
+
+
 @settings(max_examples=150, deadline=None)
 @given(_square_matrices(_gauss))
 def test_elimination_on_gauss_rat_against_numpy(m):
-    a = np.array([[e.to_complex() for e in row] for row in m])
+    a = _numeric(m)
     # nonzero singular values of these small-denominator matrices are far
     # above 1e-12, rounding errors far below
     assert rank(m) == np.linalg.matrix_rank(a, tol=1e-12)
     scale = max(1.0, float(np.prod(np.linalg.norm(a, axis=1))))
-    assert abs(determinant(m).to_complex() - np.linalg.det(a)) <= 1e-12 * scale
+    det = determinant(m)
+    assert abs(complex(det.re, det.im) - np.linalg.det(a)) <= 1e-12 * scale
     _check_elimination(m, GaussRat(1))
 
 
@@ -215,7 +221,7 @@ def _rectangular_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(_rectangular_matrices())
 def test_echelon_pivots_are_the_lex_first_independent_columns(m):
-    a = np.array([[e.to_complex() for e in row] for row in m])
+    a = _numeric(m)
 
     def numpy_rank(c):
         return 0 if c == 0 else np.linalg.matrix_rank(a[:, :c], tol=1e-12)
