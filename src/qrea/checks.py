@@ -700,14 +700,15 @@ def tn_invariance_samples(n, samples, rng):
     out = []
     for i in range(samples):
         z = classical.random_exact_hermitian(n, rng)
-        lam = classical.random_rational(rng)
+        lam = classical.random_ratio(rng)
         shear = classical.gr_identity(n)
         if n >= 2:
-            shear[0][1] = classical.GaussRat(lam, classical.random_rational(rng))
+            shear[0][1] = classical.GaussRat.from_ints(
+                *lam, *classical.random_ratio(rng))
         diag = classical.gr_identity(n)
         for k in range(n):
-            diag[k][k] = classical.GaussRat(Fraction(rng.randint(1, 5),
-                                                     rng.randint(1, 5)))
+            diag[k][k] = classical.GaussRat.from_ints(rng.randint(1, 5),
+                                                      rng.randint(1, 5))
         ts = {"shear": shear, "diagonal": diag,
               "general": classical.random_triangular(n, rng)}
         moved = classical.tn_invariance_check(z, list(ts.values()))
@@ -732,8 +733,7 @@ def decompose_mismatch(z, t, M):
     None: z = t* M t entry by entry, in row-major order, then t unit upper
     triangular, then the shape read off M equal to shape_of(z)."""
     n = z.N
-    tmt = classical.gr_matmul(classical.gr_conj_t(t),
-                              classical.gr_matmul(M.entries, t))
+    tmt = classical.congruence(t, M.entries)
     for i, j in product(range(n), repeat=2):
         if tmt[i][j] != z.entries[i][j]:
             return {"law": "z = t* M t", "entry": [i + 1, j + 1],

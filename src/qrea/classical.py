@@ -42,7 +42,7 @@ import random
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import accumulate, combinations, product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import add, mul
 
 from .coeff import GaussRat, rational_sqrt
@@ -90,9 +90,11 @@ class HermitianMatrix:
 
     @staticmethod
     def from_json(obj):
-        """The matrix of a JSON object {"N", "mode", "entries"}, N >= 1.  A
-        "numeric" file, with float parts, is read exactly: each float is the
-        binary rational it denotes."""
+        """The matrix of a JSON object {"N", "mode", "entries"}, N >= 1.  An
+        "exact" file gives each part as a rational string or an integer,
+        and a float part in it is an error.  A "numeric" file, with float
+        parts, is read exactly: each float is the binary rational it
+        denotes."""
         N = obj["N"]
         if type(N) is not int or N < 1:
             raise ValueError(f"N must be a positive integer, got {N!r}")
@@ -101,6 +103,13 @@ class HermitianMatrix:
                              f"{len(obj['entries'])}")
         if obj["mode"] not in ("exact", "numeric"):
             raise ValueError(f"unknown mode {obj['mode']!r}")
+        if obj["mode"] == "exact":
+            for row in obj["entries"]:
+                for e in row:
+                    if isinstance(e, dict) and float in map(type, e.values()):
+                        raise ValueError(
+                            f"float part in an exact file: {e!r}; give "
+                            f"rationals as strings, or use mode \"numeric\"")
         return HermitianMatrix([[GaussRat.from_json(e) for e in row]
                                 for row in obj["entries"]])
 
@@ -109,10 +118,6 @@ def gr_matmul(a, b):
     """The product of two matrices, lists of rows of GaussRat."""
     cols = list(zip(*b))
     return [[reduce(add, map(mul, row, col)) for col in cols] for row in a]
-
-
-def gr_conj_t(a):
-    return [[a[j][i].conj() for j in range(len(a))] for i in range(len(a[0]))]
 
 
 def gr_identity(n):
@@ -288,7 +293,7 @@ def shape_of(z):
         images = [tau_map[p] for p in J]
         inv = sum(1 for a in range(k) for b in range(a + 1, k)
                   if images[a] > images[b])
-        direction = GaussRat((-1) ** inv) * val
+        direction = -val if inv % 2 else val
         ratio = direction / prev_dir
         p, tp = pairs[-1]
         tau[p - 1], tau[tp - 1] = tp, p
@@ -320,7 +325,7 @@ def tn_invariance_check(z, ts):
         _check_triangular(t)
     s = shape_of(z)
     return next((t for t in ts if s != shape_of(HermitianMatrix(
-        gr_matmul(gr_conj_t(t), gr_matmul(z.entries, t))))), None)
+        congruence(t, z.entries)))), None)
 
 
 # ---------------------------------------------------------------------------
@@ -633,12 +638,22 @@ def leaf_tangency_check(z):
     tangents and their intersection, and whether range = intersection.
     intersection_dim reads rank [U | pi | T] as rank [U | T], which holds
     whenever the range lies in the unitary tangent, as equal requires.
+
+    The ranks are taken at the multiple of z with Gaussian-integer
+    entries: pi is quadratic and both tangents are linear in z, so a
+    positive multiple scales every vector and changes no span.  pi enters
+    the two longer eliminations through its pivot columns, a basis of its
+    range.
     """
-    pi = list(zip(*bracket_at(z)))
+    D = lcm(*(x.d for row in z.entries for x in row))
+    z = HermitianMatrix([[x.scale(D) for x in row] for row in z.entries])
+    bracket = bracket_at(z)
+    columns = list(zip(*bracket))
+    pi = [columns[c] for c, _ in echelon(bracket)[1]]
     U, T = orbit_tangents(z)
     rank_u, rank_up, rank_upt = _ranks(U, pi, T)
     rank_t, rank_tp = _ranks(T, pi)
-    rank_pi, = _ranks(pi)
+    rank_pi = len(pi)
     inter_dim = rank_u + rank_t - rank_upt
     equal = rank_up == rank_u and rank_tp == rank_t and rank_pi == inter_dim
     return {"bivector_rank": rank_pi, "unitary_dim": rank_u,
@@ -736,19 +751,20 @@ def random_shape(N, rng):
     return ShapeMatrix(tau, u)
 
 
-def random_rational(rng, small=6):
-    num = rng.randint(-small, small)
-    den = rng.randint(1, small)
-    return Fraction(num, den)
+def random_ratio(rng):
+    """A random rational in [-6, 6] as the ints (numerator, denominator),
+    the denominator in 1..6: two draws, for GaussRat.from_ints."""
+    return rng.randint(-6, 6), rng.randint(1, 6)
 
 
 def random_triangular(N, rng):
     """Random exact element of the positive triangular group."""
     t = gr_identity(N)
     for i in range(N):
-        t[i][i] = GaussRat(Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+        t[i][i] = GaussRat.from_ints(rng.randint(1, 5), rng.randint(1, 5))
         for j in range(i + 1, N):
-            t[i][j] = GaussRat(random_rational(rng), random_rational(rng))
+            t[i][j] = GaussRat.from_ints(*random_ratio(rng),
+                                         *random_ratio(rng))
     return t
 
 
@@ -781,22 +797,31 @@ def random_exact_hermitian(N, rng):
         if shape.u[i - 1] is None:
             continue
         if tu == i:
-            sgn = 1 if shape.u[i - 1].re > 0 else -1
-            E[i - 1][i - 1] = GaussRat(sgn * abs(random_rational(rng)) + (1 if sgn > 0 else -1))
+            # sgn (|x| + 1) for a random rational x
+            sgn = 1 if shape.u[i - 1].a > 0 else -1
+            num, den = random_ratio(rng)
+            E[i - 1][i - 1] = GaussRat.from_ints(sgn * (abs(num) + den), den)
         elif tu > i:
-            c = GaussRat(abs(random_rational(rng)) + 1)
+            num, den = random_ratio(rng)
+            c = GaussRat.from_ints(abs(num) + den, den)
             E[tu - 1][i - 1] = c * shape.u[i - 1]
             E[i - 1][tu - 1] = c * shape.u[tu - 1]
-            E[tu - 1][tu - 1] = GaussRat(random_rational(rng))
-    t = _sparse_rows(random_triangular(N, rng))
-    # E has at most two nonzeros per row and t is triangular: summing over
-    # stored entries only skips about a third of the dense products
-    t_star = [{} for _ in range(N)]
+            E[tu - 1][tu - 1] = GaussRat.from_ints(*random_ratio(rng))
+    return HermitianMatrix(congruence(random_triangular(N, rng), E))
+
+
+def congruence(t, e):
+    """t* e t for square GaussRat matrices t and e (lists of rows), summed
+    over their nonzero entries only: a triangular t (a shear or a diagonal
+    above all) and a sparse e, such as a shape matrix, skip most of the
+    dense products."""
+    t = _sparse_rows(t)
+    t_star = [{} for _ in t]
     for k, row in enumerate(t):
         for i, x in row.items():
             t_star[i][k] = x.conj()
-    z = _sparse_product(t_star, _sparse_product(_sparse_rows(E), t))
-    return HermitianMatrix([[row.get(j, GR0) for j in range(N)] for row in z])
+    m = _sparse_product(t_star, _sparse_product(_sparse_rows(e), t))
+    return [[row.get(j, GR0) for j in range(len(m))] for row in m]
 
 
 def _sparse_rows(a):

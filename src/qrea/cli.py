@@ -293,9 +293,14 @@ def cmd_classical(args):
             raise UsageError(f"--weights do not fit the shape: {exc}") \
                 from None
         sys.stdout.write(json.dumps(z.to_json(), sort_keys=True) + "\n")
+        # z must have the shape and the weights asked for: the spectrum by
+        # its power sums, then the shape
+        shape = classical.shape_of(z)
+        bad = checks.power_sum_mismatch(z, lam) or (
+            None if shape == S else {"shape_of": shape.to_json()})
         certs.append(Certificate.verdict("classical build",
                                          {"weights": [str(w) for w in lam]},
-                                         classical.shape_of(z) == S))
+                                         bad is None, witness=bad))
     elif args.classical_cmd == "tangency":
         reports = checks.tangency_reports(args.N, args.samples,
                                           random.Random(args.seed))

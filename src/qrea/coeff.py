@@ -54,7 +54,18 @@ class PoleAtPoint(ZeroDivisionError):
 
 
 class NotAUnit(ZeroDivisionError):
-    """Inverse of a Laurent polynomial other than a unit +-q^k."""
+    """Inverse of a Laurent polynomial other than a unit +-q^k.
+
+    Raised with the value itself, and the message is formatted only when
+    it is read: the sparse row reduction and the ``units`` ring law catch
+    this error as a test and read no message.  A plain string argument is
+    the message as it stands.
+    """
+
+    def __str__(self):
+        if len(self.args) == 1 and not isinstance(self.args[0], str):
+            return f"{self.args[0]!r} is not a unit of Z[q, q^-1]"
+        return super().__str__()
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +254,7 @@ class LaurentPoly:
         """The inverse of a unit +-q^k; NotAUnit on any other value."""
         if self.P == 1 or self.P == -1:
             return _packed(-self.lo, self.P, 1)
-        raise NotAUnit(f"{self!r} is not a unit of Z[q, q^-1]")
+        raise NotAUnit(self)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -806,6 +817,12 @@ class GaussRat:
 
     def to_json(self):
         return {"re": str(self.re), "im": str(self.im)}
+
+    @staticmethod
+    def from_ints(re_num, re_den, im_num=0, im_den=1):
+        """The GaussRat re_num/re_den + (im_num/im_den) i from four ints,
+        both denominators positive: one gcd, no Fraction on the way."""
+        return _gauss(re_num * im_den, im_num * re_den, re_den * im_den)
 
     @staticmethod
     def from_json(obj):

@@ -83,7 +83,8 @@ def check_comb_lemma(I, J):
     S u X and S u Y compare as X and Y do, for X and Y of one size disjoint
     from S: the least element in one and not the other decides both.  So
     each P compares T_P with J \\ I and T^P with I \\ J, and S is merged
-    into neither.
+    into neither.  The result therefore depends on I and J only through
+    I \\ J and J \\ I, which sweep_comb_lemma relies on.
     """
     si, sj = set(I), set(J)
     T = tuple(sorted(si ^ sj))
@@ -105,13 +106,23 @@ def sweep_comb_lemma(N):
     """Exhaustive dominance-lemma sweep over all I, J inside [N].
 
     Returns (pairs_checked, bad), bad listing (I, J, counterexamples) for
-    every pair with a counterexample.
+    every pair with a counterexample, in the order of the pairs.
+
+    check_comb_lemma reads I and J only through I \\ J and J \\ I, so it
+    runs once per distinct pair of differences, keyed by their bitmasks,
+    and every pair with that key takes its result: 3^N enumerations in
+    place of 4^N, the same answer.
     """
     sets = [I for k in range(N + 1) for I in subsets(N, k)]
+    masks = [sum(1 << i for i in I) for I in sets]
+    memo = {}
     bad = []
-    for I in sets:
-        for J in sets:
-            counterexamples = check_comb_lemma(I, J)[1]
+    for I, mI in zip(sets, masks):
+        for J, mJ in zip(sets, masks):
+            key = (mI & ~mJ, mJ & ~mI)
+            counterexamples = memo.get(key)
+            if counterexamples is None:
+                counterexamples = memo[key] = check_comb_lemma(I, J)[1]
             if counterexamples:
                 bad.append((I, J, counterexamples))
     return len(sets) ** 2, bad

@@ -40,7 +40,6 @@ here and in the reflection algebra, adds into one dict with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
 
 from .braiding import (WedgeBraidTable, apply_two_site, braid_pair_action,
@@ -604,13 +603,16 @@ def _misses(got, expected):
 # Shared computation context
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Certificate:
-    command: str
-    instance: dict
-    status: str
-    witness: dict | None = None
-    seed: int | None = None
+    """The outcome of one checked instance: the command, the instance, a
+    status ("pass", "fail" or "inconclusive"), and on failure a witness."""
+
+    def __init__(self, command, instance, status, witness=None, seed=None):
+        self.command = command
+        self.instance = instance
+        self.status = status
+        self.witness = witness
+        self.seed = seed
 
     def to_json(self):
         out = {"command": self.command, "instance": self.instance,

@@ -16,7 +16,6 @@ the published family table at N = 3.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
@@ -180,22 +179,24 @@ def enumerate_shapes(N):
 # Shape ideals
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ShapeIdeal:
-    """Generator-label pattern of the two-sided *-ideal attached to a shape."""
+    """Generator-label pattern of the two-sided *-ideal attached to a shape.
 
-    shape: QuantumShape
-    flavor: str                       # "dom" or "lex"
-    generators: list = field(default_factory=list)  # (rows, cols), adjoint-closed
+    flavor is "dom" or "lex"; generators lists (rows, cols) labels, closed
+    under the formal adjoint.
+    """
+
+    def __init__(self, shape, flavor, generators=()):
+        self.shape = shape
+        self.flavor = flavor
+        self.generators = list(generators)
+        self._genset = set(self.generators)
 
     def contains_label(self, rows, cols):
         rows, cols = tuple(rows), tuple(cols)
         if len(rows) > self.shape.rank:
             return True
         return (rows, cols) in self._genset
-
-    def __post_init__(self):
-        self._genset = set(self.generators)
 
 
 def build_shape_ideal(shape, flavor="dom"):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -8,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from qrea.classical import (GaussRat, HermitianMatrix, NotTriangular,
                             ShapeMatrix, SignMismatch, _ranks, bracket_at,
-                            build_leaf_point, charpoly, decompose,
-                            eigenvalue_signs, exact_minor, gr_conj_t,
-                            gr_identity, gr_matmul, jacobi_check,
+                            build_leaf_point, charpoly, congruence, decompose,
+                            eigenvalue_signs, exact_minor, gr_identity,
+                            gr_matmul, jacobi_check,
                             leaf_tangency_check, minors, orbit_tangents,
                             poisson_bracket_coeffs, power_sums,
                             random_compatible_weights, random_exact_hermitian,
@@ -26,6 +28,12 @@ def G(re, im=0):
 def H(rows):
     return HermitianMatrix([[G(*e) if isinstance(e, tuple) else G(e)
                              for e in row] for row in rows])
+
+
+def gr_conj_t(a):
+    """The conjugate transpose of a GaussRat matrix: with gr_matmul, the
+    dense reference for congruence."""
+    return [[a[j][i].conj() for j in range(len(a))] for i in range(len(a[0]))]
 
 
 def _numeric(z):
@@ -61,7 +69,28 @@ def test_generate_and_recover_roundtrip():
         S = random_shape(N, rng)
         t = random_triangular(N, rng)
         z = gr_matmul(gr_conj_t(t), gr_matmul(S.matrix().entries, t))
+        assert congruence(t, S.matrix().entries) == z
         assert shape_of(HermitianMatrix(z)) == S
+
+
+def test_draw_streams_are_pinned():
+    # the random exact draws, and how many rng calls they take, for n = 1..4
+    # and seeds 0..49: one rng per (n, seed) draws z, t and a shape in turn,
+    # then one more float; the digest was taken from draws built through
+    # Fraction, so building them from ints changes no draw
+    out = []
+    for n in range(1, 5):
+        for seed in range(50):
+            rng = random.Random(seed)
+            z = random_exact_hermitian(n, rng)
+            t = random_triangular(n, rng)
+            S = random_shape(n, rng)
+            out.append({"n": n, "seed": seed, "z": z.to_json(),
+                        "t": [[e.to_json() for e in row] for row in t],
+                        "shape": S.to_json(), "next": rng.random()})
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "ca6a1d22ee52a4f052c725e0c9cd7f83c60f671317918c5411a4ed666b82c148")
 
 
 def test_rank_zero():
@@ -416,6 +445,27 @@ def test_tangency_random_sweep():
         assert n == 2 or len(ranks) > 1, ranks
 
 
+def test_tangency_ranks_are_those_of_the_full_eliminations_at_z():
+    # leaf_tangency_check eliminates at a Gaussian-integer multiple of z,
+    # with pi's pivot columns only: every rank is that of the eliminations
+    # of all N^2 columns of pi at z itself
+    rng = random.Random(31)
+    for n in (1, 2, 3):
+        for _ in range(10):
+            z = random_exact_hermitian(n, rng)
+            pi = [list(c) for c in zip(*bracket_at(z))]
+            U, T = orbit_tangents(z)
+            rank_u, rank_up, rank_upt = _ranks(U, pi, T)
+            rank_t, rank_tp = _ranks(T, pi)
+            rank_pi, = _ranks(pi)
+            inter = rank_u + rank_t - rank_upt
+            assert leaf_tangency_check(z) == {
+                "bivector_rank": rank_pi, "unitary_dim": rank_u,
+                "triangular_dim": rank_t, "intersection_dim": inter,
+                "equal": (rank_up == rank_u and rank_tp == rank_t
+                          and rank_pi == inter)}
+
+
 def _dense(n, *entries):
     m = [[G(0)] * n for _ in range(n)]
     for r, c, x in entries:
@@ -573,7 +623,11 @@ def test_matrix_json_roundtrip():
     assert F(0.1) != F(1, 10)
     for obj in ({"N": 0, "mode": "exact", "entries": []},
                 {"N": 2, "mode": "exact", "entries": [[{"re": "1"}]]},
-                {"N": 1, "mode": "float", "entries": [[{"re": "1"}]]}):
+                {"N": 1, "mode": "float", "entries": [[{"re": "1"}]]},
+                # floats are read only from a numeric file
+                {"N": 1, "mode": "exact", "entries": [[{"re": 0.1}]]},
+                {"N": 1, "mode": "exact",
+                 "entries": [[{"re": "1", "im": 0.0}]]}):
         with pytest.raises(ValueError):
             HermitianMatrix.from_json(obj)
     with pytest.raises(ValueError):

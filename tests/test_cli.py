@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qrea import checks
+from qrea import checks, classical
 from qrea.cli import main
 
 
@@ -171,6 +171,24 @@ def test_classical_build(capsys):
     assert "two-cycle (1, 2)" in err
 
 
+def test_classical_build_certifies_the_weights(capsys, monkeypatch):
+    # a builder that doubles every weight keeps the shape and moves the
+    # spectrum: the certificate fails at the first power sum, m = 1
+    right = classical.build_leaf_point
+    monkeypatch.setattr(classical, "build_leaf_point",
+                        lambda S, lam: right(S, [2 * x for x in lam]))
+    code, out, _ = run_cli(capsys, ["classical", "build", "--shape",
+                                    '{"tau":[2,1],"u":["1","1"]}',
+                                    "--weights", "2,-8"])
+    assert code == 1
+    built, cert = (json.loads(l) for l in out.splitlines())
+    assert classical.shape_of(classical.HermitianMatrix.from_json(built)) \
+        == classical.ShapeMatrix([2, 1], [classical.GaussRat(1)] * 2)
+    assert cert["status"] == "fail"
+    assert cert["witness"] == {"m": 1, "trace": {"re": "-12", "im": "0"},
+                               "expected": "-6"}
+
+
 def test_classical_tangency_and_invariance(capsys):
     # tangency draws exact points: one passing certificate per sample, none
     # skipped
@@ -270,6 +288,8 @@ _MISSING_FILE = str(Path(__file__).parent / "no_such_matrix.json")
      "--weights", "2,-3"],
     ["classical", "build", "--shape",
      '{"tau":[1],"u":[{"re":1.0,"im":0.0,"numeric":true}]}', "--weights", "2"],
+    ["classical", "leaf", {"N": 1, "mode": "exact",
+                           "entries": [[{"re": 0.1}]]}],
 ])
 def test_bad_input_is_usage_error(capsys, monkeypatch, tmp_path, argv):
     env, argv = argv if isinstance(argv, tuple) else ({}, argv)
@@ -435,6 +455,21 @@ def test_exact_side_runs_without_numpy(tmp_path):
     assert rec["M"]["entries"] == [[{"re": "2", "im": "0"}, zero],
                                    [zero, {"re": "-2", "im": "0"}]]
     assert numpy_loaded == "False"
+
+
+def test_entry_points_import_no_dataclasses_or_inspect():
+    # the modules `import qrea.checks, qrea.cli` adds to a bare interpreter
+    src = Path(checks.__file__).resolve().parent.parent
+    code = ("import sys; bare = set(sys.modules); "
+            "import qrea.checks, qrea.cli; "
+            "print(*sorted(set(sys.modules) - bare))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert {"qrea.checks", "qrea.cli"} <= added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
 
 
 def test_no_module_imports_numpy_at_module_level():

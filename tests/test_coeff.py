@@ -613,8 +613,12 @@ def test_laurent_inverse_only_of_units():
         assert unit * unit.inv() == LP_ONE
         assert type(unit.inv()) is LaurentPoly
     for value in (L({0: 2}), L({0: 1, 1: 1}), LaurentPoly.zero(), L({1: -3})):
-        with pytest.raises(NotAUnit):
+        with pytest.raises(NotAUnit) as exc:
             value.inv()
+        # raised with the value; the message is formatted when read
+        assert exc.value.args == (value,)
+        assert str(exc.value) == f"{value!r} is not a unit of Z[q, q^-1]"
+    assert str(NotAUnit("a message")) == "a message"
     assert issubclass(NotAUnit, ZeroDivisionError)
 
 
