@@ -148,14 +148,6 @@ def minors(e):
     return minor
 
 
-def exact_minor(z, rows, cols):
-    """Determinant of the (rows, cols) submatrix over GaussRat, labels
-    1-based."""
-    if len(rows) != len(cols):
-        raise ValueError("minor needs equally many rows and columns")
-    return minors(z)(tuple(rows), tuple(cols))
-
-
 # ---------------------------------------------------------------------------
 # Shape matrices
 # ---------------------------------------------------------------------------
@@ -723,11 +715,6 @@ _EXACT_PHASES = [GaussRat(1), GaussRat(-1), GaussRat(0, 1), GaussRat(0, -1),
                  GaussRat(Fraction(5, 13), Fraction(-12, 13))]
 
 
-def random_exact_phase(rng):
-    """Random exact unimodular GaussRat (fourth roots and Pythagorean)."""
-    return rng.choice(_EXACT_PHASES)
-
-
 def random_shape(N, rng):
     """Random exact self-adjoint shape matrix."""
     items = list(range(1, N + 1))
@@ -745,7 +732,7 @@ def random_shape(N, rng):
             j = items.pop()
             a, b = min(i, j), max(i, j)
             tau[a - 1], tau[b - 1] = b, a
-            ph = random_exact_phase(rng)
+            ph = rng.choice(_EXACT_PHASES)
             u[a - 1] = ph
             u[b - 1] = ph.conj()
     return ShapeMatrix(tau, u)

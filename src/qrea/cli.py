@@ -5,7 +5,7 @@ canonical order so identical seeds and arguments give byte-identical
 output); a human summary with timings goes to stderr, and with
 `check-all --timings` one line of wall seconds per suite.  Exit code 0 means
 every requested check passed, 1 means some check failed, 2 is a usage
-error.  The environment variable QREA_SEED overrides --seed.
+error.
 
 `classical tangency` checks the leaf tangency at exact random Hermitian
 points, one certificate each; `classical jacobi` evaluates the exact cyclic
@@ -24,25 +24,23 @@ unknown or malformed flags, the usage errors are:
 - `rea shapes`, and `rea qcomm` without --shape, beyond N = 5;
 - an --N below 1, a `classical jacobi --samples` below 1, and any run
   that produces no certificates;
-- a QREA_SEED that is not an integer;
 - a `classical shape|decompose|leaf` file that cannot be read or is not a
   square Hermitian matrix in JSON, whose "N" is below 1 or not its number
   of rows, or whose mode is neither exact nor numeric (a numeric file is
   read exactly, each float the binary rational it denotes);
 - a `classical build --shape` that is not an object with lists tau and u
   of one length, with a slot that is not null, "0", a rational or an
-  exact object {"re", "im"} (a phase object marked numeric is refused),
-  or that is no valid shape; --weights that are not comma-separated
-  rationals, one per slot, whose signs do not fit the slots, or that give
-  a two-cycle (i, t) a pair whose -lam_i lam_t / |u_i|^2 is not a
-  rational square.
+  object {"re", "im"} of rationals, with a float slot or float part
+  (slots are exact: rationals go as strings), or that is no valid shape;
+  --weights that are not comma-separated rationals, one per slot, whose
+  signs do not fit the slots, or that give a two-cycle (i, t) a pair
+  whose -lam_i lam_t / |u_i|^2 is not a rational square.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -79,17 +77,6 @@ def _summarise(certs, t0, label):
     print(f"[{label}] {n_pass} pass, {n_fail} fail, {n_inc} inconclusive "
           f"({dt:.1f}s)", file=sys.stderr)
     return 0 if n_fail == 0 and n_inc == 0 else 1
-
-
-def _seed(args):
-    """QREA_SEED if it is set, else --seed."""
-    env = os.environ.get("QREA_SEED")
-    if env is None:
-        return args.seed
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"QREA_SEED must be an integer, got {env!r}") from None
 
 
 def _json_arg(flag, text):
@@ -228,10 +215,11 @@ def _load_matrix(path):
 def _shape_slot(slot):
     if slot is None or slot == "0":
         return None
+    parts = slot.values() if isinstance(slot, dict) else (slot,)
+    if float in map(type, parts):
+        raise UsageError(f"--shape slots are exact: {slot!r} holds a float; "
+                         f"give rationals as strings")
     if isinstance(slot, dict):
-        if "numeric" in slot:
-            raise UsageError("--shape slots are exact; a numeric phase "
-                             "object is not read")
         return classical.GaussRat.from_json(slot)
     return classical.GaussRat(Fraction(slot))
 
@@ -413,7 +401,6 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        args.seed = _seed(args)
         if "N" in vars(args) and args.N < 1:
             raise UsageError(f"--N must be >= 1, got {args.N}")
         return args.fn(args)

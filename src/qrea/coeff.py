@@ -153,10 +153,6 @@ class LaurentPoly:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero():
-        return LP_ZERO
-
-    @staticmethod
     def const(c):
         return LaurentPoly({0: c})
 

@@ -22,11 +22,15 @@ product R * R^{-1} = 1 of column images, and for r' a partial transpose of
 it; no word pair is evaluated.
 
 On pairs of minors, r and its plain inverse are entries of the wedge braiding
-table, and r' is the bicharacter's r' functional on the two minor
-polynomials.  So the twisted product reads the one r' functional at word
-level (`star_word`, which reads r by rows: `Bicharacter.coimage`) and at
-minor level (`star_minor`, through the index `QContext.rpr_minors` of its
-nonzero values), and the convolution certificates of r' cover both.
+table; the `minor-table-crosscheck` certificate shows that both equal the
+word-level functionals on the two minor polynomials.  r' on minors reads
+the inverse table too.  Every word of the minor Delta(A, B) has columns B
+and, as rows, an arrangement of A, so the twist of r' over r^{-1} is the
+constant q^{2(sum B - sum A)} on its words, and
+r'(Delta(A, B), Delta(C, D)) = rpr_twist(B, A) inv_entry(B, A, C, D).  The
+twisted product reads r' at word level (`star_word`, which reads r by rows:
+`Bicharacter.coimage`) and at minor level (`star_minor`, off the inverse
+table); the word-level convolution certificates of r' cover r' itself.
 Every identity family (Laplace, the common-submatrix expansion, braided
 commutativity) is verified by exact normal-form equality.  The sweeps over
 wedge-table labels visit only nonzero entries, through the table's slices;
@@ -406,8 +410,9 @@ class Bicharacter:
     So at bidegree (s, t) each functional is a matrix with one column per
     column word, `image(which, s, cols)`, sparse: f(u, v) is the entry
     rows(u) + rows(v) of column cols(u) + cols(v).  The convolution
-    certificates multiply these columns; `r`, `r_inv` and `r_prime` read
-    single entries, for the minor functionals and the reverse braid.
+    certificates multiply these columns; `r` and `r_inv` read single
+    entries, for the minor-table crosscheck and the reverse braid, and
+    `r_prime` is r' on one word pair, by its definition.
 
     A row of that matrix is `coimage(which, s, rows)`, {cols: value}: by
     the transposition principle (Buergisser, Clausen and Shokrollahi,
@@ -511,7 +516,7 @@ class Bicharacter:
     # -- functional evaluation on polynomials ---------------------------------------
 
     def pair_functional(self, which, pa, pb):
-        fn = {"r": self.r, "rinv": self.r_inv, "rpr": self.r_prime}[which]
+        fn = {"r": self.r, "rinv": self.r_inv}[which]
         total = LP_ZERO
         for wa, ca in pa.coeffs.items():
             for wb, cb in pb.coeffs.items():
@@ -644,8 +649,6 @@ class QContext:
         self._tables = {}
         self._minors = {}
         self._minor_prod = {}
-        self._rpr_minor = {}
-        self._rpr_index = {}
         self._contractions = {}
         self._gencomm = {}
 
@@ -730,28 +733,6 @@ class QContext:
     def rinv_minor(self, A, B, C, D):
         """The (Delta, Delta) convolution inverse on a pair of minors."""
         return self.table(len(A), len(C)).inv_entry(B, A, C, D)
-
-    def rpr_minor(self, A, B, C, D):
-        """The (Delta, Delta^op) convolution inverse on a pair of minors,
-        read from the bicharacter, memoised."""
-        key = (A, B, C, D)
-        hit = self._rpr_minor.get(key)
-        if hit is None:
-            hit = self._rpr_minor[key] = self.bich.pair_functional(
-                "rpr", self.minor(A, B), self.minor(C, D))
-        return hit
-
-    def rpr_minors(self, B, C, D):
-        """[(A, rpr_minor(A, B, C, D))] over the |B|-subsets A, in order,
-        nonzero values only: the r' index of the twisted minor product,
-        built once per (B, C, D) from one rpr_minor call per A."""
-        key = (B, C, D)
-        hit = self._rpr_index.get(key)
-        if hit is None:
-            hit = self._rpr_index[key] = [
-                (A, v) for A in subsets(self.N, len(B))
-                if not (v := self.rpr_minor(A, B, C, D)).is_zero()]
-        return hit
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,15 @@ equation algebra at desk scale: reflection-algebra minors are the ordinary
 quantum minors viewed inside the twisted product, and every reflection-side
 identity is checked by exact normal-form equality in this model.
 
-Both products read r' only through `qmatrix.Bicharacter`.  `star_word`
-works from the row side: for each row tail c whose r^{-1} image (twisted by
-`Bicharacter.rpr_twist` into r') has an entry ending in rows(v), it reads
-the r values of all column tuples at once, as the coimage of rows(u) + c,
-and skips every other c.  `star_minor` takes r on minors from a slice of
-the wedge braiding table and r' on minors from `QContext.rpr_minors`, the
-nonzero values of the bicharacter's r' on the two minor polynomials.
+Both products read r' as r^{-1} twisted by `Bicharacter.rpr_twist`.
+`star_word` works from the row side: for each row tail c whose r^{-1} image
+has an entry ending in rows(v), it reads the r values of all column tuples
+at once, as the coimage of rows(u) + c, and skips every other c.
+`star_minor` reads r on minors off a slice of the wedge braiding table and
+r^{-1} off a slice of its inverse table; the twist is constant on the words
+of a minor.  `minor-table-crosscheck` certifies the inverse table against
+word-level r^{-1} on minors, and the convolution certificates certify r' on
+words.
 
 The reflection-algebra identity families share their expansions with the
 quantum-matrix ones.  Laplace and Muir take the term lists of
@@ -115,11 +117,14 @@ class StarAlgebra:
             return hit
         ctx = self.ctx
         A, B, C, D = key
-        # r_minor(A, K, L, E) is the wedge-table entry (K, A, L, E)
+        # r_minor(A, K, L, E) is the wedge-table entry (K, A, L, E), and
+        # r'(Delta(M, B), Delta(C, L)) = rpr_twist(B, M) inv_entry(B, M, C, L)
         tab = ctx.table(len(A), len(C))
-        terms = [(c1 * c2, (K, M, E, D))
+        by_b_c_l = tab.slice(True, (0, 2, 3))
+        twist = ctx.bich.rpr_twist
+        terms = [(c1 * twist(B, M) * c2, (K, M, E, D))
                  for (K, L, E), c1 in tab.slice(False, (1,)).get((A,), ())
-                 for M, c2 in ctx.rpr_minors(B, C, L)]
+                 for (M,), c2 in by_b_c_l.get((B, C, L), ())]
         acc = sum_terms(self.N, terms, ctx.minor_prod_nf)
         self._star_minor_memo[key] = acc
         return acc

@@ -210,17 +210,17 @@ def test_usage_error_exit_code():
     assert proc.stdout == ""
 
 
-def test_seed_env_override(capsys, monkeypatch):
+def test_seed_env_is_ignored(capsys, monkeypatch):
+    """--seed is the only way to seed a run: QREA_SEED is not read."""
     monkeypatch.setenv("QREA_SEED", "99")
     code, out, _ = run_cli(capsys, ["classical", "tangency", "--N", "2",
                                     "--samples", "2", "--seed", "3"])
     assert code == 0
     recs = [json.loads(l) for l in out.strip().splitlines()]
-    assert all(r["seed"] == 99 for r in recs)
+    assert recs and all(r["seed"] == 3 for r in recs)
 
 
-def test_global_seed_reaches_classical_subcommands(capsys, monkeypatch):
-    monkeypatch.delenv("QREA_SEED", raising=False)
+def test_global_seed_reaches_classical_subcommands(capsys):
     code, out, _ = run_cli(capsys, ["--seed", "5", "classical", "jacobi",
                                     "--N", "2", "--samples", "3"])
     assert code == 0
@@ -265,8 +265,6 @@ _MISSING_FILE = str(Path(__file__).parent / "no_such_matrix.json")
     ["classical", "jacobi", "--N", "-1"],
     ["classical", "jacobi", "--N", "0"],
     ["classical", "jacobi", "--samples", "0"],
-    # (environment, argv)
-    ({"QREA_SEED": "abc"}, ["check-all", "--N", "2"]),
     # a dict in argv is written to a file and replaced by its path
     ["classical", "shape", {"N": 0, "mode": "exact", "entries": []}],
     ["classical", "leaf", {"N": 1, "mode": "exact",
@@ -290,11 +288,14 @@ _MISSING_FILE = str(Path(__file__).parent / "no_such_matrix.json")
      '{"tau":[1],"u":[{"re":1.0,"im":0.0,"numeric":true}]}', "--weights", "2"],
     ["classical", "leaf", {"N": 1, "mode": "exact",
                            "entries": [[{"re": 0.1}]]}],
+    # --shape slots are exact: a float slot or float part is refused
+    ["classical", "build", "--shape",
+     '{"tau":[2,1],"u":[{"re":0.6,"im":-0.8},{"re":0.6,"im":0.8}]}',
+     "--weights", "2,-8"],
+    ["classical", "build", "--shape", '{"tau":[1],"u":[0.1]}',
+     "--weights", "2"],
 ])
-def test_bad_input_is_usage_error(capsys, monkeypatch, tmp_path, argv):
-    env, argv = argv if isinstance(argv, tuple) else ({}, argv)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     for i, arg in enumerate(argv):
         if isinstance(arg, dict):
             path = tmp_path / f"arg{i}.json"

@@ -367,9 +367,31 @@ def test_minor_tables_match_functionals(ctx2):
 
 
 @pytest.mark.parametrize("N, quadruples", [(2, 36), (3, 400)])
+def test_rpr_on_minors_is_the_twisted_inverse_table(N, quadruples):
+    """r'(Delta(A, B), Delta(C, D)) = q^{2(sum B - sum A)} rinv_minor(A, B,
+    C, D) on every label quadruple, empty labels included, against the sum
+    of the word-level r' over all word pairs of the two minors."""
+    ctx = checks.get_ctx(N)
+    bich = ctx.bich
+    labels = [(A, B) for k in range(N + 1)
+              for A, B in product(combinations(range(1, N + 1), k), repeat=2)]
+    count = 0
+    for (A, B), (C, D) in product(labels, repeat=2):
+        words = LP_ZERO
+        for u, cu in ctx.minor(A, B).coeffs.items():
+            for v, cv in ctx.minor(C, D).coeffs.items():
+                words = words + cu * cv * bich.r_prime(u, v)
+        twist = LaurentPoly.q_power(2 * (sum(B) - sum(A)))
+        assert twist * ctx.rinv_minor(A, B, C, D) == words, (A, B, C, D)
+        count += 1
+    assert count == quadruples
+
+
+@pytest.mark.parametrize("N, quadruples", [(2, 36), (3, 400)])
 def test_minor_convolution_identities(N, quadruples):
     """The two defining identities of the convolution inverses on minors,
-    on every label quadruple (A, B, C, D), empty labels included:
+    on every label quadruple (A, B, C, D), empty labels included, with r'
+    on minors read as the twisted inverse table:
 
         sum_{K,L} r(A,K,L,D) r'(K,B,C,L)   = [A=B][C=D]
         sum_{K,L} r(A,K,D,L) r^-1(K,B,L,C) = [A=B][C=D]
@@ -385,7 +407,8 @@ def test_minor_convolution_identities(N, quadruples):
         for K in ksets:
             for L in lsets:
                 rpr_sum = rpr_sum + (ctx.r_minor(A, K, L, D)
-                                     * ctx.rpr_minor(K, B, C, L))
+                                     * ctx.bich.rpr_twist(B, K)
+                                     * ctx.rinv_minor(K, B, C, L))
                 rinv_sum = rinv_sum + (ctx.r_minor(A, K, D, L)
                                        * ctx.rinv_minor(K, B, L, C))
         expected = LP_ONE if (A == B and C == D) else LP_ZERO

@@ -339,7 +339,6 @@ def test_sums_leave_every_memo_as_a_fresh_context_computes_it():
              (star._star_minor_memo, fresh.star_minor),
              (ctx._minor_prod, fresh.ctx.minor_prod_nf),
              (ctx.rw._nf_memo, lambda *w: fresh.ctx.rw.nf_word(w)),
-             (ctx._rpr_index, fresh.ctx.rpr_minors),
              (ctx._contractions, fresh.ctx.wedge_contraction),
              (ctx._gencomm, fresh.ctx.gencomm_coefficients),
              (qmatrix._EXPANSION_MEMO, qmatrix._expansion)]
