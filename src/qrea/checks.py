@@ -1,9 +1,8 @@
 """Registry of named verification suites behind `check-all`.
 
 Every invariant promised by a module appears here as a named suite
-producing certificates; the packaged manifest file lists the suite names
-and a unit test keeps the two in sync.  Suites are deterministic given
-(N, seed) and emit certificates in a canonical instance order.
+producing certificates.  Suites are deterministic given (N, seed) and emit
+certificates in a canonical instance order.
 """
 
 from __future__ import annotations

@@ -90,11 +90,11 @@ class HermitianMatrix:
 
     @staticmethod
     def from_json(obj):
-        """The matrix of a JSON object {"N", "mode", "entries"}, N >= 1.  An
-        "exact" file gives each part as a rational string or an integer,
-        and a float part in it is an error.  A "numeric" file, with float
-        parts, is read exactly: each float is the binary rational it
-        denotes."""
+        """The matrix of a JSON object {"N", "mode", "entries"}, N >= 1,
+        each entry read by GaussRat.from_json.  An "exact" file gives each
+        part as a rational string or an integer.  A "numeric" file may also
+        give floats, and is read exactly: each float is the binary rational
+        it denotes."""
         N = obj["N"]
         if type(N) is not int or N < 1:
             raise ValueError(f"N must be a positive integer, got {N!r}")
@@ -103,14 +103,8 @@ class HermitianMatrix:
                              f"{len(obj['entries'])}")
         if obj["mode"] not in ("exact", "numeric"):
             raise ValueError(f"unknown mode {obj['mode']!r}")
-        if obj["mode"] == "exact":
-            for row in obj["entries"]:
-                for e in row:
-                    if isinstance(e, dict) and float in map(type, e.values()):
-                        raise ValueError(
-                            f"float part in an exact file: {e!r}; give "
-                            f"rationals as strings, or use mode \"numeric\"")
-        return HermitianMatrix([[GaussRat.from_json(e) for e in row]
+        floats = obj["mode"] == "numeric"
+        return HermitianMatrix([[GaussRat.from_json(e, floats) for e in row]
                                 for row in obj["entries"]])
 
 

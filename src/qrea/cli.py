@@ -1,11 +1,16 @@
 """Command-line entry point.
 
-Certificates stream to stdout as JSON lines (one per instance, in a
-canonical order so identical seeds and arguments give byte-identical
-output); a human summary with timings goes to stderr, and with
-`check-all --timings` one line of wall seconds per suite.  Exit code 0 means
-every requested check passed, 1 means some check failed, 2 is a usage
-error.
+Each subcommand yields its records (certificates, and the dumps they
+certify) and main alone writes them to stdout as JSON lines, in a canonical
+order so identical seeds and arguments give byte-identical output; a human
+summary with timings goes to stderr, and with `check-all --timings` one
+line of wall seconds per suite.  The exit code is
+- 0 if every certificate passed; the dumps `wedge-table` without --check
+  and `rea shapes` have none, and exit 0;
+- 1 if some check failed or was inconclusive;
+- 2 on a usage error, or a run with no certificates;
+- 3 if stdout could not be written: a pipe closed early (silently) or a
+  full disk (one line on stderr).
 
 `classical tangency` checks the leaf tangency at exact random Hermitian
 points, one certificate each; `classical jacobi` evaluates the exact cyclic
@@ -26,21 +31,24 @@ unknown or malformed flags, the usage errors are:
   that produces no certificates;
 - a `classical shape|decompose|leaf` file that cannot be read or is not a
   square Hermitian matrix in JSON, whose "N" is below 1 or not its number
-  of rows, or whose mode is neither exact nor numeric (a numeric file is
-  read exactly, each float the binary rational it denotes);
+  of rows, or whose mode is neither exact nor numeric;
 - a `classical build --shape` that is not an object with lists tau and u
-  of one length, with a slot that is not null, "0", a rational or an
-  object {"re", "im"} of rationals, with a float slot or float part
-  (slots are exact: rationals go as strings), or that is no valid shape;
+  of one length, with a slot that is not null, "0", one part or an object
+  {"re", "im"} of parts, or that is no valid shape;
   --weights that are not comma-separated rationals, one per slot, whose
   signs do not fit the slots, or that give a two-cycle (i, t) a pair
-  whose -lam_i lam_t / |u_i|^2 is not a rational square.
+  whose -lam_i lam_t / |u_i|^2 is not a rational square;
+- in a file or a --shape, a part that is neither an integer (a bool is
+  none) nor a rational string, or an object with a key besides "re" and
+  "im"; only a numeric file may also give finite floats, each read exactly
+  as the binary rational it denotes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -54,29 +62,28 @@ class UsageError(Exception):
     """Bad command-line input, reported by main in one line with exit 2."""
 
 
+EXIT_CODES = ("exit codes: 0 every certificate passed (a dump has none), 1 "
+              "a check failed or was inconclusive, 2 a usage error or a run "
+              "with no certificates, 3 stdout could not be written (a closed "
+              "pipe, a full disk)")
+OUTPUT_ERROR = 3
+
 # Input errors: main maps exactly these to a usage error.
 _INPUT_ERRORS = (UsageError, braiding.DegreeOutOfRange, shapes.MalformedShape,
                  qmatrix.IllFormedInstance)
 
 
-def _emit(cert, out):
-    out.write(json.dumps(cert.to_json(), sort_keys=True) + "\n")
-
-
-def _summarise(certs, t0, label):
-    """Exit code of a run: 0 if every certificate passed, 1 if one did not,
-    2 if there were none (a run that certifies nothing is no pass)."""
-    if not certs:
-        print(f"[{label}] no certificates", file=sys.stderr)
-        return 2
-    statuses = [c.status for c in certs]
-    n_pass = statuses.count("pass")
-    n_fail = statuses.count("fail")
-    n_inc = statuses.count("inconclusive")
-    dt = time.time() - t0
-    print(f"[{label}] {n_pass} pass, {n_fail} fail, {n_inc} inconclusive "
-          f"({dt:.1f}s)", file=sys.stderr)
-    return 0 if n_fail == 0 and n_inc == 0 else 1
+def _summarise(statuses, t0, label, dump):
+    """Exit code of a run, from its certificates' statuses: 0 if all
+    passed, 1 if one did not, 2 if there were none (a run that certifies
+    nothing is no pass) unless the command is a dump."""
+    tally = ", ".join(f"{statuses.count(s)} {s}"
+                      for s in ("pass", "fail", "inconclusive"))
+    print(f"[{label}] {tally if statuses else 'no certificates'} "
+          f"({time.time() - t0:.1f}s)", file=sys.stderr)
+    if not statuses:
+        return 0 if dump else 2
+    return 0 if statuses.count("pass") == len(statuses) else 1
 
 
 def _json_arg(flag, text):
@@ -112,89 +119,69 @@ def _load_instance(text, N, keys):
     return inst
 
 
-# -- subcommand runners ------------------------------------------------------
+# -- subcommands ---------------------------------------------------------------
+# Each yields (record, certificate or None) pairs in output order; main
+# writes the records and counts the certificates.  Every input error is
+# raised before the first pair.
+
+def _records(certs):
+    return ((c.to_json(), c) for c in certs)
+
 
 def cmd_braid(args):
-    t0 = time.time()
     kernel_checks = (("braid-relation", braiding.braid_relation_check),
                      ("hecke", braiding.hecke_check),
                      ("symmetric", braiding.symmetry_check))
-    certs = [Certificate.verdict("braid", {"N": n, "check": name},
-                                 check(n) is None)
-             for n in range(1, args.N + 1) for name, check in kernel_checks]
-    for c in certs:
-        _emit(c, sys.stdout)
-    return _summarise(certs, t0, "braid")
+    yield from _records(
+        Certificate.verdict("braid", {"N": n, "check": name}, check(n) is None)
+        for n in range(1, args.N + 1) for name, check in kernel_checks)
 
 
 def cmd_wedge_table(args):
-    t0 = time.time()
     tbl = braiding.WedgeBraidTable(args.N, args.k, args.l)
-    sys.stdout.write(json.dumps(tbl.to_json(), sort_keys=True) + "\n")
-    ok = True
+    yield tbl.to_json(), None
     if args.check:
         bad = (checks.wedge_table_mismatch(tbl)
                or tbl.composition_identity_check())
-        ok = bad is None
-        _emit(Certificate.verdict("wedge-table",
-                                  {"N": args.N, "k": args.k, "l": args.l}, ok,
-                                  witness=bad),
-              sys.stdout)
-    print(f"[wedge-table] dumped N={args.N} k={args.k} l={args.l} "
-          f"({time.time() - t0:.1f}s)", file=sys.stderr)
-    return 0 if ok else 1
+        cert = Certificate.verdict(
+            "wedge-table", {"N": args.N, "k": args.k, "l": args.l},
+            bad is None, witness=bad)
+        yield cert.to_json(), cert
 
 
 def cmd_family(args):
     """`verify` and `rea verify`: one identity family, on one --instance or
     on the family's sweep."""
-    t0 = time.time()
     instances = None
     if args.instance:
         _subs, _sweep, keys = checks.FAMILIES[args.algebra, args.family]
         instances = [_load_instance(args.instance, args.N, keys)]
-    certs = checks.family_certificates(args.algebra, args.family, args.N,
-                                       instances)
-    for c in certs:
-        _emit(c, sys.stdout)
-    label = "verify" if args.algebra == "qmatrix" else "rea"
-    return _summarise(certs, t0, f"{label} {args.family}")
+    yield from _records(checks.family_certificates(
+        args.algebra, args.family, args.N, instances))
 
 
 def cmd_rea_shapes(args):
-    fams = shapes.enumerate_shapes(args.N)
-    if not args.all:
-        fams = [s for s in fams if s.rank >= 1]
-    for s in fams:
-        rec = s.to_json()
-        rec["rank"] = s.rank
-        rec["labels"] = [{"rows": list(r), "cols": list(c)}
-                         for (r, c) in s.minor_labels()]
-        sys.stdout.write(json.dumps(rec, sort_keys=True) + "\n")
-    print(f"[rea shapes] {len(fams)} families", file=sys.stderr)
-    return 0
+    for s in shapes.enumerate_shapes(args.N):
+        if args.all or s.rank >= 1:
+            rec = s.to_json()
+            rec["rank"] = s.rank
+            rec["labels"] = [{"rows": list(r), "cols": list(c)}
+                             for (r, c) in s.minor_labels()]
+            yield rec, None
 
 
 def cmd_rea_qcomm(args):
-    t0 = time.time()
     if args.shape:
         fams = [shapes.QuantumShape.from_json(_json_arg("--shape", args.shape))]
         if fams[0].N != args.N:
             raise UsageError(f"--shape has size {fams[0].N}, not --N {args.N}")
     else:
         fams = [s for s in shapes.enumerate_shapes(args.N) if s.rank >= 1]
-    certs = checks.qcomm_certificates(args.N, fams)
-    for c in certs:
-        _emit(c, sys.stdout)
-    return _summarise(certs, t0, "rea qcomm")
+    yield from _records(checks.qcomm_certificates(args.N, fams))
 
 
 def cmd_rea_semiclassical(args):
-    t0 = time.time()
-    certs = checks.semiclassical_certificates(args.N)
-    for c in certs:
-        _emit(c, sys.stdout)
-    return _summarise(certs, t0, "rea semiclassical")
+    yield from _records(checks.semiclassical_certificates(args.N))
 
 
 def _load_matrix(path):
@@ -213,15 +200,12 @@ def _load_matrix(path):
 
 
 def _shape_slot(slot):
+    """A --shape slot: null or "0" for none, else one part or an object
+    {"re", "im"}, read by GaussRat.from_json."""
     if slot is None or slot == "0":
         return None
-    parts = slot.values() if isinstance(slot, dict) else (slot,)
-    if float in map(type, parts):
-        raise UsageError(f"--shape slots are exact: {slot!r} holds a float; "
-                         f"give rationals as strings")
-    if isinstance(slot, dict):
-        return classical.GaussRat.from_json(slot)
-    return classical.GaussRat(Fraction(slot))
+    return classical.GaussRat.from_json(
+        slot if isinstance(slot, dict) else {"re": slot})
 
 
 def _load_shape(text):
@@ -243,26 +227,23 @@ def _load_shape(text):
 def _load_weights(text):
     try:
         return [Fraction(w) for w in text.split(",")]
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise UsageError(f"--weights must be comma-separated rationals, "
                          f"got {text!r}") from None
 
 
 def cmd_classical(args):
-    t0 = time.time()
-    certs = []
+    rec, certs = None, []
     if args.classical_cmd == "shape":
-        s = classical.shape_of(_load_matrix(args.file))
+        rec = {"shape": classical.shape_of(_load_matrix(args.file)).to_json()}
         certs.append(Certificate("classical shape", {"file": args.file},
                                  "pass", witness=None))
-        sys.stdout.write(json.dumps({"shape": s.to_json()}, sort_keys=True) + "\n")
     elif args.classical_cmd == "decompose":
         z = _load_matrix(args.file)
         t, M = classical.decompose(z)
         bad = checks.decompose_mismatch(z, t, M)
         rec = {"t": [[e.to_json() for e in row] for row in t],
                "M": M.to_json(), "shape": classical.reduced_shape(M).to_json()}
-        sys.stdout.write(json.dumps(rec, sort_keys=True) + "\n")
         certs.append(Certificate.verdict("classical decompose",
                                          {"file": args.file}, bad is None,
                                          witness=bad))
@@ -270,7 +251,6 @@ def cmd_classical(args):
         z = _load_matrix(args.file)
         rec = {"shape": classical.shape_of(z).to_json(),
                "charpoly": [str(c) for c in classical.charpoly(z)]}
-        sys.stdout.write(json.dumps(rec, sort_keys=True) + "\n")
         certs.append(Certificate("classical leaf", {"file": args.file}, "pass"))
     elif args.classical_cmd == "build":
         S = _load_shape(args.shape)
@@ -280,7 +260,7 @@ def cmd_classical(args):
         except ValueError as exc:
             raise UsageError(f"--weights do not fit the shape: {exc}") \
                 from None
-        sys.stdout.write(json.dumps(z.to_json(), sort_keys=True) + "\n")
+        rec = z.to_json()
         # z must have the shape and the weights asked for: the spectrum by
         # its power sums, then the shape
         shape = classical.shape_of(z)
@@ -302,12 +282,10 @@ def cmd_classical(args):
             raise UsageError(f"--samples must be >= 1, got {args.samples}")
         rep = classical.jacobi_check(args.N, samples=args.samples,
                                      seed=args.seed)
+        rec = {"max_residual": rep["max_residual"].to_json()}
         certs.append(Certificate.verdict("classical jacobi",
                                          {"N": args.N, "samples": args.samples},
                                          rep["ok"], seed=args.seed))
-        sys.stdout.write(json.dumps(
-            {"max_residual": rep["max_residual"].to_json()},
-            sort_keys=True) + "\n")
     elif args.classical_cmd == "invariance":
         witnesses = checks.tn_invariance_samples(args.N, args.samples,
                                                  random.Random(args.seed))
@@ -315,27 +293,21 @@ def cmd_classical(args):
             certs.append(Certificate.verdict(
                 "classical invariance", {"N": args.N, "sample": i},
                 w is None, witness=w, seed=args.seed))
-    for c in certs:
-        _emit(c, sys.stdout)
-    return _summarise(certs, t0, f"classical {args.classical_cmd}")
+    if rec is not None:
+        yield rec, None
+    yield from _records(certs)
 
 
 def cmd_check_all(args):
-    t0 = time.time()
-    certs = []
     for name, suite_certs, seconds in checks.run_all(args.N, args.seed):
         for cert in suite_certs:
-            rec = cert.to_json()
-            rec["suite"] = name
-            sys.stdout.write(json.dumps(rec, sort_keys=True) + "\n")
-        certs += suite_certs
+            yield {**cert.to_json(), "suite": name}, cert
         if args.timings:
             print(f"[timings] {name} {seconds:.3f}s", file=sys.stderr)
-    return _summarise(certs, t0, "check-all")
 
 
 def build_parser():
-    p = argparse.ArgumentParser(prog="qrea")
+    p = argparse.ArgumentParser(prog="qrea", epilog=EXIT_CODES)
     p.add_argument("--seed", type=int, default=0)
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -348,7 +320,7 @@ def build_parser():
     w.add_argument("--k", type=int, required=True)
     w.add_argument("--l", type=int, required=True)
     w.add_argument("--check", action="store_true")
-    w.set_defaults(fn=cmd_wedge_table)
+    w.set_defaults(fn=cmd_wedge_table, dump=True)
 
     v = sub.add_parser("verify", help="quantum matrix identity families")
     r = sub.add_parser("rea", help="reflection-algebra checks")
@@ -363,7 +335,7 @@ def build_parser():
     rs.add_argument("--N", type=int, default=3)
     rs.add_argument("--all", action="store_true",
                     help="include the empty-support family")
-    rs.set_defaults(fn=cmd_rea_shapes)
+    rs.set_defaults(fn=cmd_rea_shapes, dump=True)
     rq = rsub.add_parser("qcomm")
     rq.add_argument("--N", type=int, default=3)
     rq.add_argument("--shape", type=str, default=None)
@@ -400,13 +372,32 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    opts = vars(args)
+    label = " ".join(opts[k] for k in ("cmd", "rea_cmd", "classical_cmd",
+                                       "family") if k in opts)
+    t0 = time.time()
+    statuses = []
     try:
-        if "N" in vars(args) and args.N < 1:
+        if "N" in opts and args.N < 1:
             raise UsageError(f"--N must be >= 1, got {args.N}")
-        return args.fn(args)
+        for rec, cert in args.fn(args):
+            sys.stdout.write(json.dumps(rec, sort_keys=True) + "\n")
+            if cert is not None:
+                statuses.append(cert.status)
+        sys.stdout.flush()
     except _INPUT_ERRORS as exc:
         print(f"qrea: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # Subcommands do no I/O of their own (an unreadable file is a usage
+        # error), so stdout is closed or full: a closed pipe needs no word,
+        # and with fd 1 on os.devnull the flush at exit raises nothing
+        if not isinstance(exc, BrokenPipeError):
+            print(f"qrea: cannot write stdout: {exc.strerror}",
+                  file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return OUTPUT_ERROR
+    return _summarise(statuses, t0, label, opts.get("dump", False))
 
 
 if __name__ == "__main__":

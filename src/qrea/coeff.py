@@ -39,7 +39,7 @@ Z with d > 0 and gcd(a, b, d) = 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isfinite, isqrt, lcm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -821,8 +821,26 @@ class GaussRat:
         return _gauss(re_num * im_den, im_num * re_den, re_den * im_den)
 
     @staticmethod
-    def from_json(obj):
-        return GaussRat(Fraction(obj["re"]), Fraction(obj.get("im", "0")))
+    def from_json(obj, floats=False):
+        """The GaussRat of an object {"re", "im"} ("im" defaults to 0) with
+        no other key.  A part is an int that is not a bool or a rational
+        string; with floats, also a finite float, read as the binary
+        rational it denotes.  Anything else is a ValueError."""
+        if (not isinstance(obj, dict) or "re" not in obj
+                or not obj.keys() <= {"re", "im"}):
+            raise ValueError(f"{obj!r} is not an object with a key re and "
+                             f"at most im besides")
+        parts = obj["re"], obj.get("im", 0)
+        for x in parts:
+            if not (type(x) in (int, str) or floats and type(x) is float
+                    and isfinite(x)):
+                kinds = ("an integer, a rational string or a finite float"
+                         if floats else "an integer or a rational string")
+                raise ValueError(f"part {x!r} of {obj!r} is not {kinds}")
+        try:
+            return GaussRat(*map(Fraction, parts))
+        except ZeroDivisionError:
+            raise ValueError(f"{obj!r} has a zero denominator") from None
 
     def __repr__(self):
         re, im = self.re, self.im

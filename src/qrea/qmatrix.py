@@ -239,28 +239,6 @@ class RewriteSystem:
         q.coeffs = out
         return q
 
-    # -- independent rewriting oracle ------------------------------------------
-
-    def naive_normal_form(self, p, rng):
-        """Rewrite at randomly chosen descents until none remain.
-
-        Order-independence against normal_form is a confluence spot check.
-        """
-        work = dict(p.coeffs)
-        done = {}
-        while work:
-            w, c = work.popitem()
-            descents = [i for i in range(len(w) - 1) if w[i] > w[i + 1]]
-            if not descents:
-                add_term(done, w, c)
-                continue
-            i = rng.choice(descents)
-            for (a, b), c2 in self.rules[(w[i], w[i + 1])].items():
-                add_term(work, w[:i] + (a, b) + w[i + 2:], c * c2)
-        q = NCPoly(p.N)
-        q.coeffs = done
-        return q
-
     # -- confluence -------------------------------------------------------------
 
     def critical_pair_failure(self):

@@ -627,7 +627,14 @@ def test_matrix_json_roundtrip():
                 # floats are read only from a numeric file
                 {"N": 1, "mode": "exact", "entries": [[{"re": 0.1}]]},
                 {"N": 1, "mode": "exact",
-                 "entries": [[{"re": "1", "im": 0.0}]]}):
+                 "entries": [[{"re": "1", "im": 0.0}]]},
+                # a part is an int that is not a bool or a rational string,
+                # with no key besides re and im, and a float is finite
+                {"N": 1, "mode": "exact", "entries": [[{"re": True}]]},
+                {"N": 1, "mode": "exact",
+                 "entries": [[{"re": "1", "typo": "5"}]]},
+                {"N": 1, "mode": "numeric",
+                 "entries": [[{"re": float("inf")}]]}):
         with pytest.raises(ValueError):
             HermitianMatrix.from_json(obj)
     with pytest.raises(ValueError):

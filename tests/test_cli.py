@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from qrea import checks, classical
-from qrea.cli import main
+from qrea import checks, classical, cli
+from qrea.cli import OUTPUT_ERROR, main
 
 
 def run_cli(capsys, argv):
@@ -203,6 +203,61 @@ def test_classical_tangency_and_invariance(capsys):
     assert code == 0
 
 
+def test_dumps_exit_0_without_certificates(capsys):
+    code, out, err = run_cli(capsys, ["wedge-table", "--N", "2", "--k", "1",
+                                      "--l", "1"])
+    assert code == 0
+    assert json.loads(out)["N"] == 2
+    assert "no certificates" in err
+
+
+_SRC_ENV = {**os.environ,
+            "PYTHONPATH": str(Path(checks.__file__).resolve().parent.parent)}
+
+
+def test_closed_pipe_is_an_output_error():
+    # -u writes each record as it comes, so records follow the first one
+    # after the reader has gone
+    proc = subprocess.Popen([sys.executable, "-u", "-m", "qrea.cli",
+                             "--seed", "0", "check-all", "--N", "2"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_SRC_ENV)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == OUTPUT_ERROR
+    assert json.loads(first)["suite"] == "coeff.ring-axioms"
+    assert err == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("flags", [[], ["-u"]])
+def test_full_disk_is_an_output_error(flags):
+    # buffered, the write fails at main's flush; with -u, at the first record
+    env = {k: v for k, v in _SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, *flags, "-m", "qrea.cli",
+                               "--seed", "0", "braid", "--N", "2"],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=env)
+    assert proc.returncode == OUTPUT_ERROR
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_has_one_stdout_writer():
+    # main writes every record; the rest of the CLI prints to stderr only
+    text = Path(cli.__file__).read_text()
+    assert text.count("sys.stdout.write") == 1
+    bare = [node.lineno for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "print"
+            and not any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr"
+                        for k in node.keywords)]
+    assert not bare, f"print to stdout at cli.py lines {bare}"
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run([sys.executable, "-m", "qrea.cli", "--bogus"],
                           capture_output=True, text=True)
@@ -294,6 +349,27 @@ _MISSING_FILE = str(Path(__file__).parent / "no_such_matrix.json")
      "--weights", "2,-8"],
     ["classical", "build", "--shape", '{"tau":[1],"u":[0.1]}',
      "--weights", "2"],
+    # a part is an int that is not a bool, or a rational string, in an
+    # object with no key besides re and im; an infinite float is no number
+    ["classical", "build", "--shape", '{"tau":[1],"u":[true]}',
+     "--weights", "2"],
+    ["classical", "build", "--shape", '{"tau":[1],"u":[{"re":true}]}',
+     "--weights", "2"],
+    ["classical", "build", "--shape",
+     '{"tau":[1],"u":[{"re":"1","bogus":"2"}]}', "--weights", "2"],
+    ["classical", "leaf", {"N": 1, "mode": "exact",
+                           "entries": [[{"re": True}]]}],
+    ["classical", "leaf", {"N": 1, "mode": "exact",
+                           "entries": [[{"re": "1", "typo": "5"}]]}],
+    ["classical", "leaf", {"N": 1, "mode": "numeric",
+                           "entries": [[{"re": float("inf")}]]}],
+    # a rational string with a zero denominator
+    ["classical", "build", "--shape", '{"tau":[1],"u":["1/0"]}',
+     "--weights", "2"],
+    ["classical", "build", "--shape", '{"tau":[1],"u":["1"]}',
+     "--weights", "1/0"],
+    ["classical", "leaf", {"N": 1, "mode": "exact",
+                           "entries": [[{"re": "1/0"}]]}],
 ])
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     for i, arg in enumerate(argv):
@@ -398,13 +474,6 @@ def test_check_all_takes_no_square_root(capsys, monkeypatch):
         text = path.read_text()
         for name in ("math.sqrt", "cmath", "complex(", "** 0.5", "**0.5"):
             assert name not in text, (path.name, name)
-
-
-def test_registry_matches_manifest():
-    import importlib.resources as res
-    manifest = res.files("qrea").joinpath("check_manifest.txt") \
-        .read_text().split()
-    assert manifest == [name for name, _ in checks.CHECKS]
 
 
 # Run in a fresh interpreter: imports qrea's entry points, runs every suite
