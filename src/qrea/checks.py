@@ -36,9 +36,11 @@ def get_star(N):
 
 # -- identity families ---------------------------------------------------------
 # (algebra, family) -> (sub-families, instance generator, instance keys).  A
-# "qmatrix" family is verified by qmatrix.verify_identity in the quantum
-# matrix algebra, a "rea" family by rea.rea_verify in the twisted product.
-# The sweep suites below and the CLI's `verify` and `rea verify` read it.
+# "qmatrix" family compares the two sides of qmatrix.identity_sides in the
+# quantum matrix algebra, a "rea" family those of rea.rea_sides in the
+# twisted product; qmatrix.verify_identity and rea.rea_verify certify one
+# instance from them.  The sweep suites below and the CLI's `verify` and
+# `rea verify` read it.
 
 FAMILIES = {
     ("qmatrix", "laplace"): (("laplace-row", "laplace-col"),
@@ -58,31 +60,48 @@ FAMILIES = {
 }
 
 
+def _family_algebra(algebra, N):
+    """The context of an identity family's algebra at size N, its two-sides
+    function and its certificate of two sides."""
+    if algebra == "qmatrix":
+        return get_ctx(N), qmatrix.identity_sides, qmatrix.identity_certificate
+    return get_star(N), rea.rea_sides, rea.rea_certificate
+
+
 def family_certificates(algebra, family, N, instances=None):
     """Verify each sub-family of an identity family at size N on every
     instance, by default on the family's own sweep."""
     subs, sweep, _keys = FAMILIES[algebra, family]
-    if algebra == "qmatrix":
-        ctx, verify = get_ctx(N), qmatrix.verify_identity
-    else:
-        ctx, verify = get_star(N), rea.rea_verify
+    ctx, sides, certificate = _family_algebra(algebra, N)
     if instances is None:
         instances = sweep(N)
-    return [verify(ctx, sub, inst) for inst in instances for sub in subs]
+    return [certificate(sub, inst, *sides(ctx, sub, inst))
+            for inst in instances for sub in subs]
 
 
 def _family_suite(algebra, family):
     """The check-all suite of an identity family: its sweep at min(N, 3),
-    summed up in one certificate whose failure witness counts the failing
-    instances and carries the first one's certificate."""
+    summed up in one certificate.  Each instance's two sides are compared
+    directly; only a failing instance gets a certificate of its own, and
+    the suite's failure witness counts the failing instances and carries
+    the first one's certificate."""
     def suite(N, seed):
         n = min(N, 3)
-        certs = family_certificates(algebra, family, n)
-        failed = [c for c in certs if c.status != "pass"]
+        subs, sweep, _keys = FAMILIES[algebra, family]
+        ctx, sides, certificate = _family_algebra(algebra, n)
+        count, failures, first = 0, 0, None
+        for inst in sweep(n):
+            for sub in subs:
+                count += 1
+                lhs, rhs = sides(ctx, sub, inst)
+                if lhs != rhs:
+                    failures += 1
+                    if first is None:
+                        first = certificate(sub, inst, lhs, rhs).to_json()
         return [Certificate.verdict(
-            f"{algebra} {family}", {"N": n, "instances": len(certs)},
-            not failed, witness=lambda: {"failures": len(failed),
-                                         "first": failed[0].to_json()})]
+            f"{algebra} {family}", {"N": n, "instances": count},
+            not failures, witness=lambda: {"failures": failures,
+                                           "first": first})]
     return suite
 
 
@@ -448,34 +467,38 @@ def check_convolution_certificates(N, seed):
     return out
 
 
+def _minor_table_mismatch(ctx):
+    """The first (which, A, B, C, D), in label order, whose wedge-table
+    entry (r_minor, rinv_minor) differs from the word-level functional r or
+    r^{-1} on the two minor polynomials, as a witness with both values; None
+    when all agree.  The functionals are read off column images by
+    `QContext.functional_on_minors`."""
+    n = ctx.N
+    for k in range(1, n + 1):
+        for l in range(1, n + 1):
+            values = {which: ctx.functional_on_minors(which, k, l)
+                      for which in ("r", "rinv")}
+            for A, B in product(indexsets.subsets(n, k), repeat=2):
+                for C, D in product(indexsets.subsets(n, l), repeat=2):
+                    for which, table in (("r", ctx.r_minor),
+                                         ("rinv", ctx.rinv_minor)):
+                        got = table(A, B, C, D)
+                        value = values[which][A, B, C, D]
+                        if got != value:
+                            return {"which": which, "A": A, "B": B, "C": C,
+                                    "D": D, "table": got.to_json(),
+                                    "functional": value.to_json()}
+    return None
+
+
 def check_minor_table_crosscheck(N, seed):
     """The functional tables on minor pairs against the wedge braiding.  The
     witness is the first (which, A, B, C, D) whose table entry and
     functional value differ, with both values."""
     n = min(N, 3)
-    ctx = get_ctx(n)
-    bich = ctx.bich
-    failure = None
-    for k in range(1, min(n, 3) + 1):
-        for l in range(1, min(n, 3) + 1):
-            for A in indexsets.subsets(n, k):
-                for B in indexsets.subsets(n, k):
-                    pa = ctx.minor(A, B)
-                    for C in indexsets.subsets(n, l):
-                        for D in indexsets.subsets(n, l):
-                            pb = ctx.minor(C, D)
-                            for which, table in (("r", ctx.r_minor),
-                                                 ("rinv", ctx.rinv_minor)):
-                                got = table(A, B, C, D)
-                                value = bich.pair_functional(which, pa, pb)
-                                if got != value and failure is None:
-                                    failure = {
-                                        "which": which, "A": A, "B": B,
-                                        "C": C, "D": D,
-                                        "table": got.to_json(),
-                                        "functional": value.to_json()}
+    failure = _minor_table_mismatch(get_ctx(n))
     return [Certificate.verdict("qmatrix minor-table-crosscheck", {"N": n},
-                                failure is None, witness=lambda: failure)]
+                                failure is None, witness=failure)]
 
 
 # -- rea ------------------------------------------------------------------------------------
@@ -594,20 +617,30 @@ def check_shape_ideals(N, seed):
                                 failure is None, witness=failure)]
 
 
-def qcomm_certificates(N, fams):
-    """The q-commutation certificates of every chain minor of each shape
-    family with every minor of size 1 and 2; `rea qcomm` and check-all."""
-    ctx = get_ctx(N)
-    return [shapes.shape_qcomm_certificate(ctx, s, k, I, J)
+def _qcomm_instances(N, fams):
+    """(family, level k, I, J): every chain minor of each shape family with
+    every minor of size 1 and 2."""
+    return [(s, k, I, J)
             for s in fams for k in range(1, s.rank + 1) for m in (1, 2)
             for I in indexsets.subsets(N, m)
             for J in indexsets.subsets(N, m)]
 
 
+def qcomm_certificates(N, fams):
+    """The q-commutation certificates of every chain minor of each shape
+    family with every minor of size 1 and 2; `rea qcomm`."""
+    ctx = get_ctx(N)
+    return [shapes.shape_qcomm_certificate(ctx, *inst)
+            for inst in _qcomm_instances(N, fams)]
+
+
 def check_qcomm(N, seed):
+    """The statuses of the `rea qcomm` instances at N = 3, counted; no
+    instance gets a certificate of its own."""
     n = 3
-    statuses = [c.status for c in
-                qcomm_certificates(n, shapes.enumerate_shapes(n))]
+    ctx = get_ctx(n)
+    statuses = [shapes.qcomm_status(ctx, *inst)[0] for inst
+                in _qcomm_instances(n, shapes.enumerate_shapes(n))]
     bad, inc = statuses.count("fail"), statuses.count("inconclusive")
     return [Certificate.verdict("rea qcomm",
                                 {"N": n, "instances": len(statuses)},

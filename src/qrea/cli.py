@@ -23,8 +23,8 @@ unknown or malformed flags, the usage errors are:
   an index set that is not increasing within 1..N, or a position outside
   its set, or sets of inconsistent sizes;
 - a --shape that is not JSON; for `rea qcomm`, one that is not an object
-  with an integer list tau and a list u, or not a self-adjoint shape of
-  size N;
+  with an integer list tau and a list u and no other key, or not a
+  self-adjoint shape of size N;
 - `wedge-table` degrees outside 0..N;
 - `rea shapes`, and `rea qcomm` without --shape, beyond N = 5;
 - an --N below 1, a `classical jacobi --samples` below 1, and any run
@@ -33,8 +33,8 @@ unknown or malformed flags, the usage errors are:
   square Hermitian matrix in JSON, whose "N" is below 1 or not its number
   of rows, or whose mode is neither exact nor numeric;
 - a `classical build --shape` that is not an object with lists tau and u
-  of one length, with a slot that is not null, "0", one part or an object
-  {"re", "im"} of parts, or that is no valid shape;
+  of one length and no other key, with a slot that is not null, "0", one
+  part or an object {"re", "im"} of parts, or that is no valid shape;
   --weights that are not comma-separated rationals, one per slot, whose
   signs do not fit the slots, or that give a two-cycle (i, t) a pair
   whose -lam_i lam_t / |u_i|^2 is not a rational square;
@@ -212,12 +212,13 @@ def _load_shape(text):
     """A `classical build --shape` object {"tau": [...], "u": [...]} as a
     ShapeMatrix; slots are parsed by _shape_slot."""
     sj = _json_arg("--shape", text)
-    if (not isinstance(sj, dict) or not isinstance(sj.get("tau"), list)
-            or not isinstance(sj.get("u"), list)
+    if (not isinstance(sj, dict) or sj.keys() != {"tau", "u"}
+            or not isinstance(sj["tau"], list)
+            or not isinstance(sj["u"], list)
             or len(sj["tau"]) != len(sj["u"])
             or not all(type(t) is int for t in sj["tau"])):
         raise UsageError("--shape must be an object with an integer list tau "
-                         "and a list u of the same length")
+                         "and a list u of the same length, and no other key")
     try:
         return classical.ShapeMatrix(sj["tau"], [_shape_slot(x) for x in sj["u"]])
     except (KeyError, TypeError, ValueError) as exc:

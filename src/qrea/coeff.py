@@ -158,7 +158,11 @@ class LaurentPoly:
 
     @staticmethod
     def q_power(n):
-        return LaurentPoly({n: 1})
+        """q^n, built once per n and shared."""
+        power = _Q_POWERS.get(n)
+        if power is None:
+            power = _Q_POWERS[n] = _packed(n, 1, 1)
+        return power
 
     # -- predicates / accessors ---------------------------------------------
 
@@ -345,6 +349,8 @@ def _checked_product(a, b):
     return _from_dense(a.lo + b.lo, out)
 
 
+# n -> q^n, the values of LaurentPoly.q_power
+_Q_POWERS = {}
 LP_ZERO = LaurentPoly()
 LP_ONE = LaurentPoly({0: 1})
 LP_Q = LaurentPoly({1: 1})

@@ -23,7 +23,10 @@ it; no word pair is evaluated.
 
 On pairs of minors, r and its plain inverse are entries of the wedge braiding
 table; the `minor-table-crosscheck` certificate shows that both equal the
-word-level functionals on the two minor polynomials.  r' on minors reads
+word-level functionals on the two minor polynomials.  It reads those off
+column images too: the words of the minors Delta(A, B) and Delta(C, D) have
+the columns B and D, so every word pair of the two is an entry of the one
+image at B + D (`QContext.functional_on_minors`).  r' on minors reads
 the inverse table too.  Every word of the minor Delta(A, B) has columns B
 and, as rows, an arrangement of A, so the twist of r' over r^{-1} is the
 constant q^{2(sum B - sum A)} on its words, and
@@ -32,10 +35,12 @@ twisted product reads r' at word level (`star_word`, which reads r by rows:
 `Bicharacter.coimage`) and at minor level (`star_minor`, off the inverse
 table); the word-level convolution certificates of r' cover r' itself.
 Every identity family (Laplace, the common-submatrix expansion, braided
-commutativity) is verified by exact normal-form equality.  The sweeps over
-wedge-table labels visit only nonzero entries, through the table's slices;
-the label arithmetic of a Laplace or Muir instance is memoised once for
-both algebras; and normal forms are memoised per word suffix.
+commutativity) is verified by exact normal-form equality of its two sides,
+`identity_sides`.  The sweeps over wedge-table labels visit only nonzero
+entries, through the table's slices; the label arithmetic of a Laplace or
+Muir instance is a position pattern, built once per sizes and positions and
+read at I and J, and its terms are memoised once for both algebras; and
+normal forms are memoised per word suffix.
 
 `sum_terms` is the one polynomial sum: every linear combination of NCPolys,
 here and in the reflection algebra, adds into one dict with
@@ -44,6 +49,7 @@ here and in the reflection algebra, adds into one dict with
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations, product
 
 from .braiding import (WedgeBraidTable, apply_two_site, braid_pair_action,
@@ -388,9 +394,9 @@ class Bicharacter:
     So at bidegree (s, t) each functional is a matrix with one column per
     column word, `image(which, s, cols)`, sparse: f(u, v) is the entry
     rows(u) + rows(v) of column cols(u) + cols(v).  The convolution
-    certificates multiply these columns; `r` and `r_inv` read single
-    entries, for the minor-table crosscheck and the reverse braid, and
-    `r_prime` is r' on one word pair, by its definition.
+    certificates and the minor-table crosscheck read these columns; `r`
+    and `r_inv` read single entries, for the reverse braid, and `r_prime`
+    is r' on one word pair, by its definition.
 
     A row of that matrix is `coimage(which, s, rows)`, {cols: value}: by
     the transposition principle (Buergisser, Clausen and Shokrollahi,
@@ -490,18 +496,6 @@ class Bicharacter:
         """q^{2(sum cols - sum rows)}: the factor r' carries over r^{-1} on a
         left word with these columns and rows."""
         return LaurentPoly.q_power(2 * (sum(cols) - sum(rows)))
-
-    # -- functional evaluation on polynomials ---------------------------------------
-
-    def pair_functional(self, which, pa, pb):
-        fn = {"r": self.r, "rinv": self.r_inv}[which]
-        total = LP_ZERO
-        for wa, ca in pa.coeffs.items():
-            for wb, cb in pb.coeffs.items():
-                v = fn(wa, wb)
-                if not v.is_zero():
-                    total = total + ca * cb * v
-        return total
 
     # -- certification -----------------------------------------------------------------
 
@@ -712,6 +706,36 @@ class QContext:
         """The (Delta, Delta) convolution inverse on a pair of minors."""
         return self.table(len(A), len(C)).inv_entry(B, A, C, D)
 
+    def functional_on_minors(self, which, k, l):
+        """{(A, B, C, D): f(Delta(A, B), Delta(C, D))} on every pair of a
+        k-minor and an l-minor, for f the word-level functional `which`
+        ("r" or "rinv") summed over the word pairs of the two minors.
+
+        Every word of Delta(A, B) has the columns B and, as rows, an
+        arrangement of A, so f on a word pair of the two minors is one
+        entry of the column image image(which, k, B + D), at the two row
+        arrangements: one image per (B, D), and no word pair evaluated on
+        its own.  The wedge tables are not read."""
+        N = self.N
+        ksets, lsets = subsets(N, k), subsets(N, l)
+        # (A, B) -> [(rows, coefficient)] over the words of Delta(A, B)
+        arrangements = {(A, B): [(word_rows(w, N), c)
+                                 for w, c in self.minor(A, B).coeffs.items()]
+                        for sets in (ksets, lsets)
+                        for A, B in product(sets, repeat=2)}
+        out = {}
+        for B, D in product(ksets, lsets):
+            image = self.bich.image(which, k, B + D)
+            for A, C in product(ksets, lsets):
+                total = LP_ZERO
+                for ra, ca in arrangements[A, B]:
+                    for rc, cc in arrangements[C, D]:
+                        v = image.get(ra + rc)
+                        if v is not None:
+                            total = total + ca * cc * v
+                out[A, B, C, D] = total
+        return out
+
 
 # ---------------------------------------------------------------------------
 # Identity families
@@ -749,10 +773,10 @@ def expansion_terms(family, instance):
     memoised per (row or col, labels) and shared by the quantum-matrix and
     reflection-algebra families.
     """
-    if family.startswith("laplace"):
-        instance = dict(instance, F=(), G=())
-    key = (family.endswith("row"),
-           *(tuple(instance[n]) for n in MUIR_KEYS))
+    F, G = (((), ()) if family.startswith("laplace")
+            else (tuple(instance["F"]), tuple(instance["G"])))
+    key = (family.endswith("row"), tuple(instance["I"]), tuple(instance["J"]),
+           F, G, tuple(instance["K"]), tuple(instance["Kp"]))
     hit = _EXPANSION_MEMO.get(key)
     if hit is None:
         hit = _EXPANSION_MEMO[key] = _expansion(*key)
@@ -764,25 +788,55 @@ _EXPANSION_MEMO = {}
 
 
 def _expansion(row, I, J, F, G, K, Kp):
-    """The terms of expansion_terms, computed."""
-    k = len(I)
-    if len(J) != k or len(F) != len(G) or len(K) != len(Kp):
+    """The terms of expansion_terms, computed: the position pattern of the
+    instance read at I and J.  I and J are increasing, so a merge of their
+    selections is their selection at the merged positions."""
+    i_positions, j_positions, left, right = _position_pattern(
+        row, len(I), len(J), F, G, K, Kp)
+    I1, J1 = (0,) + I, (0,) + J     # position p of I is I1[p]
+    Is = [tuple([I1[p] for p in pos]) for pos in i_positions]
+    Js = [tuple([J1[p] for p in pos]) for pos in j_positions]
+
+    def terms(side):
+        return tuple([(c, (Is[a], Js[b], Is[x], Js[d]))
+                      for c, (a, b, x, d) in side])
+
+    return terms(left), terms(right)
+
+
+@cache
+def _position_pattern(row, k, kj, F, G, K, Kp):
+    """The terms of expansion_terms for the sizes and positions of an
+    instance, validated and computed once: (i_positions, j_positions, left,
+    right), where each term's label (A, B, C, D) is given by indices into
+    the distinct 1-based position tuples of I (for A and C) and of J (for B
+    and D)."""
+    if kj != k or len(F) != len(G) or len(K) != len(Kp):
         raise IllFormedInstance("sizes inconsistent")
     r = k - len(F)
     if any(p > k for p in F + G) or any(p > r for p in K + Kp):
         raise IllFormedInstance("selection positions out of range")
-    IF, IFc = select(I, F), rest(I, F)
-    JG, JGc = select(J, G), rest(J, G)
-    left = ((LP_ONE, (I, J, IF, JG)),) if K == Kp else ()
+    every = tuple(range(1, k + 1))
+    Fc, Gc = rest(every, F), rest(every, G)
+    # position tuple -> its index, in I and in J
+    i_positions, j_positions = {}, {}
+
+    def label(a, b, c, d):
+        return (i_positions.setdefault(a, len(i_positions)),
+                j_positions.setdefault(b, len(j_positions)),
+                i_positions.setdefault(c, len(i_positions)),
+                j_positions.setdefault(d, len(j_positions)))
+
+    left = ((LP_ONE, label(every, every, F, G)),) if K == Kp else ()
     right = []
     for P in subsets(r, len(K)):
         # a row family selects K (first minor) and K' (second) among the
         # rows and P among the columns; a col family swaps the two sides
         rk, rkp, ck, ckp = (K, Kp, P, P) if row else (P, P, K, Kp)
-        right.append((lp_q_int(sum(P) - sum(K)),
-                      (merge(IF, select(IFc, rk)), merge(JG, select(JGc, ck)),
-                       merge(IF, rest(IFc, rkp)), merge(JG, rest(JGc, ckp)))))
-    return left, tuple(right)
+        right.append((lp_q_int(sum(P) - sum(K)), label(
+            merge(F, select(Fc, rk)), merge(G, select(Gc, ck)),
+            merge(F, rest(Fc, rkp)), merge(G, rest(Gc, ckp)))))
+    return tuple(i_positions), tuple(j_positions), left, tuple(right)
 
 
 def braidcomm_labels(instance):
@@ -812,21 +866,41 @@ def sum_terms(N, terms, value):
     return p
 
 
-def verify_identity(ctx, family, instance):
-    """Check one instance of a minor identity family by normal-form equality.
+def identity_sides(ctx, family, instance):
+    """The two normal forms (lhs, rhs) whose equality is one instance of a
+    minor identity family.
 
     Families: laplace-row, laplace-col, muir-row, muir-col,
     braidcomm-1, braidcomm-2.
     """
     if family in ("braidcomm-1", "braidcomm-2"):
-        return _verify_braidcomm(ctx, family, instance)
+        I, J, Ip, Jp = braidcomm_labels(instance)
+        first, second = braidcomm_factors(ctx, family, I, J, Ip, Jp)
+        return ctx.minor_prod_nf(Ip, Jp, I, J), sum_terms(
+            ctx.N, [(c1 * c2, (A, C, B, D))
+                    for (A, B), c1 in first for (C, D), c2 in second],
+            ctx.minor_prod_nf)
     if family not in ("laplace-row", "laplace-col", "muir-row", "muir-col"):
         raise IllFormedInstance(f"unknown family {family}")
     left, right = expansion_terms(family, instance)
-    lhs, rhs = (sum_terms(ctx.N, t, ctx.minor_prod_nf) for t in (left, right))
-    keys = LAPLACE_KEYS if family.startswith("laplace") else MUIR_KEYS
+    return (sum_terms(ctx.N, left, ctx.minor_prod_nf),
+            sum_terms(ctx.N, right, ctx.minor_prod_nf))
+
+
+def identity_certificate(family, instance, lhs, rhs):
+    """The certificate of one identity instance from its two sides: a pass
+    when they are equal, else a fail with both normal forms."""
+    keys = (BRAIDCOMM_KEYS if family.startswith("braidcomm")
+            else LAPLACE_KEYS if family.startswith("laplace") else MUIR_KEYS)
     return Certificate.verdict(f"verify {family}", _inst_json(instance, keys),
                                lhs == rhs, lambda: _nf_diff(lhs, rhs))
+
+
+def verify_identity(ctx, family, instance):
+    """Check one instance of a minor identity family by normal-form equality
+    of its two sides."""
+    return identity_certificate(family, instance,
+                                *identity_sides(ctx, family, instance))
 
 
 def braidcomm_factors(ctx, family, I, J, Ip, Jp):
@@ -849,19 +923,6 @@ def braidcomm_factors(ctx, family, I, J, Ip, Jp):
     second = [((C, D), c) for (D, C), c
               in tab.slice(False, (0, 3)).get((Jp, J), ())]
     return first, second
-
-
-def _verify_braidcomm(ctx, family, instance):
-    I, J, Ip, Jp = braidcomm_labels(instance)
-    N = ctx.N
-    first, second = braidcomm_factors(ctx, family, I, J, Ip, Jp)
-    lhs = ctx.minor_prod_nf(Ip, Jp, I, J)
-    rhs = sum_terms(N, [(c1 * c2, (A, C, B, D))
-                        for (A, B), c1 in first for (C, D), c2 in second],
-                    ctx.minor_prod_nf)
-    inst = _inst_json(instance, BRAIDCOMM_KEYS)
-    return Certificate.verdict(f"verify {family}", inst, lhs == rhs,
-                               lambda: _nf_diff(lhs, rhs))
 
 
 # -- sweep generators -----------------------------------------------------------

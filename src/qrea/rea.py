@@ -41,10 +41,11 @@ normal forms.
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import product
 
 from .braiding import rhat_entries
-from .coeff import LP_ONE, LP_ZERO
+from .coeff import LP_ONE
 from .indexsets import subsets
 from .linalg import add_term
 from .qmatrix import (BRAIDCOMM_KEYS, MUIR_KEYS, Certificate,
@@ -186,46 +187,41 @@ class StarAlgebra:
 # Reflection equation
 # ---------------------------------------------------------------------------
 
+@cache
 def reflection_slot_vectors(N):
     """Degree-2 word vectors (Z alphabet) of the reflection equation.
 
     Slot ((k, l), (i, j)) of R Z2 R Z2 - Z2 R Z2 R, with the letters kept
     formal; evaluating the words through any product tests that product.
+    Derived once per N, from the nonzero entries of R-hat only; callers
+    only read them.
     """
     rhat = rhat_entries(N)
+    # R-hat's nonzero entries by output pair: (x, y) -> [((a, b), c)]
+    into = {}
+    for (xy, ab), c in rhat.items():
+        into.setdefault(xy, []).append((ab, c))
     slots = {}
     rng = range(1, N + 1)
-    for k in rng:
-        for l in rng:
-            for i in rng:
-                for j in rng:
-                    v = {}
-                    for b in rng:
-                        for c in rng:
-                            c1 = rhat.get(((k, l), (c, b)), LP_ZERO)
-                            if c1.is_zero():
-                                continue
-                            for d in rng:
-                                for f in rng:
-                                    c2 = rhat.get(((c, d), (i, f)), LP_ZERO)
-                                    if c2.is_zero():
-                                        continue
-                                    add_term(v, (gen_id(b, d, N),
-                                                 gen_id(f, j, N)), c1 * c2)
-                    for b in rng:
-                        for d in rng:
-                            for e in rng:
-                                c1 = rhat.get(((k, b), (e, d)), LP_ZERO)
-                                if c1.is_zero():
-                                    continue
-                                for f in rng:
-                                    c2 = rhat.get(((e, f), (i, j)), LP_ZERO)
-                                    if c2.is_zero():
-                                        continue
-                                    add_term(v, (gen_id(l, b, N),
-                                                 gen_id(d, f, N)), -(c1 * c2))
-                    if v:
-                        slots[((k, l), (i, j))] = v
+    for k, l, i, j in product(rng, repeat=4):
+        v = {}
+        # R[(k, l), (c, b)] R[(c, d), (i, f)] Z_bd Z_fj
+        for (c, b), c1 in into[k, l]:
+            for d in rng:
+                for (i2, f), c2 in into[c, d]:
+                    if i2 == i:
+                        add_term(v, (gen_id(b, d, N), gen_id(f, j, N)),
+                                 c1 * c2)
+        # - R[(k, b), (e, d)] R[(e, f), (i, j)] Z_lb Z_df
+        for b in rng:
+            for (e, d), c1 in into[k, b]:
+                for f in rng:
+                    c2 = rhat.get(((e, f), (i, j)))
+                    if c2 is not None:
+                        add_term(v, (gen_id(l, b, N), gen_id(d, f, N)),
+                                 -(c1 * c2))
+        if v:
+            slots[((k, l), (i, j))] = v
     return slots
 
 
@@ -276,21 +272,26 @@ _EXPANSIONS = {"laplace1": "laplace-row", "laplace2": "laplace-col",
                "muir-left": "muir-row", "muir-right": "muir-col"}
 
 
-def rea_verify(star, family, instance):
-    """Verify one reflection-algebra identity instance in the twisted model.
+def rea_sides(star, family, instance):
+    """The two normal forms (lhs, rhs) whose equality is one
+    reflection-algebra identity instance in the twisted model.
 
     Families: gencomm, laplace1, laplace2, muir-left, muir-right.
     """
+    ctx = star.ctx
     if family == "gencomm":
-        return _rea_gencomm(star, instance)
+        I, J, Ip, Jp = braidcomm_labels(instance)
+        left, right = ctx.gencomm_coefficients(I, J, Ip, Jp)
+        return (sum_terms(star.N, [(c, (K, L, Lp, Jp)) for (K, L, Lp), c
+                                   in left.items()], star.star_minor),
+                sum_terms(star.N, [(c, (Ip, Lp, K, L)) for (K, L, Lp), c
+                                   in right.items()], star.star_minor))
     if family not in _EXPANSIONS:
         raise IllFormedInstance(f"unknown family {family}")
-    laplace = family.startswith("laplace")
-    keys = REA_LAPLACE_KEYS if laplace else MUIR_KEYS
-    # a reflection-algebra Laplace instance has K' = K
-    full = dict(instance, Kp=instance["K"]) if laplace else instance
-    left, right = expansion_terms(_EXPANSIONS[family], full)
-    ctx = star.ctx
+    if family.startswith("laplace"):
+        # a reflection-algebra Laplace instance has K' = K
+        instance = dict(instance, Kp=instance["K"])
+    left, right = expansion_terms(_EXPANSIONS[family], instance)
 
     def twisted(A, B, C, D):
         if family == "laplace2":
@@ -302,21 +303,26 @@ def rea_verify(star, family, instance):
                      in ctx.wedge_contraction(A, C, B).items()]
         return sum_terms(star.N, terms, star.star_minor)
 
-    lhs, rhs = (sum_terms(star.N, t, twisted) for t in (left, right))
+    return (sum_terms(star.N, left, twisted),
+            sum_terms(star.N, right, twisted))
+
+
+def rea_certificate(family, instance, lhs, rhs):
+    """The certificate of one reflection-algebra identity instance from its
+    two sides: a pass when they are equal, else a fail with both normal
+    forms."""
+    keys = (BRAIDCOMM_KEYS if family == "gencomm"
+            else REA_LAPLACE_KEYS if family.startswith("laplace")
+            else MUIR_KEYS)
     return Certificate.verdict(f"rea {family}", _inst_json(instance, keys),
                                lhs == rhs, lambda: _nf_diff(lhs, rhs))
 
 
-def _rea_gencomm(star, instance):
-    I, J, Ip, Jp = braidcomm_labels(instance)
-    left, right = star.ctx.gencomm_coefficients(I, J, Ip, Jp)
-    lhs = sum_terms(star.N, [(c, (K, L, Lp, Jp)) for (K, L, Lp), c
-                             in left.items()], star.star_minor)
-    rhs = sum_terms(star.N, [(c, (Ip, Lp, K, L)) for (K, L, Lp), c
-                             in right.items()], star.star_minor)
-    inst = _inst_json(instance, BRAIDCOMM_KEYS)
-    return Certificate.verdict("rea gencomm", inst, lhs == rhs,
-                               lambda: _nf_diff(lhs, rhs))
+def rea_verify(star, family, instance):
+    """Verify one reflection-algebra identity instance in the twisted model
+    by normal-form equality of its two sides."""
+    return rea_certificate(family, instance,
+                           *rea_sides(star, family, instance))
 
 
 # -- sweep generators --------------------------------------------------------------

@@ -102,13 +102,14 @@ class QuantumShape:
 
     @staticmethod
     def from_json(obj):
-        """A shape from {"tau": [ints], "u": [symbols]}; anything else is a
-        MalformedShape."""
-        if (not isinstance(obj, dict) or not isinstance(obj.get("tau"), list)
-                or not isinstance(obj.get("u"), list)
+        """A shape from {"tau": [ints], "u": [symbols]}; anything else, an
+        unknown key included, is a MalformedShape."""
+        if (not isinstance(obj, dict) or obj.keys() != {"tau", "u"}
+                or not isinstance(obj["tau"], list)
+                or not isinstance(obj["u"], list)
                 or not all(type(t) is int for t in obj["tau"])):
-            raise MalformedShape("a shape is an object with an integer list "
-                                 "tau and a list u")
+            raise MalformedShape("a shape is an object with the keys tau, an "
+                                 "integer list, and u, a list, and no other")
         return QuantumShape(obj["tau"], obj["u"])
 
     def __repr__(self):
@@ -225,15 +226,17 @@ def build_shape_ideal(shape, flavor="dom"):
 # q-commutation certificate for chain minors
 # ---------------------------------------------------------------------------
 
-def shape_qcomm_certificate(ctx, shape, k, I, J):
-    """Certify the q-commutation of the k-th chain minor with the (I, J) minor
+def qcomm_status(ctx, shape, k, I, J):
+    """Check the q-commutation of the k-th chain minor with the (I, J) minor
     modulo the dominance shape ideal.
 
     Specialises the general braided-commutation identity at the chain labels
     and checks that: the designated terms on both sides carry exactly the
     predicted q-powers, and every other contributing term has a minor factor
     whose label lies in the ideal's generator pattern.  Residual terms outside
-    the pattern give an inconclusive (not failed) report.
+    the pattern give an inconclusive (not failed) report.  Returns (status,
+    witness, exponent): the witness is None on a pass, and the exponent of
+    the q-commutation is None unless it passes.
     """
     I, J = tuple(sorted(I)), tuple(sorted(J))
     if len(I) != len(J):
@@ -248,31 +251,38 @@ def shape_qcomm_certificate(ctx, shape, k, I, J):
     # the general commutation of (A, B) with (I, J); its designated terms
     # sit at (K, L) = (B, A) with L' = I on the left and L' = J on the right
     left, right = ctx.gencomm_coefficients(A, B, I, J)
-    found = {"left": left.get((B, A, I)), "right": right.get((B, A, J))}
+    found_left, found_right = left.get((B, A, I)), right.get((B, A, J))
+    expected_left = LaurentPoly.q_power(exp_left)
+    expected_right = LaurentPoly.q_power(exp_right)
+    if found_left != expected_left or found_right != expected_right:
+        return "fail", {
+            "reason": "designated coefficient mismatch",
+            "left": found_left.to_json() if found_left else None,
+            "right": found_right.to_json() if found_right else None,
+            "expected_left": expected_left.to_json(),
+            "expected_right": expected_right.to_json()}, None
     residual_bad = sorted(
         (K, L, Lp, side)
         for side, coeffs, other in (("left", left, I), ("right", right, J))
         for (K, L, Lp) in coeffs
         if (K, L, Lp) != (B, A, other) and not ideal.contains_label(K, L))
-    inst = {"shape": shape.to_json(), "k": k, "I": list(I), "J": list(J)}
-    expected_left = LaurentPoly.q_power(exp_left)
-    expected_right = LaurentPoly.q_power(exp_right)
-    exponent = -exp_left + exp_right
-    if found["left"] != expected_left or found["right"] != expected_right:
-        return Certificate("rea qcomm", inst, "fail", witness={
-            "reason": "designated coefficient mismatch",
-            "left": found["left"].to_json() if found["left"] else None,
-            "right": found["right"].to_json() if found["right"] else None,
-            "expected_left": expected_left.to_json(),
-            "expected_right": expected_right.to_json()})
     if residual_bad:
-        return Certificate("rea qcomm", inst, "inconclusive", witness={
+        return "inconclusive", {
             "reason": "residual term outside the generator pattern",
             "terms": [{"side": s, "rows": list(K), "cols": list(L),
-                       "other": list(Lp)} for (K, L, Lp, s) in residual_bad]})
-    cert = Certificate("rea qcomm", inst, "pass")
-    cert.instance["exponent"] = exponent
-    return cert
+                       "other": list(Lp)} for (K, L, Lp, s) in residual_bad]
+        }, None
+    return "pass", None, -exp_left + exp_right
+
+
+def shape_qcomm_certificate(ctx, shape, k, I, J):
+    """The certificate of `qcomm_status`: the instance, and the exponent on
+    a pass or the witness otherwise."""
+    status, witness, exponent = qcomm_status(ctx, shape, k, I, J)
+    inst = {"shape": shape.to_json(), "k": k, "I": sorted(I), "J": sorted(J)}
+    if exponent is not None:
+        inst["exponent"] = exponent
+    return Certificate("rea qcomm", inst, status, witness=witness)
 
 
 class IllFormedQcomm(ValueError):

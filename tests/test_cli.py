@@ -370,6 +370,11 @@ _MISSING_FILE = str(Path(__file__).parent / "no_such_matrix.json")
      "--weights", "1/0"],
     ["classical", "leaf", {"N": 1, "mode": "exact",
                            "entries": [[{"re": "1/0"}]]}],
+    # a --shape key besides tau and u
+    ["rea", "qcomm", "--N", "2", "--shape",
+     '{"tau":[2,1],"u":["y","ybar"],"x":1}'],
+    ["classical", "build", "--shape",
+     '{"tau":[1,2],"taus":[2,1],"u":["1","1"]}', "--weights", "2,3"],
 ])
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     for i, arg in enumerate(argv):

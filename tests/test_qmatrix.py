@@ -367,6 +367,20 @@ def test_rinv_minor_diagonals(ctx3):
                     assert ctx3.rinv_minor(I, I, Ip, Ip) == LaurentPoly.q_power(m)
 
 
+def pair_functional(bich, which, pa, pb):
+    """The word-level functional `which` ("r" or "rinv") on two
+    polynomials: the sum over their word pairs, each evaluated on its own.
+    The reference of `QContext.functional_on_minors`."""
+    fn = {"r": bich.r, "rinv": bich.r_inv}[which]
+    total = LP_ZERO
+    for wa, ca in pa.coeffs.items():
+        for wb, cb in pb.coeffs.items():
+            v = fn(wa, wb)
+            if not v.is_zero():
+                total = total + ca * cb * v
+    return total
+
+
 def test_minor_tables_match_functionals(ctx2):
     b = ctx2.bich
     for k in (1, 2):
@@ -378,9 +392,62 @@ def test_minor_tables_match_functionals(ctx2):
                         for D in combinations((1, 2), l):
                             pb = ctx2.minor(C, D)
                             assert ctx2.r_minor(A, B, C, D) == \
-                                b.pair_functional("r", pa, pb)
+                                pair_functional(b, "r", pa, pb)
                             assert ctx2.rinv_minor(A, B, C, D) == \
-                                b.pair_functional("rinv", pa, pb)
+                                pair_functional(b, "rinv", pa, pb)
+
+
+@pytest.mark.parametrize("N, quadruples", [(2, 25), (3, 361)])
+def test_functional_on_minors_is_the_word_pair_sum(N, quadruples):
+    """The column-image values of r and r^{-1} on every pair of nonempty
+    minors equal the sums over the minors' word pairs."""
+    ctx = QContext(N)
+    count = 0
+    for k in range(1, N + 1):
+        for l in range(1, N + 1):
+            for which in ("r", "rinv"):
+                values = ctx.functional_on_minors(which, k, l)
+                for (A, B, C, D), value in values.items():
+                    assert value == pair_functional(
+                        ctx.bich, which, ctx.minor(A, B), ctx.minor(C, D)), \
+                        (which, A, B, C, D)
+                count += len(values) if which == "r" else 0
+    assert count == quadruples
+    # the values come from the bicharacter alone, not from a wedge table
+    assert ctx._tables == {}
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    """Count the calls of owner.name in calls[name]."""
+    f = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_passing_muir_sweep_builds_one_certificate(monkeypatch):
+    # at N = 3 the qmatrix.muir sweep of 472 instances builds its summary
+    # certificate only, against 473 with one per instance
+    calls = {"__init__": 0}
+    _count_calls(monkeypatch, qmatrix.Certificate, "__init__", calls)
+    monkeypatch.setitem(checks._CTX_CACHE, 3, QContext(3))
+    [cert] = dict(checks.CHECKS)["qmatrix.muir"](3, 0)
+    assert cert.status == "pass" and cert.instance["instances"] == 472
+    assert calls == {"__init__": 1}
+
+
+def test_minor_table_crosscheck_evaluates_no_word_pair(monkeypatch):
+    # the crosscheck reads column images: none of the 2,178 word pairs of
+    # a sum over minor word pairs at N = 3 is evaluated on its own
+    calls = {"_value": 0}
+    _count_calls(monkeypatch, Bicharacter, "_value", calls)
+    monkeypatch.setitem(checks._CTX_CACHE, 3, QContext(3))
+    [cert] = checks.check_minor_table_crosscheck(3, 0)
+    assert cert.status == "pass"
+    assert calls == {"_value": 0}
 
 
 @pytest.mark.parametrize("N, quadruples", [(2, 36), (3, 400)])
@@ -560,7 +627,7 @@ def test_minor_table_crosscheck_witness_names_the_entry(monkeypatch):
     assert cert.status == "fail"
     # r_minor(A, B, C, D) is entry(B, A, C, D)
     A, B, C, D = (1,), (2,), (2,), (1,)
-    value = ctx.bich.pair_functional("r", ctx.minor(A, B), ctx.minor(C, D))
+    value = pair_functional(ctx.bich, "r", ctx.minor(A, B), ctx.minor(C, D))
     assert cert.witness == {"which": "r", "A": A, "B": B, "C": C, "D": D,
                             "table": (value * LP_Q).to_json(),
                             "functional": value.to_json()}

@@ -210,6 +210,18 @@ def test_dropped_gencomm_coefficient_fails_both_consumers(monkeypatch):
     assert shape_qcomm_certificate(ctx, shape, 1, I, J).status == "fail"
     assert rea_verify(star, "gencomm", inst).status == "fail"
     _suite_names_first_failure(monkeypatch, star, "rea", "gencomm")
+    # the rea.qcomm suite counts statuses without certificates: the same
+    # dropped term at N = 3 fails it
+    ctx3 = QContext(3)
+    shape = next(s for s in enumerate_shapes(3) if s.rank >= 1)
+    A, B = shape.support_prefix(1), shape.tau_prefix(1)
+    monkeypatch.setitem(checks._CTX_CACHE, 3, ctx3)
+    [cert] = checks.check_qcomm(3, 0)
+    assert cert.status == "pass"
+    left, _right = ctx3.gencomm_coefficients(A, B, I, J)
+    del left[(B, A, I)]
+    [cert] = checks.check_qcomm(3, 0)
+    assert cert.status == "fail" and cert.witness["fail"] >= 1
 
 
 @pytest.mark.parametrize("algebra, family", [
