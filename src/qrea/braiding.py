@@ -19,14 +19,15 @@ Wedge powers are handled through the pair iota/rho: iota (embed_basis)
 sends e_I to the q-antisymmetric sum of (-q)^inversions e_w over the
 arrangements w of I, rho (wedge_sign on one word) projects a tensor word
 onto the sorted wedge basis with a (-q)^inversions sign, and rho o iota is
-[k]_{q^2}! (q2_factorial) times the identity on the k-th wedge power.  Every
-coefficient is a Laurent polynomial over Z.  Wedge vectors are plain dicts
-over sorted index tuples, and pairs of them are projected by project_pair,
-rho (x) rho.  The braiding between wedge powers braids the sorted word
-e_I (x) e_J by a fixed reduced product of braid moves and projects it back.
-No iota-embedding is needed: rho o R_i = (-q) rho, so (rho (x) rho) B
-(iota (x) iota) is that braiding times [k]_{q^2}! [l]_{q^2}!.  iota is kept
-as the oracle that embed-equivariance and the tests check against.
+the q-factorial [k]_{q^2}! times the identity on the k-th wedge power, which
+the tests check against their own [k]_{q^2}!.  Every coefficient is a
+Laurent polynomial over Z.  Wedge vectors are plain dicts over sorted index
+tuples, and pairs of them are projected by project_pair, rho (x) rho.  The
+braiding between wedge powers braids the sorted word e_I (x) e_J by a fixed
+reduced product of braid moves and projects it back.  No iota-embedding is
+needed: rho o R_i = (-q) rho, so (rho (x) rho) B (iota (x) iota) is that
+braiding times [k]_{q^2}! [l]_{q^2}!.  iota is kept as the oracle that
+embed-equivariance and the tests check against.
 """
 
 from __future__ import annotations
@@ -181,15 +182,6 @@ def wedge_sign(word):
     if len(set(word)) != len(word):
         return None
     return lp_q_int(inversions(word)), tuple(sorted(word))
-
-
-def q2_factorial(l):
-    """[l]_{q^2}! = prod_{k=1..l} (1 + q^2 + ... + q^{2k-2}), the scalar by
-    which rho o iota acts on the l-th wedge power."""
-    out = LP_ONE
-    for k in range(1, l + 1):
-        out = out * LaurentPoly({2 * i: 1 for i in range(k)})
-    return out
 
 
 def embed_basis(key):

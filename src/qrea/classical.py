@@ -206,14 +206,6 @@ class ShapeMatrix:
             return NotImplemented
         return self.tau == other.tau and self.u == other.u
 
-    def matrix(self):
-        """As a HermitianMatrix, each slot its canonical ray."""
-        ent = [[GR0] * self.N for _ in range(self.N)]
-        for i, (t, ui) in enumerate(zip(self.tau, self.u)):
-            if ui is not None:
-                ent[t - 1][i] = ui
-        return HermitianMatrix(ent)
-
     def sign_multiset(self):
         """Counts (plus, minus, zero) of the eigenvalues, structurally."""
         plus = minus = zero = 0

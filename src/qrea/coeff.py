@@ -26,10 +26,10 @@ OverflowError.
 over Z, coprime, with the integer content divided out and the denominator's
 leading coefficient positive.  Reduction works over the integers: the gcd
 is taken by the primitive polynomial remainder sequence (Knuth, TAOCP
-vol. 2, 4.6.1) and the content by one integer gcd.  Sums and products of
-reduced fractions cancel only what can be common (Henrici; TAOCP 4.5.1).
-A rational constant c enters the field as ``RatFunc(c)`` or
-``RatFunc.const(c)``, which is c.numerator over c.denominator.
+vol. 2, 4.6.1) and the content by one integer gcd.  The constructor is the
+one place that reduces: a sum, product or inverse cross-multiplies and
+passes the result to it.  A rational constant c enters the field as
+``RatFunc(c)``, which is c.numerator over c.denominator.
 
 ``GaussRat`` provides exact complex rationals for the classical side, where
 minor vanishing has to be decided exactly.  It is stored as (a + b i)/d over
@@ -42,7 +42,6 @@ from fractions import Fraction
 from math import gcd, isfinite, isqrt, lcm
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 
 
 class ZeroDenominator(ZeroDivisionError):
@@ -118,8 +117,8 @@ class LaurentPoly:
     raises ValueError on a non-integral one.  ``terms`` decodes the digits
     into such a dict, without zero coefficients.  Instances are treated as
     immutable.  Read as the fraction p/1, p has ``num`` p and ``den`` 1, so
-    code that reads a scalar's numerator and denominator (the ``RatFunc``
-    constructor, perfbench's exponent-span counter) takes either type.
+    perfbench's exponent-span counter, which reads a scalar's numerator and
+    denominator, takes either type; besides it only the tests read them.
     """
 
     __slots__ = ("lo", "P", "n", "_hash")
@@ -461,8 +460,7 @@ def _dense_gcd(a, b):
     4.6.1): each pseudo-remainder is divided by its content, so coefficients
     stay small and no Fraction arises.  By Gauss's lemma the result divides
     both inputs over Z.  RatFunc.__init__ calls it on every reduction it
-    makes, and RatFunc's sums and products on the coprimality tests of their
-    shortcuts.
+    makes, and nothing else does.
     """
     a = _dense_primitive(a)
     b = _dense_primitive(b)
@@ -488,23 +486,19 @@ class RatFunc:
     Equal fractions therefore have identical representations, and den == 1
     exactly when the value is a Laurent polynomial over Z.
 
-    The constructor takes num as a LaurentPoly, a dict of its terms or a
-    rational constant c, which counts as c.numerator over c.denominator (so
-    1/2 is num 1 over den 2), and den as a LaurentPoly.  It divides num and
-    den exactly by their primitive gcd and then by the integer content, and
-    skips both when den is 1.  Products and sums of canonical fractions
-    cancel only what can be common (Henrici's method, Knuth, TAOCP vol. 2,
-    4.5.1): a/b * c/d divides out gcd(a, d) and gcd(c, b), after which the
-    product is reduced; a/b + c/d with coprime b and d is (ad + cb)/(bd),
-    already reduced.  Inversion is gcd-free.
+    The constructor takes num as a LaurentPoly or a rational constant c,
+    which counts as c.numerator over c.denominator (so 1/2 is num 1 over
+    den 2), and den as a LaurentPoly.  It divides num and den exactly by
+    their primitive gcd and then by the integer content, and skips both
+    when den is 1.  Every operation cross-multiplies and hands the result
+    to the constructor: a/b + c/d = (ad + cb)/(bd), a/b * c/d = (ac)/(bd)
+    and the inverse of a/b is b/a, a ZeroDenominator for 0.
     """
 
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num, den=LP_ONE):
-        if isinstance(num, dict):
-            num = LaurentPoly(num)
-        elif not isinstance(num, LaurentPoly):
+        if not isinstance(num, LaurentPoly):
             c = Fraction(num)
             num = LaurentPoly.const(c.numerator)
             den = den * LaurentPoly.const(c.denominator)
@@ -533,18 +527,6 @@ class RatFunc:
         self.den = den
         self._hash = None
 
-    # -- constructors ---------------------------------------------------------
-
-    @staticmethod
-    def from_laurent(p):
-        """p / 1 for a Laurent polynomial p with int coefficients."""
-        return _ratfunc(p, LP_ONE)
-
-    @staticmethod
-    def const(c):
-        """The rational constant c, c.numerator over c.denominator."""
-        return RatFunc(c)
-
     # -- predicates ------------------------------------------------------------
 
     def is_zero(self):
@@ -556,55 +538,23 @@ class RatFunc:
     # -- field operations -------------------------------------------------------
 
     def __add__(self, other):
-        a, b = self.num, self.den
-        c, d = other.num, other.den
-        if a.is_zero():
-            return other
-        if c.is_zero():
-            return self
-        b_one, d_one = b.is_one(), d.is_one()
-        if b_one and d_one:
-            return _ratfunc(a + c, LP_ONE)
-        if b == d:
-            return RatFunc(a + c, b)
-        if not (b_one or d_one) and len(_dense_gcd(_to_dense(b)[1],
-                                                   _to_dense(d)[1])) > 1:
-            return RatFunc(a * d + c * b, b * d)
-        return _content_free(a * d + c * b, b * d)
+        return RatFunc(self.num * other.den + other.num * self.den,
+                       self.den * other.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return _ratfunc(-self.num, self.den)
+        return RatFunc(-self.num, self.den)
 
     def __mul__(self, other):
-        a, b = self.num, self.den
-        c, d = other.num, other.den
-        if a.is_zero() or c.is_zero():
-            return RF_ZERO
-        b_one, d_one = b.is_one(), d.is_one()
-        if b_one and d_one:
-            return _ratfunc(a * c, LP_ONE)
-        if not d_one:
-            a, d = _cancel(a, d)
-        if not b_one:
-            c, b = _cancel(c, b)
-        return _content_free(a * c, b * d)
+        return RatFunc(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):
         return self * other.inv()
 
     def inv(self):
-        num, den = self.num, self.den
-        if num.is_zero():
-            raise ZeroDenominator("inverse of 0")
-        # den/num, both multiplied by s * q^-lo so that the new denominator
-        # is a polynomial with positive leading coefficient; a packed value
-        # has the sign of its leading coefficient
-        s = -1 if num.P < 0 else 1
-        return _ratfunc(_packed(den.lo - num.lo, s * den.P, den.n),
-                        _packed(0, s * num.P, num.n))
+        return RatFunc(self.den, self.num)
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
@@ -616,24 +566,6 @@ class RatFunc:
             self._hash = hash((self.num, self.den))
         return self._hash
 
-    # -- calculus ---------------------------------------------------------------
-
-    def evaluate(self, q0):
-        q0 = Fraction(q0)
-        d = self.den.evaluate(q0)
-        if d == 0:
-            raise PoleAtPoint(f"pole at q = {q0}")
-        return self.num.evaluate(q0) / d
-
-    def taylor1(self):
-        """(value, derivative) at q = 1; requires no pole at 1."""
-        d0 = self.den.evaluate(F1)
-        if d0 == 0:
-            raise PoleAtPoint("pole at q = 1")
-        n0, n1 = self.num.taylor1()
-        _, d1 = self.den.taylor1()
-        return n0 / d0, (n1 * d0 - n0 * d1) / (d0 * d0)
-
     # -- serialisation / display --------------------------------------------------
 
     def to_json(self):
@@ -641,52 +573,10 @@ class RatFunc:
             return {"num": self.num.to_json()}
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
-    @staticmethod
-    def from_json(obj):
-        num = LaurentPoly.from_json(obj["num"])
-        den = LaurentPoly.from_json(obj["den"]) if "den" in obj else LP_ONE
-        return RatFunc(num, den)
-
     def __repr__(self):
         if self.den.is_one():
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
-
-
-def _ratfunc(num, den):
-    """The RatFunc num/den, taken to be in canonical form already."""
-    out = RatFunc.__new__(RatFunc)
-    out.num = num
-    out.den = den
-    out._hash = None
-    return out
-
-
-def _cancel(p, den):
-    """p and den divided by their gcd; den is a canonical denominator."""
-    op, dp = _to_dense(p)
-    dd = _to_dense(den)[1]
-    g = _dense_gcd(dp, dd)
-    if len(g) == 1:
-        return p, den
-    return (_from_dense(op, _dense_divexact(dp, g)),
-            _from_dense(0, _dense_divexact(dd, g)))
-
-
-def _content_free(num, den):
-    """The RatFunc num/den for coprime num and den, den with nonzero constant
-    term and positive leading coefficient: divided by the integer content."""
-    if num.is_zero():
-        return RF_ZERO
-    c = gcd(*_digits(num.P), *_digits(den.P))
-    if c != 1:
-        num = _divided(num, num.lo, c)
-        den = _divided(den, den.lo, c)
-    return _ratfunc(num, den)
-
-
-RF_ZERO = RatFunc.from_laurent(LP_ZERO)
-RF_ONE = RatFunc.from_laurent(LP_ONE)
 
 
 # ---------------------------------------------------------------------------

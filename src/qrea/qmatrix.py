@@ -346,14 +346,6 @@ def counit_word(word, N):
     return all(g // N == g % N for g in word)
 
 
-def counit(p):
-    total = LP_ZERO
-    for w, c in p.coeffs.items():
-        if counit_word(w, p.N):
-            total = total + c
-    return total
-
-
 def quantum_minor(N, rows, cols):
     """Wedge-coaction coefficient: the minor with the given row and column
     sets, as a signed sum over row arrangements."""

@@ -29,11 +29,8 @@ class MalformedShape(ValueError):
 
 
 def _conj_symbol(sym):
-    if sym in ("0",) or sym.startswith("s"):
-        return sym
-    if sym.endswith("bar"):
-        return sym[:-3]
-    return sym + "bar"
+    """The partner of a phase symbol on a two-cycle: y <-> ybar."""
+    return sym[:-3] if sym.endswith("bar") else sym + "bar"
 
 
 class QuantumShape:
@@ -60,11 +57,14 @@ class QuantumShape:
             if ui == "0":
                 if self.tau[i - 1] != i:
                     raise MalformedShape(f"zero slot {i} must be a fixed point")
-            else:
-                if self.tau[i - 1] == i and not ui.startswith("s"):
+            elif self.tau[i - 1] == i:
+                if not ui.startswith("s"):
                     raise MalformedShape(f"fixed point {i} needs a sign slot")
-                if self.tau[i - 1] != i and _conj_symbol(ui) != self.u[self.tau[i - 1] - 1]:
-                    raise MalformedShape(f"slots {i},{self.tau[i-1]} not conjugate")
+            elif ui.startswith("s"):
+                raise MalformedShape(f"two-cycle slot {i} needs a phase, "
+                                     f"not the sign slot {ui!r}")
+            elif _conj_symbol(ui) != self.u[self.tau[i - 1] - 1]:
+                raise MalformedShape(f"slots {i},{self.tau[i-1]} not conjugate")
         self.N = N
         self.support = tuple(i for i in range(1, N + 1) if self.u[i - 1] != "0")
         self.rank = len(self.support)
@@ -102,14 +102,16 @@ class QuantumShape:
 
     @staticmethod
     def from_json(obj):
-        """A shape from {"tau": [ints], "u": [symbols]}; anything else, an
-        unknown key included, is a MalformedShape."""
+        """A shape from {"tau": [ints], "u": [symbol strings]}; anything
+        else, an unknown key included, is a MalformedShape."""
         if (not isinstance(obj, dict) or obj.keys() != {"tau", "u"}
                 or not isinstance(obj["tau"], list)
                 or not isinstance(obj["u"], list)
-                or not all(type(t) is int for t in obj["tau"])):
+                or not all(type(t) is int for t in obj["tau"])
+                or not all(type(s) is str for s in obj["u"])):
             raise MalformedShape("a shape is an object with the keys tau, an "
-                                 "integer list, and u, a list, and no other")
+                                 "integer list, and u, a string list, and no "
+                                 "other")
         return QuantumShape(obj["tau"], obj["u"])
 
     def __repr__(self):

@@ -7,7 +7,7 @@ from qrea.braiding import (apply_block_lift, apply_elementary,
                            braid_pair_action, braid_relation_check,
                            braid_wedge_pair, embed_basis,
                            embed_equivariance_check, hecke_check,
-                           project_pair, q2_factorial, rhat_entries,
+                           project_pair, rhat_entries,
                            rmatrix_lemma_check, symmetry_check, wedge_sign,
                            WedgeBraidTable)
 from qrea.coeff import (LP_ONE, LP_Q, LP_QDIFF, LP_QINV, LP_ZERO, LaurentPoly,
@@ -15,6 +15,15 @@ from qrea.coeff import (LP_ONE, LP_Q, LP_QDIFF, LP_QINV, LP_ZERO, LaurentPoly,
 from qrea.indexsets import dominated, inversions
 from qrea.linalg import add_term
 from qrea.qmatrix import QContext
+
+
+def q2_factorial(l):
+    """[l]_{q^2}! = prod_{k=1..l} (1 + q^2 + ... + q^{2k-2}), the scalar by
+    which rho o iota acts on the l-th wedge power."""
+    out = LP_ONE
+    for k in range(1, l + 1):
+        out = out * LaurentPoly({2 * i: 1 for i in range(k)})
+    return out
 
 
 def test_braid_action_examples():

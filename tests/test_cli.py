@@ -375,6 +375,9 @@ _MISSING_FILE = str(Path(__file__).parent / "no_such_matrix.json")
      '{"tau":[2,1],"u":["y","ybar"],"x":1}'],
     ["classical", "build", "--shape",
      '{"tau":[1,2],"taus":[2,1],"u":["1","1"]}', "--weights", "2,3"],
+    # sign slots on a two-cycle, and slots that are not strings
+    ["rea", "qcomm", "--N", "2", "--shape", '{"tau":[2,1],"u":["s1","s1"]}'],
+    ["rea", "qcomm", "--N", "2", "--shape", '{"tau":[2,1],"u":[5,"5bar"]}'],
 ])
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     for i, arg in enumerate(argv):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import qrea
 from qrea import coeff
-from qrea.coeff import RF_ONE, GaussRat, LaurentPoly, NotAUnit, RatFunc
+from qrea.coeff import GaussRat, LaurentPoly, NotAUnit, RatFunc
 from qrea.linalg import (add_term, determinant, echelon, invert_matrix, rank,
                          sparse_row_reduce)
 from qrea.qmatrix import NCPoly, sum_terms
@@ -73,13 +73,13 @@ def test_sum_terms_and_mul_against_naive_sums(a_terms, b_terms, rnd):
     sum of the expanded products, with no zero stored, in any term order,
     and with the memoised values it read left as they were."""
     # a leading coefficient 1, where a sum could hand out its first summand
-    a_terms = [((), RF_ONE)] + a_terms
+    a_terms = [((), RatFunc(1))] + a_terms
     b = NCPoly(2, _naive_sum(b_terms))
     memo = {}
 
     def times_b(w):
         if w not in memo:
-            memo[w] = NCPoly(2, {w: RF_ONE}) * b
+            memo[w] = NCPoly(2, {w: RatFunc(1)}) * b
         return memo[w]
 
     naive = _naive_sum([(w + wb, c * cb) for w, c in a_terms
@@ -195,7 +195,7 @@ def test_elimination_on_gauss_rat_against_numpy(m):
 @settings(max_examples=60, deadline=None)
 @given(_square_matrices(_ratfunc))
 def test_elimination_on_ratfunc(m):
-    _check_elimination(m, RF_ONE)
+    _check_elimination(m, RatFunc(1))
 
 
 @st.composite

@@ -11,12 +11,22 @@ from qrea.indexsets import subsets
 from qrea.linalg import add_term
 from qrea.qmatrix import (Bicharacter, IllFormedInstance, NCPoly,
                           NonOrientable, QContext, braidcomm_instances,
-                          coproduct, coproduct_word, counit, counit_word,
+                          coproduct, coproduct_word, counit_word,
                           degree_dimension,
                           derive_rewrite_rules, derive_rewrite_system,
                           exchange_relations, gen_id, laplace_instances,
                           muir_instances, quantum_minor, sum_terms,
                           verify_identity, word_from_rc)
+
+
+def counit(p):
+    """epsilon on an NCPoly: the sum of the coefficients of the words that
+    epsilon sends to 1, the reference for the counit of a minor."""
+    total = LP_ZERO
+    for w, c in p.coeffs.items():
+        if counit_word(w, p.N):
+            total = total + c
+    return total
 
 
 def g(i, j, N=2):

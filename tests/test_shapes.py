@@ -63,8 +63,10 @@ def test_rank1_family_table():
 def test_all_families_self_adjoint():
     # the constructor raises MalformedShape unless every two-cycle holds a
     # conjugate phase pair, so each family must rebuild from its own data
-    for s in enumerate_shapes(4):
-        assert QuantumShape(s.tau, s.u) == s
+    for N in range(1, 6):
+        for s in enumerate_shapes(N):
+            assert QuantumShape(s.tau, s.u) == s
+            assert QuantumShape.from_json(s.to_json()) == s
 
 
 def test_malformed_shapes():
@@ -76,6 +78,10 @@ def test_malformed_shapes():
         QuantumShape((2, 1), ("y", "y"))          # not conjugate
     with pytest.raises(MalformedShape):
         QuantumShape((2, 2), ("s1", "s2"))        # not a permutation
+    with pytest.raises(MalformedShape):
+        QuantumShape((2, 1), ("s1", "s1"))        # sign slots on a 2-cycle
+    with pytest.raises(MalformedShape):
+        QuantumShape.from_json({"tau": [2, 1], "u": [5, "5bar"]})  # int slot
 
 
 def test_shape_json_roundtrip():
