@@ -4,7 +4,8 @@ Each subcommand yields its records (certificates, and the dumps they
 certify) and main alone writes them to stdout as JSON lines, in a canonical
 order so identical seeds and arguments give byte-identical output; a human
 summary with timings goes to stderr, and with `check-all --timings` one
-line of wall seconds per suite.  The exit code is
+line per suite with its wall seconds and the process's peak resident memory
+so far (`ru_maxrss`, in MB).  The exit code is
 - 0 if every certificate passed; the dumps `wedge-table` without --check
   and `rea shapes` have none, and exit 0;
 - 1 if some check failed or was inconclusive;
@@ -300,11 +301,16 @@ def cmd_classical(args):
 
 
 def cmd_check_all(args):
+    if args.timings:
+        import resource
     for name, suite_certs, seconds in checks.run_all(args.N, args.seed):
         for cert in suite_certs:
             yield {**cert.to_json(), "suite": name}, cert
         if args.timings:
-            print(f"[timings] {name} {seconds:.3f}s", file=sys.stderr)
+            # ru_maxrss is in KiB on Linux
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            print(f"[timings] {name} {seconds:.3f}s {peak:.1f}MB",
+                  file=sys.stderr)
 
 
 def build_parser():
@@ -366,7 +372,8 @@ def build_parser():
     ca = sub.add_parser("check-all", help="run every registered suite")
     ca.add_argument("--N", type=int, default=2)
     ca.add_argument("--timings", action="store_true",
-                    help="print each suite's wall seconds to stderr")
+                    help="print each suite's wall seconds and the peak "
+                         "RSS so far to stderr")
     ca.set_defaults(fn=cmd_check_all)
     return p
 

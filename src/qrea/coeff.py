@@ -20,6 +20,14 @@ exact: no value has l1 norm 2^62 or more, an operation whose bound reaches
 2^62 checks the exact norm, and a result at or past 2^62 raises
 OverflowError.
 
+Values are shared and never mutated.  One table, keyed by (lo, P), holds
+the one object of each value it has seen: every monomial +-q^k is built
+through it (``q_power``, ``lp_q_int``, ``inv``, negation and a product of
+two monomials all return the table's object), and ``share_values`` puts the
+values a long-lived memo stores through it, so the many copies of the few
+distinct coefficients of the quantum memos cost one object each.  Sums are
+not shared: a sum stays a fresh object until a memo stores it.
+
 ``RatFunc``, the field of rational functions in q over Q, serves only the
 ``coeff.rf-canonical`` suite and the tests; ``coeff.ring-axioms`` certifies
 ``LaurentPoly``.  A ``RatFunc`` is a quotient of two Laurent polynomials
@@ -42,6 +50,8 @@ from fractions import Fraction
 from math import gcd, isfinite, isqrt, lcm
 
 F0 = Fraction(0)
+# allocation without __init__, for values already in their stored form
+_new = object.__new__
 
 
 class ZeroDenominator(ZeroDivisionError):
@@ -115,10 +125,12 @@ class LaurentPoly:
     The constructor takes a dict exponent -> coefficient; it converts an
     integral Fraction (or float) exponent or coefficient to its int and
     raises ValueError on a non-integral one.  ``terms`` decodes the digits
-    into such a dict, without zero coefficients.  Instances are treated as
-    immutable.  Read as the fraction p/1, p has ``num`` p and ``den`` 1, so
-    perfbench's exponent-span counter, which reads a scalar's numerator and
-    denominator, takes either type; besides it only the tests read them.
+    into such a dict, without zero coefficients.  Instances are never
+    mutated, since a value may be the one object that many memos share;
+    only this module assigns to the slots.  Read as the fraction p/1, p has
+    ``num`` p and ``den`` 1, so perfbench's exponent-span counter, which
+    reads a scalar's numerator and denominator, takes either type; besides
+    it only the tests read them.
     """
 
     __slots__ = ("lo", "P", "n", "_hash")
@@ -157,11 +169,8 @@ class LaurentPoly:
 
     @staticmethod
     def q_power(n):
-        """q^n, built once per n and shared."""
-        power = _Q_POWERS.get(n)
-        if power is None:
-            power = _Q_POWERS[n] = _packed(n, 1, 1)
-        return power
+        """q^n, the table's object of that value."""
+        return _packed(n, 1, 1)
 
     # -- predicates / accessors ---------------------------------------------
 
@@ -239,6 +248,9 @@ class LaurentPoly:
         if not P:
             return LP_ZERO
         n = self.n * other.n
+        if n == 1:
+            # a product of two monomials, P = +-1: the table's object
+            return _packed(self.lo + other.lo, P, 1)
         if n >= _NORM_LIMIT:
             return _checked_product(self, other)
         # _packed, inlined on the hot path
@@ -291,10 +303,6 @@ class LaurentPoly:
     def to_json(self):
         return {str(e): str(c) for e, c in self.terms.items()}
 
-    @staticmethod
-    def from_json(obj):
-        return LaurentPoly({int(e): int(c) for e, c in obj.items()})
-
     def __repr__(self):
         terms = self.terms
         if not terms:
@@ -327,13 +335,42 @@ def _integral(x, what):
 
 
 def _packed(lo, P, n):
-    """The LaurentPoly (lo, P, n), taken to be in packed form already."""
+    """The LaurentPoly (lo, P, n), taken to be in packed form already.  A
+    monomial +-q^lo (P = +-1) is the table's object of its value, entered
+    with its exact norm 1 when first built."""
+    monomial = P == 1 or P == -1
+    if monomial:
+        out = _SHARED.get((lo, P))
+        if out is not None:
+            return out
+        n = 1
     out = _new(LaurentPoly)
     out.lo = lo
     out.P = P
     out.n = n
     out._hash = None
+    if monomial:
+        _SHARED[lo, P] = out
     return out
+
+
+def share_values(d):
+    """d, a dict whose values are nonzero LaurentPolys, with each value
+    replaced in place by the table's object of that value; a value not yet
+    in the table enters it.  Every long-lived memo passes what it stores
+    through here, so its copies of one value are one object."""
+    table = _SHARED
+    for key, v in d.items():
+        shared = table.get((v.lo, v.P))
+        if shared is None:
+            # the first of its value: a monomial enters through _packed,
+            # with its exact norm 1
+            P = v.P
+            shared = (_packed(v.lo, P, 1) if P == 1 or P == -1
+                      else table.setdefault((v.lo, P), v))
+        if shared is not v:
+            d[key] = shared
+    return d
 
 
 def _checked_product(a, b):
@@ -348,12 +385,13 @@ def _checked_product(a, b):
     return _from_dense(a.lo + b.lo, out)
 
 
-# n -> q^n, the values of LaurentPoly.q_power
-_Q_POWERS = {}
+# (lo, P) -> the one LaurentPoly of that value: every monomial built by
+# _packed, and every value share_values has seen
+_SHARED = {}
 LP_ZERO = LaurentPoly()
-LP_ONE = LaurentPoly({0: 1})
-LP_Q = LaurentPoly({1: 1})
-LP_QINV = LaurentPoly({-1: 1})
+LP_ONE = _packed(0, 1, 1)
+LP_Q = _packed(1, 1, 1)
+LP_QINV = _packed(-1, 1, 1)
 # q^{-1} - q, the off-diagonal weight of the braid operator
 LP_QDIFF = LaurentPoly({-1: 1, 1: -1})
 
@@ -531,9 +569,6 @@ class RatFunc:
 
     def is_zero(self):
         return self.num.is_zero()
-
-    def is_one(self):
-        return self.num.is_one() and self.den.is_one()
 
     # -- field operations -------------------------------------------------------
 
@@ -771,5 +806,3 @@ def _gauss(a, b, d):
     out.d = d
     return out
 
-
-_new = object.__new__

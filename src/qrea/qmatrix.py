@@ -54,7 +54,7 @@ from itertools import permutations, product
 
 from .braiding import (WedgeBraidTable, apply_two_site, braid_pair_action,
                        rhat_entries)
-from .coeff import LP_ONE, LP_ZERO, LaurentPoly, lp_q_int
+from .coeff import LP_ONE, LP_ZERO, LaurentPoly, lp_q_int, share_values
 from .indexsets import SizeMismatch, inversions, merge, rest, select, subsets
 from .linalg import add_term, first_difference, sparse_row_reduce
 
@@ -179,7 +179,11 @@ class RewriteSystem:
     word shares the work of every word that ends like it.  Only proper
     suffixes are kept, not the words asked for, which rarely recur (at N=4
     keeping them would add a third to the peak memory of the quantum
-    suites).  Memoised values are shared; callers only read them."""
+    suites).  Memoised values are shared; callers only read them, and
+    their coefficients are the coefficient table's objects
+    (`coeff.share_values`).  The insertion of g before a sorted word that
+    starts at g or later is the one word g + mono, rebuilt on each call
+    and not memoised."""
 
     def __init__(self, N, rules):
         self.N = N
@@ -192,24 +196,22 @@ class RewriteSystem:
 
     def _insert(self, g, mono):
         """Normal form of g * (sorted word mono) as dict sorted-word -> coeff."""
+        if not mono or g <= mono[0]:
+            return {(g,) + mono: LP_ONE}
         key = (g, mono)
         memo = self._insert_memo
         hit = memo.get(key)
         if hit is not None:
             return hit
-        if not mono or g <= mono[0]:
-            res = {(g,) + mono: LP_ONE}
-        else:
-            rest = mono[1:]
-            acc = {}
-            for (a, b), c in self.rules[(g, mono[0])].items():
-                for m2, c2 in self._insert(b, rest).items():
-                    cc = c * c2
-                    for m3, c3 in self._insert(a, m2).items():
-                        add_term(acc, m3, cc * c3)
-            res = acc
-        memo[key] = res
-        return res
+        rest = mono[1:]
+        acc = {}
+        for (a, b), c in self.rules[(g, mono[0])].items():
+            for m2, c2 in self._insert(b, rest).items():
+                cc = c * c2
+                for m3, c3 in self._insert(a, m2).items():
+                    add_term(acc, m3, cc * c3)
+        memo[key] = share_values(acc)
+        return acc
 
     def nf_word(self, word):
         """Normal form of a word as dict sorted-word -> LaurentPoly."""
@@ -230,7 +232,7 @@ class RewriteSystem:
                 for m2, c2 in insert(g, mono).items():
                     add_term(hit, m2, c * c2)
             if keep:
-                memo[word] = hit
+                memo[word] = share_values(hit)
         return hit
 
     def normal_form(self, p):
@@ -442,7 +444,7 @@ class Bicharacter:
             img = {cols: LP_ONE}
             for i, j in self._sites(which, s, len(cols)):
                 img = apply_two_site(img, i, j, table)
-            images[key] = img
+            images[key] = share_values(img)
         return img
 
     def coimage(self, which, s, rows):
@@ -457,7 +459,7 @@ class Bicharacter:
             img = {rows: LP_ONE}
             for i, j in reversed(self._sites(which, s, len(rows))):
                 img = apply_two_site(img, i, j, cotable)
-            coimages[key] = img
+            coimages[key] = share_values(img)
         return img
 
     def _value(self, which, wa, wb):
@@ -635,6 +637,7 @@ class QContext:
         if hit is None:
             p = self.rw.normal_form(self.minor(key[0], key[1])
                                     * self.minor(key[2], key[3]))
+            share_values(p.coeffs)
             self._minor_prod[key] = p
             return p
         return hit
@@ -654,10 +657,11 @@ class QContext:
             a, c, b = key
             tab = self.table(len(a), len(c))
             by_b_y = tab.slice(False, (0, 2))
-            hit = self._contractions[key] = {}
+            hit = {}
             for (X, Y), c1 in tab.slice(True, (1, 2)).get((a, c), ()):
                 for (Z, W), c2 in by_b_y.get((b, Y), ()):
                     add_term(hit, (X, Z, W), c1 * c2)
+            self._contractions[key] = share_values(hit)
         return hit
 
     def gencomm_coefficients(self, I, J, Ip, Jp):
@@ -685,7 +689,8 @@ class QContext:
             for (L, Pp), g in kl.slice(False, (0, 3)).get((I, Jp), ()):
                 for (Lp, K), f in lk_by_pp_j.get((Pp, J), ()):
                     add_term(right, (K, L, Lp), f * g)
-            hit = self._gencomm[key] = (left, right)
+            hit = self._gencomm[key] = (share_values(left),
+                                        share_values(right))
         return hit
 
     # -- minor-level functional values ----------------------------------------

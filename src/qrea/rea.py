@@ -45,7 +45,7 @@ from functools import cache
 from itertools import product
 
 from .braiding import rhat_entries
-from .coeff import LP_ONE
+from .coeff import LP_ONE, share_values
 from .indexsets import subsets
 from .linalg import add_term
 from .qmatrix import (BRAIDCOMM_KEYS, MUIR_KEYS, Certificate,
@@ -98,6 +98,7 @@ class StarAlgebra:
                 for b, c2 in rprs:
                     add_term(terms, word_from_rc(a_t, b, N) + tail, c1 * c2)
         acc = self.ctx.rw.normal_form(NCPoly(N, terms))
+        share_values(acc.coeffs)
         self._star_word_memo[key] = acc
         return acc
 
@@ -127,6 +128,7 @@ class StarAlgebra:
                  for (K, L, E), c1 in tab.slice(False, (1,)).get((A,), ())
                  for (M,), c2 in by_b_c_l.get((B, C, L), ())]
         acc = sum_terms(self.N, terms, ctx.minor_prod_nf)
+        share_values(acc.coeffs)
         self._star_minor_memo[key] = acc
         return acc
 

@@ -39,11 +39,21 @@ class QuantumShape:
     Symbols: "0" for empty slots, "s1", "s2", ... for sign slots on fixed
     support points, "y"/"ybar" (then "y2"/"y2bar", ...) for conjugate phase
     pairs on two-cycles.
+
+    The constructor is the one check of a shape: tau is a list or tuple of
+    ints (not bools), u one of strings, and anything else, like any shape
+    the rules above refuse, is a MalformedShape.
     """
 
     def __init__(self, tau, u):
-        self.tau = tuple(int(t) for t in tau)
-        self.u = tuple(str(s) for s in u)
+        if (not isinstance(tau, (list, tuple))
+                or not isinstance(u, (list, tuple))
+                or not all(type(t) is int for t in tau)
+                or not all(type(s) is str for s in u)):
+            raise MalformedShape("a shape is tau, an integer list, and u, a "
+                                 "string list")
+        self.tau = tuple(tau)
+        self.u = tuple(u)
         N = len(self.tau)
         if len(self.u) != N:
             raise MalformedShape("tau and u lengths differ")
@@ -104,14 +114,9 @@ class QuantumShape:
     def from_json(obj):
         """A shape from {"tau": [ints], "u": [symbol strings]}; anything
         else, an unknown key included, is a MalformedShape."""
-        if (not isinstance(obj, dict) or obj.keys() != {"tau", "u"}
-                or not isinstance(obj["tau"], list)
-                or not isinstance(obj["u"], list)
-                or not all(type(t) is int for t in obj["tau"])
-                or not all(type(s) is str for s in obj["u"])):
-            raise MalformedShape("a shape is an object with the keys tau, an "
-                                 "integer list, and u, a string list, and no "
-                                 "other")
+        if not isinstance(obj, dict) or obj.keys() != {"tau", "u"}:
+            raise MalformedShape("a shape is an object with the keys tau and "
+                                 "u and no other")
         return QuantumShape(obj["tau"], obj["u"])
 
     def __repr__(self):

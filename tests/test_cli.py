@@ -414,12 +414,17 @@ def test_check_all_deterministic_and_covers(capsys):
     code1, out1, _ = run_cli(capsys, ["check-all", "--N", "2"])
     code2, out2, err2 = run_cli(capsys, ["check-all", "--N", "2", "--timings"])
     assert code1 == 0 and code2 == 0
-    # --timings writes to stderr only: one line per suite, in suite order
+    # --timings writes to stderr only: one line per suite, in suite order,
+    # with its seconds and the peak RSS so far, which never decreases
     assert out1 == out2
     timed = [line.split() for line in err2.splitlines()
              if line.startswith("[timings]")]
     assert [t[1] for t in timed] == [name for name, _ in checks.CHECKS]
+    assert all(len(t) == 4 for t in timed)
     assert all(t[2].endswith("s") and float(t[2][:-1]) >= 0 for t in timed)
+    peaks = [float(t[3].removesuffix("MB")) for t in timed]
+    assert all(t[3].endswith("MB") for t in timed)
+    assert 0 < peaks[0] and peaks == sorted(peaks)
     # the recorded N=2 seed-0 certificate stream, byte for byte
     assert hashlib.sha256(out1.encode()).hexdigest() == _DIGESTS["2"]
     lines = out1.strip().splitlines()

@@ -9,14 +9,20 @@ from hypothesis import given, settings, strategies as st
 
 from qrea import braiding, checks, qmatrix, rea, shapes
 from qrea.braiding import rhat_entries
-from qrea.coeff import (LP_ONE, LP_ZERO, GaussRat, LaurentPoly, NotAUnit,
-                        PoleAtPoint, RatFunc, ZeroDenominator, lp_q_int,
-                        rational_sqrt)
+from qrea.coeff import (LP_ONE, LP_Q, LP_QINV, LP_ZERO, GaussRat,
+                        LaurentPoly, NotAUnit, PoleAtPoint, RatFunc,
+                        ZeroDenominator, lp_q_int, rational_sqrt,
+                        share_values)
 from qrea.coeff import _from_dense, _to_dense
 
 
 def L(d):
     return LaurentPoly(d)
+
+
+def from_json(obj):
+    """The LaurentPoly written as obj by to_json."""
+    return LaurentPoly({int(e): int(c) for e, c in obj.items()})
 
 
 def test_difference_of_squares():
@@ -150,7 +156,7 @@ def test_rational_constants_and_laurent_fractions_are_reduced():
     with pytest.raises(ValueError):
         LaurentPoly.const(F(-5, 3))
     assert RatFunc(L({2: 4}), L({0: 6})) == RatFunc(L({2: 2}), L({0: 3}))
-    assert (half * RatFunc(2)).is_one() and (half + half).is_one()
+    assert half * RatFunc(2) == RatFunc(1) == half + half
     assert RatFunc(L({0: 1}), L({0: -1, 1: -2})).den.terms == {0: 1, 1: 2}
 
 
@@ -171,9 +177,30 @@ def test_minus_q_powers():
     assert all(type(lp_q_int(n)) is LaurentPoly for n in range(-3, 4))
 
 
+def test_monomials_are_one_object_per_value():
+    # every path to +-q^k ends at the one object of its value
+    assert LP_Q * LP_QINV is LP_ONE
+    assert lp_q_int(2) is LaurentPoly.q_power(2)
+    assert LP_Q.inv() is LP_QINV
+    assert -lp_q_int(1) is LP_Q and -(-LP_ONE) is LP_ONE
+    assert lp_q_int(3) * lp_q_int(-1) is LaurentPoly.q_power(2)
+    assert RatFunc(L({1: 2}), L({0: 2})).num is LP_Q
+    # monomials keep their exact norm 1
+    assert all(lp_q_int(k).n == 1 for k in range(-3, 4))
+
+
+def test_share_values_keeps_one_object_per_value():
+    first = {"a": L({0: 1, 2: -3}), "b": L({1: 1, 2: 1}) - L({2: 1})}
+    second = {"a": L({0: 1, 2: -3}), "b": L({1: 1})}
+    assert share_values(first) is first
+    share_values(second)
+    assert second["a"] is first["a"] and first["b"] is second["b"] is LP_Q
+    assert first == {"a": L({0: 1, 2: -3}), "b": LP_Q}
+
+
 def test_laurent_json_roundtrip():
     p = L({-2: 3, 0: -1, 5: F(22)})
-    back = LaurentPoly.from_json(p.to_json())
+    back = from_json(p.to_json())
     assert back == p and all(type(c) is int for c in back.terms.values())
     # a RatFunc writes its canonical num and den, den only when it is not 1;
     # a rational constant factor travels in the denominator
@@ -370,7 +397,7 @@ def _assert_same(p, ref):
         assert (p.min_exp(), p.max_exp()) == (min(t), max(t))
     fresh = LaurentPoly(t)
     assert p == fresh and hash(p) == hash(fresh)
-    assert LaurentPoly.from_json(p.to_json()) == p
+    assert from_json(p.to_json()) == p
     assert p.to_json() == {str(e): str(c) for e, c in sorted(t.items())}
     q0 = F(-2, 3)
     assert p.evaluate(q0) == sum((c * q0 ** e for e, c in t.items()), F(0))
@@ -507,7 +534,7 @@ def test_non_integral_exponent_raises():
             LaurentPoly(bad)
     # integral exponents of other types are taken as their int
     assert LaurentPoly({2.0: 1, F(-4, 2): 3}).terms == {2: 1, -2: 3}
-    assert LaurentPoly.from_json({"-2": "3", "2": "1"}) == L({-2: 3, 2: 1})
+    assert from_json({"-2": "3", "2": "1"}) == L({-2: 3, 2: 1})
 
 
 # -- the integer fast path ------------------------------------------------------
@@ -655,7 +682,7 @@ def test_ring_axioms_fail_on_a_perturbed_product(monkeypatch):
     cert, = checks.check_coeff_ring_axioms(2, 0)
     assert cert.status == "fail"
     w = cert.witness
-    args = [LaurentPoly.from_json(x) for x in w["args"]]
+    args = [from_json(x) for x in w["args"]]
     law = dict(checks._RING_LAWS)[w["law"]]
     assert not law(*args)
     monkeypatch.setattr(LaurentPoly, "__mul__", right)
@@ -716,7 +743,7 @@ def test_eval_witness_names_the_point(monkeypatch):
     assert cert.status == "fail"
     w = cert.witness
     assert w["law"] == "direct-substitution"
-    p, q0 = LaurentPoly.from_json(w["args"][0]), F(w["args"][1])
+    p, q0 = from_json(w["args"][0]), F(w["args"][1])
     assert q0 > 1
     rng = random.Random(0)
     for i in range(w["sample"]):

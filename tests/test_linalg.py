@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import qrea
 from qrea import coeff
-from qrea.coeff import GaussRat, LaurentPoly, NotAUnit, RatFunc
+from qrea.coeff import LP_ONE, GaussRat, LaurentPoly, NotAUnit, RatFunc
 from qrea.linalg import (add_term, determinant, echelon, invert_matrix, rank,
                          sparse_row_reduce)
 from qrea.qmatrix import NCPoly, sum_terms
@@ -30,10 +30,10 @@ _words = st.lists(st.integers(0, 3), max_size=2).map(tuple)
 
 
 @st.composite
-def _cancelling_terms(draw, keys):
-    """A shuffled list of (key, RatFunc) terms in which some terms come
-    with their negatives, so that whole keys sum to zero."""
-    terms = draw(st.lists(st.tuples(keys, _ratfunc), max_size=10))
+def _cancelling_terms(draw, keys, scalars=_ratfunc):
+    """A shuffled list of (key, scalar) terms, RatFunc by default, in which
+    some terms come with their negatives, so that whole keys sum to zero."""
+    terms = draw(st.lists(st.tuples(keys, scalars), max_size=10))
     flips = draw(st.lists(st.booleans(), min_size=len(terms),
                           max_size=len(terms)))
     negated = [(k, -c) for (k, c), flip in zip(terms, flips) if flip]
@@ -66,20 +66,21 @@ def test_add_term_is_the_filtered_naive_sum(terms, rnd):
 
 
 @settings(max_examples=50, deadline=None)
-@given(_cancelling_terms(_words), _cancelling_terms(_words),
-       st.randoms(use_true_random=False))
+@given(_cancelling_terms(_words, _laurent),
+       _cancelling_terms(_words, _laurent), st.randoms(use_true_random=False))
 def test_sum_terms_and_mul_against_naive_sums(a_terms, b_terms, rnd):
-    """sum_terms of c * (w b) over the (w, c) of a_terms is a * b: the naive
-    sum of the expanded products, with no zero stored, in any term order,
-    and with the memoised values it read left as they were."""
+    """sum_terms of c * (w b) over the (w, c) of a_terms, c a LaurentPoly,
+    is a * b: the naive sum of the expanded products, with no zero stored,
+    in any term order, and with the memoised values it read left as they
+    were."""
     # a leading coefficient 1, where a sum could hand out its first summand
-    a_terms = [((), RatFunc(1))] + a_terms
+    a_terms = [((), LP_ONE)] + a_terms
     b = NCPoly(2, _naive_sum(b_terms))
     memo = {}
 
     def times_b(w):
         if w not in memo:
-            memo[w] = NCPoly(2, {w: RatFunc(1)}) * b
+            memo[w] = NCPoly(2, {w: LP_ONE}) * b
         return memo[w]
 
     naive = _naive_sum([(w + wb, c * cb) for w, c in a_terms

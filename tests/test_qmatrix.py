@@ -602,8 +602,7 @@ def test_minor_coproduct_witness_is_first_failing_minor(monkeypatch,
         rw, scaled_coproduct(quantum_minor(2, (1, 2), (1, 2))), {})
     assert w["entry"] == min(got)
     assert w["got"] == got[w["entry"]].to_json() != w["expected"]
-    assert LaurentPoly.from_json(w["got"]) == \
-        LaurentPoly.from_json(w["expected"]) * LP_Q
+    assert w["expected"] == (got[w["entry"]] * LP_QINV).to_json()
 
 
 def test_confluence_and_pbw_witnesses_on_a_perturbed_rule(monkeypatch):
@@ -750,3 +749,52 @@ def test_slice_sweeps_match_full_label_sweeps(N):
                 for c in subsets(N, l):
                     assert ctx.wedge_contraction(a, c, b) == \
                         _dense_contraction(ctx, a, c, b), (a, c, b)
+
+
+@pytest.fixture(scope="module")
+def swept3():
+    """The contexts and star algebras of a fresh run of the qmatrix.* and
+    rea.* suites of check-all at N=3, every certificate passing."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "_CTX_CACHE", {})
+        mp.setattr(checks, "_STAR_CACHE", {})
+        for name, suite in checks.CHECKS:
+            if name.split(".")[0] in ("qmatrix", "rea"):
+                assert all(c.status == "pass" for c in suite(3, 0)), name
+        return dict(checks._CTX_CACHE), dict(checks._STAR_CACHE)
+
+
+def _memo_coefficients(value):
+    """Every LaurentPoly held in a memo value: dicts, tuples, NCPolys."""
+    if isinstance(value, LaurentPoly):
+        yield value
+    elif isinstance(value, NCPoly):
+        yield from _memo_coefficients(value.coeffs)
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _memo_coefficients(v)
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _memo_coefficients(v)
+
+
+def test_memo_coefficients_are_one_object_per_value(swept3):
+    ctxs, stars = swept3
+    memos = [m for ctx in ctxs.values()
+             for m in (ctx.rw._insert_memo, ctx.rw._nf_memo, ctx._minor_prod,
+                       ctx._contractions, ctx._gencomm, ctx.bich._images,
+                       ctx.bich._coimages, ctx.bich._memo)]
+    memos += [m for star in stars.values()
+              for m in (star._star_word_memo, star._star_minor_memo)]
+    held = [c for memo in memos for c in _memo_coefficients(memo)]
+    assert len(held) > 10 * len(set(held))
+    assert len({id(c) for c in held}) == len(set(held))
+
+
+def test_insert_memo_holds_no_sorted_insertion(swept3):
+    ctxs, _ = swept3
+    memo = ctxs[3].rw._insert_memo
+    assert memo
+    assert all(mono and g > mono[0] for g, mono in memo)
+    # a sorted insertion is the one word, as before
+    assert ctxs[3].rw._insert(0, (0, 4)) == {(0, 0, 4): LP_ONE}

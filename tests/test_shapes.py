@@ -82,6 +82,10 @@ def test_malformed_shapes():
         QuantumShape((2, 1), ("s1", "s1"))        # sign slots on a 2-cycle
     with pytest.raises(MalformedShape):
         QuantumShape.from_json({"tau": [2, 1], "u": [5, "5bar"]})  # int slot
+    with pytest.raises(MalformedShape):
+        QuantumShape((2, 1), (5, "5bar"))         # int slot, no JSON
+    with pytest.raises(MalformedShape):
+        QuantumShape(("2", 1), ("y", "ybar"))     # string tau entry
 
 
 def test_shape_json_roundtrip():
