@@ -26,7 +26,8 @@ through it (``q_power``, ``lp_q_int``, ``inv``, negation and a product of
 two monomials all return the table's object), and ``share_values`` puts the
 values a long-lived memo stores through it, so the many copies of the few
 distinct coefficients of the quantum memos cost one object each.  Sums are
-not shared: a sum stays a fresh object until a memo stores it.
+not shared: a sum stays a fresh object until a memo stores it.  A product
+with the factor ``LP_ONE`` is the other factor itself.
 
 ``RatFunc``, the field of rational functions in q over Q, serves only the
 ``coeff.rf-canonical`` suite and the tests; ``coeff.ring-axioms`` certifies
@@ -244,6 +245,11 @@ class LaurentPoly:
         return _packed(self.lo, -self.P, self.n)
 
     def __mul__(self, other):
+        # a factor LP_ONE returns the other one: values are never mutated
+        if self is LP_ONE:
+            return other
+        if other is LP_ONE:
+            return self
         P = self.P * other.P
         if not P:
             return LP_ZERO

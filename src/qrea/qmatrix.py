@@ -39,8 +39,9 @@ commutativity) is verified by exact normal-form equality of its two sides,
 `identity_sides`.  The sweeps over wedge-table labels visit only nonzero
 entries, through the table's slices; the label arithmetic of a Laplace or
 Muir instance is a position pattern, built once per sizes and positions and
-read at I and J, and its terms are memoised once for both algebras; and
-normal forms are memoised per word suffix.
+read at I and J on every call.  Normal forms of words are memoised per
+word suffix; a product of two minors inserts the words of the left one
+into the memoised normal form of the right one.
 
 `sum_terms` is the one polynomial sum: every linear combination of NCPolys,
 here and in the reflection algebra, adds into one dict with
@@ -174,13 +175,18 @@ def _word_greater(a, b):
 class RewriteSystem:
     """Oriented quadratic straightening rules with memoised insertion.
 
-    The normal form of a word w is the insertion of its first letter into
-    the normal form of w[1:], so normal forms are memoised per suffix: a
-    word shares the work of every word that ends like it.  Only proper
-    suffixes are kept, not the words asked for, which rarely recur (at N=4
-    keeping them would add a third to the peak memory of the quantum
-    suites).  Memoised values are shared; callers only read them, and
-    their coefficients are the coefficient table's objects
+    The normal form of a word w times a normal form `right` (1 when there
+    is none) is the insertion of w's first letter into the normal form of
+    w[1:] * right, so normal forms are built from suffix states: a word
+    shares the work of every word that ends like it.  The caller says
+    where the states live.  With no right factor they live in `_nf_memo`,
+    for the life of the system; only proper suffixes are kept, not the
+    words asked for, which rarely recur (at N=4 keeping them would add a
+    third to the peak memory of the quantum suites).  With a right factor
+    they live in a dict of that one call, so the words of a minor product
+    (`QContext.minor_prod_nf`) share their suffixes within the product and
+    leave nothing behind.  Memoised values are shared; callers only read
+    them, and their coefficients are the coefficient table's objects
     (`coeff.share_values`).  The insertion of g before a sorted word that
     starts at g or later is the one word g + mono, rebuilt on each call
     and not memoised."""
@@ -215,33 +221,46 @@ class RewriteSystem:
 
     def nf_word(self, word):
         """Normal form of a word as dict sorted-word -> LaurentPoly."""
-        return self._nf(tuple(word), keep=False)
+        return self._nf(tuple(word), None, self._nf_memo, keep=False)
 
-    def _nf(self, word, keep=True):
-        """nf_word: _insert(word[0], .) over nf(word[1:]), read from the
-        suffix memo, and stored there when `keep`."""
-        if len(word) <= 1:
-            return {word: LP_ONE}
-        memo = self._nf_memo
-        hit = memo.get(word)
+    def _nf(self, word, right, states, keep=True):
+        """The normal form of word * right, `right` a normal form's dict or
+        None for 1: _insert(word[0], .) over the normal form of word[1:] *
+        right, read from `states` and stored there when `keep`."""
+        if right is None:
+            if len(word) <= 1:
+                return {word: LP_ONE}
+        elif not word:
+            return right
+        hit = states.get(word)
         if hit is None:
             g = word[0]
             insert = self._insert
             hit = {}
-            for mono, c in self._nf(word[1:]).items():
+            for mono, c in self._nf(word[1:], right, states).items():
                 for m2, c2 in insert(g, mono).items():
                     add_term(hit, m2, c * c2)
             if keep:
-                memo[word] = share_values(hit)
+                states[word] = share_values(hit) if right is None else hit
         return hit
 
-    def normal_form(self, p):
+    def normal_form(self, p, right=None):
+        """The normal form of p * right, `right` an NCPoly in normal form
+        (1 when None).  Without it a sorted word of p is its own normal
+        form and the suffix states are `_nf_memo`; with it they are a
+        fresh dict, dropped on return."""
         out = {}
+        if right is None:
+            tail, states = None, self._nf_memo
+        else:
+            tail, states = right.coeffs, {}
+        nf = self._nf
         for w, c in p.coeffs.items():
-            if all(w[i] <= w[i + 1] for i in range(len(w) - 1)):
+            if tail is None and all(w[i] <= w[i + 1]
+                                    for i in range(len(w) - 1)):
                 add_term(out, w, c)
                 continue
-            for m, c2 in self.nf_word(w).items():
+            for m, c2 in nf(w, tail, states, keep=False).items():
                 add_term(out, m, c * c2)
         q = NCPoly(p.N)
         q.coeffs = out
@@ -614,6 +633,7 @@ class QContext:
         self.bich = Bicharacter(N)
         self._tables = {}
         self._minors = {}
+        self._minor_nf = {}
         self._minor_prod = {}
         self._contractions = {}
         self._gencomm = {}
@@ -630,16 +650,29 @@ class QContext:
             self._minors[key] = quantum_minor(self.N, key[0], key[1])
         return self._minors[key]
 
+    def minor_nf(self, rows, cols):
+        """Normal form of a minor, memoised."""
+        key = (tuple(rows), tuple(cols))
+        hit = self._minor_nf.get(key)
+        if hit is None:
+            hit = self.rw.normal_form(self.minor(*key))
+            share_values(hit.coeffs)
+            self._minor_nf[key] = hit
+        return hit
+
     def minor_prod_nf(self, A, B, C, D):
-        """Normal form of the product of two minors, memoised."""
+        """Normal form of the product of two minors, memoised.  The words
+        of Delta(A, B) are inserted, last letter first, into minor_nf(C, D)
+        (`RewriteSystem.normal_form` with a right factor): they share their
+        suffixes within this one product, and no product word enters the
+        rewriting system's suffix memo."""
         key = (tuple(A), tuple(B), tuple(C), tuple(D))
         hit = self._minor_prod.get(key)
         if hit is None:
-            p = self.rw.normal_form(self.minor(key[0], key[1])
-                                    * self.minor(key[2], key[3]))
-            share_values(p.coeffs)
-            self._minor_prod[key] = p
-            return p
+            hit = self.rw.normal_form(self.minor(key[0], key[1]),
+                                      self.minor_nf(key[2], key[3]))
+            share_values(hit.coeffs)
+            self._minor_prod[key] = hit
         return hit
 
     # -- wedge-table contractions ---------------------------------------------
@@ -766,39 +799,22 @@ def expansion_terms(family, instance):
     (sign, (A, B, C, D)) and stands for sign times the minor product
     (A, B)(C, D).  A Laplace instance is the Muir one with no common
     submatrix (F = G = ()), its left term the minor (I, J) times the empty
-    minor.  The left side is empty unless K = K'.  Both sides are tuples,
-    memoised per (row or col, labels) and shared by the quantum-matrix and
-    reflection-algebra families.
+    minor.  The left side is empty unless K = K'.  Both sides are lists,
+    computed on each call: the instance's position pattern, memoised per
+    sizes and positions, read at I and J.  I and J are increasing, so a
+    merge of their selections is their selection at the merged positions.
     """
     F, G = (((), ()) if family.startswith("laplace")
             else (tuple(instance["F"]), tuple(instance["G"])))
-    key = (family.endswith("row"), tuple(instance["I"]), tuple(instance["J"]),
-           F, G, tuple(instance["K"]), tuple(instance["Kp"]))
-    hit = _EXPANSION_MEMO.get(key)
-    if hit is None:
-        hit = _EXPANSION_MEMO[key] = _expansion(*key)
-    return hit
-
-
-# (row family, I, J, F, G, K, K') -> (left, right) of expansion_terms
-_EXPANSION_MEMO = {}
-
-
-def _expansion(row, I, J, F, G, K, Kp):
-    """The terms of expansion_terms, computed: the position pattern of the
-    instance read at I and J.  I and J are increasing, so a merge of their
-    selections is their selection at the merged positions."""
+    I, J = tuple(instance["I"]), tuple(instance["J"])
     i_positions, j_positions, left, right = _position_pattern(
-        row, len(I), len(J), F, G, K, Kp)
+        family.endswith("row"), len(I), len(J), F, G, tuple(instance["K"]),
+        tuple(instance["Kp"]))
     I1, J1 = (0,) + I, (0,) + J     # position p of I is I1[p]
     Is = [tuple([I1[p] for p in pos]) for pos in i_positions]
     Js = [tuple([J1[p] for p in pos]) for pos in j_positions]
-
-    def terms(side):
-        return tuple([(c, (Is[a], Js[b], Is[x], Js[d]))
-                      for c, (a, b, x, d) in side])
-
-    return terms(left), terms(right)
+    return tuple([(c, (Is[a], Js[b], Is[x], Js[d]))
+                  for c, (a, b, x, d) in side] for side in (left, right))
 
 
 @cache

@@ -20,13 +20,13 @@ words.
 
 The reflection-algebra identity families share their expansions with the
 quantum-matrix ones.  Laplace and Muir take the term lists of
-`qmatrix.expansion_terms`, memoised there for both algebras, and expand
-each minor product (a, b)(c, d) as the twisted products
-star_minor(X, Z, W, d) weighted by the wedge-table contraction
-`QContext.wedge_contraction(a, c, b)`; laplace2 places the contraction of
-(b, d, a) transposed, as star_minor(c, W, Z, X).  The general commutation
-family reads `QContext.gencomm_coefficients`, as the shape q-commutation
-certificates do.
+`qmatrix.expansion_terms`, read off one position pattern per sizes and
+positions for both algebras, and expand each minor product (a, b)(c, d)
+as the twisted products star_minor(X, Z, W, d) weighted by the wedge-table
+contraction `QContext.wedge_contraction(a, c, b)`; laplace2 places the
+contraction of (b, d, a) transposed, as star_minor(c, W, Z, X).  The
+general commutation family reads `QContext.gencomm_coefficients`, as the
+shape q-commutation certificates do.
 
 A second realisation derives quadratic straightening rules directly from the
 reflection equation and cross-checks them against the twisted product.

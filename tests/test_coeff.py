@@ -189,6 +189,11 @@ def test_monomials_are_one_object_per_value():
     assert all(lp_q_int(k).n == 1 for k in range(-3, 4))
 
 
+def test_a_product_by_one_is_the_other_factor():
+    for x in (lp_q_int(3), L({0: 2, 1: -1}) + LP_Q, LP_ZERO):
+        assert LP_ONE * x is x and x * LP_ONE is x, x
+
+
 def test_share_values_keeps_one_object_per_value():
     first = {"a": L({0: 1, 2: -3}), "b": L({1: 1, 2: 1}) - L({2: 1})}
     second = {"a": L({0: 1, 2: -3}), "b": L({1: 1})}
@@ -600,6 +605,8 @@ def test_quantum_side_values_are_laurent():
                           for c in rhs.values()],
         "insert memo": [c for img in ctx.rw._insert_memo.values()
                         for c in img.values()],
+        "minor normal forms": [c for p in ctx._minor_nf.values()
+                               for c in p.coeffs.values()],
         "minor products": [c for p in ctx._minor_prod.values()
                            for c in p.coeffs.values()],
         "table slices": [c for t in ctx._tables.values()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qrea import checks, qmatrix
 from qrea.coeff import LP_ONE, LP_Q, LP_QINV, LP_ZERO, LaurentPoly, lp_q_int
-from qrea.indexsets import subsets
+from qrea.indexsets import merge, rest, select, subsets
 from qrea.linalg import add_term
 from qrea.qmatrix import (Bicharacter, IllFormedInstance, NCPoly,
                           NonOrientable, QContext, braidcomm_instances,
@@ -693,6 +693,70 @@ def test_nf_word_matches_the_memo_free_loop():
             assert list(got.items()) == list(_nf_word_loop(system, w).items()), w
 
 
+def _minor_labels(N):
+    return [(A, B) for k in range(N + 1) for A, B in product(subsets(N, k),
+                                                             repeat=2)]
+
+
+@pytest.mark.parametrize("N, count", [(2, 36), (3, 400)])
+def test_minor_prod_nf_is_the_normal_form_of_the_product(N, count):
+    """The insertion of Delta(A, B)'s words into minor_nf(C, D) is the
+    normal form of the word product of the two minors, on every label
+    quadruple."""
+    ctx, oracle = QContext(N), QContext(N)
+    quads = list(product(_minor_labels(N), repeat=2))
+    assert len(quads) == count
+    for (A, B), (C, D) in quads:
+        want = oracle.rw.normal_form(oracle.minor(A, B) * oracle.minor(C, D))
+        assert ctx.minor_prod_nf(A, B, C, D) == want, (A, B, C, D)
+
+
+def test_minor_products_leave_no_word_in_the_suffix_memo():
+    """Every minor product at N=3 leaves the suffix memo as the minors'
+    own normal forms leave it: no product word enters it."""
+    ctx, minors_only = QContext(3), QContext(3)
+    labels = _minor_labels(3)
+    for (A, B), (C, D) in product(labels, repeat=2):
+        ctx.minor_prod_nf(A, B, C, D)
+    for A, B in labels:
+        minors_only.minor_nf(A, B)
+    assert minors_only.rw._nf_memo
+    assert ctx.rw._nf_memo == minors_only.rw._nf_memo
+
+
+def _direct_expansion(family, inst):
+    """The terms of a Laplace or Muir instance built on I and J themselves:
+    the common rows I_F and columns J_G merged into the selections of the
+    rest, the row family selecting K and K' among rows, the col family
+    among columns."""
+    I, J, K, Kp = inst["I"], inst["J"], inst["K"], inst["Kp"]
+    F, G = ((), ()) if family.startswith("laplace") else (inst["F"],
+                                                         inst["G"])
+    IF, JG, Ic, Jc = select(I, F), select(J, G), rest(I, F), rest(J, G)
+    left = [(LP_ONE, (I, J, IF, JG))] if K == Kp else []
+    right = []
+    for P in subsets(len(Ic), len(K)):
+        rk, rkp, ck, ckp = ((K, Kp, P, P) if family.endswith("row")
+                            else (P, P, K, Kp))
+        right.append((lp_q_int(sum(P) - sum(K)),
+                      (merge(IF, select(Ic, rk)), merge(JG, select(Jc, ck)),
+                       merge(IF, rest(Ic, rkp)), merge(JG, rest(Jc, ckp)))))
+    return left, right
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_expansion_terms_match_the_direct_construction(N):
+    assert not hasattr(qmatrix, "_EXPANSION_MEMO")
+    for families, sweep in ((("laplace-row", "laplace-col"),
+                             laplace_instances),
+                            (("muir-row", "muir-col"), muir_instances)):
+        for inst in sweep(N):
+            for family in families:
+                left, right = qmatrix.expansion_terms(family, inst)
+                assert (list(left), list(right)) == \
+                    _direct_expansion(family, inst), (family, inst)
+
+
 def _dense_gencomm(ctx, I, J, Ip, Jp):
     kl, lk = ctx.table(len(I), len(Ip)), ctx.table(len(Ip), len(I))
     ksets, lsets = subsets(ctx.N, len(I)), subsets(ctx.N, len(Ip))
@@ -781,9 +845,9 @@ def _memo_coefficients(value):
 def test_memo_coefficients_are_one_object_per_value(swept3):
     ctxs, stars = swept3
     memos = [m for ctx in ctxs.values()
-             for m in (ctx.rw._insert_memo, ctx.rw._nf_memo, ctx._minor_prod,
-                       ctx._contractions, ctx._gencomm, ctx.bich._images,
-                       ctx.bich._coimages, ctx.bich._memo)]
+             for m in (ctx.rw._insert_memo, ctx.rw._nf_memo, ctx._minor_nf,
+                       ctx._minor_prod, ctx._contractions, ctx._gencomm,
+                       ctx.bich._images, ctx.bich._coimages, ctx.bich._memo)]
     memos += [m for star in stars.values()
               for m in (star._star_word_memo, star._star_minor_memo)]
     held = [c for memo in memos for c in _memo_coefficients(memo)]

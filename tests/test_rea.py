@@ -324,18 +324,79 @@ def test_rewrite_crosscheck_witness_is_the_flatness_message(monkeypatch):
     assert witness == {"error": str(failure.value)}
 
 
+def _memo_rows(star, fresh):
+    """Every memo of `star`, its context, rewriting system and bicharacter,
+    by owner and attribute: [(memo, compute)], with compute(*key) the value
+    `fresh` gives for a key of memo.  A bicharacter memo has one row per
+    functional; a context's wedge tables have one per table that has
+    slices."""
+    ctx, bich, new = star.ctx, star.ctx.bich, fresh.ctx
+    return {
+        "StarAlgebra._star_word_memo": [(star._star_word_memo,
+                                         fresh.star_word)],
+        "StarAlgebra._star_minor_memo": [(star._star_minor_memo,
+                                          fresh.star_minor)],
+        "QContext._minors": [(ctx._minors, new.minor)],
+        "QContext._minor_nf": [(ctx._minor_nf, new.minor_nf)],
+        "QContext._minor_prod": [(ctx._minor_prod, new.minor_prod_nf)],
+        "QContext._contractions": [(ctx._contractions, new.wedge_contraction)],
+        "QContext._gencomm": [(ctx._gencomm, new.gencomm_coefficients)],
+        "QContext._tables": [
+            (table._slices,
+             lambda inverse, fixed, kl=kl: new.table(*kl).slice(inverse,
+                                                                fixed))
+            for kl, table in ctx._tables.items() if table._slices],
+        "RewriteSystem._insert_memo": [(ctx.rw._insert_memo, new.rw._insert)],
+        "RewriteSystem._nf_memo": [(ctx.rw._nf_memo,
+                                    lambda *w: new.rw.nf_word(w))],
+        "Bicharacter._memo": [
+            (bich._memo["r"], new.bich.r),
+            (bich._memo["rinv"], new.bich.r_inv)],
+        "Bicharacter._images": [
+            (bich._images[which],
+             lambda s, cols, which=which: new.bich.image(which, s, cols))
+            for which in ("r", "rinv")],
+        # the twisted product reads r by rows, and r^{-1} by columns only
+        "Bicharacter._coimages": [
+            (bich._coimages["r"],
+             lambda s, rows: new.bich.coimage("r", s, rows))],
+    }
+
+
+# The dict attributes of a StarAlgebra, QContext, RewriteSystem and
+# Bicharacter that are not memos, and why.
+NOT_MEMOS = (
+    ("RewriteSystem.rules", "the straightening rules, derived at construction"),
+    ("Bicharacter._tables", "the two-site generator tables, built at "
+                            "construction"),
+    ("Bicharacter._cotables", "their transposes, built at construction"),
+)
+
+
+def test_every_dict_attribute_is_a_checked_memo_or_not_a_memo():
+    """A memo added to or dropped from the four classes fails here until
+    `_memo_rows` (or NOT_MEMOS) follows it."""
+    star = _fresh_star()
+    found = {f"{type(owner).__name__}.{name}"
+             for owner in (star, star.ctx, star.ctx.rw, star.ctx.bich)
+             for name, value in vars(owner).items() if isinstance(value, dict)}
+    checked, exempt = set(_memo_rows(star, star)), {n for n, _ in NOT_MEMOS}
+    assert not checked & exempt
+    assert found == checked | exempt
+
+
 def test_sums_leave_every_memo_as_a_fresh_context_computes_it():
     """No polynomial sum changes a memoised value that it reads: after the
-    star, star_minor and verify_identity sums at N = 2, every value of the
-    star_word, star_minor, minor_prod_nf, normal-form, coimage, r' index,
-    table slice, contraction, general-commutation and expansion memos
-    equals the value a fresh context (or a fresh computation, for the
-    module's expansion memo) gives for its key."""
+    star, star_minor, reverse-braid and verify_identity sums at N = 2,
+    every value of every memo of `_memo_rows` equals the value a fresh
+    context gives for its key."""
     star = _fresh_star()
     monos = random_monomials(2, 2, 8, seed=3)
     for f, g in zip(monos, monos[1:]):
         assert star.star(star.star(f, g), f) == star.star(f, star.star(g, f))
     assert reflection_equation_check(star).status == "pass"
+    pairs = list(product(product((1, 2), repeat=2), repeat=2))
+    assert star.reverse_braid_check(pairs) is None
     derive_rea_rewrite(star)
     for (algebra, family), (subs, sweep, _keys) in checks.FAMILIES.items():
         for inst in sweep(2):
@@ -345,30 +406,12 @@ def test_sums_leave_every_memo_as_a_fresh_context_computes_it():
                 else:
                     cert = rea_verify(star, sub, inst)
                 assert cert.status == "pass", (sub, inst)
-    fresh = _fresh_star()
-    ctx, bich = star.ctx, star.ctx.bich
-    memos = [(star._star_word_memo, fresh.star_word),
-             (star._star_minor_memo, fresh.star_minor),
-             (ctx._minor_prod, fresh.ctx.minor_prod_nf),
-             (ctx.rw._nf_memo, lambda *w: fresh.ctx.rw.nf_word(w)),
-             (ctx._contractions, fresh.ctx.wedge_contraction),
-             (ctx._gencomm, fresh.ctx.gencomm_coefficients),
-             (qmatrix._EXPANSION_MEMO, qmatrix._expansion)]
-    # the twisted product reads r by rows, and r^{-1} by columns only
-    memos.append((bich._coimages["r"],
-                  lambda s, rows: fresh.ctx.bich.coimage("r", s, rows)))
-    assert not bich._coimages["rinv"]
-    for memo, _compute in memos:
-        assert memo
-    sliced = [(kl, table) for kl, table in ctx._tables.items() if table._slices]
-    assert sliced
-    memos += [(table._slices,
-               lambda inverse, fixed, kl=kl: fresh.ctx.table(*kl).slice(
-                   inverse, fixed))
-              for kl, table in sliced]
-    for memo, compute in memos:
-        for key, value in memo.items():
-            assert value == compute(*key), key
+    assert not star.ctx.bich._coimages["rinv"]
+    for name, rows in _memo_rows(star, _fresh_star()).items():
+        assert rows and all(memo for memo, _compute in rows), name
+        for memo, compute in rows:
+            for key, value in memo.items():
+                assert value == compute(*key), (name, key)
 
 
 def test_semiclassical_witness_names_first_failing_pair(monkeypatch):
