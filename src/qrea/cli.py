@@ -18,6 +18,11 @@ points, one certificate each; `classical jacobi` evaluates the exact cyclic
 Jacobi sums at exact random points and prints the residual of largest
 modulus as an exact complex rational.
 
+`check-all --N N` runs every suite of `checks.CHECKS`.  A suite with a
+reach there certifies its identity at n = min(N, reach) only, so an N above
+every reach prints the same stream as the largest reach; the other suites
+run at their own fixed sizes whatever N is.
+
 A usage error prints one line to stderr and nothing to stdout.  Besides
 unknown or malformed flags, the usage errors are:
 - an --instance that is not a JSON object, lacks a key of its family, holds

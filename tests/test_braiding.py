@@ -301,7 +301,7 @@ def test_wedge_table_witness_is_first_failing_entry(monkeypatch):
     t12 = ctx.table(1, 2)
     t12.inv_entries[(1,), (1,), (1, 2), (1, 2)] *= LP_Q
     t12.entries[(2,), (2,), (1, 2), (1, 2)] *= LP_Q
-    certs = checks.check_wedge_tables(2, 0)
+    certs = checks.check_wedge_tables(2, 0, kmax=2)
     assert [c.status for c in certs] == ["fail", "fail", "pass", "pass"]
     assert [c.witness for c in certs[2:]] == [None, None]
     assert certs[0].witness == {"support": "inverse", "entry": off,
@@ -325,7 +325,7 @@ def test_wedge_composition_witness_is_first_failing_pair(monkeypatch):
         return out
 
     monkeypatch.setattr(braiding, "braid_wedge_pair", broken)
-    certs = checks.check_wedge_composition(2, 0)
+    certs = checks.check_wedge_composition(2, 0, kmax=2)
     assert [c.status for c in certs] == ["fail", "pass", "pass", "pass"]
     # (2,) (x) (2,) is the last of the four (I, J') pairs of degree (1, 1)
     first = _first_failure(
@@ -340,7 +340,7 @@ def test_wedge_composition_witness_is_first_failing_pair(monkeypatch):
 
 
 def test_embed_equivariance_witness_is_first_failing_word(broken_move):
-    [cert] = checks.check_embed_equivariance(2, 0)
+    [cert] = checks.check_embed_equivariance(2, 0, kmax=2)
     assert cert.status == "fail"
     w = cert.witness
     assert (w["k"], w["key"], w["position"]) == (2, (1, 2), 0)

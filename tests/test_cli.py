@@ -403,11 +403,64 @@ def test_removed_flags_are_rejected(argv):
     assert exc.value.code == 2
 
 
-# `check-all --seed 0` stdout sha256 by N
+# `check-all --seed 0` stdout sha256 by N; no reach is above 4, so N=5
+# prints N=4's stream
 _DIGESTS = {
+    "1": "ced82ffa82210727fbc98a4973dfb579906e329df25135f5717700224d1abac1",
     "2": "391dcdf59b29c1c5362db55e8ce411551deaa1afb3fcef0f2f0657658a49a631",
     "3": "88bae471497bd0ad863a33cb38849e054f8e3c56e5a99a6ae095bf9079930ce1",
-    "4": "24c5fb601059fb6d5c644111c9a1538ae4ce9a759a9f6e2b85cdb68ca3046cad"}
+    "4": "24c5fb601059fb6d5c644111c9a1538ae4ce9a759a9f6e2b85cdb68ca3046cad",
+    "5": "24c5fb601059fb6d5c644111c9a1538ae4ce9a759a9f6e2b85cdb68ca3046cad"}
+
+# The floor of each reach in checks.CHECKS: a capped suite's own, under
+# its name, and each inner bound's, under "name bound".  Reaches never come
+# down; a change that raises one raises its floor here with it.
+_REACH_FLOORS = {
+    "braiding.braid-relation": 4,
+    "braiding.hecke": 4,
+    "braiding.wedge-table": 4,
+    "braiding.wedge-table kmax": 3,
+    "braiding.wedge-composition": 4,
+    "braiding.wedge-composition kmax": 3,
+    "braiding.embed-equivariance": 4,
+    "braiding.embed-equivariance kmax": 3,
+    "braiding.scalar-lemma": 4,
+    "braiding.antisym-swap": 4,
+    "qmatrix.pbw-dimensions": 4,
+    "qmatrix.counit-axiom": 3,
+    "qmatrix.minor-coproduct": 3,
+    "qmatrix.convolution-certificates": 4,
+    "qmatrix.minor-table-crosscheck": 3,
+    "qmatrix.laplace": 3,
+    "qmatrix.muir": 3,
+    "qmatrix.braidcomm": 3,
+    "rea.star-unit": 3,
+    "rea.star-associativity": 3,
+    "rea.reflection-equation": 3,
+    "rea.reverse-braid": 3,
+    "rea.rewrite-crosscheck": 3,
+    "rea.gencomm": 3,
+    "rea.laplace": 3,
+    "rea.muir": 3,
+    "rea.semiclassical": 3,
+    "classical.shape-roundtrip": 4,
+    "classical.sign-compatibility": 4,
+    "classical.tn-invariance": 4,
+    "classical.decompose": 4,
+    "classical.bivector-antisymmetry": 3,
+}
+
+
+def test_no_reach_falls_below_its_floor():
+    reaches = {}
+    for name, fn in checks.CHECKS:
+        if hasattr(fn, "reach"):
+            reaches[name] = fn.reach
+            reaches.update((f"{name} {k}", r) for k, r in fn.inner.items())
+    assert reaches.keys() == _REACH_FLOORS.keys()
+    low = {key: (reaches[key], floor)
+           for key, floor in _REACH_FLOORS.items() if reaches[key] < floor}
+    assert not low, f"(reach, floor) below the floor: {low}"
 
 
 def test_check_all_deterministic_and_covers(capsys):
@@ -473,8 +526,8 @@ def test_check_all_n4_exits_0_on_the_seeds_that_crashed(capsys, monkeypatch):
 
 
 def test_check_all_takes_no_square_root(capsys, monkeypatch):
-    # the whole `check-all --seed 0` stream at N = 2, 3 and 4, byte for
-    # byte, with math.sqrt raising; and no source file names a float root
+    # the whole `check-all --seed 0` stream at N = 1 to 5, byte for byte,
+    # with math.sqrt raising; and no source file names a float root
     def no_sqrt(x):
         raise AssertionError(f"math.sqrt({x!r})")
 
