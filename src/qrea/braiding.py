@@ -340,14 +340,15 @@ class WedgeBraidTable:
         return bad
 
     def composition_identity_check(self):
-        """Inverse braiding composed with the braiding is the identity.
-
-        Returns None, or the first (I, J') whose round trip is not e_I (x)
-        e_J', with the first entry at which it differs."""
+        """Inverse braiding composed with the braiding, as the table holds
+        it, is the identity.  Returns None, or the first (I, J') whose
+        round trip is not e_I (x) e_J', with the first entry at which it
+        differs."""
+        by_i_jp = self.slice(False, (0, 3))
         ksets, lsets = subsets(self.N, self.k), subsets(self.N, self.l)
         for I in ksets:
             for Jp in lsets:
-                image = braid_wedge_pair({(I, Jp): LP_ONE}, self.k, self.l)
+                image = {(Ip, J): c for (J, Ip), c in by_i_jp.get((I, Jp), ())}
                 back = braid_wedge_pair(image, self.k, self.l, inverse=True)
                 if len(back) != 1 or back.get((I, Jp)) != LP_ONE:
                     return {"I": I, "J'": Jp,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from functools import partial
 from itertools import product
 from math import comb
 
@@ -43,7 +42,8 @@ def get_star(N):
 # quantum matrix algebra, a "rea" family those of rea.rea_sides in the
 # twisted product; qmatrix.verify_identity and rea.rea_verify certify one
 # instance from them.  The sweep suites below and the CLI's `verify` and
-# `rea verify` read it.
+# `rea verify` read it.  A generator sweeps every size up to N; the bounds
+# of a sweep are on the family's row of CHECKS.
 
 FAMILIES = {
     ("qmatrix", "laplace"): (("laplace-row", "laplace-col"),
@@ -57,45 +57,47 @@ FAMILIES = {
                          qmatrix.BRAIDCOMM_KEYS),
     ("rea", "laplace"): (("laplace1", "laplace2"), rea.rea_laplace_instances,
                          rea.REA_LAPLACE_KEYS),
-    ("rea", "muir"): (("muir-left", "muir-right"),
-                      partial(qmatrix.muir_instances, kmax=3, rmax=2),
+    ("rea", "muir"): (("muir-left", "muir-right"), qmatrix.muir_instances,
                       qmatrix.MUIR_KEYS),
 }
 
 
 def _family_algebra(algebra, N):
-    """The context of an identity family's algebra at size N, its two-sides
-    function and its certificate of two sides."""
+    """The two-sides function (sub-family, instance) of an identity family's
+    algebra at size N, for one sweep, and its certificate of two sides."""
     if algebra == "qmatrix":
-        return get_ctx(N), qmatrix.identity_sides, qmatrix.identity_certificate
-    return get_star(N), rea.rea_sides, rea.rea_certificate
+        ctx = get_ctx(N)
+        return ((lambda sub, inst: qmatrix.identity_sides(ctx, sub, inst)),
+                qmatrix.identity_certificate)
+    return rea.rea_sides(get_star(N)), rea.rea_certificate
 
 
 def family_certificates(algebra, family, N, instances=None):
     """Verify each sub-family of an identity family at size N on every
-    instance, by default on the family's own sweep."""
+    instance, by default on its sweep within its check-all row's bounds."""
     subs, sweep, _keys = FAMILIES[algebra, family]
-    ctx, sides, certificate = _family_algebra(algebra, N)
+    sides, certificate = _family_algebra(algebra, N)
     if instances is None:
-        instances = sweep(N)
-    return [certificate(sub, inst, *sides(ctx, sub, inst))
+        row = dict(CHECKS)[f"{algebra}.{family}"]
+        instances = sweep(N, **_bounds(row.inner, N))
+    return [certificate(sub, inst, *sides(sub, inst))
             for inst in instances for sub in subs]
 
 
 def _family_suite(algebra, family):
-    """The check-all suite of an identity family: its sweep at size n,
-    summed up in one certificate.  Each instance's two sides are compared
-    directly; only a failing instance gets a certificate of its own, and
-    the suite's failure witness counts the failing instances and carries
-    the first one's certificate."""
-    def suite(n, seed):
+    """The check-all suite of an identity family: its sweep at size n within
+    the row's bounds, summed up in one certificate.  Each instance's two
+    sides are compared directly; only a failing instance gets a certificate
+    of its own, and the suite's failure witness counts the failing
+    instances and carries the first one's certificate."""
+    def suite(n, seed, **bounds):
         subs, sweep, _keys = FAMILIES[algebra, family]
-        ctx, sides, certificate = _family_algebra(algebra, n)
+        sides, certificate = _family_algebra(algebra, n)
         count, failures, first = 0, 0, None
-        for inst in sweep(n):
+        for inst in sweep(n, **bounds):
             for sub in subs:
                 count += 1
-                lhs, rhs = sides(ctx, sub, inst)
+                lhs, rhs = sides(sub, inst)
                 if lhs != rhs:
                     failures += 1
                     if first is None:
@@ -406,7 +408,8 @@ def check_minor_coproduct(n, seed):
     """Delta on a minor equals the sum over intermediate index sets.
 
     The identity lives in the quotient, so both tensor legs are compared
-    in normal form.  The witness is the first failing minor and the first
+    in normal form; the sum side, by bilinearity, from the minors' normal
+    forms.  The witness is the first failing minor and the first
     (left, right) word pair at which the two sides differ.
     """
     ctx = get_ctx(n)
@@ -418,13 +421,10 @@ def check_minor_coproduct(n, seed):
                 got = _nf_pair_accumulate(ctx.rw, qmatrix.coproduct(p), {})
                 expected = {}
                 for K in indexsets.subsets(n, k):
-                    left = qmatrix.quantum_minor(n, rows, K)
-                    right = qmatrix.quantum_minor(n, K, cols)
-                    pairs = {}
-                    for w1, c1 in left.coeffs.items():
-                        for w2, c2 in right.coeffs.items():
-                            pairs[(w1, w2)] = c1 * c2
-                    _nf_pair_accumulate(ctx.rw, pairs, expected)
+                    right = ctx.minor_nf(K, cols).coeffs
+                    for m1, c1 in ctx.minor_nf(rows, K).coeffs.items():
+                        for m2, c2 in right.items():
+                            add_term(expected, (m1, m2), c1 * c2)
                 if got != expected and failure is None:
                     failure = {"rows": rows, "cols": cols,
                                **first_difference(got, expected)}
@@ -852,21 +852,28 @@ def check_jacobi(N, seed):
     return out
 
 
+def _bounds(inner, n):
+    """The inner bounds of a row at size n: each at min(n, bound)."""
+    return {k: min(n, r) for k, r in inner.items()}
+
+
 def upto(reach, suite, **inner):
     """The check-all row of a suite of size n: it runs the suite at
     n = min(N, reach), and each inner bound (kmax=3, say) at min(n, bound).
-    The row keeps `reach` and `inner`, for the floor guard of the tests."""
+    The row keeps `reach` and `inner`: the tests' floor guard reads both,
+    and `family_certificates` the bounds of an identity family's row."""
     def row(N, seed):
         n = min(N, reach)
-        return suite(n, seed, **{k: min(n, r) for k, r in inner.items()})
+        return suite(n, seed, **_bounds(inner, n))
     row.reach, row.inner = reach, inner
     return row
 
 
-# (name, suite) in check-all order.  Raising a reach is one edit of its row;
-# reaches never come down, and tests/test_cli.py holds their floors.  The
-# rows without a reach run at fixed sizes, or from a floor such as
-# dominance-lemma's max(N, 6).
+# (name, suite) in check-all order.  Raising a reach or a bound is one edit
+# of its row; neither comes down, and tests/test_cli.py holds their floors.
+# An identity family's bounds (kmax, lmax: minor sizes; rmax: Muir ranks)
+# bound the CLI's `verify` and `rea verify` sweeps too.  Rows without a
+# reach run at fixed sizes, or from a floor (dominance-lemma's max(N, 6)).
 CHECKS = [
     ("coeff.ring-axioms", check_coeff_ring_axioms),
     ("coeff.rf-canonical", check_coeff_rf_canonical),
@@ -890,15 +897,16 @@ CHECKS = [
     ("qmatrix.minor-table-crosscheck", upto(3, check_minor_table_crosscheck)),
     ("qmatrix.laplace", upto(3, _family_suite("qmatrix", "laplace"))),
     ("qmatrix.muir", upto(3, _family_suite("qmatrix", "muir"))),
-    ("qmatrix.braidcomm", upto(3, _family_suite("qmatrix", "braidcomm"))),
+    ("qmatrix.braidcomm",
+     upto(3, _family_suite("qmatrix", "braidcomm"), kmax=2, lmax=2)),
     ("rea.star-unit", upto(3, check_star_unit)),
     ("rea.star-associativity", upto(3, check_star_associativity)),
     ("rea.reflection-equation", upto(3, check_reflection)),
     ("rea.reverse-braid", upto(3, check_reverse_braid)),
     ("rea.rewrite-crosscheck", upto(3, check_rea_rewrite)),
-    ("rea.gencomm", upto(3, _family_suite("rea", "gencomm"))),
-    ("rea.laplace", upto(3, _family_suite("rea", "laplace"))),
-    ("rea.muir", upto(3, _family_suite("rea", "muir"))),
+    ("rea.gencomm", upto(3, _family_suite("rea", "gencomm"), kmax=2, lmax=2)),
+    ("rea.laplace", upto(3, _family_suite("rea", "laplace"), kmax=3)),
+    ("rea.muir", upto(3, _family_suite("rea", "muir"), kmax=3, rmax=2)),
     ("rea.shape-families", check_shape_families),
     ("rea.shape-ideals", check_shape_ideals),
     ("rea.qcomm", check_qcomm),

@@ -21,7 +21,8 @@ modulus as an exact complex rational.
 `check-all --N N` runs every suite of `checks.CHECKS`.  A suite with a
 reach there certifies its identity at n = min(N, reach) only, so an N above
 every reach prints the same stream as the largest reach; the other suites
-run at their own fixed sizes whatever N is.
+run at their own fixed sizes whatever N is.  `verify F` and `rea verify F`
+without --instance sweep the family at N within the bounds of its row.
 
 A usage error prints one line to stderr and nothing to stdout.  Besides
 unknown or malformed flags, the usage errors are:
@@ -103,7 +104,7 @@ def _load_instance(text, N, keys):
     """An --instance object as a family instance; primed keys K' I' J' read
     as Kp Ip Jp.  Each of `keys` must hold an increasing list of integers:
     within 1..N for the index sets I, J, I', J', from 1 on for the positions
-    K, K', F, G (the identity checks their upper bounds)."""
+    K, K', F, G (the identity's position pattern checks their ranges)."""
     obj = _json_arg("--instance", text)
     if not isinstance(obj, dict):
         raise UsageError("--instance must be a JSON object")

@@ -7,19 +7,15 @@ dominance order `dominated`.  Both extend to (J, I) pairs with the first
 component compared first; tuple `<` on pairs already is that lex order.
 Everything downstream (minor labels, braiding supports, shape chains) is
 phrased in terms of these functions.
+
+Labels are checked where they enter, so callers pass valid ones: index
+sets of one size to `dominated`, positions in 1..len(I) to `select` and
+`rest`.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-
-
-class SizeMismatch(ValueError):
-    """Comparison or selection between index sets of different sizes."""
-
-
-class PositionOutOfRange(ValueError):
-    """Sub-selection positions outside 1..len(I)."""
 
 
 def subsets(N, k):
@@ -28,26 +24,18 @@ def subsets(N, k):
 
 
 def dominated(I, J):
-    """I below J in the dominance order: i_p <= j_p for every p."""
-    if len(I) != len(J):
-        raise SizeMismatch(f"|{I}| != |{J}|")
+    """I below J in the dominance order: i_p <= j_p for every p; I and J
+    have one size."""
     return all(a <= b for a, b in zip(I, J))
-
-
-def _check_positions(I, K):
-    if K and (min(K) < 1 or max(K) > len(I)):
-        raise PositionOutOfRange(f"positions {K} outside 1..{len(I)}")
 
 
 def select(I, K):
     """I_K: the elements of I at the 1-based positions K."""
-    _check_positions(I, K)
     return tuple([I[p - 1] for p in K])
 
 
 def rest(I, K):
     """I^K: the elements of I at the positions not in K."""
-    _check_positions(I, K)
     return tuple([e for p, e in enumerate(I, start=1) if p not in K])
 
 

@@ -56,7 +56,7 @@ from itertools import permutations, product
 from .braiding import (WedgeBraidTable, apply_two_site, braid_pair_action,
                        rhat_entries)
 from .coeff import LP_ONE, LP_ZERO, LaurentPoly, lp_q_int, share_values
-from .indexsets import SizeMismatch, inversions, merge, rest, select, subsets
+from .indexsets import inversions, merge, rest, select, subsets
 from .linalg import add_term, first_difference, sparse_row_reduce
 
 
@@ -369,11 +369,7 @@ def counit_word(word, N):
 
 def quantum_minor(N, rows, cols):
     """Wedge-coaction coefficient: the minor with the given row and column
-    sets, as a signed sum over row arrangements."""
-    rows = tuple(sorted(rows))
-    cols = tuple(sorted(cols))
-    if len(rows) != len(cols):
-        raise SizeMismatch(f"|{rows}| != |{cols}|")
+    sets, of one size, as a signed sum over row arrangements."""
     if not rows:
         return NCPoly.unit(N)
     coeffs = {}
@@ -827,7 +823,8 @@ def _position_pattern(row, k, kj, F, G, K, Kp):
     if kj != k or len(F) != len(G) or len(K) != len(Kp):
         raise IllFormedInstance("sizes inconsistent")
     r = k - len(F)
-    if any(p > k for p in F + G) or any(p > r for p in K + Kp):
+    if (any(not 1 <= p <= k for p in F + G)
+            or any(not 1 <= p <= r for p in K + Kp)):
         raise IllFormedInstance("selection positions out of range")
     every = tuple(range(1, k + 1))
     Fc, Gc = rest(every, F), rest(every, G)
@@ -941,8 +938,7 @@ def braidcomm_factors(ctx, family, I, J, Ip, Jp):
 # -- sweep generators -----------------------------------------------------------
 
 def laplace_instances(N, kmax=None):
-    kmax = N if kmax is None else kmax
-    for k in range(1, kmax + 1):
+    for k in range(1, (N if kmax is None else kmax) + 1):
         for I, J in product(subsets(N, k), repeat=2):
             for l in range(0, k + 1):
                 for K, Kp in product(subsets(k, l), repeat=2):
@@ -950,8 +946,7 @@ def laplace_instances(N, kmax=None):
 
 
 def muir_instances(N, kmax=None, rmax=None):
-    kmax = N if kmax is None else kmax
-    for k in range(1, kmax + 1):
+    for k in range(1, (N if kmax is None else kmax) + 1):
         for r in range(1, (k if rmax is None else min(k, rmax)) + 1):
             for I, J in product(subsets(N, k), repeat=2):
                 for F, G in product(subsets(k, k - r), repeat=2):
@@ -961,9 +956,9 @@ def muir_instances(N, kmax=None, rmax=None):
                                    "K": K, "Kp": Kp}
 
 
-def braidcomm_instances(N, kmax=2, lmax=2):
-    for k in range(1, kmax + 1):
-        for l in range(1, lmax + 1):
+def braidcomm_instances(N, kmax=None, lmax=None):
+    for k in range(1, (N if kmax is None else kmax) + 1):
+        for l in range(1, (N if lmax is None else lmax) + 1):
             ksets, lsets = subsets(N, k), subsets(N, l)
             for I, J, Ip, Jp in product(ksets, ksets, lsets, lsets):
                 yield {"I": I, "J": J, "Ip": Ip, "Jp": Jp}

@@ -274,39 +274,54 @@ _EXPANSIONS = {"laplace1": "laplace-row", "laplace2": "laplace-col",
                "muir-left": "muir-row", "muir-right": "muir-col"}
 
 
-def rea_sides(star, family, instance):
-    """The two normal forms (lhs, rhs) whose equality is one
-    reflection-algebra identity instance in the twisted model.
+def rea_sides(star):
+    """The two-sides function (family, instance) -> (lhs, rhs) of the
+    reflection-algebra identities in the twisted model, for the instances
+    of one sweep: lhs == rhs is one instance.
 
-    Families: gencomm, laplace1, laplace2, muir-left, muir-right.
+    Families: gencomm, laplace1, laplace2, muir-left, muir-right.  The
+    instances of a Laplace or Muir sweep share most of their minor
+    products, so the twisted expansion of each product is kept, by
+    placement and labels, for as long as the function lives.
     """
     ctx = star.ctx
-    if family == "gencomm":
-        I, J, Ip, Jp = braidcomm_labels(instance)
-        left, right = ctx.gencomm_coefficients(I, J, Ip, Jp)
-        return (sum_terms(star.N, [(c, (K, L, Lp, Jp)) for (K, L, Lp), c
-                                   in left.items()], star.star_minor),
-                sum_terms(star.N, [(c, (Ip, Lp, K, L)) for (K, L, Lp), c
-                                   in right.items()], star.star_minor))
-    if family not in _EXPANSIONS:
-        raise IllFormedInstance(f"unknown family {family}")
-    if family.startswith("laplace"):
-        # a reflection-algebra Laplace instance has K' = K
-        instance = dict(instance, Kp=instance["K"])
-    left, right = expansion_terms(_EXPANSIONS[family], instance)
+    expansions = {}
 
-    def twisted(A, B, C, D):
-        if family == "laplace2":
-            # the transposed placement: a different identity, not a relabelling
-            terms = [(c, (C, W, Z, X)) for (X, Z, W), c
-                     in ctx.wedge_contraction(B, D, A).items()]
-        else:
-            terms = [(c, (X, Z, W, D)) for (X, Z, W), c
-                     in ctx.wedge_contraction(A, C, B).items()]
-        return sum_terms(star.N, terms, star.star_minor)
+    def sides(family, instance):
+        if family == "gencomm":
+            I, J, Ip, Jp = braidcomm_labels(instance)
+            left, right = ctx.gencomm_coefficients(I, J, Ip, Jp)
+            return (sum_terms(star.N, [(c, (K, L, Lp, Jp)) for (K, L, Lp), c
+                                       in left.items()], star.star_minor),
+                    sum_terms(star.N, [(c, (Ip, Lp, K, L)) for (K, L, Lp), c
+                                       in right.items()], star.star_minor))
+        if family not in _EXPANSIONS:
+            raise IllFormedInstance(f"unknown family {family}")
+        if family.startswith("laplace"):
+            # a reflection-algebra Laplace instance has K' = K
+            instance = dict(instance, Kp=instance["K"])
+        left, right = expansion_terms(_EXPANSIONS[family], instance)
+        # the transposed placement: a different identity, not a relabelling
+        transposed = family == "laplace2"
 
-    return (sum_terms(star.N, left, twisted),
-            sum_terms(star.N, right, twisted))
+        def twisted(A, B, C, D):
+            key = (transposed, A, B, C, D)
+            hit = expansions.get(key)
+            if hit is None:
+                if transposed:
+                    terms = [(c, (C, W, Z, X)) for (X, Z, W), c
+                             in ctx.wedge_contraction(B, D, A).items()]
+                else:
+                    terms = [(c, (X, Z, W, D)) for (X, Z, W), c
+                             in ctx.wedge_contraction(A, C, B).items()]
+                hit = expansions[key] = sum_terms(star.N, terms,
+                                                  star.star_minor)
+            return hit
+
+        return (sum_terms(star.N, left, twisted),
+                sum_terms(star.N, right, twisted))
+
+    return sides
 
 
 def rea_certificate(family, instance, lhs, rhs):
@@ -324,13 +339,13 @@ def rea_verify(star, family, instance):
     """Verify one reflection-algebra identity instance in the twisted model
     by normal-form equality of its two sides."""
     return rea_certificate(family, instance,
-                           *rea_sides(star, family, instance))
+                           *rea_sides(star)(family, instance))
 
 
 # -- sweep generators --------------------------------------------------------------
 
-def rea_laplace_instances(N, kmax=3):
-    for k in range(1, min(N, kmax) + 1):
+def rea_laplace_instances(N, kmax=None):
+    for k in range(1, (N if kmax is None else kmax) + 1):
         for I, J in product(subsets(N, k), repeat=2):
             for m in range(0, k + 1):
                 for K in subsets(k, m):

@@ -201,7 +201,6 @@ class ShapeIdeal:
         self._genset = set(self.generators)
 
     def contains_label(self, rows, cols):
-        rows, cols = tuple(rows), tuple(cols)
         if len(rows) > self.shape.rank:
             return True
         return (rows, cols) in self._genset
@@ -209,9 +208,8 @@ class ShapeIdeal:
 
 def build_shape_ideal(shape, flavor="dom"):
     """Oversized minors plus the labels strictly below each chain level,
-    closed under the formal adjoint."""
-    if flavor not in ("dom", "lex"):
-        raise ValueError("flavor must be 'dom' or 'lex'")
+    in the order of `flavor`, "dom" or "lex", closed under the formal
+    adjoint."""
     less = pair_dom_strictly_less if flavor == "dom" else operator.lt
     N = shape.N
     M = shape.rank
@@ -243,13 +241,9 @@ def qcomm_status(ctx, shape, k, I, J):
     whose label lies in the ideal's generator pattern.  Residual terms outside
     the pattern give an inconclusive (not failed) report.  Returns (status,
     witness, exponent): the witness is None on a pass, and the exponent of
-    the q-commutation is None unless it passes.
+    the q-commutation is None unless it passes.  The caller enumerates the
+    labels: I and J are index sets of one size, and k is in 1..rank.
     """
-    I, J = tuple(sorted(I)), tuple(sorted(J))
-    if len(I) != len(J):
-        raise IllFormedQcomm("unequal argument sizes")
-    if not (1 <= k <= shape.rank):
-        raise IllFormedQcomm(f"level {k} outside 1..{shape.rank}")
     A = shape.support_prefix(k)     # column label of the chain minor
     B = shape.tau_prefix(k)         # row label
     ideal = shape.dom_ideal
@@ -290,7 +284,3 @@ def shape_qcomm_certificate(ctx, shape, k, I, J):
     if exponent is not None:
         inst["exponent"] = exponent
     return Certificate("rea qcomm", inst, status, witness=witness)
-
-
-class IllFormedQcomm(ValueError):
-    pass

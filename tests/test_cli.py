@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -434,14 +435,21 @@ _REACH_FLOORS = {
     "qmatrix.laplace": 3,
     "qmatrix.muir": 3,
     "qmatrix.braidcomm": 3,
+    "qmatrix.braidcomm kmax": 2,
+    "qmatrix.braidcomm lmax": 2,
     "rea.star-unit": 3,
     "rea.star-associativity": 3,
     "rea.reflection-equation": 3,
     "rea.reverse-braid": 3,
     "rea.rewrite-crosscheck": 3,
     "rea.gencomm": 3,
+    "rea.gencomm kmax": 2,
+    "rea.gencomm lmax": 2,
     "rea.laplace": 3,
+    "rea.laplace kmax": 3,
     "rea.muir": 3,
+    "rea.muir kmax": 3,
+    "rea.muir rmax": 2,
     "rea.semiclassical": 3,
     "classical.shape-roundtrip": 4,
     "classical.sign-compatibility": 4,
@@ -461,6 +469,39 @@ def test_no_reach_falls_below_its_floor():
     low = {key: (reaches[key], floor)
            for key, floor in _REACH_FLOORS.items() if reaches[key] < floor}
     assert not low, f"(reach, floor) below the floor: {low}"
+
+
+@pytest.mark.parametrize("algebra, family", list(checks.FAMILIES))
+def test_cli_sweep_is_the_check_all_rows_sweep(monkeypatch, algebra, family):
+    """At N = 2, 3, 4, `verify` and `rea verify` without --instance sweep
+    the instances that the family's check-all row sweeps at reach N.  The
+    row holds the bounds: the generator's own default is every size."""
+    subs, sweep, keys = checks.FAMILIES[algebra, family]
+    params = inspect.signature(sweep).parameters.values()
+    assert all(p.default in (p.empty, None) for p in params)
+    swept = []
+
+    def recorded(N, **bounds):
+        for inst in sweep(N, **bounds):
+            swept.append(inst)
+            yield inst
+
+    monkeypatch.setitem(checks.FAMILIES, (algebra, family),
+                        (subs, recorded, keys))
+    # no context is built: both sides of an instance are the instance
+    monkeypatch.setattr(checks, "_family_algebra", lambda algebra, N: (
+        lambda sub, inst: (inst, inst), lambda sub, inst, lhs, rhs: inst))
+    row = dict(checks.CHECKS)[f"{algebra}.{family}"]
+    suite = checks._family_suite(algebra, family)
+    for N in (2, 3, 4):
+        swept.clear()
+        [cert] = checks.upto(N, suite, **row.inner)(N, 0)
+        from_row = swept[:]
+        swept.clear()
+        certs = checks.family_certificates(algebra, family, N)
+        assert swept == from_row and from_row, N
+        assert certs == [inst for inst in from_row for _sub in subs]
+        assert cert.instance == {"N": N, "instances": len(certs)}
 
 
 def test_check_all_deterministic_and_covers(capsys):

@@ -4,15 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrea import checks, indexsets
-from qrea.indexsets import (PositionOutOfRange, SizeMismatch,
-                            check_comb_lemma, dominated, inversions, merge,
+from qrea.indexsets import (check_comb_lemma, dominated, inversions, merge,
                             pair_dom_strictly_less, rest, select, subsets,
                             sweep_comb_lemma)
-
-
-def test_dominated_size_mismatch():
-    with pytest.raises(SizeMismatch):
-        dominated((1,), (1, 2))
 
 
 def test_dom_examples():
@@ -27,10 +21,6 @@ def test_subselect_examples():
     assert split((2, 5, 7), (1, 3)) == ((2, 7), (5,))
     assert split((2, 5, 7), (1, 2, 3)) == ((2, 5, 7), ())
     assert split((1, 2, 3, 4), (2, 4)) == ((2, 4), (1, 3))
-    for f in (select, rest):
-        for K in ((3,), (0,)):
-            with pytest.raises(PositionOutOfRange):
-                f((1, 2), K)
 
 
 def test_inversions():
@@ -236,15 +226,9 @@ def test_pair_dom_strictly_less_is_a_strict_order(xyz):
 @given(st.sets(st.integers(1, 8), max_size=6).flatmap(
     lambda s: st.tuples(st.just(tuple(sorted(s))),
                         st.sets(st.integers(1, len(s)) if s else st.nothing())
-                        .map(lambda K: tuple(sorted(K))))),
-       st.integers(1, 3))
-def test_select_rest_split_a_set(IK, beyond):
+                        .map(lambda K: tuple(sorted(K))))))
+def test_select_rest_split_a_set(IK):
     I, K = IK
     picked, left = select(I, K), rest(I, K)
     assert len(picked) == len(K) and not set(picked) & set(left)
     assert merge(picked, left) == I
-    for bad in (0, len(I) + beyond):
-        with pytest.raises(PositionOutOfRange):
-            select(I, K + (bad,))
-        with pytest.raises(PositionOutOfRange):
-            rest(I, K + (bad,))

@@ -556,6 +556,10 @@ def test_ill_formed_instance(ctx2):
     with pytest.raises(IllFormedInstance):
         verify_identity(ctx2, "laplace-row",
                         {"I": (1, 2), "J": (1,), "K": (1,), "Kp": (1,)})
+    # a position 0 is caught by the position pattern, not by select or rest
+    with pytest.raises(IllFormedInstance):
+        verify_identity(ctx2, "laplace-row",
+                        {"I": (1, 2), "J": (1, 2), "K": (0,), "Kp": (1,)})
     with pytest.raises(IllFormedInstance):
         verify_identity(ctx2, "nonsense", {})
 
