@@ -38,6 +38,7 @@ from .coeff import (LP_ONE, LP_Q, LP_QDIFF, LP_QINV, LP_ZERO, LaurentPoly,
                     lp_q_int)
 from .indexsets import dominated, inversions, merge, rest, select, subsets
 from .linalg import add_term, first_difference
+from .memo import Memo
 
 
 class DegreeOutOfRange(ValueError):
@@ -73,20 +74,11 @@ def rhat_entries(N):
             for (x, y), c in braid_pair_action(a, b)}
 
 
-class _RhatTable(dict):
-    """The braid_pair_action table, filled per letter pair on first use so
-    that it serves words over any alphabet."""
-
-    def __init__(self, inverse):
-        super().__init__()
-        self.inverse = inverse
-
-    def __missing__(self, ab):
-        image = self[ab] = braid_pair_action(ab[0], ab[1], self.inverse)
-        return image
-
-
-_RHAT_TABLES = {False: _RhatTable(False), True: _RhatTable(True)}
+# The braid_pair_action tables, filled per letter pair on first use so that
+# they serve words over any alphabet
+_RHAT_TABLES = {inverse: Memo(lambda ab, inverse=inverse:
+                              braid_pair_action(ab[0], ab[1], inverse))
+                for inverse in (False, True)}
 
 
 def apply_two_site(tensor, i, j, table):
@@ -265,7 +257,7 @@ class WedgeBraidTable:
         self.l = l
         self.entries = {}
         self.inv_entries = {}
-        self._slices = {}
+        self._slices = Memo(self._slice)
         ksets, lsets = subsets(N, k), subsets(N, l)
         for I in ksets:
             for Jp in lsets:
@@ -289,16 +281,17 @@ class WedgeBraidTable:
         labels, so that a loop over it visits the keys in the order of the
         nested subset loops it replaces.  Built once per (inverse, fixed);
         callers only read it."""
-        key = (inverse, tuple(fixed))
-        hit = self._slices.get(key)
-        if hit is None:
-            free = [p for p in range(4) if p not in fixed]
-            hit = self._slices[key] = {}
-            table = self.inv_entries if inverse else self.entries
-            for labels in sorted(table):
-                hit.setdefault(tuple(labels[p] for p in fixed), []).append(
-                    (tuple(labels[p] for p in free), table[labels]))
-        return hit
+        return self._slices[inverse, tuple(fixed)]
+
+    def _slice(self, key):
+        inverse, fixed = key
+        free = [p for p in range(4) if p not in fixed]
+        out = {}
+        table = self.inv_entries if inverse else self.entries
+        for labels in sorted(table):
+            out.setdefault(tuple(labels[p] for p in fixed), []).append(
+                (tuple(labels[p] for p in free), table[labels]))
+        return out
 
     # -- structural checks ---------------------------------------------------
 

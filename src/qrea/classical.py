@@ -47,6 +47,7 @@ from operator import add, mul
 
 from .coeff import GaussRat, rational_sqrt
 from .linalg import add_term, echelon, rank
+from .memo import Memo
 
 
 class InconsistentPivots(RuntimeError):
@@ -124,20 +125,22 @@ def minors(e):
     minor is the Laplace expansion along its last column over the minors
     one size smaller, which are kept, so every minor of e is computed once
     and no division is needed."""
-    memo = {((), ()): GR1}
+    def expand(key):
+        rows, cols = key
+        col, rest, last = cols[-1] - 1, cols[:-1], len(cols) - 1
+        v = GR0
+        for p, r in enumerate(rows):
+            x = e[r - 1][col]
+            if not x.is_zero():
+                x = x * memo[rows[:p] + rows[p + 1:], rest]
+                v = v - x if (last - p) % 2 else v + x
+        return v
+
+    memo = Memo(expand)
+    memo[(), ()] = GR1
 
     def minor(rows, cols):
-        v = memo.get((rows, cols))
-        if v is None:
-            col, rest, last = cols[-1] - 1, cols[:-1], len(cols) - 1
-            v = GR0
-            for p, r in enumerate(rows):
-                x = e[r - 1][col]
-                if not x.is_zero():
-                    x = x * minor(rows[:p] + rows[p + 1:], rest)
-                    v = v - x if (last - p) % 2 else v + x
-            memo[(rows, cols)] = v
-        return v
+        return memo[rows, cols]
 
     return minor
 
@@ -540,26 +543,31 @@ def bracket_at(z):
     Hamiltonian vector field of Z_kl at z in the coordinates Z_ij."""
     table = poisson_bracket_coeffs(z.N)
     coords = list(product(range(1, z.N + 1), repeat=2))
-    monomials = {}
-    return [[_value(table[(ij, kl)], z.entries, monomials) for kl in coords]
+    monomials = _monomial_values(z.entries)
+    return [[_value(table[(ij, kl)], monomials) for kl in coords]
             for ij in coords]
 
 
-def _value(poly, e, monomials):
-    """A polynomial {monomial: coefficient} in the entries Z_ij, each
-    monomial a sorted tuple of (i, j), at the exact matrix entries e.
-    monomials keeps the monomial values at e, so that polynomials evaluated
-    at one point share them."""
+def _monomial_values(e):
+    """{monomial: value} at the exact matrix entries e, each monomial a
+    sorted tuple of (i, j), filled on use, so that polynomials evaluated at
+    one point share the values of their monomials."""
+    def value(mono):
+        (i, j), *rest = mono
+        v = e[i - 1][j - 1]
+        for i, j in rest:
+            v = v * e[i - 1][j - 1]
+        return v
+
+    return Memo(value)
+
+
+def _value(poly, monomials):
+    """A polynomial {monomial: coefficient} in the entries Z_ij at the point
+    of `monomials` (`_monomial_values`)."""
     total = GR0
     for mono, c in poly.items():
-        v = monomials.get(mono)
-        if v is None:
-            (i, j), *rest = mono
-            v = e[i - 1][j - 1]
-            for i, j in rest:
-                v = v * e[i - 1][j - 1]
-            monomials[mono] = v
-        total = total + c * v
+        total = total + c * monomials[mono]
     return total
 
 
@@ -680,8 +688,8 @@ def jacobi_check(N, samples=100, seed=0):
                   for _ in range(samples)]
         values = []
         for e in points:
-            monomials = {}
-            values += [_value(poly, e, monomials) for poly in cyclic.values()]
+            monomials = _monomial_values(e)
+            values += [_value(poly, monomials) for poly in cyclic.values()]
         worst = max(values, key=GaussRat.abs2)
     first = next(({"triple": t, "monomial": min(poly),
                    "coefficient": poly[min(poly)].to_json()}

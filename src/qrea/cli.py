@@ -3,9 +3,11 @@
 Each subcommand yields its records (certificates, and the dumps they
 certify) and main alone writes them to stdout as JSON lines, in a canonical
 order so identical seeds and arguments give byte-identical output; a human
-summary with timings goes to stderr, and with `check-all --timings` one
-line per suite with its wall seconds and the process's peak resident memory
-so far (`ru_maxrss`, in MB).  The exit code is
+summary with timings goes to stderr, and with `check-all --timings` two
+lines per suite: `[timings]` with its wall seconds and the process's peak
+resident memory so far (`ru_maxrss`, in MB), then `[memos]` with the
+entries of each memo of the suite contexts that grew during the suite
+(`checks.memo_sizes`).  The exit code is
 - 0 if every certificate passed; the dumps `wedge-table` without --check
   and `rea shapes` have none, and exit 0;
 - 1 if some check failed or was inconclusive;
@@ -309,6 +311,7 @@ def cmd_classical(args):
 def cmd_check_all(args):
     if args.timings:
         import resource
+        sizes = checks.memo_sizes()
     for name, suite_certs, seconds in checks.run_all(args.N, args.seed):
         for cert in suite_certs:
             yield {**cert.to_json(), "suite": name}, cert
@@ -317,6 +320,10 @@ def cmd_check_all(args):
             peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
             print(f"[timings] {name} {seconds:.3f}s {peak:.1f}MB",
                   file=sys.stderr)
+            before, sizes = sizes, checks.memo_sizes()
+            grown = "".join(f" {memo}={n}" for memo, n in sizes.items()
+                            if n > before.get(memo, 0))
+            print(f"[memos] {name}{grown}", file=sys.stderr)
 
 
 def build_parser():

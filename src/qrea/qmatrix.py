@@ -50,7 +50,7 @@ here and in the reflection algebra, adds into one dict with
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from itertools import permutations, product
 
 from .braiding import (WedgeBraidTable, apply_two_site, braid_pair_action,
@@ -58,6 +58,7 @@ from .braiding import (WedgeBraidTable, apply_two_site, braid_pair_action,
 from .coeff import LP_ONE, LP_ZERO, LaurentPoly, lp_q_int, share_values
 from .indexsets import inversions, merge, rest, select, subsets
 from .linalg import add_term, first_difference, sparse_row_reduce
+from .memo import Memo
 
 
 class NonOrientable(Exception):
@@ -195,7 +196,7 @@ class RewriteSystem:
         self.N = N
         # (g1, g2) with g1 > g2 -> dict word -> LaurentPoly
         self.rules = rules
-        self._insert_memo = {}
+        self._insert_memo = Memo(self._insertion)
         self._nf_memo = {}
 
     # -- normal forms ---------------------------------------------------------
@@ -204,11 +205,10 @@ class RewriteSystem:
         """Normal form of g * (sorted word mono) as dict sorted-word -> coeff."""
         if not mono or g <= mono[0]:
             return {(g,) + mono: LP_ONE}
-        key = (g, mono)
-        memo = self._insert_memo
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+        return self._insert_memo[g, mono]
+
+    def _insertion(self, key):
+        g, mono = key
         rest = mono[1:]
         acc = {}
         for (a, b), c in self.rules[(g, mono[0])].items():
@@ -216,8 +216,7 @@ class RewriteSystem:
                 cc = c * c2
                 for m3, c3 in self._insert(a, m2).items():
                     add_term(acc, m3, cc * c3)
-        memo[key] = share_values(acc)
-        return acc
+        return share_values(acc)
 
     def nf_word(self, word):
         """Normal form of a word as dict sorted-word -> LaurentPoly."""
@@ -433,9 +432,11 @@ class Bicharacter:
             for ab, image in table.items():
                 for xy, c in image:
                     cotable[xy].append((ab, c))
-        self._memo = {"r": {}, "rinv": {}}
-        self._images = {"r": {}, "rinv": {}}
-        self._coimages = {"r": {}, "rinv": {}}
+        # one memo per functional: values per word pair, images and
+        # coimages per (s, word)
+        self._memo, self._images, self._coimages = (
+            {which: Memo(partial(compute, which)) for which in self._tables}
+            for compute in (self._evaluate, self._image, self._coimage))
 
     # -- evaluation by propagation ---------------------------------------------
 
@@ -451,42 +452,38 @@ class Bicharacter:
     def image(self, which, s, cols):
         """The ordered two-site product of functional `which` applied to
         e_cols, the first s letters being the left word: {rows: value}."""
-        key = (s, cols)
-        images = self._images[which]
-        img = images.get(key)
-        if img is None:
-            table = self._tables[which]
-            img = {cols: LP_ONE}
-            for i, j in self._sites(which, s, len(cols)):
-                img = apply_two_site(img, i, j, table)
-            images[key] = share_values(img)
-        return img
+        return self._images[which][s, cols]
+
+    def _image(self, which, key):
+        s, cols = key
+        table = self._tables[which]
+        img = {cols: LP_ONE}
+        for i, j in self._sites(which, s, len(cols)):
+            img = apply_two_site(img, i, j, table)
+        return share_values(img)
 
     def coimage(self, which, s, rows):
         """Row `rows` of the matrix of `image`: {cols: value}, the entry
         `rows` of every image(which, s, cols) that has one.  The transposed
         steps applied to e_rows in the reversed order."""
-        key = (s, rows)
-        coimages = self._coimages[which]
-        img = coimages.get(key)
-        if img is None:
-            cotable = self._cotables[which]
-            img = {rows: LP_ONE}
-            for i, j in reversed(self._sites(which, s, len(rows))):
-                img = apply_two_site(img, i, j, cotable)
-            coimages[key] = share_values(img)
-        return img
+        return self._coimages[which][s, rows]
+
+    def _coimage(self, which, key):
+        s, rows = key
+        cotable = self._cotables[which]
+        img = {rows: LP_ONE}
+        for i, j in reversed(self._sites(which, s, len(rows))):
+            img = apply_two_site(img, i, j, cotable)
+        return share_values(img)
 
     def _value(self, which, wa, wb):
-        key = (tuple(wa), tuple(wb))
-        memo = self._memo[which]
-        hit = memo.get(key)
-        if hit is None:
-            wa, wb = key
-            N = self.N
-            img = self.image(which, len(wa), word_cols(wa + wb, N))
-            hit = memo[key] = img.get(word_rows(wa + wb, N), LP_ZERO)
-        return hit
+        return self._memo[which][tuple(wa), tuple(wb)]
+
+    def _evaluate(self, which, key):
+        wa, wb = key
+        N = self.N
+        img = self.image(which, len(wa), word_cols(wa + wb, N))
+        return img.get(word_rows(wa + wb, N), LP_ZERO)
 
     def r(self, wa, wb):
         return self._value("r", wa, wb)
@@ -627,34 +624,27 @@ class QContext:
         self.N = N
         self.rw = derive_rewrite_rules(N)
         self.bich = Bicharacter(N)
-        self._tables = {}
-        self._minors = {}
-        self._minor_nf = {}
-        self._minor_prod = {}
-        self._contractions = {}
-        self._gencomm = {}
+        self._tables = Memo(lambda kl: WedgeBraidTable(N, *kl))
+        self._minors = Memo(lambda key: quantum_minor(N, *key))
+        self._minor_nf = Memo(self._normal_minor)
+        self._minor_prod = Memo(self._normal_product)
+        self._contractions = Memo(self._contraction)
+        self._gencomm = Memo(self._commutation)
 
     def table(self, k, l):
-        key = (k, l)
-        if key not in self._tables:
-            self._tables[key] = WedgeBraidTable(self.N, k, l)
-        return self._tables[key]
+        return self._tables[k, l]
 
     def minor(self, rows, cols):
-        key = (tuple(rows), tuple(cols))
-        if key not in self._minors:
-            self._minors[key] = quantum_minor(self.N, key[0], key[1])
-        return self._minors[key]
+        return self._minors[tuple(rows), tuple(cols)]
 
     def minor_nf(self, rows, cols):
         """Normal form of a minor, memoised."""
-        key = (tuple(rows), tuple(cols))
-        hit = self._minor_nf.get(key)
-        if hit is None:
-            hit = self.rw.normal_form(self.minor(*key))
-            share_values(hit.coeffs)
-            self._minor_nf[key] = hit
-        return hit
+        return self._minor_nf[tuple(rows), tuple(cols)]
+
+    def _normal_minor(self, key):
+        nf = self.rw.normal_form(self.minor(*key))
+        share_values(nf.coeffs)
+        return nf
 
     def minor_prod_nf(self, A, B, C, D):
         """Normal form of the product of two minors, memoised.  The words
@@ -662,14 +652,13 @@ class QContext:
         (`RewriteSystem.normal_form` with a right factor): they share their
         suffixes within this one product, and no product word enters the
         rewriting system's suffix memo."""
-        key = (tuple(A), tuple(B), tuple(C), tuple(D))
-        hit = self._minor_prod.get(key)
-        if hit is None:
-            hit = self.rw.normal_form(self.minor(key[0], key[1]),
-                                      self.minor_nf(key[2], key[3]))
-            share_values(hit.coeffs)
-            self._minor_prod[key] = hit
-        return hit
+        return self._minor_prod[tuple(A), tuple(B), tuple(C), tuple(D)]
+
+    def _normal_product(self, key):
+        A, B, C, D = key
+        nf = self.rw.normal_form(self.minor(A, B), self.minor_nf(C, D))
+        share_values(nf.coeffs)
+        return nf
 
     # -- wedge-table contractions ---------------------------------------------
 
@@ -680,18 +669,17 @@ class QContext:
         Summed against star_minor(X, Z, W, d) it is the twisted-product
         expansion of the minor product (a, b)(c, d) in the REA Laplace and
         Muir families."""
-        key = (tuple(a), tuple(c), tuple(b))
-        hit = self._contractions.get(key)
-        if hit is None:
-            a, c, b = key
-            tab = self.table(len(a), len(c))
-            by_b_y = tab.slice(False, (0, 2))
-            hit = {}
-            for (X, Y), c1 in tab.slice(True, (1, 2)).get((a, c), ()):
-                for (Z, W), c2 in by_b_y.get((b, Y), ()):
-                    add_term(hit, (X, Z, W), c1 * c2)
-            self._contractions[key] = share_values(hit)
-        return hit
+        return self._contractions[tuple(a), tuple(c), tuple(b)]
+
+    def _contraction(self, key):
+        a, c, b = key
+        tab = self.table(len(a), len(c))
+        by_b_y = tab.slice(False, (0, 2))
+        out = {}
+        for (X, Y), c1 in tab.slice(True, (1, 2)).get((a, c), ()):
+            for (Z, W), c2 in by_b_y.get((b, Y), ()):
+                add_term(out, (X, Z, W), c1 * c2)
+        return share_values(out)
 
     def gencomm_coefficients(self, I, J, Ip, Jp):
         """The left and right coefficients {(K, L, L'): value} of the
@@ -704,23 +692,21 @@ class QContext:
         with entry_kl the (|I|, |I'|) wedge table and entry_lk the
         (|I'|, |I|) one.  The REA gencomm family and the shape q-commutation
         certificates both read it."""
-        key = (tuple(I), tuple(J), tuple(Ip), tuple(Jp))
-        hit = self._gencomm.get(key)
-        if hit is None:
-            I, J, Ip, Jp = key
-            kl, lk = self.table(len(I), len(Ip)), self.table(len(Ip), len(I))
-            kl_by_i_pp = kl.slice(False, (0, 2))
-            lk_by_pp_j = lk.slice(False, (0, 2))
-            left, right = {}, {}
-            for (Pp, K), f in lk.slice(False, (1, 2)).get((Ip, J), ()):
-                for (L, Lp), g in kl_by_i_pp.get((I, Pp), ()):
-                    add_term(left, (K, L, Lp), f * g)
-            for (L, Pp), g in kl.slice(False, (0, 3)).get((I, Jp), ()):
-                for (Lp, K), f in lk_by_pp_j.get((Pp, J), ()):
-                    add_term(right, (K, L, Lp), f * g)
-            hit = self._gencomm[key] = (share_values(left),
-                                        share_values(right))
-        return hit
+        return self._gencomm[tuple(I), tuple(J), tuple(Ip), tuple(Jp)]
+
+    def _commutation(self, key):
+        I, J, Ip, Jp = key
+        kl, lk = self.table(len(I), len(Ip)), self.table(len(Ip), len(I))
+        kl_by_i_pp = kl.slice(False, (0, 2))
+        lk_by_pp_j = lk.slice(False, (0, 2))
+        left, right = {}, {}
+        for (Pp, K), f in lk.slice(False, (1, 2)).get((Ip, J), ()):
+            for (L, Lp), g in kl_by_i_pp.get((I, Pp), ()):
+                add_term(left, (K, L, Lp), f * g)
+        for (L, Pp), g in kl.slice(False, (0, 3)).get((I, Jp), ()):
+            for (Lp, K), f in lk_by_pp_j.get((Pp, J), ()):
+                add_term(right, (K, L, Lp), f * g)
+        return share_values(left), share_values(right)
 
     # -- minor-level functional values ----------------------------------------
 

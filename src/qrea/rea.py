@@ -48,6 +48,7 @@ from .braiding import rhat_entries
 from .coeff import LP_ONE, share_values
 from .indexsets import subsets
 from .linalg import add_term
+from .memo import Memo
 from .qmatrix import (BRAIDCOMM_KEYS, MUIR_KEYS, Certificate,
                       IllFormedInstance, NCPoly, QContext, _inst_json,
                       _nf_diff, _nf_json, braidcomm_labels,
@@ -65,18 +66,17 @@ class StarAlgebra:
     def __init__(self, N, ctx=None):
         self.N = N
         self.ctx = ctx if ctx is not None else QContext(N)
-        self._star_word_memo = {}
-        self._star_minor_memo = {}
+        self._star_word_memo = Memo(self._star_word)
+        self._star_minor_memo = Memo(self._star_minor)
 
     # -- word-level product ----------------------------------------------------
 
     def star_word(self, u, v):
         """Twisted product of two words, as a normal-form NCPoly."""
-        u, v = tuple(u), tuple(v)
-        key = (u, v)
-        hit = self._star_word_memo.get(key)
-        if hit is not None:
-            return hit
+        return self._star_word_memo[tuple(u), tuple(v)]
+
+    def _star_word(self, key):
+        u, v = key
         N = self.N
         bich = self.ctx.bich
         s = len(u)
@@ -99,7 +99,6 @@ class StarAlgebra:
                     add_term(terms, word_from_rc(a_t, b, N) + tail, c1 * c2)
         acc = self.ctx.rw.normal_form(NCPoly(N, terms))
         share_values(acc.coeffs)
-        self._star_word_memo[key] = acc
         return acc
 
     def star(self, f, g):
@@ -113,10 +112,9 @@ class StarAlgebra:
 
     def star_minor(self, A, B, C, D):
         """Twisted product of the minors with labels (A, B) and (C, D)."""
-        key = (tuple(A), tuple(B), tuple(C), tuple(D))
-        hit = self._star_minor_memo.get(key)
-        if hit is not None:
-            return hit
+        return self._star_minor_memo[tuple(A), tuple(B), tuple(C), tuple(D)]
+
+    def _star_minor(self, key):
         ctx = self.ctx
         A, B, C, D = key
         # r_minor(A, K, L, E) is the wedge-table entry (K, A, L, E), and
@@ -129,7 +127,6 @@ class StarAlgebra:
                  for (M,), c2 in by_b_c_l.get((B, C, L), ())]
         acc = sum_terms(self.N, terms, ctx.minor_prod_nf)
         share_values(acc.coeffs)
-        self._star_minor_memo[key] = acc
         return acc
 
     # -- structural checks ----------------------------------------------------------
@@ -285,7 +282,18 @@ def rea_sides(star):
     placement and labels, for as long as the function lives.
     """
     ctx = star.ctx
-    expansions = {}
+
+    def expansion(key):
+        transposed, A, B, C, D = key
+        if transposed:
+            terms = [(c, (C, W, Z, X)) for (X, Z, W), c
+                     in ctx.wedge_contraction(B, D, A).items()]
+        else:
+            terms = [(c, (X, Z, W, D)) for (X, Z, W), c
+                     in ctx.wedge_contraction(A, C, B).items()]
+        return sum_terms(star.N, terms, star.star_minor)
+
+    expansions = Memo(expansion)
 
     def sides(family, instance):
         if family == "gencomm":
@@ -305,18 +313,7 @@ def rea_sides(star):
         transposed = family == "laplace2"
 
         def twisted(A, B, C, D):
-            key = (transposed, A, B, C, D)
-            hit = expansions.get(key)
-            if hit is None:
-                if transposed:
-                    terms = [(c, (C, W, Z, X)) for (X, Z, W), c
-                             in ctx.wedge_contraction(B, D, A).items()]
-                else:
-                    terms = [(c, (X, Z, W, D)) for (X, Z, W), c
-                             in ctx.wedge_contraction(A, C, B).items()]
-                hit = expansions[key] = sum_terms(star.N, terms,
-                                                  star.star_minor)
-            return hit
+            return expansions[transposed, A, B, C, D]
 
         return (sum_terms(star.N, left, twisted),
                 sum_terms(star.N, right, twisted))

@@ -14,6 +14,7 @@ from qrea.coeff import (LP_ONE, LP_Q, LP_QDIFF, LP_QINV, LP_ZERO, LaurentPoly,
                         lp_q_int)
 from qrea.indexsets import dominated, inversions
 from qrea.linalg import add_term
+from qrea.memo import Memo
 from qrea.qmatrix import QContext
 
 
@@ -212,9 +213,10 @@ def broken_move(monkeypatch):
         return out
 
     monkeypatch.setattr(braiding, "braid_pair_action", broken)
-    for inverse in (False, True):
+    # fresh tables, which fill themselves from the broken move
+    for inverse, table in list(braiding._RHAT_TABLES.items()):
         monkeypatch.setitem(braiding._RHAT_TABLES, inverse,
-                            braiding._RhatTable(inverse))
+                            Memo(table.compute))
 
 
 def _first_failure(words, holds):

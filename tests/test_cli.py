@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -410,8 +411,8 @@ _DIGESTS = {
     "1": "ced82ffa82210727fbc98a4973dfb579906e329df25135f5717700224d1abac1",
     "2": "391dcdf59b29c1c5362db55e8ce411551deaa1afb3fcef0f2f0657658a49a631",
     "3": "88bae471497bd0ad863a33cb38849e054f8e3c56e5a99a6ae095bf9079930ce1",
-    "4": "24c5fb601059fb6d5c644111c9a1538ae4ce9a759a9f6e2b85cdb68ca3046cad",
-    "5": "24c5fb601059fb6d5c644111c9a1538ae4ce9a759a9f6e2b85cdb68ca3046cad"}
+    "4": "6b9af628b7b3511e2a45c4407c4996ecade712e540c1dff8b05a7eb81bffee59",
+    "5": "6b9af628b7b3511e2a45c4407c4996ecade712e540c1dff8b05a7eb81bffee59"}
 
 # The floor of each reach in checks.CHECKS: a capped suite's own, under
 # its name, and each inner bound's, under "name bound".  Reaches never come
@@ -428,34 +429,34 @@ _REACH_FLOORS = {
     "braiding.scalar-lemma": 4,
     "braiding.antisym-swap": 4,
     "qmatrix.pbw-dimensions": 4,
-    "qmatrix.counit-axiom": 3,
-    "qmatrix.minor-coproduct": 3,
+    "qmatrix.counit-axiom": 4,
+    "qmatrix.minor-coproduct": 4,
     "qmatrix.convolution-certificates": 4,
-    "qmatrix.minor-table-crosscheck": 3,
-    "qmatrix.laplace": 3,
-    "qmatrix.muir": 3,
-    "qmatrix.braidcomm": 3,
+    "qmatrix.minor-table-crosscheck": 4,
+    "qmatrix.laplace": 4,
+    "qmatrix.muir": 4,
+    "qmatrix.braidcomm": 4,
     "qmatrix.braidcomm kmax": 2,
     "qmatrix.braidcomm lmax": 2,
-    "rea.star-unit": 3,
-    "rea.star-associativity": 3,
-    "rea.reflection-equation": 3,
-    "rea.reverse-braid": 3,
-    "rea.rewrite-crosscheck": 3,
-    "rea.gencomm": 3,
+    "rea.star-unit": 4,
+    "rea.star-associativity": 4,
+    "rea.reflection-equation": 4,
+    "rea.reverse-braid": 4,
+    "rea.rewrite-crosscheck": 4,
+    "rea.gencomm": 4,
     "rea.gencomm kmax": 2,
     "rea.gencomm lmax": 2,
-    "rea.laplace": 3,
-    "rea.laplace kmax": 3,
-    "rea.muir": 3,
-    "rea.muir kmax": 3,
+    "rea.laplace": 4,
+    "rea.laplace kmax": 4,
+    "rea.muir": 4,
+    "rea.muir kmax": 4,
     "rea.muir rmax": 2,
-    "rea.semiclassical": 3,
+    "rea.semiclassical": 4,
     "classical.shape-roundtrip": 4,
     "classical.sign-compatibility": 4,
     "classical.tn-invariance": 4,
     "classical.decompose": 4,
-    "classical.bivector-antisymmetry": 3,
+    "classical.bivector-antisymmetry": 4,
 }
 
 
@@ -527,6 +528,65 @@ def test_check_all_deterministic_and_covers(capsys):
     assert suites == {name for name, _ in checks.CHECKS}
 
 
+def _memo_lens():
+    """The size of each memo of the suite contexts, by owner and attribute,
+    summed over contexts, read off the named attributes."""
+    sizes = Counter()
+    for star in checks._STAR_CACHE.values():
+        for attr in ("_star_word_memo", "_star_minor_memo"):
+            sizes["StarAlgebra." + attr] += len(getattr(star, attr))
+    for ctx in checks._CTX_CACHE.values():
+        for attr in ("_tables", "_minors", "_minor_nf", "_minor_prod",
+                     "_contractions", "_gencomm"):
+            sizes["QContext." + attr] += len(getattr(ctx, attr))
+        for attr in ("_insert_memo", "_nf_memo"):
+            sizes["RewriteSystem." + attr] += len(getattr(ctx.rw, attr))
+        for attr in ("_memo", "_images", "_coimages"):
+            sizes["Bicharacter." + attr] += sum(
+                map(len, getattr(ctx.bich, attr).values()))
+        sizes["WedgeBraidTable._slices"] += sum(
+            len(table._slices) for table in ctx._tables.values())
+    return sizes
+
+
+def test_check_all_memo_lines_count_the_suite_memos(capsys, monkeypatch):
+    # after each [timings] line, a [memos] line names each memo of the
+    # suite contexts that grew during the suite, with its size right after
+    # the suite; every other memo kept its size
+    monkeypatch.setattr(checks, "_CTX_CACHE", {})
+    monkeypatch.setattr(checks, "_STAR_CACHE", {})
+    after = {}
+
+    def measured(name, suite):
+        def run(N, seed):
+            certs = list(suite(N, seed))
+            after[name] = _memo_lens()
+            return certs
+        return run
+
+    monkeypatch.setattr(checks, "CHECKS", [
+        (name, measured(name, suite)) for name, suite in checks.CHECKS])
+    code, _, err = run_cli(capsys, ["check-all", "--N", "2", "--timings"])
+    assert code == 0
+    lines = [line.split() for line in err.splitlines()
+             if line.startswith(("[timings]", "[memos]"))]
+    assert [t[0] for t in lines] == ["[timings]", "[memos]"] * len(after)
+    before, printed = Counter(), {}
+    for timed, memos in zip(lines[::2], lines[1::2]):
+        name = timed[1]
+        assert memos[1] == name
+        counts = {memo: int(n) for memo, n in
+                  (field.split("=") for field in memos[2:])}
+        grown = {memo: n for memo, n in after[name].items()
+                 if n != before[memo]}
+        assert counts == grown, name
+        assert all(n >= printed.get(memo, 0) for memo, n in counts.items())
+        printed.update(counts)
+        before = after[name]
+    # the quantum suites at N=2 fill every kind of memo
+    assert set(printed) == set(before)
+
+
 def test_check_all_n3_qmatrix_and_rea_lines_pinned(capsys, monkeypatch):
     # the qmatrix.* and rea.* lines of `check-all --N 3 --seed 0`, byte for
     # byte; the N=2 stream pins the family suites only at N=2
@@ -542,7 +602,8 @@ def test_check_all_n3_qmatrix_and_rea_lines_pinned(capsys, monkeypatch):
 
 def test_check_all_n4_coeff_and_classical_lines_pinned(capsys, monkeypatch):
     # the coeff.* and classical.* lines of `check-all --N 4 --seed 0`, byte
-    # for byte: the exact-scalar suites, tn-invariance at N=4
+    # for byte: the exact-scalar suites, tn-invariance and
+    # bivector-antisymmetry at N=4
     monkeypatch.setattr(checks, "CHECKS", [
         (name, fn) for name, fn in checks.CHECKS
         if name.split(".")[0] in ("coeff", "classical")])
@@ -550,7 +611,7 @@ def test_check_all_n4_coeff_and_classical_lines_pinned(capsys, monkeypatch):
     assert code == 0
     assert len(out.splitlines()) == 12
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "5492a9bb50055dcb2613fffc3a0918a35712c53322500b891aff345d64b07d81")
+        "60d175f96710ad07883978064c91188daa25febe21aa6f52d83b5852051e8650")
 
 
 def test_check_all_n4_exits_0_on_the_seeds_that_crashed(capsys, monkeypatch):

@@ -1,12 +1,14 @@
+import inspect
 import random
 from itertools import combinations, product
 
 import pytest
 
-from qrea import checks, qmatrix, rea
+from qrea import braiding, checks, qmatrix, rea
 from qrea.classical import poisson_bracket_coeffs
 from qrea.coeff import LP_ONE, LP_Q, LaurentPoly
 from qrea.linalg import add_term
+from qrea.memo import Memo
 from qrea.qmatrix import (NCPoly, QContext, _nf_diff, _nf_json,
                           braidcomm_instances, degree_dimension, gen_id,
                           muir_instances, sum_terms, verify_identity,
@@ -383,6 +385,25 @@ def test_every_dict_attribute_is_a_checked_memo_or_not_a_memo():
     checked, exempt = set(_memo_rows(star, star)), {n for n, _ in NOT_MEMOS}
     assert not checked & exempt
     assert found == checked | exempt
+
+
+def test_every_computed_cache_is_a_memo():
+    """Each computed cache fills itself on a miss (`qrea.memo.Memo`), a
+    bicharacter with one Memo per functional.  The suffix states stay a
+    plain dict: they never hold the word asked for."""
+    star = _fresh_star()
+    ctx, bich = star.ctx, star.ctx.bich
+    sides = inspect.getclosurevars(rea.rea_sides(star)).nonlocals
+    memos = [star._star_word_memo, star._star_minor_memo, ctx._tables,
+             ctx._minors, ctx._minor_nf, ctx._minor_prod, ctx._contractions,
+             ctx._gencomm, ctx.rw._insert_memo, ctx.table(2, 1)._slices,
+             sides["expansions"], *braiding._RHAT_TABLES.values()]
+    for per_functional in (bich._memo, bich._images, bich._coimages):
+        assert per_functional.keys() == {"r", "rinv"}
+        memos += per_functional.values()
+    assert all(isinstance(m, Memo) for m in memos)
+    assert len({id(m) for m in memos}) == len(memos)
+    assert type(ctx.rw._nf_memo) is dict
 
 
 def test_sums_leave_every_memo_as_a_fresh_context_computes_it():

@@ -75,3 +75,65 @@ def test_only_coeff_writes_laurent_slots():
     coeff_writes = {attr for _, attr in _assigned_attributes(
         ast.parse((_SRC / "coeff.py").read_text()))}
     assert slots <= coeff_writes
+
+
+# The functions that read a key with .get and then store under it, but are
+# not caches of a computed value (a qrea.memo.Memo is that), and why.
+_NOT_MEMOS = {
+    ("linalg.py", "add_term"): "accumulates: it stores the sum, not a value "
+                               "computed from the key",
+    ("qmatrix.py", "_nf"): "suffix states, kept in the caller's dict and "
+                           "only when asked: never the word asked for",
+    ("linalg.py", "sparse_row_reduce"): "the pivot rows of an elimination",
+    ("coeff.py", "_packed"): "the coefficient table, which share_values "
+                             "also fills with values it did not compute",
+    ("indexsets.py", "sweep_comb_lemma"): "keyed by the differences of a "
+                                          "pair, computed from the pair",
+}
+
+
+def _own_nodes(func):
+    """The nodes of a function's body, without those of nested functions."""
+    nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    stack = [func]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(child for child in ast.iter_child_nodes(node)
+                     if not isinstance(child, nested))
+
+
+def _not_in_own_attribute(node):
+    """Whether node is a test `key not in self._...`."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(op, ast.NotIn) and isinstance(right, ast.Attribute)
+        and isinstance(right.value, ast.Name) and right.value.id == "self"
+        and right.attr.startswith("_")
+        for op, right in zip(node.ops, node.comparators))
+
+
+def test_no_hand_written_cache():
+    """No function of src/qrea looks a key up with a one-argument .get and
+    stores under the same key of the same dict, or tests `key not in
+    self._...`: a memo is a qrea.memo.Memo, which fills itself on a miss."""
+    found = set()
+    for path in sorted(_SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            gets, stores = set(), set()
+            for node in _own_nodes(func):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "get" and len(node.args) == 1):
+                    gets.add((ast.dump(node.func.value),
+                              ast.dump(node.args[0])))
+                elif isinstance(node, ast.Assign):
+                    stores.update((ast.dump(t.value), ast.dump(t.slice))
+                                  for t in node.targets
+                                  if isinstance(t, ast.Subscript))
+                elif _not_in_own_attribute(node):
+                    found.add((path.name, func.name))
+            if gets & stores:
+                found.add((path.name, func.name))
+    assert found == set(_NOT_MEMOS), sorted(found ^ set(_NOT_MEMOS))
