@@ -11,8 +11,8 @@ in the pair-lexicographic order (column set first) and takes the first
 nonvanishing minor, so the discrete data (the involution and the vanishing
 pattern) and the slot rays, ratios of consecutive pivot minors, are decided
 exactly.  Minors come from one memo per matrix (minors), each the Laplace
-expansion over the smaller ones, with no division; the rank that bounds the
-scan comes from the one dense elimination, linalg.echelon.
+expansion over the smaller ones, with no division; the scan stops at the
+first size with no nonzero minor, so the rank is read off the same table.
 
 The congruence decomposition is the LDL* form of the pivoting loop (Golub
 and Van Loan, Matrix Computations, 4.1-4.2): z = t'* M t' with t' unit upper
@@ -40,13 +40,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from itertools import accumulate, combinations, product
 from math import gcd, isqrt, lcm
-from operator import add, mul
 
 from .coeff import GaussRat, rational_sqrt
-from .linalg import add_term, echelon, rank
+from .linalg import add_term, echelon
 from .memo import Memo
 
 
@@ -75,8 +74,7 @@ class HermitianMatrix:
     """Self-adjoint matrix with GaussRat entries."""
 
     def __init__(self, entries):
-        self.entries = [[e if isinstance(e, GaussRat) else GaussRat(e)
-                         for e in row] for row in entries]
+        self.entries = [list(row) for row in entries]
         self.N = len(self.entries)
         e = self.entries
         if any(len(row) != self.N for row in e):
@@ -107,12 +105,6 @@ class HermitianMatrix:
         floats = obj["mode"] == "numeric"
         return HermitianMatrix([[GaussRat.from_json(e, floats) for e in row]
                                 for row in obj["entries"]])
-
-
-def gr_matmul(a, b):
-    """The product of two matrices, lists of rows of GaussRat."""
-    cols = list(zip(*b))
-    return [[reduce(add, map(mul, row, col)) for col in cols] for row in a]
 
 
 def gr_identity(n):
@@ -240,27 +232,26 @@ class ShapeMatrix:
 def shape_of(z):
     """Shape of a Hermitian matrix via lex-first nonvanishing minors.
 
-    For each size k up to the rank, scans label pairs (columns, rows) in the
-    pair-lexicographic order and pivots on the first nonzero minor; the
-    pivots assemble the involution, and each slot is the ray of the ratio of
-    two consecutive pivot minors, signed by the positivity normalisation.
+    For each size k = 1, 2, ..., scans label pairs (columns, rows) in the
+    pair-lexicographic order and pivots on the first nonzero minor; the scan
+    stops at the first size with none, so it pivots once per unit of rank.
+    The pivots assemble the involution, and each slot is the ray of the
+    ratio of two consecutive pivot minors, signed by the positivity
+    normalisation.
     """
     N = z.N
-    r = rank(z.entries)
     tau = list(range(1, N + 1))
     u = [None] * N
-    if r == 0:
-        return ShapeMatrix(tau, u)
     minor = minors(z.entries)
     pairs = []           # chain of (column, row) pivots
     prev_dir = GR1
     prev_cols, prev_rows = (), ()
-    for k in range(1, r + 1):
+    for k in range(1, N + 1):
         labels = list(combinations(range(1, N + 1), k))
         pivot = next(((J, I, val) for J in labels for I in labels
                       if not (val := minor(I, J)).is_zero()), None)
         if pivot is None:
-            raise InconsistentPivots(f"no nonzero minor at size {k}")
+            break
         J, I, val = pivot
         new_cols = tuple(sorted(set(J) - set(prev_cols)))
         new_rows = tuple(sorted(set(I) - set(prev_rows)))
@@ -406,18 +397,19 @@ def reduced_shape(M):
 
 def power_sums(z):
     """[tr z, tr z^2, ..., tr z^N] of a HermitianMatrix: the power sums of
-    its eigenvalues, which fix them as a multiset.  Each trace of z^(a+b) is
-    read as the sum of the (z^a)_ij (z^b)_ji, so only the powers up to
-    z^ceil(N/2) are multiplied out."""
-    e, n = z.entries, z.N
-    powers = [None, e]
+    its eigenvalues, which fix them as a multiset.  The powers are sparse
+    rows multiplied by _sparse_product, and each trace of z^(a+b) is read
+    as the sum of the stored (z^a)_ij (z^b)_ji, z^0 the identity, so only
+    the powers up to z^ceil(N/2) are multiplied out."""
+    e, n = _sparse_rows(z.entries), z.N
+    powers = [[{i: GR1} for i in range(n)], e]
     while len(powers) <= (n + 1) // 2:
-        powers.append(gr_matmul(powers[-1], e))
-    sums = [reduce(add, (e[i][i] for i in range(n)))]
-    for m in range(2, n + 1):
+        powers.append(_sparse_product(powers[-1], e))
+    sums = []
+    for m in range(1, n + 1):
         a, b = powers[m // 2], powers[m - m // 2]
-        sums.append(reduce(add, (a[i][j] * b[j][i]
-                                 for i in range(n) for j in range(n))))
+        sums.append(sum((x * b[j][i] for i, row in enumerate(a)
+                         for j, x in row.items() if i in b[j]), GR0))
     return sums
 
 

@@ -8,10 +8,10 @@ add_term, which drops a key whose coefficient cancels.  It needs only + and
 is_zero() of the scalar.  qmatrix.sum_terms, the one sum of noncommutative
 polynomials, builds on it.
 
-echelon is the one dense elimination, forward only: rank and determinant
-read its pivots, and invert_matrix is the adjugate over determinant.  It
-needs only + - *, inv() and is_zero() of the scalar, so RatFunc and
-GaussRat go through it.
+echelon is the one dense elimination, forward only: determinant, and the
+ranks of the classical tangency check, read its pivots, and invert_matrix
+is the adjugate over determinant.  It needs only + - *, inv() and
+is_zero() of the scalar, so RatFunc and GaussRat go through it.
 sparse_row_reduce is the sparse elimination of the quantum side, over
 LaurentPoly, whose inv() exists only for the units +-q^k (coeff.NotAUnit
 otherwise): it divides a pivot by a unit leading coefficient and keeps any
@@ -88,10 +88,6 @@ def echelon(rows):
                     row[j] = row[j] - f * pe
         pivots.append((col, p))
     return m, pivots, swaps
-
-
-def rank(rows):
-    return len(echelon(rows)[1])
 
 
 def determinant(rows):

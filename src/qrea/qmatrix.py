@@ -51,12 +51,12 @@ here and in the reflection algebra, adds into one dict with
 from __future__ import annotations
 
 from functools import cache, partial
-from itertools import permutations, product
+from itertools import product
 
 from .braiding import (WedgeBraidTable, apply_two_site, braid_pair_action,
-                       rhat_entries)
+                       embed_basis, rhat_entries)
 from .coeff import LP_ONE, LP_ZERO, LaurentPoly, lp_q_int, share_values
-from .indexsets import inversions, merge, rest, select, subsets
+from .indexsets import merge, rest, select, subsets
 from .linalg import add_term, first_difference, sparse_row_reduce
 from .memo import Memo
 
@@ -368,14 +368,12 @@ def counit_word(word, N):
 
 def quantum_minor(N, rows, cols):
     """Wedge-coaction coefficient: the minor with the given row and column
-    sets, of one size, as a signed sum over row arrangements."""
-    if not rows:
-        return NCPoly.unit(N)
-    coeffs = {}
-    for perm in permutations(rows):
-        w = word_from_rc(perm, cols, N)
-        coeffs[w] = lp_q_int(inversions(perm))
-    return NCPoly(N, coeffs)
+    sets, of one size.  It is the q-antisymmetriser embed_basis(rows), the
+    sum of (-q)^inv(w) over the arrangements w of the rows, with each w
+    read as the word X_{w_1 c_1} X_{w_2 c_2} ... on the columns c; so the
+    empty minor is the unit."""
+    return NCPoly(N, {word_from_rc(w, cols, N): c
+                      for w, c in embed_basis(rows).items()})
 
 
 # ---------------------------------------------------------------------------

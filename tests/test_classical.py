@@ -2,7 +2,9 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
+from functools import reduce
 from itertools import product
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -11,14 +13,13 @@ from hypothesis import given, settings, strategies as st
 from qrea.classical import (GaussRat, HermitianMatrix, NotTriangular,
                             ShapeMatrix, SignMismatch, _ranks, bracket_at,
                             build_leaf_point, charpoly, congruence, decompose,
-                            eigenvalue_signs, gr_identity,
-                            gr_matmul, jacobi_check,
+                            eigenvalue_signs, gr_identity, jacobi_check,
                             leaf_tangency_check, minors, orbit_tangents,
                             poisson_bracket_coeffs, power_sums,
                             random_compatible_weights, random_exact_hermitian,
                             random_shape, random_triangular, reduced_shape,
                             shape_of, tn_invariance_check)
-from qrea.linalg import add_term, determinant, rank
+from qrea.linalg import add_term, determinant, echelon
 
 
 def G(re, im=0):
@@ -28,6 +29,18 @@ def G(re, im=0):
 def H(rows):
     return HermitianMatrix([[G(*e) if isinstance(e, tuple) else G(e)
                              for e in row] for row in rows])
+
+
+def gr_matmul(a, b):
+    """The product of two matrices, lists of rows of GaussRat: the dense
+    reference for congruence and orbit_tangents."""
+    cols = list(zip(*b))
+    return [[reduce(add, map(mul, row, col)) for col in cols] for row in a]
+
+
+def rank(rows):
+    """The echelon pivot count: the oracle of ShapeMatrix.rank."""
+    return len(echelon(rows)[1])
 
 
 def gr_conj_t(a):
@@ -160,6 +173,23 @@ def test_minor_memo_matches_determinant(z, order):
             [[z.entries[r - 1][c - 1] for c in J] for r in I]), (I, J)
     # the scan pivots once per unit of rank
     assert shape_of(z).rank == rank(z.entries)
+
+
+def test_shape_rank_is_the_pivot_count_on_draws():
+    # the scan reads the rank off its own minors: against the echelon pivot
+    # count on exact draws and on leaf points of random shapes, whose zero
+    # slots make rank-deficient matrices, and of the zero shape
+    rng = random.Random(29)
+    seen = set()
+    for n in range(1, 5):
+        zero = ShapeMatrix(range(1, n + 1), [None] * n)
+        for S in [zero] + [random_shape(n, rng) for _ in range(30)]:
+            leaf = build_leaf_point(S, random_compatible_weights(S, rng))
+            assert shape_of(leaf).rank == rank(leaf.entries) == S.rank
+            z = random_exact_hermitian(n, rng)
+            assert shape_of(z).rank == rank(z.entries)
+            seen.update((n, x.rank) for x in (S, shape_of(z)))
+    assert seen == {(n, r) for n in range(1, 5) for r in range(n + 1)}
 
 
 def test_tn_invariance_examples():

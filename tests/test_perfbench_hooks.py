@@ -1,13 +1,18 @@
 """The benchmark's tracer finds its spans and memo counters in qrea by name,
 and drops a metric whose name is gone without failing; so does the child's
 time-slice marking with a marker whose method is gone.  These tests fail
-instead.  The perfbench modules are loaded from perfbench/ by their path."""
+instead.  The benchmark also refuses a run whose stdout differs from its
+recorded reference; a test here fails first.  The perfbench modules are
+loaded from perfbench/ by their path."""
 
+import hashlib
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
-from qrea import checks
+from qrea import checks, cli
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -16,6 +21,8 @@ def _load(name):
     spec = importlib.util.spec_from_file_location(
         "perfbench_" + name, _PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # registered first: a dataclass looks its module up by name
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -50,3 +57,26 @@ def test_every_marker_resolves():
         if cls is None or attr not in vars(cls):
             gone.append((module_name, cls_name, attr))
     assert set(gone) <= _DEAD_MARKERS, gone
+
+
+def test_benchmark_streams_match_their_references(capsys, monkeypatch):
+    # each workload that BENCHMARK.json runs is check-all at its N on its
+    # suites; at every reference program seed its stdout must hash to the
+    # digest that perfbench/run.py compares against
+    workloads = _load("workloads").WORKLOADS
+    bench = json.loads((_PERFBENCH.parent / "BENCHMARK.json").read_text())
+    registry = checks.CHECKS
+    for name in [w["name"] for w in bench["workloads"]]:
+        w = workloads[name]
+        monkeypatch.setattr(checks, "CHECKS", [
+            (suite, fn) for suite, fn in registry
+            if w.suites is None or suite in w.suites])
+        assert w.references, name
+        for seed, digest in w.references.items():
+            code = cli.main(["--seed", str(seed), "check-all", "--N",
+                             str(w.N)])
+            out = capsys.readouterr().out
+            assert code == 0, (name, seed)
+            assert len(out.splitlines()) == w.total, (name, seed)
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, \
+                (name, seed)
