@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import comb
 
@@ -61,51 +62,40 @@ def memo_sizes():
 
 
 # -- identity families ---------------------------------------------------------
-# (algebra, family) -> (sub-families, instance generator, instance keys).  A
-# "qmatrix" family compares the two sides of qmatrix.identity_sides in the
-# quantum matrix algebra, a "rea" family those of rea.rea_sides in the
-# twisted product; qmatrix.verify_identity and rea.rea_verify certify one
-# instance from them.  The sweep suites below and the CLI's `verify` and
-# `rea verify` read it.  A generator sweeps every size up to N; the bounds
-# of a sweep are on the family's row of CHECKS.
+# qmatrix.FAMILIES is their table.  A "qmatrix" family compares the two sides
+# of qmatrix.identity_sides in the quantum matrix algebra, a "rea" family
+# those of rea.rea_sides in the twisted product.  One sweep, _family_sweep,
+# runs both the check-all suites and the CLI's `verify` and `rea verify`:
+# a suite compares the sides and certifies only its first failing instance,
+# the CLI certifies every instance (qmatrix.identity_certificate).
 
-FAMILIES = {
-    ("qmatrix", "laplace"): (("laplace-row", "laplace-col"),
-                             qmatrix.laplace_instances, qmatrix.LAPLACE_KEYS),
-    ("qmatrix", "muir"): (("muir-row", "muir-col"), qmatrix.muir_instances,
-                          qmatrix.MUIR_KEYS),
-    ("qmatrix", "braidcomm"): (("braidcomm-1", "braidcomm-2"),
-                               qmatrix.braidcomm_instances,
-                               qmatrix.BRAIDCOMM_KEYS),
-    ("rea", "gencomm"): (("gencomm",), qmatrix.braidcomm_instances,
-                         qmatrix.BRAIDCOMM_KEYS),
-    ("rea", "laplace"): (("laplace1", "laplace2"), rea.rea_laplace_instances,
-                         rea.REA_LAPLACE_KEYS),
-    ("rea", "muir"): (("muir-left", "muir-right"), qmatrix.muir_instances,
-                      qmatrix.MUIR_KEYS),
-}
-
-
-def _family_algebra(algebra, N):
-    """The two-sides function (sub-family, instance) of an identity family's
-    algebra at size N, for one sweep, and its certificate of two sides."""
+def _family_sides(algebra, N):
+    """The two-sides function (sub-family, instance) -> (lhs, rhs) of an
+    identity family's algebra at size N, for one sweep."""
     if algebra == "qmatrix":
-        ctx = get_ctx(N)
-        return ((lambda sub, inst: qmatrix.identity_sides(ctx, sub, inst)),
-                qmatrix.identity_certificate)
-    return rea.rea_sides(get_star(N)), rea.rea_certificate
+        return partial(qmatrix.identity_sides, get_ctx(N))
+    return rea.rea_sides(get_star(N))
+
+
+def _family_sweep(algebra, family, N, instances=None, **bounds):
+    """(sub-family, instance, lhs, rhs) for every instance, by default the
+    family's sweep within `bounds`, and each sub-family of an identity
+    family at size N: lhs == rhs is the instance of the identity."""
+    subs, sweep, _keys = qmatrix.FAMILIES[algebra, family]
+    if instances is None:
+        instances = sweep(N, **bounds)
+    sides = _family_sides(algebra, N)
+    return ((sub, inst, *sides(sub, inst)) for inst in instances
+            for sub in subs)
 
 
 def family_certificates(algebra, family, N, instances=None):
     """Verify each sub-family of an identity family at size N on every
     instance, by default on its sweep within its check-all row's bounds."""
-    subs, sweep, _keys = FAMILIES[algebra, family]
-    sides, certificate = _family_algebra(algebra, N)
-    if instances is None:
-        row = dict(CHECKS)[f"{algebra}.{family}"]
-        instances = sweep(N, **_bounds(row.inner, N))
-    return [certificate(sub, inst, *sides(sub, inst))
-            for inst in instances for sub in subs]
+    row = dict(CHECKS)[f"{algebra}.{family}"]
+    return [qmatrix.identity_certificate(algebra, *sides) for sides
+            in _family_sweep(algebra, family, N, instances,
+                             **_bounds(row.inner, N))]
 
 
 def _family_suite(algebra, family):
@@ -115,17 +105,15 @@ def _family_suite(algebra, family):
     of its own, and the suite's failure witness counts the failing
     instances and carries the first one's certificate."""
     def suite(n, seed, **bounds):
-        subs, sweep, _keys = FAMILIES[algebra, family]
-        sides, certificate = _family_algebra(algebra, n)
         count, failures, first = 0, 0, None
-        for inst in sweep(n, **bounds):
-            for sub in subs:
-                count += 1
-                lhs, rhs = sides(sub, inst)
-                if lhs != rhs:
-                    failures += 1
-                    if first is None:
-                        first = certificate(sub, inst, lhs, rhs).to_json()
+        for sub, inst, lhs, rhs in _family_sweep(algebra, family, n,
+                                                 **bounds):
+            count += 1
+            if lhs != rhs:
+                failures += 1
+                if first is None:
+                    first = qmatrix.identity_certificate(
+                        algebra, sub, inst, lhs, rhs).to_json()
         return [Certificate.verdict(
             f"{algebra} {family}", {"N": n, "instances": count},
             not failures, witness=lambda: {"failures": failures,
@@ -377,7 +365,7 @@ def check_antisym_swap(n, seed):
 
 def check_pbw_dimensions(n, seed):
     out = []
-    for m in range(2, n + 1):
+    for m in range(min(2, n), n + 1):
         ctx = get_ctx(m)
         dmax = 3 if m <= 3 else 2
         for d in range(2, dmax + 1):
@@ -462,10 +450,7 @@ def _convolution_witness(bich, s, t):
     for which in ("rinv", "rpr"):
         miss = bich.first_mismatch(s, t, which)
         if miss is not None:
-            i, j, k, l, got, expected = miss
-            return {"which": which, "bidegree": [s, t],
-                    "i": list(i), "j": list(j), "k": list(k), "l": list(l),
-                    "got": got.to_json(), "expected": expected.to_json()}
+            return {"which": which, "bidegree": [s, t], **miss}
 
 
 def check_convolution_certificates(n, seed):
@@ -535,7 +520,8 @@ def check_star_associativity(n, seed):
 
 
 def check_reflection(n, seed):
-    return [rea.reflection_equation_check(get_star(m)) for m in range(2, n + 1)]
+    return [rea.reflection_equation_check(get_star(m))
+            for m in range(min(2, n), n + 1)]
 
 
 def check_reverse_braid(n, seed):
@@ -551,7 +537,7 @@ def check_reverse_braid(n, seed):
 
 def check_rea_rewrite(n, seed):
     out = []
-    for m in range(2, n + 1):
+    for m in range(min(2, n), n + 1):
         # derive_rea_rewrite raises unless it finds m^2(m^2 - 1)/2 rules
         try:
             rea.derive_rea_rewrite(get_star(m))
@@ -666,7 +652,7 @@ def semiclassical_certificates(N):
 
 def check_semiclassical(n, seed):
     out = []
-    for m in range(2, n + 1):
+    for m in range(min(2, n), n + 1):
         certs = semiclassical_certificates(m)
         bad = [c.to_json() for c in certs if c.status != "pass"]
         out.append(Certificate.verdict(

@@ -163,7 +163,7 @@ def cmd_family(args):
     on the family's sweep."""
     instances = None
     if args.instance:
-        _subs, _sweep, keys = checks.FAMILIES[args.algebra, args.family]
+        keys = qmatrix.FAMILIES[args.algebra, args.family][2]
         instances = [_load_instance(args.instance, args.N, keys)]
     yield from _records(checks.family_certificates(
         args.algebra, args.family, args.N, instances))
@@ -347,7 +347,7 @@ def build_parser():
     rsub = r.add_subparsers(dest="rea_cmd", required=True)
     for algebra, fp in (("qmatrix", v), ("rea", rsub.add_parser("verify"))):
         fp.add_argument("family", choices=sorted(
-            f for a, f in checks.FAMILIES if a == algebra))
+            f for a, f in qmatrix.FAMILIES if a == algebra))
         fp.add_argument("--N", type=int, default=2)
         fp.add_argument("--instance", type=str, default=None)
         fp.set_defaults(fn=cmd_family, algebra=algebra)

@@ -36,12 +36,16 @@ twisted product reads r' at word level (`star_word`, which reads r by rows:
 table); the word-level convolution certificates of r' cover r' itself.
 Every identity family (Laplace, the common-submatrix expansion, braided
 commutativity) is verified by exact normal-form equality of its two sides,
-`identity_sides`.  The sweeps over wedge-table labels visit only nonzero
-entries, through the table's slices; the label arithmetic of a Laplace or
-Muir instance is a position pattern, built once per sizes and positions and
-read at I and J on every call.  Normal forms of words are memoised per
-word suffix; a product of two minors inserts the words of the left one
-into the memoised normal form of the right one.
+`identity_sides`.  FAMILIES is the one table of the identity families of
+both algebras, here and in the reflection algebra: their sub-families,
+sweeps and instance keys.  `identity_certificate` certifies an instance of
+either algebra, and a failing one names the first term at which its two
+sides differ (`linalg.first_difference`).  The sweeps over wedge-table
+labels visit only nonzero entries, through the table's slices; the label
+arithmetic of a Laplace or Muir instance is a position pattern, built once
+per sizes and positions and read at I and J on every call.  Normal forms
+of words are memoised per word suffix; a product of two minors inserts the
+words of the left one into the memoised normal form of the right one.
 
 `sum_terms` is the one polynomial sum: every linear combination of NCPolys,
 here and in the reflection algebra, adds into one dict with
@@ -532,14 +536,16 @@ class Bicharacter:
 
     def first_mismatch(self, s, t, which):
         """The first sum of `certify_bidegree` that misses the counit
-        pairing, as (i, j, k, l, got, expected); None when every sum matches.
-        "First" is in the order i, then k (rinv) or l (rpr), then j, then l
-        (rinv) or k (rpr).  Mismatches are collected only in the columns
-        whose product is wrong."""
+        pairing, as {"i", "j", "k", "l", "got", "expected"} with both values
+        as JSON; None when every sum matches.  "First" is in the order i,
+        then k (rinv) or l (rpr), then j, then l (rinv) or k (rpr).  Each
+        column's product is compared with its pairing as one dict, and only
+        a failing column is searched, by `first_difference`: its sorted
+        keys, i + k (rinv) or (i, l, k) (rpr), are that order within it."""
         N = self.N
         tuples_s = list(product(range(1, N + 1), repeat=s))
         tuples_t = list(product(range(1, N + 1), repeat=t))
-        # each miss is (i, k or l, j, l or k, got, expected): loop order
+        # each miss is (i, k or l, j, l or k, first difference): loop order
         misses = []
         if which == "rinv":
             for j in tuples_s:
@@ -548,8 +554,11 @@ class Bicharacter:
                     for mn, v in self.image("rinv", s, j + l).items():
                         for ik, w in self.image("r", s, mn).items():
                             add_term(got, ik, w * v)
-                    misses += [(ik[:s], ik[s:], j, l, g, e)
-                               for ik, g, e in _misses(got, {j + l: LP_ONE})]
+                    expected = {j + l: LP_ONE}
+                    if got != expected:
+                        miss = first_difference(got, expected)
+                        ik = miss["entry"]
+                        misses.append((ik[:s], ik[s:], j, l, miss))
         else:
             for j in tuples_s:
                 got = {}
@@ -562,22 +571,16 @@ class Bicharacter:
                                 if i_n[s:] == n:
                                     add_term(got, (i_n[:s], l, k), w * v)
                 expected = {(j, k, k): LP_ONE for k in tuples_t}
-                misses += [(i, l, j, k, g, e)
-                           for (i, l, k), g, e in _misses(got, expected)]
+                if got != expected:
+                    miss = first_difference(got, expected)
+                    i, l, k = miss["entry"]
+                    misses.append((i, l, j, k, miss))
         if not misses:
             return None
-        i, o, j, p, got, expected = min(misses, key=lambda miss: miss[:4])
+        i, o, j, p, miss = min(misses, key=lambda m: m[:4])
         k, l = (o, p) if which == "rinv" else (p, o)
-        return i, j, k, l, got, expected
-
-
-def _misses(got, expected):
-    """(key, got, expected) at every key where two sparse vectors differ."""
-    if got == expected:
-        return []
-    return [(key, got.get(key, LP_ZERO), expected.get(key, LP_ZERO))
-            for key in got.keys() | expected.keys()
-            if got.get(key, LP_ZERO) != expected.get(key, LP_ZERO)]
+        return {"i": i, "j": j, "k": k, "l": l, "got": miss["got"],
+                "expected": miss["expected"]}
 
 
 # ---------------------------------------------------------------------------
@@ -756,20 +759,10 @@ def _nf_json(p):
             for w, c in sorted(p.coeffs.items())}
 
 
-def _nf_diff(lhs, rhs):
-    """Witness of a failed identity lhs == rhs: both normal forms."""
-    return {"lhs": _nf_json(lhs), "rhs": _nf_json(rhs)}
-
-
 def _inst_json(instance, names):
     """The certificate form of an instance: its `names` as lists, with the
     primed keys Kp, Ip, Jp written K', I', J'."""
     return {n.replace("p", "'"): list(instance[n]) for n in names}
-
-
-LAPLACE_KEYS = ("I", "J", "K", "Kp")
-MUIR_KEYS = ("I", "J", "F", "G", "K", "Kp")
-BRAIDCOMM_KEYS = ("I", "J", "Ip", "Jp")
 
 
 def expansion_terms(family, instance):
@@ -836,7 +829,7 @@ def _position_pattern(row, k, kj, F, G, K, Kp):
 def braidcomm_labels(instance):
     """The validated (I, J, I', J') of a braided or general commutation
     instance."""
-    I, J, Ip, Jp = (tuple(instance[n]) for n in BRAIDCOMM_KEYS)
+    I, J, Ip, Jp = (tuple(instance[n]) for n in ("I", "J", "Ip", "Jp"))
     if len(J) != len(I) or len(Jp) != len(Ip):
         raise IllFormedInstance("sizes inconsistent")
     return I, J, Ip, Jp
@@ -881,19 +874,23 @@ def identity_sides(ctx, family, instance):
             sum_terms(ctx.N, right, ctx.minor_prod_nf))
 
 
-def identity_certificate(family, instance, lhs, rhs):
-    """The certificate of one identity instance from its two sides: a pass
-    when they are equal, else a fail with both normal forms."""
-    keys = (BRAIDCOMM_KEYS if family.startswith("braidcomm")
-            else LAPLACE_KEYS if family.startswith("laplace") else MUIR_KEYS)
-    return Certificate.verdict(f"verify {family}", _inst_json(instance, keys),
-                               lhs == rhs, lambda: _nf_diff(lhs, rhs))
+def identity_certificate(algebra, family, instance, lhs, rhs):
+    """The certificate `verify <family>` ("qmatrix") or `rea <family>`
+    ("rea") of one instance of a sub-family of FAMILIES, from its two
+    sides: a pass when they are equal, else a fail whose witness is the
+    first term at which they differ."""
+    keys = next(keys for (a, _), (subs, _, keys) in FAMILIES.items()
+                if a == algebra and family in subs)
+    command = f"{'verify' if algebra == 'qmatrix' else 'rea'} {family}"
+    return Certificate.verdict(
+        command, _inst_json(instance, keys), lhs == rhs,
+        lambda: first_difference(lhs.coeffs, rhs.coeffs))
 
 
 def verify_identity(ctx, family, instance):
     """Check one instance of a minor identity family by normal-form equality
     of its two sides."""
-    return identity_certificate(family, instance,
+    return identity_certificate("qmatrix", family, instance,
                                 *identity_sides(ctx, family, instance))
 
 
@@ -946,3 +943,33 @@ def braidcomm_instances(N, kmax=None, lmax=None):
             ksets, lsets = subsets(N, k), subsets(N, l)
             for I, J, Ip, Jp in product(ksets, ksets, lsets, lsets):
                 yield {"I": I, "J": J, "Ip": Ip, "Jp": Jp}
+
+
+def rea_laplace_instances(N, kmax=None):
+    for k in range(1, (N if kmax is None else kmax) + 1):
+        for I, J in product(subsets(N, k), repeat=2):
+            for m in range(0, k + 1):
+                for K in subsets(k, m):
+                    yield {"I": I, "J": J, "K": K}
+
+
+# (algebra, family) -> (sub-families, instance generator, instance keys):
+# the one table of the identity families of O_q(M_N) ("qmatrix", two sides
+# by identity_sides) and of the REA ("rea", by rea.rea_sides).  The
+# certificate of an instance, the sweeps of checks and the CLI's
+# --instance parser read it.  A generator sweeps every size up to N; the
+# bounds of a sweep are on the family's row of checks.CHECKS.
+FAMILIES = {
+    ("qmatrix", "laplace"): (("laplace-row", "laplace-col"),
+                             laplace_instances, ("I", "J", "K", "Kp")),
+    ("qmatrix", "muir"): (("muir-row", "muir-col"), muir_instances,
+                          ("I", "J", "F", "G", "K", "Kp")),
+    ("qmatrix", "braidcomm"): (("braidcomm-1", "braidcomm-2"),
+                               braidcomm_instances, ("I", "J", "Ip", "Jp")),
+    ("rea", "gencomm"): (("gencomm",), braidcomm_instances,
+                         ("I", "J", "Ip", "Jp")),
+    ("rea", "laplace"): (("laplace1", "laplace2"), rea_laplace_instances,
+                         ("I", "J", "K")),
+    ("rea", "muir"): (("muir-left", "muir-right"), muir_instances,
+                      ("I", "J", "F", "G", "K", "Kp")),
+}

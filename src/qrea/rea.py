@@ -26,7 +26,9 @@ as the twisted products star_minor(X, Z, W, d) weighted by the wedge-table
 contraction `QContext.wedge_contraction(a, c, b)`; laplace2 places the
 contraction of (b, d, a) transposed, as star_minor(c, W, Z, X).  The
 general commutation family reads `QContext.gencomm_coefficients`, as the
-shape q-commutation certificates do.
+shape q-commutation certificates do.  Their sweeps and instance keys are
+rows of `qmatrix.FAMILIES`, and `qmatrix.identity_certificate` certifies
+an instance.
 
 A second realisation derives quadratic straightening rules directly from the
 reflection equation and cross-checks them against the twisted product.
@@ -34,8 +36,8 @@ reflection equation and cross-checks them against the twisted product.
 Every linear combination of twisted products (the bilinear `star`, the
 minor-level sum, the reflection slots, the rule cross-check and the
 commutators) is a term list summed by `qmatrix.sum_terms`.  The structural
-checks return None on a pass, or their first failing instance with both
-normal forms.
+checks return None on a pass, or their first failing instance with the
+first term at which its two normal forms differ.
 """
 
 from __future__ import annotations
@@ -46,13 +48,11 @@ from itertools import product
 
 from .braiding import rhat_entries
 from .coeff import LP_ONE, share_values
-from .indexsets import subsets
-from .linalg import add_term
+from .linalg import add_term, first_difference
 from .memo import Memo
-from .qmatrix import (BRAIDCOMM_KEYS, MUIR_KEYS, Certificate,
-                      IllFormedInstance, NCPoly, QContext, _inst_json,
-                      _nf_diff, _nf_json, braidcomm_labels,
-                      derive_rewrite_system, expansion_terms, gen_id,
+from .qmatrix import (Certificate, IllFormedInstance, NCPoly, QContext,
+                      _nf_json, braidcomm_labels, derive_rewrite_system,
+                      expansion_terms, gen_id, identity_certificate,
                       sum_terms, word_cols, word_from_rc, word_rows)
 
 
@@ -133,7 +133,7 @@ class StarAlgebra:
 
     def unit_check(self, polys):
         """1 * p and p * 1 against the normal form of p: the first failing
-        p, its side and both normal forms, or None."""
+        p, its side and the first term at which the two differ, or None."""
         one = NCPoly.unit(self.N)
         for p in polys:
             nf = self.ctx.rw.normal_form(p)
@@ -141,23 +141,24 @@ class StarAlgebra:
                 got = self.star(f, g)
                 if got != nf:
                     return {"poly": _nf_json(p), "side": side,
-                            **_nf_diff(got, nf)}
+                            **first_difference(got.coeffs, nf.coeffs)}
         return None
 
     def associativity_check(self, triples):
         """(f * g) * h against f * (g * h): the first failing triple and
-        both normal forms, or None."""
+        the first term at which the two differ, or None."""
         for f, g, h in triples:
             left = self.star(self.star(f, g), h)
             right = self.star(f, self.star(g, h))
             if left != right:
                 return {"triple": [_nf_json(p) for p in (f, g, h)],
-                        **_nf_diff(left, right)}
+                        **first_difference(left.coeffs, right.coeffs)}
         return None
 
     def reverse_braid_check(self, pairs):
         """Recover the plain product from the twisted one on generator pairs:
-        the first failing pair and both normal forms, or None."""
+        the first failing pair and the first term at which the two differ,
+        or None."""
         N = self.N
         bich = self.ctx.bich
         for (i, j), (k, l) in pairs:
@@ -178,7 +179,8 @@ class StarAlgebra:
                                                     (gen_id(d, l, N),))))
             got = sum_terms(N, terms, self.star_word)
             if got != expected:
-                return {"pair": [[i, j], [k, l]], **_nf_diff(got, expected)}
+                return {"pair": [[i, j], [k, l]],
+                        **first_difference(got.coeffs, expected.coeffs)}
         return None
 
 
@@ -264,7 +266,6 @@ def derive_rea_rewrite(star):
 # Identity families in the reflection algebra
 # ---------------------------------------------------------------------------
 
-REA_LAPLACE_KEYS = ("I", "J", "K")
 # rea_verify's Laplace and Muir families, each with the qmatrix family whose
 # terms it expands in the twisted product
 _EXPANSIONS = {"laplace1": "laplace-row", "laplace2": "laplace-col",
@@ -321,32 +322,11 @@ def rea_sides(star):
     return sides
 
 
-def rea_certificate(family, instance, lhs, rhs):
-    """The certificate of one reflection-algebra identity instance from its
-    two sides: a pass when they are equal, else a fail with both normal
-    forms."""
-    keys = (BRAIDCOMM_KEYS if family == "gencomm"
-            else REA_LAPLACE_KEYS if family.startswith("laplace")
-            else MUIR_KEYS)
-    return Certificate.verdict(f"rea {family}", _inst_json(instance, keys),
-                               lhs == rhs, lambda: _nf_diff(lhs, rhs))
-
-
 def rea_verify(star, family, instance):
     """Verify one reflection-algebra identity instance in the twisted model
     by normal-form equality of its two sides."""
-    return rea_certificate(family, instance,
-                           *rea_sides(star)(family, instance))
-
-
-# -- sweep generators --------------------------------------------------------------
-
-def rea_laplace_instances(N, kmax=None):
-    for k in range(1, (N if kmax is None else kmax) + 1):
-        for I, J in product(subsets(N, k), repeat=2):
-            for m in range(0, k + 1):
-                for K in subsets(k, m):
-                    yield {"I": I, "J": J, "K": K}
+    return identity_certificate("rea", family, instance,
+                                *rea_sides(star)(family, instance))
 
 
 # ---------------------------------------------------------------------------

@@ -190,13 +190,11 @@ def enumerate_shapes(N):
 class ShapeIdeal:
     """Generator-label pattern of the two-sided *-ideal attached to a shape.
 
-    flavor is "dom" or "lex"; generators lists (rows, cols) labels, closed
-    under the formal adjoint.
+    generators lists (rows, cols) labels, closed under the formal adjoint.
     """
 
-    def __init__(self, shape, flavor, generators=()):
+    def __init__(self, shape, generators=()):
         self.shape = shape
-        self.flavor = flavor
         self.generators = list(generators)
         self._genset = set(self.generators)
 
@@ -223,8 +221,7 @@ def build_shape_ideal(shape, flavor="dom"):
     closed = set(gens)
     for (I, J) in gens:
         closed.add((J, I))
-    return ShapeIdeal(shape=shape, flavor=flavor,
-                      generators=sorted(closed))
+    return ShapeIdeal(shape=shape, generators=sorted(closed))
 
 
 # ---------------------------------------------------------------------------

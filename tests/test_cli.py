@@ -1,6 +1,8 @@
 import ast
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import math
 import os
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from qrea import checks, classical, cli
+from qrea import checks, classical, cli, qmatrix
 from qrea.cli import OUTPUT_ERROR, main
 
 
@@ -408,7 +410,7 @@ def test_removed_flags_are_rejected(argv):
 # `check-all --seed 0` stdout sha256 by N; no reach is above 4, so N=5
 # prints N=4's stream
 _DIGESTS = {
-    "1": "ced82ffa82210727fbc98a4973dfb579906e329df25135f5717700224d1abac1",
+    "1": "44a9e4d7f4f30c517d7ae92254d89ee003538d7ec372f6fc0252af54b2d4d21f",
     "2": "391dcdf59b29c1c5362db55e8ce411551deaa1afb3fcef0f2f0657658a49a631",
     "3": "88bae471497bd0ad863a33cb38849e054f8e3c56e5a99a6ae095bf9079930ce1",
     "4": "6b9af628b7b3511e2a45c4407c4996ecade712e540c1dff8b05a7eb81bffee59",
@@ -472,12 +474,12 @@ def test_no_reach_falls_below_its_floor():
     assert not low, f"(reach, floor) below the floor: {low}"
 
 
-@pytest.mark.parametrize("algebra, family", list(checks.FAMILIES))
+@pytest.mark.parametrize("algebra, family", list(qmatrix.FAMILIES))
 def test_cli_sweep_is_the_check_all_rows_sweep(monkeypatch, algebra, family):
     """At N = 2, 3, 4, `verify` and `rea verify` without --instance sweep
     the instances that the family's check-all row sweeps at reach N.  The
     row holds the bounds: the generator's own default is every size."""
-    subs, sweep, keys = checks.FAMILIES[algebra, family]
+    subs, sweep, keys = qmatrix.FAMILIES[algebra, family]
     params = inspect.signature(sweep).parameters.values()
     assert all(p.default in (p.empty, None) for p in params)
     swept = []
@@ -487,11 +489,13 @@ def test_cli_sweep_is_the_check_all_rows_sweep(monkeypatch, algebra, family):
             swept.append(inst)
             yield inst
 
-    monkeypatch.setitem(checks.FAMILIES, (algebra, family),
+    monkeypatch.setitem(qmatrix.FAMILIES, (algebra, family),
                         (subs, recorded, keys))
     # no context is built: both sides of an instance are the instance
-    monkeypatch.setattr(checks, "_family_algebra", lambda algebra, N: (
-        lambda sub, inst: (inst, inst), lambda sub, inst, lhs, rhs: inst))
+    monkeypatch.setattr(checks, "_family_sides", lambda algebra, N: (
+        lambda sub, inst: (inst, inst)))
+    monkeypatch.setattr(qmatrix, "identity_certificate",
+                        lambda algebra, sub, inst, lhs, rhs: inst)
     row = dict(checks.CHECKS)[f"{algebra}.{family}"]
     suite = checks._family_suite(algebra, family)
     for N in (2, 3, 4):
@@ -627,21 +631,45 @@ def test_check_all_n4_exits_0_on_the_seeds_that_crashed(capsys, monkeypatch):
         assert json.loads(out)["status"] == "pass"
 
 
-def test_check_all_takes_no_square_root(capsys, monkeypatch):
-    # the whole `check-all --seed 0` stream at N = 1 to 5, byte for byte,
-    # with math.sqrt raising; and no source file names a float root
+@pytest.fixture(scope="module")
+def check_all_streams():
+    """{N: (exit code, stdout)} of `check-all --seed 0` at each N of
+    _DIGESTS, run with math.sqrt raising."""
     def no_sqrt(x):
         raise AssertionError(f"math.sqrt({x!r})")
 
-    monkeypatch.setattr(math, "sqrt", no_sqrt)
+    streams = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(math, "sqrt", no_sqrt)
+        for n in _DIGESTS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["--seed", "0", "check-all", "--N", n])
+            streams[n] = code, out.getvalue()
+    return streams
+
+
+def test_check_all_takes_no_square_root(check_all_streams):
+    # the whole `check-all --seed 0` stream at N = 1 to 5, byte for byte,
+    # with math.sqrt raising; and no source file names a float root
     for n, digest in _DIGESTS.items():
-        code, out, _ = run_cli(capsys, ["--seed", "0", "check-all", "--N", n])
+        code, out = check_all_streams[n]
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, n
     for path in sorted(Path(checks.__file__).parent.glob("*.py")):
         text = path.read_text()
         for name in ("math.sqrt", "cmath", "complex(", "** 0.5", "**0.5"):
             assert name not in text, (path.name, name)
+
+
+def test_every_suite_certifies_at_every_size(check_all_streams):
+    """At N = 1 to 4, every suite of check-all emits a certificate: a
+    suite that certifies nothing at some N is no pass there."""
+    for n in ("1", "2", "3", "4"):
+        _code, out = check_all_streams[n]
+        suites = {json.loads(line)["suite"] for line in out.splitlines()}
+        assert [name for name, _ in checks.CHECKS if name not in suites] \
+            == [], n
 
 
 # Run in a fresh interpreter: imports qrea's entry points, runs every suite

@@ -259,7 +259,8 @@ def dense_first_mismatch(b, s, t, which):
             expected = LP_ONE if (i, o) == (j, p) else LP_ZERO
             if total != expected:
                 k, l = (o, p) if which == "rinv" else (p, o)
-                return i, j, k, l, total, expected
+                return {"i": i, "j": j, "k": k, "l": l,
+                        "got": total.to_json(), "expected": expected.to_json()}
     return None
 
 

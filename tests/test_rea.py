@@ -1,5 +1,6 @@
 import inspect
 import random
+from functools import partial
 from itertools import combinations, product
 
 import pytest
@@ -7,14 +8,14 @@ import pytest
 from qrea import braiding, checks, qmatrix, rea
 from qrea.classical import poisson_bracket_coeffs
 from qrea.coeff import LP_ONE, LP_Q, LaurentPoly
-from qrea.linalg import add_term
+from qrea.linalg import add_term, first_difference
 from qrea.memo import Memo
-from qrea.qmatrix import (NCPoly, QContext, _nf_diff, _nf_json,
-                          braidcomm_instances, degree_dimension, gen_id,
-                          muir_instances, sum_terms, verify_identity,
+from qrea.qmatrix import (NCPoly, QContext, _nf_json, braidcomm_instances,
+                          degree_dimension, gen_id, muir_instances,
+                          rea_laplace_instances, sum_terms, verify_identity,
                           word_cols, word_from_rc, word_rows)
 from qrea.rea import (FlatnessCheckFailed, StarAlgebra, derive_rea_rewrite,
-                      random_monomials, rea_laplace_instances, rea_verify,
+                      random_monomials, rea_verify,
                       reflection_equation_check, reflection_slot_vectors,
                       semiclassical_bracket_check,
                       star_commutator_first_order)
@@ -167,11 +168,15 @@ def _fresh_star():
 
 def _suite_names_first_failure(monkeypatch, star, algebra, family):
     """Run the check-all suite of (algebra, family) at N = 2 on `star` and
-    assert that it fails with the first failing instance as its witness."""
-    subs, sweep, _keys = checks.FAMILIES[algebra, family]
-    verify = verify_identity if algebra == "qmatrix" else rea_verify
-    target = star.ctx if algebra == "qmatrix" else star
-    failed = [cert for inst in sweep(2) for sub in subs
+    assert that it fails with the first failing instance as its witness:
+    that instance, and the first term at which its two sides differ."""
+    subs, sweep, _keys = qmatrix.FAMILIES[algebra, family]
+    if algebra == "qmatrix":
+        verify, target = verify_identity, star.ctx
+        sides = partial(qmatrix.identity_sides, star.ctx)
+    else:
+        verify, target, sides = rea_verify, star, rea.rea_sides(star)
+    failed = [(sub, inst, cert) for inst in sweep(2) for sub in subs
               for cert in [verify(target, sub, inst)] if cert.status != "pass"]
     assert failed
     monkeypatch.setitem(checks._CTX_CACHE, 2, star.ctx)
@@ -179,8 +184,12 @@ def _suite_names_first_failure(monkeypatch, star, algebra, family):
     [cert] = dict(checks.CHECKS)[f"{algebra}.{family}"](2, 0)
     assert cert.status == "fail"
     assert cert.witness["failures"] == len(failed)
-    assert cert.witness["first"]["instance"] == failed[0].instance
-    assert cert.witness["first"]["command"] == failed[0].command
+    sub, inst, first = failed[0]
+    lhs, rhs = sides(sub, inst)
+    assert lhs != rhs
+    assert cert.witness["first"] == {
+        "command": first.command, "instance": first.instance,
+        "status": "fail", "witness": first_difference(lhs.coeffs, rhs.coeffs)}
 
 
 @pytest.mark.parametrize("family", ["laplace1", "laplace2", "muir-left",
@@ -188,7 +197,7 @@ def _suite_names_first_failure(monkeypatch, star, algebra, family):
 def test_dropped_contraction_term_fails_the_family(monkeypatch, family):
     star = _fresh_star()
     suite = "laplace" if family.startswith("laplace") else "muir"
-    sweep = checks.FAMILIES["rea", suite][1]
+    sweep = qmatrix.FAMILIES["rea", suite][1]
     assert all(rea_verify(star, family, inst).status == "pass"
                for inst in sweep(2))
     terms = next(t for t in star.ctx._contractions.values() if t)
@@ -240,7 +249,7 @@ def test_dropped_expansion_term_fails_every_subfamily(monkeypatch, algebra,
     monkeypatch.setattr(qmatrix, "expansion_terms", dropped)
     monkeypatch.setattr(rea, "expansion_terms", dropped)
     star = _fresh_star()
-    subs, sweep, _keys = checks.FAMILIES[algebra, family]
+    subs, sweep, _keys = qmatrix.FAMILIES[algebra, family]
     for sub in subs:
         if algebra == "qmatrix":
             certs = [verify_identity(star.ctx, sub, i) for i in sweep(2)]
@@ -282,7 +291,7 @@ def test_star_unit_witness_is_first_failing_poly(monkeypatch):
     p = random_monomials(2, 2, 10, 0)[0]
     nf = star.ctx.rw.normal_form(p)
     assert witness == {"poly": _nf_json(p), "side": "left",
-                       **_nf_diff(_times_q(nf), nf)}
+                       **first_difference(_times_q(nf).coeffs, nf.coeffs)}
 
 
 def test_star_associativity_witness_is_first_failing_triple(monkeypatch):
@@ -298,7 +307,7 @@ def test_star_associativity_witness_is_first_failing_triple(monkeypatch):
     left, right = star.star(star.star(f, g), h), star.star(f, star.star(g, h))
     assert left != right
     assert witness == {"triple": [_nf_json(p) for p in (f, g, h)],
-                       **_nf_diff(left, right)}
+                       **first_difference(left.coeffs, right.coeffs)}
 
 
 def test_reverse_braid_witness_is_first_failing_pair(monkeypatch):
@@ -310,7 +319,8 @@ def test_reverse_braid_witness_is_first_failing_pair(monkeypatch):
     expected = star.ctx.rw.normal_form(NCPoly.generator(2, i, j)
                                        * NCPoly.generator(2, k, l))
     assert witness == {"pair": [[i, j], [k, l]],
-                       **_nf_diff(_times_q(expected), expected)}
+                       **first_difference(_times_q(expected).coeffs,
+                                          expected.coeffs)}
 
 
 def test_rewrite_crosscheck_witness_is_the_flatness_message(monkeypatch):
@@ -419,7 +429,7 @@ def test_sums_leave_every_memo_as_a_fresh_context_computes_it():
     pairs = list(product(product((1, 2), repeat=2), repeat=2))
     assert star.reverse_braid_check(pairs) is None
     derive_rea_rewrite(star)
-    for (algebra, family), (subs, sweep, _keys) in checks.FAMILIES.items():
+    for (algebra, family), (subs, sweep, _keys) in qmatrix.FAMILIES.items():
         for inst in sweep(2):
             for sub in subs:
                 if algebra == "qmatrix":

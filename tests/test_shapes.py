@@ -198,7 +198,7 @@ def test_shape_ideals_witness_names_family_and_broken_condition(
         ideal = build(shape, fl)
         if shape == target and fl == flavor:
             gens = [g for g in ideal.generators if g != dropped]
-            ideal = ShapeIdeal(shape=shape, flavor=fl,
+            ideal = ShapeIdeal(shape=shape,
                                generators=gens + [added] * (added is not None))
         return ideal
     monkeypatch.setattr(shapes, "build_shape_ideal", broken)

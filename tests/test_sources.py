@@ -32,6 +32,27 @@ def test_every_helper_has_a_caller():
     assert not dead, dead
 
 
+def test_every_stored_attribute_is_read():
+    """Every attribute that an __init__ of src/qrea stores on self is read
+    somewhere in the package, or named in the benchmark's tracer: a field
+    that nothing reads is dead."""
+    stored, read = {}, set()
+    for path in sorted(_SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.FunctionDef)
+                  and node.name == "__init__"):
+                for line, attr in _assigned_attributes(node):
+                    stored.setdefault(attr, f"{path.name}:{line}")
+    traced = set(re.findall(r"\w+", _TRACER.read_text()))
+    unread = {attr: where for attr, where in stored.items()
+              if attr not in read and attr not in traced}
+    assert not unread, unread
+
+
 def _assigned_attributes(tree):
     """(line, attribute) of every attribute that the module assigns,
     augments, annotates or deletes, or sets by name through setattr or
