@@ -376,7 +376,8 @@ def rmatrix_lemma_check(I, Ip):
     For subsets I, Ip of [N], builds the antisymmetrised pair vector xi,
     applies the inverse wedge braiding, and compares exactly with
     q^{|I n Ip|} (-q)^{l(l+1)/2 - l'(l'+1)/2 - l l'} xi'.
-    Returns a report dict with a boolean "ok".
+    Returns a report dict with a boolean "ok" and, when it is false, the
+    two sides' first difference (linalg.first_difference) as "mismatch".
     """
     I = tuple(sorted(I))
     Ip = tuple(sorted(Ip))
@@ -394,6 +395,4 @@ def rmatrix_lemma_check(I, Ip):
     ok = got == expected
     return {"I": list(I), "Ip": list(Ip), "ok": ok,
             "scalar": scalar.to_json(),
-            "mismatch": None if ok else {
-                "got": {str(k): v.to_json() for k, v in got.items()},
-                "expected": {str(k): v.to_json() for k, v in expected.items()}}}
+            "mismatch": None if ok else first_difference(got, expected)}

@@ -370,14 +370,20 @@ def check_pbw_dimensions(n, seed):
         dmax = 3 if m <= 3 else 2
         for d in range(2, dmax + 1):
             if m == 3 and d == 3:
-                # rank oracle is quartic in the word count; covered by the
-                # confluence certificate at this size
+                # cheap (C(11, 3)), but left out to keep the pinned N=3
+                # digests of tier-1 and perfbench's check-n3 reference
                 continue
-            dim = qmatrix.degree_dimension(m, ctx.rw, d)
+            instance = {"N": m, "degree": d}
+            try:
+                dim = qmatrix.degree_dimension(m, ctx.rw, d)
+            except coeff.NotAUnit as exc:     # a span with a non-unit pivot
+                out.append(Certificate(
+                    "qmatrix pbw-dimension", instance, "inconclusive",
+                    witness={"not a unit": exc.args[0].to_json()}))
+                continue
             expected = comb(m * m + d - 1, d)
             out.append(Certificate.verdict(
-                "qmatrix pbw-dimension", {"N": m, "degree": d},
-                dim == expected,
+                "qmatrix pbw-dimension", instance, dim == expected,
                 witness=lambda dim=dim, expected=expected: {
                     "dimension": dim, "expected": expected}))
         failure = ctx.rw.critical_pair_failure()
@@ -400,8 +406,8 @@ def check_counit_coassoc(n, seed):
             if qmatrix.counit_word(w1, n):
                 add_term(left, w2, c)
         if left != p.coeffs:
-            failure = {"sample": i, "word": w,
-                       **first_difference(left, p.coeffs)}
+            failure = {"sample": i, "word": qmatrix.word_str(w, n),
+                       **qmatrix.word_difference(left, p.coeffs, n)}
             break
     return [Certificate.verdict("qmatrix counit-axiom", {"N": n, "words": 50},
                                 failure is None, witness=lambda: failure,
@@ -438,8 +444,10 @@ def check_minor_coproduct(n, seed):
                         for m2, c2 in right.items():
                             add_term(expected, (m1, m2), c1 * c2)
                 if got != expected and failure is None:
-                    failure = {"rows": rows, "cols": cols,
-                               **first_difference(got, expected)}
+                    miss = first_difference(got, expected)
+                    failure = {"rows": rows, "cols": cols, **miss,
+                               "entry": [qmatrix.word_str(w, n)
+                                         for w in miss["entry"]]}
     return [Certificate.verdict("qmatrix minor-coproduct", {"N": n},
                                 failure is None, witness=lambda: failure)]
 

@@ -67,9 +67,10 @@ class NotAUnit(ZeroDivisionError):
     """Inverse of a Laurent polynomial other than a unit +-q^k.
 
     Raised with the value itself, and the message is formatted only when
-    it is read: the sparse row reduction and the ``units`` ring law catch
-    this error as a test and read no message.  A plain string argument is
-    the message as it stands.
+    it is read: the ``units`` ring law catches this error as a test and
+    reads no message.  linalg.sparse_row_reduce raises it at a leading
+    coefficient that is not a unit.  A plain string argument is the
+    message as it stands.
     """
 
     def __str__(self):

@@ -13,14 +13,13 @@ ranks of the classical tangency check, read its pivots, and invert_matrix
 is the adjugate over determinant.  It needs only + - *, inv() and
 is_zero() of the scalar, so RatFunc and GaussRat go through it.
 sparse_row_reduce is the sparse elimination of the quantum side, over
-LaurentPoly, whose inv() exists only for the units +-q^k (coeff.NotAUnit
-otherwise): it divides a pivot by a unit leading coefficient and keeps any
-other pivot as it is, reducing against it fraction-free.
+LaurentPoly: it leads each vector at its greatest key and divides each
+pivot by its leading coefficient, so it runs only on spans whose leads are
+the units +-q^k (LaurentPoly.inv raises coeff.NotAUnit on any other), as
+the relation spans of the quantum matrices and the reflection algebra are.
 """
 
 from __future__ import annotations
-
-from .coeff import NotAUnit
 
 
 def add_term(out, key, c):
@@ -119,48 +118,28 @@ def invert_matrix(rows):
             for i, row in enumerate(adj)]
 
 
-def sparse_row_reduce(vectors, greater):
-    """Reduce sparse vectors (dict key -> scalar) to echelon pivots.
+def sparse_row_reduce(vectors):
+    """Reduce sparse vectors (dict key -> LaurentPoly) to echelon pivots
+    with unit leads.
 
-    greater(a, b) is a strict total order on keys; each returned pivot maps
-    its leading key (the greatest in its vector) to its vector, divided by
-    the leading coefficient where that has an inverse.  A pivot whose
-    leading coefficient a has none (NotAUnit) is kept with a, and a vector
-    v with leading coefficient f at its key becomes a v - f pivot, so the
-    number of pivots is still the rank over the field of fractions.  Empty
-    vectors are accepted and contribute no pivot.
+    The lead of a vector is its greatest key, in the keys' own order.  Each
+    vector is reduced against the pivots at its successive leads; a
+    remainder becomes the pivot at its lead, divided by its leading
+    coefficient, so every pivot leads with one and the number of pivots is
+    the rank.  A leading coefficient that is not a unit +-q^k raises
+    coeff.NotAUnit.  Empty vectors are accepted and contribute no pivot.
     """
     pivots = {}
-    unnormalised = set()
-
-    def leading(v):
-        lead = None
-        for k in v:
-            if lead is None or greater(k, lead):
-                lead = k
-        return lead
-
     for vec in vectors:
         v = dict(vec)
         while v:
-            lead = leading(v)
+            lead = max(v)
             piv = pivots.get(lead)
             if piv is None:
+                inv_l = v[lead].inv()
+                pivots[lead] = {k: c * inv_l for k, c in v.items()}
                 break
             f = v[lead]
-            if lead in unnormalised:
-                a = piv[lead]
-                v = {k: a * c for k, c in v.items()}
             for k, c in piv.items():
                 add_term(v, k, -(f * c))
-        if v:
-            lead = leading(v)
-            try:
-                inv_l = v[lead].inv()
-            except NotAUnit:
-                pivots[lead] = v
-                unnormalised.add(lead)
-            else:
-                pivots[lead] = {k: c * inv_l for k, c in v.items()}
     return pivots
-

@@ -40,7 +40,7 @@ commutativity) is verified by exact normal-form equality of its two sides,
 both algebras, here and in the reflection algebra: their sub-families,
 sweeps and instance keys.  `identity_certificate` certifies an instance of
 either algebra, and a failing one names the first term at which its two
-sides differ (`linalg.first_difference`).  The sweeps over wedge-table
+sides differ (`word_difference`).  The sweeps over wedge-table
 labels visit only nonzero entries, through the table's slices; the label
 arithmetic of a Laplace or Muir instance is a position pattern, built once
 per sizes and positions and read at I and J on every call.  Normal forms
@@ -66,9 +66,9 @@ from .memo import Memo
 
 
 class NonOrientable(Exception):
-    """A derived relation has a sorted leading word, or a leading
-    coefficient that is not a unit +-q^k; the order convention cannot orient
-    it into a terminating rule over Z[q, q^-1]."""
+    """A derived relation has a sorted leading word, or the relations have
+    the wrong rank: the order convention cannot orient them into the
+    algebra's rules (a lead that is no unit raises coeff.NotAUnit)."""
 
 
 class IllFormedInstance(ValueError):
@@ -98,6 +98,13 @@ def word_from_rc(rows, cols, N):
 
 def word_str(word, N):
     return "*".join(f"X{g // N + 1}{g % N + 1}" for g in word) if word else "1"
+
+
+def word_difference(got, expected, N):
+    """linalg.first_difference of two unequal word-keyed dicts, its word
+    written by word_str: the witness of a failed normal-form identity."""
+    miss = first_difference(got, expected)
+    return {**miss, "entry": word_str(miss["entry"], N)}
 
 
 class NCPoly:
@@ -171,10 +178,6 @@ def exchange_relations(N):
                             add_term(v, (gen_id(k, x, N), gen_id(l, y, N)), -c)
                     vectors.append(v)
     return vectors
-
-
-def _word_greater(a, b):
-    return (len(a), a) > (len(b), b)
 
 
 class RewriteSystem:
@@ -295,19 +298,18 @@ class RewriteSystem:
                             add_term(right, m, c * c2)
                     if left != right:
                         return {"overlap": (g1, g2, g3),
-                                **first_difference(left, right)}
+                                **word_difference(left, right, self.N)}
         return None
 
 
 def derive_rewrite_system(N, relation_vectors):
-    """Row-reduce relation vectors and orient each pivot at its lead word."""
-    pivots = sparse_row_reduce(relation_vectors, _word_greater)
+    """Row-reduce relation vectors and orient each pivot, which leads with
+    one, at its lead word."""
+    pivots = sparse_row_reduce(relation_vectors)
     rules = {}
     for lead, vec in pivots.items():
         if len(lead) != 2 or lead[0] <= lead[1]:
             raise NonOrientable(f"sorted leading word {lead}")
-        if not vec[lead].is_one():
-            raise NonOrientable(f"leading coefficient {vec[lead]!r} at {lead}")
         rhs = {w: -c for w, c in vec.items() if w != lead}
         rules[lead] = rhs
     return RewriteSystem(N, rules)
@@ -327,7 +329,8 @@ def degree_dimension(N, rw, d):
     """Dimension of the degree-d component, by rank of the relation span.
 
     Independent of the rewriting engine: spans u * rel * v over all
-    positions and takes a sparse rank.
+    positions and takes a sparse rank, which raises coeff.NotAUnit if the
+    span needs a pivot that is no unit.
     """
     gens = range(N * N)
     vectors = []
@@ -339,7 +342,7 @@ def degree_dimension(N, rw, d):
             for u in product(gens, repeat=pre_len):
                 for v in product(gens, repeat=d - 2 - pre_len):
                     vectors.append({u + w + v: c for w, c in rel.items()})
-    rank = len(sparse_row_reduce(vectors, _word_greater))
+    rank = len(sparse_row_reduce(vectors))
     return len(gens) ** d - rank
 
 
@@ -884,7 +887,7 @@ def identity_certificate(algebra, family, instance, lhs, rhs):
     command = f"{'verify' if algebra == 'qmatrix' else 'rea'} {family}"
     return Certificate.verdict(
         command, _inst_json(instance, keys), lhs == rhs,
-        lambda: first_difference(lhs.coeffs, rhs.coeffs))
+        lambda: word_difference(lhs.coeffs, rhs.coeffs, lhs.N))
 
 
 def verify_identity(ctx, family, instance):

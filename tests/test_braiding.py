@@ -271,7 +271,27 @@ def test_antisym_swap_witness_is_first_failing_pair(broken_move):
         cases, lambda c: rmatrix_lemma_check(c[0][:c[1]], c[0][c[1]:])["ok"])
     assert first == ((1, 2), 1)
     assert w["mismatch"] == rmatrix_lemma_check((1,), (2,))["mismatch"]
+    assert set(w["mismatch"]) == {"entry", "got", "expected"}
     assert w["mismatch"]["got"] != w["mismatch"]["expected"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_antisym_swap_pairs_are_scalar_lemma_pairs(monkeypatch, n):
+    """Every (T[:l], T[l:]) pair that antisym-swap checks at N = n is among
+    the (I, I') pairs that scalar-lemma checks there."""
+    calls = []
+    lemma = braiding.rmatrix_lemma_check
+
+    def recorded(I, Ip):
+        calls.append((tuple(I), tuple(Ip)))
+        return lemma(I, Ip)
+
+    monkeypatch.setattr(braiding, "rmatrix_lemma_check", recorded)
+    assert [c.status for c in checks.check_antisym_swap(n, 0)] == ["pass"]
+    swap, calls[:] = set(calls), []
+    assert [c.status for c in checks.check_scalar_lemma(n, 0)] == ["pass"]
+    assert swap and swap <= set(calls)
+    assert len(calls) == 4 ** n
 
 
 def test_scalar_lemma_witness_lists_the_first_failing_pairs(broken_move):

@@ -1,11 +1,13 @@
-"""The sparse-accumulate helper, the polynomial sum built on it and the
-dense elimination, and guards that each stays the only one."""
+"""The sparse-accumulate helper, the polynomial sum built on it, the dense
+elimination and the unit-pivot sparse elimination, and guards that each
+stays the only one."""
 
 import ast
 import re
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
+from math import comb
 from operator import add, mul
 from pathlib import Path
 
@@ -15,14 +17,20 @@ from hypothesis import given, settings, strategies as st
 
 import qrea
 from qrea import coeff
-from qrea.coeff import LP_ONE, GaussRat, LaurentPoly, NotAUnit, RatFunc
+from qrea.coeff import LP_ONE, LP_Q, GaussRat, LaurentPoly, NotAUnit, RatFunc
 from qrea.linalg import (add_term, determinant, echelon, invert_matrix,
                          sparse_row_reduce)
-from qrea.qmatrix import NCPoly, sum_terms
+from qrea.qmatrix import (NCPoly, degree_dimension, derive_rewrite_rules,
+                          derive_rewrite_system, exchange_relations,
+                          sum_terms)
+from qrea.rea import reflection_slot_vectors
 
 # Few keys and small coefficients, so that terms collide and cancel often.
 _laurent = st.dictionaries(st.integers(-2, 2), st.integers(-2, 2),
                            max_size=2).map(LaurentPoly)
+# The units +-q^k, drawn often so that some spans reduce with unit leads.
+_units = st.builds(lambda s, k: LaurentPoly({k: s}), st.sampled_from([1, -1]),
+                   st.integers(-2, 2))
 _den = st.sampled_from([{0: 1}, {0: 1, 1: -1}, {0: 1, 2: 1}]).map(LaurentPoly)
 _ratfunc = st.builds(RatFunc, _laurent, _den)
 _pairs = st.tuples(st.integers(0, 2), st.integers(0, 2))
@@ -243,26 +251,49 @@ def test_echelon_pivots_are_the_lex_first_independent_columns(m):
     assert 0 <= swaps < len(m)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.dictionaries(st.integers(0, 3), _laurent, max_size=4),
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 3), _units | _laurent,
+                                max_size=4),
                 max_size=5))
-def test_sparse_row_reduce_rank_over_laurent(vectors):
-    """Over LaurentPoly, pivots led by a unit are normalised and the others
-    kept: the pivot count is the rank over the fraction field (echelon
-    over RatFunc), and every pivot leads its vector."""
+def test_sparse_row_reduce_unit_pivots_or_not_a_unit(vectors):
+    """Over LaurentPoly, either every pivot leads its vector with one and
+    the pivot count is the rank over the fraction field (echelon over
+    RatFunc), or the reduction meets a lead that is no unit and raises."""
     vectors = [{k: c for k, c in v.items() if not c.is_zero()}
                for v in vectors]
-    pivots = sparse_row_reduce(vectors, lambda a, b: a > b)
+    try:
+        pivots = sparse_row_reduce(vectors)
+    except NotAUnit:
+        return
     dense = [[RatFunc(v.get(k, LaurentPoly())) for k in range(4)]
              for v in vectors]
     assert len(pivots) == len(echelon(dense)[1])
     for lead, vec in pivots.items():
         assert max(vec) == lead and not any(c.is_zero() for c in vec.values())
-        try:
-            vec[lead].inv()
-        except NotAUnit:
-            continue
         assert vec[lead].is_one()
+
+
+def test_sparse_row_reduce_census_of_the_program_spans():
+    """Every span the program reduces has unit leads: the exchange
+    relations at N = 1..5 and the reflection equation at N = 1..4 give
+    N^2 (N^2 - 1) / 2 rules, and the degree-d spans the PBW dimensions."""
+    for N in range(1, 6):
+        rules = derive_rewrite_system(N, exchange_relations(N)).rules
+        assert len(rules) == N * N * (N * N - 1) // 2, N
+        if N <= 4:
+            slots = list(reflection_slot_vectors(N).values())
+            assert len(derive_rewrite_system(N, slots).rules) == len(rules)
+    for N, d in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)):
+        rw = derive_rewrite_rules(N)
+        assert degree_dimension(N, rw, d) == comb(N * N + d - 1, d), (N, d)
+
+
+def test_sparse_row_reduce_raises_at_a_lead_that_is_no_unit():
+    # the second vector minus the first leaves (1 + q) at key 0
+    vectors = [{1: LP_ONE, 0: -LP_Q}, {1: LP_ONE, 0: LP_ONE}]
+    with pytest.raises(NotAUnit) as exc:
+        sparse_row_reduce(vectors)
+    assert exc.value.args[0] == LP_ONE + LP_Q
 
 
 # The row operation of a dense elimination: an entry updated in place,

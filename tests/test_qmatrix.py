@@ -1,4 +1,6 @@
+import json
 import random
+import re
 from itertools import combinations, product
 from math import comb
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrea import checks, qmatrix
+from qrea.cli import main
 from qrea.coeff import LP_ONE, LP_Q, LP_QINV, LP_ZERO, LaurentPoly, lp_q_int
 from qrea.indexsets import merge, rest, select, subsets
 from qrea.linalg import add_term
@@ -16,7 +19,7 @@ from qrea.qmatrix import (Bicharacter, IllFormedInstance, NCPoly,
                           derive_rewrite_rules, derive_rewrite_system,
                           exchange_relations, gen_id, laplace_instances,
                           muir_instances, quantum_minor, sum_terms,
-                          verify_identity, word_from_rc)
+                          verify_identity, word_from_rc, word_str)
 
 
 def counit(p):
@@ -589,8 +592,10 @@ def test_counit_axiom_witness_is_first_failing_word(scaled_coproduct):
     draws = [tuple(rng.randrange(9) for _ in range(rng.randint(1, 3)))
              for _ in range(50)]
     first = next(i for i, w in enumerate(draws) if len(w) > 1)
-    assert cert.witness == {"sample": first, "word": draws[first],
-                            "entry": draws[first], "got": LP_Q.to_json(),
+    word = word_str(draws[first], 3)
+    assert re.fullmatch(r"X[1-3]{2}(\*X[1-3]{2})+", word)
+    assert cert.witness == {"sample": first, "word": word, "entry": word,
+                            "got": LP_Q.to_json(),
                             "expected": LP_ONE.to_json()}
 
 
@@ -605,9 +610,35 @@ def test_minor_coproduct_witness_is_first_failing_minor(monkeypatch,
     rw = checks.get_ctx(2).rw
     got = checks._nf_pair_accumulate(
         rw, scaled_coproduct(quantum_minor(2, (1, 2), (1, 2))), {})
-    assert w["entry"] == min(got)
-    assert w["got"] == got[w["entry"]].to_json() != w["expected"]
-    assert w["expected"] == (got[w["entry"]] * LP_QINV).to_json()
+    first = min(got)
+    assert w["entry"] == [word_str(first[0], 2), word_str(first[1], 2)]
+    assert w["got"] == got[first].to_json() != w["expected"]
+    assert w["expected"] == (got[first] * LP_QINV).to_json()
+
+
+def test_laplace_row_witness_writes_its_word(monkeypatch, capsys):
+    """With the last right term of every expansion dropped, `verify
+    laplace` fails at N=2 on the instance I = J = (1,), and the laplace-row
+    witness writes the first word at which its sides differ as an X-word."""
+    original = qmatrix.expansion_terms
+
+    def dropped(family, instance):
+        left, right = original(family, instance)
+        return left, right[:-1]
+
+    monkeypatch.setattr(qmatrix, "expansion_terms", dropped)
+    monkeypatch.setitem(checks._CTX_CACHE, 2, QContext(2))
+    inst = {"I": [1], "J": [1], "K": [], "K'": []}
+    assert main(["verify", "laplace", "--N", "2",
+                 "--instance", json.dumps(inst)]) == 1
+    records = [json.loads(line)
+               for line in capsys.readouterr().out.splitlines()]
+    row = next(r for r in records if r["command"] == "verify laplace-row")
+    # X11 on the left, nothing left on the right
+    assert row == {"command": "verify laplace-row", "instance": inst,
+                   "status": "fail",
+                   "witness": {"entry": "X11", "got": LP_ONE.to_json(),
+                               "expected": LP_ZERO.to_json()}}
 
 
 def test_confluence_and_pbw_witnesses_on_a_perturbed_rule(monkeypatch):
@@ -624,11 +655,12 @@ def test_confluence_and_pbw_witnesses_on_a_perturbed_rule(monkeypatch):
     g1, g2, g3 = w["overlap"]
     assert g1 > g2 > g3 and lead in ((g1, g2), (g2, g3))
     assert w["got"] != w["expected"]
-    # the scaled rule leads with q, no unit: the rank is still taken over
-    # the fraction field, and one degree-3 relation is lost
-    assert [c.status for c in certs[:2]] == ["pass", "fail"]
+    # reducing the degree-3 span of the scaled rule meets a leading
+    # coefficient that is no unit: the dimension is not certified
+    assert [c.status for c in certs[:2]] == ["pass", "inconclusive"]
     assert certs[0].witness is None
-    assert certs[1].witness == {"dimension": 19, "expected": comb(6, 3)}
+    not_a_unit = LaurentPoly({1: -1, 0: 1, -1: 1, -2: -1})
+    assert certs[1].witness == {"not a unit": not_a_unit.to_json()}
 
 
 def test_minor_table_crosscheck_witness_names_the_entry(monkeypatch):

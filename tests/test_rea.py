@@ -8,7 +8,7 @@ import pytest
 from qrea import braiding, checks, qmatrix, rea
 from qrea.classical import poisson_bracket_coeffs
 from qrea.coeff import LP_ONE, LP_Q, LaurentPoly
-from qrea.linalg import add_term, first_difference
+from qrea.linalg import add_term
 from qrea.memo import Memo
 from qrea.qmatrix import (NCPoly, QContext, _nf_json, braidcomm_instances,
                           degree_dimension, gen_id, muir_instances,
@@ -189,7 +189,8 @@ def _suite_names_first_failure(monkeypatch, star, algebra, family):
     assert lhs != rhs
     assert cert.witness["first"] == {
         "command": first.command, "instance": first.instance,
-        "status": "fail", "witness": first_difference(lhs.coeffs, rhs.coeffs)}
+        "status": "fail",
+        "witness": qmatrix.word_difference(lhs.coeffs, rhs.coeffs, 2)}
 
 
 @pytest.mark.parametrize("family", ["laplace1", "laplace2", "muir-left",
@@ -291,7 +292,8 @@ def test_star_unit_witness_is_first_failing_poly(monkeypatch):
     p = random_monomials(2, 2, 10, 0)[0]
     nf = star.ctx.rw.normal_form(p)
     assert witness == {"poly": _nf_json(p), "side": "left",
-                       **first_difference(_times_q(nf).coeffs, nf.coeffs)}
+                       **qmatrix.word_difference(_times_q(nf).coeffs,
+                                                 nf.coeffs, 2)}
 
 
 def test_star_associativity_witness_is_first_failing_triple(monkeypatch):
@@ -307,7 +309,7 @@ def test_star_associativity_witness_is_first_failing_triple(monkeypatch):
     left, right = star.star(star.star(f, g), h), star.star(f, star.star(g, h))
     assert left != right
     assert witness == {"triple": [_nf_json(p) for p in (f, g, h)],
-                       **first_difference(left.coeffs, right.coeffs)}
+                       **qmatrix.word_difference(left.coeffs, right.coeffs, 2)}
 
 
 def test_reverse_braid_witness_is_first_failing_pair(monkeypatch):
@@ -319,8 +321,8 @@ def test_reverse_braid_witness_is_first_failing_pair(monkeypatch):
     expected = star.ctx.rw.normal_form(NCPoly.generator(2, i, j)
                                        * NCPoly.generator(2, k, l))
     assert witness == {"pair": [[i, j], [k, l]],
-                       **first_difference(_times_q(expected).coeffs,
-                                          expected.coeffs)}
+                       **qmatrix.word_difference(_times_q(expected).coeffs,
+                                                 expected.coeffs, 2)}
 
 
 def test_rewrite_crosscheck_witness_is_the_flatness_message(monkeypatch):
@@ -460,6 +462,12 @@ def test_semiclassical_witness_names_first_failing_pair(monkeypatch):
     first = semiclassical_bracket_check(checks.get_star(2), ij, kl, table)
     assert first.status == "fail"
     assert cert.witness == {"failures": 1, "first": first.to_json()}
+    # the negated monomial: the classical side reads i times the negated
+    # coefficient g, -g.im, and the quantum side still its negative
+    value = -table[key][mono].im
+    assert first.witness == {"constant_ok": True, "entry": str(mono),
+                             "quantum": str(-value),
+                             "classical": str(value)}
 
 
 # -- the twisted product from the row side ------------------------------------
