@@ -295,14 +295,14 @@ class WedgeBraidTable:
 
     # -- structural checks ---------------------------------------------------
 
-    def support_condition_violations(self, table=None):
-        """Keys with nonzero value violating the dominance/difference support.
+    def support_condition_violations(self, table):
+        """Keys of `table`, the entries or inverse entries, with nonzero
+        value violating the dominance/difference support.
 
         The support rule: the value at (I, J, Ip, Jp) vanishes unless
         J <= I and Jp <= Ip componentwise, J \\ I = Jp \\ Ip and
         I \\ J = Ip \\ Jp.
         """
-        table = self.entries if table is None else table
         bad = []
         for (I, J, Ip, Jp), c in table.items():
             if c.is_zero():

@@ -639,7 +639,7 @@ def leaf_tangency_check(z):
             "equal": equal}
 
 
-def jacobi_check(N, samples=100, seed=0):
+def jacobi_check(N, samples, seed):
     """The cyclic Jacobi sums {f,{g,h}} + {g,{h,f}} + {h,{f,g}} over all
     coordinate triples, built as exact cubic polynomials by the Leibniz
     rule and evaluated exactly at `samples` random exact Hermitian points.

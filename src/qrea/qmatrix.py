@@ -4,7 +4,10 @@ Everything is derived mechanically from the braid operator so that the
 deformation convention is single-sourced: the quadratic relations come from
 row-reducing the N^4 scalar equations of the exchange relation, the
 straightening rules re-orient each pivot at its greatest word, and normal
-forms are sorted words in the row-major generator order.
+forms are sorted words in the row-major generator order.  One derivation,
+`derive_rewrite_system`, gives the rules of both algebras: of this one
+from the exchange relations, of the reflection algebra from the reflection
+equation; it checks their count, one rule per descending generator pair.
 
 Quantum minors are the matrix coefficients of the wedge coaction.  The
 bicharacter functional and its two convolution inverses are matrix
@@ -277,9 +280,10 @@ class RewriteSystem:
     def critical_pair_failure(self):
         """Resolve every overlap g1 g2 g3 (g1 > g2 > g3) both ways.
 
-        Returns the first overlap (g1, g2, g3), in generator order, whose two
-        resolutions differ, with the first word at which they do and both
-        of its coefficients; None when every overlap resolves."""
+        Returns the first overlap g1 g2 g3, in generator order and written
+        by word_str, whose two resolutions differ, with the first word at
+        which they do and both of its coefficients; None when every overlap
+        resolves."""
         gens = sorted({g for (g, _) in self.rules} | {h for (_, h) in self.rules})
         for g1 in gens:
             for g2 in gens:
@@ -297,14 +301,15 @@ class RewriteSystem:
                         for m, c2 in self.nf_word((g1, a, b)).items():
                             add_term(right, m, c * c2)
                     if left != right:
-                        return {"overlap": (g1, g2, g3),
+                        return {"overlap": word_str((g1, g2, g3), self.N),
                                 **word_difference(left, right, self.N)}
         return None
 
 
 def derive_rewrite_system(N, relation_vectors):
     """Row-reduce relation vectors and orient each pivot, which leads with
-    one, at its lead word."""
+    one, at its lead word: the straightening rules of either algebra.
+    Raises NonOrientable unless there is one rule per descending pair."""
     pivots = sparse_row_reduce(relation_vectors)
     rules = {}
     for lead, vec in pivots.items():
@@ -312,17 +317,11 @@ def derive_rewrite_system(N, relation_vectors):
             raise NonOrientable(f"sorted leading word {lead}")
         rhs = {w: -c for w, c in vec.items() if w != lead}
         rules[lead] = rhs
-    return RewriteSystem(N, rules)
-
-
-def derive_rewrite_rules(N):
-    """Straightening rules of the quantum matrix algebra for size N."""
-    rw = derive_rewrite_system(N, exchange_relations(N))
     expected = N * N * (N * N - 1) // 2
-    if len(rw.rules) != expected:
+    if len(rules) != expected:
         raise NonOrientable(
-            f"{len(rw.rules)} rules, expected {expected}: relation rank is off")
-    return rw
+            f"{len(rules)} rules, expected {expected}: relation rank is off")
+    return RewriteSystem(N, rules)
 
 
 def degree_dimension(N, rw, d):
@@ -626,7 +625,7 @@ class QContext:
 
     def __init__(self, N):
         self.N = N
-        self.rw = derive_rewrite_rules(N)
+        self.rw = derive_rewrite_system(N, exchange_relations(N))
         self.bich = Bicharacter(N)
         self._tables = Memo(lambda kl: WedgeBraidTable(N, *kl))
         self._minors = Memo(lambda key: quantum_minor(N, *key))

@@ -30,8 +30,10 @@ shape q-commutation certificates do.  Their sweeps and instance keys are
 rows of `qmatrix.FAMILIES`, and `qmatrix.identity_certificate` certifies
 an instance.
 
-A second realisation derives quadratic straightening rules directly from the
-reflection equation and cross-checks them against the twisted product.
+A second realisation is the straightening rules that the quantum-matrix
+rules' own derivation, `qmatrix.derive_rewrite_system`, gives from the
+reflection equation.  `StarAlgebra.rewrite_check` cross-checks them against
+the twisted product: their overlaps resolve, and each rule holds there.
 
 Every linear combination of twisted products (the bilinear `star`, the
 minor-level sum, the reflection slots, the rule cross-check and the
@@ -50,23 +52,19 @@ from .braiding import rhat_entries
 from .coeff import LP_ONE, share_values
 from .linalg import add_term
 from .memo import Memo
-from .qmatrix import (Certificate, IllFormedInstance, NCPoly, QContext,
-                      _nf_json, braidcomm_labels, derive_rewrite_system,
+from .qmatrix import (Certificate, IllFormedInstance, NCPoly, _nf_json,
+                      braidcomm_labels, derive_rewrite_system,
                       expansion_terms, gen_id, identity_certificate,
                       sum_terms, word_cols, word_difference, word_from_rc,
-                      word_rows)
-
-
-class FlatnessCheckFailed(Exception):
-    pass
+                      word_rows, word_str)
 
 
 class StarAlgebra:
     """Twisted multiplication on the normal-form space of quantum matrices."""
 
-    def __init__(self, N, ctx=None):
+    def __init__(self, N, ctx):
         self.N = N
-        self.ctx = ctx if ctx is not None else QContext(N)
+        self.ctx = ctx
         self._star_word_memo = Memo(self._star_word)
         self._star_minor_memo = Memo(self._star_minor)
 
@@ -143,6 +141,27 @@ class StarAlgebra:
                 if got != nf:
                     return {"poly": _nf_json(p), "side": side,
                             **word_difference(got.coeffs, nf.coeffs, self.N)}
+        return None
+
+    def rewrite_check(self):
+        """The straightening rules derived from the reflection equation
+        against the twisted product: the first overlap that does not
+        resolve (`critical_pair_failure`), else the first rule whose two
+        sides differ under Z_ij -> X_ij, with the first term at which they
+        do, or None.  Raises NonOrientable unless there is one rule per
+        descending pair."""
+        N = self.N
+        rw = derive_rewrite_system(N, reflection_slot_vectors(N).values())
+        failure = rw.critical_pair_failure()
+        if failure is not None:
+            return failure
+        for lead, rhs in rw.rules.items():
+            got = self.star_word(lead[:1], lead[1:])
+            expected = sum_terms(N, [(c, (w[:1], w[1:]))
+                                     for w, c in rhs.items()], self.star_word)
+            if got != expected:
+                return {"rule": word_str(lead, N),
+                        **word_difference(got.coeffs, expected.coeffs, N)}
         return None
 
     def associativity_check(self, triples):
@@ -238,29 +257,6 @@ def reflection_equation_check(star):
             failures.append({"slot": slot, "residual": _nf_json(acc)})
     return Certificate.verdict("rea reflection", {"N": N}, not failures,
                                {"failures": failures})
-
-
-def derive_rea_rewrite(star):
-    """Quadratic straightening rules derived directly from the reflection
-    equation, cross-checked against the twisted-product model."""
-    N = star.N
-    vectors = list(reflection_slot_vectors(N).values())
-    rw = derive_rewrite_system(N, vectors)
-    expected = N * N * (N * N - 1) // 2
-    if len(rw.rules) != expected:
-        raise FlatnessCheckFailed(
-            f"{len(rw.rules)} rules, expected {expected}")
-    failure = rw.critical_pair_failure()
-    if failure is not None:
-        raise FlatnessCheckFailed(
-            f"critical pair failed to resolve: {failure}")
-    # every rule must be a twisted-product identity under Z_ij -> X_ij
-    for (g1, g2), rhs in rw.rules.items():
-        terms = [(LP_ONE, ((g1,), (g2,)))]
-        terms += [(-c, ((w[0],), (w[1],))) for w, c in rhs.items()]
-        if not sum_terms(N, terms, star.star_word).is_zero():
-            raise FlatnessCheckFailed(f"rule at {(g1, g2)} fails in the model")
-    return rw
 
 
 # ---------------------------------------------------------------------------

@@ -187,27 +187,11 @@ def enumerate_shapes(N):
 # Shape ideals
 # ---------------------------------------------------------------------------
 
-class ShapeIdeal:
-    """Generator-label pattern of the two-sided *-ideal attached to a shape.
-
-    generators lists (rows, cols) labels, closed under the formal adjoint.
-    """
-
-    def __init__(self, shape, generators=()):
-        self.shape = shape
-        self.generators = list(generators)
-        self._genset = set(self.generators)
-
-    def contains_label(self, rows, cols):
-        if len(rows) > self.shape.rank:
-            return True
-        return (rows, cols) in self._genset
-
-
-def build_shape_ideal(shape, flavor="dom"):
-    """Oversized minors plus the labels strictly below each chain level,
-    in the order of `flavor`, "dom" or "lex", closed under the formal
-    adjoint."""
+def build_shape_ideal(shape, flavor):
+    """The generator-label pattern of the two-sided *-ideal of a shape, as a
+    frozenset of (rows, cols) labels: the minors one size past the rank
+    plus the labels strictly below each chain level, in the order of
+    `flavor`, "dom" or "lex", closed under the formal adjoint."""
     less = pair_dom_strictly_less if flavor == "dom" else operator.lt
     N = shape.N
     M = shape.rank
@@ -218,10 +202,7 @@ def build_shape_ideal(shape, flavor="dom"):
         chain = (shape.support_prefix(k), shape.tau_prefix(k))
         gens.update((I, J) for I, J in product(subsets(N, k), repeat=2)
                     if less((J, I), chain))
-    closed = set(gens)
-    for (I, J) in gens:
-        closed.add((J, I))
-    return ShapeIdeal(shape=shape, generators=sorted(closed))
+    return frozenset(gens | {(J, I) for I, J in gens})
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +244,7 @@ def qcomm_status(ctx, shape, k, I, J):
         (K, L, Lp, side)
         for side, coeffs, other in (("left", left, I), ("right", right, J))
         for (K, L, Lp) in coeffs
-        if (K, L, Lp) != (B, A, other) and not ideal.contains_label(K, L))
+        if (K, L, Lp) != (B, A, other) and (K, L) not in ideal)
     if residual_bad:
         return "inconclusive", {
             "reason": "residual term outside the generator pattern",

@@ -154,7 +154,7 @@ def test_table_diagonals():
 def test_table_support_and_composition():
     for (k, l) in ((1, 1), (1, 2), (2, 1), (2, 2)):
         tbl = WedgeBraidTable(3, k, l)
-        assert tbl.support_condition_violations() == []
+        assert tbl.support_condition_violations(tbl.entries) == []
         assert tbl.support_condition_violations(tbl.inv_entries) == []
         assert tbl.diagonal_report() == []
         assert tbl.composition_identity_check() is None

@@ -15,6 +15,7 @@ import pytest
 
 from qrea import checks, classical, cli, qmatrix
 from qrea.cli import OUTPUT_ERROR, main
+from qrea.memo import Memo
 
 
 def run_cli(capsys, argv):
@@ -557,8 +558,8 @@ def test_check_all_memo_lines_count_the_suite_memos(capsys, monkeypatch):
     # after each [timings] line, a [memos] line names each memo of the
     # suite contexts that grew during the suite, with its size right after
     # the suite; every other memo kept its size
-    monkeypatch.setattr(checks, "_CTX_CACHE", {})
-    monkeypatch.setattr(checks, "_STAR_CACHE", {})
+    for name in ("_CTX_CACHE", "_STAR_CACHE"):
+        monkeypatch.setattr(checks, name, Memo(getattr(checks, name).compute))
     after = {}
 
     def measured(name, suite):

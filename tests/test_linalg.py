@@ -20,9 +20,8 @@ from qrea import coeff
 from qrea.coeff import LP_ONE, LP_Q, GaussRat, LaurentPoly, NotAUnit, RatFunc
 from qrea.linalg import (add_term, determinant, echelon, invert_matrix,
                          sparse_row_reduce)
-from qrea.qmatrix import (NCPoly, degree_dimension, derive_rewrite_rules,
-                          derive_rewrite_system, exchange_relations,
-                          sum_terms)
+from qrea.qmatrix import (NCPoly, degree_dimension, derive_rewrite_system,
+                          exchange_relations, sum_terms)
 from qrea.rea import reflection_slot_vectors
 
 # Few keys and small coefficients, so that terms collide and cancel often.
@@ -284,7 +283,7 @@ def test_sparse_row_reduce_census_of_the_program_spans():
             slots = list(reflection_slot_vectors(N).values())
             assert len(derive_rewrite_system(N, slots).rules) == len(rules)
     for N, d in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)):
-        rw = derive_rewrite_rules(N)
+        rw = derive_rewrite_system(N, exchange_relations(N))
         assert degree_dimension(N, rw, d) == comb(N * N + d - 1, d), (N, d)
 
 

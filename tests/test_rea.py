@@ -11,11 +11,10 @@ from qrea.coeff import LP_ONE, LP_Q, LaurentPoly
 from qrea.linalg import add_term
 from qrea.memo import Memo
 from qrea.qmatrix import (NCPoly, QContext, _nf_json, braidcomm_instances,
-                          degree_dimension, gen_id, muir_instances,
-                          rea_laplace_instances, sum_terms, verify_identity,
-                          word_cols, word_from_rc, word_rows)
-from qrea.rea import (FlatnessCheckFailed, StarAlgebra, derive_rea_rewrite,
-                      random_monomials, rea_verify,
+                          degree_dimension, derive_rewrite_system, gen_id,
+                          muir_instances, rea_laplace_instances, sum_terms,
+                          verify_identity, word_cols, word_from_rc, word_rows)
+from qrea.rea import (StarAlgebra, random_monomials, rea_verify,
                       reflection_equation_check, reflection_slot_vectors,
                       semiclassical_bracket_check,
                       star_commutator_first_order)
@@ -75,7 +74,8 @@ def test_reverse_braid(star2):
 
 
 def test_rea_rewrite_n2(star2):
-    rw = derive_rea_rewrite(star2)
+    assert star2.rewrite_check() is None
+    rw = derive_rewrite_system(2, reflection_slot_vectors(2).values())
     assert len(rw.rules) == 6
     assert degree_dimension(2, rw, 2) == 10
     assert degree_dimension(2, rw, 3) == 20
@@ -325,17 +325,44 @@ def test_reverse_braid_witness_is_first_failing_pair(monkeypatch):
                                                  expected.coeffs, 2)}
 
 
-def test_rewrite_crosscheck_witness_is_the_flatness_message(monkeypatch):
+def test_rewrite_crosscheck_witness_is_the_first_failing_rule(monkeypatch):
     star = _fresh_star()
-    # a twist on the descending generator pairs only breaks the rules
+    # a twist on the descending generator pairs only breaks the rules: the
+    # least rule's lead X12 X11 gains q over its right side
     _scaled_star_word(monkeypatch, star,
                       lambda u, v: LP_Q if u > v else LP_ONE)
-    with pytest.raises(FlatnessCheckFailed) as failure:
-        derive_rea_rewrite(star)
-    assert "fails in the model" in str(failure.value)
     witness = _failing_suite_witness(monkeypatch, star,
                                      "rea.rewrite-crosscheck")
-    assert witness == {"error": str(failure.value)}
+    assert witness == {"rule": "X12*X11", "entry": "X11*X12",
+                       "got": {"-1": "1"}, "expected": {"-2": "1"}}
+
+
+def test_rewrite_crosscheck_witness_is_the_first_unresolved_overlap(
+        monkeypatch):
+    # the least derived rule scaled by q, as in the quantum-matrix
+    # confluence test: an overlap through it no longer resolves
+    def scaled(N, vectors):
+        rw = derive_rewrite_system(N, vectors)
+        lead = min(rw.rules)
+        assert lead == (gen_id(1, 2, N), gen_id(1, 1, N))
+        rw.rules[lead] = {w: c * LP_Q for w, c in rw.rules[lead].items()}
+        return rw
+    monkeypatch.setattr(rea, "derive_rewrite_system", scaled)
+    witness = _failing_suite_witness(monkeypatch, _fresh_star(),
+                                     "rea.rewrite-crosscheck")
+    assert witness == {"overlap": "X21*X12*X11", "entry": "X11*X11*X11",
+                       "got": {"0": "1", "2": "-1"},
+                       "expected": {"1": "1", "3": "-1"}}
+
+
+def test_rewrite_crosscheck_witness_is_the_rule_count(monkeypatch):
+    # three slots of the reflection equation span too few relations
+    slots = list(reflection_slot_vectors(2).values())[:3]
+    monkeypatch.setattr(rea, "reflection_slot_vectors",
+                        lambda N: dict(enumerate(slots)))
+    witness = _failing_suite_witness(monkeypatch, _fresh_star(),
+                                     "rea.rewrite-crosscheck")
+    assert witness == {"error": "2 rules, expected 6: relation rank is off"}
 
 
 def _memo_rows(star, fresh):
@@ -430,7 +457,7 @@ def test_sums_leave_every_memo_as_a_fresh_context_computes_it():
     assert reflection_equation_check(star).status == "pass"
     pairs = list(product(product((1, 2), repeat=2), repeat=2))
     assert star.reverse_braid_check(pairs) is None
-    derive_rea_rewrite(star)
+    assert star.rewrite_check() is None
     for (algebra, family), (subs, sweep, _keys) in qmatrix.FAMILIES.items():
         for inst in sweep(2):
             for sub in subs:
@@ -497,7 +524,7 @@ def _star_word_by_columns(star, u, v):
 def test_star_word_matches_the_column_sweep(N):
     """star_word, which reads r by rows, equals the column sweep on every
     pair of words of degree <= 2."""
-    star = StarAlgebra(N)
+    star = StarAlgebra(N, QContext(N))
     words = [w for n in range(3) for w in product(range(N * N), repeat=n)]
     for u in words:
         for v in words:

@@ -3,9 +3,8 @@ from itertools import combinations
 import pytest
 
 from qrea import checks, shapes
-from qrea.shapes import (MalformedShape, QuantumShape, ShapeIdeal,
-                         build_shape_ideal, enumerate_shapes,
-                         shape_qcomm_certificate)
+from qrea.shapes import (MalformedShape, QuantumShape, build_shape_ideal,
+                         enumerate_shapes, shape_qcomm_certificate)
 
 
 def test_family_counts_n3():
@@ -95,8 +94,8 @@ def test_shape_json_roundtrip():
 
 def test_identity_rank2_ideal_empty_n2():
     s = QuantumShape((1, 2), ("s1", "s2"))
-    assert build_shape_ideal(s, "dom").generators == []
-    assert build_shape_ideal(s, "lex").generators == []
+    assert build_shape_ideal(s, "dom") == frozenset()
+    assert build_shape_ideal(s, "lex") == frozenset()
 
 
 def test_lex_ideal_example_2c():
@@ -104,22 +103,23 @@ def test_lex_ideal_example_2c():
     s = QuantumShape((1, 2, 3), ("0", "s1", "s2"))
     assert s.minor_labels()[0] == ((2,), (2,))
     ideal = build_shape_ideal(s, "lex")
-    k1 = sorted((I, J) for (I, J) in ideal.generators if len(I) == 1)
+    assert isinstance(ideal, frozenset)
+    k1 = sorted((I, J) for (I, J) in ideal if len(I) == 1)
     # raw pattern: all Z_{i,j} with (j, i) lex-below ({2},{2}); adjoints added
     assert k1 == [((1,), (1,)), ((1,), (2,)), ((1,), (3,)),
                   ((2,), (1,)), ((3,), (1,))]
-    assert ideal.contains_label((1, 2, 3), (1, 2, 3))  # oversized
+    # the rank is 2: the one 3-minor lies in the ideal, and no label is larger
+    assert [(I, J) for (I, J) in ideal if len(I) > 2] == [((1, 2, 3),
+                                                          (1, 2, 3))]
 
 
 def test_ideal_adjoint_closure_and_flavor_inclusion():
     for s in enumerate_shapes(3):
         dom = build_shape_ideal(s, "dom")
         lex = build_shape_ideal(s, "lex")
-        dom_set = set(dom.generators)
-        lex_set = set(lex.generators)
-        assert dom_set <= lex_set
-        assert all((J, I) in dom_set for (I, J) in dom_set)
-        assert all((J, I) in lex_set for (I, J) in lex_set)
+        assert dom <= lex
+        assert all((J, I) in dom for (I, J) in dom)
+        assert all((J, I) in lex for (I, J) in lex)
 
 
 def test_qcomm_identity_shape_level1(ctx3):
@@ -182,8 +182,8 @@ def test_shape_ideals_witness_names_family_and_broken_condition(
     condition and the least offending label."""
     build = shapes.build_shape_ideal
     target = next(s for s in enumerate_shapes(3)
-                  if any(I != J for I, J in build(s, "dom").generators))
-    dom = build(target, "dom").generators
+                  if any(I != J for I, J in build(s, "dom")))
+    dom = build(target, "dom")
     if condition == "dom inside lex":
         dropped, added = min(dom), None   # lex keeps (J, I): closure holds
         offending = dropped
@@ -194,12 +194,10 @@ def test_shape_ideals_witness_names_family_and_broken_condition(
         dropped, added = None, ((1,), (2, 3))   # its adjoint is absent
         offending = added
 
-    def broken(shape, fl="dom"):
+    def broken(shape, fl):
         ideal = build(shape, fl)
         if shape == target and fl == flavor:
-            gens = [g for g in ideal.generators if g != dropped]
-            ideal = ShapeIdeal(shape=shape,
-                               generators=gens + [added] * (added is not None))
+            ideal = (ideal - {dropped}) | ({added} - {None})
         return ideal
     monkeypatch.setattr(shapes, "build_shape_ideal", broken)
     (cert,) = checks.check_shape_ideals(3, 0)

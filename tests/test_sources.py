@@ -134,27 +134,35 @@ def _not_in_own_attribute(node):
 
 
 def test_no_hand_written_cache():
-    """No function of src/qrea looks a key up with a one-argument .get and
-    stores under the same key of the same dict, or tests `key not in
+    """No function of src/qrea looks a key up with a one-argument .get, or
+    tests `key not in` a dict (a module-level `_CACHE`, say), and stores
+    under the same key of the same dict; and none tests `key not in
     self._...`: a memo is a qrea.memo.Memo, which fills itself on a miss."""
     found = set()
     for path in sorted(_SRC.glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text())):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            gets, stores = set(), set()
+            lookups, stores = set(), set()
             for node in _own_nodes(func):
                 if (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
                         and node.func.attr == "get" and len(node.args) == 1):
-                    gets.add((ast.dump(node.func.value),
-                              ast.dump(node.args[0])))
+                    lookups.add((ast.dump(node.func.value),
+                                 ast.dump(node.args[0])))
                 elif isinstance(node, ast.Assign):
                     stores.update((ast.dump(t.value), ast.dump(t.slice))
                                   for t in node.targets
                                   if isinstance(t, ast.Subscript))
-                elif _not_in_own_attribute(node):
-                    found.add((path.name, func.name))
-            if gets & stores:
+                elif isinstance(node, ast.Compare):
+                    if _not_in_own_attribute(node):
+                        found.add((path.name, func.name))
+                    keys = [node.left, *node.comparators]
+                    lookups.update(
+                        (ast.dump(right), ast.dump(key))
+                        for key, op, right in zip(keys, node.ops,
+                                                  node.comparators)
+                        if isinstance(op, ast.NotIn))
+            if lookups & stores:
                 found.add((path.name, func.name))
     assert found == set(_NOT_MEMOS), sorted(found ^ set(_NOT_MEMOS))
