@@ -38,12 +38,17 @@ def memo_sizes():
     """{"Owner.attr": entries} of the memos of the suite contexts, summed
     over contexts: every `Memo` of a twisted product, a context, its
     rewriting system, bicharacter (the functionals' memos together) and
-    wedge tables, and the rewriting systems' suffix states."""
+    wedge tables, and the rewriting systems' suffix states; and, under
+    "module.NAME", the module-level memos of braiding, classical, qmatrix
+    and rea."""
     sizes = {}
-    owners = list(_STAR_CACHE.values())
+    owners = [(m.__name__.rpartition(".")[2], m)
+              for m in (braiding, classical, qmatrix, rea)]
+    owners += [("StarAlgebra", star) for star in _STAR_CACHE.values()]
     for ctx in _CTX_CACHE.values():
-        owners += [ctx, ctx.rw, ctx.bich, *ctx._tables.values()]
-    for owner in owners:
+        owners += [(type(o).__name__, o)
+                   for o in (ctx, ctx.rw, ctx.bich, *ctx._tables.values())]
+    for owner_name, owner in owners:
         for attr, value in vars(owner).items():
             if isinstance(value, Memo) or attr == "_nf_memo":
                 memos = [value]
@@ -52,7 +57,7 @@ def memo_sizes():
                 memos = value.values()
             else:
                 continue
-            name = f"{type(owner).__name__}.{attr}"
+            name = f"{owner_name}.{attr}"
             sizes[name] = sizes.get(name, 0) + sum(map(len, memos))
     return sizes
 

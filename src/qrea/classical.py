@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache
 from itertools import accumulate, combinations, product
 from math import gcd, isqrt, lcm
 
@@ -489,13 +488,18 @@ def build_leaf_point(shape, lam):
 # The quadratic bracket
 # ---------------------------------------------------------------------------
 
-@cache
 def poisson_bracket_coeffs(N):
     """{Z_ij, Z_kl} as exact quadratic forms in the matrix entries.
 
     Returns a dict mapping ((i,j),(k,l)) to {sorted entry-pair: GaussRat};
-    the coefficients are purely imaginary.  The table is built once per N
-    and shared by every caller, which must not modify it.  The bracket is
+    the coefficients are purely imaginary.  The table is built once per N,
+    by _bracket_table, and shared by every caller, which must not modify
+    it."""
+    return _BRACKET_TABLES[N]
+
+
+def _bracket_table(N):
+    """The table of poisson_bracket_coeffs(N), built.  The bracket is
     -i times the ((i,k), (j,l)) entry of
 
         r21 Z1 Z2 - Z1 Z2 r + Z1 r Z2 - Z2 r21 Z1
@@ -527,6 +531,9 @@ def poisson_bracket_coeffs(N):
                 add_term(out[((y, b), (a, u))],
                          tuple(sorted(((a, x), (w, b)))), -c)
     return out
+
+
+_BRACKET_TABLES = Memo(_bracket_table)
 
 
 def bracket_at(z):

@@ -6,8 +6,8 @@ order so identical seeds and arguments give byte-identical output; a human
 summary with timings goes to stderr, and with `check-all --timings` two
 lines per suite: `[timings]` with its wall seconds and the process's peak
 resident memory so far (`ru_maxrss`, in MB), then `[memos]` with the
-entries of each memo of the suite contexts that grew during the suite
-(`checks.memo_sizes`).  The exit code is
+entries of each memo of the suite contexts, and of each module-level memo,
+that grew during the suite (`checks.memo_sizes`).  The exit code is
 - 0 if every certificate passed; the dumps `wedge-table` without --check
   and `rea shapes` have none, and exit 0;
 - 1 if some check failed or was inconclusive;
@@ -36,8 +36,8 @@ unknown or malformed flags, the usage errors are:
   self-adjoint shape of size N;
 - `wedge-table` degrees outside 0..N;
 - `rea shapes`, and `rea qcomm` without --shape, beyond N = 5;
-- an --N below 1, a `classical jacobi --samples` below 1, and any run
-  that produces no certificates;
+- an --N below 1, a `classical tangency|jacobi|invariance --samples`
+  below 1, and any run that produces no certificates;
 - a `classical shape|decompose|leaf` file that cannot be read or is not a
   square Hermitian matrix in JSON, whose "N" is below 1 or not its number
   of rows, or whose mode is neither exact nor numeric;
@@ -288,8 +288,6 @@ def cmd_classical(args):
                                              rep["equal"], witness=rep,
                                              seed=args.seed))
     elif args.classical_cmd == "jacobi":
-        if args.samples < 1:
-            raise UsageError(f"--samples must be >= 1, got {args.samples}")
         rep = classical.jacobi_check(args.N, samples=args.samples,
                                      seed=args.seed)
         rec = {"max_residual": rep["max_residual"].to_json()}
@@ -399,8 +397,9 @@ def main(argv=None):
     t0 = time.time()
     statuses = []
     try:
-        if "N" in opts and args.N < 1:
-            raise UsageError(f"--N must be >= 1, got {args.N}")
+        for flag in ("N", "samples"):
+            if opts.get(flag, 1) < 1:
+                raise UsageError(f"--{flag} must be >= 1, got {opts[flag]}")
         for rec, cert in args.fn(args):
             sys.stdout.write(json.dumps(rec, sort_keys=True) + "\n")
             if cert is not None:

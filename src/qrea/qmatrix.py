@@ -57,7 +57,7 @@ here and in the reflection algebra, adds into one dict with
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import partial
 from itertools import product
 
 from .braiding import (WedgeBraidTable, apply_two_site, braid_pair_action,
@@ -782,9 +782,9 @@ def expansion_terms(family, instance):
     F, G = (((), ()) if family.startswith("laplace")
             else (tuple(instance["F"]), tuple(instance["G"])))
     I, J = tuple(instance["I"]), tuple(instance["J"])
-    i_positions, j_positions, left, right = _position_pattern(
+    i_positions, j_positions, left, right = _POSITION_PATTERNS[
         family.endswith("row"), len(I), len(J), F, G, tuple(instance["K"]),
-        tuple(instance["Kp"]))
+        tuple(instance["Kp"])]
     I1, J1 = (0,) + I, (0,) + J     # position p of I is I1[p]
     Is = [tuple([I1[p] for p in pos]) for pos in i_positions]
     Js = [tuple([J1[p] for p in pos]) for pos in j_positions]
@@ -792,13 +792,12 @@ def expansion_terms(family, instance):
                   for c, (a, b, x, d) in side] for side in (left, right))
 
 
-@cache
 def _position_pattern(row, k, kj, F, G, K, Kp):
     """The terms of expansion_terms for the sizes and positions of an
-    instance, validated and computed once: (i_positions, j_positions, left,
-    right), where each term's label (A, B, C, D) is given by indices into
-    the distinct 1-based position tuples of I (for A and C) and of J (for B
-    and D)."""
+    instance, validated, and kept once per key in _POSITION_PATTERNS:
+    (i_positions, j_positions, left, right), where each term's label (A,
+    B, C, D) is given by indices into the distinct 1-based position tuples
+    of I (for A and C) and of J (for B and D)."""
     if kj != k or len(F) != len(G) or len(K) != len(Kp):
         raise IllFormedInstance("sizes inconsistent")
     r = k - len(F)
@@ -826,6 +825,9 @@ def _position_pattern(row, k, kj, F, G, K, Kp):
             merge(F, select(Fc, rk)), merge(G, select(Gc, ck)),
             merge(F, rest(Fc, rkp)), merge(G, rest(Gc, ckp)))))
     return tuple(i_positions), tuple(j_positions), left, tuple(right)
+
+
+_POSITION_PATTERNS = Memo(lambda key: _position_pattern(*key))
 
 
 def braidcomm_labels(instance):

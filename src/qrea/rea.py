@@ -45,7 +45,6 @@ first term at which its two normal forms differ.
 from __future__ import annotations
 
 import random
-from functools import cache
 from itertools import product
 
 from .braiding import rhat_entries
@@ -208,15 +207,19 @@ class StarAlgebra:
 # Reflection equation
 # ---------------------------------------------------------------------------
 
-@cache
 def reflection_slot_vectors(N):
     """Degree-2 word vectors (Z alphabet) of the reflection equation.
 
     Slot ((k, l), (i, j)) of R Z2 R Z2 - Z2 R Z2 R, with the letters kept
     formal; evaluating the words through any product tests that product.
-    Derived once per N, from the nonzero entries of R-hat only; callers
-    only read them.
+    Derived once per N by _slot_vectors; callers only read them.
     """
+    return _SLOT_VECTORS[N]
+
+
+def _slot_vectors(N):
+    """The slots of reflection_slot_vectors(N), from the nonzero entries of
+    R-hat only."""
     rhat = rhat_entries(N)
     # R-hat's nonzero entries by output pair: (x, y) -> [((a, b), c)]
     into = {}
@@ -244,6 +247,9 @@ def reflection_slot_vectors(N):
         if v:
             slots[((k, l), (i, j))] = v
     return slots
+
+
+_SLOT_VECTORS = Memo(_slot_vectors)
 
 
 def reflection_equation_check(star):

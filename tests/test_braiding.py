@@ -12,10 +12,9 @@ from qrea.braiding import (apply_block_lift, apply_elementary,
                            WedgeBraidTable)
 from qrea.coeff import (LP_ONE, LP_Q, LP_QDIFF, LP_QINV, LP_ZERO, LaurentPoly,
                         lp_q_int)
-from qrea.indexsets import dominated, inversions
+from qrea.indexsets import inversions
 from qrea.linalg import add_term
-from qrea.memo import Memo
-from qrea.qmatrix import QContext
+from test_suite_mutations import row_test
 
 
 def q2_factorial(l):
@@ -198,81 +197,21 @@ def test_antisymmetrizer_swap():
             assert rmatrix_lemma_check(T[:l], T[l:])["ok"], (T, l)
 
 
-# -- witnesses of the braiding suites ----------------------------------------
+# -- witnesses of the braiding suites: rows of the mutation table ------------
 
-@pytest.fixture
-def broken_move(monkeypatch):
-    """The braid move, and its inverse, with the image of e_1 (x) e_2 (of
-    e_2 (x) e_1 for the inverse) scaled by q."""
-    move = braiding.braid_pair_action
-
-    def broken(a, b, inverse=False):
-        out = move(a, b, inverse)
-        if (a, b) == ((2, 1) if inverse else (1, 2)):
-            out = [(xy, c * LP_Q) for xy, c in out]
-        return out
-
-    monkeypatch.setattr(braiding, "braid_pair_action", broken)
-    # fresh tables, which fill themselves from the broken move
-    for inverse, table in list(braiding._RHAT_TABLES.items()):
-        monkeypatch.setitem(braiding._RHAT_TABLES, inverse,
-                            Memo(table.compute))
-
-
-def _first_failure(words, holds):
-    return next((w for w in words if not holds(w)), None)
-
-
-def _braid_holds(word):
-    t = {word: LP_ONE}
-    return (apply_elementary(apply_elementary(apply_elementary(t, 0), 1), 0)
-            == apply_elementary(apply_elementary(apply_elementary(t, 1), 0), 1))
-
-
-def _hecke_holds(word):
-    t = {word: LP_ONE}
-    rhs = dict(t)
-    for w, c in apply_elementary(t, 0).items():
-        add_term(rhs, w, c * LP_QDIFF)
-    return apply_elementary(apply_elementary(t, 0), 0) == rhs
-
-
-def test_braid_relation_witness_is_first_failing_word(broken_move):
-    certs = checks.check_braid_relation(3, 0)
-    assert [c.status for c in certs] == ["pass", "fail", "fail"]
-    for n, cert in ((2, certs[1]), (3, certs[2])):
-        word = cert.witness["word"]
-        assert word == (2, 1, 1)
-        assert word == _first_failure(product(range(1, n + 1), repeat=3),
-                                      _braid_holds)
-
-
-def test_hecke_witness_is_first_failing_word_and_entry(broken_move):
-    certs = checks.check_hecke(2, 0)
-    assert [c.status for c in certs] == ["pass", "fail"]
-    w = certs[1].witness
-    assert w["word"] == (1, 2)
-    assert w["word"] == _first_failure(product((1, 2), repeat=2),
-                                       _hecke_holds)
-    # R-hat sends e_1 (x) e_2 to q e_2 (x) e_1 but e_2 (x) e_1 to e_1 (x) e_2 + ...
-    assert w["asymmetric"] == ((2, 1), (1, 2))
-    entries = rhat_entries(2)
-    assert entries[((2, 1), (1, 2))] != entries[((1, 2), (2, 1))]
-
-
-def test_antisym_swap_witness_is_first_failing_pair(broken_move):
-    [cert] = checks.check_antisym_swap(2, 0)
-    assert cert.status == "fail"
-    w = cert.witness
-    assert (w["T"], w["l"]) == ((1, 2), 1)
-    cases = [(T, l) for t in (1, 2) for T in combinations((1, 2), t)
-             for l in range(t + 1)]
-    first = _first_failure(
-        cases, lambda c: rmatrix_lemma_check(c[0][:c[1]], c[0][c[1]:])["ok"])
-    assert first == ((1, 2), 1)
-    assert w["mismatch"] == rmatrix_lemma_check((1,), (2,))["mismatch"]
-    assert set(w["mismatch"]) == {"entry", "got", "expected"}
-    assert w["mismatch"]["got"] != w["mismatch"]["expected"]
+test_braid_relation_witness_is_first_failing_word = row_test(
+    "braiding.braid-relation")
+test_hecke_witness_is_first_failing_word_and_entry = row_test("braiding.hecke")
+test_antisym_swap_witness_is_first_failing_pair = row_test(
+    "braiding.antisym-swap")
+test_scalar_lemma_witness_lists_the_first_failing_pairs = row_test(
+    "braiding.scalar-lemma")
+test_wedge_table_witness_is_first_failing_entry = row_test(
+    "braiding.wedge-table")
+test_wedge_composition_witness_is_first_failing_pair = row_test(
+    "braiding.wedge-composition")
+test_embed_equivariance_witness_is_first_failing_word = row_test(
+    "braiding.embed-equivariance")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -292,89 +231,6 @@ def test_antisym_swap_pairs_are_scalar_lemma_pairs(monkeypatch, n):
     assert [c.status for c in checks.check_scalar_lemma(n, 0)] == ["pass"]
     assert swap and swap <= set(calls)
     assert len(calls) == 4 ** n
-
-
-def test_scalar_lemma_witness_lists_the_first_failing_pairs(broken_move):
-    [cert] = checks.check_scalar_lemma(2, 0)
-    assert cert.status == "fail"
-    subs = [c for k in range(3) for c in combinations((1, 2), k)]
-    failing = [(I, Ip) for I in subs for Ip in subs
-               if not rmatrix_lemma_check(I, Ip)["ok"]]
-    assert failing and cert.witness == {"failed": failing[:5]}
-
-
-def _fresh_ctx(monkeypatch, N):
-    """A fresh QContext of size N in place of the suites' cached one, so
-    that a perturbed table does not outlive the test."""
-    ctx = QContext(N)
-    monkeypatch.setitem(checks._CTX_CACHE, N, ctx)
-    return ctx
-
-
-def test_wedge_table_witness_is_first_failing_entry(monkeypatch):
-    ctx = _fresh_ctx(monkeypatch, 2)
-    # (1, 1): an entry of the inverse table off the support, J = (2,) not
-    # dominated by I = (1,)
-    off = ((1,), (2,), (1,), (1,))
-    assert not dominated(off[1], off[0])
-    ctx.table(1, 1).inv_entries[off] = LP_Q
-    # (1, 2): two wrong diagonal entries; the inverse one at I = (1,) is
-    # scanned before the direct one at I = (2,)
-    t12 = ctx.table(1, 2)
-    t12.inv_entries[(1,), (1,), (1, 2), (1, 2)] *= LP_Q
-    t12.entries[(2,), (2,), (1, 2), (1, 2)] *= LP_Q
-    certs = checks.check_wedge_tables(2, 0, kmax=2)
-    assert [c.status for c in certs] == ["fail", "fail", "pass", "pass"]
-    assert [c.witness for c in certs[2:]] == [None, None]
-    assert certs[0].witness == {"support": "inverse", "entry": off,
-                                "value": LP_Q.to_json()}
-    got = t12.inv_entry((1,), (1,), (1, 2), (1, 2))
-    assert certs[1].witness == {"diagonal": "inverse", "I": (1,),
-                                "I'": (1, 2), "got": got.to_json(),
-                                "expected": LaurentPoly.q_power(1).to_json()}
-    assert got != LaurentPoly.q_power(1)
-
-
-def test_wedge_composition_witness_is_first_failing_pair(monkeypatch):
-    ctx = _fresh_ctx(monkeypatch, 2)
-    move = braiding.braid_wedge_pair
-
-    def broken(pair_vec, k, l, inverse=False):
-        # the (1, 1) inverse braiding of e_2 (x) e_2 scaled by q
-        out = move(pair_vec, k, l, inverse)
-        if inverse and (k, l) == (1, 1) and ((2,), (2,)) in pair_vec:
-            out = {key: c * LP_Q for key, c in out.items()}
-        return out
-
-    monkeypatch.setattr(braiding, "braid_wedge_pair", broken)
-    certs = checks.check_wedge_composition(2, 0, kmax=2)
-    assert [c.status for c in certs] == ["fail", "pass", "pass", "pass"]
-    # (2,) (x) (2,) is the last of the four (I, J') pairs of degree (1, 1)
-    first = _first_failure(
-        product([(1,), (2,)], repeat=2),
-        lambda p: broken(broken({p: LP_ONE}, 1, 1), 1, 1, inverse=True)
-        == {p: LP_ONE})
-    assert first == ((2,), (2,))
-    assert certs[0].witness == {"I": (2,), "J'": (2,), "entry": first,
-                                "got": LP_Q.to_json(),
-                                "expected": LP_ONE.to_json()}
-    assert ctx.table(1, 1).composition_identity_check() == certs[0].witness
-
-
-def test_embed_equivariance_witness_is_first_failing_word(broken_move):
-    [cert] = checks.check_embed_equivariance(2, 0, kmax=2)
-    assert cert.status == "fail"
-    w = cert.witness
-    assert (w["k"], w["key"], w["position"]) == (2, (1, 2), 0)
-    t = embed_basis((1, 2))
-    lifted = apply_elementary(t, 0)
-    expected = {word: c * lp_q_int(1) for word, c in t.items()}
-    word = _first_failure(sorted(lifted.keys() | expected.keys()),
-                          lambda u: lifted.get(u) == expected.get(u))
-    assert w["entry"] == word
-    assert w["got"] == lifted[word].to_json()
-    assert w["expected"] == expected[word].to_json()
-    assert w["got"] != w["expected"]
 
 
 @pytest.mark.parametrize("N", [2, 3])

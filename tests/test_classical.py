@@ -20,6 +20,7 @@ from qrea.classical import (GaussRat, HermitianMatrix, NotTriangular,
                             random_shape, random_triangular, reduced_shape,
                             shape_of, tn_invariance_check)
 from qrea.linalg import add_term, determinant, echelon
+from test_suite_mutations import perturbed_bracket, row_test
 
 
 def G(re, im=0):
@@ -592,7 +593,7 @@ def test_jacobi_per_cyclic_class_matches_every_triple(monkeypatch, N,
                                                       samples):
     for perturb in (False, True):
         if perturb:
-            _perturbed_bracket(monkeypatch)
+            perturbed_bracket(monkeypatch)
         rep = jacobi_check(N, samples=samples, seed=3)
         count, first, worst = _jacobi_by_every_triple(N, samples, 3)
         assert (rep["nonzero_cyclic_polys"], rep["first"]) == (count, first)
@@ -713,206 +714,22 @@ def test_shape_slots_are_canonical_rays():
     assert shape_of(z) == S == reduced_shape(decompose(z)[1])
 
 
-def _congruence_by_lower(z, ts):
-    """A wrong tn-invariance check: congruence by the lower-triangular t*
-    instead of t, which moves the shape.  The first t of ts whose wrong
-    congruence moves the shape of z, or None."""
-    s = shape_of(z)
-    return next((t for t in ts if s != shape_of(HermitianMatrix(
-        gr_matmul(t, gr_matmul(z.entries, gr_conj_t(t)))))), None)
+# -- witnesses of the classical suites: rows of the mutation table -----------
 
-
-def test_tn_invariance_witness_names_sample_and_element(monkeypatch):
-    from qrea import checks, classical
-    monkeypatch.setattr(classical, "tn_invariance_check", _congruence_by_lower)
-    cert, = checks.check_tn_invariance(3, 0)
-    assert cert.status == "fail"
-    first = cert.witness["first"]
-    assert cert.witness["failures"] >= 1
-    assert first["element"] in ("shear", "diagonal", "general")
-    z = HermitianMatrix.from_json(first["z"])
-    t = [[GaussRat.from_json(e) for e in row] for row in first["t"]]
-    assert _congruence_by_lower(z, [t]) is not None
-    assert tn_invariance_check(z, [t]) is None
-    # it is the first: the samples before it pass even the wrong check
-    assert checks.tn_invariance_samples(3, first["sample"],
-                                        random.Random(0)) \
-        == [None] * first["sample"]
-
-
-def test_tangency_witness_names_first_failing_sample(monkeypatch):
-    from qrea import checks, classical
-    right = classical.leaf_tangency_check
-    calls = []
-
-    def flaky(z):
-        calls.append(z)
-        rep = right(z)
-        return {**rep, "equal": rep["equal"] and len(calls) != 3}
-
-    monkeypatch.setattr(classical, "leaf_tangency_check", flaky)
-    cert = checks.check_tangency(2, 0)[0]
-    assert cert.status == "fail"
-    assert cert.witness["failures"] == 1
-    assert cert.witness["first"]["sample"] == 2
-    assert cert.witness["first"]["equal"] is False
-    assert cert.witness["bivector_ranks"] == sorted(
-        {rep["bivector_rank"] for rep in checks.tangency_reports(
-            2, 50, random.Random(0))})
-
-
-def test_tangency_fails_when_the_draws_reach_one_rank(monkeypatch):
-    # every draw the same generic point: each passes, but at n = 3 a run
-    # that sees only one leaf rank is no pass; n = 2 has no such rule
-    from qrea import checks, classical
-    monkeypatch.setattr(classical, "random_exact_hermitian",
-                        lambda n, rng: H([[k + 1 if k == l else 1 for l in
-                                           range(n)] for k in range(n)]))
-    two, three = checks.check_tangency(2, 0)
-    assert two.status == "pass" and three.status == "fail"
-    assert three.witness == {"failures": 0, "bivector_ranks": [6],
-                             "first": None}
-
-
-def _perturbed_bracket(monkeypatch):
-    """Add i Z_11 Z_22 to the table entry {Z_11, Z_12} only, in a copy: the
-    table that poisson_bracket_coeffs returns is shared."""
-    from qrea import classical
-    right = classical.poisson_bracket_coeffs
-
-    def perturbed(N):
-        table = dict(right(N))
-        key = ((1, 1), (1, 2))
-        table[key] = {**table[key], ((1, 1), (2, 2)): G(0, 1)}
-        return table
-
-    monkeypatch.setattr(classical, "poisson_bracket_coeffs", perturbed)
-
-
-def test_poisson_suites_fail_on_a_perturbed_bracket(monkeypatch):
-    from qrea import checks
-    _perturbed_bracket(monkeypatch)
-    rng = random.Random(0)
-    points = [random_exact_hermitian(2, rng) for _ in range(20)]
-    # bivector-antisymmetry: the first point and entry where the perturbed
-    # {Z_11, Z_12} differs from -{Z_12, Z_11}
-    cert, = checks.check_bivector(2, 0)
-    assert cert.status == "fail"
-    w = cert.witness
-    first = next(i for i, z in enumerate(points)
-                 if not (z.entries[0][0] * z.entries[1][1]).is_zero())
-    assert (w["sample"], w["law"], w["entry"]) == (
-        first, "antisymmetry", [[1, 1], [1, 2]])
-    assert checks.bivector_mismatch(points[first]) == {
-        k: v for k, v in w.items() if k != "sample"}
-    # tangency: the first draw whose ranks no longer match, and the ranks
-    for cert in checks.check_tangency(2, 0):
-        assert cert.status == "fail"
-        first = cert.witness["first"]
-        assert not first["equal"] and cert.witness["failures"] >= 1
-        assert first["bivector_rank"] in cert.witness["bivector_ranks"]
-    # jacobi: the first nonzero cyclic sum and its first term
-    for cert in checks.check_jacobi(2, 0):
-        assert cert.status == "fail"
-        w = cert.witness
-        assert w["nonzero_cyclic_polys"] > 0
-        assert w["max_residual"] != {"re": "0", "im": "0"}
-        assert w["first"]["triple"] == ((1, 1), (1, 2), (1, 2))
-        assert w["first"]["monomial"] == ((1, 1), (1, 1), (1, 2))
-        assert w["first"]["coefficient"] == {"re": "2", "im": "0"}
-
-
-def _shape_json(obj):
-    return ShapeMatrix(obj["tau"], [None if u is None else GaussRat.from_json(u)
-                                    for u in obj["u"]])
-
-
-def test_shape_roundtrip_witness_names_first_failing_sample(monkeypatch):
-    from qrea import checks, classical
-    right = classical.build_leaf_point
-    # doubled weights keep the shape but not the spectrum
-    monkeypatch.setattr(classical, "build_leaf_point",
-                        lambda S, lam: right(S, [2 * x for x in lam]))
-    cert, = checks.check_shape_roundtrip(4, 0)
-    assert cert.status == "fail"
-    first = cert.witness["first"]
-    lam = [F(x) for x in first["weights"]]
-    S = _shape_json(first["shape"])
-    # one weight per slot, nonzero exactly on the support
-    assert len(lam) == S.N and any(lam)
-    assert [i for i, x in enumerate(lam, start=1) if x] == list(S.support)
-    # the first power sum that differs, from the z that was built: that of
-    # the doubled weights against that of the weights
-    z = HermitianMatrix.from_json(first["z"])
-    assert z.entries == right(S, [2 * x for x in lam]).entries
-    m = first["power_sum"]["m"]
-    assert power_sums(z)[:m - 1] == [sum(x ** k for x in lam)
-                                     for k in range(1, m)]
-    assert first["power_sum"]["expected"] == str(sum(x ** m for x in lam))
-    assert GaussRat.from_json(first["power_sum"]["trace"]) == \
-        sum((2 * x) ** m for x in lam)
-    assert _shape_json(first["shape_of"]) == S
-    # it is the first: every earlier sample drew all-zero weights
-    rng = random.Random(0)
-    for _ in range(first["sample"]):
-        S = random_shape(rng.randint(1, 4), rng)
-        assert not any(random_compatible_weights(S, rng))
-
-
-def test_sign_compatibility_witness_names_first_failing_sample(monkeypatch):
-    from qrea import checks, classical
-    right = classical.eigenvalue_signs
-
-    def swapped(z):
-        plus, minus, zero = right(z)
-        return minus, plus, zero
-
-    monkeypatch.setattr(classical, "eigenvalue_signs", swapped)
-    cert, = checks.check_sign_compat(4, 0)
-    assert cert.status == "fail"
-    first = cert.witness["first"]
-    plus, minus, zero = first["shape_signs"]
-    assert plus != minus and first["eigenvalue_signs"] == [minus, plus, zero]
-    z = HermitianMatrix.from_json(first["z"])
-    assert list(shape_of(z).sign_multiset()) == first["shape_signs"]
-    # it is the first: every earlier sample has as many plus as minus signs
-    rng = random.Random(0)
-    for _ in range(first["sample"]):
-        z = random_exact_hermitian(rng.randint(1, 4), rng)
-        plus, minus, _ = shape_of(z).sign_multiset()
-        assert plus == minus
-
-
-def test_decompose_witness_names_first_failing_sample(monkeypatch):
-    from qrea import checks, classical
-    right = classical.decompose
-    calls = []
-
-    def perturbed_on_third_call(z):
-        calls.append(z)
-        t, M = right(z)
-        if len(calls) == 3:
-            t[0][0] = G(2)
-        return t, M
-
-    monkeypatch.setattr(classical, "decompose", perturbed_on_third_call)
-    cert, = checks.check_decompose(4, 0)
-    assert cert.status == "fail"
-    assert cert.witness["failures"] == 1
-    first = cert.witness["first"]
-    assert first["sample"] == 2
-    z = HermitianMatrix.from_json(first["z"])
-    t = [[GaussRat.from_json(e) for e in row] for row in first["t"]]
-    M = HermitianMatrix.from_json(first["M"])
-    assert z.entries == calls[2].entries and M.entries == right(z)[1].entries
-    assert t[0][0] == 2
-    # the first entry, in row-major order, at which z and t* M t differ
-    tmt = gr_matmul(gr_conj_t(t), gr_matmul(M.entries, t))
-    i, j = next((i, j) for i in range(z.N) for j in range(z.N)
-                if tmt[i][j] != z.entries[i][j])
-    assert (first["law"], first["entry"]) == ("z = t* M t", [i + 1, j + 1])
-    assert GaussRat.from_json(first["got"]) == tmt[i][j]
-    assert GaussRat.from_json(first["expected"]) == z.entries[i][j]
+test_tn_invariance_witness_names_sample_and_element = row_test(
+    "classical.tn-invariance")
+test_tangency_witness_names_first_failing_sample = row_test(
+    "classical.tangency third-draw")
+test_tangency_fails_when_the_draws_reach_one_rank = row_test(
+    "classical.tangency one-rank")
+test_poisson_suites_fail_on_a_perturbed_bracket = row_test(
+    "classical.bivector-antisymmetry", "classical.tangency", "classical.jacobi")
+test_shape_roundtrip_witness_names_first_failing_sample = row_test(
+    "classical.shape-roundtrip")
+test_sign_compatibility_witness_names_first_failing_sample = row_test(
+    "classical.sign-compatibility")
+test_decompose_witness_names_first_failing_sample = row_test(
+    "classical.decompose")
 
 
 def test_decompose_mismatch_laws():
@@ -932,11 +749,11 @@ def test_poisson_suites_leave_the_shared_table_as_built():
     # last in this file, so that it runs after every test above that
     # perturbs the bracket: the table poisson_bracket_coeffs shares must
     # still be the one it built
-    from qrea import checks
+    from qrea import checks, classical
     for n in (2, 3):
         for suite in (checks.check_bivector, checks.check_tangency,
                       checks.check_jacobi, checks.check_semiclassical):
             assert all(c.status == "pass" for c in suite(n, 0))
     for n in (2, 3):
         assert poisson_bracket_coeffs(n) == \
-            poisson_bracket_coeffs.__wrapped__(n)
+            classical._BRACKET_TABLES.compute(n)

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from qrea import checks, classical, cli, qmatrix
+from qrea import braiding, checks, classical, cli, qmatrix, rea
 from qrea.cli import OUTPUT_ERROR, main
-from qrea.memo import Memo
+from test_suite_mutations import fresh_memos
 
 
 def run_cli(capsys, argv):
@@ -40,8 +40,8 @@ def test_braid_n0_is_usage_error(capsys):
 
 
 def test_empty_run_is_not_a_pass(capsys):
-    code, out, err = run_cli(capsys, ["classical", "invariance", "--N", "2",
-                                      "--samples", "0"])
+    code, out, err = run_cli(capsys, ["rea", "qcomm", "--N", "2", "--shape",
+                                      '{"tau":[1,2],"u":["0","0"]}'])
     assert code == 2
     assert out == ""
     assert "no certificates" in err
@@ -325,6 +325,8 @@ _MISSING_FILE = str(Path(__file__).parent / "no_such_matrix.json")
     ["classical", "jacobi", "--N", "-1"],
     ["classical", "jacobi", "--N", "0"],
     ["classical", "jacobi", "--samples", "0"],
+    ["classical", "tangency", "--samples", "0"],
+    ["classical", "invariance", "--samples", "-3"],
     # a dict in argv is written to a file and replaced by its path
     ["classical", "shape", {"N": 0, "mode": "exact", "entries": []}],
     ["classical", "leaf", {"N": 1, "mode": "exact",
@@ -535,8 +537,14 @@ def test_check_all_deterministic_and_covers(capsys):
 
 def _memo_lens():
     """The size of each memo of the suite contexts, by owner and attribute,
-    summed over contexts, read off the named attributes."""
+    summed over contexts, and of each module-level memo, read off the named
+    attributes."""
     sizes = Counter()
+    sizes["braiding._RHAT_TABLES"] = sum(
+        map(len, braiding._RHAT_TABLES.values()))
+    sizes["classical._BRACKET_TABLES"] = len(classical._BRACKET_TABLES)
+    sizes["qmatrix._POSITION_PATTERNS"] = len(qmatrix._POSITION_PATTERNS)
+    sizes["rea._SLOT_VECTORS"] = len(rea._SLOT_VECTORS)
     for star in checks._STAR_CACHE.values():
         for attr in ("_star_word_memo", "_star_minor_memo"):
             sizes["StarAlgebra." + attr] += len(getattr(star, attr))
@@ -556,10 +564,9 @@ def _memo_lens():
 
 def test_check_all_memo_lines_count_the_suite_memos(capsys, monkeypatch):
     # after each [timings] line, a [memos] line names each memo of the
-    # suite contexts that grew during the suite, with its size right after
-    # the suite; every other memo kept its size
-    for name in ("_CTX_CACHE", "_STAR_CACHE"):
-        monkeypatch.setattr(checks, name, Memo(getattr(checks, name).compute))
+    # suite contexts and each module-level memo that grew during the suite,
+    # with its size right after the suite; every other memo kept its size
+    fresh_memos(monkeypatch)
     after = {}
 
     def measured(name, suite):

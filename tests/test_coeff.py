@@ -14,6 +14,7 @@ from qrea.coeff import (LP_ONE, LP_Q, LP_QINV, LP_ZERO, GaussRat,
                         ZeroDenominator, lp_q_int, rational_sqrt,
                         share_values)
 from qrea.coeff import _from_dense, _to_dense
+from test_suite_mutations import row_test
 
 
 def L(d):
@@ -659,18 +660,13 @@ def test_laurent_reads_as_fraction_over_one():
         p.num = L({0: 1})
 
 
-# -- failure witnesses of the coeff suites ----------------------------------------
+# -- failure witnesses of the coeff suites: rows of the mutation table ---------
 
-def test_ring_axioms_witness_names_first_broken_law(monkeypatch):
-    # * as the left projection: associative, but not commutative
-    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: a)
-    cert, = checks.check_coeff_ring_axioms(2, 0)
-    assert cert.status == "fail"
-    rng = random.Random(0)
-    first = [checks._random_laurent(rng).to_json() for _ in range(3)]
-    assert first[0] != first[1]
-    assert cert.witness == {"sample": 0, "law": "mul-commutative",
-                            "args": first}
+test_ring_axioms_witness_names_first_broken_law = row_test(
+    "coeff.ring-axioms")
+test_rf_canonical_witness_names_first_broken_law = row_test(
+    "coeff.rf-canonical")
+test_eval_witness_names_the_point = row_test("coeff.eval-direct-substitution")
 
 
 def test_ring_axioms_fail_on_a_perturbed_product(monkeypatch):
@@ -732,27 +728,3 @@ def test_no_suite_does_ratfunc_arithmetic(monkeypatch, N):
     for name, suite in checks.CHECKS:
         certs = suite(N, 0)
         assert certs and all(c.status == "pass" for c in certs), name
-
-
-def test_rf_canonical_witness_names_first_broken_law(monkeypatch):
-    monkeypatch.setattr(RatFunc, "__eq__", lambda a, b: False)
-    cert, = checks.check_coeff_rf_canonical(2, 0)
-    assert cert.status == "fail"
-    assert (cert.witness["sample"], cert.witness["law"]) == (0, "idempotent")
-    assert len(cert.witness["args"]) == 2
-
-
-def test_eval_witness_names_the_point(monkeypatch):
-    right = LaurentPoly.evaluate
-    monkeypatch.setattr(LaurentPoly, "evaluate",
-                        lambda p, q0: right(p, q0) + (q0 > 1))
-    cert, = checks.check_coeff_eval(2, 0)
-    assert cert.status == "fail"
-    w = cert.witness
-    assert w["law"] == "direct-substitution"
-    p, q0 = from_json(w["args"][0]), F(w["args"][1])
-    assert q0 > 1
-    rng = random.Random(0)
-    for i in range(w["sample"]):
-        checks._random_laurent(rng)
-        assert F(rng.randint(1, 9), rng.randint(1, 9)) <= 1

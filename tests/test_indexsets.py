@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrea import checks, indexsets
+from qrea import indexsets
 from qrea.indexsets import (check_comb_lemma, dominated, inversions, merge,
                             pair_dom_strictly_less, rest, select, subsets,
                             sweep_comb_lemma)
+from test_suite_mutations import row_test
 
 
 def test_dom_examples():
@@ -150,40 +151,16 @@ def test_inversion_parity_multiplicative():
         assert inversions(comp) % 2 == (inversions(a) + inversions(b)) % 2
 
 
-# -- failure witnesses of the combinatorics suites ---------------------------------
+# -- failure witnesses of the combinatorics suites: rows of the mutation table
 
-_first_draws = []
-
-
-def _record_inversions(seq):
-    """A broken inversion count that records what it is asked about."""
-    _first_draws.append(list(seq))
-    return 1
-
-
-@pytest.mark.parametrize("suite, name, fake, first", [
-    # every pair counts as dominated: the first with J <lex I fails
-    ("combinatorics.dominance-refines-lex", "dominated", lambda I, J: True,
-     lambda: ((2,), (1,))),
-    # I_K is all of I: the first nonempty I with K = () fails
-    ("combinatorics.weight-split", "select", lambda I, K: I,
-     lambda: ((1,), ())),
-    # T_P is the top |P| elements of T: at I = {1}, J = {2} the positions
-    # P = {1} pass both lex tests with S u T^P = {2} != I
-    ("combinatorics.dominance-lemma", "select",
-     lambda T, P: T[len(T) - len(P):], lambda: ((1,), (2,), [(1,)])),
-    # parity 1 + 1 against 1: the first draw (a, b) fails
-    ("combinatorics.inversion-parity", "inversions", _record_inversions,
-     lambda: (_first_draws[0], _first_draws[1])),
-])
-def test_combinatorics_witness_names_first_failure(monkeypatch, suite, name,
-                                                   fake, first):
-    _first_draws.clear()
-    monkeypatch.setattr(indexsets, name, fake)
-    [cert] = dict(checks.CHECKS)[suite](2, 0)
-    assert cert.status == "fail"
-    assert cert.witness["failures"] >= 1
-    assert cert.witness["first"] == first()
+test_combinatorics_witness_names_first_failure = row_test(
+    "combinatorics.dominance-refines-lex", "combinatorics.weight-split",
+    "combinatorics.dominance-lemma", "combinatorics.inversion-parity", ids=[
+        "combinatorics.dominance-refines-lex-dominated-<lambda>-<lambda>",
+        "combinatorics.weight-split-select-<lambda>-<lambda>",
+        "combinatorics.dominance-lemma-select-<lambda>-<lambda>",
+        "combinatorics.inversion-parity-inversions-_record_inversions-"
+        "<lambda>"])
 
 
 # -- order properties ------------------------------------------------------------

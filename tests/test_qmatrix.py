@@ -1,6 +1,5 @@
 import json
 import random
-import re
 from itertools import combinations, product
 from math import comb
 
@@ -9,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qrea import checks, qmatrix
 from qrea.cli import main
-from qrea.coeff import LP_ONE, LP_Q, LP_QINV, LP_ZERO, LaurentPoly, lp_q_int
+from qrea.coeff import LP_ONE, LP_QINV, LP_ZERO, LaurentPoly, lp_q_int
 from qrea.indexsets import merge, rest, select, subsets
 from qrea.linalg import add_term
 from qrea.memo import Memo
@@ -19,7 +18,8 @@ from qrea.qmatrix import (Bicharacter, IllFormedInstance, NCPoly,
                           degree_dimension, derive_rewrite_system,
                           exchange_relations, gen_id, laplace_instances,
                           muir_instances, quantum_minor, sum_terms,
-                          verify_identity, word_from_rc, word_str)
+                          verify_identity, word_from_rc)
+from test_suite_mutations import ROWS, check_row, row_test
 
 
 def counit(p):
@@ -299,8 +299,8 @@ def test_first_mismatch_matches_dense_reference(N, perturbation):
 @pytest.mark.parametrize("which", ["rinv", "rpr"])
 def test_convolution_certificates_fail_on_a_perturbed_table(monkeypatch, which):
     """One entry of the r^{-1} generator table shifted by 1, or the r' twist
-    reversed, must fail every bidegree of that inverse, and the check's
-    certificates must carry a true witness."""
+    reversed, must fail every bidegree of that inverse; the suite's
+    witnesses, pinned in the row of the mutation table, are true sums."""
     ctx = QContext(2)            # fresh: the shared context stays intact
     b = ctx.bich
     if which == "rinv":
@@ -308,36 +308,33 @@ def test_convolution_certificates_fail_on_a_perturbed_table(monkeypatch, which):
     else:
         twist = b.rpr_twist
         monkeypatch.setattr(b, "rpr_twist", lambda cols, rows: twist(rows, cols))
-    bidegrees = BIDEGREES
-    for (s, t) in bidegrees:
+    for (s, t) in BIDEGREES:
         assert not b.certify_bidegree(s, t, which)
         # r' is r^{-1} twisted: a wrong r^{-1} table fails both, a wrong
         # twist only r'
         assert b.certify_bidegree(s, t, "rinv") == (which == "rpr")
     # the tables and the twist are per instance: a fresh context is untouched
     fresh = QContext(2).bich
-    for (s, t) in bidegrees:
+    for (s, t) in BIDEGREES:
         assert fresh.certify_bidegree(s, t, which)
-    monkeypatch.setitem(checks._CTX_CACHE, 2, ctx)
-    certs = checks.check_convolution_certificates(2, 0)
-    assert [cert.instance["bidegree"] for cert in certs] == [list(d) for d in bidegrees]
+    label = {"rinv": "qmatrix.convolution-certificates",
+             "rpr": "qmatrix.convolution-certificates twist"}[which]
+    check_row(label)
     inverse = b.r_inv if which == "rinv" else b.r_prime
-    for cert in certs:
-        assert cert.status == "fail"
-        w = cert.witness
-        assert w["which"] == which and w["bidegree"] == cert.instance["bidegree"]
+    for w in ROWS[label][4]:
         s, t = w["bidegree"]
-        i, j, k, l = (tuple(w[x]) for x in "ijkl")
+        i, j, k, l = (w[x] for x in "ijkl")
         # the reported sum, recomputed over every middle without pruning
         total = LP_ZERO
         for m in product((1, 2), repeat=s):
             for n in product((1, 2), repeat=t):
-                if which == "rinv":
-                    total = total + (b.r(word_from_rc(i, m, 2), word_from_rc(k, n, 2))
-                                     * inverse(word_from_rc(m, j, 2), word_from_rc(n, l, 2)))
-                else:
-                    total = total + (b.r(word_from_rc(i, m, 2), word_from_rc(n, l, 2))
-                                     * inverse(word_from_rc(m, j, 2), word_from_rc(k, n, 2)))
+                # the second arguments of r and of the inverse
+                r2, inv2 = ((k, n), (n, l)) if which == "rinv" else \
+                    ((n, l), (k, n))
+                total = total + (b.r(word_from_rc(i, m, 2),
+                                     word_from_rc(*r2, 2))
+                                 * inverse(word_from_rc(m, j, 2),
+                                           word_from_rc(*inv2, 2)))
         expected = LP_ONE if (i, k) == (j, l) else LP_ZERO
         assert w["got"] == total.to_json() != expected.to_json()
         assert w["expected"] == expected.to_json()
@@ -569,52 +566,16 @@ def test_ill_formed_instance(ctx2):
         verify_identity(ctx2, "nonsense", {})
 
 
-# -- witnesses of the qmatrix suites --------------------------------------------
+# -- witnesses of the qmatrix suites: rows of the mutation table -------------
 
-@pytest.fixture
-def scaled_coproduct(monkeypatch):
-    """The coproduct with every term of a word of length 2 or more scaled
-    by q: Delta is then no longer multiplicative on the coordinate ring."""
-    delta = qmatrix.coproduct
-
-    def broken(p):
-        out = delta(p)
-        return {pair: c * LP_Q if len(pair[0]) > 1 else c
-                for pair, c in out.items()}
-
-    monkeypatch.setattr(qmatrix, "coproduct", broken)
-    return broken
-
-
-def test_counit_axiom_witness_is_first_failing_word(scaled_coproduct):
-    [cert] = checks.check_counit_coassoc(3, 5)
-    assert cert.status == "fail"
-    rng = random.Random(5)
-    draws = [tuple(rng.randrange(9) for _ in range(rng.randint(1, 3)))
-             for _ in range(50)]
-    first = next(i for i, w in enumerate(draws) if len(w) > 1)
-    word = word_str(draws[first], 3)
-    assert re.fullmatch(r"X[1-3]{2}(\*X[1-3]{2})+", word)
-    assert cert.witness == {"sample": first, "word": word, "entry": word,
-                            "got": LP_Q.to_json(),
-                            "expected": LP_ONE.to_json()}
-
-
-def test_minor_coproduct_witness_is_first_failing_minor(monkeypatch,
-                                                        scaled_coproduct):
-    monkeypatch.setitem(checks._CTX_CACHE, 2, QContext(2))
-    [cert] = checks.check_minor_coproduct(2, 0)
-    assert cert.status == "fail"
-    w = cert.witness
-    # every 1x1 minor passes: its words have length 1
-    assert (w["rows"], w["cols"]) == ((1, 2), (1, 2))
-    rw = checks.get_ctx(2).rw
-    got = checks._nf_pair_accumulate(
-        rw, scaled_coproduct(quantum_minor(2, (1, 2), (1, 2))), {})
-    first = min(got)
-    assert w["entry"] == [word_str(first[0], 2), word_str(first[1], 2)]
-    assert w["got"] == got[first].to_json() != w["expected"]
-    assert w["expected"] == (got[first] * LP_QINV).to_json()
+test_counit_axiom_witness_is_first_failing_word = row_test(
+    "qmatrix.counit-axiom")
+test_minor_coproduct_witness_is_first_failing_minor = row_test(
+    "qmatrix.minor-coproduct")
+test_confluence_and_pbw_witnesses_on_a_perturbed_rule = row_test(
+    "qmatrix.pbw-dimensions")
+test_minor_table_crosscheck_witness_names_the_entry = row_test(
+    "qmatrix.minor-table-crosscheck")
 
 
 def test_laplace_row_witness_writes_its_word(monkeypatch, capsys):
@@ -640,45 +601,6 @@ def test_laplace_row_witness_writes_its_word(monkeypatch, capsys):
                    "status": "fail",
                    "witness": {"entry": "X11", "got": LP_ONE.to_json(),
                                "expected": LP_ZERO.to_json()}}
-
-
-def test_confluence_and_pbw_witnesses_on_a_perturbed_rule(monkeypatch):
-    ctx = QContext(2)
-    monkeypatch.setitem(checks._CTX_CACHE, 2, ctx)
-    lead = min(ctx.rw.rules)
-    ctx.rw.rules[lead] = {w: c * LP_Q for w, c in ctx.rw.rules[lead].items()}
-    certs = checks.check_pbw_dimensions(2, 0)
-    assert [c.command for c in certs] == ["qmatrix pbw-dimension"] * 2 + \
-        ["qmatrix confluence"]
-    confluence = certs[-1]
-    assert confluence.status == "fail"
-    # the scaled rule X12 X11 -> ... leaves X22 X12 X11 unresolved
-    assert lead == (g(1, 2), g(1, 1))
-    assert confluence.witness == {
-        "overlap": "X22*X12*X11", "entry": "X12*X12*X21",
-        "got": {"-2": "1", "0": "-1"}, "expected": {"-1": "1", "1": "-1"}}
-    # reducing the degree-3 span of the scaled rule meets a leading
-    # coefficient that is no unit: the dimension is not certified
-    assert [c.status for c in certs[:2]] == ["pass", "inconclusive"]
-    assert certs[0].witness is None
-    not_a_unit = LaurentPoly({1: -1, 0: 1, -1: 1, -2: -1})
-    assert certs[1].witness == {"not a unit": not_a_unit.to_json()}
-
-
-def test_minor_table_crosscheck_witness_names_the_entry(monkeypatch):
-    ctx = QContext(2)
-    monkeypatch.setitem(checks._CTX_CACHE, 2, ctx)
-    key = ((2,), (1,), (2,), (1,))
-    table = ctx.table(1, 1)
-    table.entries[key] = table.entries[key] * LP_Q
-    [cert] = checks.check_minor_table_crosscheck(2, 0)
-    assert cert.status == "fail"
-    # r_minor(A, B, C, D) is entry(B, A, C, D)
-    A, B, C, D = (1,), (2,), (2,), (1,)
-    value = pair_functional(ctx.bich, "r", ctx.minor(A, B), ctx.minor(C, D))
-    assert cert.witness == {"which": "r", "A": A, "B": B, "C": C, "D": D,
-                            "table": (value * LP_Q).to_json(),
-                            "functional": value.to_json()}
 
 
 # -- the row side and the sparse sweeps, against dense references ---------------

@@ -1,16 +1,14 @@
 import inspect
 import random
-from functools import partial
 from itertools import combinations, product
 
 import pytest
 
-from qrea import braiding, checks, qmatrix, rea
+from qrea import braiding, classical, qmatrix, rea
 from qrea.classical import poisson_bracket_coeffs
-from qrea.coeff import LP_ONE, LP_Q, LaurentPoly
 from qrea.linalg import add_term
 from qrea.memo import Memo
-from qrea.qmatrix import (NCPoly, QContext, _nf_json, braidcomm_instances,
+from qrea.qmatrix import (NCPoly, QContext, braidcomm_instances,
                           degree_dimension, derive_rewrite_system, gen_id,
                           muir_instances, rea_laplace_instances, sum_terms,
                           verify_identity, word_cols, word_from_rc, word_rows)
@@ -18,7 +16,7 @@ from qrea.rea import (StarAlgebra, random_monomials, rea_verify,
                       reflection_equation_check, reflection_slot_vectors,
                       semiclassical_bracket_check,
                       star_commutator_first_order)
-from qrea.shapes import enumerate_shapes, shape_qcomm_certificate
+from test_suite_mutations import row_test
 
 
 def test_star_unit(star2):
@@ -166,203 +164,34 @@ def _fresh_star():
     return StarAlgebra(2, QContext(2))
 
 
-def _suite_names_first_failure(monkeypatch, star, algebra, family):
-    """Run the check-all suite of (algebra, family) at N = 2 on `star` and
-    assert that it fails with the first failing instance as its witness:
-    that instance, and the first term at which its two sides differ."""
-    subs, sweep, _keys = qmatrix.FAMILIES[algebra, family]
-    if algebra == "qmatrix":
-        verify, target = verify_identity, star.ctx
-        sides = partial(qmatrix.identity_sides, star.ctx)
-    else:
-        verify, target, sides = rea_verify, star, rea.rea_sides(star)
-    failed = [(sub, inst, cert) for inst in sweep(2) for sub in subs
-              for cert in [verify(target, sub, inst)] if cert.status != "pass"]
-    assert failed
-    monkeypatch.setitem(checks._CTX_CACHE, 2, star.ctx)
-    monkeypatch.setitem(checks._STAR_CACHE, 2, star)
-    [cert] = dict(checks.CHECKS)[f"{algebra}.{family}"](2, 0)
-    assert cert.status == "fail"
-    assert cert.witness["failures"] == len(failed)
-    sub, inst, first = failed[0]
-    lhs, rhs = sides(sub, inst)
-    assert lhs != rhs
-    assert cert.witness["first"] == {
-        "command": first.command, "instance": first.instance,
-        "status": "fail",
-        "witness": qmatrix.word_difference(lhs.coeffs, rhs.coeffs, 2)}
+# -- witnesses of the family and structural suites: rows of the mutation table
 
-
-@pytest.mark.parametrize("family", ["laplace1", "laplace2", "muir-left",
-                                    "muir-right"])
-def test_dropped_contraction_term_fails_the_family(monkeypatch, family):
-    star = _fresh_star()
-    suite = "laplace" if family.startswith("laplace") else "muir"
-    sweep = qmatrix.FAMILIES["rea", suite][1]
-    assert all(rea_verify(star, family, inst).status == "pass"
-               for inst in sweep(2))
-    terms = next(t for t in star.ctx._contractions.values() if t)
-    del terms[next(iter(terms))]
-    assert any(rea_verify(star, family, inst).status == "fail"
-               for inst in sweep(2))
-    _suite_names_first_failure(monkeypatch, star, "rea", suite)
-
-
-def test_dropped_gencomm_coefficient_fails_both_consumers(monkeypatch):
-    star = _fresh_star()
-    ctx = star.ctx
-    shape = next(s for s in enumerate_shapes(2) if s.rank >= 1)
-    A, B = shape.support_prefix(1), shape.tau_prefix(1)
-    I = J = (1,)
-    assert shape_qcomm_certificate(ctx, shape, 1, I, J).status == "pass"
-    inst = {"I": A, "J": B, "Ip": I, "Jp": J}
-    assert rea_verify(star, "gencomm", inst).status == "pass"
-    left, _right = ctx.gencomm_coefficients(A, B, I, J)
-    del left[(B, A, I)]          # the designated term of the shape certificate
-    assert shape_qcomm_certificate(ctx, shape, 1, I, J).status == "fail"
-    assert rea_verify(star, "gencomm", inst).status == "fail"
-    _suite_names_first_failure(monkeypatch, star, "rea", "gencomm")
-    # the rea.qcomm suite counts statuses without certificates: the same
-    # dropped term at N = 3 fails it
-    ctx3 = QContext(3)
-    shape = next(s for s in enumerate_shapes(3) if s.rank >= 1)
-    A, B = shape.support_prefix(1), shape.tau_prefix(1)
-    monkeypatch.setitem(checks._CTX_CACHE, 3, ctx3)
-    [cert] = checks.check_qcomm(3, 0)
-    assert cert.status == "pass"
-    left, _right = ctx3.gencomm_coefficients(A, B, I, J)
-    del left[(B, A, I)]
-    [cert] = checks.check_qcomm(3, 0)
-    assert cert.status == "fail" and cert.witness["fail"] >= 1
-
-
-@pytest.mark.parametrize("algebra, family", [
-    ("qmatrix", "laplace"), ("qmatrix", "muir"), ("rea", "laplace"),
-    ("rea", "muir")])
-def test_dropped_expansion_term_fails_every_subfamily(monkeypatch, algebra,
-                                                      family):
-    original = qmatrix.expansion_terms
-
-    def dropped(fam, instance):
-        left, right = original(fam, instance)
-        return left, right[:-1]
-
-    monkeypatch.setattr(qmatrix, "expansion_terms", dropped)
-    monkeypatch.setattr(rea, "expansion_terms", dropped)
-    star = _fresh_star()
-    subs, sweep, _keys = qmatrix.FAMILIES[algebra, family]
-    for sub in subs:
-        if algebra == "qmatrix":
-            certs = [verify_identity(star.ctx, sub, i) for i in sweep(2)]
-        else:
-            certs = [rea_verify(star, sub, i) for i in sweep(2)]
-        assert any(c.status == "fail" for c in certs), sub
-    _suite_names_first_failure(monkeypatch, star, algebra, family)
-
-
-# -- witnesses of the structural suites ---------------------------------------
-
-def _scaled_star_word(monkeypatch, star, factor):
-    """Make star.star_word, on this instance only, return factor(u, v) times
-    its value."""
-    original = star.star_word
-    monkeypatch.setattr(star, "star_word", lambda u, v: sum_terms(
-        star.N, [(factor(u, v), (u, v))], original))
-
-
-def _failing_suite_witness(monkeypatch, star, suite):
-    """Run the check-all suite at N = 2 on `star`, assert that its one
-    certificate fails, and return the witness."""
-    monkeypatch.setitem(checks._CTX_CACHE, 2, star.ctx)
-    monkeypatch.setitem(checks._STAR_CACHE, 2, star)
-    [cert] = dict(checks.CHECKS)[suite](2, 0)
-    assert cert.status == "fail"
-    return cert.witness
-
-
-def _times_q(p):
-    return sum_terms(p.N, [(LP_Q, ())], lambda: p)
-
-
-def test_star_unit_witness_is_first_failing_poly(monkeypatch):
-    star = _fresh_star()
-    # 1 * p picks up a factor q; p * 1 does not
-    _scaled_star_word(monkeypatch, star, lambda u, v: LP_ONE if u else LP_Q)
-    witness = _failing_suite_witness(monkeypatch, star, "rea.star-unit")
-    p = random_monomials(2, 2, 10, 0)[0]
-    nf = star.ctx.rw.normal_form(p)
-    assert witness == {"poly": _nf_json(p), "side": "left",
-                       **qmatrix.word_difference(_times_q(nf).coeffs,
-                                                 nf.coeffs, 2)}
-
-
-def test_star_associativity_witness_is_first_failing_triple(monkeypatch):
-    star = _fresh_star()
-    # (f g) h gains q^(2|f||g||h|) over f (g h): no triple associates
-    _scaled_star_word(monkeypatch, star,
-                      lambda u, v: LaurentPoly.q_power(len(u) ** 2 * len(v)))
-    witness = _failing_suite_witness(monkeypatch, star,
-                                     "rea.star-associativity")
-    rng = random.Random(0)
-    monos = random_monomials(2, 2, 9, 0)
-    f, g, h = rng.sample(monos, 3)
-    left, right = star.star(star.star(f, g), h), star.star(f, star.star(g, h))
-    assert left != right
-    assert witness == {"triple": [_nf_json(p) for p in (f, g, h)],
-                       **qmatrix.word_difference(left.coeffs, right.coeffs, 2)}
-
-
-def test_reverse_braid_witness_is_first_failing_pair(monkeypatch):
-    star = _fresh_star()
-    _scaled_star_word(monkeypatch, star, lambda u, v: LP_Q)
-    witness = _failing_suite_witness(monkeypatch, star, "rea.reverse-braid")
-    rng = random.Random(0)
-    (i, j), (k, l) = [(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(2)]
-    expected = star.ctx.rw.normal_form(NCPoly.generator(2, i, j)
-                                       * NCPoly.generator(2, k, l))
-    assert witness == {"pair": [[i, j], [k, l]],
-                       **qmatrix.word_difference(_times_q(expected).coeffs,
-                                                 expected.coeffs, 2)}
-
-
-def test_rewrite_crosscheck_witness_is_the_first_failing_rule(monkeypatch):
-    star = _fresh_star()
-    # a twist on the descending generator pairs only breaks the rules: the
-    # least rule's lead X12 X11 gains q over its right side
-    _scaled_star_word(monkeypatch, star,
-                      lambda u, v: LP_Q if u > v else LP_ONE)
-    witness = _failing_suite_witness(monkeypatch, star,
-                                     "rea.rewrite-crosscheck")
-    assert witness == {"rule": "X12*X11", "entry": "X11*X12",
-                       "got": {"-1": "1"}, "expected": {"-2": "1"}}
-
-
-def test_rewrite_crosscheck_witness_is_the_first_unresolved_overlap(
-        monkeypatch):
-    # the least derived rule scaled by q, as in the quantum-matrix
-    # confluence test: an overlap through it no longer resolves
-    def scaled(N, vectors):
-        rw = derive_rewrite_system(N, vectors)
-        lead = min(rw.rules)
-        assert lead == (gen_id(1, 2, N), gen_id(1, 1, N))
-        rw.rules[lead] = {w: c * LP_Q for w, c in rw.rules[lead].items()}
-        return rw
-    monkeypatch.setattr(rea, "derive_rewrite_system", scaled)
-    witness = _failing_suite_witness(monkeypatch, _fresh_star(),
-                                     "rea.rewrite-crosscheck")
-    assert witness == {"overlap": "X21*X12*X11", "entry": "X11*X11*X11",
-                       "got": {"0": "1", "2": "-1"},
-                       "expected": {"1": "1", "3": "-1"}}
-
-
-def test_rewrite_crosscheck_witness_is_the_rule_count(monkeypatch):
-    # three slots of the reflection equation span too few relations
-    slots = list(reflection_slot_vectors(2).values())[:3]
-    monkeypatch.setattr(rea, "reflection_slot_vectors",
-                        lambda N: dict(enumerate(slots)))
-    witness = _failing_suite_witness(monkeypatch, _fresh_star(),
-                                     "rea.rewrite-crosscheck")
-    assert witness == {"error": "2 rules, expected 6: relation rank is off"}
+test_dropped_contraction_term_fails_the_family = row_test(
+    "rea.laplace", "rea.laplace", "rea.muir", "rea.muir",
+    ids=["laplace1", "laplace2", "muir-left", "muir-right"])
+test_dropped_gencomm_coefficient_fails_both_consumers = row_test(
+    "rea.gencomm", "rea.qcomm")
+test_dropped_expansion_term_fails_every_subfamily = row_test(
+    "qmatrix.laplace", "qmatrix.muir", "rea.laplace expansion",
+    "rea.muir expansion",
+    ids=["qmatrix-laplace", "qmatrix-muir", "rea-laplace", "rea-muir"])
+test_braidcomm_suite_witness_on_a_dropped_factor = row_test(
+    "qmatrix.braidcomm")
+test_star_unit_witness_is_first_failing_poly = row_test("rea.star-unit")
+test_star_associativity_witness_is_first_failing_triple = row_test(
+    "rea.star-associativity")
+test_reflection_equation_witness_names_the_failing_slots = row_test(
+    "rea.reflection-equation")
+test_reverse_braid_witness_is_first_failing_pair = row_test(
+    "rea.reverse-braid")
+test_rewrite_crosscheck_witness_is_the_first_failing_rule = row_test(
+    "rea.rewrite-crosscheck")
+test_rewrite_crosscheck_witness_is_the_first_unresolved_overlap = row_test(
+    "rea.rewrite-crosscheck overlap")
+test_rewrite_crosscheck_witness_is_the_rule_count = row_test(
+    "rea.rewrite-crosscheck rule-count")
+test_semiclassical_witness_names_first_failing_pair = row_test(
+    "rea.semiclassical")
 
 
 def _memo_rows(star, fresh):
@@ -436,7 +265,9 @@ def test_every_computed_cache_is_a_memo():
     memos = [star._star_word_memo, star._star_minor_memo, ctx._tables,
              ctx._minors, ctx._minor_nf, ctx._minor_prod, ctx._contractions,
              ctx._gencomm, ctx.rw._insert_memo, ctx.table(2, 1)._slices,
-             sides["expansions"], *braiding._RHAT_TABLES.values()]
+             sides["expansions"], *braiding._RHAT_TABLES.values(),
+             classical._BRACKET_TABLES, qmatrix._POSITION_PATTERNS,
+             rea._SLOT_VECTORS]
     for per_functional in (bich._memo, bich._images, bich._coimages):
         assert per_functional.keys() == {"r", "rinv"}
         memos += per_functional.values()
@@ -474,29 +305,6 @@ def test_sums_leave_every_memo_as_a_fresh_context_computes_it():
                 assert value == compute(*key), (name, key)
 
 
-def test_semiclassical_witness_names_first_failing_pair(monkeypatch):
-    """With one bracket coefficient negated, the N=2 certificate fails with
-    the failure count and the first failing pair's own certificate."""
-    table = dict(poisson_bracket_coeffs(2))
-    key = next(k for k in sorted(table) if table[k])
-    mono = min(table[key])
-    table[key] = {**table[key], mono: -table[key][mono]}
-    monkeypatch.setattr(checks.classical, "poisson_bracket_coeffs",
-                        lambda N: table)
-    (cert,) = checks.check_semiclassical(2, 0)
-    assert cert.status == "fail"
-    ij, kl = key
-    first = semiclassical_bracket_check(checks.get_star(2), ij, kl, table)
-    assert first.status == "fail"
-    assert cert.witness == {"failures": 1, "first": first.to_json()}
-    # the negated monomial: the classical side reads i times the negated
-    # coefficient g, -g.im, and the quantum side still its negative
-    value = -table[key][mono].im
-    assert first.witness == {"constant_ok": True, "entry": str(mono),
-                             "quantum": str(-value),
-                             "classical": str(value)}
-
-
 # -- the twisted product from the row side ------------------------------------
 
 def _star_word_by_columns(star, u, v):
@@ -530,37 +338,3 @@ def test_star_word_matches_the_column_sweep(N):
         for v in words:
             assert star.star_word(u, v) == _star_word_by_columns(star, u, v), \
                 (u, v)
-
-
-def test_reflection_equation_witness_names_the_failing_slots(monkeypatch):
-    star = _fresh_star()
-    vectors = reflection_slot_vectors(2)
-    g = next(iter(next(iter(vectors.values()))))
-    u, v = (g[0],), (g[1],)
-    word = star.star_word(u, v)
-    # one generator product picks up a factor q: exactly the slots whose
-    # relation holds that product break, each by (q - 1) c times it
-    _scaled_star_word(monkeypatch, star,
-                      lambda a, b: LP_Q if (a, b) == (u, v) else LP_ONE)
-    witness = _failing_suite_witness(monkeypatch, star,
-                                     "rea.reflection-equation")
-    failing = [slot for slot, vec in vectors.items() if g in vec]
-    assert failing and [f["slot"] for f in witness["failures"]] == failing
-    c = vectors[failing[0]][g]
-    assert witness["failures"][0]["residual"] == _nf_json(
-        sum_terms(2, [((LP_Q - LP_ONE) * c, ())], lambda: word))
-
-
-def test_braidcomm_suite_witness_on_a_dropped_factor(monkeypatch):
-    original = qmatrix.braidcomm_factors
-
-    def dropped(ctx, family, I, J, Ip, Jp):
-        first, second = original(ctx, family, I, J, Ip, Jp)
-        return first, list(second)[:-1]
-
-    monkeypatch.setattr(qmatrix, "braidcomm_factors", dropped)
-    star = _fresh_star()
-    for sub in ("braidcomm-1", "braidcomm-2"):
-        assert any(verify_identity(star.ctx, sub, inst).status == "fail"
-                   for inst in braidcomm_instances(2)), sub
-    _suite_names_first_failure(monkeypatch, star, "qmatrix", "braidcomm")

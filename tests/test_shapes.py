@@ -2,9 +2,9 @@ from itertools import combinations
 
 import pytest
 
-from qrea import checks, shapes
 from qrea.shapes import (MalformedShape, QuantumShape, build_shape_ideal,
                          enumerate_shapes, shape_qcomm_certificate)
+from test_suite_mutations import row_test
 
 
 def test_family_counts_n3():
@@ -151,56 +151,12 @@ def test_qcomm_transposition_family_exponents(ctx3):
             assert cert.instance["exponent"] == e
 
 
-def test_shape_families_witness_names_counts_and_first_wrong_family(monkeypatch):
-    """With one rank-1 family lost and two rank-3 families swapped, the
-    suite fails with the counts by rank and the first rank-3 family whose
-    tau and labels differ from the published table."""
-    fams = enumerate_shapes(3)
-    rank1 = [s for s in fams if s.rank == 1]
-    rank3 = [s for s in fams if s.rank == 3]
-    swapped = [rank3[0], rank3[2], rank3[1], rank3[3]]
-    broken = [s for s in fams if s.rank not in (1, 3)] + rank1[1:] + swapped
-    monkeypatch.setattr(shapes, "enumerate_shapes", lambda N: broken)
-    (cert,) = checks.check_shape_families(3, 0)
-    assert cert.status == "fail"
-    w = cert.witness
-    assert w["counts"] == {"0": 1, "1": 2, "2": 6, "3": 4}
-    assert w["expected_counts"] == {"1": 3, "2": 6, "3": 4}
-    tau, labels = checks.SHAPE_RANK3_N3[1]
-    assert w["first"] == {"family": rank3[2].to_json(),
-                          "labels": rank3[2].minor_labels(),
-                          "expected_tau": tau, "expected_labels": labels}
+# -- witnesses of the shape suites: rows of the mutation table --------------
 
-
-@pytest.mark.parametrize("flavor, condition", [
-    ("lex", "dom inside lex"), ("dom", "dom adjoint-closed"),
-    ("lex", "lex adjoint-closed")])
-def test_shape_ideals_witness_names_family_and_broken_condition(
-        monkeypatch, flavor, condition):
-    """One label dropped from (or, for lex closure, added to) one ideal of
-    one family breaks one condition; the witness names that family, the
-    condition and the least offending label."""
-    build = shapes.build_shape_ideal
-    target = next(s for s in enumerate_shapes(3)
-                  if any(I != J for I, J in build(s, "dom")))
-    dom = build(target, "dom")
-    if condition == "dom inside lex":
-        dropped, added = min(dom), None   # lex keeps (J, I): closure holds
-        offending = dropped
-    elif condition == "dom adjoint-closed":
-        dropped, added = min((I, J) for I, J in dom if I != J), None
-        offending = dropped[::-1]
-    else:
-        dropped, added = None, ((1,), (2, 3))   # its adjoint is absent
-        offending = added
-
-    def broken(shape, fl):
-        ideal = build(shape, fl)
-        if shape == target and fl == flavor:
-            ideal = (ideal - {dropped}) | ({added} - {None})
-        return ideal
-    monkeypatch.setattr(shapes, "build_shape_ideal", broken)
-    (cert,) = checks.check_shape_ideals(3, 0)
-    assert cert.status == "fail"
-    assert cert.witness == {"family": target.to_json(), "condition": condition,
-                            "label": offending}
+test_shape_families_witness_names_counts_and_first_wrong_family = row_test(
+    "rea.shape-families")
+test_shape_ideals_witness_names_family_and_broken_condition = row_test(
+    "rea.shape-ideals", "rea.shape-ideals dom-closure",
+    "rea.shape-ideals lex-closure", ids=[
+        "lex-dom inside lex", "dom-dom adjoint-closed",
+        "lex-lex adjoint-closed"])

@@ -98,6 +98,25 @@ def test_only_coeff_writes_laurent_slots():
     assert slots <= coeff_writes
 
 
+def test_no_functools_cache():
+    """Every computed cache of src/qrea is a qrea.memo.Memo, which
+    checks.memo_sizes reports: none is a functools cache or lru_cache."""
+    found = []
+    for path in sorted(_SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "functools"):
+                names = [node.attr]
+            else:
+                continue
+            found += [(path.name, node.lineno, name) for name in names
+                      if name in ("cache", "lru_cache")]
+    assert not found, found
+
+
 # The functions that read a key with .get and then store under it, but are
 # not caches of a computed value (a qrea.memo.Memo is that), and why.
 _NOT_MEMOS = {
