@@ -295,29 +295,25 @@ class WedgeBraidTable:
 
     # -- structural checks ---------------------------------------------------
 
-    def support_condition_violations(self, table):
-        """Keys of `table`, the entries or inverse entries, with nonzero
-        value violating the dominance/difference support.
+    def support_violation(self, table):
+        """The first key of `table`, the entries or inverse entries, whose
+        nonzero value violates the dominance/difference support, or None.
 
         The support rule: the value at (I, J, Ip, Jp) vanishes unless
         J <= I and Jp <= Ip componentwise, J \\ I = Jp \\ Ip and
         I \\ J = Ip \\ Jp.
         """
-        bad = []
         for (I, J, Ip, Jp), c in table.items():
-            if c.is_zero():
-                continue
-            ok = (dominated(J, I) and dominated(Jp, Ip)
-                  and set(J) - set(I) == set(Jp) - set(Ip)
-                  and set(I) - set(J) == set(Ip) - set(Jp))
-            if not ok:
-                bad.append((I, J, Ip, Jp))
-        return bad
+            if not (c.is_zero() or dominated(J, I) and dominated(Jp, Ip)
+                    and set(J) - set(I) == set(Jp) - set(Ip)
+                    and set(I) - set(J) == set(Ip) - set(Jp)):
+                return I, J, Ip, Jp
+        return None
 
-    def diagonal_report(self):
+    def diagonal_mismatch(self):
         """Check entry(I,I,Ip,Ip) = q^-|I n Ip| and the inverse analogue:
-        each failing diagonal entry, with its value and the expected one."""
-        bad = []
+        the first failing diagonal entry, with its value and the expected
+        one, or None."""
         for I in subsets(self.N, self.k):
             for Ip in subsets(self.N, self.l):
                 m = len(set(I) & set(Ip))
@@ -327,10 +323,10 @@ class WedgeBraidTable:
                         ("inverse", self.inv_entry(I, I, Ip, Ip),
                          LaurentPoly.q_power(m))):
                     if got != expected:
-                        bad.append({"diagonal": kind, "I": I, "I'": Ip,
-                                    "got": got.to_json(),
-                                    "expected": expected.to_json()})
-        return bad
+                        return {"diagonal": kind, "I": I, "I'": Ip,
+                                "got": got.to_json(),
+                                "expected": expected.to_json()}
+        return None
 
     def composition_identity_check(self):
         """Inverse braiding composed with the braiding, as the table holds
@@ -376,11 +372,9 @@ def rmatrix_lemma_check(I, Ip):
     For subsets I, Ip of [N], builds the antisymmetrised pair vector xi,
     applies the inverse wedge braiding, and compares exactly with
     q^{|I n Ip|} (-q)^{l(l+1)/2 - l'(l'+1)/2 - l l'} xi'.
-    Returns a report dict with a boolean "ok" and, when it is false, the
-    two sides' first difference (linalg.first_difference) as "mismatch".
+    Returns None, or the two sides' first difference
+    (linalg.first_difference).
     """
-    I = tuple(sorted(I))
-    Ip = tuple(sorted(Ip))
     S = tuple(sorted(set(I) & set(Ip)))
     T = tuple(sorted(set(I) ^ set(Ip)))
     l = len([x for x in I if x not in Ip])
@@ -392,7 +386,4 @@ def rmatrix_lemma_check(I, Ip):
     expected = {key: c * scalar for key, c in xi_p.items()}
     # inverse braiding wedge^{|I|} (x) wedge^{|Ip|} -> wedge^{|Ip|} (x) wedge^{|I|}
     got = braid_wedge_pair(xi, len(Ip), len(I), inverse=True)
-    ok = got == expected
-    return {"I": list(I), "Ip": list(Ip), "ok": ok,
-            "scalar": scalar.to_json(),
-            "mismatch": None if ok else first_difference(got, expected)}
+    return None if got == expected else first_difference(got, expected)

@@ -6,6 +6,11 @@ check-all's size caps: a capped suite takes the size n it runs at, and its
 row, `upto(reach, suite)`, runs it at n = min(N, reach).  Suites are
 deterministic given (n, seed), with n = min(N, reach) (n = N for a suite
 without a reach), and emit certificates in a canonical instance order.
+
+The verdict functions of the other modules return None or their first
+failure, and the suites here make the certificates.  A check that stops at
+its first failure carries it as it is; a sweep that counts its failures
+carries {"failures": n, "first": ...}, `_failures_witness`.
 """
 
 from __future__ import annotations
@@ -147,6 +152,11 @@ def _first_broken(draw, count, laws):
             if not law(*args):
                 return i, name, args
     return None
+
+
+def _failures_witness(bad):
+    """The witness of a counting sweep: the failure count and the first."""
+    return lambda: {"failures": len(bad), "first": bad[0]}
 
 
 def _law_witness(broken):
@@ -300,11 +310,11 @@ def wedge_table_mismatch(tbl):
     diagonal values; the wedge-table suite and `qrea wedge-table --check`.
     Returns None, or the first entry that breaks one of them."""
     for kind, table in (("direct", tbl.entries), ("inverse", tbl.inv_entries)):
-        bad = tbl.support_condition_violations(table)
-        if bad:
-            return {"support": kind, "entry": bad[0],
-                    "value": table[bad[0]].to_json()}
-    return next(iter(tbl.diagonal_report()), None)
+        key = tbl.support_violation(table)
+        if key is not None:
+            return {"support": kind, "entry": key,
+                    "value": table[key].to_json()}
+    return tbl.diagonal_mismatch()
 
 
 def check_wedge_tables(n, seed, kmax):
@@ -338,26 +348,22 @@ def check_embed_equivariance(n, seed, kmax):
 
 def check_scalar_lemma(n, seed):
     subs = [c for k in range(n + 1) for c in indexsets.subsets(n, k)]
-    bad = []
-    for I in subs:
-        for Ip in subs:
-            rep = braiding.rmatrix_lemma_check(I, Ip)
-            if not rep["ok"]:
-                bad.append((I, Ip))
+    bad = [{"I": I, "I'": Ip, **miss} for I, Ip in product(subs, repeat=2)
+           if (miss := braiding.rmatrix_lemma_check(I, Ip))]
     return [Certificate.verdict("braiding scalar-lemma",
                                 {"N": n, "pairs": len(subs) ** 2},
-                                not bad, witness=lambda: {"failed": bad[:5]})]
+                                not bad, witness=_failures_witness(bad))]
 
 
 def check_antisym_swap(n, seed):
     """The scalar lemma on disjoint pairs: the inverse braiding swaps the
     antisymmetrised pair vectors of each T, split after l letters.  The
     witness is the first failing (T, l) with its mismatch."""
-    reports = ((T, l, braiding.rmatrix_lemma_check(T[:l], T[l:]))
-               for t in range(1, n + 1) for T in indexsets.subsets(n, t)
-               for l in range(t + 1))
-    failed = next(({"T": T, "l": l, "mismatch": rep["mismatch"]}
-                   for T, l, rep in reports if not rep["ok"]), None)
+    misses = ((T, l, braiding.rmatrix_lemma_check(T[:l], T[l:]))
+              for t in range(1, n + 1) for T in indexsets.subsets(n, t)
+              for l in range(t + 1))
+    failed = next(({"T": T, "l": l, "mismatch": miss}
+                   for T, l, miss in misses if miss), None)
     return [Certificate.verdict("braiding antisym-swap", {"N": n},
                                 failed is None, witness=lambda: failed)]
 
@@ -428,29 +434,31 @@ def check_minor_coproduct(n, seed):
 
     The identity lives in the quotient, so both tensor legs are compared
     in normal form; the sum side, by bilinearity, from the minors' normal
-    forms.  The witness is the first failing minor and the first
-    (left, right) word pair at which the two sides differ.
+    forms.  The check stops at the first failing minor; the witness is
+    that minor and the first (left, right) word pair at which the two
+    sides differ.
     """
     ctx = get_ctx(n)
     failure = None
-    for k in range(1, n + 1):
-        for rows in indexsets.subsets(n, k):
-            for cols in indexsets.subsets(n, k):
-                p = qmatrix.quantum_minor(n, rows, cols)
-                got = _nf_pair_accumulate(ctx.rw, qmatrix.coproduct(p), {})
-                expected = {}
-                for K in indexsets.subsets(n, k):
-                    right = ctx.minor_nf(K, cols).coeffs
-                    for m1, c1 in ctx.minor_nf(rows, K).coeffs.items():
-                        for m2, c2 in right.items():
-                            add_term(expected, (m1, m2), c1 * c2)
-                if got != expected and failure is None:
-                    miss = first_difference(got, expected)
-                    failure = {"rows": rows, "cols": cols, **miss,
-                               "entry": [qmatrix.word_str(w, n)
-                                         for w in miss["entry"]]}
+    minors = (labels for k in range(1, n + 1)
+              for labels in product(indexsets.subsets(n, k), repeat=2))
+    for rows, cols in minors:
+        p = qmatrix.quantum_minor(n, rows, cols)
+        got = _nf_pair_accumulate(ctx.rw, qmatrix.coproduct(p), {})
+        expected = {}
+        for K in indexsets.subsets(n, len(rows)):
+            right = ctx.minor_nf(K, cols).coeffs
+            for m1, c1 in ctx.minor_nf(rows, K).coeffs.items():
+                for m2, c2 in right.items():
+                    add_term(expected, (m1, m2), c1 * c2)
+        if got != expected:
+            miss = first_difference(got, expected)
+            failure = {"rows": rows, "cols": cols, **miss,
+                       "entry": [qmatrix.word_str(w, n)
+                                 for w in miss["entry"]]}
+            break
     return [Certificate.verdict("qmatrix minor-coproduct", {"N": n},
-                                failure is None, witness=lambda: failure)]
+                                failure is None, witness=failure)]
 
 
 def _convolution_witness(bich, s, t):
@@ -529,8 +537,12 @@ def check_star_associativity(n, seed):
 
 
 def check_reflection(n, seed):
-    return [rea.reflection_equation_check(get_star(m))
-            for m in range(min(2, n), n + 1)]
+    out = []
+    for m in range(min(2, n), n + 1):
+        failure = rea.reflection_equation_check(get_star(m))
+        out.append(Certificate.verdict("rea reflection", {"N": m},
+                                       failure is None, witness=failure))
+    return out
 
 
 def check_reverse_braid(n, seed):
@@ -633,17 +645,17 @@ def qcomm_certificates(N, fams):
 
 
 def check_qcomm(N, seed):
-    """The statuses of the `rea qcomm` instances at N = 3, counted; no
-    instance gets a certificate of its own."""
+    """The statuses of the `rea qcomm` instances at N = 3; only the first
+    that does not pass (fails or is inconclusive) gets a certificate."""
     n = 3
     ctx = get_ctx(n)
-    statuses = [shapes.qcomm_status(ctx, *inst)[0] for inst
-                in _qcomm_instances(n, shapes.enumerate_shapes(n))]
-    bad, inc = statuses.count("fail"), statuses.count("inconclusive")
-    return [Certificate.verdict("rea qcomm",
-                                {"N": n, "instances": len(statuses)},
-                                bad == 0 and inc == 0,
-                                witness={"fail": bad, "inconclusive": inc})]
+    instances = _qcomm_instances(n, shapes.enumerate_shapes(n))
+    bad = [inst for inst in instances
+           if shapes.qcomm_status(ctx, *inst)[0] != "pass"]
+    return [Certificate.verdict(
+        "rea qcomm", {"N": n, "instances": len(instances)}, not bad,
+        witness=lambda: {"failures": len(bad), "first": (
+            shapes.shape_qcomm_certificate(ctx, *bad[0]).to_json())})]
 
 
 def semiclassical_certificates(N):
@@ -652,8 +664,13 @@ def semiclassical_certificates(N):
     star = get_star(N)
     table = classical.poisson_bracket_coeffs(N)
     gens = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
-    return [rea.semiclassical_bracket_check(star, ij, kl, table)
-            for ij in gens for kl in gens]
+    out = []
+    for ij, kl in product(gens, repeat=2):
+        failure = rea.semiclassical_bracket_check(star, ij, kl, table)
+        out.append(Certificate.verdict(
+            "rea semiclassical", {"ij": list(ij), "kl": list(kl)},
+            failure is None, witness=failure))
+    return out
 
 
 def check_semiclassical(n, seed):
@@ -668,11 +685,6 @@ def check_semiclassical(n, seed):
 
 
 # -- classical ------------------------------------------------------------------------
-
-def _failures_witness(bad):
-    """The witness of a sampling suite: the failure count and the first."""
-    return lambda: {"failures": len(bad), "first": bad[0]}
-
 
 def power_sum_mismatch(z, lam):
     """The first m at which tr z^m differs from the sum of the lam_i^m, as

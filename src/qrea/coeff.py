@@ -747,6 +747,9 @@ class GaussRat:
         return NotImplemented
 
     def __hash__(self):
+        # a real value equals its Fraction, so it hashes as that Fraction
+        if self.b == 0:
+            return hash(self.re)
         return hash((self.a, self.b, self.d))
 
     def to_json(self):

@@ -111,17 +111,14 @@ def word_difference(got, expected, N):
 
 
 class NCPoly:
-    """Noncommutative polynomial: coefficient map from words to LaurentPoly."""
+    """Noncommutative polynomial: coefficient map from words to LaurentPoly,
+    the caller's dict of word tuples to nonzero values, stored as given."""
 
     __slots__ = ("N", "coeffs")
 
     def __init__(self, N, coeffs=None):
         self.N = N
-        self.coeffs = {}
-        if coeffs:
-            for w, c in coeffs.items():
-                if not c.is_zero():
-                    self.coeffs[tuple(w)] = c
+        self.coeffs = {} if coeffs is None else coeffs
 
     @staticmethod
     def unit(N):
@@ -139,13 +136,11 @@ class NCPoly:
                 and self.coeffs == other.coeffs)
 
     def __mul__(self, other):
-        p = NCPoly(self.N)
         out = {}
         for wa, ca in self.coeffs.items():
             for wb, cb in other.coeffs.items():
                 add_term(out, wa + wb, ca * cb)
-        p.coeffs = out
-        return p
+        return NCPoly(self.N, out)
 
     def __repr__(self):
         if not self.coeffs:
@@ -271,9 +266,7 @@ class RewriteSystem:
                 continue
             for m, c2 in nf(w, tail, states, keep=False).items():
                 add_term(out, m, c * c2)
-        q = NCPoly(p.N)
-        q.coeffs = out
-        return q
+        return NCPoly(p.N, out)
 
     # -- confluence -------------------------------------------------------------
 
@@ -852,9 +845,7 @@ def sum_terms(N, terms, value):
         else:
             for w, cw in value(*args).coeffs.items():
                 add_term(out, w, cw * c)
-    p = NCPoly(N)
-    p.coeffs = out
-    return p
+    return NCPoly(N, out)
 
 
 def identity_sides(ctx, family, instance):

@@ -38,8 +38,9 @@ the twisted product: their overlaps resolve, and each rule holds there.
 Every linear combination of twisted products (the bilinear `star`, the
 minor-level sum, the reflection slots, the rule cross-check and the
 commutators) is a term list summed by `qmatrix.sum_terms`.  The structural
-checks return None on a pass, or their first failing instance with the
-first term at which its two normal forms differ.
+checks, the reflection equation and the semiclassical comparison return
+None on a pass, or their first failing instance with the first term at
+which its two sides differ; `checks` makes their certificates.
 """
 
 from __future__ import annotations
@@ -51,11 +52,10 @@ from .braiding import rhat_entries
 from .coeff import LP_ONE, share_values
 from .linalg import add_term
 from .memo import Memo
-from .qmatrix import (Certificate, IllFormedInstance, NCPoly, _nf_json,
-                      braidcomm_labels, derive_rewrite_system,
-                      expansion_terms, gen_id, identity_certificate,
-                      sum_terms, word_cols, word_difference, word_from_rc,
-                      word_rows, word_str)
+from .qmatrix import (IllFormedInstance, NCPoly, _nf_json, braidcomm_labels,
+                      derive_rewrite_system, expansion_terms, gen_id,
+                      identity_certificate, sum_terms, word_cols,
+                      word_difference, word_from_rc, word_rows, word_str)
 
 
 class StarAlgebra:
@@ -253,16 +253,16 @@ _SLOT_VECTORS = Memo(_slot_vectors)
 
 
 def reflection_equation_check(star):
-    """Evaluate the reflection residual under the twisted product, slotwise."""
+    """Evaluate the reflection residual under the twisted product, slotwise:
+    the first slot whose residual is not zero, with its first term, or
+    None."""
     N = star.N
-    failures = []
     for slot, vec in reflection_slot_vectors(N).items():
         acc = sum_terms(N, [(c, ((g1,), (g2,)))
                             for (g1, g2), c in vec.items()], star.star_word)
         if not acc.is_zero():
-            failures.append({"slot": slot, "residual": _nf_json(acc)})
-    return Certificate.verdict("rea reflection", {"N": N}, not failures,
-                               {"failures": failures})
+            return {"slot": slot, **word_difference(acc.coeffs, {}, N)}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +364,10 @@ def semiclassical_bracket_check(star, ij, kl, bracket_polys):
 
     bracket_polys maps ((i,j),(k,l)) to the bracket of the two coordinate
     functions as a quadratic form {sorted entry-pair: GaussRat}; the
-    comparison multiplies it by the imaginary unit.  A failure names the
-    first monomial at which the first-order forms differ, with both values.
+    comparison multiplies it by the imaginary unit.  Returns None, or the
+    witness: the monomial of a bracket coefficient that is not imaginary,
+    or whether the constant term vanishes and the first monomial at which
+    the first-order forms differ, with both values there.
     """
     ok_constant, firsts = star_commutator_first_order(star, ij, kl)
     classical = bracket_polys[(tuple(ij), tuple(kl))]
@@ -375,21 +377,16 @@ def semiclassical_bracket_check(star, ij, kl, bracket_polys):
         # purely imaginary exactly when the commutator is defined over Q.
         val = -g.im
         if g.re != 0:
-            return Certificate("rea semiclassical",
-                               {"ij": list(ij), "kl": list(kl)}, "fail",
-                               witness={"reason": "bracket not imaginary",
-                                        "mono": str(mono)})
+            return {"reason": "bracket not imaginary", "mono": str(mono)}
         if val != 0:
             expected[mono] = val
     miss = min((m for m in firsts.keys() | expected.keys()
                 if firsts.get(m, 0) != expected.get(m, 0)), default=None)
-    return Certificate.verdict(
-        "rea semiclassical", {"ij": list(ij), "kl": list(kl)},
-        ok_constant and miss is None,
-        lambda: {"constant_ok": ok_constant} if miss is None else {
-            "constant_ok": ok_constant, "entry": str(miss),
+    if miss is None:
+        return None if ok_constant else {"constant_ok": False}
+    return {"constant_ok": ok_constant, "entry": str(miss),
             "quantum": str(firsts.get(miss, 0)),
-            "classical": str(expected.get(miss, 0))})
+            "classical": str(expected.get(miss, 0))}
 
 
 def random_word(N, degree, rng):

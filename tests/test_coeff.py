@@ -357,6 +357,20 @@ def test_gauss_rat_matches_fraction_pair_oracle(xr, xi, yr, yi, c):
     assert GaussRat.from_json(x.to_json()) == x
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(), _frac_st)
+def test_real_gauss_rat_hashes_as_its_fraction(x, y):
+    """a == b implies hash(a) == hash(b): a real GaussRat, however it was
+    computed, equals its Fraction (an integral one also its int), so it
+    hashes as that, and a set holding both has one element."""
+    z = GaussRat(y, y)
+    for g in (GaussRat(x), GaussRat(x, y) + GaussRat(0, -y), z * z.conj()):
+        values = [g.re] + ([g.re.numerator] if g.re.denominator == 1 else [])
+        for v in values:
+            assert g == v and hash(g) == hash(v)
+            assert len({g, v}) == len({v, g}) == 1
+
+
 # -- the packed form against a dict reference -----------------------------------
 
 _GUARD = 2 ** 62

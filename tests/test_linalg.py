@@ -79,10 +79,12 @@ def test_sum_terms_and_mul_against_naive_sums(a_terms, b_terms, rnd):
     """sum_terms of c * (w b) over the (w, c) of a_terms, c a LaurentPoly,
     is a * b: the naive sum of the expanded products, with no zero stored,
     in any term order, and with the memoised values it read left as they
-    were."""
+    were.  An NCPoly stores the dict it is given."""
     # a leading coefficient 1, where a sum could hand out its first summand
     a_terms = [((), LP_ONE)] + a_terms
-    b = NCPoly(2, _naive_sum(b_terms))
+    b_coeffs = _naive_sum(b_terms)
+    b = NCPoly(2, b_coeffs)
+    assert b.coeffs is b_coeffs
     memo = {}
 
     def times_b(w):

@@ -185,3 +185,40 @@ def test_no_hand_written_cache():
             if lookups & stores:
                 found.add((path.name, func.name))
     assert found == set(_NOT_MEMOS), sorted(found ^ set(_NOT_MEMOS))
+
+
+# Where src/qrea may name Certificate besides checks.py and cli.py, which
+# make the certificates: the top-level definitions (or "import") of each
+# module.  qmatrix defines the class and certifies one identity instance,
+# shapes one `rea qcomm` instance; every other verdict function returns
+# None or its first failure.
+_CERTIFIERS = {"qmatrix.py": {"Certificate", "identity_certificate"},
+               "shapes.py": {"import", "shape_qcomm_certificate"}}
+
+
+def _names(stmt):
+    """Every name that a statement reads, imports or defines."""
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.alias, ast.ClassDef, ast.FunctionDef)):
+            yield node.name
+
+
+def test_only_checks_and_the_cli_make_certificates():
+    """Certificate is named only in checks.py and cli.py, and elsewhere
+    only by the top-level statements of _CERTIFIERS."""
+    found = []
+    for path in sorted(_SRC.glob("*.py")):
+        if path.name in ("checks.py", "cli.py"):
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            if "Certificate" not in _names(stmt):
+                continue
+            where = ("import" if isinstance(stmt, (ast.Import, ast.ImportFrom))
+                     else getattr(stmt, "name", None))
+            if where not in _CERTIFIERS.get(path.name, ()):
+                found.append((path.name, stmt.lineno, where))
+    assert not found, found

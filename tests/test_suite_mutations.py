@@ -384,9 +384,11 @@ MUTATIONS = [
     ("braiding.embed-equivariance", 2, _broken_move, "f",
      [{"k": 2, "key": (1, 2), "position": 0, "entry": (2, 1),
        "got": {"0": "-1", "1": "1", "2": "1"}, "expected": {"2": "1"}}]),
+    # five of the 16 pairs fail; the first is antisym-swap's (1,), (2,)
     ("braiding.scalar-lemma", 2, _broken_move, "f",
-     [{"failed": [((1,), (2,)), ((2,), (1,)), ((2,), (1, 2)), ((1, 2), (1,)),
-                  ((1, 2), (1, 2))]}]),
+     [{"failures": 5, "first": {
+         "I": (1,), "I'": (2,), "entry": ((1,), (2,)),
+         "got": {"0": "1", "2": "-1", "3": "1"}, "expected": {"0": "1"}}}]),
     ("braiding.antisym-swap", 2, _broken_move, "f",
      [{"T": (1, 2), "l": 1, "mismatch": {
          "entry": ((1,), (2,)), "got": {"0": "1", "2": "-1", "3": "1"},
@@ -433,14 +435,12 @@ MUTATIONS = [
                        {"X22*X11": {"0": "1"}}],
             "entry": "X11*X11*X12*X21*X21", "got": {"15": "-1", "17": "1"},
             "expected": {"7": "-1", "9": "1"}}]),
-    # X11 * X11 picks up a factor q: the two slots that hold it break
+    # X11 * X11 picks up a factor q: the first of the two slots that hold
+    # it breaks, its residual a nonzero multiple of X11 X11
     ("rea.reflection-equation", 2, _scaled_star_word(
         lambda u, v: LP_Q if (u, v) == ((0,), (0,)) else LP_ONE), "f",
-     [{"failures": [
-         {"slot": ((1, 2), (2, 1)), "residual": {
-             "X11*X11": {"-1": "-1", "0": "1", "1": "1", "2": "-1"}}},
-         {"slot": ((2, 1), (1, 2)), "residual": {
-             "X11*X11": {"-1": "1", "0": "-1", "1": "-1", "2": "1"}}}]}]),
+     [{"slot": ((1, 2), (2, 1)), "entry": "X11*X11",
+       "got": {"-1": "-1", "0": "1", "1": "1", "2": "-1"}, "expected": {}}]),
     ("rea.reverse-braid", 2, _scaled_star_word(lambda u, v: LP_Q), "f",
      [{"pair": [[2, 2], [1, 2]], "entry": "X12*X22", "got": {"0": "1"},
        "expected": {"-1": "1"}}]),
@@ -468,9 +468,17 @@ MUTATIONS = [
     ("rea.shape-ideals", 2, _edited_ideal("lex", "dom inside lex"), "f",
      [{"family": {"tau": [3, 2, 1], "u": ["y", "s1", "ybar"]},
        "condition": "dom inside lex", "label": ((1,), (1,))}]),
-    # the statuses are counted: the dropped gencomm term at N = 3
+    # the dropped gencomm term at N = 3 fails four instances; the first is
+    # the one whose designated left coefficient it was
     ("rea.qcomm", 3, _dropped_gencomm_term(3), "f",
-     [{"fail": 4, "inconclusive": 0}]),
+     [{"failures": 4, "first": {
+         "command": "rea qcomm", "status": "fail",
+         "instance": {"shape": {"tau": [1, 2, 3], "u": ["s1", "s2", "s3"]},
+                      "k": 1, "I": [1], "J": [1]},
+         "witness": {"reason": "designated coefficient mismatch",
+                     "left": None, "right": {"-2": "1"},
+                     "expected_left": {"-2": "1"},
+                     "expected_right": {"-2": "1"}}}}]),
     # the classical side reads i times the negated coefficient, the quantum
     # side still its negative
     ("rea.semiclassical", 2, _negated_bracket_coefficient, "f",
