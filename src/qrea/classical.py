@@ -23,12 +23,10 @@ shape read off M is cross-checked against the scanner.
 
 The quadratic bracket on Hermitian matrices is read off the sparse classical
 r-matrix e_ii (x) e_ii + 2 sum_{i<j} e_ij (x) e_ji, with exact coefficients,
-built once per N.  The bivector, tangency and Jacobi checks evaluate it at
-exact points in the complex coordinates Z_ij, with exact ranks, and the
-Jacobi check builds one cyclic sum per cyclic class of coordinate triples.
-Complexification keeps every rank of the real picture: the matrix
-{Z_ij, Z_kl}(z) is the real bivector in another basis, and Hermitian tangent
-vectors are independent over C when they are over R.
+built once per N.  The bivector and Jacobi checks evaluate it at exact
+points in the complex coordinates Z_ij, the Jacobi check with one cyclic sum
+per cyclic class of coordinate triples; the tangency check reads it as
+integer forms in the real coordinates of Herm(N), with ranks over Z.
 
 The spectrum is checked without computing it: power_sums gives tr z^m for
 m = 1..N, which fix the eigenvalues as a multiset; charpoly turns them into
@@ -39,9 +37,12 @@ counts the signs of its roots exactly by Descartes' rule.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate, combinations, product
+from functools import reduce
+from itertools import combinations, product
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .coeff import GaussRat, rational_sqrt
 from .linalg import add_term, echelon
@@ -540,9 +541,8 @@ def bracket_at(z):
     """The N^2 x N^2 matrix {Z_ij, Z_kl}(z) at an exact HermitianMatrix z,
     rows (i, j) and columns (k, l) in row-major order: column (k, l) is the
     Hamiltonian vector field of Z_kl at z in the coordinates Z_ij."""
-    table = poisson_bracket_coeffs(z.N)
+    table, monomials = poisson_bracket_coeffs(z.N), _monomial_values(z.entries)
     coords = list(product(range(1, z.N + 1), repeat=2))
-    monomials = _monomial_values(z.entries)
     return [[_value(table[(ij, kl)], monomials) for kl in coords]
             for ij in coords]
 
@@ -551,66 +551,79 @@ def _monomial_values(e):
     """{monomial: value} at the exact matrix entries e, each monomial a
     sorted tuple of (i, j), filled on use, so that polynomials evaluated at
     one point share the values of their monomials."""
-    def value(mono):
-        (i, j), *rest = mono
-        v = e[i - 1][j - 1]
-        for i, j in rest:
-            v = v * e[i - 1][j - 1]
-        return v
-
-    return Memo(value)
+    return Memo(lambda mono: reduce(mul, (e[i - 1][j - 1] for i, j in mono)))
 
 
 def _value(poly, monomials):
     """A polynomial {monomial: coefficient} in the entries Z_ij at the point
     of `monomials` (`_monomial_values`)."""
-    total = GR0
-    for mono, c in poly.items():
-        total = total + c * monomials[mono]
-    return total
+    return sum((c * monomials[mono] for mono, c in poly.items()), GR0)
 
 
 # ---------------------------------------------------------------------------
 # Tangency and Jacobi
 # ---------------------------------------------------------------------------
 
-def orbit_tangents(z):
-    """The tangents a* z + z a of the unitary and the triangular dressing
-    orbits at the exact z, as lists of their N^2 entries in row-major
-    order, for a over the real bases i e_kk, e_rc - e_cr, i (e_rc + e_cr)
-    of u(N) and e_kk, e_rc, i e_rc of b(N), the upper triangular matrices
-    with a real diagonal (r < c)."""
-    e, N = z.entries, z.N
+def _tangency_plan(N):
+    """The integer forms of leaf_tangency_check at size N, from
+    poisson_bracket_coeffs(N), in the real coordinates x of Herm(N) indexed
+    like the entries: x_(i,i) = Z_ii, x_(i,j) = 2 Re Z_ij, x_(j,i) = 2 Im Z_ij
+    for i < j.  Returns (bracket, tangents).  bracket holds (a, b, u, v, c),
+    c x_u x_v in the real part of 4 {x_a, x_b}, and (N^2 + a, b, u, v, c)
+    the same in its imaginary part.  tangents holds (a, t, b, c), c x_b in
+    entry a of 2 (a* z + z a) for the t-th a of the real bases i e_ii,
+    i (e_ij + e_ji), e_ji - e_ij of u(N), then e_ii, e_ij, i e_ij of b(N),
+    the upper triangular matrices with a real diagonal (i < j), each
+    indexed like the entries."""
+    index = {ij: a for a, ij in enumerate(product(range(1, N + 1), repeat=2))}
+    unit = [GR1, GaussRat(0, 1), GaussRat(-1), GaussRat(0, -1)]     # i^p
+    coordinate = {(i, j): {(i, j): GR1} if i == j else      # x_ij in the Z
+                  {(i, j): GR1, (j, i): GR1} if i < j else
+                  {(i, j): unit[1], (j, i): unit[3]} for i, j in index}
+    twice = {(i, j): {index[i, i]: GaussRat(2)} if i == j else   # 2 Z_ij in x
+             {index[min(i, j), max(i, j)]: GR1,
+              index[max(i, j), min(i, j)]: unit[1 if i < j else 3]}
+             for i, j in index}
 
-    def tangent(*a):
-        # a lists (r, c, p) for the terms i^p e_rc of a; the units act on
-        # the entries of z as sign and part swaps, and an entry that no
-        # term reaches (None) is zero
-        v = [[None] * N for _ in range(N)]
+    def expand(mono):
+        # the product of the 2 Z_ij over the entries ij of mono, in x
+        out = {}
+        for picks in product(*(twice[ij].items() for ij in mono)):
+            add_term(out, tuple(sorted(u for u, _ in picks)),
+                     reduce(mul, (c for _, c in picks)))
+        return out
 
-        def add(x, y, w):
-            v[x][y] = w if v[x][y] is None else v[x][y] + w
+    def form(terms):
+        out = {}
+        for mono, c in terms:
+            for key, ck in expanded[mono].items():
+                add_term(out, key, c * ck)
+        return out
 
-        for r, c, p in a:
-            for k in range(N):
-                add(c, k, e[r][k].times_i_power(-p))
-                add(k, c, e[k][r].times_i_power(p))
-        return [GR0 if y is None else y for row in v for y in row]
+    table, expanded = poisson_bracket_coeffs(N), Memo(expand)
+    forms = [(index[ij], index[kl], form(
+        [(mono, c * cp * cr) for (p, cp), (r, cr) in product(
+            coordinate[ij].items(), coordinate[kl].items())
+         for mono, c in table[(p, r)].items()]))
+        for ij, kl in product(index, repeat=2)]
+    # a = sum of i^p e_rc over its terms (r, c, p); coordinate ij of
+    # a* z + z a reads i^-p Z_rl at each entry (c, l) and i^p Z_kr at (k, c)
+    bases = ([[(i, i, 1)] if i == j else [(i, j, 1), (j, i, 1)] if i < j
+              else [(j, i, 2), (i, j, 0)] for i, j in index]
+             + [[(i, j, 0)] if i <= j else [(j, i, 1)] for i, j in index])
+    tangents = [[form([(((r, l),), w * unit[-p % 4]) for r, c, p in basis
+                       for (k, l), w in coordinate[ij].items() if k == c]
+                      + [(((k, r),), w * unit[p % 4]) for r, c, p in basis
+                         for (k, l), w in coordinate[ij].items() if l == c])
+                 for ij in index] for basis in bases]
+    return ([(a + len(index) * k, b, u, v, part) for a, b, f in forms
+             for (u, v), c in f.items()
+             for k, part in enumerate((c.a, c.b)) if part],
+            [(a, t, b, c.a) for t, fs in enumerate(tangents)
+             for a, f in enumerate(fs) for (b,), c in f.items()])
 
-    U = [tangent((k, k, 1)) for k in range(N)]
-    T = [tangent((k, k, 0)) for k in range(N)]
-    for r, c in combinations(range(N), 2):
-        U += [tangent((r, c, 0), (c, r, 2)), tangent((r, c, 1), (c, r, 1))]
-        T += [tangent((r, c, 0)), tangent((r, c, 1))]
-    return U, T
 
-
-def _ranks(*blocks):
-    """rank [b1], rank [b1 | b2], ... for blocks of column vectors, read
-    off the pivot columns of one echelon of [b1 | b2 | ...]."""
-    pivots = echelon(list(zip(*sum(blocks, []))))[1]
-    return [sum(c < end for c, _ in pivots)
-            for end in accumulate(len(b) for b in blocks)]
+_TANGENCY_PLANS = Memo(_tangency_plan)
 
 
 def leaf_tangency_check(z):
@@ -624,24 +637,37 @@ def leaf_tangency_check(z):
     intersection_dim reads rank [U | pi | T] as rank [U | T], which holds
     whenever the range lies in the unitary tangent, as equal requires.
 
-    The ranks are taken at the multiple of z with Gaussian-integer
-    entries: pi is quadratic and both tangents are linear in z, so a
-    positive multiple scales every vector and changes no span.  pi enters
-    the two longer eliminations through its pivot columns, a basis of its
-    range.
+    The ranks are taken over Z in the coordinates x of _tangency_plan, at
+    the multiple of z with Gaussian-integer entries (a positive multiple
+    changes no span).  They are the ranks over Q(i) in the entries Z_ij, as
+    Herm(N) is a real form of the complex matrices and every vector here is
+    Hermitian: the orbit tangents, and the Hamiltonian fields of the x_a by
+    the reality law conj {Z_ij, Z_kl} = {Z_ji, Z_lk}, which
+    classical.bivector-antisymmetry certifies.  A value {x_a, x_b}(z) that
+    is not real fails the sample; the ranks then read the real parts.
     """
-    D = lcm(*(x.d for row in z.entries for x in row))
-    z = HermitianMatrix([[x.scale(D) for x in row] for row in z.entries])
-    bracket = bracket_at(z)
-    columns = list(zip(*bracket))
-    pi = [columns[c] for c, _ in echelon(bracket)[1]]
-    U, T = orbit_tangents(z)
-    rank_u, rank_up, rank_upt = _ranks(U, pi, T)
-    rank_t, rank_tp = _ranks(T, pi)
-    rank_pi = len(pi)
-    inter_dim = rank_u + rank_t - rank_upt
-    equal = rank_up == rank_u and rank_tp == rank_t and rank_pi == inter_dim
-    return {"bivector_rank": rank_pi, "unitary_dim": rank_u,
+    N, n2 = z.N, z.N * z.N
+    bracket, tangents = _TANGENCY_PLANS[N]
+    D = lcm(*(v.d for row in z.entries for v in row))
+    x = [(v.a if i <= j else v.b) * (D // v.d) * (1 if i == j else 2)
+         for i, j in product(range(N), repeat=2)
+         for v in [z.entries[min(i, j)][max(i, j)]]]
+    pi = [[0] * n2 for _ in range(2 * n2)]  # real parts, then imaginary
+    for a, b, u, v, c in bracket:
+        pi[a][b] += c * x[u] * x[v]
+    real, pi = not any(map(any, pi[n2:])), pi[:n2]
+    ut = [[0] * (2 * n2) for _ in range(n2)]
+    for a, t, b, c in tangents:
+        ut[a][t] += c * x[b]
+    basis = echelon(pi)[1]
+    pi = [[row[c] for c in basis] for row in pi]
+    upt = echelon([u[:n2] + p + u[n2:] for u, p in zip(ut, pi)])[1]
+    tp = echelon([u[n2:] + p for u, p in zip(ut, pi)])[1]
+    rank_u, rank_t = bisect_left(upt, n2), bisect_left(tp, n2)
+    inter_dim = rank_u + rank_t - len(upt)
+    equal = (real and bisect_left(upt, n2 + len(basis)) == rank_u
+             and len(tp) == rank_t and len(basis) == inter_dim)
+    return {"bivector_rank": len(basis), "unitary_dim": rank_u,
             "triangular_dim": rank_t, "intersection_dim": inter_dim,
             "equal": equal}
 

@@ -702,26 +702,8 @@ class GaussRat:
         return _gauss((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
                       self.d * n)
 
-    def inv(self):
-        a, b = self.a, self.b
-        n = a * a + b * b
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero GaussRat")
-        return _gauss(a * self.d, -b * self.d, n)
-
     def conj(self):
         return _gauss_raw(self.a, -self.b, self.d)
-
-    def times_i_power(self, k):
-        """self times i^k: a swap and sign change of the parts, no gcd."""
-        a, b, k = self.a, self.b, k % 4
-        if k == 1:
-            a, b = -b, a
-        elif k == 2:
-            a, b = -a, -b
-        elif k == 3:
-            a, b = b, -a
-        return _gauss_raw(a, b, self.d)
 
     def abs2(self):
         return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)

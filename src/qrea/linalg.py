@@ -1,6 +1,6 @@
-"""Small exact linear algebra over the package's exact scalars: LaurentPoly
-(Laurent polynomials in q over Z, the quantum side), RatFunc (rational
-functions of q) and GaussRat (Gaussian rationals, the classical side).
+"""Small exact linear algebra: sparse combinations of the package's exact
+scalars (LaurentPoly, Laurent polynomials in q over Z, on the quantum side,
+RatFunc and GaussRat) and dense elimination over the integers.
 
 add_term is the one helper for sparse linear combinations: every sparse
 vector, polynomial or tensor is a dict key -> nonzero scalar, built up by
@@ -8,10 +8,10 @@ add_term, which drops a key whose coefficient cancels.  It needs only + and
 is_zero() of the scalar.  qmatrix.sum_terms, the one sum of noncommutative
 polynomials, builds on it.
 
-echelon is the one dense elimination, forward only: determinant, and the
-ranks of the classical tangency check, read its pivots, and invert_matrix
-is the adjugate over determinant.  It needs only + - *, inv() and
-is_zero() of the scalar, so RatFunc and GaussRat go through it.
+echelon is the one dense elimination, forward only and fraction-free over
+Z (Bareiss, Math. Comp. 22, 1968, with primitive rows in place of division
+by the previous pivot): the classical tangency ranks read its pivot columns,
+determinant is its by-product and invert_matrix the adjugate over it.
 sparse_row_reduce is the sparse elimination of the quantum side, over
 LaurentPoly: it leads each vector at its greatest key and divides each
 pivot by its leading coefficient, so it runs only on spans whose leads are
@@ -20,6 +20,9 @@ the relation spans of the quantum matrices and the reflection algebra are.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, prod
 
 
 def add_term(out, key, c):
@@ -47,75 +50,63 @@ def first_difference(got, expected):
 
 
 def echelon(rows):
-    """Forward elimination of a dense matrix given as a list of rows.
-
-    Each column takes as pivot its first nonzero entry at or below the
-    current row; the rows below it are updated only where the pivot row is
-    nonzero, and the elimination stops once every row holds a pivot.
-    Returns (m, pivots, swaps): m is a row echelon form of the matrix, with
-    the pivots left as they are and the zero rows last; pivots holds
-    (column, value) per pivot row, the columns being the lex-first
-    independent ones; swaps counts the row exchanges.
+    """Fraction-free forward elimination of a dense integer matrix, a list
+    of rows.  Each column takes as pivot its first nonzero entry p at or
+    below the current row; each row below with an entry f != 0 there becomes
+    p * row - f * (pivot row) divided by the gcd of its entries, so no entry
+    leaves Z, and the elimination stops once every row holds a pivot.
+    Returns (m, pivots, det): m is a row echelon form of the matrix with the
+    zero rows last, pivots lists the pivot columns, the lex-first
+    independent ones, and det is the determinant of a square matrix (None
+    for any other): the product of the pivots over the factors p / gcd of
+    the row operations, negated after an odd number of row exchanges.
     """
     m = [list(r) for r in rows]
-    pivots = []
-    swaps = 0
-    width = len(m[0]) if m else 0
+    height, width = len(m), len(m[0]) if m else 0
+    square = height == width
+    pivots, scaled, divided = [], 1, 1  # det(m) = det(rows) * scaled / divided
     for col in range(width):
         top = len(pivots)
-        if top == len(m):
+        if top == height:
             break
-        piv = next((r for r in range(top, len(m)) if not m[r][col].is_zero()),
-                   None)
-        if piv is None:
+        for piv in range(top, height):
+            if m[piv][col]:
+                break
+        else:
             continue
         if piv != top:
             m[top], m[piv] = m[piv], m[top]
-            swaps += 1
-        prow = m[top]
-        p = prow[col]
-        ip = p.inv()
-        zero = p - p
-        tail = [(j, prow[j]) for j in range(col + 1, width)
-                if not prow[j].is_zero()]
-        for row in m[top + 1:]:
-            f = row[col]
-            if not f.is_zero():
-                f = f * ip
-                row[col] = zero
-                for j, pe in tail:
-                    row[j] = row[j] - f * pe
-        pivots.append((col, p))
-    return m, pivots, swaps
+            scaled = -scaled
+        prow, p = m[top], m[top][col]
+        for i in range(top + 1, height):
+            f = m[i][col]
+            if f:
+                new = [p * e - f * pe for e, pe in zip(m[i], prow)]
+                g = gcd(*new)
+                m[i] = [e // g for e in new] if g > 1 else new
+                if square:
+                    scaled, divided = scaled * p, divided * max(g, 1)
+        pivots.append(col)
+    # a singular m ends in a zero row, so its diagonal holds a zero
+    return m, pivots, (prod((r[i] for i, r in enumerate(m)), start=divided)
+                       // scaled if square else None)
 
 
 def determinant(rows):
-    """Determinant of a nonempty square matrix: the product of the pivots,
-    negated after an odd number of row exchanges."""
-    m, pivots, swaps = echelon(rows)
-    if len(pivots) < len(m):
-        return m[-1][-1]        # an entry of a zero row: the scalar zero
-    det = pivots[0][1]
-    for _, p in pivots[1:]:
-        det = det * p
-    return -det if swaps % 2 else det
+    """Determinant of a square integer matrix, read off echelon."""
+    return echelon(rows)[2]
 
 
 def invert_matrix(rows):
-    """Inverse of a dense square matrix: its adjugate, the signed
-    determinants of the (n-1)-minors transposed, over its determinant.
-    Raises ValueError when the matrix is singular."""
-    n = len(rows)
+    """Inverse of a dense square integer matrix, as rows of Fractions: its
+    adjugate, the signed determinants of the (n-1)-minors transposed, over
+    its determinant.  Raises ValueError when the matrix is singular."""
     det = determinant(rows)
-    if det.is_zero():
+    if not det:
         raise ValueError("singular matrix")
-    dinv = det.inv()
-    if n == 1:
-        return [[dinv]]
-    adj = [[determinant([r[:i] + r[i + 1:] for k, r in enumerate(rows)
-                         if k != j]) for j in range(n)] for i in range(n)]
-    return [[-a * dinv if (i + j) % 2 else a * dinv for j, a in enumerate(row)]
-            for i, row in enumerate(adj)]
+    return [[Fraction((-1) ** (i + j) * determinant(
+        [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j]), det)
+        for j in range(len(rows))] for i in range(len(rows))]
 
 
 def sparse_row_reduce(vectors):

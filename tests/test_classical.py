@@ -4,23 +4,26 @@ import random
 from fractions import Fraction as F
 from functools import reduce
 from itertools import product
+from math import lcm
 from operator import add, mul
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qrea import classical
 from qrea.classical import (GaussRat, HermitianMatrix, NotTriangular,
-                            ShapeMatrix, SignMismatch, _ranks, bracket_at,
+                            ShapeMatrix, SignMismatch, bracket_at,
                             build_leaf_point, charpoly, congruence, decompose,
                             eigenvalue_signs, gr_identity, jacobi_check,
-                            leaf_tangency_check, minors, orbit_tangents,
+                            leaf_tangency_check, minors,
                             poisson_bracket_coeffs, power_sums,
                             random_compatible_weights, random_exact_hermitian,
                             random_shape, random_triangular, reduced_shape,
                             shape_of, tn_invariance_check)
-from qrea.linalg import add_term, determinant, echelon
-from test_suite_mutations import perturbed_bracket, row_test
+from qrea.linalg import add_term, echelon
+from test_linalg import _leibniz
+from test_suite_mutations import fresh_memos, perturbed_bracket, row_test
 
 
 def G(re, im=0):
@@ -40,8 +43,16 @@ def gr_matmul(a, b):
 
 
 def rank(rows):
-    """The echelon pivot count: the oracle of ShapeMatrix.rank."""
-    return len(echelon(rows)[1])
+    """The rank over Q(i) of a GaussRat matrix, the oracle of
+    ShapeMatrix.rank and of the tangency ranks.  At the Gaussian-integer
+    multiple A + iB of the matrix, rank_C(A + iB) is half the rank over Z of
+    the realification [[A, -B], [B, A]], taken by echelon."""
+    D = lcm(*(e.d for row in rows for e in row))
+    a = [[e.a * (D // e.d) for e in row] for row in rows]
+    b = [[e.b * (D // e.d) for e in row] for row in rows]
+    real = ([ra + [-x for x in rb] for ra, rb in zip(a, b)]
+            + [rb + ra for ra, rb in zip(a, b)])
+    return len(echelon(real)[1]) // 2
 
 
 def gr_conj_t(a):
@@ -170,7 +181,7 @@ def test_minor_memo_matches_determinant(z, order):
     order.shuffle(labels)
     minor = minors(z.entries)
     for I, J in labels:
-        assert minor(I, J) == determinant(
+        assert minor(I, J) == _leibniz(
             [[z.entries[r - 1][c - 1] for c in J] for r in I]), (I, J)
     # the scan pivots once per unit of rank
     assert shape_of(z).rank == rank(z.entries)
@@ -399,28 +410,6 @@ def test_power_sums_and_descartes_on_known_spectra():
             assert charpoly(z) == poly
 
 
-def test_ranks_are_the_prefix_ranks():
-    # _ranks of blocks of column vectors against one rank call per prefix,
-    # on the tangency blocks and on random blocks with repeated columns
-    rng = random.Random(8)
-    for n in (1, 2, 3):
-        for _ in range(4):
-            z = random_exact_hermitian(n, rng)
-            U, T = orbit_tangents(z)
-            pi = [list(c) for c in zip(*bracket_at(z))]
-            cols = [[G(rng.randint(-2, 2)) for _ in range(n * n)]
-                    for _ in range(3)]
-            extra = cols + [[G(2) * x for x in cols[0]]]
-            for blocks in ((U, pi, T), (T, pi), (pi,), (extra, U), (cols,
-                                                                   extra)):
-                prefix = []
-                expected = []
-                for b in blocks:
-                    prefix += b
-                    expected.append(rank([list(r) for r in zip(*prefix)]))
-                assert _ranks(*blocks) == expected
-
-
 def test_sign_compatibility_random():
     rng = random.Random(17)
     for _ in range(100):
@@ -486,25 +475,75 @@ def test_tangency_random_sweep():
         assert n == 2 or len(ranks) > 1, ranks
 
 
+def orbit_tangents(z):
+    """The tangents a* z + z a of the unitary and the triangular dressing
+    orbits at the exact z, as lists of their N^2 entries in row-major order,
+    for a over the bases of classical._tangency_plan: i e_ii, i (e_ij + e_ji)
+    and e_ji - e_ij of u(N), then e_ii, e_ij and i e_ij of b(N) (i < j), each
+    indexed like the entries.  The complex reference of the integer
+    tangents."""
+    e, N = z.entries, z.N
+    units = [G(1), G(0, 1), G(-1), G(0, -1)]
+
+    def tangent(*a):
+        # a lists (r, c, p) for the terms i^p e_rc of a; an entry that no
+        # term reaches (None) is zero
+        v = [[None] * N for _ in range(N)]
+
+        def add(x, y, w):
+            v[x][y] = w if v[x][y] is None else v[x][y] + w
+
+        for r, c, p in a:
+            for k in range(N):
+                add(c, k, e[r][k] * units[-p % 4])
+                add(k, c, e[k][r] * units[p % 4])
+        return [G(0) if y is None else y for row in v for y in row]
+
+    pairs = list(product(range(N), repeat=2))
+    U = [tangent((r, r, 1)) if r == c else tangent((r, c, 1), (c, r, 1))
+         if r < c else tangent((c, r, 2), (r, c, 0)) for r, c in pairs]
+    T = [tangent((r, c, 0)) if r <= c else tangent((c, r, 1))
+         for r, c in pairs]
+    return U, T
+
+
+def real_coordinates(v, n):
+    """The real coordinates of _tangency_plan of a Hermitian matrix given
+    by its n^2 entries in row-major order: the diagonal entries, then
+    2 Re v_ij at (i, j) and 2 Im v_ij at (j, i) for i < j."""
+    return [v[i * n + i].re if i == j else 2 * v[i * n + j].re if i < j
+            else 2 * v[j * n + i].im for i, j in product(range(n), repeat=2)]
+
+
 def test_tangency_ranks_are_those_of_the_full_eliminations_at_z():
-    # leaf_tangency_check eliminates at a Gaussian-integer multiple of z,
-    # with pi's pivot columns only: every rank is that of the eliminations
-    # of all N^2 columns of pi at z itself
+    # leaf_tangency_check eliminates over Z in the real coordinates, with
+    # pi's pivot columns only: every rank is that over Q(i), taken by
+    # realification, of all N^2 columns of pi and of the complex tangents
+    # at z itself; on draws at n = 1..4, leaf points of random shapes at
+    # n <= 3, and the zero point
     rng = random.Random(31)
+    points = [random_exact_hermitian(n, rng) for n in (1, 2, 3, 4)
+              for _ in range(10 if n < 4 else 3)]
     for n in (1, 2, 3):
+        points.append(HermitianMatrix([[G(0)] * n for _ in range(n)]))
         for _ in range(10):
-            z = random_exact_hermitian(n, rng)
-            pi = [list(c) for c in zip(*bracket_at(z))]
-            U, T = orbit_tangents(z)
-            rank_u, rank_up, rank_upt = _ranks(U, pi, T)
-            rank_t, rank_tp = _ranks(T, pi)
-            rank_pi, = _ranks(pi)
-            inter = rank_u + rank_t - rank_upt
-            assert leaf_tangency_check(z) == {
-                "bivector_rank": rank_pi, "unitary_dim": rank_u,
-                "triangular_dim": rank_t, "intersection_dim": inter,
-                "equal": (rank_up == rank_u and rank_tp == rank_t
-                          and rank_pi == inter)}
+            S = random_shape(n, rng)
+            points.append(build_leaf_point(S, random_compatible_weights(S,
+                                                                        rng)))
+    ranks = set()
+    for z in points:
+        pi = [list(c) for c in zip(*bracket_at(z))]
+        U, T = orbit_tangents(z)
+        rank_u, rank_up, rank_upt = rank(U), rank(U + pi), rank(U + pi + T)
+        rank_t, rank_tp, rank_pi = rank(T), rank(T + pi), rank(pi)
+        inter = rank_u + rank_t - rank_upt
+        assert leaf_tangency_check(z) == {
+            "bivector_rank": rank_pi, "unitary_dim": rank_u,
+            "triangular_dim": rank_t, "intersection_dim": inter,
+            "equal": (rank_up == rank_u and rank_tp == rank_t
+                      and rank_pi == inter)}, z.to_json()
+        ranks.add((z.N, rank_pi))
+    assert {r for n, r in ranks if n == 3} == {0, 2, 4, 6}, ranks
 
 
 def _dense(n, *entries):
@@ -515,19 +554,21 @@ def _dense(n, *entries):
 
 
 def test_tangent_coordinates_against_the_trace_loop():
-    # the sparse orbit tangents against a* z + z a multiplied out densely,
-    # over the dense real bases of u(n) and b(n); exact, so equality
+    # the sparse complex orbit tangents against a* z + z a multiplied out
+    # densely, over the dense real bases of u(n) and b(n); and the integer
+    # tangents of the plan at the real coordinates x of z against twice
+    # the real coordinates of the complex ones.  Exact, so equality
     i = G(0, 1)
     rng = random.Random(4)
     for n in (1, 2, 3, 4):
         z = random_exact_hermitian(n, rng)
-        pairs = [(r, c) for r in range(n) for c in range(r + 1, n)]
-        unitary = [_dense(n, (k, k, i)) for k in range(n)] + [
-            m for r, c in pairs
-            for m in (_dense(n, (r, c, G(1)), (c, r, G(-1))),
-                      _dense(n, (r, c, i), (c, r, i)))]
-        triangular = [_dense(n, (k, k, G(1))) for k in range(n)] + [
-            _dense(n, (r, c, x)) for r, c in pairs for x in (G(1), i)]
+        pairs = list(product(range(n), repeat=2))
+        unitary = [_dense(n, (r, r, i)) if r == c
+                   else _dense(n, (r, c, i), (c, r, i)) if r < c
+                   else _dense(n, (r, c, G(1)), (c, r, G(-1)))
+                   for r, c in pairs]
+        triangular = [_dense(n, (r, c, G(1))) if r <= c
+                      else _dense(n, (c, r, i)) for r, c in pairs]
         for a in unitary:
             assert gr_conj_t(a) == [[-x for x in row] for row in a]
         for a in triangular:
@@ -543,6 +584,48 @@ def test_tangent_coordinates_against_the_trace_loop():
                 assert v == gr_conj_t(v)        # tangent to Herm(n)
                 loop.append([x for row in v for x in row])
             assert len(got) == n * n and got == loop
+        x = real_coordinates([e for row in z.entries for e in row], n)
+        integer = [[0] * (n * n) for _ in range(2 * n * n)]
+        for a, t, b, c in classical._TANGENCY_PLANS[n][1]:
+            integer[t][a] += c * x[b]
+        assert integer == [[2 * y for y in real_coordinates(v, n)]
+                           for v in U + T]
+
+
+@pytest.mark.parametrize("perturb", [None, perturbed_bracket],
+                         ids=["table", "perturbed"])
+def test_integer_bracket_forms_against_the_table(perturb):
+    # the plan's integer forms at the real coordinates x of z, real and
+    # imaginary parts, against 4 {x_a, x_b}(z) from bracket_at, with
+    # x_(i,j) = Z_ij + Z_ji and x_(j,i) = i (Z_ji - Z_ij) for i < j; on the
+    # table and on a bracket that breaks antisymmetry and reality, which
+    # the forms must keep
+    rng = random.Random(6)
+    with pytest.MonkeyPatch.context() as mp:
+        fresh_memos(mp)
+        if perturb:
+            perturb(mp)
+        for n in (2, 3) if perturb else (1, 2, 3):
+            coordinate = [{i * n + i: G(1)} if i == j
+                          else {i * n + j: G(1), j * n + i: G(1)} if i < j
+                          else {j * n + i: G(0, -1), i * n + j: G(0, 1)}
+                          for i, j in product(range(n), repeat=2)]
+            bracket = classical._TANGENCY_PLANS[n][0]
+            nonreal = [a for a, *_ in bracket if a >= n * n]
+            assert bool(nonreal) == (perturb is not None)
+            for _ in range(3):
+                z = random_exact_hermitian(n, rng)
+                pi = bracket_at(z)
+                x = real_coordinates([e for row in z.entries for e in row], n)
+                got = [[0] * (n * n) for _ in range(2 * n * n)]
+                for a, b, u, v, c in bracket:
+                    got[a][b] += c * x[u] * x[v]
+                want = [[reduce(add, (G(4) * cp * cr * pi[p][r]
+                                      for p, cp in ca.items()
+                                      for r, cr in cb.items()))
+                         for cb in coordinate] for ca in coordinate]
+                assert got == [[w.re for w in row] for row in want] + [
+                    [w.im for w in row] for row in want]
 
 
 def test_jacobi():
@@ -747,9 +830,9 @@ def test_decompose_mismatch_laws():
 
 def test_poisson_suites_leave_the_shared_table_as_built():
     # last in this file, so that it runs after every test above that
-    # perturbs the bracket: the table poisson_bracket_coeffs shares must
-    # still be the one it built
-    from qrea import checks, classical
+    # perturbs the bracket: the table poisson_bracket_coeffs shares, and the
+    # tangency plan read off it, must still be the ones they built
+    from qrea import checks
     for n in (2, 3):
         for suite in (checks.check_bivector, checks.check_tangency,
                       checks.check_jacobi, checks.check_semiclassical):
@@ -757,3 +840,5 @@ def test_poisson_suites_leave_the_shared_table_as_built():
     for n in (2, 3):
         assert poisson_bracket_coeffs(n) == \
             classical._BRACKET_TABLES.compute(n)
+        assert classical._TANGENCY_PLANS[n] == \
+            classical._TANGENCY_PLANS.compute(n)

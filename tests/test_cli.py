@@ -543,6 +543,7 @@ def _memo_lens():
     sizes["braiding._RHAT_TABLES"] = sum(
         map(len, braiding._RHAT_TABLES.values()))
     sizes["classical._BRACKET_TABLES"] = len(classical._BRACKET_TABLES)
+    sizes["classical._TANGENCY_PLANS"] = len(classical._TANGENCY_PLANS)
     sizes["qmatrix._POSITION_PATTERNS"] = len(qmatrix._POSITION_PATTERNS)
     sizes["rea._SLOT_VECTORS"] = len(rea._SLOT_VECTORS)
     for star in checks._STAR_CACHE.values():

@@ -4,7 +4,6 @@ stays the only one."""
 
 import ast
 import re
-from fractions import Fraction
 from functools import reduce
 from itertools import permutations
 from math import comb
@@ -17,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import qrea
 from qrea import coeff
-from qrea.coeff import LP_ONE, LP_Q, GaussRat, LaurentPoly, NotAUnit, RatFunc
+from qrea.coeff import LP_ONE, LP_Q, LaurentPoly, NotAUnit, RatFunc
 from qrea.linalg import (add_term, determinant, echelon, invert_matrix,
                          sparse_row_reduce)
 from qrea.qmatrix import (NCPoly, degree_dimension, derive_rewrite_system,
@@ -126,27 +125,26 @@ def test_no_hand_written_accumulate_loops():
     assert not hits, "use linalg.add_term:\n" + "\n".join(hits)
 
 
-_gauss = st.builds(lambda a, b, d: GaussRat(Fraction(a, d), Fraction(b, d)),
-                   st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3))
+_ints = st.integers(-3, 3)
 
 
 @st.composite
-def _square_matrices(draw, scalar):
-    """A square matrix of size 1-4; half of them singular by construction,
-    one row a combination of the others (the zero row at size 1)."""
-    n = draw(st.integers(1, 4))
-    m = draw(st.lists(st.lists(scalar, min_size=n, max_size=n),
-                      min_size=n, max_size=n))
+def _integer_matrices(draw, square=False):
+    """A rows x cols integer matrix, wide, tall or square, half of them the
+    product of a rows x k and a k x cols matrix, so of rank at most k."""
+    rows = draw(st.integers(1, 5))
+    cols = rows if square else draw(st.integers(1, 6))
+
+    def block(r, c):
+        return draw(st.lists(st.lists(_ints, min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+
     if draw(st.booleans()):
-        k = draw(st.integers(0, n - 1))
-        zero = m[0][0] - m[0][0]
-        row = [zero] * n
-        for j in range(n):
-            if j != k:
-                c = draw(scalar)
-                row = [e + c * x for e, x in zip(row, m[j])]
-        m[k] = row
-    return m
+        return block(rows, cols)
+    k = draw(st.integers(0, min(rows, cols) - 1))
+    a, b = block(rows, k), block(k, cols)
+    return [[sum(a[i][x] * b[x][j] for x in range(k)) for j in range(cols)]
+            for i in range(rows)]
 
 
 def _leibniz(m):
@@ -161,95 +159,69 @@ def _leibniz(m):
     return reduce(add, terms)
 
 
-def _check_elimination(m, one):
-    """Determinant against _leibniz; echelon leaves a row of m without a
-    pivot exactly when m is singular, and then invert_matrix raises;
-    otherwise invert_matrix returns a two-sided inverse of m."""
+def _numpy_rank(m):
+    """The rank of an integer matrix in floating point, the oracle: the
+    nonzero singular values of these small integer matrices lie far above
+    numpy's default tolerance, and rounding errors far below it."""
+    return int(np.linalg.matrix_rank(np.array(m, dtype=float))) if m[0] else 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_matrices(square=True))
+def test_elimination_on_integers_against_numpy(m):
+    """The determinant against _leibniz and numpy; echelon leaves a row of
+    m without a pivot exactly when m is singular, and then invert_matrix
+    raises; otherwise invert_matrix returns a two-sided inverse of m."""
     n = len(m)
     det = determinant(m)
-    assert det == _leibniz(m)
-    _, pivots, _ = echelon(m)
+    assert type(det) is int and det == _leibniz(m)
+    assert abs(det - np.linalg.det(np.array(m, dtype=float))) <= 1e-6 * max(
+        1, abs(det))
+    pivots = echelon(m)[1]
+    assert len(pivots) == _numpy_rank(m)
     if len(pivots) < n:
-        assert det.is_zero()
+        assert det == 0
         with pytest.raises(ValueError):
             invert_matrix(m)
         return
-    assert not det.is_zero()
     inv = invert_matrix(m)
     for a, b in ((inv, m), (m, inv)):
         for i in range(n):
             for j in range(n):
-                entry = reduce(add, (a[i][k] * b[k][j] for k in range(n)))
-                assert entry == one if i == j else entry.is_zero()
+                assert sum(a[i][k] * b[k][j] for k in range(n)) == (i == j)
 
 
-def _numeric(m):
-    """A GaussRat matrix as a numpy array: the floating-point oracle."""
-    return np.array([[complex(e.re, e.im) for e in row] for row in m])
-
-
-@settings(max_examples=150, deadline=None)
-@given(_square_matrices(_gauss))
-def test_elimination_on_gauss_rat_against_numpy(m):
-    a = _numeric(m)
-    # nonzero singular values of these small-denominator matrices are far
-    # above 1e-12, rounding errors far below
-    assert len(echelon(m)[1]) == np.linalg.matrix_rank(a, tol=1e-12)
-    scale = max(1.0, float(np.prod(np.linalg.norm(a, axis=1))))
-    det = determinant(m)
-    assert abs(complex(det.re, det.im) - np.linalg.det(a)) <= 1e-12 * scale
-    _check_elimination(m, GaussRat(1))
-
-
-@settings(max_examples=60, deadline=None)
-@given(_square_matrices(_ratfunc))
-def test_elimination_on_ratfunc(m):
-    _check_elimination(m, RatFunc(1))
-
-
-@st.composite
-def _rectangular_matrices(draw):
-    """A rows x cols GaussRat matrix, wide or tall, half of them the
-    product of a rows x k and a k x cols matrix, so of rank at most k."""
-    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
-
-    def block(r, c):
-        return draw(st.lists(st.lists(_gauss, min_size=c, max_size=c),
-                             min_size=r, max_size=r))
-
-    if draw(st.booleans()):
-        return block(rows, cols)
-    k = draw(st.integers(0, min(rows, cols) - 1))
-    if k == 0:
-        return [[GaussRat(0)] * cols for _ in range(rows)]
-    a, b = block(rows, k), block(k, cols)
-    return [[reduce(add, (a[i][x] * b[x][j] for x in range(k)))
-             for j in range(cols)] for i in range(rows)]
-
-
-@settings(max_examples=150, deadline=None)
-@given(_rectangular_matrices())
+@settings(max_examples=200, deadline=None)
+@given(_integer_matrices())
 def test_echelon_pivots_are_the_lex_first_independent_columns(m):
-    a = _numeric(m)
-
-    def numpy_rank(c):
-        return 0 if c == 0 else np.linalg.matrix_rank(a[:, :c], tol=1e-12)
-
-    reduced, pivots, swaps = echelon(m)
-    assert len(pivots) == numpy_rank(len(m[0]))
-    # column c holds a pivot exactly when it is independent of those
-    # before it
-    assert [c for c, _ in pivots] == [
-        c for c in range(len(m[0])) if numpy_rank(c + 1) > numpy_rank(c)]
-    # a row echelon form: each pivot row zero left of its pivot, which is
-    # the value recorded, and the rows without a pivot zero
+    """On integer matrices, rectangular and rank-deficient: the pivot
+    columns are those independent of the columns before them (numpy prefix
+    ranks), m comes back as a row echelon form over Z of the same row span,
+    and the determinant of a square matrix is the Leibniz sum."""
+    reduced, pivots, det = echelon(m)
+    ranks = [0] + [_numpy_rank([row[:c] for row in m])
+                   for c in range(1, len(m[0]) + 1)]
+    assert pivots == [c for c in range(len(m[0])) if ranks[c + 1] > ranks[c]]
+    # each pivot row is zero left of its pivot, and the rows without a
+    # pivot are zero; every entry stays an integer
     for i, row in enumerate(reduced):
+        assert all(type(e) is int for e in row)
         if i < len(pivots):
-            col, value = pivots[i]
-            assert all(e.is_zero() for e in row[:col]) and row[col] == value
+            assert not any(row[:pivots[i]]) and row[pivots[i]]
         else:
-            assert all(e.is_zero() for e in row)
-    assert 0 <= swaps < len(m)
+            assert not any(row)
+    # the reduced rows span no more than m's: stacked, the rank stays
+    assert _numpy_rank(m + reduced) == len(pivots)
+    assert det == (_leibniz(m) if len(m) == len(m[0]) else None)
+
+
+def _rank_at(vectors, q0):
+    """The rank over Q of sparse vectors (key 0..3 -> LaurentPoly, exponents
+    at least -2) at the integer q = q0, by echelon over Z: each entry times
+    q0^2 is an integer."""
+    rows = [[int(v[k].evaluate(q0) * q0 ** 2) if k in v else 0
+             for k in range(4)] for v in vectors]
+    return len(echelon(rows)[1]) if rows else 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -258,17 +230,18 @@ def test_echelon_pivots_are_the_lex_first_independent_columns(m):
                 max_size=5))
 def test_sparse_row_reduce_unit_pivots_or_not_a_unit(vectors):
     """Over LaurentPoly, either every pivot leads its vector with one and
-    the pivot count is the rank over the fraction field (echelon over
-    RatFunc), or the reduction meets a lead that is no unit and raises."""
+    the pivot count is the rank over Q(q), or the reduction meets a lead
+    that is no unit and raises.  The rank over Q(q) is the largest rank at
+    an integer q0: with each entry times q^2, every minor of these at most
+    4 x 4 matrices is a polynomial of degree at most 16, so a nonzero minor
+    is nonzero at one of 17 points q0."""
     vectors = [{k: c for k, c in v.items() if not c.is_zero()}
                for v in vectors]
     try:
         pivots = sparse_row_reduce(vectors)
     except NotAUnit:
         return
-    dense = [[RatFunc(v.get(k, LaurentPoly())) for k in range(4)]
-             for v in vectors]
-    assert len(pivots) == len(echelon(dense)[1])
+    assert len(pivots) == max(_rank_at(vectors, q0) for q0 in range(2, 19))
     for lead, vec in pivots.items():
         assert max(vec) == lead and not any(c.is_zero() for c in vec.values())
         assert vec[lead].is_one()
@@ -298,12 +271,15 @@ def test_sparse_row_reduce_raises_at_a_lead_that_is_no_unit():
 
 
 # The row operation of a dense elimination: an entry updated in place,
-# `row[j] = row[j] - f * pe` or `row[j] -= f * pe`, or a whole row at once,
-# `row[col:] = [e - f * pe for e, pe in zip(...)]`.
+# `row[j] = row[j] - f * pe`, `row[j] -= f * pe` or, fraction-free,
+# `row[j] = p * row[j] - f * pe`, or a whole row at once,
+# `[e - f * pe for e, pe in zip(...)]`, fraction-free `[p * e - f * pe ...]`
+# or with the Bareiss division `[(p * e - f * pe) // d ...]`.
 _ROW_OPERATION = re.compile(
-    r"(\w+\[\w+\])\s*=\s*\1\s*-\s*\w+\s*\*\s*\w+"
+    r"(\w+\[\w+\])\s*=\s*\(?(?:\w+\s*\*\s*)?\1\s*-\s*\w+\s*\*\s*\w+"
     r"|\w+\[\w+\]\s*-=\s*\w+\s*\*\s*\w+"
-    r"|\w+\s*-\s*\w+\s*\*\s*\w+\s+for\s+\w+,\s*\w+\s+in\s+zip\(")
+    r"|\w+\s*-\s*\w+\s*\*\s*\w+\)?(?:\s*//?\s*\w+)?"
+    r"\s+for\s+\w+,\s*\w+\s+in\s+zip\(")
 
 
 def test_one_dense_elimination():

@@ -265,8 +265,8 @@ def test_every_computed_cache_is_a_memo():
              ctx._minors, ctx._minor_nf, ctx._minor_prod, ctx._contractions,
              ctx._gencomm, ctx.rw._insert_memo, ctx.table(2, 1)._slices,
              sides["expansions"], *braiding._RHAT_TABLES.values(),
-             classical._BRACKET_TABLES, qmatrix._POSITION_PATTERNS,
-             rea._SLOT_VECTORS]
+             classical._BRACKET_TABLES, classical._TANGENCY_PLANS,
+             qmatrix._POSITION_PATTERNS, rea._SLOT_VECTORS]
     for per_functional in (bich._memo, bich._images, bich._coimages):
         assert per_functional.keys() == {"r", "rinv"}
         memos += per_functional.values()

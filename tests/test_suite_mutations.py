@@ -29,6 +29,7 @@ def fresh_memos(mp):
     perturbation outlives it, and a memo's growth is all its entries."""
     for module, name in ((checks, "_CTX_CACHE"), (checks, "_STAR_CACHE"),
                          (classical, "_BRACKET_TABLES"),
+                         (classical, "_TANGENCY_PLANS"),
                          (qmatrix, "_POSITION_PATTERNS"),
                          (rea, "_SLOT_VECTORS")):
         mp.setattr(module, name, Memo(getattr(module, name).compute))
@@ -514,8 +515,10 @@ MUTATIONS = [
     ("classical.bivector-antisymmetry", 2, perturbed_bracket, "f",
      [{"sample": 2, "law": "antisymmetry", "entry": [[1, 1], [1, 2]],
        "got": _gr("-27/5", "-29/25"), "expected": _gr("-27/5", "-3")}]),
+    # a non-real bracket value fails its sample; the ranks read the real
+    # parts, whose rank at n = 2 is 2 where the complex rank is 3
     ("classical.tangency", 2, perturbed_bracket, "ff",
-     [{"failures": 21, "bivector_ranks": [0, 3], "first": {
+     [{"failures": 21, "bivector_ranks": [0, 2, 3], "first": {
          "sample": 2, "bivector_rank": 3, "unitary_dim": 2,
          "triangular_dim": 4, "intersection_dim": 2, "equal": False}},
       {"failures": 10, "bivector_ranks": [0, 2, 4, 5, 7], "first": {
