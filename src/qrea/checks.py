@@ -44,11 +44,11 @@ def memo_sizes():
     over contexts: every `Memo` of a twisted product, a context, its
     rewriting system, bicharacter (the functionals' memos together) and
     wedge tables, and the rewriting systems' suffix states; and, under
-    "module.NAME", the module-level memos of braiding, classical, qmatrix
-    and rea."""
+    "module.NAME", the module-level memos of braiding, classical, qmatrix,
+    rea and shapes."""
     sizes = {}
     owners = [(m.__name__.rpartition(".")[2], m)
-              for m in (braiding, classical, qmatrix, rea)]
+              for m in (braiding, classical, qmatrix, rea, shapes)]
     owners += [("StarAlgebra", star) for star in _STAR_CACHE.values()]
     for ctx in _CTX_CACHE.values():
         owners += [(type(o).__name__, o)
@@ -461,24 +461,19 @@ def check_minor_coproduct(n, seed):
                                 failure is None, witness=failure)]
 
 
-def _convolution_witness(bich, s, t):
-    """The first sum of the failing bidegree (s, t) that misses the counit
-    pairing, rinv before rpr."""
-    for which in ("rinv", "rpr"):
-        miss = bich.first_mismatch(s, t, which)
-        if miss is not None:
-            return {"which": which, "bidegree": [s, t], **miss}
-
-
 def check_convolution_certificates(n, seed):
+    """r^{-1} and then r' re-substituted at each bidegree; the witness is
+    the first failing sum, r^{-1} before r' (`certify_bidegree`)."""
     bich = get_ctx(n).bich
     out = []
     for (s, t) in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        ok = (bich.certify_bidegree(s, t, "rinv")
-              and bich.certify_bidegree(s, t, "rpr"))
+        failure = next(({"which": which, "bidegree": [s, t], **miss}
+                        for which in ("rinv", "rpr")
+                        if (miss := bich.certify_bidegree(s, t, which))),
+                       None)
         out.append(Certificate.verdict(
             "qmatrix convolution-certificate", {"N": n, "bidegree": [s, t]},
-            ok, witness=lambda s=s, t=t: _convolution_witness(bich, s, t)))
+            failure is None, witness=failure))
     return out
 
 
@@ -560,7 +555,7 @@ def check_rea_rewrite(n, seed):
     out = []
     for m in range(min(2, n), n + 1):
         try:
-            failure = get_star(m).rewrite_check()
+            failure = rea.rewrite_check(m)
         except qmatrix.NonOrientable as exc:
             failure = {"error": str(exc)}
         out.append(Certificate.verdict("rea rewrite-crosscheck", {"N": m},

@@ -188,14 +188,6 @@ class ShapeMatrix:
             if ui is not None and self.u[t - 1] != ui.conj():
                 raise ValueError("slots are not conjugate-symmetric")
 
-    @property
-    def support(self):
-        return tuple(i for i in range(1, self.N + 1) if self.u[i - 1] is not None)
-
-    @property
-    def rank(self):
-        return len(self.support)
-
     def __eq__(self, other):
         if not isinstance(other, ShapeMatrix):
             return NotImplemented

@@ -503,7 +503,9 @@ class Bicharacter:
     # -- certification -----------------------------------------------------------------
 
     def certify_bidegree(self, s, t, which):
-        """Re-substitute a convolution inverse at bidegree (s, t).
+        """Re-substitute a convolution inverse at bidegree (s, t): None, or
+        the first sum that misses the counit pairing, as {"i", "j", "k",
+        "l", "got", "expected"} with both values as JSON.
 
         With a(x, y) the degree-s word of row tuple x and column tuple y,
         and b(x, y) the degree-t one, every sum over the middles (m, n)
@@ -525,18 +527,13 @@ class Bicharacter:
           entries (i+n, w) of image("r", s, m+l) whose row tail is n, and
           w * v accumulates at (i, k, l).
 
-        No word pair is evaluated, so the value memo stays as it is.
+        "First" is in the order i, then k (rinv) or l (rpr), then j, then l
+        (rinv) or k (rpr).  Each column's product is compared with its
+        pairing as one dict, and only a failing column is searched, by
+        `first_difference`: its sorted keys, i + k (rinv) or (i, l, k)
+        (rpr), are that order within it.  No word pair is evaluated, so the
+        value memo stays as it is.
         """
-        return self.first_mismatch(s, t, which) is None
-
-    def first_mismatch(self, s, t, which):
-        """The first sum of `certify_bidegree` that misses the counit
-        pairing, as {"i", "j", "k", "l", "got", "expected"} with both values
-        as JSON; None when every sum matches.  "First" is in the order i,
-        then k (rinv) or l (rpr), then j, then l (rinv) or k (rpr).  Each
-        column's product is compared with its pairing as one dict, and only
-        a failing column is searched, by `first_difference`: its sorted
-        keys, i + k (rinv) or (i, l, k) (rpr), are that order within it."""
         N = self.N
         tuples_s = list(product(range(1, N + 1), repeat=s))
         tuples_t = list(product(range(1, N + 1), repeat=t))

@@ -32,15 +32,19 @@ an instance.
 
 A second realisation is the straightening rules that the quantum-matrix
 rules' own derivation, `qmatrix.derive_rewrite_system`, gives from the
-reflection equation.  `StarAlgebra.rewrite_check` cross-checks them against
-the twisted product: their overlaps resolve, and each rule holds there.
+reflection equation.  `rewrite_check` certifies their presentation: one
+rule per descending pair, and their overlaps resolve.  That each rule holds
+in the twisted product is implied, not evaluated: unit-pivot elimination
+writes every rule as a Z[q, q^-1]-combination of reflection slots, the
+evaluation Z_ij -> X_ij is linear, and `reflection_equation_check`
+certifies every slot zero at the same size.
 
 Every linear combination of twisted products (the bilinear `star`, the
-minor-level sum, the reflection slots, the rule cross-check and the
-commutators) is a term list summed by `qmatrix.sum_terms`.  The structural
-checks, the reflection equation and the semiclassical comparison return
-None on a pass, or their first failing instance with the first term at
-which its two sides differ; `checks` makes their certificates.
+minor-level sum, the reflection slots and the commutators) is a term list
+summed by `qmatrix.sum_terms`.  The structural checks, the reflection
+equation and the semiclassical comparison return None on a pass, or their
+first failing instance with the first term at which its two sides differ;
+`checks` makes their certificates.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .memo import Memo
 from .qmatrix import (IllFormedInstance, NCPoly, _nf_json, braidcomm_labels,
                       derive_rewrite_system, expansion_terms, gen_id,
                       identity_certificate, sum_terms, word_cols,
-                      word_difference, word_from_rc, word_rows, word_str)
+                      word_difference, word_from_rc, word_rows)
 
 
 class StarAlgebra:
@@ -140,27 +144,6 @@ class StarAlgebra:
                 if got != nf:
                     return {"poly": _nf_json(p), "side": side,
                             **word_difference(got.coeffs, nf.coeffs, self.N)}
-        return None
-
-    def rewrite_check(self):
-        """The straightening rules derived from the reflection equation
-        against the twisted product: the first overlap that does not
-        resolve (`critical_pair_failure`), else the first rule whose two
-        sides differ under Z_ij -> X_ij, with the first term at which they
-        do, or None.  Raises NonOrientable unless there is one rule per
-        descending pair."""
-        N = self.N
-        rw = derive_rewrite_system(N, reflection_slot_vectors(N).values())
-        failure = rw.critical_pair_failure()
-        if failure is not None:
-            return failure
-        for lead, rhs in rw.rules.items():
-            got = self.star_word(lead[:1], lead[1:])
-            expected = sum_terms(N, [(c, (w[:1], w[1:]))
-                                     for w, c in rhs.items()], self.star_word)
-            if got != expected:
-                return {"rule": word_str(lead, N),
-                        **word_difference(got.coeffs, expected.coeffs, N)}
         return None
 
     def associativity_check(self, triples):
@@ -265,6 +248,17 @@ def reflection_equation_check(star):
     return None
 
 
+def rewrite_check(N):
+    """The straightening rules derived from the reflection equation at N:
+    the first overlap that does not resolve (`critical_pair_failure`), or
+    None.  Raises NonOrientable unless there is one rule per descending
+    pair.  No rule is evaluated in the twisted product: each is a
+    combination of reflection slots, which `reflection_equation_check`
+    certifies."""
+    rw = derive_rewrite_system(N, reflection_slot_vectors(N).values())
+    return rw.critical_pair_failure()
+
+
 # ---------------------------------------------------------------------------
 # Identity families in the reflection algebra
 # ---------------------------------------------------------------------------
@@ -346,17 +340,12 @@ def star_commutator_first_order(star, ij, kl):
     a, b = gen_id(*ij, N), gen_id(*kl, N)
     comm = sum_terms(N, [(LP_ONE, ((a,), (b,))), (-LP_ONE, ((b,), (a,)))],
                      star.star_word)
-    ok_constant = True
-    firsts = {}
-    for w, c in comm.coeffs.items():
-        c0, c1 = c.taylor1()
-        if c0 != 0:
-            ok_constant = False
-        if c1 != 0:
-            mono = tuple(sorted((g // N + 1, g % N + 1) for g in w))
-            firsts[mono] = firsts.get(mono, 0) + c1
-    firsts = {m: c for m, c in firsts.items() if c != 0}
-    return ok_constant, firsts
+    taylor = {w: c.taylor1() for w, c in comm.coeffs.items()}
+    # a normal-form word is nondecreasing: its entry pairs come sorted, one
+    # word per monomial
+    firsts = {tuple((g // N + 1, g % N + 1) for g in w): c1
+              for w, (_, c1) in taylor.items() if c1 != 0}
+    return all(c0 == 0 for c0, _ in taylor.values()), firsts
 
 
 def semiclassical_bracket_check(star, ij, kl, bracket_polys):

@@ -16,11 +16,11 @@ the published family table at N = 3.
 from __future__ import annotations
 
 import operator
-from functools import cached_property
 from itertools import product
 
 from .coeff import LaurentPoly
 from .indexsets import pair_dom_strictly_less, subsets
+from .memo import Memo
 from .qmatrix import Certificate
 
 
@@ -101,11 +101,6 @@ class QuantumShape:
         """(rows, cols) label of the chain minor at each level 1..rank."""
         return [(self.tau_prefix(k), self.support_prefix(k))
                 for k in range(1, self.rank + 1)]
-
-    @cached_property
-    def dom_ideal(self):
-        """The dominance shape ideal, built on first use and kept."""
-        return build_shape_ideal(self, "dom")
 
     def to_json(self):
         return {"tau": list(self.tau), "u": list(self.u)}
@@ -205,6 +200,10 @@ def build_shape_ideal(shape, flavor):
     return frozenset(gens | {(J, I) for I, J in gens})
 
 
+# the dominance shape ideal of each shape, built on first use and kept
+_DOM_IDEALS = Memo(lambda shape: build_shape_ideal(shape, "dom"))
+
+
 # ---------------------------------------------------------------------------
 # q-commutation certificate for chain minors
 # ---------------------------------------------------------------------------
@@ -224,7 +223,7 @@ def qcomm_status(ctx, shape, k, I, J):
     """
     A = shape.support_prefix(k)     # column label of the chain minor
     B = shape.tau_prefix(k)         # row label
-    ideal = shape.dom_ideal
+    ideal = _DOM_IDEALS[shape]
     exp_left = -(len(set(I) & set(A)) + len(set(I) & set(B)))
     exp_right = -(len(set(J) & set(A)) + len(set(J) & set(B)))
     # the general commutation of (A, B) with (I, J); its designated terms

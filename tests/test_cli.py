@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from qrea import braiding, checks, classical, cli, qmatrix, rea
+from qrea import braiding, checks, classical, cli, qmatrix, rea, shapes
 from qrea.cli import OUTPUT_ERROR, main
 from test_suite_mutations import fresh_memos
 
@@ -546,6 +546,7 @@ def _memo_lens():
     sizes["classical._TANGENCY_PLANS"] = len(classical._TANGENCY_PLANS)
     sizes["qmatrix._POSITION_PATTERNS"] = len(qmatrix._POSITION_PATTERNS)
     sizes["rea._SLOT_VECTORS"] = len(rea._SLOT_VECTORS)
+    sizes["shapes._DOM_IDEALS"] = len(shapes._DOM_IDEALS)
     for star in checks._STAR_CACHE.values():
         for attr in ("_star_word_memo", "_star_minor_memo"):
             sizes["StarAlgebra." + attr] += len(getattr(star, attr))

@@ -567,7 +567,7 @@ def test_laurent_path_coefficients_stay_int(star3):
         # the twisted product and the certificates read images only
         ctx.bich.r(u, v), ctx.bich.r_prime(u, v)
     for which in ("rinv", "rpr"):
-        assert ctx.bich.certify_bidegree(1, 1, which)
+        assert ctx.bich.certify_bidegree(1, 1, which) is None
     values = list(rhat_entries(3).values())
     for k in range(1, 4):
         for l in range(1, 4):

@@ -204,18 +204,18 @@ BIDEGREES = ((1, 1), (1, 2), (2, 1), (2, 2))
 def test_convolution_certificates(ctx2):
     b = ctx2.bich
     for (s, t) in BIDEGREES:
-        assert b.certify_bidegree(s, t, "rinv")
-        assert b.certify_bidegree(s, t, "rpr")
+        assert b.certify_bidegree(s, t, "rinv") is None
+        assert b.certify_bidegree(s, t, "rpr") is None
     # the closed-form generator tables hold at every N, not only at N = 2
     for N in (3, 4):
         b = Bicharacter(N)
         for (s, t) in BIDEGREES:
-            assert b.certify_bidegree(s, t, "rinv"), (N, s, t)
-            assert b.certify_bidegree(s, t, "rpr"), (N, s, t)
+            assert b.certify_bidegree(s, t, "rinv") is None, (N, s, t)
+            assert b.certify_bidegree(s, t, "rpr") is None, (N, s, t)
     for N in (1, 5):
         b = Bicharacter(N)
-        assert b.certify_bidegree(1, 1, "rinv"), N
-        assert b.certify_bidegree(1, 1, "rpr"), N
+        assert b.certify_bidegree(1, 1, "rinv") is None, N
+        assert b.certify_bidegree(1, 1, "rpr") is None, N
 
 
 def test_convolution_certificates_read_images_only():
@@ -223,7 +223,8 @@ def test_convolution_certificates_read_images_only():
     so a fresh bicharacter's value memo stays empty."""
     b = Bicharacter(3)
     for (s, t) in BIDEGREES:
-        assert b.certify_bidegree(s, t, "rinv") and b.certify_bidegree(s, t, "rpr")
+        for which in ("rinv", "rpr"):
+            assert b.certify_bidegree(s, t, which) is None
     assert b._memo == {"r": {}, "rinv": {}}
     assert b._images["r"] and b._images["rinv"]
 
@@ -231,7 +232,7 @@ def test_convolution_certificates_read_images_only():
 def dense_first_mismatch(b, s, t, which):
     """The reference sweep: every (i, k or l, j, l or k) in that order, each
     sum over every middle (m, n), every factor a word-pair value of `r`,
-    `r_inv` or `r_prime`; returns what `first_mismatch` must."""
+    `r_inv` or `r_prime`; returns what `certify_bidegree` must."""
     N = b.N
     tuples_s = list(product(range(1, N + 1), repeat=s))
     tuples_t = list(product(range(1, N + 1), repeat=t))
@@ -289,11 +290,36 @@ def test_first_mismatch_matches_dense_reference(N, perturbation):
             elif perturbation is not None:
                 _bump_first_entry(b, perturbation)
             want = dense_first_mismatch(b, s, t, which)
-            assert b.first_mismatch(s, t, which) == want, (s, t, which)
+            assert b.certify_bidegree(s, t, which) == want, (s, t, which)
             if perturbation is None or (perturbation, which) == ("twist", "rinv"):
                 assert want is None
             else:
                 assert want is not None
+
+
+def test_convolution_suite_certifies_each_sum_once(monkeypatch):
+    """The suite's verdict and witness come from one `certify_bidegree`
+    call per bidegree and functional: r^{-1} at each bidegree, and r' only
+    where r^{-1} passes, on the true tables as under each mutation row."""
+    calls = []
+    certify = Bicharacter.certify_bidegree
+
+    def counted(self, s, t, which):
+        calls.append((s, t, which))
+        return certify(self, s, t, which)
+    monkeypatch.setattr(Bicharacter, "certify_bidegree", counted)
+
+    def each_once(*functionals):
+        return [(s, t, which) for s, t in BIDEGREES for which in functionals]
+    assert all(c.status == "pass"
+               for c in checks.check_convolution_certificates(2, 0))
+    assert calls == each_once("rinv", "rpr")
+    for label, functionals in (("qmatrix.convolution-certificates", ("rinv",)),
+                               ("qmatrix.convolution-certificates twist",
+                                ("rinv", "rpr"))):
+        calls.clear()
+        check_row(label)
+        assert calls == each_once(*functionals), label
 
 
 @pytest.mark.parametrize("which", ["rinv", "rpr"])
@@ -309,14 +335,14 @@ def test_convolution_certificates_fail_on_a_perturbed_table(monkeypatch, which):
         twist = b.rpr_twist
         monkeypatch.setattr(b, "rpr_twist", lambda cols, rows: twist(rows, cols))
     for (s, t) in BIDEGREES:
-        assert not b.certify_bidegree(s, t, which)
+        assert b.certify_bidegree(s, t, which) is not None
         # r' is r^{-1} twisted: a wrong r^{-1} table fails both, a wrong
         # twist only r'
-        assert b.certify_bidegree(s, t, "rinv") == (which == "rpr")
+        assert (b.certify_bidegree(s, t, "rinv") is None) == (which == "rpr")
     # the tables and the twist are per instance: a fresh context is untouched
     fresh = QContext(2).bich
     for (s, t) in BIDEGREES:
-        assert fresh.certify_bidegree(s, t, which)
+        assert fresh.certify_bidegree(s, t, which) is None
     label = {"rinv": "qmatrix.convolution-certificates",
              "rpr": "qmatrix.convolution-certificates twist"}[which]
     check_row(label)

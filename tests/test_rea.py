@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from qrea import braiding, classical, qmatrix, rea
+from qrea import braiding, classical, qmatrix, rea, shapes
 from qrea.classical import poisson_bracket_coeffs
 from qrea.linalg import add_term
 from qrea.memo import Memo
@@ -71,8 +71,8 @@ def test_reverse_braid(star2):
     assert star2.reverse_braid_check(pairs) is None
 
 
-def test_rea_rewrite_n2(star2):
-    assert star2.rewrite_check() is None
+def test_rea_rewrite_n2():
+    assert rea.rewrite_check(2) is None
     rw = derive_rewrite_system(2, reflection_slot_vectors(2).values())
     assert len(rw.rules) == 6
     assert degree_dimension(2, rw, 2) == 10
@@ -183,10 +183,10 @@ test_reflection_equation_witness_names_the_first_failing_slot = row_test(
     "rea.reflection-equation")
 test_reverse_braid_witness_is_first_failing_pair = row_test(
     "rea.reverse-braid")
-test_rewrite_crosscheck_witness_is_the_first_failing_rule = row_test(
-    "rea.rewrite-crosscheck")
+test_reflection_equation_fails_under_a_descending_pair_twist = row_test(
+    "rea.reflection-equation descending-twist")
 test_rewrite_crosscheck_witness_is_the_first_unresolved_overlap = row_test(
-    "rea.rewrite-crosscheck overlap")
+    "rea.rewrite-crosscheck")
 test_rewrite_crosscheck_witness_is_the_rule_count = row_test(
     "rea.rewrite-crosscheck rule-count")
 test_semiclassical_witness_names_first_failing_pair = row_test(
@@ -266,7 +266,8 @@ def test_every_computed_cache_is_a_memo():
              ctx._gencomm, ctx.rw._insert_memo, ctx.table(2, 1)._slices,
              sides["expansions"], *braiding._RHAT_TABLES.values(),
              classical._BRACKET_TABLES, classical._TANGENCY_PLANS,
-             qmatrix._POSITION_PATTERNS, rea._SLOT_VECTORS]
+             qmatrix._POSITION_PATTERNS, rea._SLOT_VECTORS,
+             shapes._DOM_IDEALS]
     for per_functional in (bich._memo, bich._images, bich._coimages):
         assert per_functional.keys() == {"r", "rinv"}
         memos += per_functional.values()
@@ -287,7 +288,6 @@ def test_sums_leave_every_memo_as_a_fresh_context_computes_it():
     assert reflection_equation_check(star) is None
     pairs = list(product(product((1, 2), repeat=2), repeat=2))
     assert star.reverse_braid_check(pairs) is None
-    assert star.rewrite_check() is None
     for (algebra, family), (subs, sweep, _keys) in qmatrix.FAMILIES.items():
         for inst in sweep(2):
             for sub in subs:

@@ -1,14 +1,18 @@
-"""Checks on the package source as a whole."""
+"""Checks on the package source, and on the test settings, as a whole."""
 
 import ast
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import qrea
 from qrea.coeff import LaurentPoly
 
 _SRC = Path(qrea.__file__).resolve().parent
-_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_TRACER = _ROOT / "perfbench" / "tracer.py"
 
 
 def test_every_helper_has_a_caller():
@@ -100,7 +104,8 @@ def test_only_coeff_writes_laurent_slots():
 
 def test_no_functools_cache():
     """Every computed cache of src/qrea is a qrea.memo.Memo, which
-    checks.memo_sizes reports: none is a functools cache or lru_cache."""
+    checks.memo_sizes reports: none is a functools cache, lru_cache or
+    cached_property."""
     found = []
     for path in sorted(_SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -113,7 +118,7 @@ def test_no_functools_cache():
             else:
                 continue
             found += [(path.name, node.lineno, name) for name in names
-                      if name in ("cache", "lru_cache")]
+                      if name in ("cache", "lru_cache", "cached_property")]
     assert not found, found
 
 
@@ -222,3 +227,30 @@ def test_only_checks_and_the_cli_make_certificates():
             if where not in _CERTIFIERS.get(path.name, ()):
                 found.append((path.name, stmt.lineno, where))
     assert not found, found
+
+
+def test_a_failing_given_test_does_not_stop_the_run(tmp_path):
+    """Under the project's pytest settings a failing hypothesis test is
+    reported like any other, and the test after it still runs: the
+    warnings filter must not turn the warning that hypothesis's report hook
+    raises on a failure into an internal error."""
+    (tmp_path / "test_pair.py").write_text(textwrap.dedent("""
+        from hypothesis import given, strategies as st
+
+
+        @given(st.integers())
+        def test_fails(x):
+            assert x != x
+
+
+        def test_passes():
+            pass
+    """))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(_ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "test_pair.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
+    assert run.returncode == 1
