@@ -186,7 +186,7 @@ test_reverse_braid_witness_is_first_failing_pair = row_test(
 test_reflection_equation_fails_under_a_descending_pair_twist = row_test(
     "rea.reflection-equation descending-twist")
 test_rewrite_crosscheck_witness_is_the_first_unresolved_overlap = row_test(
-    "rea.rewrite-crosscheck")
+    "rea.rewrite-crosscheck", "rea.rewrite-crosscheck overlap")
 test_rewrite_crosscheck_witness_is_the_rule_count = row_test(
     "rea.rewrite-crosscheck rule-count")
 test_semiclassical_witness_names_first_failing_pair = row_test(

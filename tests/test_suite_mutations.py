@@ -126,6 +126,17 @@ def _scaled_rea_rule(mp):
                lambda N, vectors: _scale_least_rule(derive(N, vectors)))
 
 
+def _scaled_greatest_rea_rule(mp):
+    """The greatest REA rule at N = 2, X22 X21 -> ..., scaled by q."""
+    def scaled(N, vectors):
+        rw = derive(N, vectors)
+        lead = max(rw.rules)
+        rw.rules[lead] = {w: c * LP_Q for w, c in rw.rules[lead].items()}
+        return rw
+    derive = rea.derive_rewrite_system
+    mp.setattr(rea, "derive_rewrite_system", scaled)
+
+
 def _three_slots(mp):
     """Three slots of the reflection equation, which span too few
     relations."""
@@ -445,9 +456,9 @@ MUTATIONS = [
     ("rea.reverse-braid", 2, _scaled_star_word(lambda u, v: LP_Q), "f",
      [{"pair": [[2, 2], [1, 2]], "entry": "X12*X22", "got": {"0": "1"},
        "expected": {"-1": "1"}}]),
-    ("rea.rewrite-crosscheck", 2, _scaled_rea_rule, "f",
-     [{"overlap": "X21*X12*X11", "entry": "X11*X11*X11",
-       "got": {"0": "1", "2": "-1"}, "expected": {"1": "1", "3": "-1"}}]),
+    ("rea.rewrite-crosscheck", 2, _scaled_greatest_rea_rule, "f",
+     [{"overlap": "X22*X21*X12", "entry": "X11*X11*X22",
+       "got": {"1": "1", "3": "-1"}, "expected": {"0": "1", "2": "-1"}}]),
     ("rea.gencomm", 2, _dropped_gencomm_term(2), "f",
      [_family_witness("rea", "gencomm")]),
     ("rea.laplace", 2, _dropped_first_contraction_term, "f",
@@ -543,6 +554,9 @@ MORE_MUTATIONS = [
      _scaled_star_word(lambda u, v: LP_Q if u > v else LP_ONE), "f",
      [{"slot": ((1, 1), (1, 2)), "entry": "X11*X12",
        "got": {"-2": "1", "-1": "-1"}, "expected": {}}]),
+    ("rea.rewrite-crosscheck overlap", 2, _scaled_rea_rule, "f",
+     [{"overlap": "X21*X12*X11", "entry": "X11*X11*X11",
+       "got": {"0": "1", "2": "-1"}, "expected": {"1": "1", "3": "-1"}}]),
     ("rea.rewrite-crosscheck rule-count", 2, _three_slots, "f",
      [{"error": "2 rules, expected 6: relation rank is off"}]),
     ("rea.laplace expansion", 2, _dropped_expansion_term, "f",
