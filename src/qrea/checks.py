@@ -8,9 +8,12 @@ deterministic given (n, seed), with n = min(N, reach) (n = N for a suite
 without a reach), and emit certificates in a canonical instance order.
 
 The verdict functions of the other modules return None or their first
-failure, and the suites here make the certificates.  A check that stops at
-its first failure carries it as it is; a sweep that counts its failures
-carries {"failures": n, "first": ...}, `_failures_witness`.
+failure, and the suites here make the certificates: a certificate fails
+exactly when its verdict function returned a failure, and that failure is
+its witness (`Certificate.verdict`).  A check that stops at its first
+failure carries it as it is; a sweep that counts its failures carries
+{"failures": n, "first": ...}, `_failures_witness`.  A witness is built
+only when something failed.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from math import comb
 
 from . import braiding, classical, coeff, indexsets, qmatrix, rea, shapes
 from .linalg import add_term, first_difference
-from .memo import Memo
+from .memo import Memo, memos_of, module_memos
 from .qmatrix import Certificate
 
 _CTX_CACHE = Memo(qmatrix.QContext)
@@ -44,26 +47,24 @@ def memo_sizes():
     over contexts: every `Memo` of a twisted product, a context, its
     rewriting system, bicharacter (the functionals' memos together) and
     wedge tables, and the rewriting systems' suffix states; and, under
-    "module.NAME", the module-level memos of braiding, classical, qmatrix,
-    rea and shapes."""
+    "module.NAME", every module-level memo (`memo.module_memos`) but the
+    context caches of this module."""
     sizes = {}
-    owners = [(m.__name__.rpartition(".")[2], m)
-              for m in (braiding, classical, qmatrix, rea, shapes)]
-    owners += [("StarAlgebra", star) for star in _STAR_CACHE.values()]
+
+    def add(name, memos):
+        sizes[name] = sizes.get(name, 0) + sum(map(len, memos))
+    for module, attr, value in module_memos():
+        if module.__name__ != __name__:
+            add(f"{module.__name__.rpartition('.')[2]}.{attr}",
+                memos_of(value))
+    owners = list(_STAR_CACHE.values())
     for ctx in _CTX_CACHE.values():
-        owners += [(type(o).__name__, o)
-                   for o in (ctx, ctx.rw, ctx.bich, *ctx._tables.values())]
-    for owner_name, owner in owners:
+        owners += [ctx, ctx.rw, ctx.bich, *ctx._tables.values()]
+    for owner in owners:
         for attr, value in vars(owner).items():
-            if isinstance(value, Memo) or attr == "_nf_memo":
-                memos = [value]
-            elif isinstance(value, dict) and value and all(
-                    isinstance(m, Memo) for m in value.values()):
-                memos = value.values()
-            else:
-                continue
-            name = f"{owner_name}.{attr}"
-            sizes[name] = sizes.get(name, 0) + sum(map(len, memos))
+            memos = [value] if attr == "_nf_memo" else memos_of(value)
+            if memos:
+                add(f"{type(owner).__name__}.{attr}", memos)
     return sizes
 
 
@@ -122,8 +123,7 @@ def _family_suite(algebra, family):
                         algebra, sub, inst, lhs, rhs).to_json()
         return [Certificate.verdict(
             f"{algebra} {family}", {"N": n, "instances": count},
-            not failures, witness=lambda: {"failures": failures,
-                                           "first": first})]
+            {"failures": failures, "first": first} if failures else None)]
     return suite
 
 
@@ -144,26 +144,22 @@ def _random_ratfunc(rng):
 
 def _first_broken(draw, count, laws):
     """The first of `count` draws that breaks one of the (name, law) pairs,
-    as (draw index, law name, the draw), or None; draw() returns the
-    arguments of one law evaluation."""
+    as {"sample": draw index, "law": law name, "args": the draw}, or None;
+    draw() returns the arguments of one law evaluation."""
     for i in range(count):
         args = draw()
         for name, law in laws:
             if not law(*args):
-                return i, name, args
+                return {"sample": i, "law": name,
+                        "args": [x.to_json() if hasattr(x, "to_json")
+                                 else str(x) for x in args]}
     return None
 
 
 def _failures_witness(bad):
-    """The witness of a counting sweep: the failure count and the first."""
-    return lambda: {"failures": len(bad), "first": bad[0]}
-
-
-def _law_witness(broken):
-    i, name, args = broken
-    return {"sample": i, "law": name,
-            "args": [x.to_json() if hasattr(x, "to_json") else str(x)
-                     for x in args]}
+    """The failure of a counting sweep whose failures are `bad`: None if
+    there are none, else the failure count and the first."""
+    return {"failures": len(bad), "first": bad[0]} if bad else None
 
 
 def _units_law(a, b, c):
@@ -204,9 +200,7 @@ def check_coeff_ring_axioms(N, seed):
     broken = _first_broken(
         lambda: tuple(_random_laurent(rng) for _ in range(3)), 1000, _RING_LAWS)
     return [Certificate.verdict("coeff ring-axioms", {"triples": 1000},
-                                broken is None,
-                                witness=lambda: _law_witness(broken),
-                                seed=seed)]
+                                broken, seed=seed)]
 
 
 def check_coeff_rf_canonical(N, seed):
@@ -215,9 +209,7 @@ def check_coeff_rf_canonical(N, seed):
         lambda: (_random_ratfunc(rng), _random_ratfunc(rng)), 300,
         _CANONICAL_LAWS)
     return [Certificate.verdict("coeff rf-canonical", {"samples": 300},
-                                broken is None,
-                                witness=lambda: _law_witness(broken),
-                                seed=seed)]
+                                broken, seed=seed)]
 
 
 def check_coeff_eval(N, seed):
@@ -227,9 +219,7 @@ def check_coeff_eval(N, seed):
                  Fraction(rng.randint(1, 9), rng.randint(1, 9))),
         20, (("direct-substitution", _direct_substitution),))
     return [Certificate.verdict("coeff eval-direct-substitution",
-                                {"points": 20}, broken is None,
-                                witness=lambda: _law_witness(broken),
-                                seed=seed)]
+                                {"points": 20}, broken, seed=seed)]
 
 
 # -- combinatorics ---------------------------------------------------------------
@@ -239,8 +229,7 @@ def check_dominance_refines_lex(N, seed):
            for I, J in product(indexsets.subsets(6, k), repeat=2)
            if indexsets.dominated(I, J) and J < I]
     return [Certificate.verdict("combinatorics dominance-refines-lex",
-                                {"N": 6}, not bad,
-                                witness=_failures_witness(bad))]
+                                {"N": 6}, _failures_witness(bad))]
 
 
 def check_weight_split(N, seed):
@@ -253,15 +242,15 @@ def check_weight_split(N, seed):
                     if sum(IK) + sum(IKc) != sum(I):
                         bad.append((I, K))
     return [Certificate.verdict("combinatorics weight-split", {"N": 6},
-                                not bad, witness=_failures_witness(bad))]
+                                _failures_witness(bad))]
 
 
 def check_comb_lemma_sweep(N, seed):
     n = min(max(N, 6), 7)
     count, bad = indexsets.sweep_comb_lemma(n)
     return [Certificate.verdict("combinatorics dominance-lemma",
-                                {"N": n, "pairs": count}, not bad,
-                                witness=_failures_witness(bad))]
+                                {"N": n, "pairs": count},
+                                _failures_witness(bad))]
 
 
 def check_inversion_parity(N, seed):
@@ -278,8 +267,8 @@ def check_inversion_parity(N, seed):
         if indexsets.inversions(comp) % 2 != par:
             bad.append((a, b))
     return [Certificate.verdict("combinatorics inversion-parity",
-                                {"samples": 200}, not bad,
-                                witness=_failures_witness(bad), seed=seed)]
+                                {"samples": 200}, _failures_witness(bad),
+                                seed=seed)]
 
 
 # -- braiding -----------------------------------------------------------------------
@@ -289,8 +278,8 @@ def check_braid_relation(n, seed):
     for m in range(1, n + 1):
         word = braiding.braid_relation_check(m)
         out.append(Certificate.verdict(
-            "braiding braid-relation", {"N": m}, word is None,
-            witness=lambda: {"word": word}))
+            "braiding braid-relation", {"N": m},
+            None if word is None else {"word": word}))
     return out
 
 
@@ -300,8 +289,8 @@ def check_hecke(n, seed):
         word = braiding.hecke_check(m)
         entry = braiding.symmetry_check(m)
         out.append(Certificate.verdict(
-            "braiding hecke", {"N": m}, word is None and entry is None,
-            witness=lambda: {"word": word, "asymmetric": entry}))
+            "braiding hecke", {"N": m}, None if word is None and entry is None
+            else {"word": word, "asymmetric": entry}))
     return out
 
 
@@ -323,8 +312,7 @@ def check_wedge_tables(n, seed, kmax):
     for k, l in product(range(1, kmax + 1), repeat=2):
         bad = wedge_table_mismatch(ctx.table(k, l))
         out.append(Certificate.verdict(
-            "braiding wedge-table", {"N": n, "k": k, "l": l}, bad is None,
-            witness=lambda: bad))
+            "braiding wedge-table", {"N": n, "k": k, "l": l}, bad))
     return out
 
 
@@ -334,16 +322,14 @@ def check_wedge_composition(n, seed, kmax):
     for k, l in product(range(1, kmax + 1), repeat=2):
         bad = ctx.table(k, l).composition_identity_check()
         out.append(Certificate.verdict(
-            "braiding wedge-composition", {"N": n, "k": k, "l": l},
-            bad is None, witness=lambda: bad))
+            "braiding wedge-composition", {"N": n, "k": k, "l": l}, bad))
     return out
 
 
 def check_embed_equivariance(n, seed, kmax):
     bad = next(filter(None, (braiding.embed_equivariance_check(n, k)
                              for k in range(1, kmax + 1))), None)
-    return [Certificate.verdict("braiding embed-equivariance", {"N": n},
-                                bad is None, witness=lambda: bad)]
+    return [Certificate.verdict("braiding embed-equivariance", {"N": n}, bad)]
 
 
 def check_scalar_lemma(n, seed):
@@ -352,7 +338,7 @@ def check_scalar_lemma(n, seed):
            if (miss := braiding.rmatrix_lemma_check(I, Ip))]
     return [Certificate.verdict("braiding scalar-lemma",
                                 {"N": n, "pairs": len(subs) ** 2},
-                                not bad, witness=_failures_witness(bad))]
+                                _failures_witness(bad))]
 
 
 def check_antisym_swap(n, seed):
@@ -364,8 +350,7 @@ def check_antisym_swap(n, seed):
               for l in range(t + 1))
     failed = next(({"T": T, "l": l, "mismatch": miss}
                    for T, l, miss in misses if miss), None)
-    return [Certificate.verdict("braiding antisym-swap", {"N": n},
-                                failed is None, witness=lambda: failed)]
+    return [Certificate.verdict("braiding antisym-swap", {"N": n}, failed)]
 
 
 # -- qmatrix ---------------------------------------------------------------------------
@@ -390,13 +375,11 @@ def check_pbw_dimensions(n, seed):
                 continue
             expected = comb(m * m + d - 1, d)
             out.append(Certificate.verdict(
-                "qmatrix pbw-dimension", instance, dim == expected,
-                witness=lambda dim=dim, expected=expected: {
-                    "dimension": dim, "expected": expected}))
+                "qmatrix pbw-dimension", instance, None if dim == expected
+                else {"dimension": dim, "expected": expected}))
         failure = ctx.rw.critical_pair_failure()
         out.append(Certificate.verdict(
-            "qmatrix confluence", {"N": m}, failure is None,
-            witness=lambda failure=failure: failure))
+            "qmatrix confluence", {"N": m}, failure))
     return out
 
 
@@ -417,8 +400,7 @@ def check_counit_coassoc(n, seed):
                        **qmatrix.word_difference(left, p.coeffs, n)}
             break
     return [Certificate.verdict("qmatrix counit-axiom", {"N": n, "words": 50},
-                                failure is None, witness=lambda: failure,
-                                seed=seed)]
+                                failure, seed=seed)]
 
 
 def _nf_pair_accumulate(rw, pairs, acc):
@@ -457,8 +439,7 @@ def check_minor_coproduct(n, seed):
                        "entry": [qmatrix.word_str(w, n)
                                  for w in miss["entry"]]}
             break
-    return [Certificate.verdict("qmatrix minor-coproduct", {"N": n},
-                                failure is None, witness=failure)]
+    return [Certificate.verdict("qmatrix minor-coproduct", {"N": n}, failure)]
 
 
 def check_convolution_certificates(n, seed):
@@ -473,7 +454,7 @@ def check_convolution_certificates(n, seed):
                        None)
         out.append(Certificate.verdict(
             "qmatrix convolution-certificate", {"N": n, "bidegree": [s, t]},
-            failure is None, witness=failure))
+            failure))
     return out
 
 
@@ -507,7 +488,7 @@ def check_minor_table_crosscheck(n, seed):
     functional value differ, with both values."""
     failure = _minor_table_mismatch(get_ctx(n))
     return [Certificate.verdict("qmatrix minor-table-crosscheck", {"N": n},
-                                failure is None, witness=failure)]
+                                failure)]
 
 
 # -- rea ------------------------------------------------------------------------------------
@@ -515,8 +496,7 @@ def check_minor_table_crosscheck(n, seed):
 def check_star_unit(n, seed):
     star = get_star(n)
     failure = star.unit_check(rea.random_monomials(n, 2, 10, seed))
-    return [Certificate.verdict("rea star-unit", {"N": n}, failure is None,
-                                witness=lambda: failure, seed=seed)]
+    return [Certificate.verdict("rea star-unit", {"N": n}, failure, seed=seed)]
 
 
 def check_star_associativity(n, seed):
@@ -526,8 +506,7 @@ def check_star_associativity(n, seed):
     triples = [tuple(rng.sample(monos, 3)) for _ in range(5)]
     failure = star.associativity_check(triples)
     return [Certificate.verdict("rea star-associativity",
-                                {"N": n, "triples": len(triples)},
-                                failure is None, witness=lambda: failure,
+                                {"N": n, "triples": len(triples)}, failure,
                                 seed=seed)]
 
 
@@ -535,8 +514,7 @@ def check_reflection(n, seed):
     out = []
     for m in range(min(2, n), n + 1):
         failure = rea.reflection_equation_check(get_star(m))
-        out.append(Certificate.verdict("rea reflection", {"N": m},
-                                       failure is None, witness=failure))
+        out.append(Certificate.verdict("rea reflection", {"N": m}, failure))
     return out
 
 
@@ -547,8 +525,7 @@ def check_reverse_braid(n, seed):
               (rng.randint(1, n), rng.randint(1, n))) for _ in range(20)]
     failure = star.reverse_braid_check(pairs)
     return [Certificate.verdict("rea reverse-braid", {"N": n, "pairs": 20},
-                                failure is None, witness=lambda: failure,
-                                seed=seed)]
+                                failure, seed=seed)]
 
 
 def check_rea_rewrite(n, seed):
@@ -559,7 +536,7 @@ def check_rea_rewrite(n, seed):
         except qmatrix.NonOrientable as exc:
             failure = {"error": str(exc)}
         out.append(Certificate.verdict("rea rewrite-crosscheck", {"N": m},
-                                       failure is None, witness=failure))
+                                       failure))
     return out
 
 
@@ -583,20 +560,17 @@ def check_shape_families(N, seed):
     wrong = [(s, tau, lab) for s, (tau, lab)
              in zip(by_rank.get(3, []), SHAPE_RANK3_N3)
              if s.tau != tau or s.minor_labels() != lab]
-
-    def witness():
-        out = {"counts": {str(rank): len(fams)
-                          for rank, fams in sorted(by_rank.items())},
-               "expected_counts": {str(rank): count for rank, count
-                                   in sorted(SHAPE_COUNTS_N3.items())}}
-        if wrong:
-            s, tau, lab = wrong[0]
-            out["first"] = {"family": s.to_json(),
-                            "labels": s.minor_labels(),
+    failure = None
+    if not counts_ok or wrong:
+        failure = {"counts": {str(rank): len(fams)
+                              for rank, fams in sorted(by_rank.items())},
+                   "expected_counts": {str(rank): count for rank, count
+                                       in sorted(SHAPE_COUNTS_N3.items())}}
+    if wrong:
+        s, tau, lab = wrong[0]
+        failure["first"] = {"family": s.to_json(), "labels": s.minor_labels(),
                             "expected_tau": tau, "expected_labels": lab}
-        return out
-    return [Certificate.verdict("rea shape-families", {"N": 3},
-                                counts_ok and not wrong, witness=witness)]
+    return [Certificate.verdict("rea shape-families", {"N": 3}, failure)]
 
 
 def _shape_ideal_failure(shape):
@@ -618,8 +592,7 @@ def _shape_ideal_failure(shape):
 def check_shape_ideals(N, seed):
     failure = next(filter(None, map(_shape_ideal_failure,
                                     shapes.enumerate_shapes(3))), None)
-    return [Certificate.verdict("rea shape-ideals", {"N": 3},
-                                failure is None, witness=failure)]
+    return [Certificate.verdict("rea shape-ideals", {"N": 3}, failure)]
 
 
 def _qcomm_instances(N, fams):
@@ -648,9 +621,10 @@ def check_qcomm(N, seed):
     bad = [inst for inst in instances
            if shapes.qcomm_status(ctx, *inst)[0] != "pass"]
     return [Certificate.verdict(
-        "rea qcomm", {"N": n, "instances": len(instances)}, not bad,
-        witness=lambda: {"failures": len(bad), "first": (
-            shapes.shape_qcomm_certificate(ctx, *bad[0]).to_json())})]
+        "rea qcomm", {"N": n, "instances": len(instances)}, {
+            "failures": len(bad),
+            "first": shapes.shape_qcomm_certificate(ctx, *bad[0]).to_json()}
+        if bad else None)]
 
 
 def semiclassical_certificates(N):
@@ -663,8 +637,7 @@ def semiclassical_certificates(N):
     for ij, kl in product(gens, repeat=2):
         failure = rea.semiclassical_bracket_check(star, ij, kl, table)
         out.append(Certificate.verdict(
-            "rea semiclassical", {"ij": list(ij), "kl": list(kl)},
-            failure is None, witness=failure))
+            "rea semiclassical", {"ij": list(ij), "kl": list(kl)}, failure))
     return out
 
 
@@ -675,7 +648,7 @@ def check_semiclassical(n, seed):
         bad = [c.to_json() for c in certs if c.status != "pass"]
         out.append(Certificate.verdict(
             "rea semiclassical", {"N": m, "pairs": len(certs)},
-            not bad, witness=_failures_witness(bad)))
+            _failures_witness(bad)))
     return out
 
 
@@ -706,8 +679,7 @@ def check_shape_roundtrip(n, seed):
                         "weights": [str(x) for x in lam], "z": z.to_json(),
                         "shape_of": shape.to_json(), "power_sum": spectrum})
     return [Certificate.verdict("classical shape-roundtrip", {"samples": 100},
-                                not bad, witness=_failures_witness(bad),
-                                seed=seed)]
+                                _failures_witness(bad), seed=seed)]
 
 
 def check_sign_compat(n, seed):
@@ -722,8 +694,8 @@ def check_sign_compat(n, seed):
                         "shape_signs": list(s.sign_multiset()),
                         "eigenvalue_signs": list(signs)})
     return [Certificate.verdict("classical sign-compatibility",
-                                {"samples": 100}, not bad,
-                                witness=_failures_witness(bad), seed=seed)]
+                                {"samples": 100}, _failures_witness(bad),
+                                seed=seed)]
 
 
 def tn_invariance_samples(n, samples, rng):
@@ -758,8 +730,8 @@ def tn_invariance_samples(n, samples, rng):
 def check_tn_invariance(n, seed):
     bad = [w for w in tn_invariance_samples(n, 100, random.Random(seed)) if w]
     return [Certificate.verdict("classical tn-invariance",
-                                {"N": n, "samples": 100}, not bad,
-                                witness=_failures_witness(bad), seed=seed)]
+                                {"N": n, "samples": 100},
+                                _failures_witness(bad), seed=seed)]
 
 
 def decompose_mismatch(z, t, M):
@@ -800,8 +772,7 @@ def check_decompose(n, seed):
                         "t": [[e.to_json() for e in row] for row in t],
                         "M": M.to_json(), **w})
     return [Certificate.verdict("classical decompose", {"samples": 50},
-                                not bad, witness=_failures_witness(bad),
-                                seed=seed)]
+                                _failures_witness(bad), seed=seed)]
 
 
 def bivector_mismatch(z):
@@ -830,8 +801,7 @@ def check_bivector(n, seed):
             broken = {"sample": i, **w}
             break
     return [Certificate.verdict("classical bivector-antisymmetry",
-                                {"N": n, "samples": 20}, broken is None,
-                                witness=broken, seed=seed)]
+                                {"N": n, "samples": 20}, broken, seed=seed)]
 
 
 def tangency_reports(n, samples, rng):
@@ -852,14 +822,24 @@ def check_tangency(N, seed):
         reports = tangency_reports(n, 50, rng)
         bad = [i for i, rep in enumerate(reports) if not rep["equal"]]
         ranks = sorted({rep["bivector_rank"] for rep in reports})
+        failure = None if not bad and (n < 3 or len(ranks) > 1) else {
+            "failures": len(bad), "bivector_ranks": ranks,
+            "first": {"sample": bad[0], **reports[bad[0]]} if bad else None}
         out.append(Certificate.verdict(
-            "classical tangency", {"N": n, "samples": 50},
-            not bad and (n < 3 or len(ranks) > 1),
-            witness=lambda: {
-                "failures": len(bad), "bivector_ranks": ranks,
-                "first": {"sample": bad[0], **reports[bad[0]]} if bad else None},
+            "classical tangency", {"N": n, "samples": 50}, failure,
             seed=seed))
     return out
+
+
+def jacobi_failure(rep):
+    """None if a `classical.jacobi_check` report is ok, else its failure:
+    the count of nonzero cyclic sums, the first, and the residual of
+    largest modulus; the jacobi suite and `qrea classical jacobi`."""
+    if rep["ok"]:
+        return None
+    return {"nonzero_cyclic_polys": rep["nonzero_cyclic_polys"],
+            "first": rep["first"],
+            "max_residual": rep["max_residual"].to_json()}
 
 
 def check_jacobi(N, seed):
@@ -867,11 +847,8 @@ def check_jacobi(N, seed):
     for n in (2, 3):
         rep = classical.jacobi_check(n, samples=100 if n == 2 else 25, seed=seed)
         out.append(Certificate.verdict(
-            "classical jacobi", {"N": n, "samples": rep["samples"]}, rep["ok"],
-            witness=lambda: {"nonzero_cyclic_polys": rep["nonzero_cyclic_polys"],
-                             "first": rep["first"],
-                             "max_residual": rep["max_residual"].to_json()},
-            seed=seed))
+            "classical jacobi", {"N": n, "samples": rep["samples"]},
+            jacobi_failure(rep), seed=seed))
     return out
 
 

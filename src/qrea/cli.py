@@ -138,12 +138,18 @@ def _records(certs):
 
 
 def cmd_braid(args):
-    kernel_checks = (("braid-relation", braiding.braid_relation_check),
-                     ("hecke", braiding.hecke_check),
-                     ("symmetric", braiding.symmetry_check))
-    yield from _records(
-        Certificate.verdict("braid", {"N": n, "check": name}, check(n) is None)
-        for n in range(1, args.N + 1) for name, check in kernel_checks)
+    """The braid kernel's checks at each size; a fail carries the failing
+    word, or the asymmetric entry, under the key of the braiding.* suite
+    witnesses."""
+    kernel_checks = (("braid-relation", "word", braiding.braid_relation_check),
+                     ("hecke", "word", braiding.hecke_check),
+                     ("symmetric", "asymmetric", braiding.symmetry_check))
+    for n in range(1, args.N + 1):
+        for name, key, check in kernel_checks:
+            bad = check(n)
+            cert = Certificate.verdict("braid", {"N": n, "check": name},
+                                       None if bad is None else {key: bad})
+            yield cert.to_json(), cert
 
 
 def cmd_wedge_table(args):
@@ -153,8 +159,7 @@ def cmd_wedge_table(args):
         bad = (checks.wedge_table_mismatch(tbl)
                or tbl.composition_identity_check())
         cert = Certificate.verdict(
-            "wedge-table", {"N": args.N, "k": args.k, "l": args.l},
-            bad is None, witness=bad)
+            "wedge-table", {"N": args.N, "k": args.k, "l": args.l}, bad)
         yield cert.to_json(), cert
 
 
@@ -247,7 +252,7 @@ def cmd_classical(args):
     if args.classical_cmd == "shape":
         rec = {"shape": classical.shape_of(_load_matrix(args.file)).to_json()}
         certs.append(Certificate("classical shape", {"file": args.file},
-                                 "pass", witness=None))
+                                 "pass"))
     elif args.classical_cmd == "decompose":
         z = _load_matrix(args.file)
         t, M = classical.decompose(z)
@@ -255,8 +260,7 @@ def cmd_classical(args):
         rec = {"t": [[e.to_json() for e in row] for row in t],
                "M": M.to_json(), "shape": classical.reduced_shape(M).to_json()}
         certs.append(Certificate.verdict("classical decompose",
-                                         {"file": args.file}, bad is None,
-                                         witness=bad))
+                                         {"file": args.file}, bad))
     elif args.classical_cmd == "leaf":
         z = _load_matrix(args.file)
         rec = {"shape": classical.shape_of(z).to_json(),
@@ -278,14 +282,14 @@ def cmd_classical(args):
             None if shape == S else {"shape_of": shape.to_json()})
         certs.append(Certificate.verdict("classical build",
                                          {"weights": [str(w) for w in lam]},
-                                         bad is None, witness=bad))
+                                         bad))
     elif args.classical_cmd == "tangency":
         reports = checks.tangency_reports(args.N, args.samples,
                                           random.Random(args.seed))
         for i, rep in enumerate(reports, 1):
             certs.append(Certificate.verdict("classical tangency",
                                              {"N": args.N, "sample": i},
-                                             rep["equal"], witness=rep,
+                                             None if rep["equal"] else rep,
                                              seed=args.seed))
     elif args.classical_cmd == "jacobi":
         rep = classical.jacobi_check(args.N, samples=args.samples,
@@ -293,14 +297,15 @@ def cmd_classical(args):
         rec = {"max_residual": rep["max_residual"].to_json()}
         certs.append(Certificate.verdict("classical jacobi",
                                          {"N": args.N, "samples": args.samples},
-                                         rep["ok"], seed=args.seed))
+                                         checks.jacobi_failure(rep),
+                                         seed=args.seed))
     elif args.classical_cmd == "invariance":
         witnesses = checks.tn_invariance_samples(args.N, args.samples,
                                                  random.Random(args.seed))
         for i, w in enumerate(witnesses):
             certs.append(Certificate.verdict(
-                "classical invariance", {"N": args.N, "sample": i},
-                w is None, witness=w, seed=args.seed))
+                "classical invariance", {"N": args.N, "sample": i}, w,
+                seed=args.seed))
     if rec is not None:
         yield rec, None
     yield from _records(certs)

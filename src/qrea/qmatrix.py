@@ -581,9 +581,13 @@ class Bicharacter:
 
 class Certificate:
     """The outcome of one checked instance: the command, the instance, a
-    status ("pass", "fail" or "inconclusive"), and on failure a witness."""
+    status ("pass", "fail" or "inconclusive"), and a witness, which a
+    "fail" or "inconclusive" certificate must have (ValueError else)."""
 
     def __init__(self, command, instance, status, witness=None, seed=None):
+        if status != "pass" and witness is None:
+            raise ValueError(f"a {status} certificate of {command} needs a "
+                             f"witness")
         self.command = command
         self.instance = instance
         self.status = status
@@ -600,14 +604,16 @@ class Certificate:
         return out
 
     @classmethod
-    def verdict(cls, command, instance, ok, witness=None, seed=None):
-        """A "pass" or "fail" certificate as ok says.  The witness, a dict
-        or a function returning one, is kept (and called) only on failure."""
-        if ok:
+    def verdict(cls, command, instance, failure, seed=None):
+        """The certificate of a verdict function's result: a pass exactly
+        when `failure` is None, else a fail whose witness is the failure, a
+        dict (TypeError for anything else)."""
+        if failure is None:
             return cls(command, instance, "pass", seed=seed)
-        if callable(witness):
-            witness = witness()
-        return cls(command, instance, "fail", witness=witness, seed=seed)
+        if not isinstance(failure, dict):
+            raise TypeError(f"a failure of {command} must be None or a "
+                            f"dict, got {type(failure).__name__}")
+        return cls(command, instance, "fail", witness=failure, seed=seed)
 
 
 class QContext:
@@ -875,8 +881,8 @@ def identity_certificate(algebra, family, instance, lhs, rhs):
                 if a == algebra and family in subs)
     command = f"{'verify' if algebra == 'qmatrix' else 'rea'} {family}"
     return Certificate.verdict(
-        command, _inst_json(instance, keys), lhs == rhs,
-        lambda: word_difference(lhs.coeffs, rhs.coeffs, lhs.N))
+        command, _inst_json(instance, keys), None if lhs == rhs
+        else word_difference(lhs.coeffs, rhs.coeffs, lhs.N))
 
 
 def verify_identity(ctx, family, instance):

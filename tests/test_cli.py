@@ -13,9 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from qrea import braiding, checks, classical, cli, qmatrix, rea, shapes
+from qrea import checks, classical, cli, qmatrix
 from qrea.cli import OUTPUT_ERROR, main
-from test_suite_mutations import fresh_memos
+from qrea.memo import module_memos
+from test_suite_mutations import (_broken_move, fresh_memos,
+                                  perturbed_bracket)
 
 
 def run_cli(capsys, argv):
@@ -30,6 +32,51 @@ def test_braid_command(capsys):
     lines = [json.loads(l) for l in out.strip().splitlines()]
     assert all(rec["status"] == "pass" for rec in lines)
     assert len(lines) == 6
+
+
+def test_braid_fails_carry_the_suite_witnesses(capsys, monkeypatch):
+    # under the broken braid move each failing `braid` record carries the
+    # word, or the asymmetric entry, of the braiding.braid-relation or
+    # braiding.hecke certificate at its N, under that witness's key
+    fresh_memos(monkeypatch)
+    _broken_move(monkeypatch)
+    suite = {name: {c.instance["N"]: c.witness or {}
+                    for c in dict(checks.CHECKS)[f"braiding.{name}"](3, 0)}
+             for name in ("braid-relation", "hecke")}
+    keys = {"braid-relation": ("braid-relation", "word"),
+            "hecke": ("hecke", "word"), "symmetric": ("hecke", "asymmetric")}
+    expected = {}
+    for N in (1, 2, 3):
+        for check, (name, key) in keys.items():
+            value = suite[name][N].get(key)
+            expected[N, check] = None if value is None else json.loads(
+                json.dumps({key: value}))
+    code, out, _ = run_cli(capsys, ["braid", "--N", "3"])
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert code == 1
+    assert {(r["instance"]["N"], r["instance"]["check"]): r.get("witness")
+            for r in recs} == expected
+    assert [r["status"] == "fail" for r in recs] == [
+        w is not None for w in expected.values()]
+    assert sum(w is not None for w in expected.values()) >= 3
+
+
+def test_jacobi_fail_carries_the_suite_witness(capsys, monkeypatch):
+    # `classical jacobi --N 2 --samples 100` at seed 0 is the jacobi
+    # suite's n = 2 run: under a perturbed bracket both fail with one
+    # witness
+    fresh_memos(monkeypatch)
+    perturbed_bracket(monkeypatch)
+    cert = checks.check_jacobi(2, 0)[0]
+    assert cert.status == "fail"
+    assert set(cert.witness) == {"nonzero_cyclic_polys", "first",
+                                 "max_residual"}
+    code, out, _ = run_cli(capsys, ["--seed", "0", "classical", "jacobi",
+                                    "--N", "2", "--samples", "100"])
+    rec = json.loads(out.splitlines()[1])
+    assert code == 1
+    assert rec["status"] == "fail"
+    assert rec["witness"] == json.loads(json.dumps(cert.witness))
 
 
 def test_braid_n0_is_usage_error(capsys):
@@ -537,16 +584,13 @@ def test_check_all_deterministic_and_covers(capsys):
 
 def _memo_lens():
     """The size of each memo of the suite contexts, by owner and attribute,
-    summed over contexts, and of each module-level memo, read off the named
-    attributes."""
+    summed over contexts, read off the named attributes, and of each
+    module-level memo (`module_memos`) but the context caches."""
     sizes = Counter()
-    sizes["braiding._RHAT_TABLES"] = sum(
-        map(len, braiding._RHAT_TABLES.values()))
-    sizes["classical._BRACKET_TABLES"] = len(classical._BRACKET_TABLES)
-    sizes["classical._TANGENCY_PLANS"] = len(classical._TANGENCY_PLANS)
-    sizes["qmatrix._POSITION_PATTERNS"] = len(qmatrix._POSITION_PATTERNS)
-    sizes["rea._SLOT_VECTORS"] = len(rea._SLOT_VECTORS)
-    sizes["shapes._DOM_IDEALS"] = len(shapes._DOM_IDEALS)
+    for module, name, value in module_memos():
+        if module is not checks:
+            sizes[f"{module.__name__.rpartition('.')[2]}.{name}"] = sum(
+                map(len, value.values() if type(value) is dict else [value]))
     for star in checks._STAR_CACHE.values():
         for attr in ("_star_word_memo", "_star_minor_memo"):
             sizes["StarAlgebra." + attr] += len(getattr(star, attr))

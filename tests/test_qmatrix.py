@@ -477,6 +477,24 @@ def test_passing_muir_sweep_builds_one_certificate(monkeypatch):
     assert calls == {"__init__": 1}
 
 
+@pytest.mark.parametrize("status", ["fail", "inconclusive"])
+def test_a_certificate_that_does_not_pass_needs_a_witness(status):
+    with pytest.raises(ValueError):
+        qmatrix.Certificate("braid", {"N": 1}, status)
+
+
+@pytest.mark.parametrize("failure", [True, False, 0, "word", (0, 1, 0),
+                                     lambda: {"word": (0, 1, 0)}])
+def test_verdict_takes_none_or_a_failure_dict(failure):
+    # a leftover boolean ok, or a witness function, is refused: it would be
+    # a fail whose witness is not the failure
+    assert qmatrix.Certificate.verdict("braid", {}, None).status == "pass"
+    cert = qmatrix.Certificate.verdict("braid", {}, {"word": (0, 1, 0)})
+    assert (cert.status, cert.witness) == ("fail", {"word": (0, 1, 0)})
+    with pytest.raises(TypeError):
+        qmatrix.Certificate.verdict("braid", {}, failure)
+
+
 def test_minor_table_crosscheck_evaluates_no_word_pair(monkeypatch):
     # the crosscheck reads column images: none of the 2,178 word pairs of
     # a sum over minor word pairs at N = 3 is evaluated on its own

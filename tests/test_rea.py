@@ -4,10 +4,10 @@ from itertools import combinations, product
 
 import pytest
 
-from qrea import braiding, classical, qmatrix, rea, shapes
+from qrea import qmatrix, rea
 from qrea.classical import poisson_bracket_coeffs
 from qrea.linalg import add_term
-from qrea.memo import Memo
+from qrea.memo import Memo, memos_of, module_memos
 from qrea.qmatrix import (NCPoly, QContext, braidcomm_instances,
                           degree_dimension, derive_rewrite_system, gen_id,
                           muir_instances, rea_laplace_instances, sum_terms,
@@ -256,18 +256,17 @@ def test_every_dict_attribute_is_a_checked_memo_or_not_a_memo():
 
 def test_every_computed_cache_is_a_memo():
     """Each computed cache fills itself on a miss (`qrea.memo.Memo`), a
-    bicharacter with one Memo per functional.  The suffix states stay a
-    plain dict: they never hold the word asked for."""
+    bicharacter with one Memo per functional, and the module-level memos
+    (`module_memos`) with them.  The suffix states stay a plain dict: they
+    never hold the word asked for."""
     star = _fresh_star()
     ctx, bich = star.ctx, star.ctx.bich
     sides = inspect.getclosurevars(rea.rea_sides(star)).nonlocals
     memos = [star._star_word_memo, star._star_minor_memo, ctx._tables,
              ctx._minors, ctx._minor_nf, ctx._minor_prod, ctx._contractions,
              ctx._gencomm, ctx.rw._insert_memo, ctx.table(2, 1)._slices,
-             sides["expansions"], *braiding._RHAT_TABLES.values(),
-             classical._BRACKET_TABLES, classical._TANGENCY_PLANS,
-             qmatrix._POSITION_PATTERNS, rea._SLOT_VECTORS,
-             shapes._DOM_IDEALS]
+             sides["expansions"], *(memo for _, _, value in module_memos()
+                                    for memo in memos_of(value))]
     for per_functional in (bich._memo, bich._images, bich._coimages):
         assert per_functional.keys() == {"r", "rinv"}
         memos += per_functional.values()

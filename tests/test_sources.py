@@ -9,6 +9,7 @@ from pathlib import Path
 
 import qrea
 from qrea.coeff import LaurentPoly
+from qrea.memo import module_memos
 
 _SRC = Path(qrea.__file__).resolve().parent
 _ROOT = Path(__file__).resolve().parents[1]
@@ -120,6 +121,23 @@ def test_no_functools_cache():
             found += [(path.name, node.lineno, name) for name in names
                       if name in ("cache", "lru_cache", "cached_property")]
     assert not found, found
+
+
+def test_module_memos_finds_every_module_level_memo():
+    """`qrea.memo.module_memos` returns exactly the top-level assignments
+    of src/qrea whose value builds a Memo, a dict of them included."""
+    written = {f"{path.stem}.{target.id}"
+               for path in sorted(_SRC.glob("*.py"))
+               for stmt in ast.parse(path.read_text()).body
+               if isinstance(stmt, ast.Assign)
+               and "Memo" in {n.id for n in ast.walk(stmt.value)
+                              if isinstance(n, ast.Name)}
+               for target in stmt.targets}
+    found = {f"{module.__name__.rpartition('.')[2]}.{name}"
+             for module, name, _ in module_memos()}
+    assert found == written
+    # not vacuous: the two suite-context caches and six module memos
+    assert len(found) >= 8
 
 
 # The functions that read a key with .get and then store under it, but are

@@ -19,22 +19,21 @@ import pytest
 
 from qrea import braiding, checks, classical, indexsets, qmatrix, rea, shapes
 from qrea.coeff import LP_ONE, LP_Q, LaurentPoly, RatFunc
-from qrea.memo import Memo
+from qrea.memo import Memo, module_memos
 from qrea.qmatrix import QContext, sum_terms
 
 
 def fresh_memos(mp):
-    """Empty memos in place of the suite contexts and of every module-level
-    memo, through the MonkeyPatch mp: no value computed under a
-    perturbation outlives it, and a memo's growth is all its entries."""
-    for module, name in ((checks, "_CTX_CACHE"), (checks, "_STAR_CACHE"),
-                         (classical, "_BRACKET_TABLES"),
-                         (classical, "_TANGENCY_PLANS"),
-                         (qmatrix, "_POSITION_PATTERNS"),
-                         (rea, "_SLOT_VECTORS"), (shapes, "_DOM_IDEALS")):
-        mp.setattr(module, name, Memo(getattr(module, name).compute))
-    for inverse, table in list(braiding._RHAT_TABLES.items()):
-        mp.setitem(braiding._RHAT_TABLES, inverse, Memo(table.compute))
+    """Empty memos in place of every module-level memo (`module_memos`),
+    the suite contexts among them, through the MonkeyPatch mp: no value
+    computed under a perturbation outlives it, and a memo's growth is all
+    its entries."""
+    for module, name, value in module_memos():
+        if isinstance(value, Memo):
+            mp.setattr(module, name, Memo(value.compute))
+        else:
+            for key, memo in list(value.items()):
+                mp.setitem(value, key, Memo(memo.compute))
 
 
 # -- perturbations -----------------------------------------------------------
