@@ -18,7 +18,6 @@ only when something failed.
 
 from __future__ import annotations
 
-import random
 import time
 from fractions import Fraction
 from functools import partial
@@ -196,7 +195,7 @@ def _direct_substitution(p, q0):
 def check_coeff_ring_axioms(N, seed):
     """The ring laws of LaurentPoly, the ring the quantum side computes in,
     and its units law, on 1000 random triples."""
-    rng = random.Random(seed)
+    rng = coeff.Random(seed)
     broken = _first_broken(
         lambda: tuple(_random_laurent(rng) for _ in range(3)), 1000, _RING_LAWS)
     return [Certificate.verdict("coeff ring-axioms", {"triples": 1000},
@@ -204,7 +203,7 @@ def check_coeff_ring_axioms(N, seed):
 
 
 def check_coeff_rf_canonical(N, seed):
-    rng = random.Random(seed)
+    rng = coeff.Random(seed)
     broken = _first_broken(
         lambda: (_random_ratfunc(rng), _random_ratfunc(rng)), 300,
         _CANONICAL_LAWS)
@@ -213,7 +212,7 @@ def check_coeff_rf_canonical(N, seed):
 
 
 def check_coeff_eval(N, seed):
-    rng = random.Random(seed)
+    rng = coeff.Random(seed)
     broken = _first_broken(
         lambda: (_random_laurent(rng),
                  Fraction(rng.randint(1, 9), rng.randint(1, 9))),
@@ -254,7 +253,7 @@ def check_comb_lemma_sweep(N, seed):
 
 
 def check_inversion_parity(N, seed):
-    rng = random.Random(seed)
+    rng = coeff.Random(seed)
     bad = []
     for _ in range(200):
         n = rng.randint(1, 6)
@@ -386,7 +385,7 @@ def check_pbw_dimensions(n, seed):
 def check_counit_coassoc(n, seed):
     """(epsilon (x) id) Delta w = w on 50 random words; the witness is the
     first failing word, its draw and its first mismatching word."""
-    rng = random.Random(seed)
+    rng = coeff.Random(seed)
     failure = None
     for i in range(50):
         w = tuple(rng.randrange(n * n) for _ in range(rng.randint(1, 3)))
@@ -501,7 +500,7 @@ def check_star_unit(n, seed):
 
 def check_star_associativity(n, seed):
     star = get_star(n)
-    rng = random.Random(seed)
+    rng = coeff.Random(seed)
     monos = rea.random_monomials(n, 2, 9, seed)
     triples = [tuple(rng.sample(monos, 3)) for _ in range(5)]
     failure = star.associativity_check(triples)
@@ -520,7 +519,7 @@ def check_reflection(n, seed):
 
 def check_reverse_braid(n, seed):
     star = get_star(n)
-    rng = random.Random(seed)
+    rng = coeff.Random(seed)
     pairs = [((rng.randint(1, n), rng.randint(1, n)),
               (rng.randint(1, n), rng.randint(1, n))) for _ in range(20)]
     failure = star.reverse_braid_check(pairs)
@@ -666,7 +665,7 @@ def power_sum_mismatch(z, lam):
 
 
 def check_shape_roundtrip(n, seed):
-    rng = random.Random(seed)
+    rng = coeff.Random(seed)
     bad = []
     for i in range(100):
         S = classical.random_shape(rng.randint(1, n), rng)
@@ -682,17 +681,25 @@ def check_shape_roundtrip(n, seed):
                                 _failures_witness(bad), seed=seed)]
 
 
+def sign_mismatch(z, shape):
+    """None if the eigenvalues of z have the signs that `shape` counts
+    (`ShapeMatrix.sign_multiset`), else both counts as a witness; the
+    sign-compatibility suite and `qrea classical leaf`."""
+    signs = classical.eigenvalue_signs(z)
+    if shape.sign_multiset() == signs:
+        return None
+    return {"shape_signs": list(shape.sign_multiset()),
+            "eigenvalue_signs": list(signs)}
+
+
 def check_sign_compat(n, seed):
-    rng = random.Random(seed)
+    rng = coeff.Random(seed)
     bad = []
     for i in range(100):
         z = classical.random_exact_hermitian(rng.randint(1, n), rng)
-        s = classical.shape_of(z)
-        signs = classical.eigenvalue_signs(z)
-        if s.sign_multiset() != signs:
-            bad.append({"sample": i, "z": z.to_json(),
-                        "shape_signs": list(s.sign_multiset()),
-                        "eigenvalue_signs": list(signs)})
+        w = sign_mismatch(z, classical.shape_of(z))
+        if w:
+            bad.append({"sample": i, "z": z.to_json(), **w})
     return [Certificate.verdict("classical sign-compatibility",
                                 {"samples": 100}, _failures_witness(bad),
                                 seed=seed)]
@@ -728,7 +735,7 @@ def tn_invariance_samples(n, samples, rng):
 
 
 def check_tn_invariance(n, seed):
-    bad = [w for w in tn_invariance_samples(n, 100, random.Random(seed)) if w]
+    bad = [w for w in tn_invariance_samples(n, 100, coeff.Random(seed)) if w]
     return [Certificate.verdict("classical tn-invariance",
                                 {"N": n, "samples": 100},
                                 _failures_witness(bad), seed=seed)]
@@ -761,7 +768,7 @@ def decompose_mismatch(z, t, M):
 
 
 def check_decompose(n, seed):
-    rng = random.Random(seed)
+    rng = coeff.Random(seed)
     bad = []
     for i in range(50):
         z = classical.random_exact_hermitian(rng.randint(1, n), rng)
@@ -793,7 +800,7 @@ def bivector_mismatch(z):
 
 
 def check_bivector(n, seed):
-    rng = random.Random(seed)
+    rng = coeff.Random(seed)
     broken = None
     for i in range(20):
         w = bivector_mismatch(classical.random_exact_hermitian(n, rng))
@@ -816,7 +823,7 @@ def check_tangency(N, seed):
     """Tangency at 50 exact draws each at n = 2 and 3.  At n = 3 the draws
     must also reach more than one bivector rank, so that the suite sees a
     leaf other than the generic one."""
-    rng = random.Random(seed)
+    rng = coeff.Random(seed)
     out = []
     for n in (2, 3):
         reports = tangency_reports(n, 50, rng)

@@ -10,9 +10,13 @@ Shape extraction is definition-faithful: for each size it scans minor labels
 in the pair-lexicographic order (column set first) and takes the first
 nonvanishing minor, so the discrete data (the involution and the vanishing
 pattern) and the slot rays, ratios of consecutive pivot minors, are decided
-exactly.  Minors come from one memo per matrix (minors), each the Laplace
-expansion over the smaller ones, with no division; the scan stops at the
-first size with no nonzero minor, so the rank is read off the same table.
+exactly.  The scan runs over the integers, on the Gaussian-integer multiple
+D z, D the lcm of the entry denominators (clear_denominators): its minors
+vanish where those of z do, and its pivot ratios are D times those of z.
+Minors come from one memo per matrix (minors), each the Laplace expansion
+over the smaller ones, with no division; the scan stops at the first size
+with no nonzero minor, so the rank is read off the same table.  congruence
+and the spectrum below work on such multiples too.
 
 The congruence decomposition is the LDL* form of the pivoting loop (Golub
 and Van Loan, Matrix Computations, 4.1-4.2): z = t'* M t' with t' unit upper
@@ -31,12 +35,12 @@ integer forms in the real coordinates of Herm(N), with ranks over Z.
 The spectrum is checked without computing it: power_sums gives tr z^m for
 m = 1..N, which fix the eigenvalues as a multiset; charpoly turns them into
 the characteristic polynomial by Newton's identities, and eigenvalue_signs
-counts the signs of its roots exactly by Descartes' rule.
+counts the signs of its roots exactly by Descartes' rule.  On D z the
+traces and the polynomial are integers, so Newton's identities run over Z.
 """
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
@@ -44,7 +48,7 @@ from itertools import combinations, product
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .coeff import GaussRat, rational_sqrt
+from .coeff import GaussRat, Random, _gauss, rational_sqrt
 from .linalg import add_term, echelon
 from .memo import Memo
 
@@ -111,30 +115,57 @@ def gr_identity(n):
     return [[GaussRat(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
-def minors(e):
-    """The minors of the exact matrix e (a list of rows), as a function
-    minor(rows, cols) of two equally long tuples of 1-based labels.  Each
-    minor is the Laplace expansion along its last column over the minors
-    one size smaller, which are kept, so every minor of e is computed once
-    and no division is needed."""
+def clear_denominators(e):
+    """(D, w) for an exact matrix e (a list of rows of GaussRat): D the lcm
+    of the entry denominators, and w the rows of D e, its Gaussian-integer
+    multiple, each entry an (re, im) pair of ints."""
+    D = lcm(*[v.d for row in e for v in row])
+    return D, [[(v.a * m, v.b * m) for v in row for m in [D // v.d]]
+               for row in e]
+
+
+def minors(w):
+    """The minors of the Gaussian-integer matrix w (rows of (re, im) int
+    pairs), as a Memo {(rows, cols): minor} on two equally long tuples of
+    1-based labels, each minor an (re, im) pair.  Each is the Laplace
+    expansion along its last column over the minors one size smaller,
+    which are kept, so every minor of w is computed once, over the
+    integers."""
     def expand(key):
         rows, cols = key
         col, rest, last = cols[-1] - 1, cols[:-1], len(cols) - 1
-        v = GR0
+        re = im = 0
         for p, r in enumerate(rows):
-            x = e[r - 1][col]
-            if not x.is_zero():
-                x = x * memo[rows[:p] + rows[p + 1:], rest]
-                v = v - x if (last - p) % 2 else v + x
-        return v
+            a, b = w[r - 1][col]
+            if a or b:
+                if (last - p) % 2:
+                    a, b = -a, -b
+                c, d = memo[rows[:p] + rows[p + 1:], rest]
+                re += a * c - b * d
+                im += a * d + b * c
+        return re, im
 
     memo = Memo(expand)
-    memo[(), ()] = GR1
+    memo[(), ()] = (1, 0)
+    return memo
 
-    def minor(rows, cols):
-        return memo[rows, cols]
 
-    return minor
+def _product(a, b):
+    """The product of two matrices of (re, im) int pairs, summed over the
+    nonzero entries of a only."""
+    cols = list(zip(*b))
+    out = []
+    for row in a:
+        new = []
+        for col in cols:
+            re = im = 0
+            for (x, y), (u, v) in zip(row, col):
+                if x or y:
+                    re += x * u - y * v
+                    im += x * v + y * u
+            new.append((re, im))
+        out.append(new)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +183,7 @@ def ray(d):
         return d
     r = isqrt(s)
     if r * r == s:
-        return GaussRat(a, b) / GaussRat(r)
+        return _gauss(a, b, r)
     g = gcd(a, b)
     return d if g == 1 and n == 1 else GaussRat(a // g, b // g)
 
@@ -166,7 +197,7 @@ class ShapeMatrix:
     """
 
     def __init__(self, tau, u):
-        self.tau = tuple(int(t) for t in tau)
+        self.tau = tuple(map(int, tau))
         self.N = len(self.tau)
         if sorted(self.tau) != list(range(1, self.N + 1)):
             raise ValueError("tau is not a permutation")
@@ -221,6 +252,39 @@ class ShapeMatrix:
 # Shape of a Hermitian matrix
 # ---------------------------------------------------------------------------
 
+def _scan_plan(N):
+    """For k = 1..N, the keys (rows, cols) of the minors of size k in the
+    order shape_of scans them: pair-lexicographic in (columns, rows)."""
+    out = []
+    for k in range(1, N + 1):
+        labels = list(combinations(range(1, N + 1), k))
+        out.append([(I, J) for J in labels for I in labels])
+    return out
+
+
+_SCAN_PLANS = Memo(_scan_plan)
+
+
+def _pivot_step(keys):
+    """(p, tp, flip) for a pivot on the minor key = (rows, cols) after one
+    on prev, keys = (prev, key): the column p and row tp that key adds, and
+    the parity of the inversions the pair adds to the chain's permutation
+    cols -> rows, the rows of prev above tp as p is the last column; None
+    when key does not extend prev by one row and a column above prev's."""
+    (prev_rows, prev_cols), (rows, cols) = keys
+    new_cols = set(cols) - set(prev_cols)
+    new_rows = set(rows) - set(prev_rows)
+    if (len(new_cols) != 1 or len(new_rows) != 1
+            or set(prev_cols) - set(cols) or set(prev_rows) - set(rows)
+            or min(new_cols) < max(prev_cols, default=0)):
+        return None
+    tp = min(new_rows)
+    return min(new_cols), tp, sum(r > tp for r in prev_rows) % 2
+
+
+_PIVOT_STEPS = Memo(_pivot_step)
+
+
 def shape_of(z):
     """Shape of a Hermitian matrix via lex-first nonvanishing minors.
 
@@ -229,42 +293,33 @@ def shape_of(z):
     stops at the first size with none, so it pivots once per unit of rank.
     The pivots assemble the involution, and each slot is the ray of the
     ratio of two consecutive pivot minors, signed by the positivity
-    normalisation.
+    normalisation.  The minors are those of D z; the ray of a ratio
+    (a + b i)/(c + d i) is that of (a + b i)(c - d i), a Gaussian integer.
     """
     N = z.N
     tau = list(range(1, N + 1))
     u = [None] * N
-    minor = minors(z.entries)
-    pairs = []           # chain of (column, row) pivots
-    prev_dir = GR1
-    prev_cols, prev_rows = (), ()
-    for k in range(1, N + 1):
-        labels = list(combinations(range(1, N + 1), k))
-        pivot = next(((J, I, val) for J in labels for I in labels
-                      if not (val := minor(I, J)).is_zero()), None)
-        if pivot is None:
+    minor = minors(clear_denominators(z.entries)[1])
+    prev, odd, c, d = ((), ()), 0, 1, 0     # the last pivot, signed
+    for scan in _SCAN_PLANS[N]:
+        key = next((key for key in scan if minor[key] != (0, 0)), None)
+        if key is None:
             break
-        J, I, val = pivot
-        new_cols = tuple(sorted(set(J) - set(prev_cols)))
-        new_rows = tuple(sorted(set(I) - set(prev_rows)))
-        if (len(new_cols) != 1 or len(new_rows) != 1
-                or set(prev_cols) - set(J) or set(prev_rows) - set(I)
-                or new_cols[0] < max(prev_cols, default=0)):
-            raise InconsistentPivots(
-                f"pivot chain broke at size {k}: {prev_cols} -> {J}")
-        pairs.append((new_cols[0], new_rows[0]))
-        tau_map = dict(pairs)
-        images = [tau_map[p] for p in J]
-        inv = sum(1 for a in range(k) for b in range(a + 1, k)
-                  if images[a] > images[b])
-        direction = -val if inv % 2 else val
-        ratio = direction / prev_dir
-        p, tp = pairs[-1]
+        step = _PIVOT_STEPS[prev, key]
+        if step is None:
+            raise InconsistentPivots(f"pivot chain broke at size "
+                                     f"{len(key[1])}: {prev[1]} -> {key[1]}")
+        p, tp, flip = step
+        odd ^= flip
+        a, b = minor[key]
+        if odd:
+            a, b = -a, -b
+        ratio = GaussRat(a * c + b * d, b * c - a * d)
         tau[p - 1], tau[tp - 1] = tp, p
         u[p - 1] = ratio
         if tp != p:
             u[tp - 1] = ratio.conj()
-        prev_cols, prev_rows, prev_dir = J, I, direction
+        prev, c, d = key, a, b
     try:
         return ShapeMatrix(tau, u)
     except ValueError as exc:
@@ -387,42 +442,58 @@ def reduced_shape(M):
 # Spectra
 # ---------------------------------------------------------------------------
 
-def power_sums(z):
-    """[tr z, tr z^2, ..., tr z^N] of a HermitianMatrix: the power sums of
-    its eigenvalues, which fix them as a multiset.  The powers are sparse
-    rows multiplied by _sparse_product, and each trace of z^(a+b) is read
-    as the sum of the stored (z^a)_ij (z^b)_ji, z^0 the identity, so only
-    the powers up to z^ceil(N/2) are multiplied out."""
-    e, n = _sparse_rows(z.entries), z.N
-    powers = [[{i: GR1} for i in range(n)], e]
-    while len(powers) <= (n + 1) // 2:
-        powers.append(_sparse_product(powers[-1], e))
-    sums = []
-    for m in range(1, n + 1):
+def _traces(z):
+    """(D, p) for a HermitianMatrix z and its Gaussian-integer multiple
+    A = D z (clear_denominators): p = [tr A, tr A^2, ..., tr A^N], integers
+    as A is Hermitian.  Each tr A^(a+b) is read as the sum of the real
+    parts of (A^a)_ij (A^b)_ji, so only the powers up to A^ceil(N/2) are
+    multiplied out."""
+    D, w = clear_denominators(z.entries)
+    powers = [None, w]
+    while len(powers) <= (z.N + 1) // 2:
+        powers.append(_product(powers[-1], w))
+    p = [sum(row[i][0] for i, row in enumerate(w))]
+    for m in range(2, z.N + 1):
         a, b = powers[m // 2], powers[m - m // 2]
-        sums.append(sum((x * b[j][i] for i, row in enumerate(a)
-                         for j, x in row.items() if i in b[j]), GR0))
-    return sums
+        p.append(sum(x * u - y * v for i, row in enumerate(a)
+                     for (x, y), brow in zip(row, b) for u, v in [brow[i]]))
+    return D, p
+
+
+def _charpoly_over_z(p):
+    """The coefficients c_k of det(x - A), from x^N down to x^0, of a
+    Hermitian Gaussian-integer A with the power sums p (_traces), by
+    Newton's identities k c_k = -(c_(k-1) p_1 + ... + c_0 p_k).  The c_k
+    are real and lie in Z[i], so they are integers and each division is
+    exact."""
+    c = [1]
+    for k in range(1, len(p) + 1):
+        c.append(-sum(map(mul, reversed(c), p)) // k)
+    return c
+
+
+def power_sums(z):
+    """[tr z, tr z^2, ..., tr z^N] of a HermitianMatrix, as GaussRat: the
+    power sums of its eigenvalues, which fix them as a multiset, each the
+    integer tr (D z)^m of _traces over D^m."""
+    D, p = _traces(z)
+    return [_gauss(x, 0, D ** m) for m, x in enumerate(p, start=1)]
 
 
 def charpoly(z):
-    """The coefficients of det(x - z), exact rationals from x^N down to x^0.
-    Newton's identities turn the power sums into the elementary symmetric
-    functions e_k of the eigenvalues, and x^(N - k) has the coefficient
-    (-1)^k e_k; real, because z is Hermitian."""
-    p = [x.re for x in power_sums(z)]
-    e = [Fraction(1)]
-    for k in range(1, z.N + 1):
-        e.append(sum((-1) ** (i - 1) * e[k - i] * p[i - 1]
-                     for i in range(1, k + 1)) / k)
-    return [-c if k % 2 else c for k, c in enumerate(e)]
+    """The coefficients of det(x - z), exact rationals from x^N down to x^0:
+    x^(N - k) has the integer coefficient of det(x - D z) over D^k, as the
+    eigenvalues of z are those of D z over D."""
+    D, p = _traces(z)
+    return [Fraction(c, D ** k) for k, c in enumerate(_charpoly_over_z(p))]
 
 
 def eigenvalue_signs(z):
     """Counts (plus, minus, zero) of the eigenvalues of a Hermitian z, by
-    Descartes' rule of signs on its characteristic polynomial, which is
-    exact because that polynomial is real-rooted."""
-    coeffs = charpoly(z)
+    Descartes' rule of signs on the integer characteristic polynomial of
+    D z, which has the signs of z's and is exact because it is
+    real-rooted."""
+    coeffs = _charpoly_over_z(_traces(z)[1])
 
     def changes(cs):
         signs = [c > 0 for c in cs if c]
@@ -640,10 +711,9 @@ def leaf_tangency_check(z):
     """
     N, n2 = z.N, z.N * z.N
     bracket, tangents = _TANGENCY_PLANS[N]
-    D = lcm(*(v.d for row in z.entries for v in row))
-    x = [(v.a if i <= j else v.b) * (D // v.d) * (1 if i == j else 2)
-         for i, j in product(range(N), repeat=2)
-         for v in [z.entries[min(i, j)][max(i, j)]]]
+    w = clear_denominators(z.entries)[1]
+    x = [w[min(i, j)][max(i, j)][i > j] * (1 if i == j else 2)
+         for i, j in product(range(N), repeat=2)]
     pi = [[0] * n2 for _ in range(2 * n2)]  # real parts, then imaginary
     for a, b, u, v, c in bracket:
         pi[a][b] += c * x[u] * x[v]
@@ -700,7 +770,7 @@ def jacobi_check(N, samples, seed):
             count += 1 if f == g == h else 3
     worst = GR0
     if cyclic:
-        rng = random.Random(seed)
+        rng = Random(seed)
         points = [random_exact_hermitian(N, rng).entries
                   for _ in range(samples)]
         values = []
@@ -809,33 +879,14 @@ def random_exact_hermitian(N, rng):
 
 
 def congruence(t, e):
-    """t* e t for square GaussRat matrices t and e (lists of rows), summed
-    over their nonzero entries only: a triangular t (a shear or a diagonal
-    above all) and a sparse e, such as a shape matrix, skip most of the
-    dense products."""
-    t = _sparse_rows(t)
-    t_star = [{} for _ in t]
-    for k, row in enumerate(t):
-        for i, x in row.items():
-            t_star[i][k] = x.conj()
-    m = _sparse_product(t_star, _sparse_product(_sparse_rows(e), t))
-    return [[row.get(j, GR0) for j in range(len(m))] for row in m]
-
-
-def _sparse_rows(a):
-    """A GaussRat matrix as rows of {column: nonzero entry}."""
-    return [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in a]
-
-
-def _sparse_product(a, b):
-    """The product of two matrices of sparse rows, summed over their stored
-    entries only."""
-    out = []
-    for row in a:
-        acc = {}
-        for k, x in row.items():
-            for j, y in b[k].items():
-                p = x * y
-                acc[j] = acc[j] + p if j in acc else p
-        out.append(acc)
-    return out
+    """t* e t for square GaussRat matrices t and e (lists of rows): the
+    product of the Gaussian-integer multiples Dt t and De e
+    (clear_denominators), summed over their nonzero entries only, each
+    entry then divided once by Dt^2 De.  A triangular t and a sparse e,
+    such as a shape matrix, skip most of the dense products."""
+    dt, wt = clear_denominators(t)
+    de, we = clear_denominators(e)
+    t_star = [[(x, -y) for x, y in col] for col in zip(*wt)]
+    d = dt * dt * de
+    return [[_gauss(x, y, d) for x, y in row]
+            for row in _product(t_star, _product(we, wt))]

@@ -15,10 +15,13 @@ that grew during the suite (`checks.memo_sizes`).  The exit code is
 - 3 if stdout could not be written: a pipe closed early (silently) or a
   full disk (one line on stderr).
 
-`classical tangency` checks the leaf tangency at exact random Hermitian
-points, one certificate each; `classical jacobi` evaluates the exact cyclic
-Jacobi sums at exact random points and prints the residual of largest
-modulus as an exact complex rational.
+`classical shape|decompose|leaf FILE` certify the shape they print by the
+decompose round trip (`checks.decompose_mismatch`), and `leaf` also the
+sign counts of that shape against those of the spectrum
+(`checks.sign_mismatch`).  `classical tangency` checks the leaf tangency at
+exact random Hermitian points, one certificate each; `classical jacobi`
+evaluates the exact cyclic Jacobi sums at exact random points and prints
+the residual of largest modulus as an exact complex rational.
 
 `check-all --N N` runs every suite of `checks.CHECKS`.  A suite with a
 reach there certifies its identity at n = min(N, reach) only, so an N above
@@ -58,12 +61,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
 from fractions import Fraction
 
-from . import braiding, checks, classical, qmatrix, shapes
+from . import braiding, checks, classical, coeff, qmatrix, shapes
 from .qmatrix import Certificate
 
 
@@ -249,23 +251,24 @@ def _load_weights(text):
 
 def cmd_classical(args):
     rec, certs = None, []
-    if args.classical_cmd == "shape":
-        rec = {"shape": classical.shape_of(_load_matrix(args.file)).to_json()}
-        certs.append(Certificate("classical shape", {"file": args.file},
-                                 "pass"))
-    elif args.classical_cmd == "decompose":
+    if args.classical_cmd in ("shape", "decompose", "leaf"):
+        # every shape printed is certified by the decompose round trip,
+        # and by `leaf` also against the signs of the spectrum
         z = _load_matrix(args.file)
         t, M = classical.decompose(z)
         bad = checks.decompose_mismatch(z, t, M)
-        rec = {"t": [[e.to_json() for e in row] for row in t],
-               "M": M.to_json(), "shape": classical.reduced_shape(M).to_json()}
-        certs.append(Certificate.verdict("classical decompose",
+        if args.classical_cmd == "decompose":
+            rec = {"t": [[e.to_json() for e in row] for row in t],
+                   "M": M.to_json(),
+                   "shape": classical.reduced_shape(M).to_json()}
+        else:
+            shape = classical.shape_of(z)
+            rec = {"shape": shape.to_json()}
+        if args.classical_cmd == "leaf":
+            rec["charpoly"] = [str(c) for c in classical.charpoly(z)]
+            bad = bad or checks.sign_mismatch(z, shape)
+        certs.append(Certificate.verdict(f"classical {args.classical_cmd}",
                                          {"file": args.file}, bad))
-    elif args.classical_cmd == "leaf":
-        z = _load_matrix(args.file)
-        rec = {"shape": classical.shape_of(z).to_json(),
-               "charpoly": [str(c) for c in classical.charpoly(z)]}
-        certs.append(Certificate("classical leaf", {"file": args.file}, "pass"))
     elif args.classical_cmd == "build":
         S = _load_shape(args.shape)
         lam = _load_weights(args.weights)
@@ -285,7 +288,7 @@ def cmd_classical(args):
                                          bad))
     elif args.classical_cmd == "tangency":
         reports = checks.tangency_reports(args.N, args.samples,
-                                          random.Random(args.seed))
+                                          coeff.Random(args.seed))
         for i, rep in enumerate(reports, 1):
             certs.append(Certificate.verdict("classical tangency",
                                              {"N": args.N, "sample": i},
@@ -301,7 +304,7 @@ def cmd_classical(args):
                                          seed=args.seed))
     elif args.classical_cmd == "invariance":
         witnesses = checks.tn_invariance_samples(args.N, args.samples,
-                                                 random.Random(args.seed))
+                                                 coeff.Random(args.seed))
         for i, w in enumerate(witnesses):
             certs.append(Certificate.verdict(
                 "classical invariance", {"N": args.N, "sample": i}, w,

@@ -43,10 +43,14 @@ passes the result to it.  A rational constant c enters the field as
 ``GaussRat`` provides exact complex rationals for the classical side, where
 minor vanishing has to be decided exactly.  It is stored as (a + b i)/d over
 Z with d > 0 and gcd(a, b, d) = 1.
+
+``Random`` is the seeded generator of every sampled suite: a
+``random.Random`` whose ``randint`` draws the same stream with one frame.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd, isfinite, isqrt, lcm
 
@@ -798,3 +802,19 @@ def _gauss(a, b, d):
     out.d = d
     return out
 
+
+
+class Random(random.Random):
+    """random.Random whose randint(a, b) is a + the first getrandbits(k)
+    below n = b - a + 1, k = n.bit_length(): the draw of CPython 3.10 to
+    3.13, without its argument handling, so a seed gives the same stream."""
+
+    def randint(self, a, b):
+        n = b - a + 1
+        if n < 1:
+            raise ValueError(f"empty range for randint({a}, {b})")
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return a + r

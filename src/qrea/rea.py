@@ -49,11 +49,10 @@ first failing instance with the first term at which its two sides differ;
 
 from __future__ import annotations
 
-import random
 from itertools import product
 
 from .braiding import rhat_entries
-from .coeff import LP_ONE, share_values
+from .coeff import LP_ONE, Random, share_values
 from .linalg import add_term
 from .memo import Memo
 from .qmatrix import (IllFormedInstance, NCPoly, _nf_json, braidcomm_labels,
@@ -383,7 +382,7 @@ def random_word(N, degree, rng):
 
 
 def random_monomials(N, max_degree, count, seed):
-    rng = random.Random(seed)
+    rng = Random(seed)
     out = []
     for _ in range(count):
         d = rng.randint(1, max_degree)

@@ -3,7 +3,7 @@ import json
 import random
 from fractions import Fraction as F
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 from operator import add, mul
 
@@ -14,13 +14,15 @@ from hypothesis import given, settings, strategies as st
 from qrea import classical
 from qrea.classical import (GaussRat, HermitianMatrix, NotTriangular,
                             ShapeMatrix, SignMismatch, bracket_at,
-                            build_leaf_point, charpoly, congruence, decompose,
-                            eigenvalue_signs, gr_identity, jacobi_check,
+                            build_leaf_point, charpoly, clear_denominators,
+                            congruence, decompose, eigenvalue_signs,
+                            gr_identity, jacobi_check,
                             leaf_tangency_check, minors,
                             poisson_bracket_coeffs, power_sums,
                             random_compatible_weights, random_exact_hermitian,
                             random_shape, random_triangular, reduced_shape,
                             shape_of, tn_invariance_check)
+from qrea.coeff import Random
 from qrea.linalg import add_term, echelon
 from test_linalg import _leibniz
 from test_suite_mutations import fresh_memos, perturbed_bracket, row_test
@@ -122,20 +124,23 @@ def test_draw_streams_are_pinned():
     # the random exact draws, and how many rng calls they take, for n = 1..4
     # and seeds 0..49: one rng per (n, seed) draws z, t and a shape in turn,
     # then one more float; the digest was taken from draws built through
-    # Fraction, so building them from ints changes no draw
-    out = []
-    for n in range(1, 5):
-        for seed in range(50):
-            rng = random.Random(seed)
-            z = random_exact_hermitian(n, rng)
-            t = random_triangular(n, rng)
-            S = random_shape(n, rng)
-            out.append({"n": n, "seed": seed, "z": z.to_json(),
-                        "t": [[e.to_json() for e in row] for row in t],
-                        "shape": S.to_json(), "next": rng.random()})
-    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode())
-    assert digest.hexdigest() == (
-        "ca6a1d22ee52a4f052c725e0c9cd7f83c60f671317918c5411a4ed666b82c148")
+    # Fraction, so building them from ints changes no draw, and the
+    # suites' generator, coeff.Random, draws what random.Random draws
+    for generator in (random.Random, Random):
+        out = []
+        for n in range(1, 5):
+            for seed in range(50):
+                rng = generator(seed)
+                z = random_exact_hermitian(n, rng)
+                t = random_triangular(n, rng)
+                S = random_shape(n, rng)
+                out.append({"n": n, "seed": seed, "z": z.to_json(),
+                            "t": [[e.to_json() for e in row] for row in t],
+                            "shape": S.to_json(), "next": rng.random()})
+        digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "ca6a1d22ee52a4f052c725e0c9cd7f83c60f671317918c5411a4ed666b82c148"
+        ), generator
 
 
 def test_rank_zero():
@@ -151,16 +156,17 @@ def test_exact_minor_against_numpy():
         k = rng.randint(1, N)
         rows = tuple(sorted(rng.sample(range(1, N + 1), k)))
         cols = tuple(sorted(rng.sample(range(1, N + 1), k)))
-        exact = minors(z.entries)(rows, cols)
-        exact = complex(exact.re, exact.im)
+        # the integer minor of D z is D^k times that of z
+        D, w = clear_denominators(z.entries)
+        exact = complex(*minors(w)[rows, cols]) / D ** k
         sub = _numeric(z)[np.ix_([r - 1 for r in rows],
                                     [c - 1 for c in cols])]
         assert abs(exact - np.linalg.det(sub)) < 1e-8
 
 
 def _low_rank_hermitian(n, terms):
-    """The sum of s v v* over (s, v) in terms, s = +-1 and v a vector of
-    Gaussian integers: exact, Hermitian and of rank at most len(terms)."""
+    """The sum of s v v* over (s, v) in terms, s rational and v a vector of
+    GaussRat: exact, Hermitian and of rank at most len(terms)."""
     z = [[G(0)] * n for _ in range(n)]
     for s, v in terms:
         for i, j in product(range(n), repeat=2):
@@ -189,10 +195,13 @@ def test_minor_memo_matches_determinant(z, order):
               for J in product(range(1, n + 1), repeat=k)
               if list(J) == sorted(set(J))]
     order.shuffle(labels)
-    minor = minors(z.entries)
+    D, w = clear_denominators(z.entries)
+    dz = [[GaussRat(*x) for x in row] for row in w]
+    assert dz == [[x * G(D) for x in row] for row in z.entries]
+    minor = minors(w)
     for I, J in labels:
-        assert minor(I, J) == _leibniz(
-            [[z.entries[r - 1][c - 1] for c in J] for r in I]), (I, J)
+        assert GaussRat(*minor[I, J]) == _leibniz(
+            [[dz[r - 1][c - 1] for c in J] for r in I]), (I, J)
     # the scan pivots once per unit of rank
     assert shape_rank(shape_of(z)) == rank(z.entries)
 
@@ -436,6 +445,106 @@ def test_sign_compatibility_random():
             assert p.is_real()
             assert abs(float(p.re) - np.sum(ev ** m)) <= 1e-9 * max(
                 1.0, float(np.sum(np.abs(ev) ** m)))
+
+
+def _ref_shape_of(z):
+    """The shape of z by the scan of shape_of over GaussRat minors, each a
+    fresh determinant, and GaussRat pivot ratios: the reference of the
+    integer scan."""
+    N = z.N
+    tau, u = list(range(1, N + 1)), [None] * N
+    pairs, prev_cols, prev_rows, prev = [], (), (), G(1)
+    for k in range(1, N + 1):
+        labels = list(combinations(range(1, N + 1), k))
+        pivot = next(((J, I, v) for J in labels for I in labels
+                      if not (v := _leibniz([[z.entries[r - 1][c - 1]
+                                              for c in J] for r in I]))
+                      .is_zero()), None)
+        if pivot is None:
+            break
+        J, I, val = pivot
+        (p,), (tp,) = set(J) - set(prev_cols), set(I) - set(prev_rows)
+        pairs.append((p, tp))
+        images = [dict(pairs)[x] for x in J]
+        inv = sum(images[a] > images[b] for a in range(k)
+                  for b in range(a + 1, k))
+        direction = -val if inv % 2 else val
+        tau[p - 1], tau[tp - 1] = tp, p
+        u[p - 1] = direction / prev
+        if tp != p:
+            u[tp - 1] = u[p - 1].conj()
+        prev_cols, prev_rows, prev = J, I, direction
+    return ShapeMatrix(tau, u)
+
+
+def _ref_spectrum(z):
+    """(power sums, characteristic polynomial, sign counts) of z over
+    GaussRat and Fraction: traces of the dense powers, Newton's identities
+    and Descartes' rule, the reference of the integer spectrum."""
+    sums, power = [], z.entries
+    for _ in range(z.N):
+        sums.append(reduce(add, (power[i][i] for i in range(z.N))))
+        power = gr_matmul(power, z.entries)
+    e = [F(1)]
+    for k in range(1, z.N + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * sums[i - 1].re
+                     for i in range(1, k + 1)) / k)
+    poly = [-c if k % 2 else c for k, c in enumerate(e)]
+
+    def changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    signs = (changes(poly),
+             changes([-c if k % 2 else c for k, c in enumerate(poly)]),
+             z.N - max(k for k, c in enumerate(poly) if c))
+    return sums, poly, signs
+
+
+_ratios = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_gauss_rats = st.builds(GaussRat, _ratios, _ratios)
+
+
+def _sparse_hermitian(rows):
+    """The Hermitian matrix with the upper triangle of rows, its diagonal
+    entries' real parts on the diagonal."""
+    n = len(rows)
+    return HermitianMatrix([[rows[i][j] if i < j else rows[j][i].conj()
+                             if i > j else G(rows[i][i].re)
+                             for j in range(n)] for i in range(n)])
+
+
+def _exact_pair(n):
+    """A Hermitian z of size n and a square t of size n, with mixed
+    denominators.  z is either a sum of at most n rational multiples of
+    v v*, so of any rank up to n, or has entries that are zero half the
+    time, so that two-cycles start the pivot chain."""
+    vectors = st.lists(_gauss_rats, min_size=n, max_size=n)
+    sparse = st.lists(st.one_of(st.just(G(0)), _gauss_rats),
+                      min_size=n, max_size=n)
+    return st.tuples(st.one_of(
+        st.builds(_low_rank_hermitian, st.just(n), st.lists(st.tuples(
+            st.sampled_from([F(1), F(-1), F(1, 2), F(-3, 7)]), vectors),
+            max_size=n)),
+        st.builds(_sparse_hermitian, st.lists(sparse, min_size=n,
+                                              max_size=n))),
+        st.lists(vectors, min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(_exact_pair))
+def test_integer_kernel_matches_the_exact_reference(zt):
+    # the integer kernel over D z against the GaussRat and Fraction
+    # algorithms it replaced, on exact draws of every rank
+    z, t = zt
+    assert shape_of(z) == _ref_shape_of(z)
+    assert congruence(t, z.entries) == gr_matmul(
+        gr_conj_t(t), gr_matmul(z.entries, t))
+    sums, poly, signs = _ref_spectrum(z)
+    got = power_sums(z)
+    assert got == sums and all(type(x) is GaussRat for x in got)
+    got = charpoly(z)
+    assert got == poly and all(type(x) is F for x in got)
+    assert eigenvalue_signs(z) == signs
 
 
 def test_bivector_trivial_points():

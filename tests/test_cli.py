@@ -205,6 +205,39 @@ def test_classical_shape_of_an_irrational_ray(tmp_path, capsys):
     assert built["entries"][1][0] == {"re": "1", "im": "1"}
 
 
+def test_classical_shape_and_leaf_certify_their_shape(tmp_path, capsys,
+                                                     monkeypatch):
+    # a shape_of that reads the shape of -z: `classical shape` and `leaf`
+    # print it and fail by the decompose round trip, whose M reads the
+    # shape of z; a leaf whose spectrum has other sign counts than its
+    # shape fails with the sign-compatibility witness keys
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps({"N": 2, "mode": "exact", "entries": [
+        [{"re": "1"}, {"re": "0", "im": "1"}],
+        [{"re": "0", "im": "-1"}, {"re": "0"}]]}))
+    right = classical.shape_of
+    shape = right(classical.HermitianMatrix.from_json(
+        json.loads(path.read_text()))).to_json()
+    monkeypatch.setattr(classical, "shape_of", lambda z: right(
+        classical.HermitianMatrix([[-x for x in row] for row in z.entries])))
+    for cmd in ("shape", "leaf"):
+        code, out, _ = run_cli(capsys, ["classical", cmd, str(path)])
+        rec, cert = (json.loads(line) for line in out.splitlines())
+        assert code == 1 and cert["status"] == "fail", cmd
+        assert cert["witness"] == {"law": "shape", "shape": shape,
+                                   "shape_of": rec["shape"]}, cmd
+    monkeypatch.setattr(classical, "shape_of", right)
+    signs = classical.eigenvalue_signs
+    monkeypatch.setattr(classical, "eigenvalue_signs",
+                        lambda z: signs(z)[::-1])
+    code, out, _ = run_cli(capsys, ["classical", "leaf", str(path)])
+    assert code == 1
+    assert json.loads(out.splitlines()[1])["witness"] == {
+        "shape_signs": [1, 1, 0], "eigenvalue_signs": [0, 1, 1]}
+    code, _, _ = run_cli(capsys, ["classical", "shape", str(path)])
+    assert code == 0
+
+
 def test_classical_build(capsys):
     shape = json.dumps({"tau": [2, 1], "u": [{"re": "0", "im": "-1"},
                                              {"re": "0", "im": "1"}]})

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qrea import braiding, checks, qmatrix, rea, shapes
 from qrea.braiding import rhat_entries
 from qrea.coeff import (LP_ONE, LP_Q, LP_QINV, LP_ZERO, GaussRat,
-                        LaurentPoly, NotAUnit, PoleAtPoint, RatFunc,
+                        LaurentPoly, NotAUnit, PoleAtPoint, Random, RatFunc,
                         ZeroDenominator, lp_q_int, rational_sqrt,
                         share_values)
 from qrea.coeff import _from_dense, _to_dense
@@ -739,3 +739,19 @@ def test_no_suite_does_ratfunc_arithmetic(monkeypatch, N):
     for name, suite in checks.CHECKS:
         certs = suite(N, 0)
         assert certs and all(c.status == "pass" for c in certs), name
+
+
+def test_randint_draws_the_stream_of_random_random():
+    # over ranges of every bit width 1..70, a power of two among them,
+    # each draw and the generator's state after it are random.Random's
+    for seed in (0, 1, 7, 2 ** 40 + 3):
+        ours, theirs = Random(seed), random.Random(seed)
+        for width in range(1, 71):
+            for n in (1 << (width - 1), (1 << (width - 1)) + 1,
+                      (1 << width) - 1):
+                for a in (-(n // 2), 0, 5):
+                    assert ours.randint(a, a + n - 1) == theirs.randint(
+                        a, a + n - 1), (seed, a, n)
+        assert ours.getstate() == theirs.getstate()
+    with pytest.raises(ValueError):
+        Random(0).randint(1, 0)
