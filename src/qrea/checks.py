@@ -12,8 +12,11 @@ failure, and the suites here make the certificates: a certificate fails
 exactly when its verdict function returned a failure, and that failure is
 its witness (`Certificate.verdict`).  A check that stops at its first
 failure carries it as it is; a sweep that counts its failures carries
-{"failures": n, "first": ...}, `_failures_witness`.  A witness is built
-only when something failed.
+{"failures": n, "first": ...}, `_failures_witness`.  A sweep over seeded
+random draws goes through `_sampled`, the one owner of its counting
+witness: each draw's verdict returns None or its failure, and the first
+failure carries its draw index as "sample".  A witness is built only when
+something failed.
 """
 
 from __future__ import annotations
@@ -159,6 +162,18 @@ def _failures_witness(bad):
     """The failure of a counting sweep whose failures are `bad`: None if
     there are none, else the failure count and the first."""
     return {"failures": len(bad), "first": bad[0]} if bad else None
+
+
+def _sampled(command, instance, seed, count, sample):
+    """The certificate of a sweep over `count` draws from one
+    coeff.Random(seed): sample(rng) returns None or one draw's failure, and
+    the witness counts the failing draws and carries the first, with its
+    draw index under "sample" (`_failures_witness`)."""
+    rng = coeff.Random(seed)
+    bad = [{"sample": i, **failure} for i in range(count)
+           if (failure := sample(rng)) is not None]
+    return Certificate.verdict(command, instance, _failures_witness(bad),
+                               seed=seed)
 
 
 def _units_law(a, b, c):
@@ -665,20 +680,19 @@ def power_sum_mismatch(z, lam):
 
 
 def check_shape_roundtrip(n, seed):
-    rng = coeff.Random(seed)
-    bad = []
-    for i in range(100):
+    def sample(rng):
         S = classical.random_shape(rng.randint(1, n), rng)
         lam = classical.random_compatible_weights(S, rng)
         z = classical.build_leaf_point(S, lam)
         shape = classical.shape_of(z)
         spectrum = power_sum_mismatch(z, lam)
         if spectrum or shape != S:
-            bad.append({"sample": i, "shape": S.to_json(),
-                        "weights": [str(x) for x in lam], "z": z.to_json(),
-                        "shape_of": shape.to_json(), "power_sum": spectrum})
-    return [Certificate.verdict("classical shape-roundtrip", {"samples": 100},
-                                _failures_witness(bad), seed=seed)]
+            return {"shape": S.to_json(), "weights": [str(x) for x in lam],
+                    "z": z.to_json(), "shape_of": shape.to_json(),
+                    "power_sum": spectrum}
+        return None
+    return [_sampled("classical shape-roundtrip", {"samples": 100}, seed,
+                     100, sample)]
 
 
 def sign_mismatch(z, shape):
@@ -693,52 +707,42 @@ def sign_mismatch(z, shape):
 
 
 def check_sign_compat(n, seed):
-    rng = coeff.Random(seed)
-    bad = []
-    for i in range(100):
+    def sample(rng):
         z = classical.random_exact_hermitian(rng.randint(1, n), rng)
         w = sign_mismatch(z, classical.shape_of(z))
-        if w:
-            bad.append({"sample": i, "z": z.to_json(), **w})
-    return [Certificate.verdict("classical sign-compatibility",
-                                {"samples": 100}, _failures_witness(bad),
-                                seed=seed)]
+        return w and {"z": z.to_json(), **w}
+    return [_sampled("classical sign-compatibility", {"samples": 100}, seed,
+                     100, sample)]
 
 
-def tn_invariance_samples(n, samples, rng):
-    """Draw `samples` exact Hermitian z of size n from rng, each with three
-    exact triangular t: an elementary shear, a diagonal and a general one.
-    Per sample: None if t* z t has the shape of z for all three, else a
-    witness naming the sample, the first t that changes the shape, and z.
-    The tn-invariance suite and `qrea classical invariance` read it."""
-    out = []
-    for i in range(samples):
-        z = classical.random_exact_hermitian(n, rng)
-        lam = classical.random_ratio(rng)
-        shear = classical.gr_identity(n)
-        if n >= 2:
-            shear[0][1] = classical.GaussRat.from_ints(
-                *lam, *classical.random_ratio(rng))
-        diag = classical.gr_identity(n)
-        for k in range(n):
-            diag[k][k] = classical.GaussRat.from_ints(rng.randint(1, 5),
-                                                      rng.randint(1, 5))
-        ts = {"shear": shear, "diagonal": diag,
-              "general": classical.random_triangular(n, rng)}
-        moved = classical.tn_invariance_check(z, list(ts.values()))
-        out.append(None if moved is None else {
-            "sample": i,
-            "element": next(name for name, t in ts.items() if t is moved),
-            "t": [[e.to_json() for e in row] for row in moved],
-            "z": z.to_json()})
-    return out
+def tn_invariance_sample(n, rng):
+    """Draw one exact Hermitian z of size n from rng, with three exact
+    triangular t: an elementary shear, a diagonal and a general one.  None
+    if t* z t has the shape of z for all three, else a witness naming the
+    first t that changes the shape, and z.  The tn-invariance suite and
+    `qrea classical invariance` read it, each adding the draw's index."""
+    z = classical.random_exact_hermitian(n, rng)
+    lam = classical.random_ratio(rng)
+    shear = classical.gr_identity(n)
+    if n >= 2:
+        shear[0][1] = classical.GaussRat.from_ints(
+            *lam, *classical.random_ratio(rng))
+    diag = classical.gr_identity(n)
+    for k in range(n):
+        diag[k][k] = classical.GaussRat.from_ints(rng.randint(1, 5),
+                                                  rng.randint(1, 5))
+    ts = {"shear": shear, "diagonal": diag,
+          "general": classical.random_triangular(n, rng)}
+    moved = classical.tn_invariance_check(z, list(ts.values()))
+    return None if moved is None else {
+        "element": next(name for name, t in ts.items() if t is moved),
+        "t": [[e.to_json() for e in row] for row in moved],
+        "z": z.to_json()}
 
 
 def check_tn_invariance(n, seed):
-    bad = [w for w in tn_invariance_samples(n, 100, coeff.Random(seed)) if w]
-    return [Certificate.verdict("classical tn-invariance",
-                                {"N": n, "samples": 100},
-                                _failures_witness(bad), seed=seed)]
+    return [_sampled("classical tn-invariance", {"N": n, "samples": 100},
+                     seed, 100, partial(tn_invariance_sample, n))]
 
 
 def decompose_mismatch(z, t, M):
@@ -768,18 +772,15 @@ def decompose_mismatch(z, t, M):
 
 
 def check_decompose(n, seed):
-    rng = coeff.Random(seed)
-    bad = []
-    for i in range(50):
+    def sample(rng):
         z = classical.random_exact_hermitian(rng.randint(1, n), rng)
         t, M = classical.decompose(z)
         w = decompose_mismatch(z, t, M)
-        if w:
-            bad.append({"sample": i, "z": z.to_json(),
-                        "t": [[e.to_json() for e in row] for row in t],
-                        "M": M.to_json(), **w})
-    return [Certificate.verdict("classical decompose", {"samples": 50},
-                                _failures_witness(bad), seed=seed)]
+        return w and {"z": z.to_json(),
+                      "t": [[e.to_json() for e in row] for row in t],
+                      "M": M.to_json(), **w}
+    return [_sampled("classical decompose", {"samples": 50}, seed, 50,
+                     sample)]
 
 
 def bivector_mismatch(z):
@@ -838,25 +839,11 @@ def check_tangency(N, seed):
     return out
 
 
-def jacobi_failure(rep):
-    """None if a `classical.jacobi_check` report is ok, else its failure:
-    the count of nonzero cyclic sums, the first, and the residual of
-    largest modulus; the jacobi suite and `qrea classical jacobi`."""
-    if rep["ok"]:
-        return None
-    return {"nonzero_cyclic_polys": rep["nonzero_cyclic_polys"],
-            "first": rep["first"],
-            "max_residual": rep["max_residual"].to_json()}
-
-
 def check_jacobi(N, seed):
-    out = []
-    for n in (2, 3):
-        rep = classical.jacobi_check(n, samples=100 if n == 2 else 25, seed=seed)
-        out.append(Certificate.verdict(
-            "classical jacobi", {"N": n, "samples": rep["samples"]},
-            jacobi_failure(rep), seed=seed))
-    return out
+    return [Certificate.verdict(
+        "classical jacobi", {"N": n, "samples": samples},
+        classical.jacobi_check(n, samples, seed), seed=seed)
+        for n, samples in ((2, 100), (3, 25))]
 
 
 def _bounds(inner, n):

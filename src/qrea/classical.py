@@ -1,18 +1,21 @@
 """Classical side: shapes of Hermitian matrices and the quadratic bracket.
 
 Every matrix here holds exact complex rationals (GaussRat), and no square
-root is taken.  A slot of a shape is a ray: a nonzero GaussRat that stands
-for its direction u/|u|.  ShapeMatrix keeps it in a canonical form, the unit
-phase when |u| is rational and the primitive Gaussian integer otherwise, so
-slots, and shapes, compare with ==.
+root is taken.  A HermitianMatrix also holds the Gaussian-integer multiple
+D z below, cleared once when it is made and checked self-adjoint there, so
+every matrix, read or drawn, is checked once.  A slot of a shape is a ray: a
+nonzero GaussRat that stands for its direction u/|u|.  ShapeMatrix keeps it
+in a canonical form, the unit phase when |u| is rational and the primitive
+Gaussian integer otherwise, so slots, and shapes, compare with ==.
 
 Shape extraction is definition-faithful: for each size it scans minor labels
 in the pair-lexicographic order (column set first) and takes the first
 nonvanishing minor, so the discrete data (the involution and the vanishing
 pattern) and the slot rays, ratios of consecutive pivot minors, are decided
 exactly.  The scan runs over the integers, on the Gaussian-integer multiple
-D z, D the lcm of the entry denominators (clear_denominators): its minors
-vanish where those of z do, and its pivot ratios are D times those of z.
+D z, D the lcm of the entry denominators (clear_denominators), that the
+matrix holds as z.D and z.w: its minors vanish where those of z do, and its
+pivot ratios are D times those of z.
 Minors come from one memo per matrix (minors), each the Laplace expansion
 over the smaller ones, with no division; the scan stops at the first size
 with no nonzero minor, so the rank is read off the same table.  congruence
@@ -27,10 +30,12 @@ shape read off M is cross-checked against the scanner.
 
 The quadratic bracket on Hermitian matrices is read off the sparse classical
 r-matrix e_ii (x) e_ii + 2 sum_{i<j} e_ij (x) e_ji, with exact coefficients,
-built once per N.  The bivector and Jacobi checks evaluate it at exact
-points in the complex coordinates Z_ij, the Jacobi check with one cyclic sum
-per cyclic class of coordinate triples; the tangency check reads it as
-integer forms in the real coordinates of Herm(N), with ranks over Z.
+built once per N.  The bivector check evaluates it at exact points in the
+complex coordinates Z_ij.  The Jacobi check builds one cyclic sum per cyclic
+class of coordinate triples as an exact polynomial and fails on any that is
+nonzero; it evaluates them at exact points only for the residual it reports.
+The tangency check reads the bracket as integer forms in the real
+coordinates of Herm(N), with ranks over Z.
 
 The spectrum is checked without computing it: power_sums gives tr z^m for
 m = 1..N, which fix the eigenvalues as a multiset; charpoly turns them into
@@ -75,15 +80,19 @@ GR1 = GaussRat(1)
 # ---------------------------------------------------------------------------
 
 class HermitianMatrix:
-    """Self-adjoint matrix with GaussRat entries."""
+    """Self-adjoint matrix with GaussRat entries.  D, the lcm of the entry
+    denominators, and w, the rows of D z (clear_denominators), are made
+    once, with the matrix; self-adjointness is checked on w, which also
+    rejects a non-real diagonal entry."""
 
     def __init__(self, entries):
         self.entries = [list(row) for row in entries]
         self.N = len(self.entries)
-        e = self.entries
-        if any(len(row) != self.N for row in e):
+        if any(len(row) != self.N for row in self.entries):
             raise ValueError("matrix is not square")
-        if any(e[i][j] != e[j][i].conj()
+        self.D, self.w = clear_denominators(self.entries)
+        w = self.w
+        if any(w[i][j] != (w[j][i][0], -w[j][i][1])
                for i in range(self.N) for j in range(i, self.N)):
             raise ValueError("matrix is not self-adjoint")
 
@@ -299,7 +308,7 @@ def shape_of(z):
     N = z.N
     tau = list(range(1, N + 1))
     u = [None] * N
-    minor = minors(clear_denominators(z.entries)[1])
+    minor = minors(z.w)
     prev, odd, c, d = ((), ()), 0, 1, 0     # the last pivot, signed
     for scan in _SCAN_PLANS[N]:
         key = next((key for key in scan if minor[key] != (0, 0)), None)
@@ -444,11 +453,11 @@ def reduced_shape(M):
 
 def _traces(z):
     """(D, p) for a HermitianMatrix z and its Gaussian-integer multiple
-    A = D z (clear_denominators): p = [tr A, tr A^2, ..., tr A^N], integers
-    as A is Hermitian.  Each tr A^(a+b) is read as the sum of the real
-    parts of (A^a)_ij (A^b)_ji, so only the powers up to A^ceil(N/2) are
-    multiplied out."""
-    D, w = clear_denominators(z.entries)
+    A = D z (z.D, z.w): p = [tr A, tr A^2, ..., tr A^N], integers as A is
+    Hermitian.  Each tr A^(a+b) is read as the sum of the real parts of
+    (A^a)_ij (A^b)_ji, so only the powers up to A^ceil(N/2) are multiplied
+    out."""
+    D, w = z.D, z.w
     powers = [None, w]
     while len(powers) <= (z.N + 1) // 2:
         powers.append(_product(powers[-1], w))
@@ -711,8 +720,7 @@ def leaf_tangency_check(z):
     """
     N, n2 = z.N, z.N * z.N
     bracket, tangents = _TANGENCY_PLANS[N]
-    w = clear_denominators(z.entries)[1]
-    x = [w[min(i, j)][max(i, j)][i > j] * (1 if i == j else 2)
+    x = [z.w[min(i, j)][max(i, j)][i > j] * (1 if i == j else 2)
          for i, j in product(range(N), repeat=2)]
     pi = [[0] * n2 for _ in range(2 * n2)]  # real parts, then imaginary
     for a, b, u, v, c in bracket:
@@ -737,14 +745,18 @@ def leaf_tangency_check(z):
 def jacobi_check(N, samples, seed):
     """The cyclic Jacobi sums {f,{g,h}} + {g,{h,f}} + {h,{f,g}} over all
     coordinate triples, built as exact cubic polynomials by the Leibniz
-    rule and evaluated exactly at `samples` random exact Hermitian points.
-    The three rotations of a triple have the same sum, so it is built once
-    per cyclic class, at the lex-first rotation, and counted at the class
-    size; the points are drawn only when some sum is nonzero.
+    rule.  The three rotations of a triple have the same sum, so it is
+    built once per cyclic class, at the lex-first rotation, and counted at
+    the class size.
 
-    ok when every value is zero.  max_residual is a value of largest
-    modulus; first names the first nonzero cyclic sum by its triple, its
-    first monomial and that monomial's coefficient, and is None if none.
+    None when every cyclic sum is the zero polynomial.  A nonzero one fails
+    the identity on Hermitian matrices: Herm(N) is a real form of the
+    complex matrices, so a polynomial in the Z_ij that vanishes on it
+    vanishes identically.  The failure counts the nonzero sums, names the
+    first by its triple, its first monomial and that monomial's
+    coefficient, and gives max_residual, a value of largest modulus of the
+    nonzero sums at `samples` random exact Hermitian points, which are
+    drawn only then.
     """
     table = poisson_bracket_coeffs(N)
 
@@ -757,7 +769,6 @@ def jacobi_check(N, samples, seed):
                     add_term(out, tuple(sorted(m2 + rest)), c * c2)
 
     cyclic = {}          # lex-first rotation -> its nonzero cyclic sum
-    count = 0
     coords = list(product(range(1, N + 1), repeat=2))
     for f, g, h in product(coords, repeat=3):
         if (g, h, f) < (f, g, h) or (h, f, g) < (f, g, h):
@@ -767,23 +778,19 @@ def jacobi_check(N, samples, seed):
             add_bracket_with_poly(total, a, table[(b, c)])
         if total:
             cyclic[(f, g, h)] = total
-            count += 1 if f == g == h else 3
-    worst = GR0
-    if cyclic:
-        rng = Random(seed)
-        points = [random_exact_hermitian(N, rng).entries
-                  for _ in range(samples)]
-        values = []
-        for e in points:
-            monomials = _monomial_values(e)
-            values += [_value(poly, monomials) for poly in cyclic.values()]
-        worst = max(values, key=GaussRat.abs2)
-    first = next(({"triple": t, "monomial": min(poly),
-                   "coefficient": poly[min(poly)].to_json()}
-                  for t, poly in cyclic.items()), None)
-    return {"N": N, "samples": samples, "max_residual": worst,
-            "ok": worst.is_zero(), "nonzero_cyclic_polys": count,
-            "first": first}
+    if not cyclic:
+        return None
+    rng = Random(seed)
+    values = []
+    for _ in range(samples):
+        monomials = _monomial_values(random_exact_hermitian(N, rng).entries)
+        values += [_value(poly, monomials) for poly in cyclic.values()]
+    triple, poly = next(iter(cyclic.items()))
+    return {"nonzero_cyclic_polys": sum(1 if f == g == h else 3
+                                        for f, g, h in cyclic),
+            "first": {"triple": triple, "monomial": min(poly),
+                      "coefficient": poly[min(poly)].to_json()},
+            "max_residual": max(values, key=GaussRat.abs2).to_json()}
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ decompose round trip (`checks.decompose_mismatch`), and `leaf` also the
 sign counts of that shape against those of the spectrum
 (`checks.sign_mismatch`).  `classical tangency` checks the leaf tangency at
 exact random Hermitian points, one certificate each; `classical jacobi`
-evaluates the exact cyclic Jacobi sums at exact random points and prints
-the residual of largest modulus as an exact complex rational.
+fails on any exact cyclic Jacobi sum that is a nonzero polynomial, and
+prints the residual of largest modulus of those sums at exact random
+points as an exact complex rational, zero on a pass.
 
 `check-all --N N` runs every suite of `checks.CHECKS`.  A suite with a
 reach there certifies its identity at n = min(N, reach) only, so an N above
@@ -295,20 +296,19 @@ def cmd_classical(args):
                                              None if rep["equal"] else rep,
                                              seed=args.seed))
     elif args.classical_cmd == "jacobi":
-        rep = classical.jacobi_check(args.N, samples=args.samples,
-                                     seed=args.seed)
-        rec = {"max_residual": rep["max_residual"].to_json()}
+        failure = classical.jacobi_check(args.N, args.samples, args.seed)
+        rec = {"max_residual": classical.GR0.to_json() if failure is None
+               else failure["max_residual"]}
         certs.append(Certificate.verdict("classical jacobi",
                                          {"N": args.N, "samples": args.samples},
-                                         checks.jacobi_failure(rep),
-                                         seed=args.seed))
+                                         failure, seed=args.seed))
     elif args.classical_cmd == "invariance":
-        witnesses = checks.tn_invariance_samples(args.N, args.samples,
-                                                 coeff.Random(args.seed))
-        for i, w in enumerate(witnesses):
+        rng = coeff.Random(args.seed)
+        for i in range(args.samples):
+            w = checks.tn_invariance_sample(args.N, rng)
             certs.append(Certificate.verdict(
-                "classical invariance", {"N": args.N, "sample": i}, w,
-                seed=args.seed))
+                "classical invariance", {"N": args.N, "sample": i},
+                w and {"sample": i, **w}, seed=args.seed))
     if rec is not None:
         yield rec, None
     yield from _records(certs)

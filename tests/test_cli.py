@@ -79,6 +79,23 @@ def test_jacobi_fail_carries_the_suite_witness(capsys, monkeypatch):
     assert rec["witness"] == json.loads(json.dumps(cert.witness))
 
 
+@pytest.mark.parametrize("N, count", [(2, 12), (3, 78)])
+def test_jacobi_fails_on_a_nonzero_cyclic_sum_at_any_point(capsys,
+                                                           monkeypatch, N,
+                                                           count):
+    # at seed 0 the one point drawn has Z11 = 0, where the perturbed sums
+    # vanish; a nonzero cyclic polynomial still fails the run
+    fresh_memos(monkeypatch)
+    perturbed_bracket(monkeypatch)
+    code, out, _ = run_cli(capsys, ["--seed", "0", "classical", "jacobi",
+                                    "--N", str(N), "--samples", "1"])
+    rec = json.loads(out.splitlines()[1])
+    assert code == 1
+    assert rec["status"] == "fail"
+    assert rec["witness"]["nonzero_cyclic_polys"] == count
+    assert rec["witness"]["first"]["triple"] == [[1, 1], [1, 2], [1, 2]]
+
+
 def test_braid_n0_is_usage_error(capsys):
     code, out, err = run_cli(capsys, ["braid", "--N", "0"])
     assert code == 2
