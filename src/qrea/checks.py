@@ -144,20 +144,6 @@ def _random_ratfunc(rng):
     return coeff.RatFunc(num, den)
 
 
-def _first_broken(draw, count, laws):
-    """The first of `count` draws that breaks one of the (name, law) pairs,
-    as {"sample": draw index, "law": law name, "args": the draw}, or None;
-    draw() returns the arguments of one law evaluation."""
-    for i in range(count):
-        args = draw()
-        for name, law in laws:
-            if not law(*args):
-                return {"sample": i, "law": name,
-                        "args": [x.to_json() if hasattr(x, "to_json")
-                                 else str(x) for x in args]}
-    return None
-
-
 def _failures_witness(bad):
     """The failure of a counting sweep whose failures are `bad`: None if
     there are none, else the failure count and the first."""
@@ -207,33 +193,36 @@ def _direct_substitution(p, q0):
     return p.evaluate(q0) == direct
 
 
+def _broken_law(laws, *args):
+    """The first of the (name, law) pairs that the draw args breaks, with
+    the draw, as the failure of a `_sampled` draw; None when all hold."""
+    name = next((name for name, law in laws if not law(*args)), None)
+    return name and {"law": name,
+                     "args": [x.to_json() if hasattr(x, "to_json") else str(x)
+                              for x in args]}
+
+
 def check_coeff_ring_axioms(N, seed):
     """The ring laws of LaurentPoly, the ring the quantum side computes in,
     and its units law, on 1000 random triples."""
-    rng = coeff.Random(seed)
-    broken = _first_broken(
-        lambda: tuple(_random_laurent(rng) for _ in range(3)), 1000, _RING_LAWS)
-    return [Certificate.verdict("coeff ring-axioms", {"triples": 1000},
-                                broken, seed=seed)]
+    return [_sampled("coeff ring-axioms", {"triples": 1000}, seed, 1000,
+                     lambda rng: _broken_law(_RING_LAWS, *(
+                         _random_laurent(rng) for _ in range(3))))]
 
 
 def check_coeff_rf_canonical(N, seed):
-    rng = coeff.Random(seed)
-    broken = _first_broken(
-        lambda: (_random_ratfunc(rng), _random_ratfunc(rng)), 300,
-        _CANONICAL_LAWS)
-    return [Certificate.verdict("coeff rf-canonical", {"samples": 300},
-                                broken, seed=seed)]
+    return [_sampled("coeff rf-canonical", {"samples": 300}, seed, 300,
+                     lambda rng: _broken_law(_CANONICAL_LAWS,
+                                             _random_ratfunc(rng),
+                                             _random_ratfunc(rng)))]
 
 
 def check_coeff_eval(N, seed):
-    rng = coeff.Random(seed)
-    broken = _first_broken(
-        lambda: (_random_laurent(rng),
-                 Fraction(rng.randint(1, 9), rng.randint(1, 9))),
-        20, (("direct-substitution", _direct_substitution),))
-    return [Certificate.verdict("coeff eval-direct-substitution",
-                                {"points": 20}, broken, seed=seed)]
+    return [_sampled("coeff eval-direct-substitution", {"points": 20}, seed,
+                     20, lambda rng: _broken_law(
+                         (("direct-substitution", _direct_substitution),),
+                         _random_laurent(rng),
+                         Fraction(rng.randint(1, 9), rng.randint(1, 9))))]
 
 
 # -- combinatorics ---------------------------------------------------------------
@@ -268,9 +257,7 @@ def check_comb_lemma_sweep(N, seed):
 
 
 def check_inversion_parity(N, seed):
-    rng = coeff.Random(seed)
-    bad = []
-    for _ in range(200):
+    def sample(rng):
         n = rng.randint(1, 6)
         a = list(range(1, n + 1))
         b = a[:]
@@ -278,11 +265,10 @@ def check_inversion_parity(N, seed):
         rng.shuffle(b)
         comp = [a[b[i] - 1] for i in range(n)]
         par = (indexsets.inversions(a) + indexsets.inversions(b)) % 2
-        if indexsets.inversions(comp) % 2 != par:
-            bad.append((a, b))
-    return [Certificate.verdict("combinatorics inversion-parity",
-                                {"samples": 200}, _failures_witness(bad),
-                                seed=seed)]
+        return (None if indexsets.inversions(comp) % 2 == par
+                else {"a": a, "b": b})
+    return [_sampled("combinatorics inversion-parity", {"samples": 200},
+                     seed, 200, sample)]
 
 
 # -- braiding -----------------------------------------------------------------------
@@ -398,23 +384,20 @@ def check_pbw_dimensions(n, seed):
 
 
 def check_counit_coassoc(n, seed):
-    """(epsilon (x) id) Delta w = w on 50 random words; the witness is the
-    first failing word, its draw and its first mismatching word."""
-    rng = coeff.Random(seed)
-    failure = None
-    for i in range(50):
+    """(epsilon (x) id) Delta w = w on 50 random words; the first failure
+    names its word and its first mismatching word."""
+    def sample(rng):
         w = tuple(rng.randrange(n * n) for _ in range(rng.randint(1, 3)))
         p = qmatrix.NCPoly(n, {w: coeff.LP_ONE})
         left = {}
         for (w1, w2), c in qmatrix.coproduct(p).items():
             if qmatrix.counit_word(w1, n):
                 add_term(left, w2, c)
-        if left != p.coeffs:
-            failure = {"sample": i, "word": qmatrix.word_str(w, n),
-                       **qmatrix.word_difference(left, p.coeffs, n)}
-            break
-    return [Certificate.verdict("qmatrix counit-axiom", {"N": n, "words": 50},
-                                failure, seed=seed)]
+        return None if left == p.coeffs else {
+            "word": qmatrix.word_str(w, n),
+            **qmatrix.word_difference(left, p.coeffs, n)}
+    return [_sampled("qmatrix counit-axiom", {"N": n, "words": 50}, seed, 50,
+                     sample)]
 
 
 def _nf_pair_accumulate(rw, pairs, acc):
@@ -749,13 +732,11 @@ def decompose_mismatch(z, t, M):
     """The first way in which (t, M) fails to decompose z, as a witness, or
     None: z = t* M t entry by entry, in row-major order, then t unit upper
     triangular, then the shape read off M equal to shape_of(z)."""
-    n = z.N
-    tmt = classical.congruence(t, M.entries)
+    n, tmt, e = z.N, classical.congruence(t, M).entries, z.entries
     for i, j in product(range(n), repeat=2):
-        if tmt[i][j] != z.entries[i][j]:
+        if tmt[i][j] != e[i][j]:
             return {"law": "z = t* M t", "entry": [i + 1, j + 1],
-                    "got": tmt[i][j].to_json(),
-                    "expected": z.entries[i][j].to_json()}
+                    "got": tmt[i][j].to_json(), "expected": e[i][j].to_json()}
     for i, j in product(range(n), repeat=2):
         if j <= i and t[i][j] != int(i == j):
             return {"law": "unit upper triangular", "entry": [i + 1, j + 1],
@@ -801,15 +782,10 @@ def bivector_mismatch(z):
 
 
 def check_bivector(n, seed):
-    rng = coeff.Random(seed)
-    broken = None
-    for i in range(20):
-        w = bivector_mismatch(classical.random_exact_hermitian(n, rng))
-        if w:
-            broken = {"sample": i, **w}
-            break
-    return [Certificate.verdict("classical bivector-antisymmetry",
-                                {"N": n, "samples": 20}, broken, seed=seed)]
+    return [_sampled("classical bivector-antisymmetry",
+                     {"N": n, "samples": 20}, seed, 20,
+                     lambda rng: bivector_mismatch(
+                         classical.random_exact_hermitian(n, rng)))]
 
 
 def tangency_reports(n, samples, rng):

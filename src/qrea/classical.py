@@ -1,25 +1,29 @@
 """Classical side: shapes of Hermitian matrices and the quadratic bracket.
 
-Every matrix here holds exact complex rationals (GaussRat), and no square
-root is taken.  A HermitianMatrix also holds the Gaussian-integer multiple
-D z below, cleared once when it is made and checked self-adjoint there, so
-every matrix, read or drawn, is checked once.  A slot of a shape is a ray: a
-nonzero GaussRat that stands for its direction u/|u|.  ShapeMatrix keeps it
-in a canonical form, the unit phase when |u| is rational and the primitive
-Gaussian integer otherwise, so slots, and shapes, compare with ==.
+A HermitianMatrix is held as one Gaussian-integer multiple D z of the exact
+matrix z, D > 0 and each entry of D z an (re, im) pair of ints, and is
+checked self-adjoint on it when it is made.  Exact complex rationals
+(GaussRat) are formed from it only where an entry is printed or divided:
+its entries are a view, read by the JSON writer, the congruence
+decomposition and the bracket.  A GaussRat matrix, read or drawn, becomes
+a HermitianMatrix through clear_denominators, once, and no square root is
+taken.  A slot of a shape is a ray: a nonzero GaussRat that stands for its
+direction u/|u|.  ShapeMatrix keeps it in a canonical form, the unit phase
+when |u| is rational and the primitive Gaussian integer otherwise, so
+slots, and shapes, compare with ==.
 
 Shape extraction is definition-faithful: for each size it scans minor labels
 in the pair-lexicographic order (column set first) and takes the first
 nonvanishing minor, so the discrete data (the involution and the vanishing
 pattern) and the slot rays, ratios of consecutive pivot minors, are decided
 exactly.  The scan runs over the integers, on the Gaussian-integer multiple
-D z, D the lcm of the entry denominators (clear_denominators), that the
-matrix holds as z.D and z.w: its minors vanish where those of z do, and its
-pivot ratios are D times those of z.
+D z that the matrix holds as z.D and z.w: its minors vanish where those of
+z do, and its pivot ratios are D times those of z.
 Minors come from one memo per matrix (minors), each the Laplace expansion
 over the smaller ones, with no division; the scan stops at the first size
 with no nonzero minor, so the rank is read off the same table.  congruence
-and the spectrum below work on such multiples too.
+multiplies such multiples over Z, and the spectrum below is read off them
+too.
 
 The congruence decomposition is the LDL* form of the pivoting loop (Golub
 and Van Loan, Matrix Computations, 4.1-4.2): z = t'* M t' with t' unit upper
@@ -80,21 +84,26 @@ GR1 = GaussRat(1)
 # ---------------------------------------------------------------------------
 
 class HermitianMatrix:
-    """Self-adjoint matrix with GaussRat entries.  D, the lcm of the entry
-    denominators, and w, the rows of D z (clear_denominators), are made
-    once, with the matrix; self-adjointness is checked on w, which also
-    rejects a non-real diagonal entry."""
+    """The self-adjoint matrix z = w / D, held as D > 0 and w, the rows of
+    its Gaussian-integer multiple D z, each entry an (re, im) pair of ints.
+    D need not be the least such multiple: clear_denominators gives that
+    one, congruence the product of its factors' multiples.  w is checked
+    square and self-adjoint, which also rejects a non-real diagonal
+    entry."""
 
-    def __init__(self, entries):
-        self.entries = [list(row) for row in entries]
-        self.N = len(self.entries)
-        if any(len(row) != self.N for row in self.entries):
+    def __init__(self, D, w):
+        self.D, self.w, self.N = D, w, len(w)
+        if any(len(row) != self.N for row in w):
             raise ValueError("matrix is not square")
-        self.D, self.w = clear_denominators(self.entries)
-        w = self.w
         if any(w[i][j] != (w[j][i][0], -w[j][i][1])
                for i in range(self.N) for j in range(i, self.N)):
             raise ValueError("matrix is not self-adjoint")
+
+    @property
+    def entries(self):
+        """The rows of z as GaussRat, made on each read."""
+        D = self.D
+        return [[_gauss(a, b, D) for a, b in row] for row in self.w]
 
     def to_json(self):
         return {"N": self.N, "mode": "exact",
@@ -116,8 +125,9 @@ class HermitianMatrix:
         if obj["mode"] not in ("exact", "numeric"):
             raise ValueError(f"unknown mode {obj['mode']!r}")
         floats = obj["mode"] == "numeric"
-        return HermitianMatrix([[GaussRat.from_json(e, floats) for e in row]
-                                for row in obj["entries"]])
+        return HermitianMatrix(*clear_denominators(
+            [[GaussRat.from_json(e, floats) for e in row]
+             for row in obj["entries"]]))
 
 
 def gr_identity(n):
@@ -339,7 +349,7 @@ def _check_triangular(t):
     n = len(t)
     for i in range(n):
         d = t[i][i]
-        if d.is_zero() or not d.is_real() or d.re <= 0:
+        if d.b or d.a <= 0:         # d = (a + b i)/d.d with d.d > 0
             raise NotTriangular("diagonal must be strictly positive")
         for j in range(i):
             if not t[i][j].is_zero():
@@ -352,8 +362,7 @@ def tn_invariance_check(z, ts):
     for t in ts:
         _check_triangular(t)
     s = shape_of(z)
-    return next((t for t in ts if s != shape_of(HermitianMatrix(
-        congruence(t, z.entries)))), None)
+    return next((t for t in ts if s != shape_of(congruence(t, z))), None)
 
 
 # ---------------------------------------------------------------------------
@@ -425,25 +434,25 @@ def decompose(z):
     fixed point p and beta at (tau(p), p) on a two-cycle; reduced_shape(M)
     is the shape of z.
     """
-    t, m = gr_identity(z.N), [row[:] for row in z.entries]
+    t, m = gr_identity(z.N), z.entries
     _congruence(m, t)
-    return t, HermitianMatrix(m)
+    return t, HermitianMatrix(*clear_denominators(m))
 
 
 def reduced_shape(M):
     """The ShapeMatrix of a matrix M with at most one nonzero entry per
     column, as decompose returns it: that entry is the column's slot.
     Raises ValueError when M is not of that form."""
-    N = M.N
+    N, e = M.N, M.entries
     tau = list(range(1, N + 1))
     u = [None] * N
     for i in range(N):
-        rows = [j for j in range(N) if not M.entries[j][i].is_zero()]
+        rows = [j for j in range(N) if not e[j][i].is_zero()]
         if len(rows) > 1:
             raise ValueError(f"column {i + 1} of M has {len(rows)} nonzero "
                              f"entries")
         if rows:
-            tau[i], u[i] = rows[0] + 1, M.entries[rows[0]][i]
+            tau[i], u[i] = rows[0] + 1, e[rows[0]][i]
     return ShapeMatrix(tau, u)
 
 
@@ -554,7 +563,7 @@ def build_leaf_point(shape, lam):
             ent[t - 1][i - 1] = ui.scale(c)
             ent[i - 1][t - 1] = shape.u[t - 1].scale(c)
             ent[t - 1][t - 1] = GaussRat(li + lt)
-    return HermitianMatrix(ent)
+    return HermitianMatrix(*clear_denominators(ent))
 
 
 # ---------------------------------------------------------------------------
@@ -882,18 +891,17 @@ def random_exact_hermitian(N, rng):
             E[tu - 1][i - 1] = c * shape.u[i - 1]
             E[i - 1][tu - 1] = c * shape.u[tu - 1]
             E[tu - 1][tu - 1] = GaussRat.from_ints(*random_ratio(rng))
-    return HermitianMatrix(congruence(random_triangular(N, rng), E))
+    return congruence(random_triangular(N, rng),
+                      HermitianMatrix(*clear_denominators(E)))
 
 
-def congruence(t, e):
-    """t* e t for square GaussRat matrices t and e (lists of rows): the
-    product of the Gaussian-integer multiples Dt t and De e
-    (clear_denominators), summed over their nonzero entries only, each
-    entry then divided once by Dt^2 De.  A triangular t and a sparse e,
-    such as a shape matrix, skip most of the dense products."""
+def congruence(t, z):
+    """t* z t for a square GaussRat matrix t (a list of rows) and a
+    HermitianMatrix z, as the HermitianMatrix of D = Dt^2 z.D and the
+    product over Z of the Gaussian-integer multiples Dt t
+    (clear_denominators) and z.w, summed over their nonzero entries only:
+    nothing is divided.  A triangular t and a sparse z, such as a shape
+    matrix, skip most of the dense products."""
     dt, wt = clear_denominators(t)
-    de, we = clear_denominators(e)
     t_star = [[(x, -y) for x, y in col] for col in zip(*wt)]
-    d = dt * dt * de
-    return [[_gauss(x, y, d) for x, y in row]
-            for row in _product(t_star, _product(we, wt))]
+    return HermitianMatrix(dt * dt * z.D, _product(t_star, _product(z.w, wt)))

@@ -720,9 +720,6 @@ class GaussRat:
     def is_zero(self):
         return self.a == 0 and self.b == 0
 
-    def is_real(self):
-        return self.b == 0
-
     def __eq__(self, other):
         if isinstance(other, GaussRat):
             return (self.a == other.a and self.b == other.b

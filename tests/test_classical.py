@@ -20,8 +20,8 @@ from qrea.classical import (GaussRat, HermitianMatrix, NotTriangular,
                             leaf_tangency_check, minors,
                             poisson_bracket_coeffs, power_sums,
                             random_compatible_weights, random_exact_hermitian,
-                            random_shape, random_triangular, reduced_shape,
-                            shape_of, tn_invariance_check)
+                            random_ratio, random_shape, random_triangular,
+                            reduced_shape, shape_of, tn_invariance_check)
 from qrea.coeff import Random
 from qrea.linalg import add_term, echelon
 from test_linalg import _leibniz
@@ -32,9 +32,14 @@ def G(re, im=0):
     return GaussRat(F(re), F(im))
 
 
+def hm(rows):
+    """The HermitianMatrix of rows of GaussRat."""
+    return HermitianMatrix(*clear_denominators(rows))
+
+
 def H(rows):
-    return HermitianMatrix([[G(*e) if isinstance(e, tuple) else G(e)
-                             for e in row] for row in rows])
+    return hm([[G(*e) if isinstance(e, tuple) else G(e) for e in row]
+               for row in rows])
 
 
 def gr_matmul(a, b):
@@ -80,7 +85,7 @@ def shape_matrix(S):
     for i, (t, ui) in enumerate(zip(S.tau, S.u)):
         if ui is not None:
             ent[t - 1][i] = ui
-    return HermitianMatrix(ent)
+    return hm(ent)
 
 
 def _numeric(z):
@@ -116,8 +121,8 @@ def test_generate_and_recover_roundtrip():
         S = random_shape(N, rng)
         t = random_triangular(N, rng)
         z = gr_matmul(gr_conj_t(t), gr_matmul(shape_matrix(S).entries, t))
-        assert congruence(t, shape_matrix(S).entries) == z
-        assert shape_of(HermitianMatrix(z)) == S
+        assert congruence(t, shape_matrix(S)).entries == z
+        assert shape_of(hm(z)) == S
 
 
 def test_draw_streams_are_pinned():
@@ -171,7 +176,7 @@ def _low_rank_hermitian(n, terms):
     for s, v in terms:
         for i, j in product(range(n), repeat=2):
             z[i][j] = z[i][j] + G(s) * v[i] * v[j].conj()
-    return HermitianMatrix(z)
+    return hm(z)
 
 
 _gauss_ints = st.builds(G, st.integers(-2, 2), st.integers(-2, 2))
@@ -310,8 +315,8 @@ def test_decompose_takes_no_square_root():
 
 def _gr_rows(rows):
     """A HermitianMatrix from rows of "re,im" strings."""
-    return HermitianMatrix([[GaussRat(*(F(x) for x in e.split(",")))
-                             for e in row] for row in rows])
+    return hm([[GaussRat(*(F(x) for x in e.split(","))) for e in row]
+               for row in rows])
 
 
 def test_decompose_is_exact_on_the_draws_that_took_floats():
@@ -418,7 +423,7 @@ def test_power_sums_and_descartes_on_known_spectra():
             u = _unitary(n, rng)
             d = [[G(lam[i]) if i == j else G(0) for j in range(n)]
                  for i in range(n)]
-            z = HermitianMatrix(gr_matmul(gr_conj_t(u), gr_matmul(d, u)))
+            z = hm(gr_matmul(gr_conj_t(u), gr_matmul(d, u)))
             assert power_sums(z) == [sum(F(x) ** m for x in lam)
                                      for m in range(1, n + 1)]
             assert eigenvalue_signs(z) == signs, (lam, z.to_json())
@@ -442,7 +447,7 @@ def test_sign_compatibility_random():
         signs = (int(np.sum(nonzero > 0)), int(np.sum(nonzero < 0)), zero)
         assert s.sign_multiset() == signs and eigenvalue_signs(z) == signs
         for m, p in enumerate(power_sums(z), start=1):
-            assert p.is_real()
+            assert p.im == 0
             assert abs(float(p.re) - np.sum(ev ** m)) <= 1e-9 * max(
                 1.0, float(np.sum(np.abs(ev) ** m)))
 
@@ -508,9 +513,9 @@ def _sparse_hermitian(rows):
     """The Hermitian matrix with the upper triangle of rows, its diagonal
     entries' real parts on the diagonal."""
     n = len(rows)
-    return HermitianMatrix([[rows[i][j] if i < j else rows[j][i].conj()
-                             if i > j else G(rows[i][i].re)
-                             for j in range(n)] for i in range(n)])
+    return hm([[rows[i][j] if i < j else rows[j][i].conj()
+                if i > j else G(rows[i][i].re)
+                for j in range(n)] for i in range(n)])
 
 
 def _exact_pair(n):
@@ -538,7 +543,7 @@ def test_integer_kernel_matches_the_exact_reference(zt):
     z, t = zt
     assert (z.D, z.w) == clear_denominators(z.entries)
     assert shape_of(z) == _ref_shape_of(z)
-    assert congruence(t, z.entries) == gr_matmul(
+    assert congruence(t, z).entries == gr_matmul(
         gr_conj_t(t), gr_matmul(z.entries, t))
     sums, poly, signs = _ref_spectrum(z)
     got = power_sums(z)
@@ -546,6 +551,51 @@ def test_integer_kernel_matches_the_exact_reference(zt):
     got = charpoly(z)
     assert got == poly and all(type(x) is F for x in got)
     assert eigenvalue_signs(z) == signs
+
+
+def _ints(w):
+    """The Gaussian-integer rows w as GaussRat, for gr_matmul."""
+    return [[GaussRat(*x) for x in row] for row in w]
+
+
+def test_congruence_is_the_integer_product(monkeypatch):
+    # t* z t is the HermitianMatrix of Dt^2 z.D and t'* z.w t', t' the
+    # Gaussian-integer multiple Dt t: the exact product over Z, formed with
+    # no division, and its entries are the GaussRat t* z t
+    rng = random.Random(8)
+    draws = [(random_exact_hermitian(n, rng), random_triangular(n, rng),
+              [[G(*random_ratio(rng)) for _ in range(n)] for _ in range(n)])
+             for n in (1, 2, 3, 4) for _ in range(8)]
+    for z, *ts in draws:
+        for t in ts:
+            dt, wt = clear_denominators(t)
+            with monkeypatch.context() as mp:
+                for owner, name in ((classical, "_gauss"),
+                                    (GaussRat, "__truediv__")):
+                    mp.setattr(owner, name, None)
+                got = congruence(t, z)
+            assert type(got) is HermitianMatrix and got.D == dt * dt * z.D
+            assert _ints(got.w) == gr_matmul(
+                gr_conj_t(_ints(wt)), gr_matmul(_ints(z.w), _ints(wt)))
+            assert got.entries == gr_matmul(gr_conj_t(t),
+                                            gr_matmul(z.entries, t))
+
+
+def test_integer_paths_read_no_entries(monkeypatch):
+    # the shape scan, the invariance check, the spectrum signs and the
+    # tangency ranks run on z.D and z.w alone
+    rng = random.Random(10)
+    draws = [(random_exact_hermitian(n, rng), random_triangular(n, rng))
+             for n in (1, 2, 3, 4) for _ in range(5)]
+
+    def refuse(z):
+        raise AssertionError("entries read")
+    monkeypatch.setattr(HermitianMatrix, "entries", property(refuse))
+    for z, t in draws:
+        shape_of(z)
+        assert tn_invariance_check(z, [t]) is None
+        eigenvalue_signs(z)
+        assert leaf_tangency_check(z)["equal"]
 
 
 def test_bivector_trivial_points():
@@ -646,7 +696,7 @@ def test_tangency_ranks_are_those_of_the_full_eliminations_at_z():
     points = [random_exact_hermitian(n, rng) for n in (1, 2, 3, 4)
               for _ in range(10 if n < 4 else 3)]
     for n in (1, 2, 3):
-        points.append(HermitianMatrix([[G(0)] * n for _ in range(n)]))
+        points.append(HermitianMatrix(1, [[(0, 0)] * n for _ in range(n)]))
         for _ in range(10):
             S = random_shape(n, rng)
             points.append(build_leaf_point(S, random_compatible_weights(S,
@@ -694,7 +744,7 @@ def test_tangent_coordinates_against_the_trace_loop():
             assert gr_conj_t(a) == [[-x for x in row] for row in a]
         for a in triangular:
             assert all(a[r][c].is_zero() for r in range(n) for c in range(r))
-            assert all(a[k][k].is_real() for k in range(n))
+            assert all(a[k][k].im == 0 for k in range(n))
         U, T = orbit_tangents(z)
         for basis, got in ((unitary, U), (triangular, T)):
             loop = []
@@ -879,12 +929,13 @@ def test_matrix_json_roundtrip():
                  "entries": [[{"re": float("inf")}]]}):
         with pytest.raises(ValueError):
             HermitianMatrix.from_json(obj)
-    with pytest.raises(ValueError):
-        H([[1, (0, 1)], [(0, 1), 0]])           # not self-adjoint
-    with pytest.raises(ValueError):
-        H([[(0, 1), 0], [0, 1]])                # a non-real diagonal
-    with pytest.raises(ValueError):
-        H([[1, 0]])                             # not square
+    # the one constructor checks its Gaussian-integer rows w: an entry i
+    # off the diagonal and on it, and a row short
+    for w, what in (([[(1, 0), (0, 1)], [(0, 1), (0, 0)]], "self-adjoint"),
+                    ([[(0, 1), (0, 0)], [(0, 0), (1, 0)]], "self-adjoint"),
+                    ([[(1, 0), (0, 0)]], "square")):
+        with pytest.raises(ValueError, match=f"not {what}"):
+            HermitianMatrix(3, w)
 
 
 def test_shape_matrix_validation():

@@ -236,7 +236,8 @@ def test_classical_shape_and_leaf_certify_their_shape(tmp_path, capsys,
     shape = right(classical.HermitianMatrix.from_json(
         json.loads(path.read_text()))).to_json()
     monkeypatch.setattr(classical, "shape_of", lambda z: right(
-        classical.HermitianMatrix([[-x for x in row] for row in z.entries])))
+        classical.HermitianMatrix(z.D, [[(-x, -y) for x, y in row]
+                                        for row in z.w])))
     for cmd in ("shape", "leaf"):
         code, out, _ = run_cli(capsys, ["classical", cmd, str(path)])
         rec, cert = (json.loads(line) for line in out.splitlines())

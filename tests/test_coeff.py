@@ -345,7 +345,6 @@ def test_gauss_rat_matches_fraction_pair_oracle(xr, xi, yr, yi, c):
         assert all(type(v) is int for v in (g.a, g.b, g.d))
         assert g.d > 0 and gcd(g.a, g.b, g.d) == 1
         assert g.is_zero() == (re == 0 and im == 0)
-        assert g.is_real() == (im == 0)
         assert g.to_json() == {"re": str(re), "im": str(im)}
     assert x.abs2() == xr * xr + xi * xi
     assert (x == y) == ((xr, xi) == (yr, yi))
@@ -695,7 +694,7 @@ def test_ring_axioms_fail_on_a_perturbed_product(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__mul__", perturbed)
     cert, = checks.check_coeff_ring_axioms(2, 0)
     assert cert.status == "fail"
-    w = cert.witness
+    w = cert.witness["first"]
     args = [from_json(x) for x in w["args"]]
     law = dict(checks._RING_LAWS)[w["law"]]
     assert not law(*args)
