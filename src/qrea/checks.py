@@ -8,15 +8,15 @@ deterministic given (n, seed), with n = min(N, reach) (n = N for a suite
 without a reach), and emit certificates in a canonical instance order.
 
 The verdict functions of the other modules return None or their first
-failure, and the suites here make the certificates: a certificate fails
-exactly when its verdict function returned a failure, and that failure is
-its witness (`Certificate.verdict`).  A check that stops at its first
-failure carries it as it is; a sweep that counts its failures carries
-{"failures": n, "first": ...}, `_failures_witness`.  A sweep over seeded
-random draws goes through `_sampled`, the one owner of its counting
-witness: each draw's verdict returns None or its failure, and the first
-failure carries its draw index as "sample".  A witness is built only when
-something failed.
+failure, and only this module, which defines `Certificate`, and the CLI
+make certificates: a certificate fails exactly when its verdict function
+returned a failure, and that failure is its witness (`Certificate.verdict`).
+A check that stops at its first failure carries it as it is; a sweep that
+counts its failures carries {"failures": n, "first": ...},
+`_failures_witness`.  A sweep over seeded random draws goes through
+`_sampled`, the one owner of its counting witness: each draw's verdict
+returns None or its failure, and the first failure carries its draw index
+as "sample".  A witness is built only when something failed.
 """
 
 from __future__ import annotations
@@ -30,7 +30,44 @@ from math import comb
 from . import braiding, classical, coeff, indexsets, qmatrix, rea, shapes
 from .linalg import add_term, first_difference
 from .memo import Memo, memos_of, module_memos
-from .qmatrix import Certificate
+
+
+class Certificate:
+    """The outcome of one checked instance: the command, the instance, a
+    status ("pass", "fail" or "inconclusive"), and a witness, which a
+    "fail" or "inconclusive" certificate must have (ValueError else)."""
+
+    def __init__(self, command, instance, status, witness=None, seed=None):
+        if status != "pass" and witness is None:
+            raise ValueError(f"a {status} certificate of {command} needs a "
+                             f"witness")
+        self.command = command
+        self.instance = instance
+        self.status = status
+        self.witness = witness
+        self.seed = seed
+
+    def to_json(self):
+        out = {"command": self.command, "instance": self.instance,
+               "status": self.status}
+        if self.witness is not None:
+            out["witness"] = self.witness
+        if self.seed is not None:
+            out["seed"] = self.seed
+        return out
+
+    @classmethod
+    def verdict(cls, command, instance, failure, seed=None):
+        """The certificate of a verdict function's result: a pass exactly
+        when `failure` is None, else a fail whose witness is the failure, a
+        dict (TypeError for anything else)."""
+        if failure is None:
+            return cls(command, instance, "pass", seed=seed)
+        if not isinstance(failure, dict):
+            raise TypeError(f"a failure of {command} must be None or a "
+                            f"dict, got {type(failure).__name__}")
+        return cls(command, instance, "fail", witness=failure, seed=seed)
+
 
 _CTX_CACHE = Memo(qmatrix.QContext)
 _STAR_CACHE = Memo(lambda N: rea.StarAlgebra(N, get_ctx(N)))
@@ -71,30 +108,42 @@ def memo_sizes():
 
 
 # -- identity families ---------------------------------------------------------
-# qmatrix.FAMILIES is their table.  A "qmatrix" family compares the two sides
-# of qmatrix.identity_sides in the quantum matrix algebra, a "rea" family
-# those of rea.rea_sides in the twisted product.  One sweep, _family_sweep,
-# runs both the check-all suites and the CLI's `verify` and `rea verify`:
-# a suite compares the sides and certifies only its first failing instance,
-# the CLI certifies every instance (qmatrix.identity_certificate).
+# qmatrix.FAMILIES is their table.  A "qmatrix" family's verdict is
+# qmatrix.verify_identity, a "rea" family's rea.rea_verify over the
+# sweep's rea.rea_sides.  One sweep, _family_sweep, decides each instance
+# once, for both the check-all suites and the CLI's `verify` and `rea
+# verify`: a suite certifies only its first failing instance, the CLI
+# every instance (identity_certificate).
 
-def _family_sides(algebra, N):
-    """The two-sides function (sub-family, instance) -> (lhs, rhs) of an
-    identity family's algebra at size N, for one sweep."""
+def identity_certificate(algebra, family, instance, failure):
+    """The certificate `verify <family>` ("qmatrix") or `rea <family>`
+    ("rea") of one instance of a sub-family of qmatrix.FAMILIES, from its
+    verdict.  The instance is written with its keys' values as lists, and
+    the primed keys Kp, Ip, Jp as K', I', J'."""
+    keys = next(keys for (a, _), (subs, _, keys) in qmatrix.FAMILIES.items()
+                if a == algebra and family in subs)
+    command = f"{'verify' if algebra == 'qmatrix' else 'rea'} {family}"
+    return Certificate.verdict(command, {
+        n.replace("p", "'"): list(instance[n]) for n in keys}, failure)
+
+
+def _family_verdict(algebra, N):
+    """The verdict (sub-family, instance) -> None or failure of an identity
+    family's algebra at size N, for one sweep."""
     if algebra == "qmatrix":
-        return partial(qmatrix.identity_sides, get_ctx(N))
-    return rea.rea_sides(get_star(N))
+        return partial(qmatrix.verify_identity, get_ctx(N))
+    return partial(rea.rea_verify, rea.rea_sides(get_star(N)))
 
 
 def _family_sweep(algebra, family, N, instances=None, **bounds):
-    """(sub-family, instance, lhs, rhs) for every instance, by default the
+    """(sub-family, instance, failure) for every instance, by default the
     family's sweep within `bounds`, and each sub-family of an identity
-    family at size N: lhs == rhs is the instance of the identity."""
+    family at size N: failure is the verdict, None when the identity holds."""
     subs, sweep, _keys = qmatrix.FAMILIES[algebra, family]
     if instances is None:
         instances = sweep(N, **bounds)
-    sides = _family_sides(algebra, N)
-    return ((sub, inst, *sides(sub, inst)) for inst in instances
+    verdict = _family_verdict(algebra, N)
+    return ((sub, inst, verdict(sub, inst)) for inst in instances
             for sub in subs)
 
 
@@ -102,27 +151,27 @@ def family_certificates(algebra, family, N, instances=None):
     """Verify each sub-family of an identity family at size N on every
     instance, by default on its sweep within its check-all row's bounds."""
     row = dict(CHECKS)[f"{algebra}.{family}"]
-    return [qmatrix.identity_certificate(algebra, *sides) for sides
+    return [identity_certificate(algebra, *decided) for decided
             in _family_sweep(algebra, family, N, instances,
                              **_bounds(row.inner, N))]
 
 
 def _family_suite(algebra, family):
     """The check-all suite of an identity family: its sweep at size n within
-    the row's bounds, summed up in one certificate.  Each instance's two
-    sides are compared directly; only a failing instance gets a certificate
-    of its own, and the suite's failure witness counts the failing
-    instances and carries the first one's certificate."""
+    the row's bounds, summed up in one certificate.  Only a failing
+    instance gets a certificate of its own, and the suite's failure
+    witness counts the failing instances and carries the first one's
+    certificate."""
     def suite(n, seed, **bounds):
         count, failures, first = 0, 0, None
-        for sub, inst, lhs, rhs in _family_sweep(algebra, family, n,
-                                                 **bounds):
+        for sub, inst, failure in _family_sweep(algebra, family, n,
+                                                **bounds):
             count += 1
-            if lhs != rhs:
+            if failure is not None:
                 failures += 1
                 if first is None:
-                    first = qmatrix.identity_certificate(
-                        algebra, sub, inst, lhs, rhs).to_json()
+                    first = identity_certificate(
+                        algebra, sub, inst, failure).to_json()
         return [Certificate.verdict(
             f"{algebra} {family}", {"N": n, "instances": count},
             {"failures": failures, "first": first} if failures else None)]
@@ -592,59 +641,68 @@ def check_shape_ideals(N, seed):
     return [Certificate.verdict("rea shape-ideals", {"N": 3}, failure)]
 
 
-def _qcomm_instances(N, fams):
-    """(family, level k, I, J): every chain minor of each shape family with
-    every minor of size 1 and 2."""
-    return [(s, k, I, J)
+def _qcomm_verdicts(N, fams):
+    """(family, level k, I, J, its shapes.shape_qcomm_certificate) for every
+    chain minor of each shape family with every minor of size 1 and 2."""
+    ctx = get_ctx(N)
+    return [(s, k, I, J, shapes.shape_qcomm_certificate(ctx, s, k, I, J))
             for s in fams for k in range(1, s.rank + 1) for m in (1, 2)
             for I in indexsets.subsets(N, m)
             for J in indexsets.subsets(N, m)]
 
 
+def _qcomm_certificate(shape, k, I, J, verdict):
+    """The `rea qcomm` certificate of one instance and its verdict: the
+    exponent on a pass, the witness otherwise."""
+    status, witness, exponent = verdict
+    inst = {"shape": shape.to_json(), "k": k, "I": sorted(I), "J": sorted(J)}
+    if exponent is not None:
+        inst["exponent"] = exponent
+    return Certificate("rea qcomm", inst, status, witness=witness)
+
+
 def qcomm_certificates(N, fams):
-    """The q-commutation certificates of every chain minor of each shape
-    family with every minor of size 1 and 2; `rea qcomm`."""
-    ctx = get_ctx(N)
-    return [shapes.shape_qcomm_certificate(ctx, *inst)
-            for inst in _qcomm_instances(N, fams)]
+    """The certificates of `_qcomm_verdicts`; `rea qcomm`."""
+    return [_qcomm_certificate(*v) for v in _qcomm_verdicts(N, fams)]
 
 
 def check_qcomm(N, seed):
-    """The statuses of the `rea qcomm` instances at N = 3; only the first
-    that does not pass (fails or is inconclusive) gets a certificate."""
-    n = 3
-    ctx = get_ctx(n)
-    instances = _qcomm_instances(n, shapes.enumerate_shapes(n))
-    bad = [inst for inst in instances
-           if shapes.qcomm_status(ctx, *inst)[0] != "pass"]
+    """The `rea qcomm` verdicts at N = 3; only the first that does not pass
+    (fails or is inconclusive) gets a certificate."""
+    verdicts = _qcomm_verdicts(3, shapes.enumerate_shapes(3))
+    bad = [v for v in verdicts if v[-1][0] != "pass"]
     return [Certificate.verdict(
-        "rea qcomm", {"N": n, "instances": len(instances)}, {
+        "rea qcomm", {"N": 3, "instances": len(verdicts)}, {
             "failures": len(bad),
-            "first": shapes.shape_qcomm_certificate(ctx, *bad[0]).to_json()}
+            "first": _qcomm_certificate(*bad[0]).to_json()}
         if bad else None)]
 
 
-def semiclassical_certificates(N):
-    """The first-order twisted commutator of every pair of generators
-    against the Poisson bracket; `rea semiclassical` and check-all."""
+def _semiclassical_verdicts(N):
+    """(instance, failure) for every pair of generators: the first-order
+    twisted commutator against the Poisson bracket."""
     star = get_star(N)
     table = classical.poisson_bracket_coeffs(N)
     gens = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
-    out = []
-    for ij, kl in product(gens, repeat=2):
-        failure = rea.semiclassical_bracket_check(star, ij, kl, table)
-        out.append(Certificate.verdict(
-            "rea semiclassical", {"ij": list(ij), "kl": list(kl)}, failure))
-    return out
+    return [({"ij": list(ij), "kl": list(kl)},
+             rea.semiclassical_bracket_check(star, ij, kl, table))
+            for ij, kl in product(gens, repeat=2)]
+
+
+def semiclassical_certificates(N):
+    """The certificate of every pair of generators; `rea semiclassical`."""
+    return [Certificate.verdict("rea semiclassical", *decided)
+            for decided in _semiclassical_verdicts(N)]
 
 
 def check_semiclassical(n, seed):
     out = []
     for m in range(min(2, n), n + 1):
-        certs = semiclassical_certificates(m)
-        bad = [c.to_json() for c in certs if c.status != "pass"]
+        verdicts = _semiclassical_verdicts(m)
+        bad = [Certificate.verdict("rea semiclassical", *decided).to_json()
+               for decided in verdicts if decided[1] is not None]
         out.append(Certificate.verdict(
-            "rea semiclassical", {"N": m, "pairs": len(certs)},
+            "rea semiclassical", {"N": m, "pairs": len(verdicts)},
             _failures_witness(bad)))
     return out
 
@@ -730,13 +788,15 @@ def check_tn_invariance(n, seed):
 
 def decompose_mismatch(z, t, M):
     """The first way in which (t, M) fails to decompose z, as a witness, or
-    None: z = t* M t entry by entry, in row-major order, then t unit upper
-    triangular, then the shape read off M equal to shape_of(z)."""
-    n, tmt, e = z.N, classical.congruence(t, M).entries, z.entries
+    None: z = t* M t entry by entry over Z, in row-major order, then t unit
+    upper triangular, then the shape read off M equal to shape_of(z)."""
+    n, tmt = z.N, classical.congruence(t, M)
     for i, j in product(range(n), repeat=2):
-        if tmt[i][j] != e[i][j]:
+        (a, b), (x, y) = tmt.w[i][j], z.w[i][j]
+        if (a * z.D, b * z.D) != (x * tmt.D, y * tmt.D):
             return {"law": "z = t* M t", "entry": [i + 1, j + 1],
-                    "got": tmt[i][j].to_json(), "expected": e[i][j].to_json()}
+                    "got": tmt.entries[i][j].to_json(),
+                    "expected": z.entries[i][j].to_json()}
     for i, j in product(range(n), repeat=2):
         if j <= i and t[i][j] != int(i == j):
             return {"law": "unit upper triangular", "entry": [i + 1, j + 1],

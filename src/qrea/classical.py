@@ -441,18 +441,19 @@ def decompose(z):
 
 def reduced_shape(M):
     """The ShapeMatrix of a matrix M with at most one nonzero entry per
-    column, as decompose returns it: that entry is the column's slot.
-    Raises ValueError when M is not of that form."""
-    N, e = M.N, M.entries
+    column, as decompose returns it: that entry of M.w is the column's
+    slot, a ray of M's entry as M.D > 0.  Raises ValueError when M is not
+    of that form."""
+    N, w = M.N, M.w
     tau = list(range(1, N + 1))
     u = [None] * N
     for i in range(N):
-        rows = [j for j in range(N) if not e[j][i].is_zero()]
+        rows = [j for j in range(N) if w[j][i] != (0, 0)]
         if len(rows) > 1:
             raise ValueError(f"column {i + 1} of M has {len(rows)} nonzero "
                              f"entries")
         if rows:
-            tau[i], u[i] = rows[0] + 1, e[rows[0]][i]
+            tau[i], u[i] = rows[0] + 1, GaussRat(*w[rows[0]][i])
     return ShapeMatrix(tau, u)
 
 

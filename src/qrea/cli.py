@@ -67,7 +67,7 @@ import time
 from fractions import Fraction
 
 from . import braiding, checks, classical, coeff, qmatrix, shapes
-from .qmatrix import Certificate
+from .checks import Certificate
 
 
 class UsageError(Exception):

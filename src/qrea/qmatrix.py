@@ -41,14 +41,14 @@ Every identity family (Laplace, the common-submatrix expansion, braided
 commutativity) is verified by exact normal-form equality of its two sides,
 `identity_sides`.  FAMILIES is the one table of the identity families of
 both algebras, here and in the reflection algebra: their sub-families,
-sweeps and instance keys.  `identity_certificate` certifies an instance of
-either algebra, and a failing one names the first term at which its two
-sides differ (`word_difference`).  The sweeps over wedge-table
-labels visit only nonzero entries, through the table's slices; the label
-arithmetic of a Laplace or Muir instance is a position pattern, built once
-per sizes and positions and read at I and J on every call.  Normal forms
-of words are memoised per word suffix; a product of two minors inserts the
-words of the left one into the memoised normal form of the right one.
+sweeps and instance keys.  An instance's verdict (`verify_identity`) is
+None or the first term at which its sides differ; `checks` certifies it.
+The sweeps over wedge-table labels visit only nonzero entries, through
+the table's slices; the label arithmetic of a Laplace or Muir instance is
+a position pattern, built once per sizes and positions and read at I and
+J on every call.  Normal forms of words are memoised per word suffix; a
+product of two minors inserts the words of the left one into the
+memoised normal form of the right one.
 
 `sum_terms` is the one polynomial sum: every linear combination of NCPolys,
 here and in the reflection algebra, adds into one dict with
@@ -579,43 +579,6 @@ class Bicharacter:
 # Shared computation context
 # ---------------------------------------------------------------------------
 
-class Certificate:
-    """The outcome of one checked instance: the command, the instance, a
-    status ("pass", "fail" or "inconclusive"), and a witness, which a
-    "fail" or "inconclusive" certificate must have (ValueError else)."""
-
-    def __init__(self, command, instance, status, witness=None, seed=None):
-        if status != "pass" and witness is None:
-            raise ValueError(f"a {status} certificate of {command} needs a "
-                             f"witness")
-        self.command = command
-        self.instance = instance
-        self.status = status
-        self.witness = witness
-        self.seed = seed
-
-    def to_json(self):
-        out = {"command": self.command, "instance": self.instance,
-               "status": self.status}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
-
-    @classmethod
-    def verdict(cls, command, instance, failure, seed=None):
-        """The certificate of a verdict function's result: a pass exactly
-        when `failure` is None, else a fail whose witness is the failure, a
-        dict (TypeError for anything else)."""
-        if failure is None:
-            return cls(command, instance, "pass", seed=seed)
-        if not isinstance(failure, dict):
-            raise TypeError(f"a failure of {command} must be None or a "
-                            f"dict, got {type(failure).__name__}")
-        return cls(command, instance, "fail", witness=failure, seed=seed)
-
-
 class QContext:
     """Caches for one matrix size: rewriting, tables, minors, products."""
 
@@ -757,12 +720,6 @@ def _nf_json(p):
             for w, c in sorted(p.coeffs.items())}
 
 
-def _inst_json(instance, names):
-    """The certificate form of an instance: its `names` as lists, with the
-    primed keys Kp, Ip, Jp written K', I', J'."""
-    return {n.replace("p", "'"): list(instance[n]) for n in names}
-
-
 def expansion_terms(family, instance):
     """The validated left and right terms of a Laplace or Muir instance.
 
@@ -872,24 +829,12 @@ def identity_sides(ctx, family, instance):
             sum_terms(ctx.N, right, ctx.minor_prod_nf))
 
 
-def identity_certificate(algebra, family, instance, lhs, rhs):
-    """The certificate `verify <family>` ("qmatrix") or `rea <family>`
-    ("rea") of one instance of a sub-family of FAMILIES, from its two
-    sides: a pass when they are equal, else a fail whose witness is the
-    first term at which they differ."""
-    keys = next(keys for (a, _), (subs, _, keys) in FAMILIES.items()
-                if a == algebra and family in subs)
-    command = f"{'verify' if algebra == 'qmatrix' else 'rea'} {family}"
-    return Certificate.verdict(
-        command, _inst_json(instance, keys), None if lhs == rhs
-        else word_difference(lhs.coeffs, rhs.coeffs, lhs.N))
-
-
 def verify_identity(ctx, family, instance):
-    """Check one instance of a minor identity family by normal-form equality
-    of its two sides."""
-    return identity_certificate("qmatrix", family, instance,
-                                *identity_sides(ctx, family, instance))
+    """The verdict of one instance of a minor identity family: None when
+    its two sides are equal, else the first term at which they differ."""
+    lhs, rhs = identity_sides(ctx, family, instance)
+    return None if lhs == rhs else word_difference(lhs.coeffs, rhs.coeffs,
+                                                   ctx.N)
 
 
 def braidcomm_factors(ctx, family, I, J, Ip, Jp):
@@ -954,8 +899,8 @@ def rea_laplace_instances(N, kmax=None):
 # (algebra, family) -> (sub-families, instance generator, instance keys):
 # the one table of the identity families of O_q(M_N) ("qmatrix", two sides
 # by identity_sides) and of the REA ("rea", by rea.rea_sides).  The
-# certificate of an instance, the sweeps of checks and the CLI's
-# --instance parser read it.  A generator sweeps every size up to N; the
+# sweeps of checks, their certificates and the CLI's --instance parser
+# read it.  A generator sweeps every size up to N; the
 # bounds of a sweep are on the family's row of checks.CHECKS.
 FAMILIES = {
     ("qmatrix", "laplace"): (("laplace-row", "laplace-col"),

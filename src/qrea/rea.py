@@ -27,8 +27,8 @@ contraction `QContext.wedge_contraction(a, c, b)`; laplace2 places the
 contraction of (b, d, a) transposed, as star_minor(c, W, Z, X).  The
 general commutation family reads `QContext.gencomm_coefficients`, as the
 shape q-commutation certificates do.  Their sweeps and instance keys are
-rows of `qmatrix.FAMILIES`, and `qmatrix.identity_certificate` certifies
-an instance.
+rows of `qmatrix.FAMILIES`, and `rea_verify` is the verdict of an
+instance over the two sides of its sweep (`rea_sides`).
 
 A second realisation is the straightening rules that the quantum-matrix
 rules' own derivation, `qmatrix.derive_rewrite_system`, gives from the
@@ -57,8 +57,8 @@ from .linalg import add_term
 from .memo import Memo
 from .qmatrix import (IllFormedInstance, NCPoly, _nf_json, braidcomm_labels,
                       derive_rewrite_system, expansion_terms, gen_id,
-                      identity_certificate, sum_terms, word_cols,
-                      word_difference, word_from_rc, word_rows)
+                      sum_terms, word_cols, word_difference, word_from_rc,
+                      word_rows)
 
 
 class StarAlgebra:
@@ -318,11 +318,13 @@ def rea_sides(star):
     return sides
 
 
-def rea_verify(star, family, instance):
-    """Verify one reflection-algebra identity instance in the twisted model
-    by normal-form equality of its two sides."""
-    return identity_certificate("rea", family, instance,
-                                *rea_sides(star)(family, instance))
+def rea_verify(sides, family, instance):
+    """The verdict of one reflection-algebra identity instance over the
+    two-sides function `sides` of its sweep (`rea_sides`): None when the
+    sides are equal, else the first term at which they differ."""
+    lhs, rhs = sides(family, instance)
+    return None if lhs == rhs else word_difference(lhs.coeffs, rhs.coeffs,
+                                                   lhs.N)
 
 
 # ---------------------------------------------------------------------------

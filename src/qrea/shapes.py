@@ -5,8 +5,8 @@ function whose support the involution preserves.  Self-adjoint families are
 carried symbolically: fixed support points hold sign slots, two-cycles hold
 conjugate phase pairs.  Each family orders its support into a pivot chain and
 attaches one minor label per chain level; the two-sided ideals below those
-labels and the q-commutation certificate for the chain minors are pure
-label/coefficient computations on top of the wedge braiding tables.
+labels and the q-commutation verdict of the chain minors (`checks` makes
+its certificate) are label/coefficient computations on the wedge tables.
 
 The chain lists two-cycles first (by smaller element, the partner
 immediately after) and fixed points afterwards in increasing order, matching
@@ -21,7 +21,6 @@ from itertools import product
 from .coeff import LaurentPoly
 from .indexsets import pair_dom_strictly_less, subsets
 from .memo import Memo
-from .qmatrix import Certificate
 
 
 class MalformedShape(ValueError):
@@ -208,9 +207,9 @@ _DOM_IDEALS = Memo(lambda shape: build_shape_ideal(shape, "dom"))
 # q-commutation certificate for chain minors
 # ---------------------------------------------------------------------------
 
-def qcomm_status(ctx, shape, k, I, J):
-    """Check the q-commutation of the k-th chain minor with the (I, J) minor
-    modulo the dominance shape ideal.
+def shape_qcomm_certificate(ctx, shape, k, I, J):
+    """The verdict of the q-commutation of the k-th chain minor with the
+    (I, J) minor modulo the dominance shape ideal, one `rea qcomm` instance.
 
     Specialises the general braided-commutation identity at the chain labels
     and checks that: the designated terms on both sides carry exactly the
@@ -252,12 +251,3 @@ def qcomm_status(ctx, shape, k, I, J):
         }, None
     return "pass", None, -exp_left + exp_right
 
-
-def shape_qcomm_certificate(ctx, shape, k, I, J):
-    """The certificate of `qcomm_status`: the instance, and the exponent on
-    a pass or the witness otherwise."""
-    status, witness, exponent = qcomm_status(ctx, shape, k, I, J)
-    inst = {"shape": shape.to_json(), "k": k, "I": sorted(I), "J": sorted(J)}
-    if exponent is not None:
-        inst["exponent"] = exponent
-    return Certificate("rea qcomm", inst, status, witness=witness)

@@ -592,11 +592,11 @@ def test_cli_sweep_is_the_check_all_rows_sweep(monkeypatch, algebra, family):
 
     monkeypatch.setitem(qmatrix.FAMILIES, (algebra, family),
                         (subs, recorded, keys))
-    # no context is built: both sides of an instance are the instance
-    monkeypatch.setattr(checks, "_family_sides", lambda algebra, N: (
-        lambda sub, inst: (inst, inst)))
-    monkeypatch.setattr(qmatrix, "identity_certificate",
-                        lambda algebra, sub, inst, lhs, rhs: inst)
+    # no context is built: every instance holds
+    monkeypatch.setattr(checks, "_family_verdict", lambda algebra, N: (
+        lambda sub, inst: None))
+    monkeypatch.setattr(checks, "identity_certificate",
+                        lambda algebra, sub, inst, failure: inst)
     row = dict(checks.CHECKS)[f"{algebra}.{family}"]
     suite = checks._family_suite(algebra, family)
     for N in (2, 3, 4):

@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from qrea import qmatrix, rea
+from qrea import checks, qmatrix, rea, shapes
 from qrea.classical import poisson_bracket_coeffs
 from qrea.linalg import add_term
 from qrea.memo import Memo, memos_of, module_memos
@@ -12,11 +12,11 @@ from qrea.qmatrix import (NCPoly, QContext, braidcomm_instances,
                           degree_dimension, derive_rewrite_system, gen_id,
                           muir_instances, rea_laplace_instances, sum_terms,
                           verify_identity, word_cols, word_from_rc, word_rows)
-from qrea.rea import (StarAlgebra, random_monomials, rea_verify,
+from qrea.rea import (StarAlgebra, random_monomials, rea_sides, rea_verify,
                       reflection_equation_check, reflection_slot_vectors,
                       semiclassical_bracket_check,
                       star_commutator_first_order)
-from test_suite_mutations import row_test
+from test_suite_mutations import ROWS, fresh_memos, row_test
 
 
 def test_star_unit(star2):
@@ -80,33 +80,69 @@ def test_rea_rewrite_n2():
 
 
 def test_gencomm_sweep_n2(star2):
+    sides = rea_sides(star2)
     for inst in braidcomm_instances(2, 2, 2):
-        assert rea_verify(star2, "gencomm", inst).status == "pass"
+        assert rea_verify(sides, "gencomm", inst) is None
 
 
 def test_rea_laplace_sweep_n2(star2):
+    sides = rea_sides(star2)
     for inst in rea_laplace_instances(2):
         for fam in ("laplace1", "laplace2"):
-            assert rea_verify(star2, fam, inst).status == "pass"
+            assert rea_verify(sides, fam, inst) is None
 
 
 def test_rea_muir_sweep_n2(star2):
+    sides = rea_sides(star2)
     for inst in muir_instances(2, kmax=2, rmax=2):
         for fam in ("muir-left", "muir-right"):
-            assert rea_verify(star2, fam, inst).status == "pass"
+            assert rea_verify(sides, fam, inst) is None
 
 
 def test_rea_muir_offdiagonal_both_sides_vanish(star3):
     # K != K': the shared-label expansion degenerates to 0 = 0, but the
     # right-hand sum still has to collapse exactly
     inst = {"I": (1, 2), "J": (1, 2), "F": (), "G": (), "K": (1,), "Kp": (2,)}
-    cert = rea_verify(star3, "muir-left", inst)
-    assert cert.status == "pass"
+    assert rea_verify(rea_sides(star3), "muir-left", inst) is None
 
 
 def test_gencomm_singletons_n3(star3):
+    sides = rea_sides(star3)
     for inst in braidcomm_instances(3, 1, 1):
-        assert rea_verify(star3, "gencomm", inst).status == "pass"
+        assert rea_verify(sides, "gencomm", inst) is None
+
+
+@pytest.mark.parametrize("label, owner, name, mutated", [
+    ("qmatrix.laplace", qmatrix, "verify_identity", False),
+    ("rea.laplace", rea, "rea_verify", False),
+    ("rea.qcomm", shapes, "shape_qcomm_certificate", False),
+    ("rea.qcomm", shapes, "shape_qcomm_certificate", True)])
+def test_each_sweep_instance_is_decided_once(label, owner, name, mutated):
+    """A sweep suite calls its verdict once per instance: once per
+    (instance, sub-family) of an identity family at N = 2, in sweep
+    order, and once per chain-minor instance of rea.qcomm at N = 3, on the
+    true tables and under the suite's mutation row alike."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        fresh_memos(mp)
+        if mutated:
+            ROWS[label][2](mp)
+        verdict = getattr(owner, name)
+
+        def counted(context, *instance):
+            calls.append(instance)
+            return verdict(context, *instance)
+        mp.setattr(owner, name, counted)
+        row = dict(checks.CHECKS)[label]
+        N = 3 if label == "rea.qcomm" else 2
+        [cert] = row(N, 0)
+    assert cert.status == ("fail" if mutated else "pass")
+    if label == "rea.qcomm":
+        assert len(calls) == len(set(calls)) == 486
+        return
+    subs, sweep, _keys = qmatrix.FAMILIES[tuple(label.split("."))]
+    assert calls == [(sub, inst) for inst in sweep(N, **checks._bounds(
+        row.inner, N)) for sub in subs]
 
 
 def test_semiclassical_diagonal_pairs_vanish(star2):
@@ -288,13 +324,14 @@ def test_sums_leave_every_memo_as_a_fresh_context_computes_it():
     pairs = list(product(product((1, 2), repeat=2), repeat=2))
     assert star.reverse_braid_check(pairs) is None
     for (algebra, family), (subs, sweep, _keys) in qmatrix.FAMILIES.items():
+        sides = rea_sides(star)
         for inst in sweep(2):
             for sub in subs:
                 if algebra == "qmatrix":
-                    cert = verify_identity(star.ctx, sub, inst)
+                    failure = verify_identity(star.ctx, sub, inst)
                 else:
-                    cert = rea_verify(star, sub, inst)
-                assert cert.status == "pass", (sub, inst)
+                    failure = rea_verify(sides, sub, inst)
+                assert failure is None, (sub, inst, failure)
     assert not star.ctx.bich._coimages["rinv"]
     for name, rows in _memo_rows(star, _fresh_star()).items():
         assert rows and all(memo for memo, _compute in rows), name

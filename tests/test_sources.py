@@ -210,15 +210,6 @@ def test_no_hand_written_cache():
     assert found == set(_NOT_MEMOS), sorted(found ^ set(_NOT_MEMOS))
 
 
-# Where src/qrea may name Certificate besides checks.py and cli.py, which
-# make the certificates: the top-level definitions (or "import") of each
-# module.  qmatrix defines the class and certifies one identity instance,
-# shapes one `rea qcomm` instance; every other verdict function returns
-# None or its first failure.
-_CERTIFIERS = {"qmatrix.py": {"Certificate", "identity_certificate"},
-               "shapes.py": {"import", "shape_qcomm_certificate"}}
-
-
 def _names(stmt):
     """Every name that a statement reads, imports or defines."""
     for node in ast.walk(stmt):
@@ -231,20 +222,17 @@ def _names(stmt):
 
 
 def test_only_checks_and_the_cli_make_certificates():
-    """Certificate is named only in checks.py and cli.py, and elsewhere
-    only by the top-level statements of _CERTIFIERS."""
-    found = []
-    for path in sorted(_SRC.glob("*.py")):
-        if path.name in ("checks.py", "cli.py"):
-            continue
-        for stmt in ast.parse(path.read_text()).body:
-            if "Certificate" not in _names(stmt):
-                continue
-            where = ("import" if isinstance(stmt, (ast.Import, ast.ImportFrom))
-                     else getattr(stmt, "name", None))
-            if where not in _CERTIFIERS.get(path.name, ()):
-                found.append((path.name, stmt.lineno, where))
+    """Certificate is named in no module of src/qrea but checks.py, which
+    defines it, and cli.py: every other verdict function returns None or
+    its failure."""
+    found = [(path.name, stmt.lineno) for path in sorted(_SRC.glob("*.py"))
+             if path.name not in ("checks.py", "cli.py")
+             for stmt in ast.parse(path.read_text()).body
+             if "Certificate" in _names(stmt)]
     assert not found, found
+    checks_tree = ast.parse((_SRC / "checks.py").read_text())
+    assert "Certificate" in {stmt.name for stmt in checks_tree.body
+                             if isinstance(stmt, ast.ClassDef)}
 
 
 def test_a_failing_given_test_does_not_stop_the_run(tmp_path):
