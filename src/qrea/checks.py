@@ -109,8 +109,9 @@ def memo_sizes():
 
 # -- identity families ---------------------------------------------------------
 # qmatrix.FAMILIES is their table.  A "qmatrix" family's verdict is
-# qmatrix.verify_identity, a "rea" family's rea.rea_verify over the
-# sweep's rea.rea_sides.  One sweep, _family_sweep, decides each instance
+# qmatrix.verify_identity, over the two sides by qmatrix.identity_sides; a
+# "rea" family's is rea.rea_verify, by rea.rea_sides.  Both take (context,
+# family, instance).  One sweep, _family_sweep, decides each instance
 # once, for both the check-all suites and the CLI's `verify` and `rea
 # verify`: a suite certifies only its first failing instance, the CLI
 # every instance (identity_certificate).
@@ -129,10 +130,10 @@ def identity_certificate(algebra, family, instance, failure):
 
 def _family_verdict(algebra, N):
     """The verdict (sub-family, instance) -> None or failure of an identity
-    family's algebra at size N, for one sweep."""
+    family's algebra at size N."""
     if algebra == "qmatrix":
         return partial(qmatrix.verify_identity, get_ctx(N))
-    return partial(rea.rea_verify, rea.rea_sides(get_star(N)))
+    return partial(rea.rea_verify, get_star(N))
 
 
 def _family_sweep(algebra, family, N, instances=None, **bounds):

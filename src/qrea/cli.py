@@ -32,9 +32,10 @@ without --instance sweep the family at N within the bounds of its row.
 
 A usage error prints one line to stderr and nothing to stdout.  Besides
 unknown or malformed flags, the usage errors are:
-- an --instance that is not a JSON object, lacks a key of its family, holds
-  an index set that is not increasing within 1..N, or a position outside
-  its set, or sets of inconsistent sizes;
+- an --instance that is not a JSON object, lacks a key of its family or
+  has a key that its family does not have, holds an index set that is not
+  increasing within 1..N, or a position outside its set, or sets of
+  inconsistent sizes;
 - a --shape that is not JSON; for `rea qcomm`, one that is not an object
   with an integer list tau and a list u and no other key, or not a
   self-adjoint shape of size N;
@@ -107,12 +108,17 @@ def _json_arg(flag, text):
 
 def _load_instance(text, N, keys):
     """An --instance object as a family instance; primed keys K' I' J' read
-    as Kp Ip Jp.  Each of `keys` must hold an increasing list of integers:
-    within 1..N for the index sets I, J, I', J', from 1 on for the positions
-    K, K', F, G (the identity's position pattern checks their ranges)."""
+    as Kp Ip Jp, and a key outside `keys` is an error.  Each of `keys` must
+    hold an increasing list of integers: within 1..N for the index sets I,
+    J, I', J', from 1 on for the positions K, K', F, G (the identity's
+    position pattern checks their ranges)."""
     obj = _json_arg("--instance", text)
     if not isinstance(obj, dict):
         raise UsageError("--instance must be a JSON object")
+    unknown = [k for k in obj if k.replace("'", "p") not in keys]
+    if unknown:
+        raise UsageError(f"--instance has a key {unknown[0]} that its family "
+                         f"does not have")
     obj = {k.replace("'", "p"): v for k, v in obj.items()}
     inst = {}
     for key in keys:

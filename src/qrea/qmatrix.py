@@ -628,9 +628,9 @@ class QContext:
         """{(X, Z, W): sum_Y inv_entry(X, a, c, Y) entry(b, Z, Y, W)} on the
         (|a|, |c|) wedge table, nonzero values only, memoised.
 
-        Summed against star_minor(X, Z, W, d) it is the twisted-product
-        expansion of the minor product (a, b)(c, d) in the REA Laplace and
-        Muir families."""
+        Its reader is `StarAlgebra.minor_product`: summed against
+        star_minor(X, Z, W, d) it is the twisted-product expansion of the
+        minor product (a, b)(c, d) in the REA Laplace and Muir families."""
         return self._contractions[tuple(a), tuple(c), tuple(b)]
 
     def _contraction(self, key):
@@ -898,7 +898,7 @@ def rea_laplace_instances(N, kmax=None):
 
 # (algebra, family) -> (sub-families, instance generator, instance keys):
 # the one table of the identity families of O_q(M_N) ("qmatrix", two sides
-# by identity_sides) and of the REA ("rea", by rea.rea_sides).  The
+# by identity_sides) and of the REA ("rea", two sides by rea.rea_sides).  The
 # sweeps of checks, their certificates and the CLI's --instance parser
 # read it.  A generator sweeps every size up to N; the
 # bounds of a sweep are on the family's row of checks.CHECKS.

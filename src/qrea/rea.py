@@ -21,14 +21,14 @@ words.
 The reflection-algebra identity families share their expansions with the
 quantum-matrix ones.  Laplace and Muir take the term lists of
 `qmatrix.expansion_terms`, read off one position pattern per sizes and
-positions for both algebras, and expand each minor product (a, b)(c, d)
-as the twisted products star_minor(X, Z, W, d) weighted by the wedge-table
-contraction `QContext.wedge_contraction(a, c, b)`; laplace2 places the
-contraction of (b, d, a) transposed, as star_minor(c, W, Z, X).  The
-general commutation family reads `QContext.gencomm_coefficients`, as the
-shape q-commutation certificates do.  Their sweeps and instance keys are
-rows of `qmatrix.FAMILIES`, and `rea_verify` is the verdict of an
-instance over the two sides of its sweep (`rea_sides`).
+positions for both algebras, and sum them over `minor_product`, which
+expands each minor product (a, b)(c, d) as the twisted products
+star_minor(X, Z, W, d) weighted by the wedge-table contraction
+`QContext.wedge_contraction(a, c, b)`.  The general commutation family
+reads `QContext.gencomm_coefficients`, as the shape q-commutation
+certificates do.  Their sweeps and instance keys are rows of
+`qmatrix.FAMILIES`, and `rea_verify` is the verdict of an instance over
+its two sides (`rea_sides`).
 
 A second realisation is the straightening rules that the quantum-matrix
 rules' own derivation, `qmatrix.derive_rewrite_system`, gives from the
@@ -69,6 +69,7 @@ class StarAlgebra:
         self.ctx = ctx
         self._star_word_memo = Memo(self._star_word)
         self._star_minor_memo = Memo(self._star_minor)
+        self._minor_product_memo = Memo(self._minor_product)
 
     # -- word-level product ----------------------------------------------------
 
@@ -129,6 +130,20 @@ class StarAlgebra:
         acc = sum_terms(self.N, terms, ctx.minor_prod_nf)
         share_values(acc.coeffs)
         return acc
+
+    def minor_product(self, A, B, C, D):
+        """The minor product (A, B)(C, D) of the REA Laplace and Muir
+        families, expanded in the twisted product: the star_minor(X, Z, W, D)
+        weighted by `QContext.wedge_contraction(A, C, B)`, memoised."""
+        return self._minor_product_memo[tuple(A), tuple(B), tuple(C),
+                                        tuple(D)]
+
+    def _minor_product(self, key):
+        A, B, C, D = key
+        weights = self.ctx.wedge_contraction(A, C, B)
+        return sum_terms(self.N, [(c, (X, Z, W, D))
+                                  for (X, Z, W), c in weights.items()],
+                         self.star_minor)
 
     # -- structural checks ----------------------------------------------------------
 
@@ -268,63 +283,38 @@ _EXPANSIONS = {"laplace1": "laplace-row", "laplace2": "laplace-col",
                "muir-left": "muir-row", "muir-right": "muir-col"}
 
 
-def rea_sides(star):
-    """The two-sides function (family, instance) -> (lhs, rhs) of the
-    reflection-algebra identities in the twisted model, for the instances
-    of one sweep: lhs == rhs is one instance.
+def rea_sides(star, family, instance):
+    """The two sides (lhs, rhs) of a reflection-algebra identity instance in
+    the twisted model: lhs == rhs is the instance.
 
-    Families: gencomm, laplace1, laplace2, muir-left, muir-right.  The
-    instances of a Laplace or Muir sweep share most of their minor
-    products, so the twisted expansion of each product is kept, by
-    placement and labels, for as long as the function lives.
+    Families: gencomm, laplace1, laplace2, muir-left, muir-right.  A
+    Laplace or Muir side sums the terms of its qmatrix family over
+    `StarAlgebra.minor_product`.
     """
-    ctx = star.ctx
-
-    def expansion(key):
-        transposed, A, B, C, D = key
-        if transposed:
-            terms = [(c, (C, W, Z, X)) for (X, Z, W), c
-                     in ctx.wedge_contraction(B, D, A).items()]
-        else:
-            terms = [(c, (X, Z, W, D)) for (X, Z, W), c
-                     in ctx.wedge_contraction(A, C, B).items()]
-        return sum_terms(star.N, terms, star.star_minor)
-
-    expansions = Memo(expansion)
-
-    def sides(family, instance):
-        if family == "gencomm":
-            I, J, Ip, Jp = braidcomm_labels(instance)
-            left, right = ctx.gencomm_coefficients(I, J, Ip, Jp)
-            return (sum_terms(star.N, [(c, (K, L, Lp, Jp)) for (K, L, Lp), c
-                                       in left.items()], star.star_minor),
-                    sum_terms(star.N, [(c, (Ip, Lp, K, L)) for (K, L, Lp), c
-                                       in right.items()], star.star_minor))
-        if family not in _EXPANSIONS:
-            raise IllFormedInstance(f"unknown family {family}")
-        if family.startswith("laplace"):
-            # a reflection-algebra Laplace instance has K' = K
-            instance = dict(instance, Kp=instance["K"])
-        left, right = expansion_terms(_EXPANSIONS[family], instance)
-        # the transposed placement: a different identity, not a relabelling
-        transposed = family == "laplace2"
-
-        def twisted(A, B, C, D):
-            return expansions[transposed, A, B, C, D]
-
-        return (sum_terms(star.N, left, twisted),
-                sum_terms(star.N, right, twisted))
-
-    return sides
+    N = star.N
+    if family == "gencomm":
+        I, J, Ip, Jp = braidcomm_labels(instance)
+        left, right = star.ctx.gencomm_coefficients(I, J, Ip, Jp)
+        return (sum_terms(N, [(c, (K, L, Lp, Jp)) for (K, L, Lp), c
+                              in left.items()], star.star_minor),
+                sum_terms(N, [(c, (Ip, Lp, K, L)) for (K, L, Lp), c
+                              in right.items()], star.star_minor))
+    if family not in _EXPANSIONS:
+        raise IllFormedInstance(f"unknown family {family}")
+    if family.startswith("laplace"):
+        # a reflection-algebra Laplace instance has K' = K
+        instance = dict(instance, Kp=instance["K"])
+    left, right = expansion_terms(_EXPANSIONS[family], instance)
+    return (sum_terms(N, left, star.minor_product),
+            sum_terms(N, right, star.minor_product))
 
 
-def rea_verify(sides, family, instance):
-    """The verdict of one reflection-algebra identity instance over the
-    two-sides function `sides` of its sweep (`rea_sides`): None when the
-    sides are equal, else the first term at which they differ."""
-    lhs, rhs = sides(family, instance)
+def rea_verify(star, family, instance):
+    """The verdict of one reflection-algebra identity instance: None when
+    its two sides are equal, else the first term at which they differ."""
+    lhs, rhs = rea_sides(star, family, instance)
     return None if lhs == rhs else word_difference(lhs.coeffs, rhs.coeffs,
-                                                   lhs.N)
+                                                   star.N)
 
 
 # ---------------------------------------------------------------------------

@@ -400,6 +400,9 @@ _MISSING_FILE = str(Path(__file__).parent / "no_such_matrix.json")
      '{"I":[1,2],"J":[1,2],"K":[3],"K\'":[1]}'],
     ["rea", "verify", "gencomm", "--N", "2", "--instance",
      '{"I":[2,1],"J":[1,2],"I\'":[1],"J\'":[1]}'],
+    # an REA Laplace instance has no K'
+    ["rea", "verify", "laplace", "--N", "2", "--instance",
+     '{"I":[1,2],"J":[1,2],"K":[1],"K\'":[2]}'],
     ["wedge-table", "--N", "2", "--k", "3", "--l", "1"],
     ["rea", "shapes", "--N", "6"],
     ["rea", "qcomm", "--N", "3", "--shape",
@@ -643,7 +646,8 @@ def _memo_lens():
             sizes[f"{module.__name__.rpartition('.')[2]}.{name}"] = sum(
                 map(len, value.values() if type(value) is dict else [value]))
     for star in checks._STAR_CACHE.values():
-        for attr in ("_star_word_memo", "_star_minor_memo"):
+        for attr in ("_star_word_memo", "_star_minor_memo",
+                     "_minor_product_memo"):
             sizes["StarAlgebra." + attr] += len(getattr(star, attr))
     for ctx in checks._CTX_CACHE.values():
         for attr in ("_tables", "_minors", "_minor_nf", "_minor_prod",

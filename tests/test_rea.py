@@ -1,4 +1,3 @@
-import inspect
 import random
 from itertools import combinations, product
 
@@ -12,7 +11,7 @@ from qrea.qmatrix import (NCPoly, QContext, braidcomm_instances,
                           degree_dimension, derive_rewrite_system, gen_id,
                           muir_instances, rea_laplace_instances, sum_terms,
                           verify_identity, word_cols, word_from_rc, word_rows)
-from qrea.rea import (StarAlgebra, random_monomials, rea_sides, rea_verify,
+from qrea.rea import (StarAlgebra, random_monomials, rea_verify,
                       reflection_equation_check, reflection_slot_vectors,
                       semiclassical_bracket_check,
                       star_commutator_first_order)
@@ -80,36 +79,32 @@ def test_rea_rewrite_n2():
 
 
 def test_gencomm_sweep_n2(star2):
-    sides = rea_sides(star2)
     for inst in braidcomm_instances(2, 2, 2):
-        assert rea_verify(sides, "gencomm", inst) is None
+        assert rea_verify(star2, "gencomm", inst) is None
 
 
 def test_rea_laplace_sweep_n2(star2):
-    sides = rea_sides(star2)
     for inst in rea_laplace_instances(2):
         for fam in ("laplace1", "laplace2"):
-            assert rea_verify(sides, fam, inst) is None
+            assert rea_verify(star2, fam, inst) is None
 
 
 def test_rea_muir_sweep_n2(star2):
-    sides = rea_sides(star2)
     for inst in muir_instances(2, kmax=2, rmax=2):
         for fam in ("muir-left", "muir-right"):
-            assert rea_verify(sides, fam, inst) is None
+            assert rea_verify(star2, fam, inst) is None
 
 
 def test_rea_muir_offdiagonal_both_sides_vanish(star3):
     # K != K': the shared-label expansion degenerates to 0 = 0, but the
     # right-hand sum still has to collapse exactly
     inst = {"I": (1, 2), "J": (1, 2), "F": (), "G": (), "K": (1,), "Kp": (2,)}
-    assert rea_verify(rea_sides(star3), "muir-left", inst) is None
+    assert rea_verify(star3, "muir-left", inst) is None
 
 
 def test_gencomm_singletons_n3(star3):
-    sides = rea_sides(star3)
     for inst in braidcomm_instances(3, 1, 1):
-        assert rea_verify(sides, "gencomm", inst) is None
+        assert rea_verify(star3, "gencomm", inst) is None
 
 
 @pytest.mark.parametrize("label, owner, name, mutated", [
@@ -177,21 +172,30 @@ def test_commutator_constant_term_vanishes(star3):
 
 # -- the shared expansions: reverse twist and mutation guards ----------------------
 
-def test_wedge_contraction_reverses_the_twist(star2):
-    """Summed against star_minor, the contraction of (a, c, b) gives back the
-    plain minor product (a, b)(c, d), on every label quadruple at N = 2."""
-    ctx = star2.ctx
-    labels = [(A, B) for k in (1, 2) for A in combinations((1, 2), k)
-              for B in combinations((1, 2), k)]
-    count = 0
-    for a, b in labels:
-        for c, d in labels:
-            acc = sum_terms(2, [(v, (X, Z, W, d)) for (X, Z, W), v
-                                in ctx.wedge_contraction(a, c, b).items()],
-                            star2.star_minor)
-            assert acc == ctx.minor_prod_nf(a, b, c, d), (a, b, c, d)
-            count += 1
-    assert count == 25
+def test_minor_product_is_the_plain_product_in_either_placement(star2,
+                                                                star3):
+    """minor_product(a, b, c, d), the contraction of (a, c, b) summed
+    against star_minor(X, Z, W, d), gives back the plain minor product
+    (a, b)(c, d) on every label quadruple at N = 2 and 3.  So does the
+    transposed placement, the contraction of (b, d, a) summed against
+    star_minor(c, W, Z, X): no identity needs it."""
+    for star, quadruples in ((star2, 25), (star3, 361)):
+        N, ctx = star.N, star.ctx
+        labels = [(A, B) for k in range(1, N + 1)
+                  for A in combinations(range(1, N + 1), k)
+                  for B in combinations(range(1, N + 1), k)]
+        count = 0
+        for a, b in labels:
+            for c, d in labels:
+                plain = ctx.minor_prod_nf(a, b, c, d)
+                assert star.minor_product(a, b, c, d) == plain, (a, b, c, d)
+                weights = ctx.wedge_contraction(b, d, a)
+                transposed = sum_terms(
+                    N, [(v, (c, W, Z, X)) for (X, Z, W), v in weights.items()],
+                    star.star_minor)
+                assert transposed == plain, (a, b, c, d)
+                count += 1
+        assert count == quadruples
 
 
 def _fresh_star():
@@ -241,6 +245,8 @@ def _memo_rows(star, fresh):
                                          fresh.star_word)],
         "StarAlgebra._star_minor_memo": [(star._star_minor_memo,
                                           fresh.star_minor)],
+        "StarAlgebra._minor_product_memo": [(star._minor_product_memo,
+                                             fresh.minor_product)],
         "QContext._minors": [(ctx._minors, new.minor)],
         "QContext._minor_nf": [(ctx._minor_nf, new.minor_nf)],
         "QContext._minor_prod": [(ctx._minor_prod, new.minor_prod_nf)],
@@ -297,12 +303,12 @@ def test_every_computed_cache_is_a_memo():
     never hold the word asked for."""
     star = _fresh_star()
     ctx, bich = star.ctx, star.ctx.bich
-    sides = inspect.getclosurevars(rea.rea_sides(star)).nonlocals
-    memos = [star._star_word_memo, star._star_minor_memo, ctx._tables,
-             ctx._minors, ctx._minor_nf, ctx._minor_prod, ctx._contractions,
-             ctx._gencomm, ctx.rw._insert_memo, ctx.table(2, 1)._slices,
-             sides["expansions"], *(memo for _, _, value in module_memos()
-                                    for memo in memos_of(value))]
+    memos = [star._star_word_memo, star._star_minor_memo,
+             star._minor_product_memo, ctx._tables, ctx._minors,
+             ctx._minor_nf, ctx._minor_prod, ctx._contractions, ctx._gencomm,
+             ctx.rw._insert_memo, ctx.table(2, 1)._slices,
+             *(memo for _, _, value in module_memos()
+               for memo in memos_of(value))]
     for per_functional in (bich._memo, bich._images, bich._coimages):
         assert per_functional.keys() == {"r", "rinv"}
         memos += per_functional.values()
@@ -324,13 +330,12 @@ def test_sums_leave_every_memo_as_a_fresh_context_computes_it():
     pairs = list(product(product((1, 2), repeat=2), repeat=2))
     assert star.reverse_braid_check(pairs) is None
     for (algebra, family), (subs, sweep, _keys) in qmatrix.FAMILIES.items():
-        sides = rea_sides(star)
         for inst in sweep(2):
             for sub in subs:
                 if algebra == "qmatrix":
                     failure = verify_identity(star.ctx, sub, inst)
                 else:
-                    failure = rea_verify(sides, sub, inst)
+                    failure = rea_verify(star, sub, inst)
                 assert failure is None, (sub, inst, failure)
     assert not star.ctx.bich._coimages["rinv"]
     for name, rows in _memo_rows(star, _fresh_star()).items():
